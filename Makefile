@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench fmt vet fuzz parallel-bench scale-bench hier-bench hier-smoke adapt-bench families-bench chaos-bench obs-bench obs-smoke trace-smoke
+.PHONY: all build test test-cores benchmark-module race bench fmt vet fuzz parallel-bench scale-bench hier-bench hier-smoke adapt-bench families-bench chaos-bench obs-bench obs-smoke trace-smoke
 
 all: build test
 
@@ -12,6 +12,17 @@ build:
 
 test:
 	$(GO) test ./...
+
+# Tier-1 at the core counts a small host has: start-order and
+# scheduling assumptions fail here, not on a 2-core verifier.
+test-cores:
+	GOMAXPROCS=1 $(GO) test ./...
+	GOMAXPROCS=2 $(GO) test ./...
+
+# The repository benchmark is its own module (root ./... skips it);
+# this keeps a change to a function it calls from silently breaking it.
+benchmark-module:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 race:
 	$(GO) test -race ./...
@@ -27,7 +38,9 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-# Short fuzz smoke over the six decoder fuzz targets (matches CI).
+# Short fuzz smoke over the seven decoder fuzz targets (matches CI).
+# FuzzDecodePartial's seeds are the 2.4 KB golden frames; without the
+# minimize cap the engine spends the whole smoke minimizing its first find.
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzDecompress -fuzztime=10s ./internal/core
 	$(GO) test -run=^$$ -fuzz=FuzzDecoderStream -fuzztime=10s ./internal/core
@@ -35,6 +48,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzHuffmanDecode -fuzztime=10s ./internal/huffman
 	$(GO) test -run=^$$ -fuzz=FuzzLZHDecompress -fuzztime=10s ./internal/lossless
 	$(GO) test -run=^$$ -fuzz=FuzzFamilyDecode -fuzztime=10s ./internal/family
+	$(GO) test -run=^$$ -fuzz=FuzzDecodePartial -fuzztime=10s -fuzzminimizetime=1s ./internal/hier
 
 # Regenerate the committed serial-vs-parallel datapoint. Run on a
 # multi-core machine at paper scale: make parallel-bench SCALE=1

@@ -181,15 +181,26 @@ func runChaosScenario(sc chaosScenario, opts Options, clients, rounds, frameByte
 	// repoints it when the replacement server binds a fresh port.
 	var addr atomic.Value
 
-	serve := func(srv *transport.Orchestrated) (*model.StateDict, error) {
+	listen := func() (net.Listener, error) {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			return nil, err
 		}
-		defer ln.Close()
 		addr.Store(ln.Addr().String())
+		return ln, nil
+	}
+	serve := func(ln net.Listener, srv *transport.Orchestrated) (*model.StateDict, error) {
+		defer ln.Close()
 		return srv.Serve(ln, initial)
 	}
+	// Bound before any client goroutine exists, so a client's first dial
+	// always finds an address (on a small host the clients otherwise run
+	// ahead of the server and load an empty addr).
+	ln, err := listen()
+	if err != nil {
+		return nil, err
+	}
+	defer ln.Close()
 
 	onDrop := func(id string, reason orchestrator.DropReason) {
 		mu.Lock()
@@ -291,7 +302,7 @@ func runChaosScenario(sc chaosScenario, opts Options, clients, rounds, frameByte
 		if err != nil {
 			return nil, err
 		}
-		final, err = serve(srv)
+		final, err = serve(ln, srv)
 		if err != nil {
 			return nil, err
 		}
@@ -306,7 +317,7 @@ func runChaosScenario(sc chaosScenario, opts Options, clients, rounds, frameByte
 		if err != nil {
 			return nil, err
 		}
-		if _, err := serve(srvA); !errors.Is(err, transport.ErrAborted) {
+		if _, err := serve(ln, srvA); !errors.Is(err, transport.ErrAborted) {
 			return nil, fmt.Errorf("crash phase: err = %v, want ErrAborted", err)
 		}
 		ck, err := orchestrator.LoadCheckpoint(ckPath)
@@ -317,7 +328,13 @@ func runChaosScenario(sc chaosScenario, opts Options, clients, rounds, frameByte
 		if err != nil {
 			return nil, err
 		}
-		final, err = serve(srvB)
+		// The replacement binds a fresh port; until addr is repointed the
+		// clients' dials hit the dead one and ride their backoff loop.
+		lnB, err := listen()
+		if err != nil {
+			return nil, err
+		}
+		final, err = serve(lnB, srvB)
 		if err != nil {
 			return nil, err
 		}

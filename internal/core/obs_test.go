@@ -44,6 +44,9 @@ func TestObsCountersOnDecodePath(t *testing.T) {
 // disabled — the instruments are atomic adds against pre-resolved
 // counters, never map or string churn.
 func TestDecodeAllocsUnchangedByObs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool is lossy under the race detector, so the two arms' counts drift")
+	}
 	sd := streamStateDict(t, 99)
 	p, err := NewPipeline(Config{Parallelism: 1})
 	if err != nil {

@@ -1,10 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 
 	"fedsz/internal/model"
 	"fedsz/internal/tensor"
@@ -21,70 +21,65 @@ import (
 //	       dims uvarint... | payload (LE float32s or LE int64s)
 const serializeMagic = "FSD1"
 
-// MarshalStateDict encodes sd into the binary state-dict format.
+// stateDictWireSize returns the exact encoded length of sd.
+func stateDictWireSize(sd *model.StateDict) int {
+	n := len(serializeMagic) + UvarintLen(uint64(sd.Len()))
+	for i := 0; i < sd.Len(); i++ {
+		e := sd.At(i)
+		n += UvarintLen(uint64(len(e.Name))) + len(e.Name) + 1
+		switch e.DType {
+		case model.Float32:
+			n += UvarintLen(uint64(e.Tensor.Dims()))
+			for d := 0; d < e.Tensor.Dims(); d++ {
+				n += UvarintLen(uint64(e.Tensor.Dim(d)))
+			}
+			n += e.Tensor.SizeBytes()
+		case model.Int64:
+			n += 1 + UvarintLen(uint64(len(e.Ints))) + 8*len(e.Ints)
+		}
+	}
+	return n
+}
+
+// MarshalStateDict encodes sd into the binary state-dict format: the
+// streaming writer into a buffer of exactly the encoded length.
 func MarshalStateDict(sd *model.StateDict) ([]byte, error) {
-	out := make([]byte, 0, sd.SizeBytes()+int64(sd.Len()*16)+8)
-	out = append(out, serializeMagic...)
-	out = binary.AppendUvarint(out, uint64(sd.Len()))
-	var err error
-	for _, e := range sd.Entries() {
-		if out, err = appendStateDictEntry(out, e); err != nil {
-			return nil, err
-		}
+	out := bytes.NewBuffer(make([]byte, 0, stateDictWireSize(sd)))
+	if err := MarshalStateDictTo(out, sd); err != nil {
+		return nil, err
 	}
-	return out, nil
+	return out.Bytes(), nil
 }
 
-// appendStateDictEntry appends one entry's encoding to out — the unit
-// both the whole-buffer marshal and the streaming MarshalStateDictTo
-// share.
-func appendStateDictEntry(out []byte, e model.Entry) ([]byte, error) {
-	out = binary.AppendUvarint(out, uint64(len(e.Name)))
-	out = append(out, e.Name...)
-	out = append(out, byte(e.DType))
-	switch e.DType {
-	case model.Float32:
-		shape := e.Tensor.Shape()
-		out = binary.AppendUvarint(out, uint64(len(shape)))
-		for _, d := range shape {
-			out = binary.AppendUvarint(out, uint64(d))
-		}
-		for _, v := range e.Tensor.Data() {
-			out = binary.LittleEndian.AppendUint32(out, math.Float32bits(v))
-		}
-	case model.Int64:
-		out = binary.AppendUvarint(out, 1)
-		out = binary.AppendUvarint(out, uint64(len(e.Ints)))
-		for _, v := range e.Ints {
-			out = binary.LittleEndian.AppendUint64(out, uint64(v))
-		}
-	default:
-		return nil, fmt.Errorf("core: entry %q has unsupported dtype %d", e.Name, e.DType)
-	}
-	return out, nil
-}
-
-// MarshalStateDictTo streams the binary state-dict encoding of sd to w
-// entry by entry: only one entry's encoding is held in memory at a
-// time, so a multi-hundred-MB model broadcasts without materializing
-// the full wire image. The bytes written are exactly what
+// MarshalStateDictTo streams the binary state-dict encoding of sd to
+// w: headers and tensor data are converted through one fixed pooled
+// scratch and written a chunk at a time, so a multi-hundred-MB model
+// broadcasts without materializing the wire image and without a
+// steady-state allocation. The bytes written are exactly what
 // MarshalStateDict returns.
 func MarshalStateDictTo(w io.Writer, sd *model.StateDict) error {
-	hdr := append(make([]byte, 0, len(serializeMagic)+varintMax), serializeMagic...)
-	hdr = binary.AppendUvarint(hdr, uint64(sd.Len()))
-	if _, err := w.Write(hdr); err != nil {
-		return fmt.Errorf("core: write state dict: %w", err)
+	ww := NewWireWriter(w)
+	ww.String(serializeMagic)
+	ww.Uvarint(uint64(sd.Len()))
+	for i := 0; i < sd.Len(); i++ {
+		e := sd.At(i)
+		ww.Uvarint(uint64(len(e.Name)))
+		ww.String(e.Name)
+		ww.Byte(byte(e.DType))
+		if e.DType == model.Int64 {
+			ww.Uvarint(1)
+			ww.Uvarint(uint64(len(e.Ints)))
+			ww.Int64sLE(e.Ints)
+			continue
+		}
+		ww.Uvarint(uint64(e.Tensor.Dims()))
+		for d := 0; d < e.Tensor.Dims(); d++ {
+			ww.Uvarint(uint64(e.Tensor.Dim(d)))
+		}
+		ww.Float32sLE(e.Tensor.Data())
 	}
-	var scratch []byte
-	for _, e := range sd.Entries() {
-		out, err := appendStateDictEntry(scratch[:0], e)
-		if err != nil {
-			return err
-		}
-		scratch = out
-		if _, err := w.Write(out); err != nil {
-			return fmt.Errorf("core: write state dict: %w", err)
-		}
+	if err := ww.Close(); err != nil {
+		return fmt.Errorf("core: write state dict: %w", err)
 	}
 	return nil
 }
@@ -119,7 +114,8 @@ func UnmarshalStateDictFrom(r io.Reader) (*model.StateDict, error) {
 // limits and the io.EOF-on-empty-stream contract match
 // UnmarshalStateDictFrom.
 func UnmarshalStateDictEntriesFrom(r io.Reader, emit func(e model.Entry) error) error {
-	src := &streamSource{r: asByteReader(r)}
+	src := newStreamSource(r)
+	defer src.Release()
 	magic, err := src.payload(uint64(len(serializeMagic)))
 	if err != nil {
 		if err == io.EOF {
@@ -172,13 +168,9 @@ func UnmarshalStateDictEntriesFrom(r io.Reader, emit func(e model.Entry) error) 
 
 		switch dtype {
 		case model.Float32:
-			payload, err := src.payload(uint64(elems) * 4)
+			data, err := src.Float32sLE(elems)
 			if err != nil {
-				return fmt.Errorf("%w: entry %q payload", ErrCorrupt, name)
-			}
-			data := make([]float32, elems)
-			for j := range data {
-				data[j] = math.Float32frombits(binary.LittleEndian.Uint32(payload[j*4:]))
+				return fmt.Errorf("%w: entry %q payload: %w", ErrCorrupt, name, err)
 			}
 			t, err := tensor.FromData(data, shape...)
 			if err != nil {
@@ -191,13 +183,9 @@ func UnmarshalStateDictEntriesFrom(r io.Reader, emit func(e model.Entry) error) 
 			if uint64(elems) > maxStreamSection/8 {
 				return fmt.Errorf("%w: entry %q payload", ErrCorrupt, name)
 			}
-			payload, err := src.payload(uint64(elems) * 8)
+			ints, err := src.Int64sLE(elems)
 			if err != nil {
-				return fmt.Errorf("%w: entry %q payload", ErrCorrupt, name)
-			}
-			ints := make([]int64, elems)
-			for j := range ints {
-				ints[j] = int64(binary.LittleEndian.Uint64(payload[j*8:]))
+				return fmt.Errorf("%w: entry %q payload: %w", ErrCorrupt, name, err)
 			}
 			if err := emit(model.Entry{Name: name, DType: model.Int64, Ints: ints}); err != nil {
 				return err
@@ -257,9 +245,7 @@ func UnmarshalStateDict(buf []byte) (*model.StateDict, error) {
 				return nil, fmt.Errorf("%w: entry %q payload", ErrCorrupt, name)
 			}
 			data := make([]float32, elems)
-			for j := range data {
-				data[j] = math.Float32frombits(binary.LittleEndian.Uint32(buf[j*4:]))
-			}
+			getFloat32sLE(data, buf[:elems*4])
 			buf = buf[elems*4:]
 			t, err := tensor.FromData(data, shape...)
 			if err != nil {
@@ -273,9 +259,7 @@ func UnmarshalStateDict(buf []byte) (*model.StateDict, error) {
 				return nil, fmt.Errorf("%w: entry %q payload", ErrCorrupt, name)
 			}
 			ints := make([]int64, elems)
-			for j := range ints {
-				ints[j] = int64(binary.LittleEndian.Uint64(buf[j*8:]))
-			}
+			getInt64sLE(ints, buf[:elems*8])
 			buf = buf[elems*8:]
 			if err := sd.Add(model.Entry{Name: name, DType: model.Int64, Ints: ints}); err != nil {
 				return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)

@@ -46,10 +46,6 @@ const (
 	// range — tensor.FromData would recompute the same wrapped product
 	// and wave it through.
 	maxStreamElems = maxStreamSection / 4
-	// streamChunk is the incremental-allocation step for section
-	// payloads: a truncated stream claiming a huge section fails after
-	// allocating at most the bytes actually present plus one chunk.
-	streamChunk = 1 << 20
 )
 
 // crcTable is the CRC32C (Castagnoli) table shared by the checked
@@ -420,13 +416,6 @@ func (s *bufSource) verifyCRC(what string) error {
 	return nil
 }
 
-// byteReader is what the streaming reader needs from its source:
-// buffered byte-at-a-time access for varints plus bulk reads.
-type byteReader interface {
-	io.Reader
-	io.ByteReader
-}
-
 // asByteReader returns r itself when it can serve varint reads
 // directly (e.g. *bufio.Reader, *bytes.Reader), else wraps it. The
 // wrapper may read ahead; callers interleaving other reads on r
@@ -438,28 +427,18 @@ func asByteReader(r io.Reader) byteReader {
 	return bufio.NewReader(r)
 }
 
-// streamSource parses a frame incrementally from a reader.
+// streamSource parses a frame incrementally from a reader: a
+// WireReader plus the frame format's caps and corruption sentinel.
 type streamSource struct {
-	r     byteReader
-	crcOn bool
-	crc   uint32
-	one   [1]byte // ReadByte CRC scratch, avoids a per-byte allocation
+	WireReader
 }
 
-// ReadByte serves varint reads while folding each byte into the
-// running checksum, so binary.ReadUvarint is handed the source itself
-// rather than the raw reader.
-func (s *streamSource) ReadByte() (byte, error) {
-	b, err := s.r.ReadByte()
-	if err == nil && s.crcOn {
-		s.one[0] = b
-		s.crc = crc32.Update(s.crc, crcTable, s.one[:])
-	}
-	return b, err
+func newStreamSource(r io.Reader) *streamSource {
+	return &streamSource{WireReader{r: asByteReader(r)}}
 }
 
 func (s *streamSource) uvarint() (uint64, error) {
-	v, err := binary.ReadUvarint(s)
+	v, err := s.Uvarint()
 	if err != nil {
 		// Keep the transport error in the chain (%w): a read-deadline
 		// timeout mid-frame must stay classifiable as a straggler cut,
@@ -488,29 +467,14 @@ func (s *streamSource) payload(n uint64) ([]byte, error) {
 	if n > maxStreamSection {
 		return nil, fmt.Errorf("%w: section length %d exceeds %d", ErrCorrupt, n, maxStreamSection)
 	}
-	// Grow in chunks: a forged length costs at most the bytes actually
-	// present plus one chunk of allocation before ReadFull fails.
-	buf := make([]byte, 0, min64(n, streamChunk))
-	for remaining := n; remaining > 0; {
-		k := min64(remaining, streamChunk)
-		off := len(buf)
-		buf = append(buf, make([]byte, k)...)
-		if _, err := io.ReadFull(s.r, buf[off:]); err != nil {
-			if err == io.EOF && off == 0 {
-				// Nothing of this field was present: clean end of
-				// stream, which callers at a frame boundary surface
-				// as io.EOF.
-				return nil, io.EOF
-			}
-			if err == io.EOF {
-				err = io.ErrUnexpectedEOF
-			}
-			return nil, fmt.Errorf("%w: truncated section: %w", ErrCorrupt, err)
-		}
-		if s.crcOn {
-			s.crc = crc32.Update(s.crc, crcTable, buf[off:])
-		}
-		remaining -= k
+	buf, err := s.Bytes(int(n))
+	if err == io.EOF {
+		// Nothing of this field was present: clean end of stream, which
+		// callers at a frame boundary surface as io.EOF.
+		return nil, io.EOF
+	}
+	if err != nil {
+		return nil, fmt.Errorf("%w: truncated section: %w", ErrCorrupt, err)
 	}
 	return buf, nil
 }
@@ -518,15 +482,15 @@ func (s *streamSource) payload(n uint64) ([]byte, error) {
 func (s *streamSource) entryLimit() uint64 { return maxStreamEntries }
 func (s *streamSource) lossyLimit() uint64 { return maxStreamEntries }
 
-func (s *streamSource) beginCRC() { s.crcOn, s.crc = true, 0 }
+func (s *streamSource) beginCRC() { s.BeginCRC() }
 
 func (s *streamSource) verifyCRC(what string) error {
-	s.crcOn = false
+	sum := s.EndCRC()
 	var b [4]byte
 	if _, err := io.ReadFull(s.r, b[:]); err != nil {
 		return fmt.Errorf("%w: %s: missing trailer", ErrCorruptFrame, what)
 	}
-	if binary.BigEndian.Uint32(b[:]) != s.crc {
+	if binary.BigEndian.Uint32(b[:]) != sum {
 		return fmt.Errorf("%w: %s", ErrCorruptFrame, what)
 	}
 	return nil
@@ -882,7 +846,7 @@ func decodeFrame(src frameSource, parallelism int, emit func(model.Entry) error)
 // bytes at all returns io.EOF. Parallelism ≤ 0 selects
 // runtime.GOMAXPROCS(0); 1 forces serial decoding.
 func DecompressFrom(r io.Reader, parallelism int) (*model.StateDict, error) {
-	return decodeFrame(&streamSource{r: asByteReader(r)}, parallelism, nil)
+	return decodeFrame(newStreamSource(r), parallelism, nil)
 }
 
 // DecompressEntriesFrom decodes one FedSZ frame from r as a stream of
@@ -898,7 +862,7 @@ func DecompressEntriesFrom(r io.Reader, parallelism int, emit func(model.Entry) 
 	if emit == nil {
 		return fmt.Errorf("core: nil emit")
 	}
-	_, err := decodeFrame(&streamSource{r: asByteReader(r)}, parallelism, emit)
+	_, err := decodeFrame(newStreamSource(r), parallelism, emit)
 	return err
 }
 

@@ -34,18 +34,27 @@
 //
 // The span-summary tail is the cross-tier tracing hook: encoders that
 // trace append it after the prior, decoders that predate it stop at
-// the prior and ignore the tail (parseBody never required the body to
-// be exhausted), and new decoders treat a body that ends at the prior
-// as "no span" — so mixed-version tiers interoperate in both
-// directions.
+// the prior and ignore the tail (the parser never required the body to
+// be exhausted; unknown trailing bytes are summed and skipped), and new
+// decoders treat a body that ends at the prior as "no span" — so
+// mixed-version tiers interoperate in both directions.
 //
-// The trailer is verified BEFORE any fold (the frame is materialized
-// at the upstream hop — partial frames arrive once per region, not
-// once per client), so a corrupt region frame quarantines via the
-// typed drop path without ever touching the sums. Raw float64 bits —
-// never a lossy re-encode — keep the tier byte-exact; the optional
-// lossless packing recovers most of the float32→float64 inflation on
-// the contended WAN hop without breaking exactness.
+// Neither end materializes a raw frame. The encoder knows the body
+// length from the entries up front, so it writes flags and length and
+// then streams every entry through one fixed scratch (core.WireWriter):
+// each sum is converted once, the CRC32C is folded in per chunk, and
+// the first entries are on the wire while later ones convert. The
+// decoder reads the body in chunks straight into each entry's storage
+// (core.WireReader), allocating what a declared length asks for only in
+// stages as the bytes actually arrive. The trailer is verified when
+// the declared body is exhausted and BEFORE the partial is returned,
+// so nothing of a corrupt region frame is ever handed to an aggregator:
+// it quarantines via the typed drop path without touching the sums.
+// Raw float64 bits — never a lossy re-encode — keep the tier byte-exact;
+// the optional lossless packing (whose body does pass through one
+// exactly-sized buffer on each side) recovers most of the
+// float32→float64 inflation on the contended WAN hop without breaking
+// exactness.
 package hier
 
 import (
@@ -53,7 +62,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 
@@ -74,10 +82,6 @@ const (
 	MaxPartialSize = 1 << 30
 )
 
-// crcTable is the CRC32C (Castagnoli) table, matching the checked
-// update frames of package core.
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
 // maxPartialSize is MaxPartialSize as a variable so tests can lower
 // the limit without gigabyte allocations.
 var maxPartialSize uint64 = MaxPartialSize
@@ -89,7 +93,8 @@ var ErrCorruptPartial = fmt.Errorf("hier: corrupt partial-sum frame: %w", core.E
 
 // WireOptions shape an encoded partial-sum frame.
 type WireOptions struct {
-	// Checksum appends a CRC32C trailer verified before any fold.
+	// Checksum appends a CRC32C (Castagnoli, as in core's checked update
+	// frames) trailer verified before any fold.
 	Checksum bool
 	// Lossless names a registered lossless codec to pack the body
 	// through ("" = raw). Packing is byte-exact: the float64 sums
@@ -105,92 +110,153 @@ type Reader interface {
 	io.ByteReader
 }
 
-// EncodePartial renders p as a self-delimiting MsgPartialSum frame.
-func EncodePartial(p *orchestrator.Partial, opts WireOptions) ([]byte, error) {
-	body := appendBody(nil, p)
-	flags := byte(0)
-	if opts.Checksum {
-		flags |= flagChecksum
+// frameSize returns the wire length of a frame around a wire body of
+// bodyLen bytes.
+func frameSize(bodyLen uint64, llName string, checksum bool) int64 {
+	n := 1 + int64(core.UvarintLen(bodyLen)) + int64(bodyLen)
+	if llName != "" {
+		n += int64(core.UvarintLen(uint64(len(llName))) + len(llName))
 	}
-	if opts.Lossless != "" {
-		c, err := lossless.New(opts.Lossless)
-		if err != nil {
-			return nil, fmt.Errorf("hier: pack partial: %w", err)
-		}
-		packed, err := c.Compress(body)
-		if err != nil {
-			return nil, fmt.Errorf("hier: pack partial: %w", err)
-		}
-		body = packed
-		flags |= flagPacked
+	if checksum {
+		n += 4
 	}
-
-	out := make([]byte, 0, len(body)+len(opts.Lossless)+16)
-	out = append(out, flags)
-	if flags&flagPacked != 0 {
-		out = binary.AppendUvarint(out, uint64(len(opts.Lossless)))
-		out = append(out, opts.Lossless...)
-	}
-	out = binary.AppendUvarint(out, uint64(len(body)))
-	out = append(out, body...)
-	if flags&flagChecksum != 0 {
-		out = binary.BigEndian.AppendUint32(out, crc32.Checksum(body, crcTable))
-	}
-	obsPartialsEnc.Inc()
-	obsPartialBytesEnc.Add(int64(len(out)))
-	obsPartialUpdatesEnc.Add(int64(p.Updates))
-	return out, nil
+	return n
 }
 
-// EncodePartialTo writes the frame to w.
-func EncodePartialTo(w io.Writer, p *orchestrator.Partial, opts WireOptions) error {
-	buf, err := EncodePartial(p, opts)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(buf)
-	return err
-}
-
-// appendBody serializes the partial's uncompressed body.
-func appendBody(dst []byte, p *orchestrator.Partial) []byte {
-	dst = binary.AppendUvarint(dst, uint64(p.Updates))
-	dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(p.TotalWeight))
-	dst = binary.AppendUvarint(dst, uint64(len(p.Entries)))
+// bodySize returns the exact encoded length of p's uncompressed body.
+func bodySize(p *orchestrator.Partial) int {
+	n := core.UvarintLen(uint64(p.Updates)) + 8 + core.UvarintLen(uint64(len(p.Entries)))
 	for _, e := range p.Entries {
-		dst = binary.AppendUvarint(dst, uint64(len(e.Name)))
-		dst = append(dst, e.Name...)
-		dst = append(dst, byte(e.DType))
+		n += core.UvarintLen(uint64(len(e.Name))) + len(e.Name) + 1
 		if e.DType == model.Int64 {
-			dst = binary.AppendUvarint(dst, uint64(len(e.Ints)))
-			for _, v := range e.Ints {
-				dst = binary.BigEndian.AppendUint64(dst, uint64(v))
-			}
+			n += core.UvarintLen(uint64(len(e.Ints))) + 8*len(e.Ints)
 			continue
 		}
-		dst = binary.AppendUvarint(dst, uint64(len(e.Shape)))
+		n += core.UvarintLen(uint64(len(e.Shape)))
 		for _, d := range e.Shape {
-			dst = binary.AppendUvarint(dst, uint64(d))
+			n += core.UvarintLen(uint64(d))
 		}
-		for _, v := range e.Sums {
-			dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(v))
-		}
+		n += 8 * len(e.Sums)
 	}
-	dst = binary.AppendUvarint(dst, uint64(len(p.Prior)))
-	dst = append(dst, p.Prior...)
+	n += core.UvarintLen(uint64(len(p.Prior))) + len(p.Prior)
+	if len(p.Span) > 0 {
+		n += core.UvarintLen(uint64(len(p.Span))) + len(p.Span)
+	}
+	return n
+}
+
+// writeBody streams p's uncompressed body: small fields and the sums
+// alike go through ww's fixed scratch, each sum converted once.
+func writeBody(ww *core.WireWriter, p *orchestrator.Partial) {
+	ww.Uvarint(uint64(p.Updates))
+	ww.Uint64BE(math.Float64bits(p.TotalWeight))
+	ww.Uvarint(uint64(len(p.Entries)))
+	for _, e := range p.Entries {
+		ww.Uvarint(uint64(len(e.Name)))
+		ww.String(e.Name)
+		ww.Byte(byte(e.DType))
+		if e.DType == model.Int64 {
+			ww.Uvarint(uint64(len(e.Ints)))
+			ww.Int64sBE(e.Ints)
+			continue
+		}
+		ww.Uvarint(uint64(len(e.Shape)))
+		for _, d := range e.Shape {
+			ww.Uvarint(uint64(d))
+		}
+		ww.Float64sBE(e.Sums)
+	}
+	ww.Uvarint(uint64(len(p.Prior)))
+	ww.Bytes(p.Prior)
 	if len(p.Span) > 0 {
 		// Optional tail: pre-tracing decoders stop at the prior and
 		// never see it; omitting it entirely (rather than writing a zero
 		// length) keeps untraced frames byte-identical to old encoders.
-		dst = binary.AppendUvarint(dst, uint64(len(p.Span)))
-		dst = append(dst, p.Span...)
+		ww.Uvarint(uint64(len(p.Span)))
+		ww.Bytes(p.Span)
 	}
-	return dst
 }
 
-// DecodePartialFrom reads one MsgPartialSum frame off r, verifying the
-// CRC32C trailer (when present) before parsing — a damaged region
-// frame is rejected wholesale, nothing of it reaches an aggregator.
+// EncodePartial renders p as a self-delimiting MsgPartialSum frame:
+// EncodePartialTo into a buffer of exactly the frame's length.
+func EncodePartial(p *orchestrator.Partial, opts WireOptions) ([]byte, error) {
+	var size int64 // a packed frame's length is only known once compressed
+	if opts.Lossless == "" {
+		size = frameSize(uint64(bodySize(p)), "", opts.Checksum)
+	}
+	out := bytes.NewBuffer(make([]byte, 0, size))
+	if err := EncodePartialTo(out, p, opts); err != nil {
+		return nil, err
+	}
+	return out.Bytes(), nil
+}
+
+// EncodePartialTo streams the frame to w. A raw frame's length is
+// known from the entries up front, so flags and length go out first
+// and every entry follows through one fixed scratch — the first sums
+// are on the wire while later ones convert, with the CRC32C folded in
+// per chunk and the trailer last. A packed frame builds its body the
+// same way into an exactly-sized buffer, compresses it, and streams
+// the result.
+func EncodePartialTo(w io.Writer, p *orchestrator.Partial, opts WireOptions) error {
+	flags := byte(0)
+	if opts.Checksum {
+		flags |= flagChecksum
+	}
+	var packed []byte
+	if opts.Lossless != "" {
+		c, err := lossless.New(opts.Lossless)
+		if err != nil {
+			return fmt.Errorf("hier: pack partial: %w", err)
+		}
+		body := bytes.NewBuffer(make([]byte, 0, bodySize(p)))
+		bw := core.NewWireWriter(body)
+		writeBody(bw, p)
+		_ = bw.Close() // a bytes.Buffer never fails a write
+		if packed, err = c.Compress(body.Bytes()); err != nil {
+			return fmt.Errorf("hier: pack partial: %w", err)
+		}
+		flags |= flagPacked
+	}
+
+	wireBody := uint64(len(packed))
+	if flags&flagPacked == 0 {
+		wireBody = uint64(bodySize(p))
+	}
+	ww := core.NewWireWriter(w)
+	ww.Byte(flags)
+	if flags&flagPacked != 0 {
+		ww.Uvarint(uint64(len(opts.Lossless)))
+		ww.String(opts.Lossless)
+	}
+	ww.Uvarint(wireBody)
+	if opts.Checksum {
+		ww.BeginCRC()
+	}
+	if flags&flagPacked != 0 {
+		ww.Bytes(packed)
+	} else {
+		writeBody(ww, p)
+	}
+	if opts.Checksum {
+		ww.Uint32BE(ww.EndCRC())
+	}
+	if err := ww.Close(); err != nil {
+		return fmt.Errorf("hier: write partial: %w", err)
+	}
+	obsPartialsEnc.Inc()
+	obsPartialBytesEnc.Add(frameSize(wireBody, opts.Lossless, opts.Checksum))
+	obsPartialUpdatesEnc.Add(int64(p.Updates))
+	return nil
+}
+
+// DecodePartialFrom reads one MsgPartialSum frame off r. A raw frame is
+// decoded as it arrives — each chunk summed into the running CRC32C
+// and converted straight into its entry's storage — and the trailer is
+// verified once the declared body is exhausted, BEFORE the partial is
+// returned: a damaged region frame is rejected wholesale, nothing of
+// it reaches an aggregator. Every allocation a declared length drives
+// is staged against the bytes actually received.
 func DecodePartialFrom(r Reader) (*orchestrator.Partial, error) {
 	p, err := decodePartialFrom(r)
 	if err != nil {
@@ -231,98 +297,159 @@ func decodePartialFrom(r Reader) (*orchestrator.Partial, error) {
 	if size > maxPartialSize {
 		return nil, fmt.Errorf("%w: body size %d", ErrCorruptPartial, size)
 	}
-	wire := int64(1) + int64(uvarintLen(size)) + int64(size)
-	if llName != "" {
-		wire += int64(uvarintLen(uint64(len(llName)))) + int64(len(llName))
+	checksum := flags&flagChecksum != 0
+	obsPartialBytesDec.Add(frameSize(size, llName, checksum))
+
+	body := &bodyReader{r: r, n: size}
+	wr := core.NewWireReader(body)
+	defer wr.Release()
+	if checksum {
+		wr.BeginCRC()
 	}
-	if flags&flagChecksum != 0 {
-		wire += 4
+	var p *orchestrator.Partial
+	var wire []byte
+	if llName == "" {
+		if p, err = parseBody(wr, body); err == nil {
+			// Bytes past the last field this version knows belong to a
+			// newer encoder's tail; they are summed, never parsed.
+			err = wr.Discard(body.n)
+		}
+	} else {
+		wire, err = wr.Bytes(int(size))
 	}
-	obsPartialBytesDec.Add(wire)
-	body := make([]byte, size)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, fmt.Errorf("hier: read partial body: %w", err)
+	if err != nil {
+		if body.err == io.EOF {
+			// The source ended inside the declared body: a truncated stream.
+			body.err = io.ErrUnexpectedEOF
+		}
+		if body.err != nil {
+			return nil, fmt.Errorf("hier: read partial body: %w", body.err)
+		}
+		return nil, err
 	}
-	if flags&flagChecksum != 0 {
+	if checksum {
 		var raw [4]byte
 		if _, err := io.ReadFull(r, raw[:]); err != nil {
 			return nil, fmt.Errorf("hier: read partial trailer: %w", err)
 		}
-		if binary.BigEndian.Uint32(raw[:]) != crc32.Checksum(body, crcTable) {
+		if binary.BigEndian.Uint32(raw[:]) != wr.EndCRC() {
 			return nil, fmt.Errorf("%w: checksum mismatch", ErrCorruptPartial)
 		}
 	}
-	if llName != "" {
-		c, err := lossless.New(llName)
-		if err != nil {
-			return nil, fmt.Errorf("%w: codec %q", ErrCorruptPartial, llName)
-		}
-		if body, err = c.Decompress(body); err != nil {
-			return nil, fmt.Errorf("%w: unpack: %v", ErrCorruptPartial, err)
-		}
-		// The size cap applies to the logical body: a packed frame whose
-		// self-described output blows past it is a bomb, not a partial.
-		if uint64(len(body)) > maxPartialSize {
-			return nil, fmt.Errorf("%w: unpacked size %d", ErrCorruptPartial, len(body))
-		}
+	if llName == "" {
+		return p, nil
 	}
-	return parseBody(body)
+
+	c, err := lossless.New(llName)
+	if err != nil {
+		return nil, fmt.Errorf("%w: codec %q", ErrCorruptPartial, llName)
+	}
+	unpacked, err := c.Decompress(wire)
+	if err != nil {
+		return nil, fmt.Errorf("%w: unpack: %v", ErrCorruptPartial, err)
+	}
+	// The size cap applies to the logical body: a packed frame whose
+	// self-described output blows past it is a bomb, not a partial.
+	if uint64(len(unpacked)) > maxPartialSize {
+		return nil, fmt.Errorf("%w: unpacked size %d", ErrCorruptPartial, len(unpacked))
+	}
+	inner := &bodyReader{r: bytes.NewReader(unpacked), n: uint64(len(unpacked))}
+	ur := core.NewWireReader(inner)
+	defer ur.Release()
+	return parseBody(ur, inner)
 }
 
-// parseBody decodes the (uncompressed) body.
-func parseBody(body []byte) (*orchestrator.Partial, error) {
-	br := bytes.NewReader(body)
+// bodyReader confines the parser to the frame's declared body and
+// remembers the source's own failure, so a stream that died mid-frame
+// (timeout, disconnect) is reported as that and not as a corrupt
+// structure. Reading past the declared body is io.EOF with err unset.
+type bodyReader struct {
+	r   Reader
+	n   uint64 // body bytes not yet read
+	err error  // the source's first error, if any
+}
+
+func (b *bodyReader) Read(p []byte) (int, error) {
+	if b.n == 0 {
+		return 0, io.EOF
+	}
+	if uint64(len(p)) > b.n {
+		p = p[:b.n]
+	}
+	k, err := b.r.Read(p)
+	b.n -= uint64(k)
+	if err != nil && b.err == nil {
+		b.err = err
+	}
+	return k, err
+}
+
+func (b *bodyReader) ReadByte() (byte, error) {
+	if b.n == 0 {
+		return 0, io.EOF
+	}
+	c, err := b.r.ReadByte()
+	if err != nil {
+		if b.err == nil {
+			b.err = err
+		}
+		return 0, err
+	}
+	b.n--
+	return c, nil
+}
+
+// parseBody decodes the (uncompressed) body from wr, which reads
+// through body. Declared lengths are checked against the body bytes
+// that remain before anything is allocated for them.
+func parseBody(wr *core.WireReader, body *bodyReader) (*orchestrator.Partial, error) {
 	p := &orchestrator.Partial{}
-	updates, err := binary.ReadUvarint(br)
+	updates, err := wr.Uvarint()
 	if err != nil {
 		return nil, fmt.Errorf("%w: updates", ErrCorruptPartial)
 	}
 	p.Updates = int(updates)
-	var w [8]byte
-	if _, err := io.ReadFull(br, w[:]); err != nil {
+	w, err := wr.Uint64BE()
+	if err != nil {
 		return nil, fmt.Errorf("%w: total weight", ErrCorruptPartial)
 	}
-	p.TotalWeight = math.Float64frombits(binary.BigEndian.Uint64(w[:]))
+	p.TotalWeight = math.Float64frombits(w)
 	if math.IsNaN(p.TotalWeight) || math.IsInf(p.TotalWeight, 0) || p.TotalWeight < 0 {
 		return nil, fmt.Errorf("%w: total weight %v", ErrCorruptPartial, p.TotalWeight)
 	}
-	nEntries, err := binary.ReadUvarint(br)
-	if err != nil || nEntries > maxPartialSize/8 {
+	// An entry is at least three bytes (name length, dtype, count).
+	nEntries, err := wr.Uvarint()
+	if err != nil || nEntries > body.n/3 {
 		return nil, fmt.Errorf("%w: entry count", ErrCorruptPartial)
 	}
-	p.Entries = make([]orchestrator.PartialEntry, 0, nEntries)
+	p.Entries = make([]orchestrator.PartialEntry, 0, min(nEntries, 1024))
 	for i := uint64(0); i < nEntries; i++ {
-		e, err := parseEntry(br)
+		e, err := parseEntry(wr, body)
 		if err != nil {
 			return nil, err
 		}
 		p.Entries = append(p.Entries, e)
 	}
-	priorLen, err := binary.ReadUvarint(br)
-	if err != nil || priorLen > maxPartialSize {
+	priorLen, err := wr.Uvarint()
+	if err != nil || priorLen > body.n {
 		return nil, fmt.Errorf("%w: prior length", ErrCorruptPartial)
 	}
 	if priorLen > 0 {
-		p.Prior = make([]byte, priorLen)
-		if _, err := io.ReadFull(br, p.Prior); err != nil {
+		if p.Prior, err = wr.Bytes(int(priorLen)); err != nil {
 			return nil, fmt.Errorf("%w: prior blob", ErrCorruptPartial)
 		}
 	}
 	// Optional span-summary tail: a body that ends here came from a
 	// pre-tracing encoder — that's "no span", not corruption.
-	spanLen, err := binary.ReadUvarint(br)
-	if err != nil {
-		if errors.Is(err, io.EOF) {
-			return p, nil
-		}
+	if body.n == 0 {
+		return p, nil
+	}
+	spanLen, err := wr.Uvarint()
+	if err != nil || spanLen > body.n {
 		return nil, fmt.Errorf("%w: span length", ErrCorruptPartial)
 	}
-	if spanLen > maxPartialSize {
-		return nil, fmt.Errorf("%w: span length %d", ErrCorruptPartial, spanLen)
-	}
 	if spanLen > 0 {
-		p.Span = make([]byte, spanLen)
-		if _, err := io.ReadFull(br, p.Span); err != nil {
+		if p.Span, err = wr.Bytes(int(spanLen)); err != nil {
 			return nil, fmt.Errorf("%w: span blob", ErrCorruptPartial)
 		}
 	}
@@ -330,45 +457,40 @@ func parseBody(body []byte) (*orchestrator.Partial, error) {
 }
 
 // parseEntry decodes one PartialEntry.
-func parseEntry(br *bytes.Reader) (orchestrator.PartialEntry, error) {
+func parseEntry(wr *core.WireReader, body *bodyReader) (orchestrator.PartialEntry, error) {
 	var e orchestrator.PartialEntry
-	nameLen, err := binary.ReadUvarint(br)
+	nameLen, err := wr.Uvarint()
 	if err != nil || nameLen > 4096 {
 		return e, fmt.Errorf("%w: entry name length", ErrCorruptPartial)
 	}
-	name := make([]byte, nameLen)
-	if _, err := io.ReadFull(br, name); err != nil {
+	name, err := wr.Bytes(int(nameLen))
+	if err != nil {
 		return e, fmt.Errorf("%w: entry name", ErrCorruptPartial)
 	}
 	e.Name = string(name)
-	dt, err := br.ReadByte()
+	dt, err := wr.ReadByte()
 	if err != nil {
 		return e, fmt.Errorf("%w: entry dtype", ErrCorruptPartial)
 	}
 	e.DType = model.DType(dt)
 	switch e.DType {
 	case model.Int64:
-		n, err := binary.ReadUvarint(br)
-		if err != nil || n > maxPartialSize/8 {
+		n, err := wr.Uvarint()
+		if err != nil || n > body.n/8 {
 			return e, fmt.Errorf("%w: int entry length", ErrCorruptPartial)
 		}
-		e.Ints = make([]int64, n)
-		var raw [8]byte
-		for j := range e.Ints {
-			if _, err := io.ReadFull(br, raw[:]); err != nil {
-				return e, fmt.Errorf("%w: int entry data", ErrCorruptPartial)
-			}
-			e.Ints[j] = int64(binary.BigEndian.Uint64(raw[:]))
+		if e.Ints, err = wr.Int64sBE(int(n)); err != nil {
+			return e, fmt.Errorf("%w: int entry data", ErrCorruptPartial)
 		}
 	case model.Float32:
-		ndim, err := binary.ReadUvarint(br)
+		ndim, err := wr.Uvarint()
 		if err != nil || ndim > 16 {
 			return e, fmt.Errorf("%w: entry rank", ErrCorruptPartial)
 		}
 		e.Shape = make([]int, ndim)
 		elems := uint64(1)
 		for d := range e.Shape {
-			v, err := binary.ReadUvarint(br)
+			v, err := wr.Uvarint()
 			if err != nil || v == 0 || v > maxPartialSize/8 {
 				return e, fmt.Errorf("%w: entry shape", ErrCorruptPartial)
 			}
@@ -378,13 +500,11 @@ func parseEntry(br *bytes.Reader) (orchestrator.PartialEntry, error) {
 				return e, fmt.Errorf("%w: entry too large", ErrCorruptPartial)
 			}
 		}
-		e.Sums = make([]float64, elems)
-		var raw [8]byte
-		for j := range e.Sums {
-			if _, err := io.ReadFull(br, raw[:]); err != nil {
-				return e, fmt.Errorf("%w: entry sums", ErrCorruptPartial)
-			}
-			e.Sums[j] = math.Float64frombits(binary.BigEndian.Uint64(raw[:]))
+		if elems > body.n/8 {
+			return e, fmt.Errorf("%w: entry sums", ErrCorruptPartial)
+		}
+		if e.Sums, err = wr.Float64sBE(int(elems)); err != nil {
+			return e, fmt.Errorf("%w: entry sums", ErrCorruptPartial)
 		}
 	default:
 		return e, fmt.Errorf("%w: dtype %d", ErrCorruptPartial, dt)

@@ -2,6 +2,7 @@ package hier
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"math/rand"
@@ -262,19 +263,44 @@ func TestPartialSpanTail(t *testing.T) {
 	}
 }
 
+// rawBody strips a raw, unchecksummed frame down to its body.
+func rawBody(t *testing.T, frame []byte) []byte {
+	t.Helper()
+	size, n := binary.Uvarint(frame[1:])
+	if frame[0] != 0 || n <= 0 || uint64(len(frame)-1-n) != size {
+		t.Fatalf("not a raw unchecksummed frame (flags %#x)", frame[0])
+	}
+	return frame[1+n:]
+}
+
+// rawFrame wraps body as a raw, unchecksummed frame.
+func rawFrame(body []byte) []byte {
+	out := binary.AppendUvarint([]byte{0}, uint64(len(body)))
+	return append(out, body...)
+}
+
 // TestPartialWithoutSpanTailDecodes: a frame from a pre-tracing
 // encoder (body ends at the prior) must decode with Span == nil, and
 // an untraced partial must encode without any tail bytes at all —
 // byte-identical to the old wire format.
 func TestPartialWithoutSpanTailDecodes(t *testing.T) {
 	p := samplePartial(rand.New(rand.NewSource(11)))
-	withNil := appendBody(nil, p)
+	withNil, err := EncodePartial(p, WireOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	p.Span = []byte{}
-	withEmpty := appendBody(nil, p)
+	withEmpty, err := EncodePartial(p, WireOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !bytes.Equal(withNil, withEmpty) {
 		t.Fatal("empty span changed the encoding")
 	}
-	got, err := parseBody(withNil)
+	if body := rawBody(t, withNil); !bytes.HasSuffix(body, p.Prior) {
+		t.Fatal("untraced body does not end at the prior")
+	}
+	got, err := DecodePartialFrom(bytes.NewReader(withNil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,9 +314,31 @@ func TestPartialWithoutSpanTailDecodes(t *testing.T) {
 func TestPartialSpanTailTruncated(t *testing.T) {
 	p := samplePartial(rand.New(rand.NewSource(13)))
 	p.Span = []byte{1, 2, 3, 4, 5, 6, 7, 8}
-	body := appendBody(nil, p)
+	frame, err := EncodePartial(p, WireOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := rawBody(t, frame)
 	body = body[:len(body)-4] // cut into the span blob
-	if _, err := parseBody(body); !errors.Is(err, ErrCorruptPartial) {
+	if _, err := DecodePartialFrom(bytes.NewReader(rawFrame(body))); !errors.Is(err, ErrCorruptPartial) {
 		t.Fatalf("truncated span tail: err = %v, want ErrCorruptPartial", err)
 	}
+}
+
+// TestPartialUnknownTailIgnored: body bytes past the span tail belong
+// to a newer encoder; they are covered by the checksum and otherwise
+// ignored.
+func TestPartialUnknownTailIgnored(t *testing.T) {
+	p := samplePartial(rand.New(rand.NewSource(15)))
+	p.Span = []byte{9, 9}
+	frame, err := EncodePartial(p, WireOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	extended := rawFrame(append(append([]byte(nil), rawBody(t, frame)...), 0xaa, 0xbb, 0xcc))
+	got, err := DecodePartialFrom(bytes.NewReader(extended))
+	if err != nil {
+		t.Fatalf("unknown tail: %v", err)
+	}
+	partialsEqual(t, p, got)
 }

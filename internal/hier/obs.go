@@ -24,13 +24,3 @@ var (
 	obsPartialUpdatesEnc = obsPartialUpdates.With("encode")
 	obsPartialUpdatesDec = obsPartialUpdates.With("decode")
 )
-
-// uvarintLen returns the encoded size of v as a uvarint.
-func uvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
-}

@@ -1,0 +1,8 @@
+//go:build race
+
+package hier
+
+// raceEnabled reports whether the race detector is instrumenting this
+// test binary: under it sync.Pool drops entries at random, so the
+// allocation gates cannot hold.
+const raceEnabled = true

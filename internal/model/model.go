@@ -102,6 +102,9 @@ func (sd *StateDict) Get(name string) (Entry, bool) {
 // Len returns the number of entries.
 func (sd *StateDict) Len() int { return len(sd.entries) }
 
+// At returns the i-th entry in insertion order, without Entries' copy.
+func (sd *StateDict) At(i int) Entry { return sd.entries[i] }
+
 // Entries returns the entries in insertion order. The returned slice
 // is a copy; the tensors are shared.
 func (sd *StateDict) Entries() []Entry {

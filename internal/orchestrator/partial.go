@@ -52,10 +52,13 @@ func (e PartialEntry) NumElements() int {
 	return len(e.Sums)
 }
 
-// Partial snapshots the aggregator's unnormalized state. The sums are
-// copied under the shard locks, so a snapshot taken after every
-// contributor settled is a consistent region total. The aggregator
-// stays usable.
+// Partial returns the aggregator's unnormalized state as a view: the
+// entries' Sums, Ints and Shape alias the aggregator's own storage
+// rather than copying it (a ResNet-sized region is tens of MB of
+// float64). The view is a consistent region total when taken after
+// every contributor settled, and stays valid until the next fold into
+// the aggregator; encode or fold it upstream before then, and treat it
+// as read-only. A caller that needs a stable copy clones the slices.
 func (a *Aggregator) Partial() *Partial {
 	a.mu.Lock()
 	p := &Partial{TotalWeight: a.totalWeight, Updates: a.updates}
@@ -67,15 +70,15 @@ func (a *Aggregator) Partial() *Partial {
 	for i, name := range a.names {
 		e := PartialEntry{Name: name, DType: a.dtypes[i]}
 		if a.dtypes[i] == model.Int64 {
-			e.Ints = append([]int64(nil), ints[i]...)
-			if e.Ints == nil {
+			if e.Ints = ints[i]; e.Ints == nil {
 				e.Ints = make([]int64, a.nInts[i])
 			}
 		} else {
-			e.Shape = append([]int(nil), a.shapes[i]...)
+			e.Shape = a.shapes[i]
+			// The lock orders this read after every fold that released it.
 			shard := &a.shards[a.shardOf[i]]
 			shard.mu.Lock()
-			e.Sums = append([]float64(nil), shard.sums[i]...)
+			e.Sums = shard.sums[i]
 			shard.mu.Unlock()
 		}
 		p.Entries[i] = e

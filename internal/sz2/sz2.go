@@ -129,7 +129,13 @@ func (s *Compressor) Compress(data []float32, p lossy.Params) ([]byte, error) {
 	}
 	modes := sc.modes[:nBlocks]
 	coeffs := sc.coeffs[:0] // a,b pairs for regression blocks
-	codes := sc.codes[:0]
+	// One code per element, so the scratch is sized once and indexed:
+	// the GC empties the pool several times a round, and regrowing by
+	// append doubling would allocate ~2.5x the final size each time.
+	if cap(sc.codes) < len(data) {
+		sc.codes = make([]int32, len(data))
+	}
+	codes := sc.codes[:len(data)]
 	outliers := sc.outliers[:0]
 
 	prevRecon := 0.0 // reconstruction of the last value of the previous block
@@ -156,6 +162,7 @@ func (s *Compressor) Compress(data []float32, p lossy.Params) ([]byte, error) {
 		}
 
 		recon := prevRecon
+		blockCodes := codes[lo:hi]
 		for i, v := range block {
 			var pred float64
 			if mode == predRegress {
@@ -174,12 +181,12 @@ func (s *Compressor) Compress(data []float32, p lossy.Params) ([]byte, error) {
 				}
 			}
 			if !ok {
-				codes = append(codes, 0) // 0 marks an outlier
+				blockCodes[i] = 0 // 0 marks an outlier
 				outliers = append(outliers, v)
 				recon = float64(v)
 				continue
 			}
-			codes = append(codes, int32(code+radius+1))
+			blockCodes[i] = int32(code + radius + 1)
 			recon = r
 		}
 		prevRecon = recon
@@ -200,7 +207,7 @@ func (s *Compressor) Compress(data []float32, p lossy.Params) ([]byte, error) {
 	}
 	payload, err = huffman.AppendEncode(payload, codes)
 	// Return the (possibly grown) scratch slices to the pool entry.
-	sc.codes, sc.coeffs, sc.outliers, sc.payload = codes[:0], coeffs[:0], outliers[:0], payload[:0]
+	sc.coeffs, sc.outliers, sc.payload = coeffs[:0], outliers[:0], payload[:0]
 	if err != nil {
 		return nil, fmt.Errorf("sz2: entropy stage: %w", err)
 	}

@@ -101,7 +101,14 @@ func (s *Compressor) Compress(data []float32, p lossy.Params) ([]byte, error) {
 	}
 	recon := sc.recon[:len(data)]
 	recon[0] = data[0] // anchor stored exactly
-	codes := sc.codes[:0]
+	// At most one code per element, in visit order: the scratch is sized
+	// once and indexed, because the GC empties the pool several times a
+	// round and regrowing by append doubling would allocate ~2.5x the
+	// final size each time.
+	if cap(sc.codes) < len(data) {
+		sc.codes = make([]int32, len(data))
+	}
+	codes, n := sc.codes[:len(data)], 0
 	outliers := sc.outliers[:0]
 
 	visit(len(data), func(i, s_ int, cubicOK bool) {
@@ -114,12 +121,14 @@ func (s *Compressor) Compress(data []float32, p lossy.Params) ([]byte, error) {
 			}
 		}
 		if !ok {
-			codes = append(codes, 0)
+			codes[n] = 0
+			n++
 			outliers = append(outliers, data[i])
 			recon[i] = data[i]
 			return
 		}
-		codes = append(codes, int32(code+radius+1))
+		codes[n] = int32(code + radius + 1)
+		n++
 		recon[i] = float32(r)
 	})
 
@@ -135,8 +144,8 @@ func (s *Compressor) Compress(data []float32, p lossy.Params) ([]byte, error) {
 	for _, v := range outliers {
 		payload = binary.LittleEndian.AppendUint32(payload, math.Float32bits(v))
 	}
-	payload, err = huffman.AppendEncode(payload, codes)
-	sc.codes, sc.outliers, sc.payload = codes[:0], outliers[:0], payload[:0]
+	payload, err = huffman.AppendEncode(payload, codes[:n])
+	sc.outliers, sc.payload = outliers[:0], payload[:0]
 	if err != nil {
 		return nil, fmt.Errorf("sz3: entropy stage: %w", err)
 	}

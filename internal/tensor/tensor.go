@@ -53,6 +53,9 @@ func (t *Tensor) Shape() []int { return append([]int(nil), t.shape...) }
 // Dims returns the number of dimensions.
 func (t *Tensor) Dims() int { return len(t.shape) }
 
+// Dim returns the extent of dimension i, without Shape's copy.
+func (t *Tensor) Dim(i int) int { return t.shape[i] }
+
 // NumElements returns the total element count.
 func (t *Tensor) NumElements() int { return len(t.data) }
 

@@ -440,11 +440,12 @@ func (e *Edge) runRegionalRound(up *connStream, round int, global *model.StateDi
 	wg.Wait()
 	gatherNs := time.Since(gatherStart).Nanoseconds()
 
-	// Fold-and-forward: snapshot the regional sum, attach the region's
-	// merged plan prior, and ship one partial frame upstream. The sums
-	// travel as raw float64 bits (optionally lossless-packed) — the
-	// partial is never lossy re-encoded, so a 2-tier federation commits
-	// byte-identical FedAvg results to a flat one.
+	// Fold-and-forward: take a view of the regional sum (every collector
+	// has settled, nothing folds again), attach the region's merged plan
+	// prior, and ship one partial frame upstream. The sums travel as raw
+	// float64 bits (optionally lossless-packed) — the partial is never
+	// lossy re-encoded, so a 2-tier federation commits byte-identical
+	// FedAvg results to a flat one.
 	commitStart := time.Now()
 	p := agg.Partial()
 	p.Prior = adapt.MergePriorBlobs(priors...)
@@ -484,20 +485,22 @@ func (e *Edge) runRegionalRound(up *connStream, round int, global *model.StateDi
 		// tracing bytes this edge adds to the upstream hop.
 		p.Span = obs.EncodeSpanSummary(&obs.SpanSummary{Span: sp, Children: span.childSummaries()})
 	}
-	frame, err := hier.EncodePartial(p, hier.WireOptions{
-		Checksum: e.cfg.Checksum,
-		Lossless: e.cfg.Lossless,
+	// The frame streams straight onto the upstream connection: the first
+	// entries are on the wire — and being decoded and summed by the
+	// upstream collector — while later ones are still converting.
+	tx0 := up.bytesWritten()
+	err := up.writeMsg(MsgPartialSum, func(w io.Writer) error {
+		return hier.EncodePartialTo(w, p, hier.WireOptions{
+			Checksum: e.cfg.Checksum,
+			Lossless: e.cfg.Lossless,
+		})
 	})
 	if err != nil {
-		return fmt.Errorf("transport: edge encode partial: %w", err)
+		return fmt.Errorf("transport: edge forward partial: %w", err)
 	}
-	err = up.writeMsg(MsgPartialSum, func(w io.Writer) error {
-		_, werr := w.Write(frame)
-		return werr
-	})
-	if err != nil {
-		return err
-	}
+	// writeMsg flushed, so the connection's only writer put exactly the
+	// type byte and the frame on the socket.
+	frameLen := int(up.bytesWritten() - tx0 - 1)
 	obsEdgeRounds.Inc()
 	if p.Updates == 0 {
 		obsEdgeEmptyRounds.Inc()
@@ -508,10 +511,10 @@ func (e *Edge) runRegionalRound(up *connStream, round int, global *model.StateDi
 	sp.CommitNs = time.Since(commitStart).Nanoseconds()
 	obs.DefaultTrace.Add(sp)
 	if e.cfg.OnPartial != nil {
-		e.cfg.OnPartial(round, p.Updates, len(frame))
+		e.cfg.OnPartial(round, p.Updates, frameLen)
 	}
 	e.cfg.Logf("edge: round %d folded %d updates (weight %.0f) into %d-byte partial",
-		round, p.Updates, p.TotalWeight, len(frame))
+		round, p.Updates, p.TotalWeight, frameLen)
 	return nil
 }
 
