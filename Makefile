@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-cores benchmark-module race bench fmt vet fuzz parallel-bench scale-bench hier-bench hier-smoke adapt-bench families-bench chaos-bench obs-bench obs-smoke trace-smoke
+.PHONY: all build test test-cores benchmark-module race bench fmt vet fuzz parallel-bench scale-bench hier-bench adapt-bench families-bench chaos-bench obs-bench obs-smoke trace-smoke loc
 
 all: build test
 
@@ -37,6 +37,11 @@ fmt:
 
 vet:
 	$(GO) vet ./...
+
+# Non-test Go lines per package and in total (tests, testdata/ and
+# benchmark/ excluded) — what ROADMAP item 2 is measured with.
+loc:
+	@bash scripts/loc.sh
 
 # Short fuzz smoke over the seven decoder fuzz targets (matches CI).
 # FuzzDecodePartial's seeds are the 2.4 KB golden frames; without the
@@ -75,13 +80,6 @@ scale-bench:
 # regenerates BENCH_scale.json with them (alias kept so the tier work
 # has its own entry point).
 hier-bench: scale-bench
-
-# CI smoke for the edge tier: a real 3-edge / 30-client federation over
-# TCP loopback with checksummed partial frames, under the race
-# detector, plus the edge-death and empty-region withdrawal tests.
-hier-smoke:
-	$(GO) test -race -run 'TestEdge' ./internal/transport/
-	$(GO) test -run 'TestHierSim' ./internal/fl/
 
 # Regenerate the committed adaptive-vs-static selection datapoint
 # (the control plane's acceptance criterion: adaptive within 5% of the

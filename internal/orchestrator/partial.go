@@ -170,54 +170,7 @@ func (c *Contributor) FoldPartial(e PartialEntry) error {
 // aggregator accounts updates client-level contributions, surfaced in
 // RoundStats.Folded.
 func (r *Round) PartialContributor(id string, totalWeight float64, updates int) (*Contributor, error) {
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return nil, fmt.Errorf("orchestrator: round %d already closed", r.number)
-	}
-	st, ok := r.state[id]
-	if !ok {
-		r.mu.Unlock()
-		return nil, fmt.Errorf("orchestrator: client %q not sampled for round %d", id, r.number)
-	}
-	if st != participantSampled {
-		r.mu.Unlock()
-		return nil, fmt.Errorf("orchestrator: client %q already submitted in round %d", id, r.number)
-	}
-	r.state[id] = participantFolding
-	r.mu.Unlock()
-
-	ct, err := r.agg.PartialContributor(totalWeight, updates)
-	if err != nil {
-		r.mu.Lock()
-		r.state[id] = participantSampled
-		r.mu.Unlock()
-		return nil, err
-	}
-	ct.onCommit = func() error {
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		if r.closed {
-			return fmt.Errorf("orchestrator: round %d closed before commit", r.number)
-		}
-		r.state[id] = participantDone
-		r.committed++
-		return nil
-	}
-	ct.onAbort = func(reason DropReason) {
-		r.mu.Lock()
-		dropped := false
-		if st := r.state[id]; st == participantFolding {
-			r.state[id] = participantDropped
-			r.dropped++
-			dropped = true
-		}
-		r.mu.Unlock()
-		if dropped {
-			r.coord.notifyDrop(id, reason)
-		}
-	}
-	return ct, nil
+	return r.open(id, func() (*Contributor, error) { return r.agg.PartialContributor(totalWeight, updates) })
 }
 
 // SubmitPartial folds a complete regional partial in one call —

@@ -80,6 +80,13 @@ func (r *Round) Filled() bool {
 // drops such updates on the floor. The returned Contributor's
 // Commit/Abort feed back into the round's accounting.
 func (r *Round) Contributor(id string, weight float64) (*Contributor, error) {
+	return r.open(id, func() (*Contributor, error) { return r.agg.Contributor(weight) })
+}
+
+// open moves a sampled participant to folding, opens its aggregator
+// contribution through openAgg, and wires the contribution's
+// Commit/Abort into the round's accounting.
+func (r *Round) open(id string, openAgg func() (*Contributor, error)) (*Contributor, error) {
 	r.mu.Lock()
 	if r.closed {
 		r.mu.Unlock()
@@ -97,7 +104,7 @@ func (r *Round) Contributor(id string, weight float64) (*Contributor, error) {
 	r.state[id] = participantFolding
 	r.mu.Unlock()
 
-	ct, err := r.agg.Contributor(weight)
+	ct, err := openAgg()
 	if err != nil {
 		r.mu.Lock()
 		r.state[id] = participantSampled

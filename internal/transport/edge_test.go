@@ -13,6 +13,7 @@ import (
 	"fedsz/internal/hier"
 	"fedsz/internal/model"
 	"fedsz/internal/nn"
+	"fedsz/internal/obs"
 	"fedsz/internal/orchestrator"
 )
 
@@ -310,7 +311,7 @@ func TestEdgeDeathMidRound(t *testing.T) {
 // TestEdgeClientDiesBeforePriorTrailer kills a region client between
 // its complete update frame and the plan-prior trailer: the edge has
 // already folded the client's weighted entries when readPrior fails,
-// so collectMember must withdraw the contribution — otherwise the
+// so the collector must withdraw the contribution — otherwise the
 // regional partial ships the client's sums without its weight and the
 // poison composes exactly into the global model upstream.
 func TestEdgeClientDiesBeforePriorTrailer(t *testing.T) {
@@ -635,5 +636,107 @@ func TestEdgeRelaysPriorAndBound(t *testing.T) {
 				t.Fatalf("client %d round %d saw bound %g, want %g", i, r, got[r], want[r])
 			}
 		}
+	}
+}
+
+// TestEdgeKeepsUpstreamRoundNumber: the coordinator's round number
+// rides MsgRoundTrace, and an edge must label its round with it — not
+// with a counter of its own, which disagrees after an aborted round, a
+// restore, or a late join. A scripted upstream opens round 7 against a
+// fresh edge; the edge's span, the trace it relays to its region and
+// OnPartial must all say 7.
+func TestEdgeKeepsUpstreamRoundNumber(t *testing.T) {
+	const round, traceID = 7, "trace-of-round-7"
+	initial := nn.MobileNetV2Mini(48, 4, 7).StateDict()
+	upd, _, err := fl.PlainCodec{}.Encode(nn.MobileNetV2Mini(48, 4, 8).StateDict())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	upLn, edgeLn := tcpListener(t), tcpListener(t)
+	defer upLn.Close()
+	partialRound := make(chan int, 1)
+	edge, err := NewEdge(EdgeConfig{
+		Upstream:  dialTCP(upLn.Addr().String()),
+		OnPartial: func(round, _, _ int) { partialRound <- round },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spansBefore := obs.DefaultTrace.Total()
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		defer edgeLn.Close()
+		if err := edge.Serve(edgeLn); err != nil {
+			t.Errorf("edge: %v", err)
+		}
+	}()
+	// The region's one member reports the round the relayed trace names.
+	relayed := make(chan downlink, 1)
+	go func() {
+		defer wg.Done()
+		conn, err := net.Dial("tcp", edgeLn.Addr().String())
+		if err != nil {
+			t.Errorf("member dial: %v", err)
+			return
+		}
+		defer conn.Close()
+		cs := newConnStream(conn)
+		if err := cs.writeMsg(MsgJoin, nil); err != nil {
+			t.Errorf("member join: %v", err)
+			return
+		}
+		d, done, err := readDownlink(cs)
+		if err != nil || done {
+			t.Errorf("member: no broadcast (done %v, err %v)", done, err)
+			return
+		}
+		relayed <- d
+		err = cs.writeMsg(MsgUpdate, func(w io.Writer) error {
+			_, err := w.Write(append(append([]byte{10}, upd...), 0)) // samples, frame, empty prior
+			return err
+		})
+		if err != nil {
+			t.Errorf("member update: %v", err)
+		}
+		_, _ = io.Copy(io.Discard, cs.r) // until the edge shuts the region down
+	}()
+
+	// The scripted upstream: one round, numbered 7, then shutdown.
+	conn, err := upLn.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	up := newConnStream(conn)
+	if tp, err := up.readMsgType(); err != nil || tp != MsgJoinEdge {
+		t.Fatalf("upstream: expected edge join, got %v (%v)", tp, err)
+	}
+	down := downlink{traceID: traceID, round: round, global: initial}
+	if err := down.writeTo(up); err != nil {
+		t.Fatal(err)
+	}
+	if tp, err := up.readMsgType(); err != nil || tp != MsgPartialSum {
+		t.Fatalf("upstream: expected partial sum, got %v (%v)", tp, err)
+	}
+	if p, err := hier.DecodePartialFrom(up.r); err != nil || p.Updates != 1 {
+		t.Fatalf("upstream: partial %+v (%v), want the member's 1 update", p, err)
+	}
+	if err := up.writeMsg(MsgShutdown, nil); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+
+	if d := <-relayed; d.round != round || d.traceID != traceID {
+		t.Errorf("edge relayed trace %q round %d to its region, want %q round %d", d.traceID, d.round, traceID, round)
+	}
+	if got := <-partialRound; got != round {
+		t.Errorf("OnPartial round = %d, want %d", got, round)
+	}
+	spans := obs.DefaultTrace.Recent(int(obs.DefaultTrace.Total() - spansBefore))
+	if len(spans) != 1 || spans[0].Tier != "edge" || spans[0].Round != round || spans[0].TraceID != traceID {
+		t.Errorf("edge spans %+v, want one edge span for round %d of %s", spans, round, traceID)
 	}
 }

@@ -1,23 +1,16 @@
 package transport
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
-	"math"
 	"net"
-	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"fedsz/internal/adapt"
 	"fedsz/internal/core"
 	"fedsz/internal/fl"
-	"fedsz/internal/hier"
 	"fedsz/internal/model"
-	"fedsz/internal/netsim"
 	"fedsz/internal/obs"
 	"fedsz/internal/orchestrator"
 )
@@ -96,31 +89,10 @@ type OrchestratedConfig struct {
 // streaming sharded aggregator as their tensor sections decode — the
 // server never materializes a client's full state dict.
 type Orchestrated struct {
-	cfg OrchestratedConfig
-
-	stop     chan struct{} // closed by Shutdown
-	stopOnce sync.Once
-
-	mu         sync.Mutex
-	conns      map[string]*connStream
-	pending    map[*connStream]struct{} // accepted, join not yet read
-	edges      map[string]bool          // ids that joined as edge aggregators (MsgJoinEdge)
-	nextID     int
-	nextEdgeID int
-	joined     chan struct{} // signaled on every join
-	closed     bool
-	abandon    bool  // Abort: crash semantics, no graceful courtesies
-	acceptErr  error // sticky: the accept loop died with this error
-
-	priorMu    sync.Mutex
-	roundPrior [][]byte // plan-prior blobs collected this round
-	priorBlob  []byte   // merged population prior broadcast next round
+	cfg     OrchestratedConfig
+	t       *tier
+	abandon atomic.Bool // Abort: crash semantics, no graceful courtesies
 }
-
-// joinTimeout bounds how long an accepted connection may sit silent
-// before sending MsgJoin; without it an idle connect would park a
-// goroutine and a socket for the server's lifetime.
-const joinTimeout = 30 * time.Second
 
 // NewOrchestrated validates cfg and returns an orchestrated server.
 func NewOrchestrated(cfg OrchestratedConfig) (*Orchestrated, error) {
@@ -137,12 +109,8 @@ func NewOrchestrated(cfg OrchestratedConfig) (*Orchestrated, error) {
 		cfg.Logf = func(string, ...interface{}) {}
 	}
 	return &Orchestrated{
-		cfg:     cfg,
-		stop:    make(chan struct{}),
-		conns:   make(map[string]*connStream),
-		pending: make(map[*connStream]struct{}),
-		edges:   make(map[string]bool),
-		joined:  make(chan struct{}, 1),
+		cfg: cfg,
+		t:   newTier(cfg.Codec, cfg.BandwidthBps, cfg.RoundDeadline, cfg.Logf),
 	}, nil
 }
 
@@ -151,9 +119,7 @@ func NewOrchestrated(cfg OrchestratedConfig) (*Orchestrated, error) {
 // durability is configured, and Serve returns the current global
 // model with no error. Safe to call from any goroutine (a signal
 // handler is the intended caller) and idempotent.
-func (s *Orchestrated) Shutdown() {
-	s.stopOnce.Do(func() { close(s.stop) })
-}
+func (s *Orchestrated) Shutdown() { s.t.shutdown() }
 
 // ErrAborted is Serve's result after Abort: the coordinator died
 // without completing its round budget.
@@ -166,27 +132,8 @@ var ErrAborted = errors.New("transport: server aborted")
 // connections die, exactly as after a kill -9). Serve returns
 // ErrAborted.
 func (s *Orchestrated) Abort() {
-	s.mu.Lock()
-	s.abandon = true
-	s.mu.Unlock()
-	s.stopOnce.Do(func() { close(s.stop) })
-}
-
-// aborted reports whether Abort was requested.
-func (s *Orchestrated) aborted() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.abandon
-}
-
-// stopping reports whether Shutdown has been requested.
-func (s *Orchestrated) stopping() bool {
-	select {
-	case <-s.stop:
-		return true
-	default:
-		return false
-	}
+	s.abandon.Store(true)
+	s.t.shutdown()
 }
 
 // Serve accepts clients on ln for as long as training runs, executes
@@ -233,33 +180,9 @@ func (s *Orchestrated) Serve(ln net.Listener, initial *model.StateDict) (*model.
 		}
 	}
 
-	acceptDone := make(chan error, 1)
-	go s.acceptLoop(ln, coord, acceptDone)
-	defer func() {
-		s.mu.Lock()
-		s.closed = true
-		abandon := s.abandon
-		conns := make([]*connStream, 0, len(s.conns))
-		for _, cs := range s.conns {
-			conns = append(conns, cs)
-		}
-		pending := make([]*connStream, 0, len(s.pending))
-		for cs := range s.pending {
-			pending = append(pending, cs)
-		}
-		s.mu.Unlock()
-		for _, cs := range conns {
-			if !abandon {
-				_ = cs.writeMsg(MsgShutdown, nil)
-			}
-			_ = cs.conn.Close()
-		}
-		// Never-joined connections get no shutdown courtesy — closing
-		// them unblocks their join readers.
-		for _, cs := range pending {
-			_ = cs.conn.Close()
-		}
-	}()
+	sk := &coordSink{coord: coord}
+	go s.t.acceptLoop(ln, sk)
+	defer func() { s.t.close(!s.abandon.Load()) }()
 
 	every := s.cfg.CheckpointEvery
 	if every <= 0 {
@@ -267,7 +190,7 @@ func (s *Orchestrated) Serve(ln net.Listener, initial *model.StateDict) (*model.
 	}
 	roundsRun := 0
 	for committed < s.cfg.Rounds {
-		if s.stopping() {
+		if s.t.stopping() {
 			break
 		}
 		// MinClients gates only this process's first round — including
@@ -279,17 +202,17 @@ func (s *Orchestrated) Serve(ln net.Listener, initial *model.StateDict) (*model.
 		if roundsRun > 0 {
 			need = 1
 		}
-		if err := s.waitForClients(coord, need, acceptDone); err != nil {
+		if err := s.t.wait(need, 0); err != nil {
 			return nil, err
 		}
-		if s.stopping() {
+		if s.t.stopping() {
 			break
 		}
-		global, stats, err := s.runRound(coord)
+		err := s.t.runRound(sk)
 		if err == orchestrator.ErrNoUpdates {
 			// Every sampled client failed or timed out this round; the
 			// registry shrank accordingly. Try again with whoever is
-			// left (waitForClients fails fast if nobody can ever join).
+			// left (wait fails fast if nobody can ever join).
 			s.cfg.Logf("round aborted: no updates committed")
 			continue
 		}
@@ -297,7 +220,7 @@ func (s *Orchestrated) Serve(ln net.Listener, initial *model.StateDict) (*model.
 			return nil, err
 		}
 		if s.cfg.OnRound != nil {
-			s.cfg.OnRound(committed, global, stats)
+			s.cfg.OnRound(committed, sk.global, sk.stats)
 		}
 		committed++
 		roundsRun++
@@ -305,7 +228,7 @@ func (s *Orchestrated) Serve(ln net.Listener, initial *model.StateDict) (*model.
 			s.saveCheckpoint(coord)
 		}
 	}
-	if s.aborted() {
+	if s.abandon.Load() {
 		return nil, ErrAborted
 	}
 	// A final snapshot on graceful exit — whether the round budget ran
@@ -332,256 +255,6 @@ func (s *Orchestrated) saveCheckpoint(coord *orchestrator.Coordinator) {
 	s.cfg.Logf("checkpoint: %d rounds, model v%d -> %s", ck.Commits, ck.Version, s.cfg.CheckpointPath)
 }
 
-// acceptLoop registers incoming connections until the listener closes.
-func (s *Orchestrated) acceptLoop(ln net.Listener, coord *orchestrator.Coordinator, done chan<- error) {
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			done <- err
-			return
-		}
-		cs := newConnStream(netsim.Limit(conn, s.cfg.BandwidthBps))
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			_ = conn.Close()
-			continue
-		}
-		s.pending[cs] = struct{}{}
-		s.mu.Unlock()
-		go func() {
-			_ = cs.conn.SetReadDeadline(time.Now().Add(joinTimeout))
-			t, err := cs.readMsgType()
-			// Pending-removal, the shutdown check and registration share
-			// one critical section, so the Serve-return cleanup either
-			// sees this connection in pending or in conns — never in
-			// neither.
-			s.mu.Lock()
-			delete(s.pending, cs)
-			if err != nil || (t != MsgJoin && t != MsgJoinEdge) || s.closed {
-				s.mu.Unlock()
-				s.cfg.Logf("rejecting connection: expected join, got %v (err %v)", t, err)
-				_ = conn.Close()
-				return
-			}
-			// Edge aggregators and direct clients share the listener —
-			// the join type byte is the whole protocol difference. An
-			// edge participates in rounds like any client; its uplink is
-			// one MsgPartialSum carrying its entire region.
-			var id string
-			if t == MsgJoinEdge {
-				s.nextEdgeID++
-				id = fmt.Sprintf("edge-%04d", s.nextEdgeID)
-				s.edges[id] = true
-			} else {
-				s.nextID++
-				id = fmt.Sprintf("client-%04d", s.nextID)
-			}
-			s.conns[id] = cs
-			s.mu.Unlock()
-			_ = cs.conn.SetReadDeadline(time.Time{})
-			if err := coord.Join(id); err != nil {
-				s.dropClient(coord, nil, id, err, orchestrator.DropDisconnect)
-				return
-			}
-			s.cfg.Logf("%s joined", id)
-			select {
-			case s.joined <- struct{}{}:
-			default:
-			}
-		}()
-	}
-}
-
-// waitForClients blocks until the registry reaches need clients. Once
-// the accept loop has died, an under-populated-but-nonempty registry
-// proceeds (run with whoever is left) and an empty one fails — no new
-// client can ever arrive.
-func (s *Orchestrated) waitForClients(coord *orchestrator.Coordinator, need int, acceptDone <-chan error) error {
-	// The joined channel is a capacity-1 doorbell, so a burst of joins
-	// can drop signals; the ticker bounds how long a dropped wakeup
-	// can stall the check.
-	tick := time.NewTicker(10 * time.Millisecond)
-	defer tick.Stop()
-	for {
-		if coord.NumClients() >= need || s.stopping() {
-			return nil
-		}
-		s.mu.Lock()
-		dead := s.acceptErr
-		s.mu.Unlock()
-		if dead != nil {
-			if coord.NumClients() > 0 {
-				return nil
-			}
-			return fmt.Errorf("transport: listener closed with no clients left: %w", dead)
-		}
-		select {
-		case <-s.joined:
-		case <-tick.C:
-		case <-s.stop:
-			return nil
-		case err := <-acceptDone:
-			s.mu.Lock()
-			s.acceptErr = err
-			s.mu.Unlock()
-		}
-	}
-}
-
-// dropClient removes a client everywhere: round accounting (when a
-// round is open), registry, connection table. Safe to call twice. The
-// reason classifies the withdrawal for the coordinator's OnDrop hook
-// (and quarantines the client for the round — it must reconnect and
-// re-register before participating again).
-func (s *Orchestrated) dropClient(coord *orchestrator.Coordinator, round *orchestrator.Round, id string, cause error, reason orchestrator.DropReason) {
-	s.mu.Lock()
-	cs, ok := s.conns[id]
-	delete(s.conns, id)
-	delete(s.edges, id)
-	s.mu.Unlock()
-	if ok {
-		_ = cs.conn.Close()
-	}
-	if round != nil {
-		round.Drop(id, reason)
-	}
-	coord.Leave(id)
-	if ok {
-		s.cfg.Logf("%s dropped (%v): %v", id, reason, cause)
-	}
-}
-
-// dropReasonFor classifies a collection failure: a read-deadline
-// timeout is a straggler cut, a frame that failed structural or
-// checksum validation is corruption, anything else is a transport
-// death. Timeout wins over corruption — a deadline firing mid-frame
-// truncates the stream, which the decoder also reports as ErrCorrupt,
-// but the timeout in the chain names the true cause.
-func dropReasonFor(err error) orchestrator.DropReason {
-	var ne net.Error
-	if errors.As(err, &ne) && ne.Timeout() {
-		return orchestrator.DropDeadline
-	}
-	if errors.Is(err, core.ErrCorrupt) {
-		return orchestrator.DropCorrupt
-	}
-	return orchestrator.DropDisconnect
-}
-
-// roundSpanState accumulates one round's trace while the round runs:
-// per-participant byte baselines, outcomes and settle times, the
-// cumulative decode→fold time summed across the round's concurrent
-// collectors, and any span summaries shipped up by region edges.
-type roundSpanState struct {
-	decodeFoldNs atomic.Int64
-
-	mu          sync.Mutex
-	gatherStart time.Time
-	clients     map[string]*spanEntry
-	children    []obs.ChildSummary
-}
-
-type spanEntry struct {
-	cs       *connStream
-	rx0, tx0 int64
-	outcome  string
-	settleNs int64
-}
-
-func newRoundSpanState() *roundSpanState {
-	return &roundSpanState{clients: make(map[string]*spanEntry)}
-}
-
-// track snapshots a participant's conn-level byte counters at round
-// start; cs may be nil for a participant whose connection vanished.
-func (st *roundSpanState) track(id string, cs *connStream) {
-	e := &spanEntry{cs: cs}
-	if cs != nil {
-		e.rx0 = cs.bytesRead()
-		e.tx0 = cs.bytesWritten()
-	}
-	st.mu.Lock()
-	st.clients[id] = e
-	st.mu.Unlock()
-}
-
-// startGather marks the start of the gather phase; participant settle
-// times are measured from this instant, which it returns.
-func (st *roundSpanState) startGather() time.Time {
-	st.mu.Lock()
-	st.gatherStart = time.Now()
-	t := st.gatherStart
-	st.mu.Unlock()
-	return t
-}
-
-// settle records when a participant's contribution finished
-// (committed or dropped), measured from gather start; the first
-// writer wins and pre-gather events record nothing.
-func (st *roundSpanState) settle(id string) {
-	st.mu.Lock()
-	if e := st.clients[id]; e != nil && e.settleNs == 0 && !st.gatherStart.IsZero() {
-		e.settleNs = time.Since(st.gatherStart).Nanoseconds()
-	}
-	st.mu.Unlock()
-}
-
-// outcome records why a participant left the round; the first writer
-// wins (a drop's true cause precedes cleanup-path noise). Leaving the
-// round settles the participant.
-func (st *roundSpanState) outcome(id, o string) {
-	st.mu.Lock()
-	if e := st.clients[id]; e != nil {
-		if e.outcome == "" {
-			e.outcome = o
-		}
-		if e.settleNs == 0 && !st.gatherStart.IsZero() {
-			e.settleNs = time.Since(st.gatherStart).Nanoseconds()
-		}
-	}
-	st.mu.Unlock()
-}
-
-// attachChild stashes one region's decoded span summary for the
-// round's trace tree.
-func (st *roundSpanState) attachChild(id string, sum *obs.SpanSummary) {
-	st.mu.Lock()
-	st.children = append(st.children, obs.ChildSummary{ID: id, Sum: sum})
-	st.mu.Unlock()
-}
-
-// childSummaries returns the summaries attached this round.
-func (st *roundSpanState) childSummaries() []obs.ChildSummary {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.children
-}
-
-// finish renders the per-client records, newest byte counters minus
-// the round-start baselines. Participants with no recorded outcome
-// were never dropped, so they committed.
-func (st *roundSpanState) finish() (clients []obs.SpanClient, up, down int64) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	clients = make([]obs.SpanClient, 0, len(st.clients))
-	for id, e := range st.clients {
-		c := obs.SpanClient{ID: id, Outcome: e.outcome, TimeNs: e.settleNs}
-		if c.Outcome == "" {
-			c.Outcome = "committed"
-		}
-		if e.cs != nil {
-			c.BytesUp = e.cs.bytesRead() - e.rx0
-			c.BytesDown = e.cs.bytesWritten() - e.tx0
-		}
-		up += c.BytesUp
-		down += c.BytesDown
-		clients = append(clients, c)
-	}
-	sort.Slice(clients, func(i, j int) bool { return clients[i].ID < clients[j].ID })
-	return clients, up, down
-}
-
 // plansFromPrior renders the merged population prior as tensor →
 // "family@bound" for round spans (bound = round bound × the plan's
 // factor; the bare factor when no round bound is scheduled).
@@ -601,311 +274,85 @@ func plansFromPrior(blob []byte, roundBound float64) map[string]string {
 	return plans
 }
 
-// runRound executes one orchestrated round: broadcast to the sampled
-// participants, fold their streamed updates concurrently, cut
-// stragglers at the deadline, commit whatever arrived. Per-connection
-// failures drop that client and never abort the round.
-func (s *Orchestrated) runRound(coord *orchestrator.Coordinator) (*model.StateDict, orchestrator.RoundStats, error) {
-	round, err := coord.StartRound()
+// coordSink is the coordinator's end of the round engine: it mints each
+// round's inputs, samples the participants from the coordinator's
+// registry, mirrors joins and drops into it, and finishes a round by
+// committing the new global model.
+type coordSink struct {
+	coord *orchestrator.Coordinator
+	prior []byte // merged population plan prior, broadcast next round
+
+	round  *orchestrator.Round     // the open round
+	global *model.StateDict        // what it committed
+	stats  orchestrator.RoundStats // and how
+}
+
+func (k *coordSink) join(id string) error { return k.coord.Join(id) }
+
+func (k *coordSink) open() (downlink, []string, error) {
+	round, err := k.coord.StartRound()
 	if err != nil {
-		return nil, orchestrator.RoundStats{}, err
+		return downlink{}, nil, err
 	}
-	spanStart := time.Now()
-	span := newRoundSpanState()
-	// One trace ID per federation round: broadcast to every tier ahead
-	// of the round payload, so edge spans (and their trailers) join
-	// this round's tree.
-	traceID := obs.NewTraceID()
-	_, global := coord.Global()
-	if ra, ok := s.cfg.Codec.(fl.ReferenceAware); ok {
-		ra.SetReference(global)
-	}
+	k.round = round
+	_, global := k.coord.Global()
+	return downlink{
+		// One trace ID per federation round: broadcast to every tier
+		// ahead of the round payload, so edge spans (and their trailers)
+		// join this round's tree.
+		traceID: obs.NewTraceID(),
+		round:   round.Number(),
+		prior:   k.prior,
+		bound:   k.coord.RoundBound(),
+		global:  global,
+	}, round.Participants(), nil
+}
 
-	// Broadcast the global model to every participant concurrently —
-	// each connection's rate limit is independent, so round-start time
-	// stays one transfer, not participants×transfer. A failed or (when
-	// a deadline is configured) stalled write means a dead client:
-	// drop it and keep going, so one peer that stopped reading cannot
-	// hang the round. The global dict is immutable here, safe to
-	// stream from many goroutines. When a bound scheduler is
-	// configured, the round's error-bound directive precedes the model
-	// on each connection, so clients apply it before encoding.
-	roundBound := coord.RoundBound()
-	s.priorMu.Lock()
-	priorBlob := s.priorBlob
-	s.priorMu.Unlock()
-	var live []string
-	var bmu sync.Mutex
-	var bwg sync.WaitGroup
-	for _, id := range round.Participants() {
-		s.mu.Lock()
-		cs, ok := s.conns[id]
-		s.mu.Unlock()
-		span.track(id, cs)
-		if !ok {
-			span.outcome(id, orchestrator.DropDisconnect.String())
-			round.Drop(id, orchestrator.DropDisconnect)
-			continue
-		}
-		bwg.Add(1)
-		go func(id string, cs *connStream) {
-			defer bwg.Done()
-			if d := round.Deadline(); d > 0 {
-				_ = cs.conn.SetWriteDeadline(time.Now().Add(d))
-			}
-			// The trace context leads the round on every connection:
-			// edges tag their regional spans with it, clients drain it.
-			err := cs.writeMsg(MsgRoundTrace, func(w io.Writer) error {
-				return writeRoundTrace(w, traceID, round.Number())
-			})
-			if err == nil && len(priorBlob) > 0 {
-				// The merged population plan prior precedes the bound:
-				// edges relay it region-wide, adaptive clients seed their
-				// cold tensors from it, static clients skip the blob.
-				err = cs.writeMsg(MsgPlanPrior, func(w io.Writer) error {
-					return writePrior(w, priorBlob)
-				})
-			}
-			if err == nil && roundBound > 0 {
-				err = cs.writeMsg(MsgRoundBound, func(w io.Writer) error {
-					var raw [8]byte
-					binary.BigEndian.PutUint64(raw[:], math.Float64bits(roundBound))
-					_, werr := w.Write(raw[:])
-					return werr
-				})
-			}
-			if err == nil {
-				err = cs.writeMsg(MsgGlobalModel, func(w io.Writer) error {
-					return core.MarshalStateDictTo(w, global)
-				})
-			}
-			if err != nil {
-				reason := dropReasonFor(err)
-				span.outcome(id, reason.String())
-				s.dropClient(coord, round, id, err, reason)
-				return
-			}
-			_ = cs.conn.SetWriteDeadline(time.Time{})
-			bmu.Lock()
-			live = append(live, id)
-			bmu.Unlock()
-		}(id, cs)
+func (k *coordSink) contributor(id string, weight float64, updates int) (*orchestrator.Contributor, error) {
+	if updates > 0 {
+		return k.round.PartialContributor(id, weight, updates)
 	}
-	bwg.Wait()
-	broadcastNs := time.Since(spanStart).Nanoseconds()
+	return k.round.Contributor(id, weight)
+}
 
-	// Collect updates concurrently. The read deadline is the straggler
-	// cut: when it fires, the blocked read fails, the contribution
-	// aborts (withdrawing any partial folds), and the client is
-	// dropped — so wg.Wait() below always returns and the round
-	// commits with the on-time subset. This is also the quiescence
-	// Commit requires: every contributor settles before we finalize.
-	// The deadline clock starts after the broadcast loop: the serial
-	// (possibly rate-limited) broadcast must not eat into the clients'
-	// response window.
-	gatherStart := span.startGather()
-	deadline := time.Time{}
-	if d := round.Deadline(); d > 0 {
-		deadline = time.Now().Add(d)
+// withdrawn quarantines the participant for the round and, when its
+// connection is gone, removes it from the sampling registry; both fire
+// the coordinator's OnDrop hook with their reason.
+func (k *coordSink) withdrawn(id string, reason orchestrator.DropReason, gone bool) {
+	k.round.Drop(id, reason)
+	if gone {
+		k.coord.Leave(id)
 	}
-	var wg sync.WaitGroup
-	for _, id := range live {
-		s.mu.Lock()
-		cs := s.conns[id]
-		s.mu.Unlock()
-		if cs == nil {
-			span.outcome(id, orchestrator.DropDisconnect.String())
-			round.Drop(id, orchestrator.DropDisconnect)
-			continue
-		}
-		wg.Add(1)
-		go func(id string, cs *connStream) {
-			defer wg.Done()
-			if err := s.collectUpdate(round, id, cs, deadline, span); err != nil {
-				reason := dropReasonFor(err)
-				span.outcome(id, reason.String())
-				s.dropClient(coord, round, id, err, reason)
-				return
-			}
-			span.settle(id)
-		}(id, cs)
-	}
-	wg.Wait()
-	gatherNs := time.Since(gatherStart).Nanoseconds()
+}
 
-	s.mergeRoundPriors()
-	commitStart := time.Now()
-	global, stats, err := round.Commit()
+func (k *coordSink) finish(g *gathered) error {
+	// A round that produced no priors keeps the previous consensus — an
+	// all-static or all-cold round should not erase what the fleet
+	// already learned.
+	if merged := adapt.MergePriorBlobs(g.priors...); len(merged) > 0 {
+		k.prior = merged
+	}
+	var err error
+	k.global, k.stats, err = k.round.Commit()
+	k.round = nil // and with it the round's model-sized sums
 	if err != nil && err != orchestrator.ErrNoUpdates {
-		return global, stats, err
+		return err
 	}
-
 	// Record the round's span. Committed/ErrNoUpdates rounds both
 	// trace — a round that lost every participant is exactly the one
-	// worth inspecting later.
-	clients, up, down := span.finish()
-	s.priorMu.Lock()
-	priorNow := s.priorBlob
-	s.priorMu.Unlock()
-	// Edge span summaries collected this round join the assembler so
-	// /rounds/tree can graft each region's subtree onto this span.
-	for _, ch := range span.childSummaries() {
-		obs.DefaultAssembler.Attach(traceID, ch.ID, ch.Sum)
+	// worth inspecting later. Edge span summaries collected this round
+	// join the assembler so /rounds/tree can graft each region's subtree
+	// onto this span.
+	for _, ch := range g.children {
+		obs.DefaultAssembler.Attach(g.span.TraceID, ch.ID, ch.Sum)
 	}
-	sp := obs.RoundSpan{
-		Tier:         "coordinator",
-		Round:        stats.Round,
-		Version:      stats.Version,
-		TraceID:      traceID,
-		Start:        spanStart,
-		TotalNs:      time.Since(spanStart).Nanoseconds(),
-		BroadcastNs:  broadcastNs,
-		GatherNs:     gatherNs,
-		DecodeFoldNs: span.decodeFoldNs.Load(),
-		CommitNs:     time.Since(commitStart).Nanoseconds(),
-		BytesUp:      up,
-		BytesDown:    down,
-		Sampled:      stats.Sampled,
-		Committed:    stats.Committed,
-		Dropped:      stats.Dropped,
-		Bound:        roundBound,
-		Plans:        plansFromPrior(priorNow, roundBound),
-		Clients:      clients,
-	}
-	obs.DefaultTrace.Add(sp)
-	return global, stats, err
-}
-
-// mergeRoundPriors folds the plan-prior blobs collected this round
-// into the population prior broadcast next round. A round that
-// produced no priors keeps the previous consensus — an all-static or
-// all-cold round should not erase what the fleet already learned.
-func (s *Orchestrated) mergeRoundPriors() {
-	s.priorMu.Lock()
-	defer s.priorMu.Unlock()
-	if len(s.roundPrior) == 0 {
-		return
-	}
-	if merged := adapt.MergePriorBlobs(s.roundPrior...); len(merged) > 0 {
-		s.priorBlob = merged
-	}
-	s.roundPrior = nil
-}
-
-// collectPrior stashes one participant's plan-prior blob for the
-// post-round merge.
-func (s *Orchestrated) collectPrior(blob []byte) {
-	if len(blob) == 0 {
-		return
-	}
-	s.priorMu.Lock()
-	s.roundPrior = append(s.roundPrior, blob)
-	s.priorMu.Unlock()
-}
-
-// collectUpdate reads one participant's round reply and folds it into
-// the round's aggregator. Direct clients stream a MsgUpdate (decoded
-// tensor-by-tensor); edge aggregators send one MsgPartialSum carrying
-// their whole region's fold.
-func (s *Orchestrated) collectUpdate(round *orchestrator.Round, id string, cs *connStream, deadline time.Time, span *roundSpanState) error {
-	if err := cs.conn.SetReadDeadline(deadline); err != nil {
-		return fmt.Errorf("transport: set deadline: %w", err)
-	}
-	s.mu.Lock()
-	isEdge := s.edges[id]
-	s.mu.Unlock()
-	t, err := cs.readMsgType()
-	if err != nil {
-		return err
-	}
-	if isEdge {
-		if t != MsgPartialSum {
-			return fmt.Errorf("%w: expected partial sum, got %v", ErrProtocol, t)
-		}
-		return s.collectPartial(round, id, cs, span)
-	}
-	if t != MsgUpdate {
-		return fmt.Errorf("%w: expected update, got %v", ErrProtocol, t)
-	}
-	samples, err := binary.ReadUvarint(cs.r)
-	if err != nil {
-		return fmt.Errorf("%w: update sample count", ErrProtocol)
-	}
-	ct, err := round.Contributor(id, float64(samples))
-	if err != nil {
-		return err
-	}
-	decodeStart := time.Now()
-	err = fl.DecodeEntries(s.cfg.Codec, cs.r, ct.Fold)
-	span.decodeFoldNs.Add(time.Since(decodeStart).Nanoseconds())
-	if err != nil {
-		// Withdraw any folds the aggregate already took (verified
-		// sections of a frame whose later section was damaged), tagged
-		// with why: a checksum failure quarantines the client as
-		// corrupt, not as a straggler.
-		ct.AbortReason(dropReasonFor(err))
-		return err
-	}
-	// The plan-prior trailer rides behind the codec frame so the
-	// update path stays one uplink write per round.
-	prior, err := readPrior(cs.r)
-	if err != nil {
-		// The update is fully folded by now; losing the trailer must
-		// withdraw it, or the sums keep weight the total never sees.
-		ct.AbortReason(dropReasonFor(err))
-		return err
-	}
-	if err := ct.Commit(); err != nil {
-		return err
-	}
-	s.collectPrior(prior)
-	// The client survived the round; clear its deadline.
-	return cs.conn.SetReadDeadline(time.Time{})
-}
-
-// collectPartial folds one edge aggregator's regional partial sum
-// into the round. The frame is checksum-verified before any of it
-// touches the aggregator, so a corrupt region withdraws cleanly; an
-// empty region (Updates == 0) is a round-level miss that keeps the
-// edge's connection alive.
-func (s *Orchestrated) collectPartial(round *orchestrator.Round, id string, cs *connStream, span *roundSpanState) error {
-	decodeStart := time.Now()
-	p, err := hier.DecodePartialFrom(cs.r)
-	if err != nil {
-		span.decodeFoldNs.Add(time.Since(decodeStart).Nanoseconds())
-		return err
-	}
-	// The span-summary trailer is observability, never control flow: an
-	// undecodable one (newer edge, damaged blob — the frame itself
-	// already passed its checksum) degrades to "no subtree".
-	if len(p.Span) > 0 {
-		if sum, err := obs.DecodeSpanSummary(p.Span); err == nil {
-			span.attachChild(id, sum)
-		}
-	}
-	if p.Updates == 0 {
-		span.decodeFoldNs.Add(time.Since(decodeStart).Nanoseconds())
-		span.outcome(id, "empty_region")
-		round.Drop(id, orchestrator.DropDeadline)
-		s.cfg.Logf("%s: empty region, withdrawn for this round", id)
-		return cs.conn.SetReadDeadline(time.Time{})
-	}
-	ct, err := round.PartialContributor(id, p.TotalWeight, p.Updates)
-	if err != nil {
-		span.decodeFoldNs.Add(time.Since(decodeStart).Nanoseconds())
-		return err
-	}
-	for _, e := range p.Entries {
-		if err := ct.FoldPartial(e); err != nil {
-			span.decodeFoldNs.Add(time.Since(decodeStart).Nanoseconds())
-			ct.AbortReason(dropReasonFor(err))
-			return err
-		}
-	}
-	span.decodeFoldNs.Add(time.Since(decodeStart).Nanoseconds())
-	if err := ct.Commit(); err != nil {
-		return err
-	}
-	s.collectPrior(p.Prior)
-	return cs.conn.SetReadDeadline(time.Time{})
+	g.span.Tier = "coordinator"
+	g.span.Version = k.stats.Version
+	g.span.Sampled = k.stats.Sampled
+	g.span.Committed = k.stats.Committed
+	g.span.Dropped = k.stats.Dropped
+	g.span.Plans = plansFromPrior(k.prior, g.span.Bound)
+	g.stamp()
+	obs.DefaultTrace.Add(g.span)
+	return err
 }

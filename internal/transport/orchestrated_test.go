@@ -2,6 +2,7 @@ package transport
 
 import (
 	"io"
+	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,290 +13,264 @@ import (
 	"fedsz/internal/lossy"
 	"fedsz/internal/model"
 	"fedsz/internal/nn"
+	"fedsz/internal/obs"
 	"fedsz/internal/orchestrator"
 )
 
-// TestOrchestratedClientDiesMidStream is the satellite bugfix test:
-// one client writes half an update frame and drops its connection
-// mid-stream; the legacy server aborted the whole run, the
-// orchestrated server must withdraw the partial contribution, drop
-// the client, and commit every round from the survivors.
-func TestOrchestratedClientDiesMidStream(t *testing.T) {
-	codec, err := fl.NewFedSZCodec(core.Config{Bound: lossy.RelBound(1e-3)})
+// TestRoundFaults drives every per-member fault through both sinks of
+// the round engine — members joined directly to the coordinator, and
+// members behind an edge that forwards to it — and asserts the same
+// thing at either tier: the faulty member is withdrawn with the same
+// reason, and nothing of it reaches the committed global.
+//
+// The survivors send different updates with different weights and the
+// faulty member's update is heavily weighted poison, so the committed
+// global equals fl.FedAvg of the survivors bit for bit only if neither
+// the poison's sums nor its weight stayed in the aggregate: the total
+// weight is exactly the survivors'. (Two addends commute exactly in
+// float64, so arrival order and the extra tier do not show.)
+func TestRoundFaults(t *testing.T) {
+	codec, err := fl.NewFedSZCodec(core.Config{Bound: lossy.RelBound(1e-3), Checksum: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	const rounds = 3
-	var stats []orchestrator.RoundStats
-	srv, err := NewOrchestrated(OrchestratedConfig{
-		Codec:      codec,
-		MinClients: 3,
-		Rounds:     rounds,
-		OnRound: func(round int, global *model.StateDict, st orchestrator.RoundStats) {
-			stats = append(stats, st)
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln := newPipeListener(4)
-	defer ln.Close()
 	initial := nn.MobileNetV2Mini(48, 4, 7).StateDict()
-
-	var wg sync.WaitGroup
-	// Two healthy echo clients.
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			conn := ln.Dial()
-			defer conn.Close()
-			if err := RunClient(conn, codec, func(round int, global *model.StateDict) (*model.StateDict, int, error) {
-				return global, 10 + i, nil
-			}); err != nil {
-				t.Errorf("client %d: %v", i, err)
-			}
-		}(i)
-	}
-	// One client that sends a partial update frame in round 0 and dies.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		conn := ln.Dial()
-		cs := newConnStream(conn)
-		if err := cs.writeMsg(MsgJoin, nil); err != nil {
-			t.Errorf("dying client join: %v", err)
-			return
-		}
-		if tp, err := readMsgSkippingTrace(cs); err != nil || tp != MsgGlobalModel {
-			t.Errorf("dying client: expected global model, got %v (%v)", tp, err)
-			return
-		}
-		if _, err := core.UnmarshalStateDictFrom(cs.r); err != nil {
-			t.Errorf("dying client: read global: %v", err)
-			return
-		}
-		// Encode a real update, then send only the first half of it.
-		buf, _, err := codec.Encode(initial)
-		if err != nil {
-			t.Errorf("dying client encode: %v", err)
-			return
-		}
-		err = cs.writeMsg(MsgUpdate, func(w io.Writer) error {
-			if _, err := w.Write([]byte{20}); err != nil { // sample count uvarint
-				return err
-			}
-			_, err := w.Write(buf[:len(buf)/2])
-			return err
-		})
-		if err != nil {
-			return // pipe may already be closing; the server side is what matters
-		}
-		_ = conn.Close()
-	}()
-
-	final, err := srv.Serve(ln, initial)
-	if err != nil {
-		t.Fatalf("server: %v", err)
-	}
-	wg.Wait()
-	if final.Len() != initial.Len() {
-		t.Fatalf("final model has %d entries, want %d", final.Len(), initial.Len())
-	}
-	if len(stats) != rounds {
-		t.Fatalf("committed %d rounds, want %d", len(stats), rounds)
-	}
-	// Round 0 saw three participants, committed two, dropped the dier.
-	if stats[0].Sampled != 3 || stats[0].Committed != 2 || stats[0].Dropped != 1 {
-		t.Fatalf("round 0 stats %+v, want sampled 3 committed 2 dropped 1", stats[0])
-	}
-	// Later rounds only ever sample the two survivors.
-	for _, st := range stats[1:] {
-		if st.Sampled != 2 || st.Committed != 2 {
-			t.Fatalf("survivor round stats %+v", st)
-		}
-	}
-}
-
-// TestOrchestratedClientDiesAfterUpdateFrame kills a client in the
-// gap between its complete update frame and the plan-prior trailer:
-// its weighted entries are already folded when readPrior fails, so the
-// collection path must withdraw the contribution — leaking it would
-// leave the sums carrying weight the total never sees, and the commit
-// would divide poisoned sums by a too-small total.
-func TestOrchestratedClientDiesAfterUpdateFrame(t *testing.T) {
-	initial := nn.MobileNetV2Mini(48, 4, 7).StateDict()
-	upd := nn.MobileNetV2Mini(48, 4, 8).StateDict()
-	poison := nn.MobileNetV2Mini(48, 4, 9).StateDict()
-
-	var stats []orchestrator.RoundStats
-	srv, err := NewOrchestrated(OrchestratedConfig{
-		MinClients: 3,
-		Rounds:     1,
-		OnRound: func(round int, global *model.StateDict, st orchestrator.RoundStats) {
-			stats = append(stats, st)
-		},
-	})
+	upds := []*model.StateDict{nn.MobileNetV2Mini(48, 4, 8).StateDict(), nn.MobileNetV2Mini(48, 4, 10).StateDict()}
+	weights := []int{10, 11}
+	poison, _, err := codec.Encode(nn.MobileNetV2Mini(48, 4, 9).StateDict())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ln := newPipeListener(4)
-	defer ln.Close()
-
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			conn := ln.Dial()
-			defer conn.Close()
-			if err := RunClient(conn, nil, func(int, *model.StateDict) (*model.StateDict, int, error) {
-				return upd, 10, nil
-			}); err != nil {
-				t.Errorf("client: %v", err)
-			}
-		}()
-	}
-	// The dier sends its FULL update frame — heavily weighted poison —
-	// then slams the connection before the prior trailer.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		conn := ln.Dial()
-		cs := newConnStream(conn)
-		if err := cs.writeMsg(MsgJoin, nil); err != nil {
-			t.Errorf("dier join: %v", err)
-			return
-		}
-		if tp, err := readMsgSkippingTrace(cs); err != nil || tp != MsgGlobalModel {
-			t.Errorf("dier: expected global model, got %v (%v)", tp, err)
-			return
-		}
-		if _, err := core.UnmarshalStateDictFrom(cs.r); err != nil {
-			t.Errorf("dier: read global: %v", err)
-			return
-		}
-		buf, _, err := fl.PlainCodec{}.Encode(poison)
+	// What the aggregating tier decodes from each survivor.
+	decoded := make([]*model.StateDict, len(upds))
+	for i, u := range upds {
+		buf, _, err := codec.Encode(u)
 		if err != nil {
-			t.Errorf("dier encode: %v", err)
-			return
+			t.Fatal(err)
 		}
+		if decoded[i], err = codec.Decode(buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := fl.FedAvg(decoded, weights)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// sendUpdate writes a MsgUpdate claiming 100 samples whose body is
+	// the given bytes.
+	sendUpdate := func(cs *connStream, body ...[]byte) {
 		_ = cs.writeMsg(MsgUpdate, func(w io.Writer) error {
 			if _, err := w.Write([]byte{100}); err != nil { // sample count uvarint
 				return err
 			}
-			_, err := w.Write(buf)
-			return err
-		})
-		_ = conn.Close()
-	}()
-
-	final, err := srv.Serve(ln, initial)
-	if err != nil {
-		t.Fatalf("server: %v", err)
-	}
-	wg.Wait()
-
-	if len(stats) != 1 {
-		t.Fatalf("committed %d rounds, want 1", len(stats))
-	}
-	if st := stats[0]; st.Sampled != 3 || st.Committed != 2 || st.Dropped != 1 {
-		t.Fatalf("stats %+v, want sampled 3 committed 2 dropped 1", st)
-	}
-	// The survivors' identical updates average to exactly upd; any
-	// residue of the dier's 100-weighted poison frame would show.
-	for _, want := range upd.Entries() {
-		if want.DType != model.Float32 {
-			continue
-		}
-		got, ok := final.Get(want.Name)
-		if !ok {
-			t.Fatalf("final model missing %q", want.Name)
-		}
-		gd, wd := got.Tensor.Data(), want.Tensor.Data()
-		for j := range wd {
-			if gd[j] != wd[j] {
-				t.Fatalf("entry %q element %d: %v != %v (dier's folded update leaked into the sums?)",
-					want.Name, j, gd[j], wd[j])
+			for _, b := range body {
+				if _, err := w.Write(b); err != nil {
+					return err
+				}
 			}
-		}
+			return nil
+		})
 	}
-}
-
-// TestOrchestratedStragglerDeadline verifies the wall-clock straggler
-// cut: a client that stalls mid-upload past the round deadline is
-// dropped and the round commits with the on-time updates.
-func TestOrchestratedStragglerDeadline(t *testing.T) {
-	var stats []orchestrator.RoundStats
-	srv, err := NewOrchestrated(OrchestratedConfig{
-		MinClients:    3,
-		Rounds:        1,
-		RoundDeadline: 300 * time.Millisecond,
-		OnRound: func(round int, global *model.StateDict, st orchestrator.RoundStats) {
-			stats = append(stats, st)
+	scenarios := []struct {
+		name     string
+		deadline time.Duration
+		reason   orchestrator.DropReason
+		// fault is the faulty member's reply to round 0's broadcast;
+		// release closes when the federation is over.
+		fault func(cs *connStream, release <-chan struct{})
+	}{
+		{
+			// Half an update frame, then the connection drops: the folds
+			// of the sections that did arrive must be withdrawn. A
+			// truncated frame is reported as corruption.
+			name:   "dies mid-stream",
+			reason: orchestrator.DropCorrupt,
+			fault: func(cs *connStream, _ <-chan struct{}) {
+				sendUpdate(cs, poison[:len(poison)/2])
+				_ = cs.conn.Close()
+			},
 		},
-	})
-	if err != nil {
-		t.Fatal(err)
+		{
+			// The FULL frame, then the connection drops before the
+			// plan-prior trailer: every entry is already folded when the
+			// trailer read fails, and must be withdrawn.
+			name:   "dies after update frame",
+			reason: orchestrator.DropDisconnect,
+			fault: func(cs *connStream, _ <-chan struct{}) {
+				sendUpdate(cs, poison)
+				_ = cs.conn.Close()
+			},
+		},
+		{
+			// A complete reply with one bit flipped inside the frame's last
+			// section: only the checksum can reject it.
+			name:   "corrupt checksummed frame",
+			reason: orchestrator.DropCorrupt,
+			fault: func(cs *connStream, _ <-chan struct{}) {
+				flipped := append([]byte(nil), poison...)
+				flipped[len(flipped)-6] ^= 0x10
+				sendUpdate(cs, flipped, []byte{0}) // empty prior trailer
+				_, _ = io.Copy(io.Discard, cs.r)   // wait to be hung up on
+			},
+		},
+		{
+			// Receives the broadcast, then stalls: the round deadline must
+			// cut it and finish with the on-time updates.
+			name:     "straggler past the deadline",
+			deadline: 300 * time.Millisecond,
+			reason:   orchestrator.DropDeadline,
+			fault:    func(_ *connStream, release <-chan struct{}) { <-release },
+		},
 	}
-	ln := newPipeListener(4)
-	defer ln.Close()
-	initial := nn.MobileNetV2Mini(48, 4, 7).StateDict()
+	for _, sc := range scenarios {
+		for _, tier := range []string{"coordinator", "edge"} {
+			t.Run(sc.name+"/"+tier, func(t *testing.T) {
+				const rounds = 2
+				spansBefore := obs.DefaultTrace.Total()
+				var stats []orchestrator.RoundStats
+				var globals []*model.StateDict
+				cfg := OrchestratedConfig{
+					Codec:         codec,
+					MinClients:    3,
+					Rounds:        rounds,
+					RoundDeadline: sc.deadline,
+					OnRound: func(_ int, global *model.StateDict, st orchestrator.RoundStats) {
+						stats = append(stats, st)
+						globals = append(globals, global)
+					},
+				}
+				coordLn := tcpListener(t)
+				defer coordLn.Close()
+				memberAddr := coordLn.Addr().String()
+				var wg sync.WaitGroup
+				if tier == "edge" {
+					// The members (and the deadline that cuts them) move
+					// behind an edge; the coordinator sees one participant.
+					cfg.MinClients, cfg.RoundDeadline = 1, 0
+					edge, err := NewEdge(EdgeConfig{
+						Upstream:      dialTCP(memberAddr),
+						Codec:         codec,
+						MinClients:    3,
+						RoundDeadline: sc.deadline,
+						Checksum:      true,
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					edgeLn := tcpListener(t)
+					memberAddr = edgeLn.Addr().String()
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						defer edgeLn.Close()
+						if err := edge.Serve(edgeLn); err != nil {
+							t.Errorf("edge: %v", err)
+						}
+					}()
+				}
+				srv, err := NewOrchestrated(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
 
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			conn := ln.Dial()
-			defer conn.Close()
-			_ = RunClient(conn, nil, func(round int, global *model.StateDict) (*model.StateDict, int, error) {
-				return global, 10, nil
+				for i := range upds {
+					wg.Add(1)
+					go func(i int) {
+						defer wg.Done()
+						conn, err := net.Dial("tcp", memberAddr)
+						if err != nil {
+							t.Errorf("survivor %d dial: %v", i, err)
+							return
+						}
+						defer conn.Close()
+						if err := RunClient(conn, codec, func(int, *model.StateDict) (*model.StateDict, int, error) {
+							return upds[i], weights[i], nil
+						}); err != nil {
+							t.Errorf("survivor %d: %v", i, err)
+						}
+					}(i)
+				}
+				release := make(chan struct{})
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					conn, err := net.Dial("tcp", memberAddr)
+					if err != nil {
+						t.Errorf("faulty member dial: %v", err)
+						return
+					}
+					defer conn.Close()
+					cs := newConnStream(conn)
+					if err := cs.writeMsg(MsgJoin, nil); err != nil {
+						t.Errorf("faulty member join: %v", err)
+						return
+					}
+					if _, done, err := readDownlink(cs); err != nil || done {
+						t.Errorf("faulty member: no round 0 broadcast (done %v, err %v)", done, err)
+						return
+					}
+					sc.fault(cs, release)
+				}()
+
+				done := make(chan struct{})
+				var serveErr error
+				go func() {
+					_, serveErr = srv.Serve(coordLn, initial)
+					close(done)
+				}()
+				select {
+				case <-done:
+				case <-time.After(30 * time.Second):
+					t.Fatal("federation stuck on the faulty member")
+				}
+				close(release)
+				wg.Wait()
+				if serveErr != nil {
+					t.Fatalf("server: %v", serveErr)
+				}
+
+				if len(stats) != rounds {
+					t.Fatalf("committed %d rounds, want %d", len(stats), rounds)
+				}
+				// The fault round and the clean one after it commit the same
+				// global: the survivors' average, exactly.
+				for r, st := range stats {
+					if st.Folded != len(upds) {
+						t.Fatalf("round %d folded %d updates, want the %d survivors'", r, st.Folded, len(upds))
+					}
+					assertExactly(t, globals[r], want)
+				}
+
+				// The tier the members joined recorded the fault round with
+				// one outcome per participant, and ran the next round with
+				// the survivors alone.
+				var spans []obs.RoundSpan
+				for _, sp := range obs.DefaultTrace.Recent(int(obs.DefaultTrace.Total() - spansBefore)) {
+					if sp.Tier == tier {
+						spans = append(spans, sp)
+					}
+				}
+				if len(spans) != rounds {
+					t.Fatalf("%s recorded %d spans, want %d", tier, len(spans), rounds)
+				}
+				if sp := spans[0]; sp.Sampled != 3 || sp.Committed != 2 || sp.Dropped != 1 || len(sp.Clients) != 3 {
+					t.Fatalf("fault round span %+v, want sampled 3 committed 2 dropped 1 with 3 records", sp)
+				}
+				outcomes := map[string]int{}
+				ids := map[string]bool{}
+				for _, c := range spans[0].Clients {
+					outcomes[c.Outcome]++
+					ids[c.ID] = true
+				}
+				if len(ids) != 3 || outcomes["committed"] != 2 || outcomes[sc.reason.String()] != 1 {
+					t.Fatalf("fault round outcomes %v, want 2 committed and 1 %q", outcomes, sc.reason)
+				}
+				if sp := spans[1]; sp.Sampled != 2 || sp.Committed != 2 {
+					t.Fatalf("survivor round span %+v, want only the 2 survivors", sp)
+				}
 			})
-		}(i)
-	}
-	// The straggler joins, receives the broadcast, then stalls forever.
-	stalled := make(chan struct{})
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		conn := ln.Dial()
-		defer conn.Close()
-		cs := newConnStream(conn)
-		if err := cs.writeMsg(MsgJoin, nil); err != nil {
-			return
 		}
-		if _, err := readMsgSkippingTrace(cs); err != nil {
-			return
-		}
-		if _, err := core.UnmarshalStateDictFrom(cs.r); err != nil {
-			return
-		}
-		<-stalled // never sends its update; the server must cut it
-	}()
-
-	done := make(chan struct{})
-	var final *model.StateDict
-	var serveErr error
-	go func() {
-		final, serveErr = srv.Serve(ln, initial)
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("server did not cut the straggler")
-	}
-	close(stalled)
-	wg.Wait()
-	if serveErr != nil {
-		t.Fatalf("server: %v", serveErr)
-	}
-	if final == nil || len(stats) != 1 {
-		t.Fatalf("no committed round (stats %v)", stats)
-	}
-	if stats[0].Committed != 2 || stats[0].Dropped != 1 {
-		t.Fatalf("stats %+v, want committed 2 dropped 1", stats[0])
 	}
 }
 

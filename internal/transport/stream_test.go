@@ -53,7 +53,7 @@ func (l *pipeListener) Addr() net.Addr {
 // net.Pipe with the given codec and returns the final global model.
 func runPipeFederation(t *testing.T, codec fl.Codec, clients, rounds int) *model.StateDict {
 	t.Helper()
-	srv, err := NewServer(ServerConfig{Clients: clients, Rounds: rounds, Codec: codec})
+	srv, err := NewOrchestrated(OrchestratedConfig{MinClients: clients, Rounds: rounds, Codec: codec})
 	if err != nil {
 		t.Fatal(err)
 	}

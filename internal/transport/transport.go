@@ -1,21 +1,29 @@
 // Package transport runs federated rounds over real TCP sockets with a
 // pipelined streaming protocol, optionally rate-limited to emulate
 // constrained WANs. It is the wire-level counterpart of the in-process
-// simulation in package fl: the server broadcasts the global model,
-// clients return codec-encoded updates, the server aggregates with
-// FedAvg. The paper's APPFL deployment used gRPC; the protocol here is
-// a minimal stdlib-only equivalent.
+// simulation in package fl. The paper's APPFL deployment used gRPC; the
+// protocol here is a minimal stdlib-only equivalent.
+//
+// There is one round engine (tier.go): a connection registry with a
+// join loop, a concurrent downlink broadcast, a concurrent gather that
+// decodes each uplink straight into a sharded aggregator and cuts
+// stragglers at a deadline, and the round's trace span. Both servers
+// are thin owners of it that differ only in their sink — where a
+// round's inputs come from, who participates, what a drop notifies and
+// what finishing means. Orchestrated mints the inputs, samples
+// participants from an orchestrator.Coordinator and commits the new
+// global model; Edge relays its upstream's inputs to every region
+// member and finishes by forwarding the region's partial sum. Tiers
+// nest: an edge is one participant of the tier above it.
 //
 // Messages are a type byte followed by a self-delimiting streamed
 // body: the global model streams out entry by entry, and client
 // updates stream through the codec's EncodeTo/DecodeFrom pair, so a
 // FedSZ uplink pushes each tensor's section onto the wire while the
-// next tensor is still compressing (and the server decompresses
-// sections as they arrive). Neither side ever materializes the full
-// wire image of an update, and compression time hides behind
+// next tensor is still compressing (and the server decompresses and
+// folds sections as they arrive). Neither side ever materializes the
+// full wire image of an update, and compression time hides behind
 // transmission time — the system-level payoff of the paper's Eqn. 1.
-// The legacy length-prefixed framing (WriteFrame/ReadFrame) remains
-// for whole-buffer tooling.
 package transport
 
 import (
@@ -26,13 +34,11 @@ import (
 	"io"
 	"math"
 	"net"
-	"sync"
 	"time"
 
 	"fedsz/internal/core"
 	"fedsz/internal/fl"
 	"fedsz/internal/model"
-	"fedsz/internal/netsim"
 )
 
 // MsgType identifies a message.
@@ -189,168 +195,91 @@ func readPrior(r *bufio.Reader) ([]byte, error) {
 // ErrProtocol reports a framing violation.
 var ErrProtocol = errors.New("transport: protocol error")
 
-// WriteFrame writes one frame: type byte, big-endian length, payload.
-func WriteFrame(w io.Writer, t MsgType, payload []byte) error {
-	var hdr [5]byte
-	hdr[0] = byte(t)
-	binary.BigEndian.PutUint32(hdr[1:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("transport: write header: %w", err)
-	}
-	if _, err := w.Write(payload); err != nil {
-		return fmt.Errorf("transport: write payload: %w", err)
-	}
-	return nil
+// downlink is one round's inputs as they travel down the tree, in wire
+// order: MsgRoundTrace → MsgPlanPrior → MsgRoundBound → MsgGlobalModel.
+// Only the model is mandatory; it closes the sequence.
+type downlink struct {
+	traceID string  // round trace context ("" from a pre-tracing upstream)
+	round   int     // the coordinator's round number, carried by the trace
+	prior   []byte  // merged population plan prior (nil = none yet)
+	bound   float64 // round-level error bound (0 = no schedule)
+	global  *model.StateDict
 }
 
-// ReadFrame reads one frame written by WriteFrame.
-func ReadFrame(r io.Reader) (MsgType, []byte, error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, fmt.Errorf("transport: read header: %w", err)
-	}
-	size := binary.BigEndian.Uint32(hdr[1:])
-	if size > MaxFrameSize {
-		return 0, nil, fmt.Errorf("%w: frame size %d", ErrProtocol, size)
-	}
-	payload := make([]byte, size)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, fmt.Errorf("transport: read payload: %w", err)
-	}
-	return MsgType(hdr[0]), payload, nil
-}
-
-// ServerConfig parameterizes a transport server.
-type ServerConfig struct {
-	Clients      int      // connections to wait for
-	Rounds       int      // federated rounds to run
-	Codec        fl.Codec // update codec (uplink)
-	BandwidthBps float64  // per-connection rate limit; 0 = unlimited
-	// OnRound, if non-nil, observes each aggregated global model.
-	OnRound func(round int, global *model.StateDict)
-}
-
-// Server coordinates federated rounds over TCP.
-type Server struct {
-	cfg ServerConfig
-}
-
-// NewServer validates cfg and returns a Server.
-func NewServer(cfg ServerConfig) (*Server, error) {
-	if cfg.Clients <= 0 {
-		return nil, errors.New("transport: need at least one client")
-	}
-	if cfg.Rounds <= 0 {
-		return nil, errors.New("transport: need at least one round")
-	}
-	if cfg.Codec == nil {
-		cfg.Codec = fl.PlainCodec{}
-	}
-	return &Server{cfg: cfg}, nil
-}
-
-// Serve accepts cfg.Clients connections on ln, runs cfg.Rounds
-// federated rounds starting from initial, and returns the final global
-// model. It owns the accepted connections and closes them on return.
-// Each client's uplink decodes as it arrives (one goroutine per
-// connection, each tensor decompressed as its section is received), so
-// decode work across clients overlaps both reception and other
-// clients' training.
-func (s *Server) Serve(ln net.Listener, initial *model.StateDict) (*model.StateDict, error) {
-	streams := make([]*connStream, 0, s.cfg.Clients)
-	defer func() {
-		for _, cs := range streams {
-			_ = cs.conn.Close()
-		}
-	}()
-	for len(streams) < s.cfg.Clients {
-		conn, err := ln.Accept()
+// writeTo sends the round's inputs on cs, one message per present
+// field. The trace context leads so every tier below tags its spans
+// with it; the bound precedes the model so clients apply it before
+// encoding. The global dict is immutable for the round, safe to stream
+// from many goroutines.
+func (d *downlink) writeTo(cs *connStream) error {
+	if d.traceID != "" {
+		err := cs.writeMsg(MsgRoundTrace, func(w io.Writer) error {
+			return writeRoundTrace(w, d.traceID, d.round)
+		})
 		if err != nil {
-			return nil, fmt.Errorf("transport: accept: %w", err)
+			return err
 		}
-		cs := newConnStream(netsim.Limit(conn, s.cfg.BandwidthBps))
-		t, err := cs.readMsgType()
-		if err != nil || t != MsgJoin {
-			_ = conn.Close()
-			return nil, fmt.Errorf("%w: expected join, got %v (err %v)", ErrProtocol, t, err)
-		}
-		streams = append(streams, cs)
 	}
-
-	global := initial
-	for round := 0; round < s.cfg.Rounds; round++ {
-		if ra, ok := s.cfg.Codec.(fl.ReferenceAware); ok {
-			ra.SetReference(global)
-		}
-		// Broadcast the global model, streamed entry by entry — the wire
-		// image is never materialized on either side.
-		for _, cs := range streams {
-			err := cs.writeMsg(MsgGlobalModel, func(w io.Writer) error {
-				return core.MarshalStateDictTo(w, global)
-			})
-			if err != nil {
-				return nil, err
-			}
-		}
-
-		updates := make([]*model.StateDict, len(streams))
-		counts := make([]int, len(streams))
-		errs := make([]error, len(streams))
-		var wg sync.WaitGroup
-		for i, cs := range streams {
-			wg.Add(1)
-			go func(i int, cs *connStream) {
-				defer wg.Done()
-				t, err := cs.readMsgType()
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				if t != MsgUpdate {
-					errs[i] = fmt.Errorf("%w: expected update, got %v", ErrProtocol, t)
-					return
-				}
-				samples, err := binary.ReadUvarint(cs.r)
-				if err != nil {
-					errs[i] = fmt.Errorf("%w: update sample count", ErrProtocol)
-					return
-				}
-				sd, err := s.cfg.Codec.DecodeFrom(cs.r)
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				// The lock-step server has no plan-prior plane; consume
-				// and discard the update's trailer.
-				if _, err := readPrior(cs.r); err != nil {
-					errs[i] = err
-					return
-				}
-				updates[i] = sd
-				counts[i] = int(samples)
-			}(i, cs)
-		}
-		wg.Wait()
-		for i, err := range errs {
-			if err != nil {
-				return nil, fmt.Errorf("transport: round %d client %d: %w", round, i, err)
-			}
-		}
-		var err error
-		global, err = fl.FedAvg(updates, counts)
+	if len(d.prior) > 0 {
+		err := cs.writeMsg(MsgPlanPrior, func(w io.Writer) error {
+			return writePrior(w, d.prior)
+		})
 		if err != nil {
-			return nil, fmt.Errorf("transport: round %d: %w", round, err)
-		}
-		if s.cfg.OnRound != nil {
-			s.cfg.OnRound(round, global)
+			return err
 		}
 	}
-	for _, cs := range streams {
-		if err := cs.writeMsg(MsgShutdown, nil); err != nil {
-			return nil, err
+	if d.bound > 0 {
+		err := cs.writeMsg(MsgRoundBound, func(w io.Writer) error {
+			var raw [8]byte
+			binary.BigEndian.PutUint64(raw[:], math.Float64bits(d.bound))
+			_, err := w.Write(raw[:])
+			return err
+		})
+		if err != nil {
+			return err
 		}
 	}
-	return global, nil
+	return cs.writeMsg(MsgGlobalModel, func(w io.Writer) error {
+		return core.MarshalStateDictTo(w, d.global)
+	})
+}
+
+// readDownlink reads the next round's inputs from cs — what writeTo
+// sent — and reports done instead when the upstream sent MsgShutdown.
+// Leaf clients and edges both sit behind it.
+func readDownlink(cs *connStream) (d downlink, done bool, err error) {
+	for {
+		var t MsgType
+		if t, err = cs.readMsgType(); err != nil {
+			return d, false, err
+		}
+		switch t {
+		case MsgShutdown:
+			return d, true, nil
+		case MsgRoundTrace:
+			if d.traceID, d.round, err = readRoundTrace(cs.r); err != nil {
+				return d, false, err
+			}
+		case MsgPlanPrior:
+			if d.prior, err = readPrior(cs.r); err != nil {
+				return d, false, err
+			}
+		case MsgRoundBound:
+			var raw [8]byte
+			if _, err = io.ReadFull(cs.r, raw[:]); err != nil {
+				return d, false, fmt.Errorf("%w: round bound: %v", ErrProtocol, err)
+			}
+			d.bound = math.Float64frombits(binary.BigEndian.Uint64(raw[:]))
+			if d.bound <= 0 || math.IsNaN(d.bound) || math.IsInf(d.bound, 0) {
+				return d, false, fmt.Errorf("%w: round bound %v", ErrProtocol, d.bound)
+			}
+		case MsgGlobalModel:
+			d.global, err = core.UnmarshalStateDictFrom(cs.r)
+			return d, false, err
+		default:
+			return d, false, fmt.Errorf("%w: unexpected message %v", ErrProtocol, t)
+		}
+	}
 }
 
 // TrainFunc produces a client's update for one round: given the global
@@ -391,82 +320,50 @@ func runClientSession(cs *connStream, codec fl.Codec, train TrainFunc, baseRound
 	if err := write(MsgJoin, nil); err != nil {
 		return 0, err
 	}
-	for round := 0; ; {
-		t, err := cs.readMsgType()
-		if err != nil {
+	for round := 0; ; round++ {
+		// Leaf clients have no spans of their own, so the trace context
+		// is drained and dropped here.
+		down, done, err := readDownlink(cs)
+		if done || err != nil {
 			return round, err
 		}
-		switch t {
-		case MsgShutdown:
-			return round, nil
-		case MsgRoundBound:
-			var raw [8]byte
-			if _, err := io.ReadFull(cs.r, raw[:]); err != nil {
-				return round, fmt.Errorf("%w: round bound: %v", ErrProtocol, err)
+		if ba, ok := codec.(fl.BoundAware); ok && down.bound > 0 {
+			ba.SetRoundBound(down.bound)
+		}
+		// Adaptive codecs seed their cold tensors from the merged
+		// population plan prior; everyone else skips the blob.
+		if pa, ok := codec.(fl.PriorAware); ok && len(down.prior) > 0 {
+			if err := pa.ApplyPriorBytes(down.prior); err != nil {
+				return round, fmt.Errorf("%w: plan prior: %v", ErrProtocol, err)
 			}
-			bound := math.Float64frombits(binary.BigEndian.Uint64(raw[:]))
-			if bound <= 0 || math.IsNaN(bound) || math.IsInf(bound, 0) {
-				return round, fmt.Errorf("%w: round bound %v", ErrProtocol, bound)
+		}
+		if ra, ok := codec.(fl.ReferenceAware); ok {
+			ra.SetReference(down.global)
+		}
+		update, samples, err := train(baseRound+round, down.global)
+		if err != nil {
+			return round, fmt.Errorf("transport: client train: %w", err)
+		}
+		err = write(MsgUpdate, func(w io.Writer) error {
+			var hdr [binary.MaxVarintLen64]byte
+			n := binary.PutUvarint(hdr[:], uint64(samples))
+			if _, err := w.Write(hdr[:n]); err != nil {
+				return fmt.Errorf("transport: write sample count: %w", err)
 			}
-			if ba, ok := codec.(fl.BoundAware); ok {
-				ba.SetRoundBound(bound)
+			if _, err := codec.EncodeTo(w, update); err != nil {
+				return err
 			}
-		case MsgRoundTrace:
-			// Round trace context: edges tag their regional spans with it;
-			// leaf clients have no spans of their own, so they just drain
-			// the body and move on.
-			if _, _, err := readRoundTrace(cs.r); err != nil {
-				return round, err
+			// Trailing plan-prior blob: the client's locally probed
+			// plans, aggregated fleet-wide by the edge/coordinator
+			// tier. Zero-length for non-adaptive codecs.
+			var prior []byte
+			if pa, ok := codec.(fl.PriorAware); ok {
+				prior = pa.ExportPriorBytes()
 			}
-		case MsgPlanPrior:
-			// The merged population plan prior rides ahead of the round's
-			// global model; adaptive codecs seed their cold tensors from
-			// it, everyone else skips the blob.
-			blob, err := readPrior(cs.r)
-			if err != nil {
-				return round, err
-			}
-			if pa, ok := codec.(fl.PriorAware); ok && len(blob) > 0 {
-				if err := pa.ApplyPriorBytes(blob); err != nil {
-					return round, fmt.Errorf("%w: plan prior: %v", ErrProtocol, err)
-				}
-			}
-		case MsgGlobalModel:
-			global, err := core.UnmarshalStateDictFrom(cs.r)
-			if err != nil {
-				return round, err
-			}
-			if ra, ok := codec.(fl.ReferenceAware); ok {
-				ra.SetReference(global)
-			}
-			update, samples, err := train(baseRound+round, global)
-			if err != nil {
-				return round, fmt.Errorf("transport: client train: %w", err)
-			}
-			err = write(MsgUpdate, func(w io.Writer) error {
-				var hdr [binary.MaxVarintLen64]byte
-				n := binary.PutUvarint(hdr[:], uint64(samples))
-				if _, err := w.Write(hdr[:n]); err != nil {
-					return fmt.Errorf("transport: write sample count: %w", err)
-				}
-				if _, err := codec.EncodeTo(w, update); err != nil {
-					return err
-				}
-				// Trailing plan-prior blob: the client's locally probed
-				// plans, aggregated fleet-wide by the edge/coordinator
-				// tier. Zero-length for non-adaptive codecs.
-				var prior []byte
-				if pa, ok := codec.(fl.PriorAware); ok {
-					prior = pa.ExportPriorBytes()
-				}
-				return writePrior(w, prior)
-			})
-			if err != nil {
-				return round, err
-			}
-			round++
-		default:
-			return round, fmt.Errorf("%w: unexpected message %v", ErrProtocol, t)
+			return writePrior(w, prior)
+		})
+		if err != nil {
+			return round, err
 		}
 	}
 }

@@ -1,10 +1,11 @@
 package transport
 
 import (
-	"bytes"
+	"io"
 	"net"
 	"sync"
 	"testing"
+	"time"
 
 	"fedsz/internal/core"
 	"fedsz/internal/dataset"
@@ -12,53 +13,8 @@ import (
 	"fedsz/internal/lossy"
 	"fedsz/internal/model"
 	"fedsz/internal/nn"
+	"fedsz/internal/orchestrator"
 )
-
-func TestFrameRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	payloads := [][]byte{nil, {}, []byte("hello"), make([]byte, 70000)}
-	for _, p := range payloads {
-		if err := WriteFrame(&buf, MsgUpdate, p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, want := range payloads {
-		typ, got, err := ReadFrame(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if typ != MsgUpdate || len(got) != len(want) {
-			t.Fatalf("frame mismatch: %v %d", typ, len(got))
-		}
-	}
-}
-
-func TestFrameErrors(t *testing.T) {
-	if _, _, err := ReadFrame(bytes.NewReader([]byte{1, 2})); err == nil {
-		t.Fatal("expected short-header error")
-	}
-	// Oversize frame.
-	var buf bytes.Buffer
-	buf.Write([]byte{byte(MsgUpdate), 0xff, 0xff, 0xff, 0xff})
-	if _, _, err := ReadFrame(&buf); err == nil {
-		t.Fatal("expected frame-size error")
-	}
-	// Truncated payload.
-	buf.Reset()
-	buf.Write([]byte{byte(MsgUpdate), 0, 0, 0, 10, 'x'})
-	if _, _, err := ReadFrame(&buf); err == nil {
-		t.Fatal("expected truncated payload error")
-	}
-}
-
-func TestServerConfigValidation(t *testing.T) {
-	if _, err := NewServer(ServerConfig{Clients: 0, Rounds: 1}); err == nil {
-		t.Fatal("expected clients error")
-	}
-	if _, err := NewServer(ServerConfig{Clients: 1, Rounds: 0}); err == nil {
-		t.Fatal("expected rounds error")
-	}
-}
 
 // TestEndToEndFederation runs a real 2-client federation over TCP
 // loopback with the FedSZ codec and verifies the model improves.
@@ -72,7 +28,7 @@ func TestEndToEndFederation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewServer(ServerConfig{Clients: 2, Rounds: 3, Codec: codec})
+	srv, err := NewOrchestrated(OrchestratedConfig{MinClients: 2, Rounds: 3, Codec: codec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,42 +91,74 @@ func TestEndToEndFederation(t *testing.T) {
 	}
 }
 
-// TestProtocolViolation ensures the server rejects a client that skips
-// the join handshake.
+// TestProtocolViolation: a connection whose first byte is not a join is
+// closed, never registers, and does not stall the round for the honest
+// clients.
 func TestProtocolViolation(t *testing.T) {
-	srv, err := NewServer(ServerConfig{Clients: 1, Rounds: 1})
+	var stats []orchestrator.RoundStats
+	srv, err := NewOrchestrated(OrchestratedConfig{
+		MinClients: 2,
+		Rounds:     2,
+		OnRound: func(_ int, _ *model.StateDict, st orchestrator.RoundStats) {
+			stats = append(stats, st)
+		},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	ln := newPipeListener(3)
 	defer ln.Close()
+	initial := nn.MobileNetV2Mini(48, 4, 7).StateDict()
 
 	done := make(chan error, 1)
 	go func() {
-		_, err := srv.Serve(ln, model.NewStateDict())
+		_, err := srv.Serve(ln, initial)
 		done <- err
 	}()
-	conn, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
+
+	// The violator opens with an update frame instead of a join; the
+	// server must hang up on it.
+	bad := ln.Dial()
+	defer bad.Close()
+	go func() { _, _ = bad.Write(append([]byte{byte(MsgUpdate)}, "bogus"...)) }()
+	_ = bad.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if _, err := bad.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("violator's connection: read = %v, want EOF (closed by the server)", err)
 	}
-	defer conn.Close()
-	if err := WriteFrame(conn, MsgUpdate, []byte("bogus")); err != nil {
-		t.Fatal(err)
+
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			conn := ln.Dial()
+			defer conn.Close()
+			if err := RunClient(conn, nil, func(_ int, global *model.StateDict) (*model.StateDict, int, error) {
+				return global, 10, nil
+			}); err != nil {
+				t.Errorf("client: %v", err)
+			}
+		}()
 	}
-	if err := <-done; err == nil {
-		t.Fatal("server should reject protocol violation")
+	if err := <-done; err != nil {
+		t.Fatalf("server: %v", err)
+	}
+	wg.Wait()
+	if len(stats) != 2 {
+		t.Fatalf("committed %d rounds, want 2", len(stats))
+	}
+	for i, st := range stats {
+		if st.Sampled != 2 || st.Committed != 2 {
+			t.Fatalf("round %d stats %+v, want only the two honest clients sampled and committed", i, st)
+		}
 	}
 }
 
 // TestRateLimitedFederation runs one round through a bandwidth-capped
 // connection, verifying the netsim limiter composes with the protocol.
 func TestRateLimitedFederation(t *testing.T) {
-	srv, err := NewServer(ServerConfig{
-		Clients:      1,
+	srv, err := NewOrchestrated(OrchestratedConfig{
+		MinClients:   1,
 		Rounds:       1,
 		BandwidthBps: 200e6, // 200 Mbps: fast enough to keep the test quick
 	})
