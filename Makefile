@@ -43,13 +43,14 @@ vet:
 loc:
 	@bash scripts/loc.sh
 
-# Short fuzz smoke over the seven decoder fuzz targets (matches CI).
+# Short fuzz smoke over the eight decoder fuzz targets (matches CI).
 # FuzzDecodePartial's seeds are the 2.4 KB golden frames; without the
 # minimize cap the engine spends the whole smoke minimizing its first find.
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzDecompress -fuzztime=10s ./internal/core
 	$(GO) test -run=^$$ -fuzz=FuzzDecoderStream -fuzztime=10s ./internal/core
 	$(GO) test -run=^$$ -fuzz=FuzzFrameIntegrity -fuzztime=10s ./internal/core
+	$(GO) test -run=^$$ -fuzz=FuzzUnmarshalStateDictInto -fuzztime=10s ./internal/core
 	$(GO) test -run=^$$ -fuzz=FuzzHuffmanDecode -fuzztime=10s ./internal/huffman
 	$(GO) test -run=^$$ -fuzz=FuzzLZHDecompress -fuzztime=10s ./internal/lossless
 	$(GO) test -run=^$$ -fuzz=FuzzFamilyDecode -fuzztime=10s ./internal/family

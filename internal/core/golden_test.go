@@ -96,7 +96,7 @@ func TestGoldenBitstream(t *testing.T) {
 
 // fsd1Dict builds a deterministic state dict of the given float tensor
 // shapes (named t0, t1, …) followed by integer entries (i0, i1, …).
-func fsd1Dict(t *testing.T, seed int64, shapes [][]int, ints [][]int64) *model.StateDict {
+func fsd1Dict(t testing.TB, seed int64, shapes [][]int, ints [][]int64) *model.StateDict {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	sd := model.NewStateDict()
@@ -128,14 +128,14 @@ func fsd1Dict(t *testing.T, seed int64, shapes [][]int, ints [][]int64) *model.S
 
 // smallStateDict is the fully committed FSD1 golden: a matrix, a
 // vector, a scalar-shaped tensor and two integer entries.
-func smallStateDict(t *testing.T) *model.StateDict {
+func smallStateDict(t testing.TB) *model.StateDict {
 	return fsd1Dict(t, 31, [][]int{{7, 5}, {7}, {1}}, [][]int64{{12345}, {-1, 0, 1 << 40}})
 }
 
 // largeStateDict has tensors and an integer entry several conversion
 // chunks long (none a multiple of the chunk), so a streaming marshal's
 // chunk seams land inside the data the digest pins.
-func largeStateDict(t *testing.T) *model.StateDict {
+func largeStateDict(t testing.TB) *model.StateDict {
 	ints := make([]int64, 2*8192+9)
 	for i := range ints {
 		ints[i] = int64(i)*1_000_000_007 - (1 << 44)

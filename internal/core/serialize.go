@@ -92,8 +92,25 @@ func MarshalStateDictTo(w io.Writer, sd *model.StateDict) error {
 // bounded incremental allocation, so a forged header cannot force a
 // giant allocation. A stream with no bytes at all returns io.EOF.
 func UnmarshalStateDictFrom(r io.Reader) (*model.StateDict, error) {
+	return UnmarshalStateDictInto(r, nil)
+}
+
+// UnmarshalStateDictInto is UnmarshalStateDictFrom for a receiver that
+// already holds a dict of the expected shape — a client's previous
+// global. Entry i of the stream lands in dst's i-th entry when the two
+// agree on name, dtype and shape: the payload converts straight into
+// that entry's existing storage (a destination the caller vouches for
+// needs no staged growth) and the returned dict carries dst's own
+// tensor for it. Any entry that does not match is allocated exactly as
+// UnmarshalStateDictFrom would and leaves dst's entry untouched, so a
+// nil, shorter, longer or differently shaped dst only costs allocation.
+// The decoded values are those UnmarshalStateDictFrom yields for the
+// same bytes. On error dst's matching entries hold an unspecified mix
+// of old and new values; after success dst must no longer be read as
+// the old model — the returned dict has taken its storage over.
+func UnmarshalStateDictInto(r io.Reader, dst *model.StateDict) (*model.StateDict, error) {
 	sd := model.NewStateDict()
-	err := UnmarshalStateDictEntriesFrom(r, func(e model.Entry) error {
+	err := unmarshalStateDictEntries(r, dst, func(e model.Entry) error {
 		if err := sd.Add(e); err != nil {
 			return fmt.Errorf("%w: %v", ErrCorrupt, err)
 		}
@@ -114,6 +131,26 @@ func UnmarshalStateDictFrom(r io.Reader) (*model.StateDict, error) {
 // limits and the io.EOF-on-empty-stream contract match
 // UnmarshalStateDictFrom.
 func UnmarshalStateDictEntriesFrom(r io.Reader, emit func(e model.Entry) error) error {
+	return unmarshalStateDictEntries(r, nil, emit)
+}
+
+// reusable reports whether a stream entry with this header can be
+// decoded into e's existing storage.
+func reusable(e model.Entry, name string, dtype model.DType, shape []int) bool {
+	if e.Name != name || e.DType != dtype {
+		return false
+	}
+	if dtype == model.Int64 {
+		return len(shape) == 1 && len(e.Ints) == shape[0]
+	}
+	return e.Tensor != nil && e.Tensor.HasShape(shape...)
+}
+
+// unmarshalStateDictEntries is the one FSD1 stream decoder. With a
+// non-nil dst, a stream entry whose header matches dst's entry at the
+// same position is decoded into that entry's storage and emitted as
+// dst's own entry; every other entry is freshly allocated.
+func unmarshalStateDictEntries(r io.Reader, dst *model.StateDict, emit func(e model.Entry) error) error {
 	src := newStreamSource(r)
 	defer src.Release()
 	magic, err := src.payload(uint64(len(serializeMagic)))
@@ -133,6 +170,7 @@ func UnmarshalStateDictEntriesFrom(r io.Reader, emit func(e model.Entry) error) 
 	if count > maxStreamEntries {
 		return fmt.Errorf("%w: state-dict count %d exceeds bound", ErrCorrupt, count)
 	}
+	var dims [maxStreamDims]int // tensor.FromData copies the shape it is handed
 	for i := uint64(0); i < count; i++ {
 		name, err := src.readString()
 		if err != nil {
@@ -145,14 +183,14 @@ func UnmarshalStateDictEntriesFrom(r io.Reader, emit func(e model.Entry) error) 
 		dtype := model.DType(dt)
 
 		ndims, err := src.uvarint()
-		if err != nil || ndims > 16 {
+		if err != nil || ndims > maxStreamDims {
 			return fmt.Errorf("%w: entry %q dims", ErrCorrupt, name)
 		}
 		// Bound each dimension and the running product so a forged
 		// shape can neither wrap the int conversion nor wrap the
 		// product back into plausible range (tensor.FromData recomputes
 		// the same product and would accept the wrap).
-		shape := make([]int, ndims)
+		shape := dims[:ndims]
 		elems64 := uint64(1)
 		for d := range shape {
 			v, err := src.uvarint()
@@ -166,28 +204,50 @@ func UnmarshalStateDictEntriesFrom(r io.Reader, emit func(e model.Entry) error) 
 		}
 		elems := int(elems64)
 
+		// e is dst's entry for this position when the header matches it
+		// (inPlace), else the freshly allocated one built below.
+		var e model.Entry
+		inPlace := false
+		if dst != nil && i < uint64(dst.Len()) {
+			if e = dst.At(int(i)); reusable(e, name, dtype, shape) {
+				inPlace = true
+			}
+		}
+
 		switch dtype {
 		case model.Float32:
-			data, err := src.Float32sLE(elems)
-			if err != nil {
-				return fmt.Errorf("%w: entry %q payload: %w", ErrCorrupt, name, err)
+			if inPlace {
+				if err := src.Float32sLEInto(e.Tensor.Data()); err != nil {
+					return fmt.Errorf("%w: entry %q payload: %w", ErrCorrupt, name, err)
+				}
+			} else {
+				data, err := src.Float32sLE(elems)
+				if err != nil {
+					return fmt.Errorf("%w: entry %q payload: %w", ErrCorrupt, name, err)
+				}
+				t, err := tensor.FromData(data, shape...)
+				if err != nil {
+					return fmt.Errorf("%w: entry %q: %v", ErrCorrupt, name, err)
+				}
+				e = model.Entry{Name: name, DType: model.Float32, Tensor: t}
 			}
-			t, err := tensor.FromData(data, shape...)
-			if err != nil {
-				return fmt.Errorf("%w: entry %q: %v", ErrCorrupt, name, err)
-			}
-			if err := emit(model.Entry{Name: name, DType: model.Float32, Tensor: t}); err != nil {
+			if err := emit(e); err != nil {
 				return err
 			}
 		case model.Int64:
 			if uint64(elems) > maxStreamSection/8 {
 				return fmt.Errorf("%w: entry %q payload", ErrCorrupt, name)
 			}
-			ints, err := src.Int64sLE(elems)
+			if inPlace {
+				err = src.Int64sLEInto(e.Ints)
+			} else {
+				e = model.Entry{Name: name, DType: model.Int64}
+				e.Ints, err = src.Int64sLE(elems)
+			}
 			if err != nil {
 				return fmt.Errorf("%w: entry %q payload: %w", ErrCorrupt, name, err)
 			}
-			if err := emit(model.Entry{Name: name, DType: model.Int64, Ints: ints}); err != nil {
+			if err := emit(e); err != nil {
 				return err
 			}
 		default:

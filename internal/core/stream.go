@@ -39,6 +39,8 @@ const (
 	maxStreamSection = 1 << 30
 	// maxStreamString caps name fields.
 	maxStreamString = 1 << 16
+	// maxStreamDims caps a declared tensor rank.
+	maxStreamDims = 16
 	// maxStreamElems caps a declared tensor shape: each dimension and
 	// the running product (2^28 elements = 1 GiB of float32, matching
 	// maxStreamSection). Checking the product as it accumulates keeps
@@ -687,7 +689,7 @@ func decodeFrame(src frameSource, parallelism int, emit func(model.Entry) error)
 			return bail(fmt.Errorf("%w: tensor name", ErrCorrupt))
 		}
 		ndims, err := src.uvarint()
-		if err != nil || ndims > 16 {
+		if err != nil || ndims > maxStreamDims {
 			return bail(fmt.Errorf("%w: tensor %q dims", ErrCorrupt, name))
 		}
 		shape := make([]int, ndims)

@@ -357,20 +357,25 @@ func readStaged[T any](n, width int, fill func(dst []T) error) ([]T, error) {
 	return dst, nil
 }
 
-// readChunked reads n elements of width wire bytes through the scratch.
-func readChunked[T any](wr *WireReader, n, width int, get func(dst []T, src []byte)) ([]T, error) {
-	return readStaged(n, width, func(dst []T) error {
-		buf := wr.buf()
-		for len(dst) > 0 {
-			k := min(len(dst), WireChunk/width)
-			if err := wr.readFull(buf[:k*width]); err != nil {
-				return noEOF(err)
-			}
-			get(dst[:k], buf[:k*width])
-			dst = dst[k:]
+// fillChunked fills dst from the stream, width wire bytes per element,
+// through the scratch.
+func fillChunked[T any](wr *WireReader, dst []T, width int, get func(dst []T, src []byte)) error {
+	buf := wr.buf()
+	for len(dst) > 0 {
+		k := min(len(dst), WireChunk/width)
+		if err := wr.readFull(buf[:k*width]); err != nil {
+			return noEOF(err)
 		}
-		return nil
-	})
+		get(dst[:k], buf[:k*width])
+		dst = dst[k:]
+	}
+	return nil
+}
+
+// readChunked reads n elements of width wire bytes into a destination
+// allocated in stages.
+func readChunked[T any](wr *WireReader, n, width int, get func(dst []T, src []byte)) ([]T, error) {
+	return readStaged(n, width, func(dst []T) error { return fillChunked(wr, dst, width, get) })
 }
 
 // Bytes returns the next n bytes in a fresh slice.
@@ -383,6 +388,13 @@ func (wr *WireReader) Float32sLE(n int) ([]float32, error) {
 	return readChunked(wr, n, 4, getFloat32sLE)
 }
 
+// Float32sLEInto fills dst with len(dst) little-endian float32s. The
+// caller owns dst and vouches for its length, so nothing is staged; on
+// error dst holds whatever prefix arrived.
+func (wr *WireReader) Float32sLEInto(dst []float32) error {
+	return fillChunked(wr, dst, 4, getFloat32sLE)
+}
+
 // Float64sBE reads n big-endian float64s.
 func (wr *WireReader) Float64sBE(n int) ([]float64, error) {
 	return readChunked(wr, n, 8, getFloat64sBE)
@@ -391,6 +403,12 @@ func (wr *WireReader) Float64sBE(n int) ([]float64, error) {
 // Int64sLE reads n little-endian int64s.
 func (wr *WireReader) Int64sLE(n int) ([]int64, error) {
 	return readChunked(wr, n, 8, getInt64sLE)
+}
+
+// Int64sLEInto fills dst with len(dst) little-endian int64s, like
+// Float32sLEInto.
+func (wr *WireReader) Int64sLEInto(dst []int64) error {
+	return fillChunked(wr, dst, 8, getInt64sLE)
 }
 
 // Int64sBE reads n big-endian int64s.

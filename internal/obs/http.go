@@ -22,16 +22,8 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 	if r == nil || r.inert {
 		return
 	}
-	r.mu.RLock()
-	names := append([]string(nil), r.order...)
-	fams := make([]*family, 0, len(names))
-	for _, n := range names {
-		fams = append(fams, r.fams[n])
-	}
-	r.mu.RUnlock()
-
 	var b strings.Builder
-	for _, f := range fams {
+	for _, f := range r.scrape() {
 		b.Reset()
 		if f.help != "" {
 			fmt.Fprintf(&b, "# HELP %s %s\n", f.name, f.help)

@@ -277,14 +277,46 @@ func (f *family) get(values []string) any {
 type Registry struct {
 	inert bool
 
-	mu    sync.RWMutex
-	fams  map[string]*family
-	order []string
+	mu       sync.RWMutex
+	fams     map[string]*family
+	order    []string
+	samplers []func() // run before every exposition (see onScrape)
 }
 
 // NewRegistry returns an empty live registry.
 func NewRegistry() *Registry {
 	return &Registry{fams: make(map[string]*family)}
+}
+
+// onScrape registers fn to run at the start of every exposition of the
+// registry (WritePrometheus, Snapshot): the place for series that are
+// read from somewhere else on demand instead of being pushed on a hot
+// path, such as the runtime's memory statistics (runtime.go).
+func (r *Registry) onScrape(fn func()) {
+	if r == nil || r.inert {
+		return
+	}
+	r.mu.Lock()
+	r.samplers = append(r.samplers, fn)
+	r.mu.Unlock()
+}
+
+// scrape runs the samplers and returns the families in registration
+// order.
+func (r *Registry) scrape() []*family {
+	r.mu.RLock()
+	samplers := r.samplers // append-only: this view stays valid unlocked
+	r.mu.RUnlock()
+	for _, fn := range samplers {
+		fn()
+	}
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	fams := make([]*family, 0, len(r.order))
+	for _, n := range r.order {
+		fams = append(fams, r.fams[n])
+	}
+	return fams
 }
 
 func (r *Registry) family(name, help string, k kind, keys []string, bounds []float64) *family {
@@ -411,16 +443,8 @@ func (r *Registry) Snapshot() []Point {
 	if r == nil || r.inert {
 		return nil
 	}
-	r.mu.RLock()
-	names := append([]string(nil), r.order...)
-	fams := make([]*family, 0, len(names))
-	for _, n := range names {
-		fams = append(fams, r.fams[n])
-	}
-	r.mu.RUnlock()
-
 	var pts []Point
-	for _, f := range fams {
+	for _, f := range r.scrape() {
 		f.mu.RLock()
 		keys := append([]string(nil), f.order...)
 		for _, k := range keys {

@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -317,5 +318,57 @@ func TestSnapshotMarshalsToJSON(t *testing.T) {
 	var doc []map[string]any
 	if err := json.Unmarshal(raw, &doc); err != nil {
 		t.Fatalf("marshalled snapshot is not valid JSON: %v", err)
+	}
+}
+
+// TestRuntimeSeriesSampledAtScrape pins the process-memory series: they
+// are present on the default registry, move only when the registry is
+// exposed, and the totals never run backwards.
+func TestRuntimeSeriesSampledAtScrape(t *testing.T) {
+	scrape := func() (alloc, live, cycles float64) {
+		var b strings.Builder
+		Default.WritePrometheus(&b)
+		for _, name := range []string{"fedsz_runtime_alloc_bytes_total", "fedsz_runtime_heap_live_bytes", "fedsz_runtime_gc_cycles_total"} {
+			if !strings.Contains(b.String(), "\n"+name+" ") {
+				t.Fatalf("/metrics is missing %s:\n%s", name, b.String())
+			}
+		}
+		return Default.Value("fedsz_runtime_alloc_bytes_total"), Default.Value("fedsz_runtime_heap_live_bytes"), Default.Value("fedsz_runtime_gc_cycles_total")
+	}
+	a0, _, c0 := scrape()
+	if a0 <= 0 {
+		t.Fatalf("alloc bytes total = %v, want > 0", a0)
+	}
+
+	sink := make([][]byte, 64)
+	for i := range sink {
+		sink[i] = make([]byte, 1<<20)
+	}
+	runtime.GC()
+	// Between scrapes nothing samples: the instruments still read a0.
+	if got := Default.Value("fedsz_runtime_alloc_bytes_total"); got != a0 {
+		t.Fatalf("alloc bytes total moved without a scrape: %v -> %v", a0, got)
+	}
+	a1, live, c1 := scrape()
+	if a1-a0 < float64(len(sink)<<20) {
+		t.Fatalf("alloc bytes total rose by %v over a %d MiB allocation", a1-a0, len(sink))
+	}
+	if c1 <= c0 {
+		t.Fatalf("gc cycles total %v -> %v across runtime.GC()", c0, c1)
+	}
+	if live < float64(len(sink)<<20) {
+		t.Fatalf("heap live = %v with %d MiB held", live, len(sink))
+	}
+	runtime.KeepAlive(sink)
+
+	// Snapshot (the expvar bridge) samples too.
+	found := false
+	for _, p := range Default.Snapshot() {
+		if p.Name == "fedsz_runtime_alloc_bytes_total" {
+			found = p.Value >= a1
+		}
+	}
+	if !found {
+		t.Fatal("Snapshot did not carry a fresh fedsz_runtime_alloc_bytes_total")
 	}
 }

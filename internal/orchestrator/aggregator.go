@@ -126,6 +126,65 @@ func NewAggregator(ref *model.StateDict, shards int) *Aggregator {
 	return a
 }
 
+// Reset empties the aggregator for the next round in place: the sums
+// (kept, zeroed), the total weight, the update count and the Int64
+// values adopted from the last round's first commit. Nothing may be in
+// flight — a contributor still open would keep folding into sums that
+// now belong to another round — and any Partial view taken earlier is
+// dead. Tiers go through NextRound, which checks both.
+func (a *Aggregator) Reset() {
+	for s := range a.shards {
+		shard := &a.shards[s]
+		shard.mu.Lock()
+		for _, sum := range shard.sums {
+			clear(sum)
+		}
+		shard.mu.Unlock()
+	}
+	a.mu.Lock()
+	a.totalWeight, a.updates = 0, 0
+	clear(a.ints)
+	a.mu.Unlock()
+}
+
+// NextRound returns the aggregator a tier folds its next round into.
+// The tier owns one aggregator for its lifetime: when the last round
+// left it quiescent and ref still has the entry names, dtypes and
+// shapes it was built for, that is a itself, Reset. Otherwise — first
+// use (a nil receiver), a contributor still in flight because a driver
+// broke the quiescence contract (it keeps the abandoned sums to
+// itself), or a reference model that changed shape — it is a fresh
+// NewAggregator, which the tier owns from then on.
+func (a *Aggregator) NextRound(ref *model.StateDict, shards int) *Aggregator {
+	if a == nil || a.Inflight() > 0 || !a.shapedLike(ref) {
+		return NewAggregator(ref, shards)
+	}
+	a.Reset()
+	return a
+}
+
+// shapedLike reports whether ref has exactly the entries a was built
+// for: same order, names, dtypes and shapes.
+func (a *Aggregator) shapedLike(ref *model.StateDict) bool {
+	if ref.Len() != len(a.names) {
+		return false
+	}
+	for i, name := range a.names {
+		e := ref.At(i)
+		if e.Name != name || e.DType != a.dtypes[i] {
+			return false
+		}
+		if e.DType == model.Int64 {
+			if len(e.Ints) != a.nInts[i] {
+				return false
+			}
+		} else if !e.Tensor.HasShape(a.shapes[i]...) {
+			return false
+		}
+	}
+	return true
+}
+
 // NumShards returns the shard count the entry space was split into.
 func (a *Aggregator) NumShards() int { return len(a.shards) }
 
@@ -215,8 +274,8 @@ func foldEntries(ct *Contributor, sd *model.StateDict) error {
 // and returns the aggregate in the reference entry order. Int64
 // entries carry the first committed update's values, matching
 // fl.FedAvg. The aggregator stays usable (further contributions keep
-// folding into the same sums); callers wanting a fresh round build a
-// fresh Aggregator.
+// folding into the same sums); the tier that owns it starts its next
+// round with NextRound, which empties these sums in place.
 func (a *Aggregator) Finalize() (*model.StateDict, error) {
 	a.mu.Lock()
 	total := a.totalWeight

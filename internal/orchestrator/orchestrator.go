@@ -213,6 +213,7 @@ type Coordinator struct {
 	commits int
 	global  *model.StateDict
 	round   *Round
+	agg     *Aggregator // sync mode: the one aggregator every round folds into
 	async   *asyncBuffer
 }
 
@@ -340,13 +341,14 @@ func (c *Coordinator) StartRound() (*Round, error) {
 		return nil, errors.New("orchestrator: no clients joined")
 	}
 	participants, target := c.sampleLocked()
+	c.agg = c.agg.NextRound(c.global, c.cfg.Shards)
 	r := &Round{
 		coord:    c,
 		number:   c.commits,
 		version:  c.version,
 		deadline: c.cfg.RoundDeadline,
 		target:   target,
-		agg:      NewAggregator(c.global, c.cfg.Shards),
+		agg:      c.agg,
 		openedAt: time.Now(),
 		state:    make(map[string]int, len(participants)),
 	}

@@ -57,8 +57,9 @@ func (e PartialEntry) NumElements() int {
 // rather than copying it (a ResNet-sized region is tens of MB of
 // float64). The view is a consistent region total when taken after
 // every contributor settled, and stays valid until the next fold into
-// the aggregator; encode or fold it upstream before then, and treat it
-// as read-only. A caller that needs a stable copy clones the slices.
+// the aggregator or its next Reset (the owning tier's NextRound);
+// encode or fold it upstream before then, and treat it as read-only. A
+// caller that needs a stable copy clones the slices.
 func (a *Aggregator) Partial() *Partial {
 	a.mu.Lock()
 	p := &Partial{TotalWeight: a.totalWeight, Updates: a.updates}

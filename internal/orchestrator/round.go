@@ -101,16 +101,17 @@ func (r *Round) open(id string, openAgg func() (*Contributor, error)) (*Contribu
 		r.mu.Unlock()
 		return nil, fmt.Errorf("orchestrator: client %q already submitted in round %d", id, r.number)
 	}
-	r.state[id] = participantFolding
-	r.mu.Unlock()
-
+	// The aggregator outlives the round (the coordinator reuses it), so
+	// the contribution registers as in flight under the same lock that
+	// saw the round open: once Commit or Cancel has closed the round, no
+	// late opener can reach sums the next round may already own.
 	ct, err := openAgg()
 	if err != nil {
-		r.mu.Lock()
-		r.state[id] = participantSampled
 		r.mu.Unlock()
 		return nil, err
 	}
+	r.state[id] = participantFolding
+	r.mu.Unlock()
 	ct.onCommit = func() error {
 		r.mu.Lock()
 		defer r.mu.Unlock()

@@ -7,6 +7,7 @@ package tensor
 
 import (
 	"fmt"
+	"slices"
 )
 
 // Tensor is a dense row-major float32 tensor.
@@ -55,6 +56,10 @@ func (t *Tensor) Dims() int { return len(t.shape) }
 
 // Dim returns the extent of dimension i, without Shape's copy.
 func (t *Tensor) Dim(i int) int { return t.shape[i] }
+
+// HasShape reports whether the tensor's shape is exactly shape, without
+// Shape's copy.
+func (t *Tensor) HasShape(shape ...int) bool { return slices.Equal(t.shape, shape) }
 
 // NumElements returns the total element count.
 func (t *Tensor) NumElements() int { return len(t.data) }

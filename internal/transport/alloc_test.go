@@ -1,0 +1,200 @@
+package transport
+
+import (
+	"net"
+	"runtime"
+	"sync"
+	"testing"
+	"unsafe"
+
+	"fedsz/internal/fl"
+	"fedsz/internal/model"
+	"fedsz/internal/orchestrator"
+)
+
+// nudge is an in-place local step: it moves a few elements of global
+// and hands the same dict back as the update.
+func nudge(global *model.StateDict, round, client int) *model.StateDict {
+	for i := 0; i < global.Len(); i++ {
+		if e := global.At(i); e.DType == model.Float32 {
+			data := e.Tensor.Data()
+			data[(round+client)%len(data)] += 1e-3
+		}
+	}
+	return global
+}
+
+// TestRoundAllocationBudget keeps the per-round allocation of a plain
+// federation where the buffer-ownership rule put it: the tier's float64
+// sums and the leaves' model dicts are allocated once, not per round.
+// What a round still allocates is the decoded uplinks the aggregator
+// holds for undo and the committed global.
+func TestRoundAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under the race detector")
+	}
+	const (
+		clients = 2
+		warmup  = 3
+		timed   = 10
+	)
+	for _, tc := range []struct {
+		name   string
+		edge   bool
+		budget float64 // per round, in model sizes
+	}{
+		// Parent commit: 7.35x flat, 12.6x through an edge.
+		{name: "flat", budget: 3.6},
+		{name: "edge", edge: true, budget: 8},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// Half-width MobileNetV2 (5 MB): large enough that per-entry
+			// bookkeeping (~0.3 MB a round) stays a small part of the ratio.
+			initial := model.BuildStateDict(model.MobileNetV2(2), 42)
+			var alloc0, alloc1 uint64
+			readAlloc := func() uint64 {
+				var ms runtime.MemStats
+				runtime.ReadMemStats(&ms)
+				return ms.TotalAlloc
+			}
+			minClients := clients
+			if tc.edge {
+				minClients = 1
+			}
+			srv, err := NewOrchestrated(OrchestratedConfig{
+				Codec:      fl.PlainCodec{},
+				MinClients: minClients,
+				Rounds:     warmup + timed,
+				OnRound: func(round int, _ *model.StateDict, _ orchestrator.RoundStats) {
+					switch round + 1 {
+					case warmup:
+						alloc0 = readAlloc()
+					case warmup + timed:
+						alloc1 = readAlloc()
+					}
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			coordLn := tcpListener(t)
+			leafAddr := coordLn.Addr().String()
+
+			var wg sync.WaitGroup
+			if tc.edge {
+				edgeLn := tcpListener(t)
+				edge, err := NewEdge(EdgeConfig{
+					Upstream:   dialTCP(coordLn.Addr().String()),
+					Codec:      fl.PlainCodec{},
+					MinClients: clients,
+					Checksum:   true,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					defer edgeLn.Close()
+					if err := edge.Serve(edgeLn); err != nil {
+						t.Errorf("edge: %v", err)
+					}
+				}()
+				leafAddr = edgeLn.Addr().String()
+			}
+			for c := 0; c < clients; c++ {
+				wg.Add(1)
+				go func(c int) {
+					defer wg.Done()
+					conn, err := net.Dial("tcp", leafAddr)
+					if err != nil {
+						t.Errorf("client dial: %v", err)
+						return
+					}
+					defer conn.Close()
+					err = RunClient(conn, fl.PlainCodec{}, func(round int, global *model.StateDict) (*model.StateDict, int, error) {
+						return nudge(global, round, c), 100 + c, nil
+					})
+					if err != nil {
+						t.Errorf("client %d: %v", c, err)
+					}
+				}(c)
+			}
+			if _, err := srv.Serve(coordLn, initial); err != nil {
+				t.Fatalf("server: %v", err)
+			}
+			wg.Wait()
+
+			size := float64(initial.SizeBytes())
+			perRound := float64(alloc1-alloc0) / timed / size
+			t.Logf("%.2fx the model (%.1f MB) allocated per round, budget %.1fx", perRound, perRound*size/1e6, tc.budget)
+			if perRound > tc.budget {
+				t.Fatalf(`%s: a round of %d clients allocates %.2fx the %.1f MB model, budget %.1fx. Per round, in model sizes:
+  2.0x  float64 sums          — must be 0: the tier owns one aggregator (Aggregator.NextRound), emptied in place
+  %.1fx  leaves' downlink dicts — must be 0: readDownlink decodes into the dict the session holds (UnmarshalStateDictInto)
+  %.1fx  decoded uplinks held for undo by the Contributor — expected (ROADMAP item 4: fused decode→fold)
+  1.0x  Finalize's committed global                       — expected (handed out as an immutable snapshot)`,
+					tc.name, clients, perRound, size/1e6, tc.budget, clients*16.0/15, clients*16.0/15)
+			}
+		})
+	}
+}
+
+// TestClientDecodesDownlinkInPlace: within a session every round's
+// global arrives in the tensors the first round's did, carrying the
+// model the coordinator committed.
+func TestClientDecodesDownlinkInPlace(t *testing.T) {
+	const rounds = 4
+	initial := model.BuildStateDict(model.MobileNetV2(32), 7)
+	committed := []*model.StateDict{initial}
+	srv, err := NewOrchestrated(OrchestratedConfig{
+		MinClients: 1,
+		Rounds:     rounds,
+		OnRound: func(_ int, global *model.StateDict, _ orchestrator.RoundStats) {
+			committed = append(committed, global)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln := newPipeListener(1)
+	defer ln.Close()
+
+	var storage []unsafe.Pointer
+	done := make(chan error, 1)
+	go func() {
+		conn := ln.Dial()
+		defer conn.Close()
+		done <- RunClient(conn, nil, func(round int, global *model.StateDict) (*model.StateDict, int, error) {
+			// The broadcast of round r follows OnRound of round r-1 on the
+			// coordinator's goroutine, and the pipe orders it before this read.
+			assertSameDict(t, committed[round], global)
+			var ptrs []unsafe.Pointer
+			for i := 0; i < global.Len(); i++ {
+				if e := global.At(i); e.DType == model.Float32 {
+					ptrs = append(ptrs, unsafe.Pointer(&e.Tensor.Data()[0]))
+				} else {
+					ptrs = append(ptrs, unsafe.Pointer(&e.Ints[0]))
+				}
+			}
+			if round == 0 {
+				storage = ptrs
+			}
+			for i, p := range ptrs {
+				if p != storage[i] {
+					t.Errorf("round %d: entry %d of the global was reallocated", round, i)
+				}
+			}
+			return nudge(global, round, 0), 10, nil
+		})
+	}()
+	if _, err := srv.Serve(ln, initial); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if len(committed) != rounds+1 {
+		t.Fatalf("%d rounds committed, want %d", len(committed)-1, rounds)
+	}
+}

@@ -98,8 +98,8 @@ func (e *Edge) Shutdown() { e.t.shutdown() }
 
 // Serve joins the upstream, accepts region members on ln, and relays
 // rounds until the upstream shuts down: each round's inputs from
-// upstream fan out to the region, the region's updates fold into a
-// fresh regional aggregator, and one partial sum goes back up. It
+// upstream fan out to the region, the region's updates fold into the
+// edge's regional aggregator, and one partial sum goes back up. It
 // returns nil on a clean upstream shutdown (the region is shut down in
 // turn) and the first fatal error otherwise.
 func (e *Edge) Serve(ln net.Listener) error {
@@ -130,7 +130,9 @@ func (e *Edge) Serve(ln net.Listener) error {
 	// The edge is a client upstream: it reads each round's inputs with
 	// the client's reader and answers with one partial sum.
 	for roundsRun := 0; ; roundsRun++ {
-		down, done, err := readDownlink(up)
+		// No previous dict to decode into: the round that held it let it go
+		// after its broadcast, so the gather does not carry a second model.
+		down, done, err := readDownlink(up, nil)
 		if done {
 			e.cfg.Logf("upstream shutdown after %d rounds", roundsRun)
 			return nil
@@ -174,7 +176,7 @@ type edgeSink struct {
 	t    *tier
 	up   *connStream
 	down downlink                 // the next round's inputs, until open hands them over
-	agg  *orchestrator.Aggregator // the open round's regional fold
+	agg  *orchestrator.Aggregator // the regional fold: owned for the edge's lifetime, emptied per round
 }
 
 func (k *edgeSink) join(string) error { return nil }
@@ -182,7 +184,7 @@ func (k *edgeSink) join(string) error { return nil }
 func (k *edgeSink) open() (downlink, []string, error) {
 	down := k.down
 	k.down = downlink{} // the model is the round's to hold, and only while it broadcasts
-	k.agg = orchestrator.NewAggregator(down.global, k.cfg.Shards)
+	k.agg = k.agg.NextRound(down.global, k.cfg.Shards)
 	ids := k.t.memberIDs()
 	obsEdgeMembers.Set(int64(len(ids)))
 	return down, ids, nil
@@ -256,6 +258,8 @@ func (k *edgeSink) finish(g *gathered) error {
 	}
 	k.cfg.Logf("round %d folded %d updates (weight %.0f) into %d-byte partial",
 		sp.Round, p.Updates, p.TotalWeight, frameLen)
-	k.agg = nil // model-sized: not to be held while the next round's inputs arrive
+	// The sums stay with the edge: the partial view above was fully
+	// streamed upstream inside writeMsg, and the next open empties them in
+	// place instead of allocating the model in float64 again.
 	return nil
 }

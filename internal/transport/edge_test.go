@@ -34,19 +34,31 @@ func dialTCP(addr string) func() (net.Conn, error) {
 
 // TestEdgeLoopback is the CI smoke test: a full 2-tier federation over
 // real TCP loopback — 3 edge aggregators, 10 clients each, partial
-// frames checksummed — runs two rounds end to end. Every client sends
-// the same update with equal weight, so the committed global must be
-// bit-identical to that update: the unnormalized sums and the final
-// division are exact in float64 for identical addends, regardless of
-// arrival order.
+// frames checksummed — runs four rounds end to end. In each round every
+// client sends the same update with equal weight, so the committed
+// global must be bit-identical to that round's update: the
+// unnormalized sums and the final division are exact in float64 for
+// identical addends, regardless of arrival order.
 func TestEdgeLoopback(t *testing.T) {
 	const (
 		edges          = 3
 		clientsPerEdge = 10
-		rounds         = 2
+		rounds         = 4
 	)
-	initial := nn.MobileNetV2Mini(48, 4, 7).StateDict()
-	upd := nn.MobileNetV2Mini(48, 4, 8).StateDict()
+	// Every round trains to a different model and a different Int64 value,
+	// so anything a tier's reused aggregator carried over from round r —
+	// sums, weight, the adopted integers — would show in round r+1.
+	withSteps := func(sd *model.StateDict, steps int64) *model.StateDict {
+		if err := sd.Add(model.Entry{Name: "bn.num_batches_tracked", DType: model.Int64, Ints: []int64{steps}}); err != nil {
+			t.Fatal(err)
+		}
+		return sd
+	}
+	initial := withSteps(nn.MobileNetV2Mini(48, 4, 7).StateDict(), 0)
+	upds := make([]*model.StateDict, rounds)
+	for r := range upds {
+		upds[r] = withSteps(nn.MobileNetV2Mini(48, 4, int64(8+r)).StateDict(), int64(100+r))
+	}
 
 	var stats []orchestrator.RoundStats
 	srv, err := NewOrchestrated(OrchestratedConfig{
@@ -54,6 +66,9 @@ func TestEdgeLoopback(t *testing.T) {
 		Rounds:     rounds,
 		OnRound: func(round int, global *model.StateDict, st orchestrator.RoundStats) {
 			stats = append(stats, st)
+			// Identical updates with equal weights average to the update
+			// itself, exactly — through three regions as through none.
+			assertSameDict(t, upds[round], global)
 		},
 	})
 	if err != nil {
@@ -98,7 +113,7 @@ func TestEdgeLoopback(t *testing.T) {
 				}
 				defer conn.Close()
 				err = RunClient(conn, nil, func(round int, global *model.StateDict) (*model.StateDict, int, error) {
-					return upd, 10, nil
+					return upds[round], 10, nil
 				})
 				if err != nil {
 					t.Errorf("client: %v", err)
@@ -127,28 +142,7 @@ func TestEdgeLoopback(t *testing.T) {
 	if partialBytes.Load() == 0 {
 		t.Error("no partial frames observed")
 	}
-	// Identical updates with equal weights average to the update
-	// itself, exactly.
-	for _, want := range upd.Entries() {
-		got, ok := final.Get(want.Name)
-		if !ok {
-			t.Fatalf("final model missing %q", want.Name)
-		}
-		if want.DType == model.Int64 {
-			for j := range want.Ints {
-				if got.Ints[j] != want.Ints[j] {
-					t.Fatalf("entry %q int %d: %d != %d", want.Name, j, got.Ints[j], want.Ints[j])
-				}
-			}
-			continue
-		}
-		gd, wd := got.Tensor.Data(), want.Tensor.Data()
-		for j := range wd {
-			if gd[j] != wd[j] {
-				t.Fatalf("entry %q element %d: %v != %v", want.Name, j, gd[j], wd[j])
-			}
-		}
-	}
+	assertSameDict(t, upds[rounds-1], final)
 }
 
 // TestEdgeDeathMidRound kills an edge halfway through its partial-sum
@@ -688,7 +682,7 @@ func TestEdgeKeepsUpstreamRoundNumber(t *testing.T) {
 			t.Errorf("member join: %v", err)
 			return
 		}
-		d, done, err := readDownlink(cs)
+		d, done, err := readDownlink(cs, nil)
 		if err != nil || done {
 			t.Errorf("member: no broadcast (done %v, err %v)", done, err)
 			return

@@ -334,7 +334,7 @@ func (k *coordSink) finish(g *gathered) error {
 	}
 	var err error
 	k.global, k.stats, err = k.round.Commit()
-	k.round = nil // and with it the round's model-sized sums
+	k.round = nil // the sums stay with the coordinator, which empties them in StartRound
 	if err != nil && err != orchestrator.ErrNoUpdates {
 		return err
 	}

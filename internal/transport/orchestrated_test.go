@@ -206,7 +206,7 @@ func TestRoundFaults(t *testing.T) {
 						t.Errorf("faulty member join: %v", err)
 						return
 					}
-					if _, done, err := readDownlink(cs); err != nil || done {
+					if _, done, err := readDownlink(cs, nil); err != nil || done {
 						t.Errorf("faulty member: no round 0 broadcast (done %v, err %v)", done, err)
 						return
 					}

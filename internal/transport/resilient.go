@@ -25,7 +25,10 @@ type ClientConfig struct {
 	Codec fl.Codec
 	// Train produces the local update each round. The round counter is
 	// the client's cumulative count across reconnects, not the
-	// server's round number. Required.
+	// server's round number. The global it is handed is lent for the
+	// round (see TrainFunc): within a session the next round's model
+	// overwrites it once the update has been sent, and a new session
+	// starts from a fresh dict. Required.
 	Train TrainFunc
 	// MaxRetries is the number of consecutive failed attempts (dial
 	// errors or sessions that die without completing a round) before

@@ -246,8 +246,11 @@ func (d *downlink) writeTo(cs *connStream) error {
 
 // readDownlink reads the next round's inputs from cs — what writeTo
 // sent — and reports done instead when the upstream sent MsgShutdown.
-// Leaf clients and edges both sit behind it.
-func readDownlink(cs *connStream) (d downlink, done bool, err error) {
+// Leaf clients and edges both sit behind it. prev, when non-nil, is a
+// model the caller is done with (a leaf's previous global): the new one
+// is decoded into its storage wherever the shapes still agree, and prev
+// must not be read again.
+func readDownlink(cs *connStream, prev *model.StateDict) (d downlink, done bool, err error) {
 	for {
 		var t MsgType
 		if t, err = cs.readMsgType(); err != nil {
@@ -274,7 +277,7 @@ func readDownlink(cs *connStream) (d downlink, done bool, err error) {
 				return d, false, fmt.Errorf("%w: round bound %v", ErrProtocol, d.bound)
 			}
 		case MsgGlobalModel:
-			d.global, err = core.UnmarshalStateDictFrom(cs.r)
+			d.global, err = core.UnmarshalStateDictInto(cs.r, prev)
 			return d, false, err
 		default:
 			return d, false, fmt.Errorf("%w: unexpected message %v", ErrProtocol, t)
@@ -284,6 +287,12 @@ func readDownlink(cs *connStream) (d downlink, done bool, err error) {
 
 // TrainFunc produces a client's update for one round: given the global
 // model it returns the locally trained state dict and sample count.
+//
+// The session owns global and lends it for the round: it is valid until
+// the update this call returns has been sent, after which the next
+// round's model is decoded into the same tensors. A TrainFunc may train
+// in place and return global itself; one that wants a round's model
+// afterwards keeps a Clone.
 type TrainFunc func(round int, global *model.StateDict) (*model.StateDict, int, error)
 
 // RunClient participates in federated rounds over conn until the
@@ -320,13 +329,17 @@ func runClientSession(cs *connStream, codec fl.Codec, train TrainFunc, baseRound
 	if err := write(MsgJoin, nil); err != nil {
 		return 0, err
 	}
+	// The session holds one model: each round's global lands in the dict
+	// the previous round left behind (its update is on the wire by then).
+	var global *model.StateDict
 	for round := 0; ; round++ {
 		// Leaf clients have no spans of their own, so the trace context
 		// is drained and dropped here.
-		down, done, err := readDownlink(cs)
+		down, done, err := readDownlink(cs, global)
 		if done || err != nil {
 			return round, err
 		}
+		global = down.global
 		if ba, ok := codec.(fl.BoundAware); ok && down.bound > 0 {
 			ba.SetRoundBound(down.bound)
 		}

@@ -4,8 +4,9 @@
 # the straggler deadline produces a genuine fedsz_drops_total series,
 # then scrape /metrics and /rounds live and assert the key series the
 # acceptance criteria name: bytes-on-wire both directions, per-family
-# compression ratio, per-reason drops, round commit latency, and round
-# spans as JSON.
+# compression ratio, per-reason drops, round commit latency, the
+# process's own memory series (present, and monotonic across scrapes),
+# and round spans as JSON.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -60,6 +61,9 @@ need=(
   'fedsz_drops_total\{reason="[a-z]+"\} [1-9]'
   'fedsz_round_commit_seconds_count [1-9]'
   'fedsz_rounds_committed_total [1-9]'
+  'fedsz_runtime_alloc_bytes_total [1-9]'
+  'fedsz_runtime_heap_live_bytes [1-9]'
+  'fedsz_runtime_gc_cycles_total [1-9]'
 )
 missing="metrics endpoint unreachable"
 deadline=$((SECONDS + 90))
@@ -85,6 +89,22 @@ while :; do
   sleep 1
 done
 echo "obs smoke: /metrics OK ($(wc -l <"$tmp/metrics.txt") lines)"
+
+# The runtime series are sampled per scrape: a later scrape of a
+# federation that is still training must read more bytes allocated and
+# no fewer GC cycles.
+metric() { awk -v m="$1" '$1 == m { printf "%.0f", $2 }' "$2"; }
+sleep 1
+curl -sf "http://$maddr/metrics" -o "$tmp/metrics2.txt"
+a0=$(metric fedsz_runtime_alloc_bytes_total "$tmp/metrics.txt")
+a1=$(metric fedsz_runtime_alloc_bytes_total "$tmp/metrics2.txt")
+g0=$(metric fedsz_runtime_gc_cycles_total "$tmp/metrics.txt")
+g1=$(metric fedsz_runtime_gc_cycles_total "$tmp/metrics2.txt")
+if [ "$a1" -le "$a0" ] || [ "$g1" -lt "$g0" ]; then
+  echo "obs smoke: FAIL — runtime series not monotonic: alloc $a0 -> $a1, gc cycles $g0 -> $g1" >&2
+  exit 1
+fi
+echo "obs smoke: runtime series OK (alloc $a0 -> $a1 B, gc cycles $g0 -> $g1)"
 
 curl -sf "http://$maddr/rounds?n=8" -o "$tmp/rounds.json"
 for frag in '"tier": "coordinator"' '"total_ns"' '"bytes_up"' '"outcome": "committed"'; do
