@@ -43,7 +43,7 @@ vet:
 loc:
 	@bash scripts/loc.sh
 
-# Short fuzz smoke over the eight decoder fuzz targets (matches CI).
+# Short fuzz smoke over the nine decoder fuzz targets (matches CI).
 # FuzzDecodePartial's seeds are the 2.4 KB golden frames; without the
 # minimize cap the engine spends the whole smoke minimizing its first find.
 fuzz:
@@ -51,6 +51,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzDecoderStream -fuzztime=10s ./internal/core
 	$(GO) test -run=^$$ -fuzz=FuzzFrameIntegrity -fuzztime=10s ./internal/core
 	$(GO) test -run=^$$ -fuzz=FuzzUnmarshalStateDictInto -fuzztime=10s ./internal/core
+	$(GO) test -run=^$$ -fuzz=FuzzSZ2DecompressInto -fuzztime=10s ./internal/sz2
 	$(GO) test -run=^$$ -fuzz=FuzzHuffmanDecode -fuzztime=10s ./internal/huffman
 	$(GO) test -run=^$$ -fuzz=FuzzLZHDecompress -fuzztime=10s ./internal/lossless
 	$(GO) test -run=^$$ -fuzz=FuzzFamilyDecode -fuzztime=10s ./internal/family

@@ -6,12 +6,14 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"fedsz/internal/lossless"
+	"fedsz/internal/lossy"
 	"fedsz/internal/model"
 	"fedsz/internal/tensor"
 )
@@ -559,6 +561,87 @@ func (dp *decodePool) wait() error {
 	return dp.err
 }
 
+// lentScratch holds the buffers emit-mode decodes reconstruct into. A
+// decode worker takes one per section and returns it when emit has
+// returned, so what stays resident is one buffer per concurrently
+// decoding worker, grown to the largest tensor it met — never a model,
+// and nothing once decoding has been idle for two GCs.
+var lentScratch = sync.Pool{New: func() any { return new([]float32) }}
+
+// poisonLent overwrites lent scratch with NaN when its loan ends, so a
+// consumer that kept a lent tensor reads NaN, not the next section. On
+// under the race detector; tests switch it on.
+var poisonLent = raceEnabled
+
+// lossySection is one verified lossy section of a frame, and in emit
+// mode its entry's redo handle: the payload (a slice of its own off the
+// stream source) and its compressor are all a replay needs.
+type lossySection struct {
+	name    string
+	shape   []int
+	payload []byte
+	lc      lossy.Compressor
+	t       *tensor.Tensor // assemble mode: the decoded, owned tensor
+}
+
+// Redo implements model.Redoer. The first decode of an emit-mode
+// section and every replay run this one function, so they cannot differ.
+func (ls *lossySection) Redo(use func(data []float32) error) error {
+	sc := lentScratch.Get().(*[]float32)
+	defer lentScratch.Put(sc)
+	data, err := lossy.DecompressInto(ls.lc, *sc, ls.payload)
+	if err != nil {
+		return fmt.Errorf("%w: tensor %q: %v", ErrCorrupt, ls.name, err)
+	}
+	*sc = data
+	if poisonLent {
+		defer func() {
+			nan := float32(math.NaN())
+			for i := range data {
+				data[i] = nan
+			}
+		}()
+	}
+	return use(data)
+}
+
+// decode is the section's decode-pool task: with a nil emit it keeps
+// the decoded tensor, otherwise it lends it.
+func (ls *lossySection) decode(fm *famMetrics, emit func(model.Entry) error) error {
+	decStart := time.Now()
+	if emit == nil {
+		data, err := ls.lc.Decompress(ls.payload)
+		if err != nil {
+			return fmt.Errorf("%w: tensor %q: %v", ErrCorrupt, ls.name, err)
+		}
+		ls.t, err = ls.decoded(fm, decStart, data)
+		return err
+	}
+	return ls.Redo(func(data []float32) error {
+		t, err := ls.decoded(fm, decStart, data)
+		if err != nil {
+			return err
+		}
+		return emit(model.Entry{Name: ls.name, DType: model.Float32, Tensor: t, Redo: ls})
+	})
+}
+
+// decoded accounts one finished section decode and shapes its values.
+func (ls *lossySection) decoded(fm *famMetrics, decStart time.Time, data []float32) (*tensor.Tensor, error) {
+	fm.decNs.Add(time.Since(decStart).Nanoseconds())
+	fm.decIn.Add(int64(len(ls.payload)))
+	fm.decOut.Add(int64(len(data)) * 4)
+	fm.decSections.Inc()
+	if len(ls.payload) > 0 {
+		fm.decRatio.Observe(float64(len(data)) * 4 / float64(len(ls.payload)))
+	}
+	t, err := tensor.FromData(data, ls.shape...)
+	if err != nil {
+		return nil, fmt.Errorf("%w: tensor %q reshape: %v", ErrCorrupt, ls.name, err)
+	}
+	return t, nil
+}
+
 // decodeFrame is the shared frame reader: it parses the header,
 // dispatches each lossy section to the decode pool as it is read (so
 // on a network reader decompression overlaps reception), parses the
@@ -569,9 +652,10 @@ func (dp *decodePool) wait() error {
 // instead: each decoded tensor (and each lossless metadata entry) is
 // handed to emit the moment its decode finishes — possibly from
 // concurrent decode workers — and no output state dict is assembled.
-// Name-level validation (duplicates, membership) is the consumer's
-// job in that mode; the reader still verifies the frame's tag/section
-// structure. An emit error aborts the decode.
+// Lossy tensors are lent (see DecompressEntriesFrom). Name-level
+// validation (duplicates, membership) is the consumer's job in that
+// mode; the reader still verifies the frame's tag/section structure.
+// An emit error aborts the decode.
 func decodeFrame(src frameSource, parallelism int, emit func(model.Entry) error) (*model.StateDict, error) {
 	if parallelism <= 0 {
 		parallelism = runtime.GOMAXPROCS(0)
@@ -659,15 +743,10 @@ func decodeFrame(src frameSource, parallelism int, emit func(model.Entry) error)
 	// plain atomic adds, so the streaming fold path stays alloc-free.
 	fm := metricsForFamily(lossyName)
 
-	type lossyTensor struct {
-		name  string
-		shape []int
-		t     *tensor.Tensor
-	}
 	// Grown per parsed section (each costs ≥3 real bytes), never sized
 	// by the claimed count in one shot; pointer elements stay stable
 	// for the decode goroutines across regrows.
-	lossyTensors := make([]*lossyTensor, 0, min64(nLossy64, 1024))
+	lossyTensors := make([]*lossySection, 0, min64(nLossy64, 1024))
 	pool := newDecodePool(parallelism)
 	// Once decode work is in flight, every return must drain the pool
 	// first: in emit mode a worker still running after decodeFrame
@@ -720,31 +799,9 @@ func decodeFrame(src frameSource, parallelism int, emit func(model.Entry) error)
 				return bail(err)
 			}
 		}
-		lt := &lossyTensor{name: name, shape: shape}
+		lt := &lossySection{name: name, shape: shape, payload: payload, lc: lc}
 		lossyTensors = append(lossyTensors, lt)
-		pool.run(func() error {
-			decStart := time.Now()
-			data, err := lc.Decompress(payload)
-			if err != nil {
-				return fmt.Errorf("%w: tensor %q: %v", ErrCorrupt, lt.name, err)
-			}
-			fm.decNs.Add(time.Since(decStart).Nanoseconds())
-			fm.decIn.Add(int64(len(payload)))
-			fm.decOut.Add(int64(len(data)) * 4)
-			fm.decSections.Inc()
-			if len(payload) > 0 {
-				fm.decRatio.Observe(float64(len(data)) * 4 / float64(len(payload)))
-			}
-			t, err := tensor.FromData(data, lt.shape...)
-			if err != nil {
-				return fmt.Errorf("%w: tensor %q reshape: %v", ErrCorrupt, lt.name, err)
-			}
-			if emit != nil {
-				return emit(model.Entry{Name: lt.name, DType: model.Float32, Tensor: t})
-			}
-			lt.t = t
-			return nil
-		})
+		pool.run(func() error { return lt.decode(fm, emit) })
 	}
 
 	if checked {
@@ -859,7 +916,13 @@ func DecompressFrom(r io.Reader, parallelism int) (*model.StateDict, error) {
 // full state dict. Entries may be emitted from concurrent decode
 // workers in completion order — emit must be safe for concurrent use
 // and must not assume entry order. An emit error aborts the decode.
-// Read framing and limits match DecompressFrom exactly.
+//
+// Tensors handed to emit are lent: an entry whose Redo is set lives in
+// scratch the decoder reuses for the next section, so emit reads (or
+// copies) Tensor before it returns and keeps only Redo, which decodes
+// the same values again from the entry's verified compressed section.
+// Metadata entries (Redo nil) are the consumer's. Read framing and
+// limits match DecompressFrom exactly.
 func DecompressEntriesFrom(r io.Reader, parallelism int, emit func(model.Entry) error) error {
 	if emit == nil {
 		return fmt.Errorf("core: nil emit")

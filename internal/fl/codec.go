@@ -82,6 +82,12 @@ type PriorAware interface {
 // Entries may be emitted out of order and from concurrent decode
 // workers; emit must be safe for concurrent use. Stream position on
 // return matches DecodeFrom (exactly one update consumed).
+//
+// Tensors handed to emit are lent: an entry whose Redo is set lives in
+// scratch the decoder reuses, so emit reads (or clones) Tensor before
+// it returns and keeps at most Redo, which reproduces the same values
+// from the entry's compressed section. Entries without Redo are the
+// consumer's to keep.
 type EntryStreamer interface {
 	DecodeEntriesFrom(r io.Reader, emit func(model.Entry) error) error
 }

@@ -88,7 +88,12 @@ func (adaptiveCompressor) Compress(data []float32, p Params) ([]byte, error) {
 
 // Decompress implements Compressor: read the inner name, resolve it
 // through the registry, delegate.
-func (adaptiveCompressor) Decompress(buf []byte) ([]float32, error) {
+func (c adaptiveCompressor) Decompress(buf []byte) ([]float32, error) {
+	return c.DecompressInto(nil, buf)
+}
+
+// DecompressInto implements IntoDecompressor through the inner compressor.
+func (adaptiveCompressor) DecompressInto(dst []float32, buf []byte) ([]float32, error) {
 	name, payload, err := UnwrapAdaptive(buf)
 	if err != nil {
 		return nil, err
@@ -97,5 +102,5 @@ func (adaptiveCompressor) Decompress(buf []byte) ([]float32, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: adaptive section names unknown compressor %q", ErrCorrupt, name)
 	}
-	return inner.Decompress(payload)
+	return DecompressInto(inner, dst, payload)
 }

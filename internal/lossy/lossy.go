@@ -98,6 +98,33 @@ type Compressor interface {
 	Decompress(buf []byte) ([]float32, error)
 }
 
+// IntoDecompressor is the optional contract of a compressor that can
+// reconstruct into storage the caller already holds (the streaming fold
+// path lends its output, so it need not allocate it).
+type IntoDecompressor interface {
+	// DecompressInto decodes buf exactly as Decompress does, into dst's
+	// storage when its capacity suffices and into a fresh slice
+	// otherwise. dst's length and contents never show in the output.
+	DecompressInto(dst []float32, buf []byte) ([]float32, error)
+}
+
+// DecompressInto is c.DecompressInto when c offers it, else c.Decompress.
+func DecompressInto(c Compressor, dst []float32, buf []byte) ([]float32, error) {
+	if into, ok := c.(IntoDecompressor); ok {
+		return into.DecompressInto(dst, buf)
+	}
+	return c.Decompress(buf)
+}
+
+// Sized returns n elements of dst's storage, or of a fresh slice when
+// dst's capacity is short, for a DecompressInto to overwrite.
+func Sized(dst []float32, n int) []float32 {
+	if cap(dst) < n {
+		return make([]float32, n)
+	}
+	return dst[:n]
+}
+
 // Container header: magic(4) | version(1) | count(varint) | absBound(8).
 const (
 	headerVersion = 1

@@ -12,6 +12,7 @@ package lossytest
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -102,6 +103,7 @@ func RunSlack(t *testing.T, c lossy.Compressor, slack float64) {
 				if len(got) != len(data) {
 					t.Fatalf("length: got %d want %d", len(got), len(data))
 				}
+				checkDecompressInto(t, c, buf, got)
 				eb, err := p.Resolve(data)
 				if err != nil {
 					t.Fatal(err)
@@ -156,6 +158,24 @@ func RunSlack(t *testing.T, c lossy.Compressor, slack float64) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// checkDecompressInto holds lossy.DecompressInto to Decompress's output
+// bit for bit from a dirty dst that is too short and one that is too
+// long: neither dst's length nor its contents may show.
+func checkDecompressInto(t *testing.T, c lossy.Compressor, buf []byte, want []float32) {
+	t.Helper()
+	for _, n := range []int{len(want) / 2, len(want) + 9} {
+		dst := make([]float32, n)
+		for i := range dst {
+			dst[i] = float32(math.NaN())
+		}
+		got, err := lossy.DecompressInto(c, dst, buf)
+		sameBits := func(a, b float32) bool { return math.Float32bits(a) == math.Float32bits(b) }
+		if err != nil || !slices.EqualFunc(got, want, sameBits) {
+			t.Fatalf("DecompressInto(dst of %d): error %v, or not the %d values Decompress gave", n, err, len(want))
+		}
+	}
 }
 
 // CompressionRatio round-trips data and returns the achieved ratio,

@@ -29,6 +29,21 @@ type Entry struct {
 	DType  DType
 	Tensor *tensor.Tensor // set when DType == Float32
 	Ints   []int64        // set when DType == Int64
+
+	// Redo marks a lent entry: a streaming decoder reconstructed Tensor
+	// into scratch it reuses, so Tensor is valid only until the emit
+	// callback that received the entry returns; a consumer that needs
+	// the values again keeps Redo. Nil on an owned entry, whose Tensor
+	// stays valid and is its own redo source.
+	Redo Redoer
+}
+
+// Redoer reproduces a lent tensor from what its decoder kept of it.
+type Redoer interface {
+	// Redo reconstructs the same values, bit for bit, and lends them to
+	// use until it returns. It returns use's error, or its own, without
+	// calling use, when the values cannot be reproduced.
+	Redo(use func(data []float32) error) error
 }
 
 // NumElements returns the entry's element count.
@@ -74,7 +89,7 @@ func NewStateDict() *StateDict {
 	return &StateDict{index: make(map[string]int)}
 }
 
-// Add appends an entry; duplicate names are rejected.
+// Add appends an entry; duplicate names and lent entries are rejected.
 func (sd *StateDict) Add(e Entry) error {
 	if e.Name == "" {
 		return fmt.Errorf("model: empty entry name")
@@ -84,6 +99,9 @@ func (sd *StateDict) Add(e Entry) error {
 	}
 	if e.DType != Float32 && e.DType != Int64 {
 		return fmt.Errorf("model: entry %q has invalid dtype %d", e.Name, e.DType)
+	}
+	if e.Redo != nil {
+		return fmt.Errorf("model: entry %q is lent: its tensor dies with the emit call, clone it to keep it", e.Name)
 	}
 	sd.index[e.Name] = len(sd.entries)
 	sd.entries = append(sd.entries, e)

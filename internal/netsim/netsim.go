@@ -146,8 +146,19 @@ type RateLimitedConn struct {
 	mu       sync.Mutex
 	bps      float64
 	nextFree time.Time
+	now      func() time.Time    // test seam; defaults to time.Now
 	sleep    func(time.Duration) // test seam; defaults to time.Sleep
 }
+
+// pacerCredit is how far behind the clock the token-bucket timeline may
+// run. A sleep that overshoots leaves the timeline behind; keeping that
+// debt lets the next chunks go out early until it is repaid, so the
+// long-run rate is the configured one instead of rate minus every
+// overshoot. The cap is what keeps idle time from being banked: however
+// long the link sat unused, a write finishes at most this much sooner
+// than the rate alone allows. 4 ms covers a timer overshoot and a
+// scheduling delay on a busy host, and is 50 KB at 100 Mbps.
+const pacerCredit = 4 * time.Millisecond
 
 // Limit wraps conn with a bandwidth cap of bps bits/second. A
 // non-positive bps returns conn unchanged.
@@ -155,7 +166,7 @@ func Limit(conn net.Conn, bps float64) net.Conn {
 	if bps <= 0 {
 		return conn
 	}
-	return &RateLimitedConn{Conn: conn, bps: bps, sleep: time.Sleep}
+	return &RateLimitedConn{Conn: conn, bps: bps, now: time.Now, sleep: time.Sleep}
 }
 
 // Write implements net.Conn with pacing: each chunk reserves its
@@ -182,9 +193,9 @@ func (c *RateLimitedConn) Write(p []byte) (int, error) {
 func (c *RateLimitedConn) reserve(n int) {
 	cost := time.Duration(float64(n*8) / c.bps * float64(time.Second))
 	c.mu.Lock()
-	now := time.Now()
-	if c.nextFree.Before(now) {
-		c.nextFree = now
+	now := c.now()
+	if floor := now.Add(-pacerCredit); c.nextFree.Before(floor) {
+		c.nextFree = floor
 	}
 	// The chunk occupies [nextFree, nextFree+cost); Write returns when
 	// its transmission window has elapsed, emulating link serialization.

@@ -87,6 +87,7 @@ func TestRateLimitedConnPaces(t *testing.T) {
 	rl := &RateLimitedConn{
 		Conn:  a,
 		bps:   8 * 1024 * 8, // 8 KiB/s
+		now:   time.Now,
 		sleep: func(d time.Duration) { slept += d },
 	}
 	done := make(chan struct{})
@@ -110,6 +111,62 @@ func TestRateLimitedConnPaces(t *testing.T) {
 	// First chunk reserves ~0s wait; subsequent chunks accumulate.
 	if slept < 1*time.Second {
 		t.Fatalf("pacing slept only %v, want ≥1s modeled", slept)
+	}
+}
+
+// discardConn is a link whose writes cost nothing, so only the pacer
+// spends time.
+type discardConn struct{ net.Conn }
+
+func (discardConn) Write(p []byte) (int, error) { return len(p), nil }
+
+// fakePacer drives a RateLimitedConn on a virtual clock that advances
+// only when the pacer sleeps, by the requested time plus overshoot.
+func fakePacer(bps float64, overshoot time.Duration) (*RateLimitedConn, *time.Time) {
+	clock := time.Unix(1000, 0)
+	return &RateLimitedConn{
+		Conn:  discardConn{},
+		bps:   bps,
+		now:   func() time.Time { return clock },
+		sleep: func(d time.Duration) { clock = clock.Add(d + overshoot) },
+	}, &clock
+}
+
+// TestPacerRepaysOversleep: when every sleep overshoots — by a quarter
+// of a chunk's slot here — the overslept time comes off the following
+// waits, so the long-run rate is the configured one (within 2 %), not
+// the rate minus an overshoot per 32 KiB chunk.
+func TestPacerRepaysOversleep(t *testing.T) {
+	const bps = 100e6
+	rl, clock := fakePacer(bps, 650*time.Microsecond) // a 32 KiB slot is 2.6 ms
+	start := *clock
+	msg := make([]byte, 8<<20)
+	if _, err := rl.Write(msg); err != nil {
+		t.Fatal(err)
+	}
+	ideal := time.Duration(float64(len(msg)*8) / bps * float64(time.Second))
+	if got := clock.Sub(start); got < ideal*98/100 || got > ideal*102/100 {
+		t.Fatalf("8 MiB at 100 Mbps took %v on the pacer's clock, want %v within 2%%", got, ideal)
+	}
+}
+
+// TestPacerBanksNoIdleTime: a link that sat idle has earned nothing. The
+// write after the idle period takes its full serialization time less at
+// most the fixed credit, however long the idle period was.
+func TestPacerBanksNoIdleTime(t *testing.T) {
+	const bps = 100e6
+	rl, clock := fakePacer(bps, 0)
+	msg := make([]byte, 1<<20)
+	ideal := time.Duration(float64(len(msg)*8) / bps * float64(time.Second))
+	for _, idle := range []time.Duration{0, time.Second, time.Hour} {
+		*clock = clock.Add(idle)
+		start := *clock
+		if _, err := rl.Write(msg); err != nil {
+			t.Fatal(err)
+		}
+		if got := clock.Sub(start); got < ideal-pacerCredit || got > ideal {
+			t.Fatalf("after %v idle, 1 MiB took %v, want between %v and %v", idle, got, ideal-pacerCredit, ideal)
+		}
 	}
 }
 

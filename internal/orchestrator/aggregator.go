@@ -12,6 +12,10 @@ import (
 // ErrNoUpdates reports a finalize with nothing aggregated.
 var ErrNoUpdates = errors.New("orchestrator: no committed updates")
 
+// ErrPoisoned reports a finalize of sums that an aborted contribution
+// could not be subtracted back out of, because its redo failed.
+var ErrPoisoned = errors.New("orchestrator: aggregate poisoned by a failed undo")
+
 // Aggregator is a streaming, sharded FedAvg accumulator: decoded
 // tensor entries fold into per-tensor weighted sums as they arrive off
 // each connection, so the server never holds more than the float64
@@ -46,6 +50,7 @@ type Aggregator struct {
 	totalWeight float64
 	updates     int
 	inflight    int       // contributors opened but not yet settled
+	poisoned    bool      // an Abort could not undo its folds; the sums are abandoned
 	ints        [][]int64 // adopted from the first committed update
 }
 
@@ -153,10 +158,17 @@ func (a *Aggregator) Reset() {
 // shapes it was built for, that is a itself, Reset. Otherwise — first
 // use (a nil receiver), a contributor still in flight because a driver
 // broke the quiescence contract (it keeps the abandoned sums to
-// itself), or a reference model that changed shape — it is a fresh
-// NewAggregator, which the tier owns from then on.
+// itself), sums poisoned by a failed undo, or a reference model that
+// changed shape — it is a fresh NewAggregator, which the tier owns from
+// then on.
 func (a *Aggregator) NextRound(ref *model.StateDict, shards int) *Aggregator {
-	if a == nil || a.Inflight() > 0 || !a.shapedLike(ref) {
+	if a == nil || !a.shapedLike(ref) {
+		return NewAggregator(ref, shards)
+	}
+	a.mu.Lock()
+	settled := a.inflight == 0 && !a.poisoned
+	a.mu.Unlock()
+	if !settled {
 		return NewAggregator(ref, shards)
 	}
 	a.Reset()
@@ -275,12 +287,17 @@ func foldEntries(ct *Contributor, sd *model.StateDict) error {
 // entries carry the first committed update's values, matching
 // fl.FedAvg. The aggregator stays usable (further contributions keep
 // folding into the same sums); the tier that owns it starts its next
-// round with NextRound, which empties these sums in place.
+// round with NextRound, which empties these sums in place. Poisoned
+// sums fail with ErrPoisoned, and NextRound replaces them.
 func (a *Aggregator) Finalize() (*model.StateDict, error) {
 	a.mu.Lock()
 	total := a.totalWeight
 	updates := a.updates
+	poisoned := a.poisoned
 	a.mu.Unlock()
+	if poisoned {
+		return nil, ErrPoisoned
+	}
 	if updates == 0 || total <= 0 {
 		return nil, ErrNoUpdates
 	}
@@ -317,7 +334,9 @@ func (a *Aggregator) Finalize() (*model.StateDict, error) {
 
 // Contributor is one in-flight client contribution. Fold may be called
 // concurrently (the streaming decoders emit entries from parallel
-// decode workers); Commit and Abort are each called once.
+// decode workers); Commit and Abort are each called once, after every
+// Fold has returned. Of a lent entry it holds the redo handle — the
+// compressed section the decoder kept anyway — never the tensor.
 type Contributor struct {
 	a       *Aggregator
 	weight  float64
@@ -334,14 +353,22 @@ type Contributor struct {
 	onAbort  func(DropReason)
 }
 
-// foldedEntry records an applied fold for Abort's undo. The tensor
-// reference is the decoder's own allocation — no copy is taken. A
-// partial fold records the raw float64 sums instead (added without
-// weight scaling, so undo subtracts them verbatim).
+// foldedEntry records an applied fold for Abort's undo. A tensor fold
+// keeps what reproduces the values it added — a lent entry's handle, or
+// the owned tensor as its own redo source — so there is one undo path
+// and no copy. A partial fold records the raw float64 sums instead
+// (added without weight scaling, so undo subtracts them verbatim).
 type foldedEntry struct {
-	idx int
-	t   *tensor.Tensor
-	raw []float64
+	idx  int
+	redo model.Redoer
+	raw  []float64
+}
+
+// ownedTensor makes a tensor the caller keeps valid its own redo source.
+type ownedTensor tensor.Tensor
+
+func (t *ownedTensor) Redo(use func(data []float32) error) error {
+	return use((*tensor.Tensor)(t).Data())
 }
 
 // Weight returns the contribution's aggregation weight.
@@ -349,8 +376,9 @@ func (c *Contributor) Weight() float64 { return c.weight }
 
 // Fold applies one decoded entry: the entry's elements are scaled by
 // the contribution weight and added into the owning shard's sums
-// immediately, so aggregation work overlaps reception and the decoded
-// tensor is only referenced (for potential Abort undo), never copied.
+// immediately, so aggregation work overlaps reception. A lent tensor
+// (e.Redo set) is not referenced once Fold returns: for a potential
+// Abort it keeps e.Redo, and only of an owned entry the tensor itself.
 func (c *Contributor) Fold(e model.Entry) error {
 	idx, ok := c.a.index[e.Name]
 	if !ok {
@@ -408,15 +436,19 @@ func (c *Contributor) Fold(e model.Entry) error {
 	obsFolds.Inc()
 	obsFoldElements.Add(int64(len(sum)))
 
+	redo := e.Redo
+	if redo == nil {
+		redo = (*ownedTensor)(e.Tensor)
+	}
 	c.mu.Lock()
-	c.folded = append(c.folded, foldedEntry{idx: idx, t: e.Tensor})
+	c.folded = append(c.folded, foldedEntry{idx: idx, redo: redo})
 	c.mu.Unlock()
 	return nil
 }
 
 // Commit seals the contribution: it verifies the update covered every
 // reference entry, adds the weight to the aggregate total, and
-// releases the undo references. A contribution that cannot commit
+// releases the redo handles. A contribution that cannot commit
 // must be Aborted, or its partial folds would linger in the sums.
 func (c *Contributor) Commit() error {
 	c.mu.Lock()
@@ -455,11 +487,16 @@ func (c *Contributor) Commit() error {
 }
 
 // Abort withdraws the contribution, subtracting every fold already
-// applied. The aggregate is restored to the other contributors'
-// content up to float64 rounding of the add/subtract round trip —
-// negligible against the lossy bounds upstream. Callers that know why
-// the contribution died should use AbortReason so the coordinator's
-// OnDrop hook sees the classification.
+// applied: each entry's redo source reproduces the float32 values that
+// were added (a lent entry by decoding its compressed section again)
+// and the same weight·float64(v) products come back out. The aggregate
+// is restored to the other contributors' content up to float64
+// rounding of the add/subtract round trip — negligible against the
+// lossy bounds upstream. A redo that fails (not expected of bytes that
+// decoded once) poisons the aggregator: Finalize refuses the sums and
+// NextRound replaces them. Callers that know why the contribution died
+// should use AbortReason so the coordinator's OnDrop hook sees the
+// classification.
 func (c *Contributor) Abort() { c.AbortReason(DropUnknown) }
 
 // AbortReason is Abort with a typed withdrawal reason carried through
@@ -475,24 +512,46 @@ func (c *Contributor) AbortReason(reason DropReason) {
 	c.folded = nil
 	c.mu.Unlock()
 
+	poisoned := false
 	for _, f := range folded {
 		shard := &c.a.shards[c.a.shardOf[f.idx]]
-		shard.mu.Lock()
-		sum := shard.sums[f.idx]
 		if f.raw != nil {
+			shard.mu.Lock()
+			sum := shard.sums[f.idx]
 			for j, v := range f.raw {
 				sum[j] -= v
 			}
-		} else {
+			shard.mu.Unlock()
+			continue
+		}
+		// The shard is locked inside use: not while a replay decodes.
+		err := f.redo.Redo(func(data []float32) error {
+			shard.mu.Lock()
+			defer shard.mu.Unlock()
+			sum := shard.sums[f.idx]
+			if len(data) != len(sum) {
+				return errors.New("orchestrator: redo reproduced another element count")
+			}
 			w := c.weight
-			for j, v := range f.t.Data() {
+			for j, v := range data {
 				sum[j] -= w * float64(v)
 			}
+			return nil
+		})
+		if err != nil {
+			poisoned = true
+			continue
 		}
-		shard.mu.Unlock()
+		if _, owned := f.redo.(*ownedTensor); !owned {
+			obsUndoReplayed.Inc()
+		}
 	}
 	c.a.mu.Lock()
 	c.a.inflight--
+	if poisoned && !c.a.poisoned {
+		c.a.poisoned = true
+		obsPoisoned.Inc()
+	}
 	c.a.mu.Unlock()
 	obsWithdrawals.Inc()
 	if c.onAbort != nil {

@@ -22,6 +22,10 @@ var (
 		"Float elements folded into streaming aggregates.")
 	obsWithdrawals = obs.Default.Counter("fedsz_agg_withdrawals_total",
 		"In-flight contributions aborted and subtracted back out.")
+	obsUndoReplayed = obs.Default.Counter("fedsz_agg_undo_replayed_entries_total",
+		"Lent tensor entries re-decoded from their compressed section to undo an aborted fold.")
+	obsPoisoned = obs.Default.Counter("fedsz_agg_poisoned_total",
+		"Aggregators abandoned because an abort could not undo its folds (must stay 0).")
 	obsAsyncDepth = obs.Default.Gauge("fedsz_async_buffer_depth",
 		"Updates buffered toward the next async commit.")
 	obsAsyncStaleness = obs.Default.Histogram("fedsz_async_staleness",

@@ -59,10 +59,14 @@ func (e PartialEntry) NumElements() int {
 // every contributor settled, and stays valid until the next fold into
 // the aggregator or its next Reset (the owning tier's NextRound);
 // encode or fold it upstream before then, and treat it as read-only. A
-// caller that needs a stable copy clones the slices.
+// caller that needs a stable copy clones the slices. A poisoned
+// aggregator (ErrPoisoned) reports no updates, an empty region upstream.
 func (a *Aggregator) Partial() *Partial {
 	a.mu.Lock()
 	p := &Partial{TotalWeight: a.totalWeight, Updates: a.updates}
+	if a.poisoned {
+		p.TotalWeight, p.Updates = 0, 0
+	}
 	ints := make([][]int64, len(a.ints))
 	copy(ints, a.ints)
 	a.mu.Unlock()

@@ -94,7 +94,10 @@ type Compressor struct {
 	noRegression bool
 }
 
-var _ lossy.Compressor = (*Compressor)(nil)
+var (
+	_ lossy.Compressor       = (*Compressor)(nil)
+	_ lossy.IntoDecompressor = (*Compressor)(nil)
+)
 
 // New returns an SZ2 compressor with the default configuration
 // (zstd-like final stage, hybrid prediction).
@@ -234,12 +237,19 @@ func (s *Compressor) Compress(data []float32, p lossy.Params) ([]byte, error) {
 
 // Decompress implements lossy.Compressor.
 func (s *Compressor) Decompress(buf []byte) ([]float32, error) {
+	return s.DecompressInto(nil, buf)
+}
+
+// DecompressInto implements lossy.IntoDecompressor: the reconstruction
+// loop writes every element, and dst only grows once the entropy stage
+// has vouched for the header's element count.
+func (s *Compressor) DecompressInto(dst []float32, buf []byte) ([]float32, error) {
 	count, eb, rest, err := lossy.ReadHeader(magic, buf)
 	if err != nil {
 		return nil, err
 	}
 	if count == 0 {
-		return nil, nil
+		return dst[:0], nil
 	}
 	if len(rest) < 1 {
 		return nil, fmt.Errorf("%w: sz2 missing stage flag", lossy.ErrCorrupt)
@@ -310,7 +320,7 @@ func (s *Compressor) Decompress(buf []byte) ([]float32, error) {
 	}
 
 	q := quant.New(eb, radius)
-	out := make([]float32, count)
+	out := lossy.Sized(dst, count)
 	prevRecon := 0.0
 	ci, oi := 0, 0
 	for b := 0; b < nBlocks; b++ {

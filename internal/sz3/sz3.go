@@ -68,7 +68,10 @@ type Compressor struct {
 	linearOnly bool
 }
 
-var _ lossy.Compressor = (*Compressor)(nil)
+var (
+	_ lossy.Compressor       = (*Compressor)(nil)
+	_ lossy.IntoDecompressor = (*Compressor)(nil)
+)
 
 // New returns an SZ3 compressor with the default configuration.
 func New(opts ...Option) *Compressor {
@@ -170,12 +173,19 @@ func (s *Compressor) Compress(data []float32, p lossy.Params) ([]byte, error) {
 
 // Decompress implements lossy.Compressor.
 func (s *Compressor) Decompress(buf []byte) ([]float32, error) {
+	return s.DecompressInto(nil, buf)
+}
+
+// DecompressInto implements lossy.IntoDecompressor: the interpolation
+// walk writes every element before a prediction reads it, and dst only
+// grows once the entropy stage has vouched for the header's count.
+func (s *Compressor) DecompressInto(dst []float32, buf []byte) ([]float32, error) {
 	count, eb, rest, err := lossy.ReadHeader(magic, buf)
 	if err != nil {
 		return nil, err
 	}
 	if count == 0 {
-		return nil, nil
+		return dst[:0], nil
 	}
 	if len(rest) < 1 {
 		return nil, fmt.Errorf("%w: sz3 missing stage flag", lossy.ErrCorrupt)
@@ -228,7 +238,7 @@ func (s *Compressor) Decompress(buf []byte) ([]float32, error) {
 
 	pc := &Compressor{linearOnly: linearOnly}
 	q := quant.New(eb, radius)
-	out := make([]float32, count)
+	out := lossy.Sized(dst, count)
 	out[0] = anchor
 	oi := 0
 	var decodeErr error

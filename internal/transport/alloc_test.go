@@ -7,6 +7,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"fedsz/internal/core"
 	"fedsz/internal/fl"
 	"fedsz/internal/model"
 	"fedsz/internal/orchestrator"
@@ -24,11 +25,13 @@ func nudge(global *model.StateDict, round, client int) *model.StateDict {
 	return global
 }
 
-// TestRoundAllocationBudget keeps the per-round allocation of a plain
-// federation where the buffer-ownership rule put it: the tier's float64
-// sums and the leaves' model dicts are allocated once, not per round.
-// What a round still allocates is the decoded uplinks the aggregator
-// holds for undo and the committed global.
+// TestRoundAllocationBudget keeps the per-round allocation of a
+// federation where the buffer-ownership rules put it: the tier's float64
+// sums and the leaves' model dicts are allocated once, not per round,
+// and a FedSZ uplink is decoded into the decoder's scratch and folded
+// from there, so the tier allocates no tensor of it. What a round still
+// allocates is the committed global, the encoders' scratch and — for a
+// plain uplink, which is its own payload — the update itself.
 func TestRoundAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under the race detector")
@@ -38,14 +41,27 @@ func TestRoundAllocationBudget(t *testing.T) {
 		warmup  = 3
 		timed   = 10
 	)
+	fedsz, err := fl.NewFedSZCodec(core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name   string
+		codec  fl.Codec
+		uplink string // what one received update allocates, in model sizes
 		edge   bool
 		budget float64 // per round, in model sizes
 	}{
-		// Parent commit: 7.35x flat, 12.6x through an edge.
-		{name: "flat", budget: 3.6},
-		{name: "edge", edge: true, budget: 8},
+		// Before PR 18: 7.35x flat, 12.6x through an edge.
+		{name: "flat", codec: fl.PlainCodec{}, uplink: "16/15", budget: 3.6},
+		{name: "edge", codec: fl.PlainCodec{}, uplink: "16/15", edge: true, budget: 8},
+		// Before PR 21: 4.17x flat, 7.42x through an edge; measured since
+		// 2.3-2.7x and 5.4-5.8x (the spread is sync.Pool scratch the GC
+		// drops between uses). One decoded uplink is 16/15 of the model, so
+		// either budget fails as soon as one client's tensors are allocated
+		// per round again.
+		{name: "fedsz-flat", codec: fedsz, uplink: "1/ratio", budget: 3.0},
+		{name: "fedsz-edge", codec: fedsz, uplink: "1/ratio", edge: true, budget: 6.3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			// Half-width MobileNetV2 (5 MB): large enough that per-entry
@@ -62,7 +78,7 @@ func TestRoundAllocationBudget(t *testing.T) {
 				minClients = 1
 			}
 			srv, err := NewOrchestrated(OrchestratedConfig{
-				Codec:      fl.PlainCodec{},
+				Codec:      tc.codec,
 				MinClients: minClients,
 				Rounds:     warmup + timed,
 				OnRound: func(round int, _ *model.StateDict, _ orchestrator.RoundStats) {
@@ -85,7 +101,7 @@ func TestRoundAllocationBudget(t *testing.T) {
 				edgeLn := tcpListener(t)
 				edge, err := NewEdge(EdgeConfig{
 					Upstream:   dialTCP(coordLn.Addr().String()),
-					Codec:      fl.PlainCodec{},
+					Codec:      tc.codec,
 					MinClients: clients,
 					Checksum:   true,
 				})
@@ -112,7 +128,7 @@ func TestRoundAllocationBudget(t *testing.T) {
 						return
 					}
 					defer conn.Close()
-					err = RunClient(conn, fl.PlainCodec{}, func(round int, global *model.StateDict) (*model.StateDict, int, error) {
+					err = RunClient(conn, tc.codec, func(round int, global *model.StateDict) (*model.StateDict, int, error) {
 						return nudge(global, round, c), 100 + c, nil
 					})
 					if err != nil {
@@ -132,9 +148,11 @@ func TestRoundAllocationBudget(t *testing.T) {
 				t.Fatalf(`%s: a round of %d clients allocates %.2fx the %.1f MB model, budget %.1fx. Per round, in model sizes:
   2.0x  float64 sums          — must be 0: the tier owns one aggregator (Aggregator.NextRound), emptied in place
   %.1fx  leaves' downlink dicts — must be 0: readDownlink decodes into the dict the session holds (UnmarshalStateDictInto)
-  %.1fx  decoded uplinks held for undo by the Contributor — expected (ROADMAP item 4: fused decode→fold)
-  1.0x  Finalize's committed global                       — expected (handed out as an immutable snapshot)`,
-					tc.name, clients, perRound, size/1e6, tc.budget, clients*16.0/15, clients*16.0/15)
+  %.1fx  decoded FedSZ uplinks  — must be 0: sections decode into the decoder's scratch (core.lentScratch, resident, at most one tensor per decode worker) and the Contributor keeps redo handles, not tensors
+  %d x %s  received updates held until commit — expected: a FedSZ update's verified compressed sections (what Abort replays), a plain update's tensors (its own payload)
+  1.0x  Finalize's committed global — expected (handed out as an immutable snapshot)
+  the rest: encoder scratch and output on the leaves, and through an edge the float64 partial the coordinator holds for undo (16/15 x 2)`,
+					tc.name, clients, perRound, size/1e6, tc.budget, clients*16.0/15, clients*16.0/15, clients, tc.uplink)
 			}
 		})
 	}

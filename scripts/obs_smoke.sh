@@ -6,7 +6,7 @@
 # acceptance criteria name: bytes-on-wire both directions, per-family
 # compression ratio, per-reason drops, round commit latency, the
 # process's own memory series (present, and monotonic across scrapes),
-# and round spans as JSON.
+# no aggregator poisoned by a failed undo, and round spans as JSON.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -105,6 +105,15 @@ if [ "$a1" -le "$a0" ] || [ "$g1" -lt "$g0" ]; then
   exit 1
 fi
 echo "obs smoke: runtime series OK (alloc $a0 -> $a1 B, gc cycles $g0 -> $g1)"
+
+# Whatever the frozen client had folded when the deadline cut it was
+# undone by replay; no withdrawal may ever have failed to undo.
+poisoned=$(metric fedsz_agg_poisoned_total "$tmp/metrics2.txt")
+if [ "$poisoned" != 0 ]; then
+  echo "obs smoke: FAIL — fedsz_agg_poisoned_total is '$poisoned', want 0" >&2
+  exit 1
+fi
+echo "obs smoke: no aggregator poisoned ($(metric fedsz_agg_withdrawals_total "$tmp/metrics2.txt") withdrawals, $(metric fedsz_agg_undo_replayed_entries_total "$tmp/metrics2.txt") entries replayed)"
 
 curl -sf "http://$maddr/rounds?n=8" -o "$tmp/rounds.json"
 for frag in '"tier": "coordinator"' '"total_ns"' '"bytes_up"' '"outcome": "committed"'; do
