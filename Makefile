@@ -43,8 +43,9 @@ vet:
 loc:
 	@bash scripts/loc.sh
 
-# Short fuzz smoke over the nine decoder fuzz targets (matches CI).
-# FuzzDecodePartial's seeds are the 2.4 KB golden frames; without the
+# Short fuzz smoke over the ten decoder fuzz targets (matches CI).
+# FuzzDecodePartial's seeds are the 2.4 KB golden frames and
+# FuzzReadDownlink's are whole downlinks of a few KB; without the
 # minimize cap the engine spends the whole smoke minimizing its first find.
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzDecompress -fuzztime=10s ./internal/core
@@ -56,6 +57,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzLZHDecompress -fuzztime=10s ./internal/lossless
 	$(GO) test -run=^$$ -fuzz=FuzzFamilyDecode -fuzztime=10s ./internal/family
 	$(GO) test -run=^$$ -fuzz=FuzzDecodePartial -fuzztime=10s -fuzzminimizetime=1s ./internal/hier
+	$(GO) test -run=^$$ -fuzz=FuzzReadDownlink -fuzztime=10s -fuzzminimizetime=1s ./internal/transport
 
 # Regenerate the committed serial-vs-parallel datapoint. Run on a
 # multi-core machine at paper scale: make parallel-bench SCALE=1

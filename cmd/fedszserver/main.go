@@ -153,8 +153,14 @@ func run() error {
 
 	// Transport's printf-style diagnostics (joins, leaves, rejected
 	// connections) land at debug level; structured drop events get
-	// their own warn-level record below.
+	// their own warn-level record below. The downlink gate's decision —
+	// made once, at the first round — is what -bandwidth bought, so it is
+	// logged at info.
 	logf := func(format string, args ...interface{}) {
+		if strings.HasPrefix(format, "downlink:") {
+			logger.Info(fmt.Sprintf(format, args...))
+			return
+		}
 		logger.Debug(fmt.Sprintf(format, args...))
 	}
 	cfg := transport.OrchestratedConfig{

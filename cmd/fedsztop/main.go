@@ -168,9 +168,15 @@ func (t *target) render(b *strings.Builder) {
 	if cur.WallNs > 0 {
 		pct = 100 * float64(cur.CriticalNs) / float64(cur.WallNs)
 	}
-	fmt.Fprintf(b, "  %s round %d   wall %s   critical %s (%.0f%%)   committed %d/%d  dropped %d\n",
+	// down: how the global reached this tier's participants — the ratio
+	// of an error-bounded frame, or raw.
+	down := "raw"
+	if d := root.Down; d != nil && d.Mode != "raw" && d.WireBytes > 0 {
+		down = fmt.Sprintf("%.1f×", float64(d.RawBytes)/float64(d.WireBytes))
+	}
+	fmt.Fprintf(b, "  %s round %d   wall %s   critical %s (%.0f%%)   committed %d/%d  dropped %d   down %s\n",
 		root.Tier, cur.Round, ms(cur.WallNs), ms(cur.CriticalNs), pct,
-		root.Committed, root.Sampled, root.Dropped)
+		root.Committed, root.Sampled, root.Dropped, down)
 
 	// Critical-path attribution: where the latest round's wall time went.
 	if len(cur.CriticalPath) > 0 {

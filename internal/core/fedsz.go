@@ -308,7 +308,7 @@ func (p *Pipeline) Decompress(buf []byte) (*model.StateDict, error) {
 // the per-tensor lossy decodes plus the lossless metadata pass fan
 // across the pool, mirroring Compress.
 func DecompressParallel(buf []byte, parallelism int) (*model.StateDict, error) {
-	return decodeFrame(&bufSource{buf: buf}, parallelism, nil)
+	return decodeFrame(&bufSource{buf: buf}, parallelism, nil, nil)
 }
 
 // varintMax is the worst-case uvarint encoding size used when an exact

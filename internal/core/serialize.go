@@ -110,7 +110,7 @@ func UnmarshalStateDictFrom(r io.Reader) (*model.StateDict, error) {
 // the old model — the returned dict has taken its storage over.
 func UnmarshalStateDictInto(r io.Reader, dst *model.StateDict) (*model.StateDict, error) {
 	sd := model.NewStateDict()
-	err := unmarshalStateDictEntries(r, dst, func(e model.Entry) error {
+	err := unmarshalStateDictEntries(r, dst, nil, func(e model.Entry) error {
 		if err := sd.Add(e); err != nil {
 			return fmt.Errorf("%w: %v", ErrCorrupt, err)
 		}
@@ -131,7 +131,7 @@ func UnmarshalStateDictInto(r io.Reader, dst *model.StateDict) (*model.StateDict
 // limits and the io.EOF-on-empty-stream contract match
 // UnmarshalStateDictFrom.
 func UnmarshalStateDictEntriesFrom(r io.Reader, emit func(e model.Entry) error) error {
-	return unmarshalStateDictEntries(r, nil, emit)
+	return unmarshalStateDictEntries(r, nil, nil, emit)
 }
 
 // reusable reports whether a stream entry with this header can be
@@ -149,8 +149,11 @@ func reusable(e model.Entry, name string, dtype model.DType, shape []int) bool {
 // unmarshalStateDictEntries is the one FSD1 stream decoder. With a
 // non-nil dst, a stream entry whose header matches dst's entry at the
 // same position is decoded into that entry's storage and emitted as
-// dst's own entry; every other entry is freshly allocated.
-func unmarshalStateDictEntries(r io.Reader, dst *model.StateDict, emit func(e model.Entry) error) error {
+// dst's own entry; every other entry is freshly allocated. A non-nil at
+// says where in dst "the same position" is: stream entry i lines up
+// with dst's entry at[i] (a frame's metadata section holds a subset of
+// the dict's entries), and with none past at's end.
+func unmarshalStateDictEntries(r io.Reader, dst *model.StateDict, at []int, emit func(e model.Entry) error) error {
 	src := newStreamSource(r)
 	defer src.Release()
 	magic, err := src.payload(uint64(len(serializeMagic)))
@@ -208,8 +211,14 @@ func unmarshalStateDictEntries(r io.Reader, dst *model.StateDict, emit func(e mo
 		// (inPlace), else the freshly allocated one built below.
 		var e model.Entry
 		inPlace := false
-		if dst != nil && i < uint64(dst.Len()) {
-			if e = dst.At(int(i)); reusable(e, name, dtype, shape) {
+		pos := int(i) // count, and so i, is capped well inside int
+		if at != nil {
+			if pos = -1; i < uint64(len(at)) {
+				pos = at[i]
+			}
+		}
+		if dst != nil && pos >= 0 && pos < dst.Len() {
+			if e = dst.At(pos); reusable(e, name, dtype, shape) {
 				inPlace = true
 			}
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -223,7 +224,10 @@ func (p *Pipeline) compressMeta(meta *model.StateDict, ll lossless.Codec) ([]byt
 	if p.cfg.Selector != nil {
 		p.cfg.Selector.ObserveMeta(blob)
 	}
-	mc, err := ll.Compress(blob)
+	// Metadata is mostly float32 statistics the lossless stage barely
+	// shrinks, so the output is sized at the input: a codec's own guess
+	// (half the input) regrows by append several times over.
+	mc, err := ll.AppendCompress(make([]byte, 0, len(blob)+len(blob)/64+64), blob)
 	if err != nil {
 		return nil, fmt.Errorf("core: lossless compress metadata: %w", err)
 	}
@@ -435,10 +439,42 @@ func asByteReader(r io.Reader) byteReader {
 // WireReader plus the frame format's caps and corruption sentinel.
 type streamSource struct {
 	WireReader
+	// arena, when set (an in-place decode), is one reused buffer the
+	// frame's payloads are carved from instead of allocated: a steady
+	// stream of same-sized frames then reads every section into memory
+	// the decoder already holds. What does not fit is read as without an
+	// arena and counted in spill, which sizes the arena for next time.
+	arena *[]byte
+	spill int
+}
+
+// frameArenas holds the arenas of in-place decodes between frames: one
+// per concurrently decoding receiver, each grown to the largest frame it
+// met — resident like lentScratch, and like it dropped by an idle GC.
+var frameArenas = sync.Pool{New: func() any { return new([]byte) }}
+
+// borrowArena turns the source's payloads over to a pooled arena until
+// returnArena.
+func (s *streamSource) borrowArena() {
+	s.arena = frameArenas.Get().(*[]byte)
+	*s.arena = (*s.arena)[:0]
+}
+
+// returnArena ends the loan. Nothing may still read a payload handed out
+// under it: decodeFrame has drained its decode pool by the time it
+// returns.
+func (s *streamSource) returnArena() {
+	if s.spill > 0 {
+		// Bounded by the bytes that actually arrived: spill counts payloads
+		// read in full.
+		*s.arena = make([]byte, 0, len(*s.arena)+s.spill)
+	}
+	frameArenas.Put(s.arena)
+	s.arena, s.spill = nil, 0
 }
 
 func newStreamSource(r io.Reader) *streamSource {
-	return &streamSource{WireReader{r: asByteReader(r)}}
+	return &streamSource{WireReader: WireReader{r: asByteReader(r)}}
 }
 
 func (s *streamSource) uvarint() (uint64, error) {
@@ -471,7 +507,21 @@ func (s *streamSource) payload(n uint64) ([]byte, error) {
 	if n > maxStreamSection {
 		return nil, fmt.Errorf("%w: section length %d exceeds %d", ErrCorrupt, n, maxStreamSection)
 	}
-	buf, err := s.Bytes(int(n))
+	var buf []byte
+	var err error
+	if s.arena != nil && uint64(cap(*s.arena)-len(*s.arena)) >= n {
+		// The arena is memory already held, so a forged length buys
+		// nothing; the slice is capped so that no append can run into the
+		// next payload.
+		a, end := *s.arena, len(*s.arena)+int(n)
+		buf, *s.arena = a[len(a):end:end], a[:end]
+		err = s.readFull(buf)
+	} else {
+		buf, err = s.Bytes(int(n))
+		if s.arena != nil {
+			s.spill += len(buf)
+		}
+	}
 	if err == io.EOF {
 		// Nothing of this field was present: clean end of stream, which
 		// callers at a frame boundary surface as io.EOF.
@@ -582,6 +632,10 @@ type lossySection struct {
 	payload []byte
 	lc      lossy.Compressor
 	t       *tensor.Tensor // assemble mode: the decoded, owned tensor
+	// held, in an in-place decode, is the receiver's tensor of this name
+	// and shape: the section reconstructs into its storage and t is held
+	// itself.
+	held *tensor.Tensor
 }
 
 // Redo implements model.Redoer. The first decode of an emit-mode
@@ -610,12 +664,24 @@ func (ls *lossySection) Redo(use func(data []float32) error) error {
 func (ls *lossySection) decode(fm *famMetrics, emit func(model.Entry) error) error {
 	decStart := time.Now()
 	if emit == nil {
-		data, err := ls.lc.Decompress(ls.payload)
+		var into []float32
+		if ls.held != nil {
+			into = ls.held.Data()
+		}
+		data, err := lossy.DecompressInto(ls.lc, into, ls.payload)
 		if err != nil {
 			return fmt.Errorf("%w: tensor %q: %v", ErrCorrupt, ls.name, err)
 		}
-		ls.t, err = ls.decoded(fm, decStart, data)
-		return err
+		if ls.t, err = ls.decoded(fm, decStart, data); err != nil || ls.held == nil {
+			return err
+		}
+		// decoded vouched for the element count, so the values are held's
+		// either already (the compressor reconstructed into it) or by copy.
+		if len(data) > 0 && &data[0] != &into[0] {
+			copy(into, data)
+		}
+		ls.t = ls.held
+		return nil
 	}
 	return ls.Redo(func(data []float32) error {
 		t, err := ls.decoded(fm, decStart, data)
@@ -656,7 +722,11 @@ func (ls *lossySection) decoded(fm *famMetrics, decStart time.Time, data []float
 // validation (duplicates, membership) is the consumer's job in that
 // mode; the reader still verifies the frame's tag/section structure.
 // An emit error aborts the decode.
-func decodeFrame(src frameSource, parallelism int, emit func(model.Entry) error) (*model.StateDict, error) {
+//
+// With a non-nil dst (and a nil emit) the frame is decoded in place, as
+// DecompressInto describes: entry i lands in dst's i-th entry when the
+// two agree on name, dtype and shape.
+func decodeFrame(src frameSource, parallelism int, emit func(model.Entry) error, dst *model.StateDict) (*model.StateDict, error) {
 	if parallelism <= 0 {
 		parallelism = runtime.GOMAXPROCS(0)
 	}
@@ -759,6 +829,20 @@ func decodeFrame(src frameSource, parallelism int, emit func(model.Entry) error)
 		_ = pool.wait()
 		return nil, err
 	}
+	// In place, section i lines up with the dict's entry at the frame's
+	// i-th lossy tag and metadata entry k with the one at its k-th other.
+	var lossyAt, metaAt []int
+	if dst != nil {
+		lossyAt = make([]int, 0, len(tags))
+		metaAt = make([]int, 0, len(tags)) // non-nil even when empty: nil would mean "same position"
+		for i, isLossy := range tags {
+			if isLossy {
+				lossyAt = append(lossyAt, i)
+			} else {
+				metaAt = append(metaAt, i)
+			}
+		}
+	}
 	for i := uint64(0); i < nLossy64; i++ {
 		if checked {
 			src.beginCRC()
@@ -800,6 +884,11 @@ func decodeFrame(src frameSource, parallelism int, emit func(model.Entry) error)
 			}
 		}
 		lt := &lossySection{name: name, shape: shape, payload: payload, lc: lc}
+		if i < uint64(len(lossyAt)) && lossyAt[i] < dst.Len() {
+			if e := dst.At(lossyAt[i]); reusable(e, name, model.Float32, shape) {
+				lt.held = e.Tensor
+			}
+		}
 		lossyTensors = append(lossyTensors, lt)
 		pool.run(func() error { return lt.decode(fm, emit) })
 	}
@@ -821,19 +910,26 @@ func decodeFrame(src frameSource, parallelism int, emit func(model.Entry) error)
 			return bail(err)
 		}
 	}
-	var meta *model.StateDict
+	var meta []model.Entry
 	pool.run(func() error {
 		blob, err := ll.Decompress(metaPayload)
 		if err != nil {
 			return fmt.Errorf("%w: metadata: %v", ErrCorrupt, err)
 		}
+		if dst != nil {
+			meta = make([]model.Entry, 0, len(metaAt))
+			return unmarshalStateDictEntries(bytes.NewReader(blob), dst, metaAt, func(e model.Entry) error {
+				meta = append(meta, e)
+				return nil
+			})
+		}
 		m, err := UnmarshalStateDict(blob)
 		if err != nil {
 			return err
 		}
-		meta = m
+		meta = m.Entries()
 		if emit != nil {
-			for _, e := range m.Entries() {
+			for _, e := range meta {
 				if err := emit(e); err != nil {
 					return err
 				}
@@ -857,7 +953,7 @@ func decodeFrame(src frameSource, parallelism int, emit func(model.Entry) error)
 				nMeta++
 			}
 		}
-		if nLossy != len(lossyTensors) || nMeta != meta.Len() {
+		if nLossy != len(lossyTensors) || nMeta != len(meta) {
 			return nil, fmt.Errorf("%w: section/tag mismatch", ErrCorrupt)
 		}
 		obsFramesDecoded.Inc()
@@ -865,7 +961,7 @@ func decodeFrame(src frameSource, parallelism int, emit func(model.Entry) error)
 	}
 
 	// Reassemble in original order.
-	metaEntries := meta.Entries()
+	metaEntries := meta
 	out := model.NewStateDict()
 	li, mi := 0, 0
 	for _, isLossy := range tags {
@@ -905,7 +1001,31 @@ func decodeFrame(src frameSource, parallelism int, emit func(model.Entry) error)
 // bytes at all returns io.EOF. Parallelism ≤ 0 selects
 // runtime.GOMAXPROCS(0); 1 forces serial decoding.
 func DecompressFrom(r io.Reader, parallelism int) (*model.StateDict, error) {
-	return decodeFrame(newStreamSource(r), parallelism, nil)
+	return decodeFrame(newStreamSource(r), parallelism, nil, nil)
+}
+
+// DecompressInto is DecompressFrom for a receiver that already holds a
+// dict of the expected shape — a client's previous global. Entry i of
+// the frame lands in dst's i-th entry when the two agree on name, dtype
+// and shape: a lossy tensor reconstructs straight into that entry's
+// storage, a metadata entry converts into it, and the returned dict
+// carries dst's own tensor for it. Any entry that does not match is
+// allocated exactly as DecompressFrom would and leaves dst's entry
+// untouched, so a nil or differently shaped dst only costs allocation.
+// Compressed sections are read into one pooled buffer, so a steady
+// stream of frames into one dict allocates no tensor and no section.
+// The decoded values are those DecompressFrom yields for the same bytes.
+// On error dst's matching entries hold an unspecified mix of old and
+// new values; after success dst must no longer be read as the old
+// model — the returned dict has taken its storage over.
+func DecompressInto(r io.Reader, parallelism int, dst *model.StateDict) (*model.StateDict, error) {
+	if dst == nil {
+		return DecompressFrom(r, parallelism)
+	}
+	src := newStreamSource(r)
+	src.borrowArena()
+	defer src.returnArena()
+	return decodeFrame(src, parallelism, nil, dst)
 }
 
 // DecompressEntriesFrom decodes one FedSZ frame from r as a stream of
@@ -927,7 +1047,7 @@ func DecompressEntriesFrom(r io.Reader, parallelism int, emit func(model.Entry) 
 	if emit == nil {
 		return fmt.Errorf("core: nil emit")
 	}
-	_, err := decodeFrame(newStreamSource(r), parallelism, emit)
+	_, err := decodeFrame(newStreamSource(r), parallelism, emit, nil)
 	return err
 }
 

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"fedsz/internal/core"
+	"fedsz/internal/lossy"
 	"fedsz/internal/model"
 )
 
@@ -22,6 +23,16 @@ type UpdateStats struct {
 	CompressedBytes int64
 	EncodeTime      time.Duration
 	DecodeTime      time.Duration // filled by the receiver
+	// WholeImage says the encoded frame is a stateless, error-bounded
+	// (or exact) image of the whole dict: any peer decodes it with no
+	// reference and no history, and every value is within the codec's
+	// bound of the one encoded. It is what lets a frame carry a global
+	// model down the tree, and it travels here, on the base interface's
+	// return value, so that a wrapper which forwards EncodeTo forwards
+	// the answer too. A static FedSZCodec on a bounded family sets it; a
+	// delta, adaptive, error-feedback or unbounded (sparsifying,
+	// fixed-width) encoding never does.
+	WholeImage bool
 }
 
 // Ratio returns the update's compression ratio.
@@ -90,6 +101,25 @@ type PriorAware interface {
 // consumer's to keep.
 type EntryStreamer interface {
 	DecodeEntriesFrom(r io.Reader, emit func(model.Entry) error) error
+}
+
+// InPlaceDecoder is implemented by codecs that can decode a frame into
+// a dict the receiver already holds — a leaf's previous global — under
+// core.DecompressInto's contract: matching entries are overwritten in
+// place, anything else is allocated, and on error dst is left partly
+// overwritten.
+type InPlaceDecoder interface {
+	DecodeInto(r io.Reader, dst *model.StateDict) (*model.StateDict, error)
+}
+
+// DecodeInto decodes one frame from r through c, into dst's storage
+// when c can (and dst is non-nil); any other codec allocates the dict
+// as DecodeFrom does. The decoded values are the same either way.
+func DecodeInto(c Codec, r io.Reader, dst *model.StateDict) (*model.StateDict, error) {
+	if ip, ok := c.(InPlaceDecoder); ok && dst != nil {
+		return ip.DecodeInto(r, dst)
+	}
+	return c.DecodeFrom(r)
 }
 
 // DecodeEntries decodes one update from r through c, delivering
@@ -247,6 +277,11 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 // fans per-tensor work across cfg.Parallelism workers.
 type FedSZCodec struct {
 	pipeline *core.Pipeline
+	// wholeImage is UpdateStats.WholeImage for every frame this codec
+	// encodes: one compressor at its default setting, which honours the
+	// bound, with nothing added to the tensors and nothing chosen per
+	// frame.
+	wholeImage bool
 }
 
 // NewFedSZCodec builds a codec from a core pipeline config.
@@ -255,7 +290,12 @@ func NewFedSZCodec(cfg core.Config) (*FedSZCodec, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fl: %w", err)
 	}
-	return &FedSZCodec{pipeline: p}, nil
+	cfg = p.Config()
+	fam, err := lossy.FamilyByName(cfg.Lossy)
+	return &FedSZCodec{
+		pipeline:   p,
+		wholeImage: err == nil && cfg.Selector == nil && cfg.Feedback == nil && fam.Bounded(lossy.Setting{}),
+	}, nil
 }
 
 // Name implements Codec.
@@ -301,11 +341,7 @@ func (c *FedSZCodec) Encode(sd *model.StateDict) ([]byte, UpdateStats, error) {
 	if err != nil {
 		return nil, UpdateStats{}, err
 	}
-	return buf, UpdateStats{
-		OriginalBytes:   st.OriginalBytes,
-		CompressedBytes: st.CompressedBytes,
-		EncodeTime:      st.CompressTime,
-	}, nil
+	return buf, c.stats(st), nil
 }
 
 // Decode implements Codec. Decoding honours the codec names recorded in
@@ -324,17 +360,28 @@ func (c *FedSZCodec) EncodeTo(w io.Writer, sd *model.StateDict) (UpdateStats, er
 	if err != nil {
 		return UpdateStats{}, err
 	}
+	return c.stats(st), nil
+}
+
+func (c *FedSZCodec) stats(st core.Stats) UpdateStats {
 	return UpdateStats{
 		OriginalBytes:   st.OriginalBytes,
 		CompressedBytes: st.CompressedBytes,
 		EncodeTime:      st.CompressTime,
-	}, nil
+		WholeImage:      c.wholeImage,
+	}
 }
 
 // DecodeFrom implements Codec, decompressing each tensor as its
 // section arrives.
 func (c *FedSZCodec) DecodeFrom(r io.Reader) (*model.StateDict, error) {
 	return core.DecompressFrom(r, c.pipeline.Config().Parallelism)
+}
+
+// DecodeInto implements InPlaceDecoder: each tensor reconstructs into
+// the storage dst holds for it.
+func (c *FedSZCodec) DecodeInto(r io.Reader, dst *model.StateDict) (*model.StateDict, error) {
+	return core.DecompressInto(r, c.pipeline.Config().Parallelism, dst)
 }
 
 // DecodeEntriesFrom implements EntryStreamer: each tensor is emitted

@@ -77,6 +77,7 @@ func (c *DeltaCodec) Encode(sd *model.StateDict) ([]byte, UpdateStats, error) {
 		return nil, UpdateStats{}, err
 	}
 	st.EncodeTime = time.Since(start)
+	st.WholeImage = false // the frame is meaningless without the reference
 	return buf, st, nil
 }
 
@@ -114,6 +115,7 @@ func (c *DeltaCodec) EncodeTo(w io.Writer, sd *model.StateDict) (UpdateStats, er
 		return UpdateStats{}, err
 	}
 	st.EncodeTime = time.Since(start)
+	st.WholeImage = false // the frame is meaningless without the reference
 	return st, nil
 }
 

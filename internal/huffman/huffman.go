@@ -30,7 +30,6 @@
 package huffman
 
 import (
-	"container/heap"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -309,26 +308,69 @@ type hNode struct {
 	right *hNode
 }
 
+// hHeap is a binary min-heap of tree nodes ordered by (freq, depth,
+// sym). Live nodes cover disjoint leaf sets, so their min symbols differ
+// and the order is strict and total: the sequence of minima — and with
+// it the tree and every code length — is the same for any correct heap.
+// It is written out here, not left to container/heap, because a table
+// is built per tensor per frame and the interface calls were a tenth of
+// an encode.
 type hHeap []*hNode
 
-func (h hHeap) Len() int { return len(h) }
-func (h hHeap) Less(i, j int) bool {
-	if h[i].freq != h[j].freq {
-		return h[i].freq < h[j].freq
+func (a *hNode) less(b *hNode) bool {
+	if a.freq != b.freq {
+		return a.freq < b.freq
 	}
-	if h[i].depth != h[j].depth {
-		return h[i].depth < h[j].depth
+	if a.depth != b.depth {
+		return a.depth < b.depth
 	}
-	return h[i].sym < h[j].sym
+	return a.sym < b.sym
 }
-func (h hHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *hHeap) Push(x interface{}) { *h = append(*h, x.(*hNode)) }
-func (h *hHeap) Pop() interface{} {
+
+// down sifts h[i] towards the leaves of the first n elements.
+func (h hHeap) down(i, n int) {
+	for {
+		l := 2*i + 1
+		if l >= n {
+			return
+		}
+		if r := l + 1; r < n && h[r].less(h[l]) {
+			l = r
+		}
+		if !h[l].less(h[i]) {
+			return
+		}
+		h[i], h[l] = h[l], h[i]
+		i = l
+	}
+}
+
+func (h hHeap) init() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i, len(h))
+	}
+}
+
+func (h *hHeap) push(nd *hNode) {
+	*h = append(*h, nd)
+	for i := len(*h) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !(*h)[i].less((*h)[parent]) {
+			return
+		}
+		(*h)[i], (*h)[parent] = (*h)[parent], (*h)[i]
+		i = parent
+	}
+}
+
+func (h *hHeap) pop() *hNode {
 	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+	n := len(old) - 1
+	min := old[0]
+	old[0] = old[n]
+	*h = old[:n]
+	(*h).down(0, n)
+	return min
 }
 
 // huffmanLengths builds one Huffman tree over (e.pairs, e.tmp) and
@@ -353,10 +395,10 @@ func (e *encoder) huffmanLengths() int {
 	for i, p := range e.pairs {
 		h = append(h, alloc(hNode{freq: e.tmp[i], sym: p.sym, idx: int32(i)}))
 	}
-	heap.Init(&h)
-	for h.Len() > 1 {
-		a := heap.Pop(&h).(*hNode)
-		b := heap.Pop(&h).(*hNode)
+	h.init()
+	for len(h) > 1 {
+		a := h.pop()
+		b := h.pop()
 		d := a.depth
 		if b.depth > d {
 			d = b.depth
@@ -365,7 +407,7 @@ func (e *encoder) huffmanLengths() int {
 		if b.sym < sym {
 			sym = b.sym
 		}
-		heap.Push(&h, alloc(hNode{
+		h.push(alloc(hNode{
 			freq:  a.freq + b.freq,
 			depth: d + 1,
 			sym:   sym,

@@ -61,6 +61,7 @@ type TreeNode struct {
 	Committed    int               `json:"committed"`
 	Dropped      int               `json:"dropped"`
 	Bound        float64           `json:"bound,omitempty"`
+	Down         *SpanDownlink     `json:"down,omitempty"`
 	Participants []TreeParticipant `json:"participants,omitempty"`
 }
 
@@ -208,6 +209,7 @@ func buildNode(s *SpanSummary) (*TreeNode, []PathSegment, int64) {
 		Committed:    sp.Committed,
 		Dropped:      sp.Dropped,
 		Bound:        sp.Bound,
+		Down:         sp.Down,
 	}
 
 	children := make(map[string]*SpanSummary, len(s.Children))

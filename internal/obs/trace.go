@@ -79,7 +79,35 @@ type RoundSpan struct {
 	// adaptive plan merged from client priors (adaptive runs only).
 	Plans map[string]string `json:"plans,omitempty"`
 
+	// Down is how the round's global model travelled to this tier's
+	// participants; nil when it went raw without the tier weighing the
+	// alternative (no link rate declared).
+	Down *SpanDownlink `json:"down,omitempty"`
+
 	Clients []SpanClient `json:"clients,omitempty"`
+}
+
+// SpanDownlink is one round's downlink decision: the terms of the
+// paper's Eqn. 1 (tC + tD + S'/B < S/B) as this tier saw them.
+type SpanDownlink struct {
+	// Mode is "frame" (this tier encoded the global through its codec),
+	// "relay" (it passed an upstream tier's frame on untouched) or "raw"
+	// (it encoded a frame and the gate turned it down).
+	Mode string `json:"mode"`
+	// RawBytes is S, the model's tensor bytes; WireBytes is S', the
+	// frame.
+	RawBytes  int64 `json:"raw_bytes"`
+	WireBytes int64 `json:"wire_bytes"`
+	// EncodeNs is the measured tC (0 on a relay: the encode was paid
+	// upstream, once).
+	EncodeNs int64 `json:"encode_ns,omitempty"`
+	// MarginNs is S/B − (tC + S'/B) on the tier's declared link rate B
+	// with the measured tC: what the frame saved each participant over
+	// the raw model, before the participant's own tD. The gate itself
+	// charges tC + tD as a constant so that it never reads a clock; a
+	// margin that turns negative while Mode is "frame" says the constant
+	// is too generous for this host. 0 on a relay.
+	MarginNs int64 `json:"margin_ns,omitempty"`
 }
 
 // RoundTrace is a fixed-capacity ring buffer of round spans.

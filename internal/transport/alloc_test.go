@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"net"
 	"runtime"
 	"sync"
@@ -50,6 +51,7 @@ func TestRoundAllocationBudget(t *testing.T) {
 		codec  fl.Codec
 		uplink string // what one received update allocates, in model sizes
 		edge   bool
+		bps    float64 // the coordinator's declared link rate; > 0 puts a FedSZ tier on the frame downlink
 		budget float64 // per round, in model sizes
 	}{
 		// Before PR 18: 7.35x flat, 12.6x through an edge.
@@ -62,6 +64,10 @@ func TestRoundAllocationBudget(t *testing.T) {
 		// per round again.
 		{name: "fedsz-flat", codec: fedsz, uplink: "1/ratio", budget: 3.0},
 		{name: "fedsz-edge", codec: fedsz, uplink: "1/ratio", edge: true, budget: 6.3},
+		// The frame downlink adds an encode on the coordinator and a decode
+		// on each leaf and must add no model: the tier's frame buffer is
+		// reused and the leaves decode into the dict they hold.
+		{name: "fedsz-flat-framed", codec: fedsz, uplink: "1/ratio", bps: 200e6, budget: 3.0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			// Half-width MobileNetV2 (5 MB): large enough that per-entry
@@ -78,9 +84,10 @@ func TestRoundAllocationBudget(t *testing.T) {
 				minClients = 1
 			}
 			srv, err := NewOrchestrated(OrchestratedConfig{
-				Codec:      tc.codec,
-				MinClients: minClients,
-				Rounds:     warmup + timed,
+				Codec:        tc.codec,
+				MinClients:   minClients,
+				Rounds:       warmup + timed,
+				BandwidthBps: tc.bps,
 				OnRound: func(round int, _ *model.StateDict, _ orchestrator.RoundStats) {
 					switch round + 1 {
 					case warmup:
@@ -214,5 +221,66 @@ func TestClientDecodesDownlinkInPlace(t *testing.T) {
 	}
 	if len(committed) != rounds+1 {
 		t.Fatalf("%d rounds committed, want %d", len(committed)-1, rounds)
+	}
+}
+
+// TestLeafDecodesFrameDownlinkInPlace: a leaf on the frame downlink
+// holds one model for the whole session. Every round's frame is decoded
+// into the tensors the first round's was, and what a steady-state
+// downlink allocates in total is less than the model's largest tensor —
+// so it made no allocation of that size: no tensor, no decoded copy.
+func TestLeafDecodesFrameDownlinkInPlace(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under the race detector")
+	}
+	const rounds = 3
+	// An 871 KB model: what a downlink allocates besides tensors (the
+	// metadata blob, the dict's index, ~0.3 MB at any width) stays well
+	// under its 640 KB classifier.
+	run := downlinkFed{codec: staticFedSZ(t), coordBps: 100e6, rounds: rounds, div: 8}.run(t)
+	// One leaf's recorded downlinks, minus the closing MsgShutdown, replayed
+	// over and over through the leaf's reader.
+	const laps = 8
+	rx := run.leaves[0].rx.Bytes()
+	stream := bytes.Repeat(rx[:len(rx)-1], laps)
+	cs := newConnStream(&memConn{r: bytes.NewReader(stream)})
+	codec := staticFedSZ(t)()
+
+	largest := 0
+	for _, e := range run.committed[0].Entries() {
+		largest = max(largest, e.SizeBytes())
+	}
+	var global *model.StateDict
+	var first []unsafe.Pointer
+	var before, after runtime.MemStats
+	for i := 0; i < laps*rounds; i++ {
+		if i == rounds { // the first lap warmed the pools
+			runtime.ReadMemStats(&before)
+		}
+		down, done, err := readDownlink(cs, codec, global, nil)
+		if err != nil || done {
+			t.Fatalf("replayed downlink %d: done %v, err %v", i, done, err)
+		}
+		global = down.global
+		for j := 0; j < global.Len(); j++ {
+			var p unsafe.Pointer
+			if e := global.At(j); e.DType == model.Float32 {
+				p = unsafe.Pointer(&e.Tensor.Data()[0])
+			} else {
+				p = unsafe.Pointer(&e.Ints[0])
+			}
+			if i == 0 {
+				first = append(first, p)
+			} else if p != first[j] {
+				t.Fatalf("downlink %d: entry %d of the global was reallocated", i, j)
+			}
+		}
+	}
+	runtime.ReadMemStats(&after)
+	assertSameDict(t, run.received[0][rounds-1], global)
+	perDownlink := int(after.TotalAlloc-before.TotalAlloc) / ((laps - 1) * rounds)
+	t.Logf("%d B allocated per frame downlink of a %d B model (largest tensor %d B)", perDownlink, run.committed[0].SizeBytes(), largest)
+	if perDownlink >= largest {
+		t.Fatalf("a frame downlink allocates %d B on the leaf, the largest tensor is %d B", perDownlink, largest)
 	}
 }

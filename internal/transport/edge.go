@@ -132,7 +132,9 @@ func (e *Edge) Serve(ln net.Listener) error {
 	for roundsRun := 0; ; roundsRun++ {
 		// No previous dict to decode into: the round that held it let it go
 		// after its broadcast, so the gather does not carry a second model.
-		down, done, err := readDownlink(up, nil)
+		// A frame's bytes are kept in the tier's own frame buffer — the
+		// round relays them, so the tier encodes nothing into it.
+		down, done, err := readDownlink(up, e.cfg.Codec, nil, &e.t.frame)
 		if done {
 			e.cfg.Logf("upstream shutdown after %d rounds", roundsRun)
 			return nil

@@ -682,7 +682,7 @@ func TestEdgeKeepsUpstreamRoundNumber(t *testing.T) {
 			t.Errorf("member join: %v", err)
 			return
 		}
-		d, done, err := readDownlink(cs, nil)
+		d, done, err := readDownlink(cs, fl.PlainCodec{}, nil, nil)
 		if err != nil || done {
 			t.Errorf("member: no broadcast (done %v, err %v)", done, err)
 			return

@@ -73,6 +73,8 @@ func (t MsgType) String() string {
 		return "plan_prior"
 	case MsgRoundTrace:
 		return "round_trace"
+	case MsgGlobalFrame:
+		return "global_frame"
 	default:
 		return "unknown"
 	}
@@ -81,13 +83,13 @@ func (t MsgType) String() string {
 // Frame counters are pre-resolved per (type, dir) at init so the
 // per-message cost is one atomic increment, no map lookups.
 var (
-	framesRx [MsgRoundTrace + 1]*obs.Counter
-	framesTx [MsgRoundTrace + 1]*obs.Counter
-	msgTxVec [MsgRoundTrace + 1]*obs.Counter
+	framesRx [msgTypes]*obs.Counter
+	framesTx [msgTypes]*obs.Counter
+	msgTxVec [msgTypes]*obs.Counter
 )
 
 func init() {
-	for t := MsgType(0); t <= MsgRoundTrace; t++ {
+	for t := MsgType(0); t < msgTypes; t++ {
 		name := t.String()
 		framesRx[t] = obsFrames.With(name, "rx")
 		framesTx[t] = obsFrames.With(name, "tx")

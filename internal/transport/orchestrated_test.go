@@ -21,7 +21,9 @@ import (
 // the round engine — members joined directly to the coordinator, and
 // members behind an edge that forwards to it — and asserts the same
 // thing at either tier: the faulty member is withdrawn with the same
-// reason, and nothing of it reaches the committed global.
+// reason, and nothing of it reaches the committed global. One fault
+// strikes on the way down, with the frame downlink on: the member hangs
+// up in the middle of the global's frame.
 //
 // The survivors send different updates with different weights and the
 // faulty member's update is heavily weighted poison, so the committed
@@ -75,9 +77,11 @@ func TestRoundFaults(t *testing.T) {
 	scenarios := []struct {
 		name     string
 		deadline time.Duration
+		bps      float64 // every tier's declared link rate; > 0 turns the frame downlink on
 		reason   orchestrator.DropReason
 		// fault is the faulty member's reply to round 0's broadcast;
-		// release closes when the federation is over.
+		// release closes when the federation is over. A nil fault strikes
+		// earlier: the member reads the head of the broadcast and hangs up.
 		fault func(cs *connStream, release <-chan struct{})
 	}{
 		{
@@ -122,6 +126,15 @@ func TestRoundFaults(t *testing.T) {
 			reason:   orchestrator.DropDeadline,
 			fault:    func(_ *connStream, release <-chan struct{}) { <-release },
 		},
+		{
+			// The global travels as a frame (relayed by the edge); the member
+			// takes the trace message and the first few hundred bytes of it
+			// and drops the connection. Whether the tier notices on its
+			// write or on the read that follows, it is a disconnect.
+			name:   "dies mid-frame on the downlink",
+			bps:    100e6,
+			reason: orchestrator.DropDisconnect,
+		},
 	}
 	for _, sc := range scenarios {
 		for _, tier := range []string{"coordinator", "edge"} {
@@ -135,6 +148,7 @@ func TestRoundFaults(t *testing.T) {
 					MinClients:    3,
 					Rounds:        rounds,
 					RoundDeadline: sc.deadline,
+					BandwidthBps:  sc.bps,
 					OnRound: func(_ int, global *model.StateDict, st orchestrator.RoundStats) {
 						stats = append(stats, st)
 						globals = append(globals, global)
@@ -153,6 +167,7 @@ func TestRoundFaults(t *testing.T) {
 						Codec:         codec,
 						MinClients:    3,
 						RoundDeadline: sc.deadline,
+						BandwidthBps:  sc.bps,
 						Checksum:      true,
 					})
 					if err != nil {
@@ -206,7 +221,13 @@ func TestRoundFaults(t *testing.T) {
 						t.Errorf("faulty member join: %v", err)
 						return
 					}
-					if _, done, err := readDownlink(cs, nil); err != nil || done {
+					if sc.fault == nil {
+						if _, err := io.ReadFull(conn, make([]byte, 600)); err != nil {
+							t.Errorf("faulty member: head of round 0's broadcast: %v", err)
+						}
+						return // the deferred Close hangs up mid-frame
+					}
+					if _, done, err := readDownlink(cs, codec, nil, nil); err != nil || done {
 						t.Errorf("faulty member: no round 0 broadcast (done %v, err %v)", done, err)
 						return
 					}
@@ -268,6 +289,14 @@ func TestRoundFaults(t *testing.T) {
 				}
 				if sp := spans[1]; sp.Sampled != 2 || sp.Committed != 2 {
 					t.Fatalf("survivor round span %+v, want only the 2 survivors", sp)
+				}
+				if sc.bps > 0 {
+					mode := map[string]string{"coordinator": "frame", "edge": "relay"}[tier]
+					for r, sp := range spans {
+						if sp.Down == nil || sp.Down.Mode != mode {
+							t.Errorf("round %d: the members' tier sent the global as %+v, want mode %q", r, sp.Down, mode)
+						}
+					}
 				}
 			})
 		}

@@ -139,6 +139,80 @@ func TestResilientClientReconnects(t *testing.T) {
 	}
 }
 
+// TestResilientClientResyncsAfterCutFrame: the coordinator's second
+// frame downlink is cut in the middle of a tensor, which leaves the dict
+// the session held partly overwritten. That session ends with the error;
+// the resilient client rejoins with no dict, is sent a whole frame, and
+// trains on exactly the model that frame encodes.
+func TestResilientClientResyncsAfterCutFrame(t *testing.T) {
+	codec, err := fl.NewFedSZCodec(core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	globals := []*model.StateDict{nn.MobileNetV2Mini(48, 4, 7).StateDict(), nn.MobileNetV2Mini(48, 4, 8).StateDict()}
+	frames := make([][]byte, len(globals))
+	decoded := make([]*model.StateDict, len(globals))
+	for i, g := range globals {
+		if frames[i], _, err = codec.Encode(g); err != nil {
+			t.Fatal(err)
+		}
+		if decoded[i], err = codec.Decode(frames[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sendFrame := func(cs *connStream, frame []byte) {
+		if err := (&downlink{frame: frame}).writeTo(cs); err != nil {
+			t.Errorf("send frame: %v", err)
+		}
+	}
+	ln := newPipeListener(4)
+	defer ln.Close()
+	var wg sync.WaitGroup
+	scriptedCoordinator(t, ln, &wg,
+		// Session 1: a whole frame, its update, then half of the next frame.
+		func(cs *connStream) {
+			if !expectJoin(t, cs) {
+				return
+			}
+			sendFrame(cs, frames[0])
+			if err := readUpdate(cs, codec); err != nil {
+				t.Errorf("session 1 update: %v", err)
+			}
+			sendFrame(cs, frames[1][:len(frames[1])/2])
+		},
+		// Session 2 (the rejoin): the whole frame, then clean shutdown.
+		func(cs *connStream) {
+			if !expectJoin(t, cs) {
+				return
+			}
+			sendFrame(cs, frames[1])
+			if err := readUpdate(cs, codec); err != nil {
+				t.Errorf("session 2 update: %v", err)
+			}
+			_ = cs.writeMsg(MsgShutdown, nil)
+		})
+
+	var trained []int
+	err = RunResilientClient(ClientConfig{
+		Dial:  func() (net.Conn, error) { return ln.Dial(), nil },
+		Codec: codec,
+		Train: func(round int, g *model.StateDict) (*model.StateDict, int, error) {
+			assertSameDict(t, decoded[round], g)
+			trained = append(trained, round)
+			return g, 10, nil
+		},
+		MaxRetries: 3,
+		Sleep:      func(time.Duration) {},
+	})
+	if err != nil {
+		t.Fatalf("resilient client: %v", err)
+	}
+	wg.Wait()
+	if len(trained) != 2 || trained[0] != 0 || trained[1] != 1 {
+		t.Fatalf("trained rounds %v, want [0 1] across the cut frame", trained)
+	}
+}
+
 // TestResilientClientGivesUp exhausts the retry budget against a dead
 // coordinator and checks the backoff schedule: exponential growth,
 // capped, jittered into [d/2, d).

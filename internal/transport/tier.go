@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -86,6 +87,15 @@ type tier struct {
 	bps      float64       // per-connection rate limit (0 = unlimited)
 	deadline time.Duration // straggler cut per round (0 = wait)
 	logf     func(format string, args ...interface{})
+
+	// The downlink gate's state, touched only by the goroutine that runs
+	// the rounds: the frame this round's participants are sent (storage
+	// reused round after round), whether the gate has turned a frame down
+	// (the tier then sends raw for its lifetime), and whether its first
+	// decision has been logged.
+	frame      bytes.Buffer
+	downRaw    bool
+	downLogged bool
 
 	stop     chan struct{} // closed by shutdown
 	stopOnce sync.Once
@@ -326,6 +336,7 @@ func (t *tier) runRound(sk sink) error {
 	// model is held for the broadcast only: at an edge nothing else keeps
 	// it live through the gather.
 	span := obs.RoundSpan{Round: down.round, TraceID: down.traceID, Start: start, Bound: down.bound}
+	span.Down = t.frameDownlink(&down)
 
 	// Broadcast to every participant concurrently — each connection's
 	// rate limit is independent, so round-start time stays one transfer,
@@ -389,6 +400,86 @@ func (t *tier) runRound(sk sink) error {
 	}
 	wg.Wait()
 	return sk.finish(st.close(span))
+}
+
+// downlinkCodecRate is R, the rate the downlink gate charges the codec
+// at: tC + tD of Eqn. 1 are taken as S/R, in bytes per second. 50 MB/s
+// is half the combined rate of sz2 at 150 MB/s compress and 330 MB/s
+// decompress (the benchmark's layers rows on its two-core reference
+// host), which puts the crossover near 350 Mbps for a 7-10x frame —
+// under the paper's 500 Mbps. A constant, not a stopwatch: the bytes a
+// tier sends must not depend on how busy the host was. The round span's
+// Down carries the measured tC next to S and S', which is what to
+// re-derive R from.
+const downlinkCodecRate = 50e6
+
+// frameDownlink decides how this round's model travels to the tier's
+// participants and, when a frame wins, leaves it in down.frame. It is
+// the paper's Eqn. 1 turned on the downlink: send the codec's frame iff
+//
+//	S/R + 8·S'/B < 8·S/B
+//
+// for the tier's declared per-connection rate B (bps), S and S' as the
+// codec reports them and R = downlinkCodecRate. The global is encoded
+// once per round into storage the tier reuses and the same bytes go to
+// every participant. Nothing is encoded when no rate is declared, when
+// an upstream tier's frame is being relayed, or once a frame has failed
+// the test: the tier then sends raw for its lifetime, so a codec whose
+// frames cannot carry a model (UpdateStats.WholeImage unset) or do not
+// pay costs one wasted encode.
+//
+// The tier that encodes keeps the exact model: OnRound, checkpoints and
+// Coordinator.Global never see the decoded image, and the aggregate is
+// of what the leaves sent. Only a reference-aware codec would need the
+// image on this side, and its frames never pass the WholeImage test.
+func (t *tier) frameDownlink(down *downlink) *obs.SpanDownlink {
+	// The decision is logged when it is first made and when it changes.
+	first := !t.downLogged
+	t.downLogged = true
+	if down.frame != nil {
+		sd := &obs.SpanDownlink{Mode: "relay", RawBytes: down.global.SizeBytes(), WireBytes: int64(len(down.frame))}
+		if first {
+			t.logf("downlink: relaying the upstream tier's frame (%d bytes for a %d-byte model)", sd.WireBytes, sd.RawBytes)
+		}
+		return sd
+	}
+	if t.bps <= 0 || t.downRaw {
+		if first {
+			t.logf("downlink: raw model (no link rate declared, Eqn. 1 not evaluated)")
+		}
+		return nil
+	}
+	t.frame.Reset()
+	start := time.Now()
+	st, err := t.codec.EncodeTo(&t.frame, down.global)
+	tC := time.Since(start)
+	if err != nil {
+		t.downRaw = true
+		t.logf("downlink: raw model from here on: encoding the global failed: %v", err)
+		return nil
+	}
+	s, sPrime := float64(st.OriginalBytes), float64(st.CompressedBytes)
+	sd := &obs.SpanDownlink{
+		Mode:      "frame",
+		RawBytes:  st.OriginalBytes,
+		WireBytes: st.CompressedBytes,
+		EncodeNs:  tC.Nanoseconds(),
+		MarginNs:  int64(8*(s-sPrime)/t.bps*1e9) - tC.Nanoseconds(),
+	}
+	if st.WholeImage && s/downlinkCodecRate+8*sPrime/t.bps < 8*s/t.bps {
+		down.frame = t.frame.Bytes()
+		if first {
+			t.logf("downlink: %s frame at %.0f Mbps: S=%d S'=%d (%.1fx) tC=%v, Eqn. 1 holds with R=%.0f MB/s",
+				t.codec.Name(), t.bps/1e6, st.OriginalBytes, st.CompressedBytes, s/sPrime, tC, downlinkCodecRate/1e6)
+		}
+		return sd
+	}
+	t.downRaw = true
+	t.frame = bytes.Buffer{} // never needed again
+	sd.Mode = "raw"
+	t.logf("downlink: raw model from here on at %.0f Mbps: a %s frame (S=%d S'=%d, whole image %v) fails Eqn. 1 with R=%.0f MB/s",
+		t.bps/1e6, t.codec.Name(), st.OriginalBytes, st.CompressedBytes, st.WholeImage, downlinkCodecRate/1e6)
+	return sd
 }
 
 // collect reads one participant's round reply and folds it into the

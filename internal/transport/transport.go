@@ -28,6 +28,7 @@ package transport
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -55,6 +56,9 @@ const (
 	MsgPartialSum                     // edge → server: one region's folded partial sum (hier wire format)
 	MsgPlanPrior                      // server → client/edge: merged population plan prior (uvarint len + blob)
 	MsgRoundTrace                     // server → client/edge: round trace context (uvarint len + trace ID, uvarint round)
+	MsgGlobalFrame                    // server → client/edge: the global state as one frame of the tier's codec (the error-bounded downlink)
+
+	msgTypes // one past the last message type
 )
 
 // connStream bundles the buffered halves of one connection. The
@@ -167,26 +171,33 @@ func readRoundTrace(r *bufio.Reader) (traceID string, round int, err error) {
 		return "", 0, fmt.Errorf("transport: read trace id: %w", err)
 	}
 	rd, err := binary.ReadUvarint(r)
-	if err != nil {
+	if err != nil || rd > math.MaxInt32 {
 		return "", 0, fmt.Errorf("%w: trace round", ErrProtocol)
 	}
 	return string(id), int(rd), nil
 }
 
-// readPrior reads a writePrior blob (nil when empty).
+// maxPriorSize caps a plan-prior blob. A merged prior is a few tens of
+// bytes per tensor, so 1 MiB is generous for any model; the cap is what
+// a forged length can make a peer allocate.
+const maxPriorSize = 1 << 20
+
+// readPrior reads a writePrior blob (nil when empty). The blob is
+// allocated in stages as its bytes arrive (core.WireReader.Bytes), so a
+// forged length on a short stream costs one 64 KiB stage at most.
 func readPrior(r *bufio.Reader) ([]byte, error) {
 	n, err := binary.ReadUvarint(r)
 	if err != nil {
 		return nil, fmt.Errorf("%w: prior length", ErrProtocol)
 	}
-	if n > MaxFrameSize {
+	if n > maxPriorSize {
 		return nil, fmt.Errorf("%w: prior size %d", ErrProtocol, n)
 	}
 	if n == 0 {
 		return nil, nil
 	}
-	blob := make([]byte, n)
-	if _, err := io.ReadFull(r, blob); err != nil {
+	blob, err := core.NewWireReader(r).Bytes(int(n))
+	if err != nil {
 		return nil, fmt.Errorf("transport: read prior: %w", err)
 	}
 	return blob, nil
@@ -196,14 +207,22 @@ func readPrior(r *bufio.Reader) ([]byte, error) {
 var ErrProtocol = errors.New("transport: protocol error")
 
 // downlink is one round's inputs as they travel down the tree, in wire
-// order: MsgRoundTrace → MsgPlanPrior → MsgRoundBound → MsgGlobalModel.
-// Only the model is mandatory; it closes the sequence.
+// order: MsgRoundTrace → MsgPlanPrior → MsgRoundBound → the model, as
+// MsgGlobalModel (raw) or MsgGlobalFrame (one frame of the tier's
+// codec). Only the model is mandatory; it closes the sequence.
 type downlink struct {
 	traceID string  // round trace context ("" from a pre-tracing upstream)
 	round   int     // the coordinator's round number, carried by the trace
 	prior   []byte  // merged population plan prior (nil = none yet)
 	bound   float64 // round-level error bound (0 = no schedule)
 	global  *model.StateDict
+	// frame, when non-nil, is the model as it travels this round: the
+	// tier's Eqn. 1 gate encoded global once (tier.frameDownlink), or an
+	// edge received these bytes and relays them untouched, so every leaf
+	// under every region decodes the same bits. It aliases a buffer the
+	// tier reuses next round. Below the tier that encoded it, global is
+	// the frame's decoded image, not the exact model.
+	frame []byte
 }
 
 // writeTo sends the round's inputs on cs, one message per present
@@ -239,6 +258,12 @@ func (d *downlink) writeTo(cs *connStream) error {
 			return err
 		}
 	}
+	if d.frame != nil {
+		return cs.writeMsg(MsgGlobalFrame, func(w io.Writer) error {
+			_, err := w.Write(d.frame)
+			return err
+		})
+	}
 	return cs.writeMsg(MsgGlobalModel, func(w io.Writer) error {
 		return core.MarshalStateDictTo(w, d.global)
 	})
@@ -249,8 +274,12 @@ func (d *downlink) writeTo(cs *connStream) error {
 // Leaf clients and edges both sit behind it. prev, when non-nil, is a
 // model the caller is done with (a leaf's previous global): the new one
 // is decoded into its storage wherever the shapes still agree, and prev
-// must not be read again.
-func readDownlink(cs *connStream, prev *model.StateDict) (d downlink, done bool, err error) {
+// must not be read again. A MsgGlobalFrame is decoded through codec —
+// the tier's, which is the caller's too — and, when relay is non-nil,
+// its bytes are also kept there (replacing what relay held) and returned
+// as d.frame for an edge to pass on. A model cut short leaves prev
+// partly overwritten either way; the session ends with the error.
+func readDownlink(cs *connStream, codec fl.Codec, prev *model.StateDict, relay *bytes.Buffer) (d downlink, done bool, err error) {
 	for {
 		var t MsgType
 		if t, err = cs.readMsgType(); err != nil {
@@ -279,10 +308,41 @@ func readDownlink(cs *connStream, prev *model.StateDict) (d downlink, done bool,
 		case MsgGlobalModel:
 			d.global, err = core.UnmarshalStateDictInto(cs.r, prev)
 			return d, false, err
+		case MsgGlobalFrame:
+			if relay == nil {
+				d.global, err = fl.DecodeInto(codec, cs.r, prev)
+				return d, false, err
+			}
+			relay.Reset()
+			d.global, err = fl.DecodeInto(codec, &teeReader{r: cs.r, to: relay}, prev)
+			d.frame = relay.Bytes()
+			return d, false, err
 		default:
 			return d, false, fmt.Errorf("%w: unexpected message %v", ErrProtocol, t)
 		}
 	}
+}
+
+// teeReader copies what a frame decoder reads into to. It forwards
+// ReadByte as well as Read: handed a plain io.Reader the decoder would
+// buffer it, read ahead, and take bytes of the next message with it.
+type teeReader struct {
+	r  *bufio.Reader
+	to *bytes.Buffer
+}
+
+func (t *teeReader) Read(p []byte) (int, error) {
+	n, err := t.r.Read(p)
+	t.to.Write(p[:n])
+	return n, err
+}
+
+func (t *teeReader) ReadByte() (byte, error) {
+	b, err := t.r.ReadByte()
+	if err == nil {
+		t.to.WriteByte(b)
+	}
+	return b, err
 }
 
 // TrainFunc produces a client's update for one round: given the global
@@ -335,7 +395,7 @@ func runClientSession(cs *connStream, codec fl.Codec, train TrainFunc, baseRound
 	for round := 0; ; round++ {
 		// Leaf clients have no spans of their own, so the trace context
 		// is drained and dropped here.
-		down, done, err := readDownlink(cs, global)
+		down, done, err := readDownlink(cs, codec, global, nil)
 		if done || err != nil {
 			return round, err
 		}
