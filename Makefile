@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-cores benchmark-module race bench fmt vet fuzz parallel-bench scale-bench hier-bench adapt-bench families-bench chaos-bench obs-bench obs-smoke trace-smoke loc
+.PHONY: all build test test-cores benchmark-module race race-cores bench fmt vet fuzz parallel-bench scale-bench hier-bench adapt-bench families-bench chaos-bench obs-bench obs-smoke trace-smoke loc
 
 all: build test
 
@@ -26,6 +26,12 @@ benchmark-module:
 
 race:
 	$(GO) test -race ./...
+
+# The packages whose buffer lifetimes the round engine owns (landings,
+# reused sums, partial views), raced on one core where goroutine
+# interleavings differ most from a developer's machine.
+race-cores:
+	GOMAXPROCS=1 $(GO) test -race -count=3 ./internal/transport ./internal/orchestrator ./internal/hier
 
 # One iteration of every benchmark — the CI smoke; drop -benchtime for
 # real measurements. -run=^$$ keeps the unit tests out of this target.

@@ -105,13 +105,38 @@ func UnmarshalStateDictFrom(r io.Reader) (*model.StateDict, error) {
 // UnmarshalStateDictFrom would and leaves dst's entry untouched, so a
 // nil, shorter, longer or differently shaped dst only costs allocation.
 // The decoded values are those UnmarshalStateDictFrom yields for the
-// same bytes. On error dst's matching entries hold an unspecified mix
-// of old and new values; after success dst must no longer be read as
-// the old model — the returned dict has taken its storage over.
+// same bytes, and when every entry landed in dst and the counts agree
+// the returned dict is dst itself. On error dst's matching entries hold
+// an unspecified mix of old and new values; after success dst must no
+// longer be read as the old model — the returned dict has taken its
+// storage over.
 func UnmarshalStateDictInto(r io.Reader, dst *model.StateDict) (*model.StateDict, error) {
-	sd := model.NewStateDict()
-	err := unmarshalStateDictEntries(r, dst, nil, func(e model.Entry) error {
-		if err := sd.Add(e); err != nil {
+	return UnmarshalStateDictEntriesInto(r, dst, func(model.Entry) error { return nil })
+}
+
+// UnmarshalStateDictEntriesInto is the streaming decode of
+// UnmarshalStateDictEntriesFrom landing in dst as UnmarshalStateDictInto
+// does: each entry is emitted as soon as its payload is read, from dst's
+// storage when it matches, and the dict returned holds every entry
+// emitted — dst itself when all of them landed in it — for the caller to
+// land its next stream in. Unlike UnmarshalStateDictEntriesFrom it
+// rejects a duplicate name as corrupt, after emit has seen the entry.
+func UnmarshalStateDictEntriesInto(r io.Reader, dst *model.StateDict, emit func(e model.Entry) error) (*model.StateDict, error) {
+	// held is dst while every entry so far landed in it at its own
+	// position, and a dict of its own from the first one that did not.
+	held, n := dst, 0
+	err := unmarshalStateDictEntries(r, dst, nil, func(e model.Entry, landed bool) error {
+		if err := emit(e); err != nil {
+			return err
+		}
+		if held == dst && !landed {
+			held = prefix(dst, n)
+		}
+		n++
+		if held == dst {
+			return nil
+		}
+		if err := held.Add(e); err != nil {
 			return fmt.Errorf("%w: %v", ErrCorrupt, err)
 		}
 		return nil
@@ -119,7 +144,19 @@ func UnmarshalStateDictInto(r io.Reader, dst *model.StateDict) (*model.StateDict
 	if err != nil {
 		return nil, err
 	}
-	return sd, nil
+	if held == dst && (dst == nil || n < dst.Len()) {
+		held = prefix(dst, n)
+	}
+	return held, nil
+}
+
+// prefix returns a new dict of dst's first n entries.
+func prefix(dst *model.StateDict, n int) *model.StateDict {
+	sd := model.NewStateDict()
+	for i := 0; i < n; i++ {
+		_ = sd.Add(dst.At(i)) // a dict's own entries are valid and distinct
+	}
+	return sd
 }
 
 // UnmarshalStateDictEntriesFrom decodes one streamed state dict from r
@@ -131,7 +168,7 @@ func UnmarshalStateDictInto(r io.Reader, dst *model.StateDict) (*model.StateDict
 // limits and the io.EOF-on-empty-stream contract match
 // UnmarshalStateDictFrom.
 func UnmarshalStateDictEntriesFrom(r io.Reader, emit func(e model.Entry) error) error {
-	return unmarshalStateDictEntries(r, nil, nil, emit)
+	return unmarshalStateDictEntries(r, nil, nil, func(e model.Entry, _ bool) error { return emit(e) })
 }
 
 // reusable reports whether a stream entry with this header can be
@@ -149,11 +186,12 @@ func reusable(e model.Entry, name string, dtype model.DType, shape []int) bool {
 // unmarshalStateDictEntries is the one FSD1 stream decoder. With a
 // non-nil dst, a stream entry whose header matches dst's entry at the
 // same position is decoded into that entry's storage and emitted as
-// dst's own entry; every other entry is freshly allocated. A non-nil at
-// says where in dst "the same position" is: stream entry i lines up
-// with dst's entry at[i] (a frame's metadata section holds a subset of
-// the dict's entries), and with none past at's end.
-func unmarshalStateDictEntries(r io.Reader, dst *model.StateDict, at []int, emit func(e model.Entry) error) error {
+// dst's own entry, with landed set; every other entry is freshly
+// allocated. A non-nil at says where in dst "the same position" is:
+// stream entry i lines up with dst's entry at[i] (a frame's metadata
+// section holds a subset of the dict's entries), and with none past
+// at's end.
+func unmarshalStateDictEntries(r io.Reader, dst *model.StateDict, at []int, emit func(e model.Entry, landed bool) error) error {
 	src := newStreamSource(r)
 	defer src.Release()
 	magic, err := src.payload(uint64(len(serializeMagic)))
@@ -240,7 +278,7 @@ func unmarshalStateDictEntries(r io.Reader, dst *model.StateDict, at []int, emit
 				}
 				e = model.Entry{Name: name, DType: model.Float32, Tensor: t}
 			}
-			if err := emit(e); err != nil {
+			if err := emit(e, inPlace); err != nil {
 				return err
 			}
 		case model.Int64:
@@ -256,7 +294,7 @@ func unmarshalStateDictEntries(r io.Reader, dst *model.StateDict, at []int, emit
 			if err != nil {
 				return fmt.Errorf("%w: entry %q payload: %w", ErrCorrupt, name, err)
 			}
-			if err := emit(e); err != nil {
+			if err := emit(e, inPlace); err != nil {
 				return err
 			}
 		default:

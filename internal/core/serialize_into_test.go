@@ -70,8 +70,8 @@ func TestUnmarshalIntoAliasesMatchingDict(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if got.Len() != dst.Len() {
-			t.Fatalf("%s: %d entries, want %d", name, got.Len(), dst.Len())
+		if got != dst {
+			t.Fatalf("%s: every entry landed in dst, but a new dict was returned", name)
 		}
 		for i := 0; i < got.Len(); i++ {
 			if g, d := got.At(i), dst.At(i); storage(g) != storage(d) || g.Tensor != d.Tensor {
@@ -146,6 +146,9 @@ func TestUnmarshalIntoMismatchAllocatesFresh(t *testing.T) {
 			got, err := UnmarshalStateDictInto(bytes.NewReader(wire), dst)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if got == dst {
+				t.Fatal("dst was returned as the decoded dict though it does not match the stream")
 			}
 			assertDictsEqual(t, src, got, 0)
 			for i := 0; i < dst.Len(); i++ {

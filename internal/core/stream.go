@@ -918,7 +918,7 @@ func decodeFrame(src frameSource, parallelism int, emit func(model.Entry) error,
 		}
 		if dst != nil {
 			meta = make([]model.Entry, 0, len(metaAt))
-			return unmarshalStateDictEntries(bytes.NewReader(blob), dst, metaAt, func(e model.Entry) error {
+			return unmarshalStateDictEntries(bytes.NewReader(blob), dst, metaAt, func(e model.Entry, _ bool) error {
 				meta = append(meta, e)
 				return nil
 			})

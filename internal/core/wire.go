@@ -400,6 +400,12 @@ func (wr *WireReader) Float64sBE(n int) ([]float64, error) {
 	return readChunked(wr, n, 8, getFloat64sBE)
 }
 
+// Float64sBEInto fills dst with len(dst) big-endian float64s, like
+// Float32sLEInto.
+func (wr *WireReader) Float64sBEInto(dst []float64) error {
+	return fillChunked(wr, dst, 8, getFloat64sBE)
+}
+
 // Int64sLE reads n little-endian int64s.
 func (wr *WireReader) Int64sLE(n int) ([]int64, error) {
 	return readChunked(wr, n, 8, getInt64sLE)

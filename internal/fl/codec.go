@@ -122,6 +122,30 @@ func DecodeInto(c Codec, r io.Reader, dst *model.StateDict) (*model.StateDict, e
 	return c.DecodeFrom(r)
 }
 
+// InPlaceEntryStreamer is implemented by codecs whose streamed entries
+// can land in a dict the receiver holds, under DecodeEntriesInto's
+// contract.
+type InPlaceEntryStreamer interface {
+	DecodeEntriesInto(r io.Reader, dst *model.StateDict, emit func(model.Entry) error) (*model.StateDict, error)
+}
+
+// DecodeEntriesInto is DecodeEntries for a receiver that holds a dict to
+// land updates in. A codec implementing InPlaceEntryStreamer decodes each
+// entry into dst's storage where name, dtype and shape match (allocating
+// it otherwise), emits it from there as an owned entry, and returns the
+// dict now holding the update: the dst to pass next time. The receiver
+// owns that storage and must not decode into it again while anything it
+// emitted is still referenced — an open Contributor keeps its folded
+// tensors until the contribution settles. Every other codec decodes as
+// DecodeEntries does, from the same bytes, and returns a nil dict: it
+// has none to offer (FedSZ lends its own scratch).
+func DecodeEntriesInto(c Codec, r io.Reader, dst *model.StateDict, emit func(model.Entry) error) (*model.StateDict, error) {
+	if es, ok := c.(InPlaceEntryStreamer); ok {
+		return es.DecodeEntriesInto(r, dst, emit)
+	}
+	return nil, DecodeEntries(c, r, emit)
+}
+
 // DecodeEntries decodes one update from r through c, delivering
 // entries to emit. Codecs implementing EntryStreamer stream them as
 // sections decode; any other codec falls back to DecodeFrom and
@@ -256,6 +280,12 @@ func (PlainCodec) DecodeFrom(r io.Reader) (*model.StateDict, error) {
 // soon as its payload is read off the stream.
 func (PlainCodec) DecodeEntriesFrom(r io.Reader, emit func(model.Entry) error) error {
 	return core.UnmarshalStateDictEntriesFrom(r, emit)
+}
+
+// DecodeEntriesInto implements InPlaceEntryStreamer: each entry is read
+// into dst's storage when it matches and emitted from there.
+func (PlainCodec) DecodeEntriesInto(r io.Reader, dst *model.StateDict, emit func(model.Entry) error) (*model.StateDict, error) {
+	return core.UnmarshalStateDictEntriesInto(r, dst, emit)
 }
 
 // countingWriter counts bytes on their way to w.

@@ -2,7 +2,9 @@ package fl
 
 import (
 	"bytes"
+	"fmt"
 	"io"
+	"sync"
 	"testing"
 
 	"fedsz/internal/adapt"
@@ -114,6 +116,62 @@ func TestDecodeIntoFallsBackBehindAWrapper(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestDecodeEntriesIntoLandsPlainOnly: DecodeEntriesInto streams a plain
+// update into the dict the receiver holds and hands that dict back, while
+// FedSZ and any codec behind a wrapper stream from the same bytes as
+// DecodeEntries does and offer no dict. The entries emitted carry the
+// same values every way.
+func TestDecodeEntriesIntoLandsPlainOnly(t *testing.T) {
+	sd := model.BuildStateDict(model.MobileNetV2(32), 1)
+	fedsz, err := NewFedSZCodec(core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, c := range map[string]Codec{"plain": PlainCodec{}, "plain wrapped": hidden{PlainCodec{}}, "fedsz": fedsz} {
+		frame, _, err := c.Encode(sd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// FedSZ emits from concurrent decode workers.
+		var mu sync.Mutex
+		want := map[string][]float32{}
+		err = DecodeEntries(c, bytes.NewReader(frame), func(e model.Entry) error {
+			if e.DType == model.Float32 {
+				mu.Lock()
+				want[e.Name] = append([]float32(nil), e.Tensor.Data()...)
+				mu.Unlock()
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		dst := model.BuildStateDict(model.MobileNetV2(32), 2)
+		landed := true
+		held, err := DecodeEntriesInto(c, bytes.NewReader(frame), dst, func(e model.Entry) error {
+			if e.DType != model.Float32 {
+				return nil
+			}
+			d, _ := dst.Get(e.Name)
+			mu.Lock()
+			defer mu.Unlock()
+			landed = landed && e.Tensor == d.Tensor && e.Redo == nil
+			for j, v := range want[e.Name] {
+				if e.Tensor.Data()[j] != v {
+					return fmt.Errorf("%q[%d] = %v, want %v", e.Name, j, e.Tensor.Data()[j], v)
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if lands := name == "plain"; landed != lands || (held == dst) != lands || (held == nil) == lands {
+			t.Errorf("%s: entries landed in dst %v, dict handed back %p (dst %p)", name, landed, held, dst)
 		}
 	}
 }

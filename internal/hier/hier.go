@@ -45,8 +45,9 @@
 // each sum is converted once, the CRC32C is folded in per chunk, and
 // the first entries are on the wire while later ones convert. The
 // decoder reads the body in chunks straight into each entry's storage
-// (core.WireReader), allocating what a declared length asks for only in
-// stages as the bytes actually arrive. The trailer is verified when
+// (core.WireReader) — the receiver's own, when it hands in a partial of
+// the same layout (DecodePartialInto) — allocating what a declared
+// length asks for only in stages as the bytes actually arrive. The trailer is verified when
 // the declared body is exhausted and BEFORE the partial is returned,
 // so nothing of a corrupt region frame is ever handed to an aggregator:
 // it quarantines via the typed drop path without touching the sums.
@@ -64,6 +65,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"fedsz/internal/core"
 	"fedsz/internal/lossless"
@@ -80,6 +82,9 @@ const (
 	// bytes and the unpacked output of a packed frame — to fail fast on
 	// corruption.
 	MaxPartialSize = 1 << 30
+
+	// maxRank caps a Float32 entry's declared rank.
+	maxRank = 16
 )
 
 // maxPartialSize is MaxPartialSize as a variable so tests can lower
@@ -258,7 +263,24 @@ func EncodePartialTo(w io.Writer, p *orchestrator.Partial, opts WireOptions) err
 // it reaches an aggregator. Every allocation a declared length drives
 // is staged against the bytes actually received.
 func DecodePartialFrom(r Reader) (*orchestrator.Partial, error) {
-	p, err := decodePartialFrom(r)
+	return DecodePartialInto(r, nil)
+}
+
+// DecodePartialInto is DecodePartialFrom for a receiver that holds a
+// partial of the expected shape — the one it decoded last round. Entry
+// i's sums land in dst.Entries[i].Sums when the two agree on name, dtype
+// and shape: they convert straight into that storage, with no staged
+// growth, and the returned entry aliases it. Any other entry is
+// allocated exactly as DecodePartialFrom would and leaves dst's entry
+// untouched, so a nil, shorter, longer or differently shaped dst only
+// costs allocation. The returned partial, its Entries slice, its Prior
+// and its Span are always new: what outlives the sums never aliases dst.
+// The decoded values are those DecodePartialFrom yields for the same
+// bytes, and it fails exactly when DecodePartialFrom does; on error, or
+// on a frame the checksum rejects, dst's matching sums hold an
+// unspecified mix of old and new values.
+func DecodePartialInto(r Reader, dst *orchestrator.Partial) (*orchestrator.Partial, error) {
+	p, err := decodePartial(r, dst)
 	if err != nil {
 		if errors.Is(err, ErrCorruptPartial) {
 			obsPartialCorrupt.Inc()
@@ -270,7 +292,7 @@ func DecodePartialFrom(r Reader) (*orchestrator.Partial, error) {
 	return p, nil
 }
 
-func decodePartialFrom(r Reader) (*orchestrator.Partial, error) {
+func decodePartial(r Reader, dst *orchestrator.Partial) (*orchestrator.Partial, error) {
 	flags, err := r.ReadByte()
 	if err != nil {
 		return nil, fmt.Errorf("hier: read partial flags: %w", err)
@@ -309,7 +331,7 @@ func decodePartialFrom(r Reader) (*orchestrator.Partial, error) {
 	var p *orchestrator.Partial
 	var wire []byte
 	if llName == "" {
-		if p, err = parseBody(wr, body); err == nil {
+		if p, err = parseBody(wr, body, dst); err == nil {
 			// Bytes past the last field this version knows belong to a
 			// newer encoder's tail; they are summed, never parsed.
 			err = wr.Discard(body.n)
@@ -344,19 +366,17 @@ func decodePartialFrom(r Reader) (*orchestrator.Partial, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: codec %q", ErrCorruptPartial, llName)
 	}
-	unpacked, err := c.Decompress(wire)
+	// The size cap applies to the logical body too, and is enforced while
+	// unpacking: a packed frame whose output would blow past it is a bomb,
+	// not a partial, and is rejected before that output is built.
+	unpacked, err := lossless.DecompressMax(c, wire, int(maxPartialSize))
 	if err != nil {
 		return nil, fmt.Errorf("%w: unpack: %v", ErrCorruptPartial, err)
-	}
-	// The size cap applies to the logical body: a packed frame whose
-	// self-described output blows past it is a bomb, not a partial.
-	if uint64(len(unpacked)) > maxPartialSize {
-		return nil, fmt.Errorf("%w: unpacked size %d", ErrCorruptPartial, len(unpacked))
 	}
 	inner := &bodyReader{r: bytes.NewReader(unpacked), n: uint64(len(unpacked))}
 	ur := core.NewWireReader(inner)
 	defer ur.Release()
-	return parseBody(ur, inner)
+	return parseBody(ur, inner, dst)
 }
 
 // bodyReader confines the parser to the frame's declared body and
@@ -400,9 +420,10 @@ func (b *bodyReader) ReadByte() (byte, error) {
 }
 
 // parseBody decodes the (uncompressed) body from wr, which reads
-// through body. Declared lengths are checked against the body bytes
-// that remain before anything is allocated for them.
-func parseBody(wr *core.WireReader, body *bodyReader) (*orchestrator.Partial, error) {
+// through body, landing sums in dst's entries where they match (dst may
+// be nil). Declared lengths are checked against the body bytes that
+// remain before anything is allocated for them.
+func parseBody(wr *core.WireReader, body *bodyReader, dst *orchestrator.Partial) (*orchestrator.Partial, error) {
 	p := &orchestrator.Partial{}
 	updates, err := wr.Uvarint()
 	if err != nil {
@@ -424,7 +445,11 @@ func parseBody(wr *core.WireReader, body *bodyReader) (*orchestrator.Partial, er
 	}
 	p.Entries = make([]orchestrator.PartialEntry, 0, min(nEntries, 1024))
 	for i := uint64(0); i < nEntries; i++ {
-		e, err := parseEntry(wr, body)
+		var into *orchestrator.PartialEntry
+		if dst != nil && i < uint64(len(dst.Entries)) {
+			into = &dst.Entries[i]
+		}
+		e, err := parseEntry(wr, body, into)
 		if err != nil {
 			return nil, err
 		}
@@ -456,8 +481,9 @@ func parseBody(wr *core.WireReader, body *bodyReader) (*orchestrator.Partial, er
 	return p, nil
 }
 
-// parseEntry decodes one PartialEntry.
-func parseEntry(wr *core.WireReader, body *bodyReader) (orchestrator.PartialEntry, error) {
+// parseEntry decodes one PartialEntry, its sums into into's storage when
+// into (possibly nil) has the entry's name and shape.
+func parseEntry(wr *core.WireReader, body *bodyReader, into *orchestrator.PartialEntry) (orchestrator.PartialEntry, error) {
 	var e orchestrator.PartialEntry
 	nameLen, err := wr.Uvarint()
 	if err != nil || nameLen > 4096 {
@@ -484,17 +510,18 @@ func parseEntry(wr *core.WireReader, body *bodyReader) (orchestrator.PartialEntr
 		}
 	case model.Float32:
 		ndim, err := wr.Uvarint()
-		if err != nil || ndim > 16 {
+		if err != nil || ndim > maxRank {
 			return e, fmt.Errorf("%w: entry rank", ErrCorruptPartial)
 		}
-		e.Shape = make([]int, ndim)
+		var dims [maxRank]int
+		shape := dims[:ndim]
 		elems := uint64(1)
-		for d := range e.Shape {
+		for d := range shape {
 			v, err := wr.Uvarint()
 			if err != nil || v == 0 || v > maxPartialSize/8 {
 				return e, fmt.Errorf("%w: entry shape", ErrCorruptPartial)
 			}
-			e.Shape[d] = int(v)
+			shape[d] = int(v)
 			elems *= v
 			if elems > maxPartialSize/8 {
 				return e, fmt.Errorf("%w: entry too large", ErrCorruptPartial)
@@ -503,7 +530,15 @@ func parseEntry(wr *core.WireReader, body *bodyReader) (orchestrator.PartialEntr
 		if elems > body.n/8 {
 			return e, fmt.Errorf("%w: entry sums", ErrCorruptPartial)
 		}
-		if e.Sums, err = wr.Float64sBE(int(elems)); err != nil {
+		if into != nil && into.Name == e.Name && into.DType == model.Float32 &&
+			slices.Equal(into.Shape, shape) && uint64(len(into.Sums)) == elems {
+			e.Shape, e.Sums = into.Shape, into.Sums
+			err = wr.Float64sBEInto(e.Sums)
+		} else {
+			e.Shape = slices.Clone(shape)
+			e.Sums, err = wr.Float64sBE(int(elems))
+		}
+		if err != nil {
 			return e, fmt.Errorf("%w: entry sums", ErrCorruptPartial)
 		}
 	default:

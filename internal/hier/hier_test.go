@@ -185,29 +185,40 @@ func TestPartialUnknownFlags(t *testing.T) {
 	}
 }
 
-// TestPackedBombRejected: a packed frame whose tiny compressed body
+// TestPackedBombRejected: a packed frame whose small compressed body
 // unpacks past the partial-size limit is a decompression bomb, not a
 // partial — it must be rejected before parsing, with the limit
-// applying to the logical body and not just the wire bytes.
+// applying to the logical body and not just the wire bytes, and it must
+// be rejected while unpacking: whatever codec the frame names, what the
+// decode allocates stays near twice the limit, never the bomb's size.
 func TestPackedBombRejected(t *testing.T) {
 	defer func(old uint64) { maxPartialSize = old }(maxPartialSize)
-	maxPartialSize = 1 << 12
+	const limit = 1 << 20
+	maxPartialSize = limit
 
-	// 8192 zero sums: a ~64 KiB body that packs far below the lowered
-	// 4 KiB cap, so only the unpacked-size check can catch it.
+	// 2M zero sums: a 16 MiB body that packs far below the lowered 1 MiB
+	// cap, so only the unpacked-size check can catch it.
 	p := &orchestrator.Partial{TotalWeight: 10, Updates: 1}
 	p.Entries = []orchestrator.PartialEntry{{
-		Name: "w", DType: model.Float32, Shape: []int{8192}, Sums: make([]float64, 8192),
+		Name: "w", DType: model.Float32, Shape: []int{1 << 21}, Sums: make([]float64, 1<<21),
 	}}
-	buf, err := EncodePartial(p, WireOptions{Lossless: lossless.NameZlib})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if uint64(len(buf)) > maxPartialSize {
-		t.Fatalf("packed frame %d B does not fit under the lowered cap; bomb not representative", len(buf))
-	}
-	if _, err := DecodePartialFrom(bytes.NewReader(buf)); !errors.Is(err, core.ErrCorrupt) {
-		t.Fatalf("oversized unpack error %v does not wrap core.ErrCorrupt", err)
+	for _, codec := range []string{lossless.NameZlib, lossless.NameGzip, lossless.NameBloscLZ} {
+		buf, err := EncodePartial(p, WireOptions{Lossless: codec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if uint64(len(buf)) > maxPartialSize {
+			t.Fatalf("%s: packed frame %d B does not fit under the lowered cap; bomb not representative", codec, len(buf))
+		}
+		got := allocated(func() { _, err = DecodePartialFrom(bytes.NewReader(buf)) })
+		if !errors.Is(err, core.ErrCorrupt) {
+			t.Fatalf("%s: oversized unpack error %v does not wrap core.ErrCorrupt", codec, err)
+		}
+		// Twice the cap for the capped output, plus the inflater's own
+		// window and tables.
+		if budget := uint64(2*limit + 256<<10); got > budget {
+			t.Fatalf("%s: a bomb of %d B allocated %d B before it was rejected, want <= %d", codec, 8*len(p.Entries[0].Sums), got, budget)
+		}
 	}
 }
 

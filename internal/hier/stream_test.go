@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -17,7 +18,9 @@ import (
 
 // FuzzDecodePartial feeds the streaming decoder arbitrary frames: it
 // may reject them, never panic, and whatever it accepts must survive a
-// re-encode/decode round trip bit for bit.
+// re-encode/decode round trip bit for bit. Decoding into a NaN-filled
+// landing — one of the golden layout, and one of the frame's own — must
+// succeed exactly when decoding into nothing does, with the same bits.
 func FuzzDecodePartial(f *testing.F) {
 	goldens, err := filepath.Glob(filepath.Join("testdata", "partial_*.golden"))
 	if err != nil || len(goldens) == 0 {
@@ -30,11 +33,22 @@ func FuzzDecodePartial(f *testing.F) {
 		}
 		f.Add(seed)
 	}
+	golden := samplePartial(rand.New(rand.NewSource(29))) // the layout of most golden frames
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		p, err := DecodePartialFrom(bytes.NewReader(frame))
+		into, errInto := DecodePartialInto(bytes.NewReader(frame), dirtyLike(golden))
+		if (err == nil) != (errInto == nil) {
+			t.Fatalf("From: %v, Into: %v", err, errInto)
+		}
 		if err != nil {
 			return
 		}
+		partialsEqual(t, p, into)
+		own, err := DecodePartialInto(bytes.NewReader(frame), dirtyLike(p))
+		if err != nil {
+			t.Fatalf("Into a landing of the frame's own layout: %v", err)
+		}
+		partialsEqual(t, p, own)
 		again, err := EncodePartial(p, WireOptions{Checksum: true})
 		if err != nil {
 			t.Fatalf("accepted partial does not re-encode: %v", err)
@@ -123,13 +137,23 @@ func TestForgedLengthBoundedAllocation(t *testing.T) {
 	frame := binary.AppendUvarint([]byte{0}, 1<<30)
 	frame = append(frame, body...)
 
-	var err error
-	got := allocated(func() { _, err = DecodePartialFrom(bytes.NewReader(frame)) })
-	if err == nil {
-		t.Fatal("forged frame decoded")
-	}
-	if limit := uint64(2 << 20); got > limit {
-		t.Fatalf("forged 1 GiB length allocated %d B with 1 KiB present, want <= %d", got, limit)
+	// A landing whose entry has the forged one's name but not its shape
+	// vouches for nothing: the sums still allocate in stages.
+	small := &orchestrator.Partial{Entries: []orchestrator.PartialEntry{
+		{Name: "w", DType: model.Float32, Shape: []int{4}, Sums: make([]float64, 4)},
+	}}
+	for name, decode := range map[string]func() error{
+		"From": func() error { _, err := DecodePartialFrom(bytes.NewReader(frame)); return err },
+		"Into": func() error { _, err := DecodePartialInto(bytes.NewReader(frame), small); return err },
+	} {
+		var err error
+		got := allocated(func() { err = decode() })
+		if err == nil {
+			t.Fatalf("%s: forged frame decoded", name)
+		}
+		if limit := uint64(2 << 20); got > limit {
+			t.Fatalf("%s: forged 1 GiB length allocated %d B with 1 KiB present, want <= %d", name, got, limit)
+		}
 	}
 }
 

@@ -73,6 +73,14 @@ func (c *BloscLZ) Decompress(src []byte) ([]byte, error) {
 	return unshuffle(shuffled, elem), nil
 }
 
+// decompressMax implements maxDecompressor.
+func (c *BloscLZ) decompressMax(src []byte, max int) ([]byte, error) {
+	if err := declaredWithin(src, max); err != nil {
+		return nil, err
+	}
+	return c.Decompress(src)
+}
+
 // shuffle transposes src (viewed as elements of elemSize bytes) so that
 // byte k of every element is contiguous.
 func shuffle(src []byte, elemSize int) []byte {

@@ -6,6 +6,7 @@ import (
 	"compress/zlib"
 	"fmt"
 	"io"
+	"math"
 )
 
 // flateCodec backs the zlib and gzip entries of Table II with the
@@ -58,6 +59,12 @@ func (c *flateCodec) AppendCompress(dst, src []byte) ([]byte, error) {
 
 // Decompress implements Codec.
 func (c *flateCodec) Decompress(src []byte) ([]byte, error) {
+	return c.decompressMax(src, math.MaxInt)
+}
+
+// decompressMax implements maxDecompressor: DEFLATE declares no output
+// length, so the inflated stream is read until it passes max.
+func (c *flateCodec) decompressMax(src []byte, max int) ([]byte, error) {
 	var r io.ReadCloser
 	var err error
 	switch c.name {
@@ -72,9 +79,34 @@ func (c *flateCodec) Decompress(src []byte) ([]byte, error) {
 		return nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, c.name, err)
 	}
 	defer r.Close()
-	out, err := io.ReadAll(r)
+	out, err := readMax(r, max)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, c.name, err)
 	}
 	return out, nil
+}
+
+// readMax reads r to its end into a buffer that doubles as it fills,
+// failing as soon as more than max bytes have arrived: what it allocates
+// stays under about twice the smaller of max and the stream's length.
+func readMax(r io.Reader, max int) ([]byte, error) {
+	buf := make([]byte, 0, min(max, 512)+1)
+	for {
+		n, err := r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if len(buf) > max {
+			return nil, fmt.Errorf("output exceeds %d bytes", max)
+		}
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		if len(buf) == cap(buf) {
+			grown := make([]byte, len(buf), min(2*cap(buf), max)+1)
+			copy(grown, buf)
+			buf = grown
+		}
+	}
 }

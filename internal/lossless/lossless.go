@@ -9,6 +9,7 @@
 package lossless
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
@@ -38,6 +39,40 @@ type AppendDecompressor interface {
 	// AppendDecompress appends the decoded bytes to dst and returns the
 	// extended buffer. dst may be nil.
 	AppendDecompress(dst, src []byte) ([]byte, error)
+}
+
+// maxDecompressor is implemented by the built-in codecs, which enforce
+// DecompressMax's bound before they build the output.
+type maxDecompressor interface {
+	decompressMax(src []byte, max int) ([]byte, error)
+}
+
+// DecompressMax is Decompress for a buffer from an untrusted peer whose
+// output must not pass max bytes: one that would decode to more fails
+// with ErrCorrupt. The built-in codecs fail before they build the excess
+// — blosclz and the LZ+Huffman codecs on the length their header
+// declares, zlib and gzip once max+1 bytes have inflated — so a
+// decompression bomb costs at most about twice max in allocation. A codec
+// registered from outside the package decodes in full and is checked
+// afterwards.
+func DecompressMax(c Codec, src []byte, max int) ([]byte, error) {
+	if md, ok := c.(maxDecompressor); ok {
+		return md.decompressMax(src, max)
+	}
+	out, err := c.Decompress(src)
+	if err == nil && len(out) > max {
+		return nil, fmt.Errorf("%w: output of %d bytes exceeds %d", ErrCorrupt, len(out), max)
+	}
+	return out, err
+}
+
+// declaredWithin fails a buffer whose uvarint header declares more than
+// max output bytes; a header that does not parse is left to the decoder.
+func declaredWithin(src []byte, max int) error {
+	if n, k := binary.Uvarint(src); k > 0 && n > uint64(max) {
+		return fmt.Errorf("%w: declared output of %d bytes exceeds %d", ErrCorrupt, n, max)
+	}
+	return nil
 }
 
 // payloadScratch recycles the transient buffers handed out by

@@ -209,6 +209,9 @@ func lzDecompress(dst, src []byte, origLen int, dist3 bool) ([]byte, error) {
 			if pos+run > len(src) {
 				return nil, fmt.Errorf("%w: literal run overruns input", ErrCorrupt)
 			}
+			if run > origLen-(len(out)-base) {
+				return nil, fmt.Errorf("%w: literal run overruns output", ErrCorrupt)
+			}
 			out = append(out, src[pos:pos+run]...)
 			pos += run
 			continue

@@ -81,6 +81,14 @@ func (c *LZH) Decompress(src []byte) ([]byte, error) {
 	return c.AppendDecompress(nil, src)
 }
 
+// decompressMax implements maxDecompressor.
+func (c *LZH) decompressMax(src []byte, max int) ([]byte, error) {
+	if err := declaredWithin(src, max); err != nil {
+		return nil, err
+	}
+	return c.Decompress(src)
+}
+
 // AppendDecompress implements AppendDecompressor: the entropy stage
 // streams tokens into pooled scratch and the LZ expansion appends
 // directly to dst, so the call allocates nothing beyond dst's growth.

@@ -378,7 +378,9 @@ func (c *Contributor) Weight() float64 { return c.weight }
 // the contribution weight and added into the owning shard's sums
 // immediately, so aggregation work overlaps reception. A lent tensor
 // (e.Redo set) is not referenced once Fold returns: for a potential
-// Abort it keeps e.Redo, and only of an owned entry the tensor itself.
+// Abort it keeps e.Redo, and only of an owned entry the tensor itself —
+// until the contribution settles, so the caller must not overwrite an
+// owned tensor before Commit or Abort has returned.
 func (c *Contributor) Fold(e model.Entry) error {
 	idx, ok := c.a.index[e.Name]
 	if !ok {

@@ -35,7 +35,11 @@ type Partial struct {
 	Span []byte
 }
 
-// PartialEntry is one entry's partially folded state.
+// PartialEntry is one entry's partially folded state. Its slices may be
+// storage someone else reuses — an aggregator's own sums (Partial), or a
+// decoding tier's landing buffer — so whoever holds an entry keeps it
+// only as long as that owner's contract says: a Contributor that folded
+// it, until the contribution settles.
 type PartialEntry struct {
 	Name  string
 	DType model.DType
@@ -111,8 +115,10 @@ func (a *Aggregator) PartialContributor(totalWeight float64, updates int) (*Cont
 
 // FoldPartial applies one partial entry: the already-weighted float64
 // sums add in verbatim (no weight scaling), preserving the downstream
-// aggregator's bits exactly. The sums slice is referenced for
-// potential Abort undo — callers must not mutate it afterwards.
+// aggregator's bits exactly. The sums slice is referenced for a
+// potential Abort undo until the contribution settles — callers must
+// not mutate it before Commit or Abort has returned, and may reuse it
+// from then on.
 func (c *Contributor) FoldPartial(e PartialEntry) error {
 	idx, ok := c.a.index[e.Name]
 	if !ok {

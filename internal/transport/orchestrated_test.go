@@ -1,8 +1,12 @@
 package transport
 
 import (
+	"encoding/binary"
 	"io"
+	"math"
 	"net"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,6 +14,7 @@ import (
 
 	"fedsz/internal/core"
 	"fedsz/internal/fl"
+	"fedsz/internal/hier"
 	"fedsz/internal/lossy"
 	"fedsz/internal/model"
 	"fedsz/internal/nn"
@@ -295,6 +300,254 @@ func TestRoundFaults(t *testing.T) {
 					for r, sp := range spans {
 						if sp.Down == nil || sp.Down.Mode != mode {
 							t.Errorf("round %d: the members' tier sent the global as %+v, want mode %q", r, sp.Down, mode)
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+// gridded is a model whose every float sits on a 2^-8 grid: weighted
+// float64 sums of a few of them are exact, so their FedAvg commits the
+// same bits in any fold order and through any number of tiers.
+func gridded(seed int64) *model.StateDict {
+	sd := nn.MobileNetV2Mini(48, 4, seed).StateDict()
+	for i := 0; i < sd.Len(); i++ {
+		if e := sd.At(i); e.DType == model.Float32 {
+			data := e.Tensor.Data()
+			for j, v := range data {
+				data[j] = float32(math.Round(float64(v)*256) / 256)
+			}
+		}
+	}
+	return sd
+}
+
+// spareStorage lists where each of a tier's spare landings keeps its
+// floats.
+func spareStorage(tr *tier) map[any]bool {
+	tr.land.mu.Lock()
+	defer tr.land.mu.Unlock()
+	out := map[any]bool{}
+	for _, ld := range tr.land.spare {
+		if ld.partial != nil {
+			for _, e := range ld.partial.Entries {
+				if len(e.Sums) > 0 {
+					out[&e.Sums[0]] = true
+					break
+				}
+			}
+			continue
+		}
+		for i := 0; i < ld.dict.Len(); i++ {
+			if e := ld.dict.At(i); e.DType == model.Float32 {
+				out[&e.Tensor.Data()[0]] = true
+				break
+			}
+		}
+	}
+	return out
+}
+
+// landingMember is one member of the tier under test: a plain client,
+// or a region that ships its one update folded into a checksummed
+// partial. It answers every round it is sent until the tier shuts down,
+// except that in round faultRound it sends what fault makes of its reply
+// and loses the connection — hanging up at once when fault cut the reply
+// short, after being hung up on otherwise — and rejoins as a new member.
+func landingMember(t *testing.T, addr string, region bool, upd *model.StateDict, weight, faultRound int, fault func([]byte) []byte) {
+	join, reply := MsgJoin, MsgUpdate
+	if region {
+		join, reply = MsgJoinEdge, MsgPartialSum
+	}
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Errorf("member dial: %v", err)
+		return
+	}
+	defer conn.Close()
+	cs := newConnStream(conn)
+	if err := cs.writeMsg(join, nil); err != nil {
+		t.Errorf("member join: %v", err)
+		return
+	}
+	for round := 0; ; round++ {
+		down, done, err := readDownlink(cs, fl.PlainCodec{}, nil, nil)
+		if done || err != nil {
+			if err != nil {
+				t.Errorf("member round %d: %v", round, err)
+			}
+			return
+		}
+		var msg []byte
+		if region {
+			agg := orchestrator.NewAggregator(down.global, 0)
+			if err := agg.FoldStateDict(upd, float64(weight)); err != nil {
+				t.Error(err)
+				return
+			}
+			msg, err = hier.EncodePartial(agg.Partial(), hier.WireOptions{Checksum: true})
+		} else {
+			msg, err = core.MarshalStateDict(upd)
+			msg = append(append(binary.AppendUvarint(nil, uint64(weight)), msg...), 0) // sample count, update, empty prior
+		}
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		sent := msg
+		if round == faultRound {
+			sent = fault(slices.Clone(msg))
+		}
+		if err := cs.writeMsg(reply, func(w io.Writer) error { _, err := w.Write(sent); return err }); err != nil {
+			t.Errorf("member round %d: %v", round, err)
+			return
+		}
+		if round == faultRound {
+			if len(sent) == len(msg) {
+				_, _ = io.Copy(io.Discard, cs.r)
+			}
+			_ = conn.Close()
+			landingMember(t, addr, region, upd, weight, -1, nil)
+			return
+		}
+	}
+}
+
+// TestLandingReuseAfterFaults: the buffers a tier decodes uplinks into
+// are reused whatever the last round did to them. Three members answer
+// round 0; in round 1 one of them fails part-way through its uplink — a
+// plain client dies mid-update, a region's partial is cut mid-entry or
+// fails its checksum — and rejoins, so round 2 has three members again.
+// At either tier, the same three landings serve all three rounds (the
+// one the failed decode left half overwritten goes to a survivor), and
+// every round commits the bit-exact fl.FedAvg of the members whose
+// uplink arrived whole. Landings are poisoned with NaN as they are handed
+// back, so a fold or undo that read one after the gather would show.
+func TestLandingReuseAfterFaults(t *testing.T) {
+	defer func(old bool) { poisonLandings = old }(poisonLandings)
+	poisonLandings = true
+
+	initial := gridded(7)
+	upds := []*model.StateDict{gridded(8), gridded(10), gridded(12)} // the last is the faulty member's
+	weights := []int{10, 11, 12}
+	all, err := fl.FedAvg(upds, weights)
+	if err != nil {
+		t.Fatal(err)
+	}
+	survivors, err := fl.FedAvg(upds[:2], weights[:2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []*model.StateDict{all, survivors, all}
+
+	cut := func(m []byte) []byte { return m[:len(m)/2] }
+	for _, sc := range []struct {
+		name   string
+		region bool
+		fault  func([]byte) []byte
+	}{
+		{"client dies mid-update", false, cut},
+		{"partial cut mid-entry", true, cut},
+		{"partial fails its checksum", true, func(m []byte) []byte {
+			m[len(m)-6] ^= 0x10 // the last entry's last byte: the prior length and the CRC follow
+			return m
+		}},
+	} {
+		for _, tierName := range []string{"coordinator", "edge"} {
+			t.Run(sc.name+"/"+tierName, func(t *testing.T) {
+				const rounds = 3
+				// rejoined closes when the members' tier has registered its
+				// fourth member: the faulty one, back after round 1.
+				var joins atomic.Int64
+				rejoined := make(chan struct{})
+				countJoins := func(format string, _ ...interface{}) {
+					if strings.HasSuffix(format, "%s joined") && joins.Add(1) == 4 {
+						close(rejoined)
+					}
+				}
+				var members *tier
+				var globals []*model.StateDict
+				var spares []map[any]bool
+				cfg := OrchestratedConfig{
+					MinClients: 3,
+					Rounds:     rounds,
+					OnRound: func(round int, global *model.StateDict, _ orchestrator.RoundStats) {
+						globals = append(globals, global)
+						spares = append(spares, spareStorage(members))
+						if round == 1 {
+							select {
+							case <-rejoined:
+							case <-time.After(10 * time.Second):
+								t.Error("the faulty member never rejoined")
+							}
+						}
+					},
+				}
+				coordLn := tcpListener(t)
+				defer coordLn.Close()
+				memberAddr := coordLn.Addr().String()
+				var wg sync.WaitGroup
+				if tierName == "edge" {
+					cfg.MinClients = 1
+					edge, err := NewEdge(EdgeConfig{
+						Upstream:   dialTCP(memberAddr),
+						MinClients: 3,
+						Checksum:   true,
+						Logf:       countJoins,
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					members = edge.t
+					edgeLn := tcpListener(t)
+					memberAddr = edgeLn.Addr().String()
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						defer edgeLn.Close()
+						if err := edge.Serve(edgeLn); err != nil {
+							t.Errorf("edge: %v", err)
+						}
+					}()
+				} else {
+					cfg.Logf = countJoins
+				}
+				srv, err := NewOrchestrated(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if members == nil {
+					members = srv.t
+				}
+				for i := range upds {
+					faultRound := -1
+					if i == len(upds)-1 {
+						faultRound = 1
+					}
+					wg.Add(1)
+					go func(i, faultRound int) {
+						defer wg.Done()
+						landingMember(t, memberAddr, sc.region, upds[i], weights[i], faultRound, sc.fault)
+					}(i, faultRound)
+				}
+				if _, err := srv.Serve(coordLn, initial); err != nil {
+					t.Fatalf("server: %v", err)
+				}
+				wg.Wait()
+
+				if len(globals) != rounds {
+					t.Fatalf("committed %d rounds, want %d", len(globals), rounds)
+				}
+				for r, g := range globals {
+					assertExactly(t, g, want[r])
+					if len(spares[r]) != 3 {
+						t.Fatalf("round %d left %d spare landings, want its 3 participants'", r, len(spares[r]))
+					}
+					for s := range spares[r] {
+						if !spares[0][s] {
+							t.Fatalf("round %d decoded into a landing round 0 did not use: the failed decode's landing was dropped", r)
 						}
 					}
 				}

@@ -2,5 +2,5 @@
 
 package transport
 
-// raceEnabled: see race_on_test.go.
+// raceEnabled: see race_on.go.
 const raceEnabled = false

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"sort"
 	"sync"
@@ -14,6 +15,7 @@ import (
 	"fedsz/internal/core"
 	"fedsz/internal/fl"
 	"fedsz/internal/hier"
+	"fedsz/internal/model"
 	"fedsz/internal/netsim"
 	"fedsz/internal/obs"
 	"fedsz/internal/orchestrator"
@@ -96,6 +98,8 @@ type tier struct {
 	frame      bytes.Buffer
 	downRaw    bool
 	downLogged bool
+
+	land landings // what the participants' uplinks decode into
 
 	stop     chan struct{} // closed by shutdown
 	stopOnce sync.Once
@@ -399,7 +403,102 @@ func (t *tier) runRound(sk sink) error {
 		}(p)
 	}
 	wg.Wait()
+	// Every Contributor has committed or aborted: no fold references a
+	// landing any more, and nothing after the gather reads one.
+	t.land.reclaim()
 	return sk.finish(st.close(span))
+}
+
+// landings are the buffers the tier's collectors decode uplinks into,
+// owned by the tier and reused round after round: the dict a plain
+// update lands in (a FedSZ update lands in the decoder's own scratch and
+// borrows nothing it keeps) and the partial a region's float64 sums land
+// in. One rule covers both kinds, at the coordinator and at an edge alike.
+// A collector borrows a landing when its decode starts; the Contributor
+// it folds into references the landing's storage, for an undo, until the
+// contribution settles. runRound hands every borrowed landing back after
+// its gather's wg.Wait(), when every Contributor has committed or
+// aborted; the landings that round used are the next round's spares, and
+// spares it did not use are dropped. What stays resident between rounds
+// is therefore bounded by the last round's participant count, the peak
+// its gather reached anyway. A landing is scratch until it is folded: a
+// decode that failed part-way, or a frame its checksum rejected, leaves
+// it partly overwritten, and it goes back to the spares all the same.
+type landings struct {
+	mu    sync.Mutex
+	spare []*landing
+	lent  []*landing
+}
+
+// landing is one participant's uplink storage, of one kind.
+type landing struct {
+	dict    *model.StateDict      // a plain update's entries
+	partial *orchestrator.Partial // a region's sums
+}
+
+// poisonLandings overwrites a landing's floats with NaN when it is handed
+// back, so a consumer that still reads it after the gather reads NaN, not
+// the next round's uplink. On under the race detector; tests switch it on.
+var poisonLandings = raceEnabled
+
+// borrow lends a spare landing of the kind asked for — a region's
+// partial, or else a plain update's dict — or a new, empty one.
+func (l *landings) borrow(partial bool) *landing {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	ld := &landing{}
+	for i, s := range l.spare {
+		if (s.partial != nil) == partial {
+			ld = s
+			last := len(l.spare) - 1
+			l.spare[i], l.spare[last] = l.spare[last], nil
+			l.spare = l.spare[:last]
+			break
+		}
+	}
+	l.lent = append(l.lent, ld)
+	return ld
+}
+
+// reclaim takes back every landing lent this round as the next round's
+// spares, and drops the spares this round left unused.
+func (l *landings) reclaim() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	clear(l.spare)
+	l.spare = l.spare[:0]
+	for _, ld := range l.lent {
+		if ld.dict == nil && ld.partial == nil {
+			continue // nothing was decoded into it
+		}
+		if poisonLandings {
+			ld.poison()
+		}
+		l.spare = append(l.spare, ld)
+	}
+	clear(l.lent)
+	l.lent = l.lent[:0]
+}
+
+func (ld *landing) poison() {
+	nan := math.NaN()
+	if ld.partial != nil {
+		for _, e := range ld.partial.Entries {
+			for i := range e.Sums {
+				e.Sums[i] = nan
+			}
+		}
+	}
+	if ld.dict != nil {
+		for i := 0; i < ld.dict.Len(); i++ {
+			if e := ld.dict.At(i); e.DType == model.Float32 {
+				data := e.Tensor.Data()
+				for j := range data {
+					data[j] = float32(nan)
+				}
+			}
+		}
+	}
 }
 
 // downlinkCodecRate is R, the rate the downlink gate charges the codec
@@ -523,7 +622,14 @@ func (t *tier) collectUpdate(sk sink, st *roundSpanState, id string, cs *connStr
 	if err != nil {
 		return nil, err
 	}
-	err = st.timeDecodeFold(func() error { return fl.DecodeEntries(t.codec, cs.r, ct.Fold) })
+	land := t.land.borrow(false)
+	err = st.timeDecodeFold(func() error {
+		held, err := fl.DecodeEntriesInto(t.codec, cs.r, land.dict, ct.Fold)
+		if held != nil { // nil on error: the landing keeps its old, partly overwritten dict
+			land.dict = held
+		}
+		return err
+	})
 	if err != nil {
 		// Withdraw any folds the aggregate already took (verified
 		// sections of a frame whose later section was damaged), tagged
@@ -548,13 +654,18 @@ func (t *tier) collectUpdate(sk sink, st *roundSpanState, id string, cs *connStr
 // returns the region's merged plan prior. The frame is checksum-
 // verified before any of it touches the aggregate, so a corrupt region
 // withdraws cleanly; an empty region (Updates == 0) is a round-level
-// miss that keeps the edge's connection alive.
+// miss that keeps the edge's connection alive. The sums land in a
+// landing; the prior and span blobs, which outlive the gather, never do.
 func (t *tier) collectPartial(sk sink, st *roundSpanState, id string, cs *connStream) ([]byte, error) {
 	var p *orchestrator.Partial
 	var ct *orchestrator.Contributor
+	land := t.land.borrow(true)
 	err := st.timeDecodeFold(func() (err error) {
-		if p, err = hier.DecodePartialFrom(cs.r); err != nil || p.Updates == 0 {
-			return err
+		if p, err = hier.DecodePartialInto(cs.r, land.partial); err != nil {
+			return err // the landing keeps its old, partly overwritten partial
+		}
+		if land.partial = p; p.Updates == 0 {
+			return nil
 		}
 		if ct, err = sk.contributor(id, p.TotalWeight, p.Updates); err != nil {
 			return err
