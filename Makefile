@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-cores benchmark-module race race-cores bench fmt vet fuzz parallel-bench scale-bench hier-bench adapt-bench families-bench chaos-bench obs-bench obs-smoke trace-smoke loc
+.PHONY: all build test test-cores benchmark-module race race-cores bench examples fmt vet fuzz parallel-bench scale-bench hier-bench adapt-bench families-bench chaos-bench obs-bench obs-smoke trace-smoke loc
 
 all: build test
 
@@ -37,6 +37,12 @@ race-cores:
 # real measurements. -run=^$$ keeps the unit tests out of this target.
 bench:
 	$(GO) test -run=^$$ -bench=. -benchtime=1x ./...
+
+# Run the examples that drive the simulator end to end (CI smoke):
+# each finishes in seconds and must exit 0.
+examples:
+	$(GO) run ./examples/federated
+	$(GO) run ./examples/scale
 
 fmt:
 	gofmt -l -w .

@@ -16,11 +16,14 @@ import (
 func main() {
 	link := fedsz.Link{BandwidthBps: fedsz.Mbps(10)} // constrained WAN
 
+	// The four uploads share one serial ingest link, as in the paper's
+	// MPI emulation (§VI-C), so each round's comm time is the modelled
+	// train time plus every update's transfer back to back.
 	base := fedsz.SimConfig{
 		Clients:          4,
 		Rounds:           8,
 		SamplesPerClient: 100,
-		Link:             link,
+		Link:             fedsz.ContendedWAN(link, 4),
 		Seed:             42,
 	}
 

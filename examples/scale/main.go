@@ -1,12 +1,12 @@
-// Example scale runs the orchestrated federated simulation three ways
-// — synchronous rounds with over-provisioned sampling and a straggler
-// deadline, FedBuff-style asynchronous buffering, and a hierarchical
+// Example scale runs the federated simulation three ways over one
+// config — synchronous rounds with over-provisioned sampling and a
+// straggler deadline, FedBuff-style asynchronous buffering, and a
 // 2-tier run where regional edge aggregators fold their clients and
 // forward one partial sum each — over a heterogeneous client
 // population, with FedSZ-compressed uplinks folding into the
-// streaming sharded aggregator. The hierarchical section prints
-// per-tier bytes-on-wire: the client→edge uplink traffic next to the
-// (much smaller count of) edge→core partial frames.
+// streaming sharded aggregator. All times are virtual. The tiered
+// section prints per-tier bytes-on-wire: the client→edge uplink
+// traffic next to the (much smaller count of) edge→core partial frames.
 //
 //	go run ./examples/scale
 package main
@@ -32,19 +32,16 @@ func main() {
 		SamplesPerClient: 60,
 		Codec:            codec,
 		Seed:             42,
+		Population:       fedsz.PaperMix(),
 	}
 
 	// Synchronous rounds: sample 8 of 24 clients with 1.5×
 	// over-provisioning, cut stragglers 30 virtual seconds in.
-	sync := fedsz.OrchSimConfig{
-		SimConfig:     base,
-		Mode:          fedsz.ModeSync,
-		OverProvision: 1.5,
-		RoundDeadline: 30 * time.Second,
-		Population:    fedsz.PaperMix(),
-	}
+	sync := base
 	sync.ClientsPerRound = 8
-	res, err := fedsz.RunOrchestratedSim(sync)
+	sync.OverProvision = 1.5
+	sync.RoundDeadline = 30 * time.Second
+	res, err := fedsz.RunSim(sync)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -57,13 +54,10 @@ func main() {
 
 	// Asynchronous buffering: no round barrier — the global model
 	// advances every 6 updates with staleness-damped weights.
-	async := fedsz.OrchSimConfig{
-		SimConfig:  base,
-		Mode:       fedsz.ModeAsync,
-		BufferSize: 6,
-		Population: fedsz.PaperMix(),
-	}
-	res, err = fedsz.RunOrchestratedSim(async)
+	async := base
+	async.Mode = fedsz.ModeAsync
+	async.BufferSize = 6
+	res, err = fedsz.RunSim(async)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -73,32 +67,29 @@ func main() {
 			m.Round, m.TestAccuracy, m.CommTime.Seconds())
 	}
 
-	// Hierarchical 2-tier: the same 24 clients behind 4 regional edge
-	// aggregators on fast LAN uplinks; every edge forwards ONE
-	// checksummed partial-sum frame over a WAN trunk shared by the 4
-	// forwarding edges. The coordinator folds 4 partials instead of 24
-	// uplinks — and commits the exact same models the flat run would.
-	hier := fedsz.HierSimConfig{
-		OrchSimConfig: fedsz.OrchSimConfig{
-			SimConfig:  base,
-			Population: fedsz.EdgeMix(),
-		},
-		Edges:    4,
-		Wire:     fedsz.PartialWireOptions{Checksum: true},
-		EdgeLink: fedsz.ContendedWAN(fedsz.Link{BandwidthBps: fedsz.Mbps(500)}, 4),
-	}
-	res, hs, err := fedsz.RunHierSim(hier)
+	// 2-tier: the same 24 clients behind 4 regional edge aggregators on
+	// fast LAN uplinks; every edge forwards ONE checksummed partial-sum
+	// frame over a WAN trunk shared by the 4 forwarding edges. The
+	// coordinator folds 4 partials instead of 24 uplinks — and commits
+	// the exact same models the flat run would.
+	tier := base
+	tier.Population = fedsz.EdgeMix()
+	tier.Edges = 4
+	tier.Wire = fedsz.PartialWireOptions{Checksum: true}
+	tier.EdgeLink = fedsz.ContendedWAN(fedsz.Link{BandwidthBps: fedsz.Mbps(500)}, 4)
+	res, err = fedsz.RunSim(tier)
 	if err != nil {
 		log.Fatal(err)
 	}
+	hs := res.Tier
 	fmt.Printf("hierarchical rounds (%d edges, checksummed partials):\n", hs.Edges)
 	for _, m := range res.Rounds {
 		fmt.Printf("  round %d: acc %.3f, %d updates via %d regions, %.1fs virtual\n",
-			m.Round, m.TestAccuracy, m.Participants, hs.Edges, m.CommTime.Seconds())
+			m.Round, m.TestAccuracy, m.Participants-m.Dropped, hs.Edges, m.CommTime.Seconds())
 	}
 	fmt.Println("per-tier bytes on wire:")
 	fmt.Printf("  tier 1 client->edge: %.2f MB across %d uplinks\n",
-		float64(hs.ClientBytes)/1e6, base.Clients*base.Rounds)
+		float64(hs.ClientBytes)/1e6, base.Clients*base.Rounds-hs.ClientDrops)
 	fmt.Printf("  tier 2 edge->core:   %.2f MB across %d partial frames (fan-in %d->%d)\n",
 		float64(hs.PartialBytes)/1e6, hs.Partials, base.Clients, hs.Edges)
 	fmt.Printf("  peak aggregator memory: edge %.1f KB, core %.1f KB\n",

@@ -100,9 +100,9 @@
 // ModeAsync FedBuff-style buffering), all folding decoded tensor
 // entries into the streaming sharded Aggregator as they come off each
 // connection — byte-identical to sequential FedAvg, without holding
-// every client's decoded update. RunOrchestratedSim drives it on a
-// virtual clock over heterogeneous client populations (PaperMix);
-// cmd/fedszserver runs it over TCP.
+// every client's decoded update. RunSim drives it on a virtual clock
+// over heterogeneous client populations (PaperMix), flat or behind
+// regional edges; cmd/fedszserver runs it over TCP.
 //
 // The packages under internal/ implement the full system: the four
 // error-bounded compressors (SZ2, SZ3, SZx, ZFP), the lossless suite,
@@ -575,7 +575,9 @@ func UnmarshalStateDictFrom(r io.Reader) (*StateDict, error) {
 }
 
 // RunSim executes an in-process federated simulation (FedAvg, local
-// SGD clients, analytic network model).
+// SGD clients, analytic network model): sync rounds on the flat
+// coordinator (Edges == 0) or behind regional edge aggregators, or
+// FedBuff-style async buffering, on a virtual clock.
 func RunSim(cfg SimConfig) (*SimResult, error) { return fl.RunSim(cfg) }
 
 // Orchestration re-exports: the event-driven federated coordination
@@ -602,8 +604,6 @@ type (
 	// AsyncCommit reports what an async contribution's commit did to
 	// the global model.
 	AsyncCommit = orchestrator.AsyncCommit
-	// OrchSimConfig parameterizes the orchestrator-backed simulation.
-	OrchSimConfig = fl.OrchSimConfig
 	// ClientProfile is one simulated client's link/compute profile.
 	ClientProfile = netsim.ClientProfile
 	// Population samples heterogeneous client profiles.
@@ -633,14 +633,6 @@ func NewAggregator(ref *StateDict, shards int) *Aggregator {
 	return orchestrator.NewAggregator(ref, shards)
 }
 
-// RunOrchestratedSim executes a federated simulation on the
-// orchestrator: sampled sync rounds with straggler deadlines or
-// FedBuff-style async buffering, over a heterogeneous client
-// population, on a virtual clock.
-func RunOrchestratedSim(cfg OrchSimConfig) (*SimResult, error) {
-	return fl.RunOrchestratedSim(cfg)
-}
-
 // PaperMix is the heterogeneous client population used by the scale
 // experiment: the paper's 10/100/500 Mbps bandwidths as deployment
 // strata plus a slow-device straggler tail.
@@ -664,9 +656,8 @@ type (
 	// PartialWireOptions controls partial-sum frames on the wire
 	// (CRC32C stamping, optional lossless packing).
 	PartialWireOptions = hier.WireOptions
-	// HierSimConfig parameterizes the 2-tier hierarchical simulation.
-	HierSimConfig = fl.HierSimConfig
-	// HierStats reports a hierarchical simulation's per-tier outcomes.
+	// HierStats reports a tiered simulation's per-tier outcomes
+	// (SimResult.Tier).
 	HierStats = fl.HierStats
 )
 
@@ -687,15 +678,6 @@ func DecodePartialSum(r io.Reader) (*PartialSum, error) {
 		return hier.DecodePartialFrom(br)
 	}
 	return hier.DecodePartialFrom(bufio.NewReader(r))
-}
-
-// RunHierSim executes the 2-tier hierarchical federated simulation:
-// regional edge aggregators fold their clients' codec-encoded updates
-// and forward partial-sum frames to the coordinator on a virtual
-// clock. The committed models are bit-identical to the flat
-// simulation's under the same seed.
-func RunHierSim(cfg HierSimConfig) (*SimResult, *HierStats, error) {
-	return fl.RunHierSim(cfg)
 }
 
 // EdgeMix is the client→edge population of a hierarchical tier: fast

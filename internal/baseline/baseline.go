@@ -170,7 +170,7 @@ func (q QSGD) Apply(sd *model.StateDict) (*model.StateDict, error) {
 
 // Codec wraps a Transform with a wire format: transformed weight
 // tensors are encoded sparsely (Top-K) or densely via the inner codec.
-// It satisfies fl.Codec so baselines drop into RunSim directly.
+// It satisfies fl.Codec so baselines drop into fl.RunSim directly.
 type Codec struct {
 	transform Transform
 	inner     fl.Codec

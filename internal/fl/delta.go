@@ -28,8 +28,9 @@ type ReferenceAware interface {
 //
 // Both endpoints must track the same reference: the sender snapshots
 // the global model it trained from via SetReference, and the receiver
-// does the same before decoding. The federation loop in RunSim and the
-// transport server guarantee this ordering.
+// does the same before decoding. RunSim's sync rounds and the
+// transport tiers guarantee this ordering; RunSim's async mode rejects
+// the codec.
 type DeltaCodec struct {
 	inner Codec
 

@@ -30,7 +30,7 @@ type ProfileChoice struct {
 }
 
 // Profile is a categorical sampler over client strata — the
-// population model the orchestrated simulations draw per-client
+// population model the simulator draws per-client
 // link/compute heterogeneity from.
 type Profile struct {
 	Choices []ProfileChoice
