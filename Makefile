@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-cores benchmark-module race race-cores bench examples fmt vet fuzz parallel-bench scale-bench hier-bench adapt-bench families-bench chaos-bench obs-bench obs-smoke trace-smoke loc
+.PHONY: all build test test-cores benchmark-module race race-cores bench examples fmt vet fuzz obs-smoke trace-smoke profile loc
 
 all: build test
 
@@ -71,59 +71,6 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzDecodePartial -fuzztime=10s -fuzzminimizetime=1s ./internal/hier
 	$(GO) test -run=^$$ -fuzz=FuzzReadDownlink -fuzztime=10s -fuzzminimizetime=1s ./internal/transport
 
-# Regenerate the committed serial-vs-parallel datapoint. Run on a
-# multi-core machine at paper scale: make parallel-bench SCALE=1
-SCALE ?= 8
-parallel-bench:
-	$(GO) run ./cmd/fedszbench -exp parallel -scale $(SCALE) -format json -o BENCH_parallel.json
-
-# Regenerate the committed throughput/allocation datapoint.
-throughput-bench:
-	$(GO) run ./cmd/fedszbench -exp throughput -scale $(SCALE) -format json -o BENCH_throughput.json
-
-# Regenerate the committed whole-buffer vs pipelined-transfer datapoint.
-stream-bench:
-	$(GO) run ./cmd/fedszbench -exp stream -scale $(SCALE) -format json -o BENCH_stream.json
-
-# Regenerate the committed 1000-client orchestration datapoint (sync vs
-# async, sequential vs streaming sharded aggregation) — including the
-# hierarchical per-tier rows (100k virtual clients folding through
-# regional edge aggregators into partial-sum frames).
-scale-bench:
-	$(GO) run ./cmd/fedszbench -exp scale -scale $(SCALE) -format json -o BENCH_scale.json
-
-# The hierarchical rows live in the scale experiment; hier-bench
-# regenerates BENCH_scale.json with them (alias kept so the tier work
-# has its own entry point).
-hier-bench: scale-bench
-
-# Regenerate the committed adaptive-vs-static selection datapoint
-# (the control plane's acceptance criterion: adaptive within 5% of the
-# best static configuration's bytes-on-wire on PaperMix). The race
-# gate covers internal/adapt through ./... like every other package.
-adapt-bench:
-	$(GO) run ./cmd/fedszbench -exp adapt -scale $(SCALE) -format json -o BENCH_adapt.json
-
-# Regenerate the committed cross-family selection datapoint (the
-# family API's acceptance criterion: adaptive at or below the best
-# static family's bytes-on-wire, with ≥3 distinct families chosen in
-# one frame on the mixed-statistics workload).
-families-bench:
-	$(GO) run ./cmd/fedszbench -exp families -scale $(SCALE) -format json -o BENCH_families.json
-
-# Regenerate the committed fault-injection datapoint (the robustness
-# acceptance criterion: every fault regime — frame corruption,
-# connection kills, coordinator crash/restore — completes its round
-# budget with zero corrupt frames folded into the global model).
-chaos-bench:
-	$(GO) run ./cmd/fedszbench -exp chaos -scale $(SCALE) -format json -o BENCH_chaos.json
-
-# Regenerate the committed telemetry-overhead datapoint (the
-# observability acceptance criterion: instrumented sz2 streaming
-# decode within 3% of obs.Disabled throughput, 0 extra allocs/op).
-obs-bench:
-	$(GO) run ./cmd/fedszbench -exp obs -scale $(SCALE) -format json -o BENCH_obs.json
-
 # Live observability smoke: real fedszserver + 3 clients over TCP
 # loopback with -metrics-addr on, one client frozen to produce a drop
 # series, /metrics + /rounds + /debug/vars scraped and asserted.
@@ -137,8 +84,9 @@ obs-smoke:
 trace-smoke:
 	bash scripts/trace_smoke.sh
 
-# Profile an experiment, e.g.: make profile EXP=throughput
+# Profile a paper experiment, e.g.: make profile EXP=fig7
 # then: go tool pprof cpu.pprof
-EXP ?= throughput
+SCALE ?= 8
+EXP ?= table5
 profile:
 	$(GO) run ./cmd/fedszbench -exp $(EXP) -scale $(SCALE) -cpuprofile cpu.pprof -memprofile mem.pprof -o /dev/null

@@ -1,82 +1,12 @@
 package fedsz
 
-// One testing.B benchmark per paper table/figure, each driving the
-// same experiment runner that cmd/fedszbench uses (DESIGN.md §3 maps
-// experiments to modules). Additional micro-benchmarks cover the two
-// pipeline halves.
+// Micro-benchmarks of the compression pipeline. The paper's tables and
+// figures run through cmd/fedszbench; end-to-end rounds are measured by
+// the benchmark/ module.
 //
 //	go test -bench=. -benchmem
 
-import (
-	"testing"
-
-	"fedsz/internal/bench"
-)
-
-func benchOpts() bench.Options {
-	return bench.Options{Scale: 16, Seed: 1, Quick: true}
-}
-
-func runBench(b *testing.B, id string) {
-	b.Helper()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.Run(id, benchOpts()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkTable1EBLC regenerates Table I (EBLC comparison).
-func BenchmarkTable1EBLC(b *testing.B) { runBench(b, "table1") }
-
-// BenchmarkTable2Lossless regenerates Table II (lossless comparison).
-func BenchmarkTable2Lossless(b *testing.B) { runBench(b, "table2") }
-
-// BenchmarkTable3Profile regenerates Table III (model profiles).
-func BenchmarkTable3Profile(b *testing.B) { runBench(b, "table3") }
-
-// BenchmarkTable5Ratios regenerates Table V (FedSZ ratios).
-func BenchmarkTable5Ratios(b *testing.B) { runBench(b, "table5") }
-
-// BenchmarkFig2Smoothness regenerates Fig. 2 (data characterization).
-func BenchmarkFig2Smoothness(b *testing.B) { runBench(b, "fig2") }
-
-// BenchmarkFig3Distributions regenerates Fig. 3 (weight distributions).
-func BenchmarkFig3Distributions(b *testing.B) { runBench(b, "fig3") }
-
-// BenchmarkFig4Convergence regenerates Fig. 4 (accuracy convergence).
-func BenchmarkFig4Convergence(b *testing.B) { runBench(b, "fig4") }
-
-// BenchmarkFig5AccuracyVsBound regenerates Fig. 5.
-func BenchmarkFig5AccuracyVsBound(b *testing.B) { runBench(b, "fig5") }
-
-// BenchmarkFig6Breakdown regenerates Fig. 6 (epoch time breakdown).
-func BenchmarkFig6Breakdown(b *testing.B) { runBench(b, "fig6") }
-
-// BenchmarkFig7CommTime regenerates Fig. 7 (10 Mbps communication).
-func BenchmarkFig7CommTime(b *testing.B) { runBench(b, "fig7") }
-
-// BenchmarkFig8Crossover regenerates Fig. 8 (bandwidth sweep).
-func BenchmarkFig8Crossover(b *testing.B) { runBench(b, "fig8") }
-
-// BenchmarkFig9Scaling regenerates Fig. 9 (weak/strong scaling).
-func BenchmarkFig9Scaling(b *testing.B) { runBench(b, "fig9") }
-
-// BenchmarkFig10Privacy regenerates Fig. 10 (error distributions).
-func BenchmarkFig10Privacy(b *testing.B) { runBench(b, "fig10") }
-
-// BenchmarkParallelTable regenerates the serial-vs-parallel speedup
-// table (the Eqn. 1 tC scaling experiment).
-func BenchmarkParallelTable(b *testing.B) { runBench(b, "parallel") }
-
-// BenchmarkThroughputTable regenerates the throughput/allocation table
-// (the streaming entropy stage's MB/s and allocs/op datapoint).
-func BenchmarkThroughputTable(b *testing.B) { runBench(b, "throughput") }
-
-// BenchmarkAdaptTable regenerates the adaptive-vs-static selection
-// table (the control-plane datapoint behind BENCH_adapt.json).
-func BenchmarkAdaptTable(b *testing.B) { runBench(b, "adapt") }
+import "testing"
 
 // BenchmarkAdaptiveCompress measures adaptive-pipeline compression on
 // a quarter-width MobileNetV2 update with plans warm — the steady

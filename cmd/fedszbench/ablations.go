@@ -1,4 +1,4 @@
-package bench
+package main
 
 import (
 	"fmt"
@@ -13,11 +13,10 @@ import (
 	"fedsz/internal/sz3"
 )
 
-// Ablations exercises the design choices DESIGN.md §4.5 calls out:
-// SZ2's hybrid predictor, SZ3's cubic interpolation, the lossless
-// stage inside the EBLCs, the partition threshold, per-tensor vs
-// global bounds, and the §VIII "last-step" composition with the
-// Top-K / QSGD baselines.
+// Ablations exercises the pipeline's design choices: SZ2's hybrid
+// predictor, SZ3's cubic interpolation, the lossless stage inside the
+// EBLCs, the partition threshold, per-tensor vs global bounds, and the
+// §VIII "last-step" composition with the Top-K / QSGD baselines.
 func Ablations(opts Options) (*Table, error) {
 	opts = opts.withDefaults()
 	t := &Table{

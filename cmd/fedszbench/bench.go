@@ -1,9 +1,8 @@
-// Package bench regenerates every table and figure of the paper's
-// evaluation section (see DESIGN.md §3 for the experiment index). Each
-// experiment is a function from Options to a renderable Table;
-// cmd/fedszbench exposes them on the command line and the root-level
-// benchmarks exercise them under testing.B.
-package bench
+package main
+
+// Each experiment regenerates one table or figure of the paper's
+// evaluation section (the README's "Reproducing the paper" lists them):
+// a function from Options to a renderable Table.
 
 import (
 	"encoding/csv"
@@ -35,13 +34,10 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Table is a rendered experiment result. Config carries the settings
-// the run was measured under, so the JSON datapoint (see Report) is
-// self-describing; notes stay free-form narrative.
+// Table is a rendered experiment result.
 type Table struct {
 	ID     string
 	Title  string
-	Config map[string]string
 	Header []string
 	Rows   [][]string
 	Notes  []string
@@ -100,13 +96,6 @@ func (t *Table) Render(w io.Writer) error {
 	return err
 }
 
-// RenderJSON writes the table as an indented JSON object in the
-// shared Report schema — the format the committed BENCH_*.json
-// datapoints use, so runs on different machines diff cleanly.
-func (t *Table) RenderJSON(w io.Writer) error {
-	return t.Report().WriteJSON(w)
-}
-
 // RenderCSV writes the table as CSV (header row first) for plotting
 // pipelines.
 func (t *Table) RenderCSV(w io.Writer) error {
@@ -129,49 +118,31 @@ type Runner func(Options) (*Table, error)
 // experiments maps experiment ids to runners.
 func experiments() map[string]Runner {
 	return map[string]Runner{
-		"ablations":  Ablations,
-		"adapt":      Adapt,
-		"chaos":      Chaos,
-		"families":   Families,
-		"obs":        Obs,
-		"parallel":   Parallel,
-		"scale":      Scale,
-		"stream":     Stream,
-		"throughput": Throughput,
-		"table1":     Table1,
-		"table2":     Table2,
-		"table3":     Table3,
-		"table5":     Table5,
-		"fig2":       Fig2,
-		"fig3":       Fig3,
-		"fig4":       Fig4,
-		"fig5":       Fig5,
-		"fig6":       Fig6,
-		"fig7":       Fig7,
-		"fig8":       Fig8,
-		"fig9":       Fig9,
-		"fig10":      Fig10,
+		"ablations": Ablations,
+		"table1":    Table1,
+		"table2":    Table2,
+		"table3":    Table3,
+		"table5":    Table5,
+		"fig2":      Fig2,
+		"fig3":      Fig3,
+		"fig4":      Fig4,
+		"fig5":      Fig5,
+		"fig6":      Fig6,
+		"fig7":      Fig7,
+		"fig8":      Fig8,
+		"fig9":      Fig9,
+		"fig10":     Fig10,
 	}
 }
 
-// IDs lists experiment ids in a stable order.
-func IDs() []string {
-	m := experiments()
-	out := make([]string, 0, len(m))
-	for id := range m {
+// ids lists a registry's experiment ids in a stable order.
+func ids(exps map[string]Runner) []string {
+	out := make([]string, 0, len(exps))
+	for id := range exps {
 		out = append(out, id)
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Run executes one experiment by id.
-func Run(id string, opts Options) (*Table, error) {
-	r, ok := experiments()[id]
-	if !ok {
-		return nil, fmt.Errorf("bench: unknown experiment %q (have %s)", id, strings.Join(IDs(), ", "))
-	}
-	return r(opts)
 }
 
 // formatting helpers shared by the runners.

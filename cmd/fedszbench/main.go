@@ -5,7 +5,7 @@
 //	fedszbench -exp table1            # one experiment
 //	fedszbench -exp all -scale 4      # everything, quarter-width models
 //	fedszbench -list                  # show experiment ids
-//	fedszbench -exp parallel -format json -o BENCH_parallel.json
+//	fedszbench -exp fig8 -format csv -o fig8.csv
 //
 // Scale 1 reproduces paper-size models (AlexNet ≈244 MB — minutes per
 // experiment); the default scale 8 finishes each experiment in seconds
@@ -22,31 +22,57 @@ import (
 	"strings"
 
 	"fedsz"
-	"fedsz/internal/bench"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout, experiments()); err != nil {
 		fmt.Fprintln(os.Stderr, "fedszbench:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+// run parses args and runs the selected experiments of exps, writing
+// their tables to stdout unless -o names a file. Every flag is checked
+// before the first experiment starts.
+func run(args []string, stdout io.Writer, exps map[string]Runner) error {
+	fs := flag.NewFlagSet("fedszbench", flag.ExitOnError)
 	var (
-		exp    = flag.String("exp", "all", "experiment id (see -list) or 'all'")
-		scale  = flag.Int("scale", 8, "model width divisor (1 = paper scale)")
-		seed   = flag.Int64("seed", 42, "random seed")
-		quick  = flag.Bool("quick", false, "trim sweeps for a fast smoke run")
-		list   = flag.Bool("list", false, "list experiment ids and exit")
-		format = flag.String("format", "text", "output format: text, csv or json")
-		out    = flag.String("o", "", "write output to a file instead of stdout")
-		cpu    = flag.String("cpuprofile", "", "write a CPU profile of the experiment run to this file")
-		mem    = flag.String("memprofile", "", "write an allocation profile taken after the run to this file")
-		mdump  = flag.Bool("metrics-dump", false, "after the run, print the process metrics registry (Prometheus text) to stderr")
+		exp    = fs.String("exp", "all", "experiment id (see -list) or 'all'")
+		scale  = fs.Int("scale", 8, "model width divisor (1 = paper scale)")
+		seed   = fs.Int64("seed", 42, "random seed")
+		quick  = fs.Bool("quick", false, "trim sweeps for a fast smoke run")
+		list   = fs.Bool("list", false, "list experiment ids and exit")
+		format = fs.String("format", "text", "output format: text or csv")
+		out    = fs.String("o", "", "write output to a file instead of stdout")
+		cpu    = fs.String("cpuprofile", "", "write a CPU profile of the experiment run to this file")
+		mem    = fs.String("memprofile", "", "write an allocation profile taken after the run to this file")
+		mdump  = fs.Bool("metrics-dump", false, "after the run, print the process metrics registry (Prometheus text) to stderr")
 	)
-	flag.StringVar(exp, "experiment", *exp, "alias for -exp")
-	flag.Parse()
+	fs.StringVar(exp, "experiment", *exp, "alias for -exp")
+	_ = fs.Parse(args) // ExitOnError: a bad flag exits instead of returning
+
+	if *list {
+		fmt.Fprintln(stdout, "experiments:")
+		for _, id := range ids(exps) {
+			fmt.Fprintln(stdout, " ", id)
+		}
+		return nil
+	}
+
+	render, ok := map[string]func(*Table, io.Writer) error{
+		"text": (*Table).Render,
+		"csv":  (*Table).RenderCSV,
+	}[*format]
+	if !ok {
+		return fmt.Errorf("unknown format %q (have text, csv)", *format)
+	}
+	names := ids(exps)
+	if *exp != "all" {
+		if _, ok := exps[*exp]; !ok {
+			return fmt.Errorf("unknown experiment %q (have %s)", *exp, strings.Join(names, ", "))
+		}
+		names = []string{*exp}
+	}
 
 	if *cpu != "" {
 		f, err := os.Create(*cpu)
@@ -73,32 +99,7 @@ func run() error {
 		}()
 	}
 
-	if *list {
-		fmt.Println("experiments:")
-		for _, id := range bench.IDs() {
-			fmt.Println(" ", id)
-		}
-		fmt.Println("compressor families (candidates for adaptive experiments):")
-		for _, name := range fedsz.Families() {
-			f, err := fedsz.FamilyByName(name)
-			if err != nil {
-				return err
-			}
-			var grid []string
-			for _, s := range fedsz.FamilyGrid(f) {
-				label := s.String()
-				if !f.Bounded(s) {
-					label += "*"
-				}
-				grid = append(grid, label)
-			}
-			fmt.Printf("  %-10s %-8s %s\n", name, f.Kind(), strings.Join(grid, " "))
-		}
-		fmt.Println("  (* = setting does not guarantee the error bound; adaptive probes it only with error feedback)")
-		return nil
-	}
-
-	w := io.Writer(os.Stdout)
+	w := stdout
 	if *out != "" {
 		f, err := os.Create(*out)
 		if err != nil {
@@ -108,32 +109,18 @@ func run() error {
 		w = f
 	}
 
-	opts := bench.Options{Scale: *scale, Seed: *seed, Quick: *quick}
-	ids := bench.IDs()
-	if *exp != "all" {
-		ids = []string{*exp}
-	}
+	opts := Options{Scale: *scale, Seed: *seed, Quick: *quick}
 	if *mdump {
 		// The dump goes to stderr so -o/-format table output stays
 		// machine-parseable.
 		defer fedsz.WriteMetrics(os.Stderr)
 	}
-	for _, id := range ids {
-		tab, err := bench.Run(id, opts)
+	for _, id := range names {
+		tab, err := exps[id](opts)
 		if err != nil {
 			return fmt.Errorf("%s: %w", id, err)
 		}
-		switch *format {
-		case "csv":
-			err = tab.RenderCSV(w)
-		case "json":
-			err = tab.RenderJSON(w)
-		case "text":
-			err = tab.Render(w)
-		default:
-			err = fmt.Errorf("unknown format %q", *format)
-		}
-		if err != nil {
+		if err := render(tab, w); err != nil {
 			return err
 		}
 	}

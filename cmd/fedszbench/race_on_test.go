@@ -1,6 +1,6 @@
 //go:build race
 
-package bench
+package main
 
 // raceEnabled reports whether the race detector is instrumenting this
 // test binary. See race_off_test.go.

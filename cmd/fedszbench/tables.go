@@ -1,4 +1,4 @@
-package bench
+package main
 
 import (
 	"fmt"
@@ -30,7 +30,7 @@ func Table1(opts Options) (*Table, error) {
 			"Runtime", "Thpt(MB/s)", "CR", "Top-1Acc"},
 		Notes: []string{
 			"szx* = paper-artifact mode (bound-independent block means, as observed in the paper's Table I)",
-			fmt.Sprintf("models at width divisor %d; accuracy from mini-model FL runs (see DESIGN.md §1)", opts.Scale),
+			fmt.Sprintf("models at width divisor %d; accuracy from mini-model FL runs (see README, Reproducing the paper)", opts.Scale),
 		},
 	}
 	compressors := []string{core.LossySZ2, core.LossySZ3, core.LossySZx, core.LossySZxArtifact, core.LossyZFP}

@@ -109,7 +109,7 @@
 // the model and training substrates, the FedAvg runtime with simulated
 // and real (TCP) transports plus the orchestration subsystem, and the
 // benchmark harness that regenerates every table and figure of the
-// paper (see DESIGN.md and cmd/fedszbench).
+// paper (cmd/fedszbench; see the README's "Reproducing the paper").
 package fedsz
 
 import (

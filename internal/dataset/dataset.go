@@ -4,7 +4,7 @@
 // scaled copies. Input dimensions and class counts match the real
 // datasets; semantics do not need to — the accuracy experiments only
 // require learnable structure whose training is perturbed by real
-// compressor noise (DESIGN.md §1).
+// compressor noise (README, "Reproducing the paper").
 package dataset
 
 import (

@@ -29,7 +29,7 @@ var tokenPool = sync.Pool{
 }
 
 // LZH is an LZ77 + canonical-Huffman codec. Two profiles stand in for
-// zstd and xz (see DESIGN.md §1 for the substitution rationale).
+// zstd and xz (README, "Reproducing the paper").
 type LZH struct {
 	profile LZHProfile
 	params  lzParams

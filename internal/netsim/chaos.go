@@ -16,7 +16,7 @@ import (
 type FaultConfig struct {
 	// BitFlipRate is the per-byte probability that one of the byte's
 	// bits is flipped in transit (0 = never). Rates in a real
-	// deployment are tiny; the chaos harness runs 1e-6..1e-4.
+	// deployment are tiny.
 	BitFlipRate float64
 	// KillRate is the per-write probability that the connection dies
 	// mid-write: a prefix of the buffer is delivered, the rest never

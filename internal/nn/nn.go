@@ -4,8 +4,8 @@
 // Go has no PyTorch; training the paper's full-size models is out of
 // reach, so the accuracy experiments run on "mini" variants of the
 // three architectures (dense networks with matching depth/width ratios)
-// trained on synthetic datasets — see DESIGN.md §1 for the substitution
-// rationale. What matters for the reproduction is that the *same FedSZ
+// trained on synthetic datasets — see the README's "Reproducing the
+// paper". What matters for the reproduction is that the *same FedSZ
 // pipeline* compresses the updates, with error injected by the real
 // compressors.
 //

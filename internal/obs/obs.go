@@ -18,10 +18,10 @@
 // The package-level Default registry is what the packages under
 // internal/ instrument and what fedszserver/fedszedge expose over
 // -metrics-addr. SetDisabled short-circuits every update in the
-// process (the "obs.Disabled" arm of BENCH_obs.json); Disabled is a
-// structurally inert registry whose constructors return nil
-// instruments for callers that want zero cost without the global
-// switch.
+// process (the arm core.TestDecodeAllocsUnchangedByObs compares
+// against); Disabled is a structurally inert registry whose
+// constructors return nil instruments for callers that want zero cost
+// without the global switch.
 package obs
 
 import (

@@ -1,5 +1,5 @@
 // Large-scale (ResNet50-tensor-sized) benchmarks pinning the numbers
-// quoted in BENCH_throughput.json and the README Performance section.
+// quoted in the README Performance section.
 package sz2
 
 import (

@@ -17,7 +17,7 @@
 // attributes it to "block mean storage"). ModePaperArtifact emulates
 // that observed behaviour (fixed-rate block-mean coding that ignores
 // the requested bound) so the paper's Table I and Fig. 4 rows can be
-// regenerated; EXPERIMENTS.md reports both modes side by side.
+// regenerated; fedszbench -exp table1 reports both modes side by side.
 package szx
 
 import (

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"errors"
 	"math"
 	"path/filepath"
 	"sync"
@@ -14,8 +15,10 @@ import (
 )
 
 // echoClients starts n clients that return the broadcast global
-// unchanged each round, and returns a WaitGroup to join them.
-func echoClients(t *testing.T, ln *pipeListener, codec fl.Codec, n int) *sync.WaitGroup {
+// unchanged each round, and returns a WaitGroup to join them. A client
+// whose server went away without a goodbye fails its session, so the
+// errors are only reported when strict.
+func echoClients(t *testing.T, ln *pipeListener, codec fl.Codec, n int, strict bool) *sync.WaitGroup {
 	t.Helper()
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
@@ -26,7 +29,7 @@ func echoClients(t *testing.T, ln *pipeListener, codec fl.Codec, n int) *sync.Wa
 			defer conn.Close()
 			if err := RunClient(conn, codec, func(round int, global *model.StateDict) (*model.StateDict, int, error) {
 				return global, 10 + i, nil
-			}); err != nil {
+			}); err != nil && strict {
 				t.Errorf("client %d: %v", i, err)
 			}
 		}(i)
@@ -34,110 +37,124 @@ func echoClients(t *testing.T, ln *pipeListener, codec fl.Codec, n int) *sync.Wa
 	return &wg
 }
 
-// TestOrchestratedCheckpointResume kills a federation after two of
-// four rounds via graceful Shutdown and resumes a second server from
-// the snapshot: the resumed server must run exactly the remaining
-// rounds, restore the residual store, and leave a final checkpoint
-// whose global model is bit-identical to the model Serve returned.
+// TestOrchestratedCheckpointResume stops a federation after two of
+// four rounds and resumes a second server from the snapshot, for both
+// ways a coordinator stops: a graceful Shutdown, and an Abort (a crash:
+// no final snapshot, no goodbye), which leaves only the snapshot the
+// checkpoint interval wrote after the second commit. The resumed server
+// must run exactly the remaining rounds, restore the residual store,
+// and leave a final checkpoint whose global model is bit-identical to
+// the model Serve returned.
 func TestOrchestratedCheckpointResume(t *testing.T) {
-	codec := fl.PlainCodec{}
-	initial := nn.MobileNetV2Mini(48, 4, 7).StateDict()
-	path := filepath.Join(t.TempDir(), "coord.ckpt")
+	for _, tc := range []struct {
+		name    string
+		stop    func(*Orchestrated)
+		wantErr error
+	}{
+		{"Shutdown", (*Orchestrated).Shutdown, nil},
+		{"Abort", (*Orchestrated).Abort, ErrAborted},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			codec := fl.PlainCodec{}
+			initial := nn.MobileNetV2Mini(48, 4, 7).StateDict()
+			path := filepath.Join(t.TempDir(), "coord.ckpt")
 
-	// Seed a residual store so the snapshot has per-client state to
-	// carry across the restart.
-	storeA := core.NewResidualStore()
-	storeA.For("client-0001").Commit("conv1.weight", []float32{1, 2}, []float32{0.5, 2})
+			// Seed a residual store so the snapshot has per-client state
+			// to carry across the restart.
+			storeA := core.NewResidualStore()
+			storeA.For("client-0001").Commit("conv1.weight", []float32{1, 2}, []float32{0.5, 2})
 
-	const totalRounds = 4
-	var roundsA []int
-	var lastGlobalA *model.StateDict
-	var srvA *Orchestrated
-	srvA, err := NewOrchestrated(OrchestratedConfig{
-		Codec:          codec,
-		MinClients:     2,
-		Rounds:         totalRounds,
-		CheckpointPath: path,
-		Residuals:      storeA,
-		OnRound: func(round int, global *model.StateDict, st orchestrator.RoundStats) {
-			roundsA = append(roundsA, round)
-			lastGlobalA = global
-			if round == 1 {
-				srvA.Shutdown() // "SIGTERM" after the second commit
+			const totalRounds = 4
+			var roundsA []int
+			var lastGlobalA *model.StateDict
+			var srvA *Orchestrated
+			srvA, err := NewOrchestrated(OrchestratedConfig{
+				Codec:          codec,
+				MinClients:     2,
+				Rounds:         totalRounds,
+				CheckpointPath: path,
+				Residuals:      storeA,
+				OnRound: func(round int, global *model.StateDict, st orchestrator.RoundStats) {
+					roundsA = append(roundsA, round)
+					lastGlobalA = global
+					if round == 1 {
+						tc.stop(srvA) // after the second commit
+					}
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lnA := newPipeListener(2)
-	wgA := echoClients(t, lnA, codec, 2)
-	if _, err := srvA.Serve(lnA, initial); err != nil {
-		t.Fatalf("server A: %v", err)
-	}
-	lnA.Close()
-	wgA.Wait()
-	if len(roundsA) != 2 {
-		t.Fatalf("server A committed rounds %v, want [0 1]", roundsA)
-	}
+			lnA := newPipeListener(2)
+			wgA := echoClients(t, lnA, codec, 2, tc.wantErr == nil)
+			if _, err := srvA.Serve(lnA, initial); !errors.Is(err, tc.wantErr) {
+				t.Fatalf("server A: err = %v, want %v", err, tc.wantErr)
+			}
+			lnA.Close()
+			wgA.Wait()
+			if len(roundsA) != 2 {
+				t.Fatalf("server A committed rounds %v, want [0 1]", roundsA)
+			}
 
-	ck, err := orchestrator.LoadCheckpoint(path)
-	if err != nil {
-		t.Fatalf("load checkpoint: %v", err)
-	}
-	if ck.Commits != 2 {
-		t.Fatalf("checkpoint commits %d, want 2", ck.Commits)
-	}
-	assertSameDict(t, lastGlobalA, ck.Global)
-	if len(ck.Residuals) != 1 || ck.Residuals["client-0001"] == nil {
-		t.Fatalf("checkpoint residuals %v, want client-0001 state", ck.Residuals)
-	}
+			ck, err := orchestrator.LoadCheckpoint(path)
+			if err != nil {
+				t.Fatalf("load checkpoint: %v", err)
+			}
+			if ck.Commits != 2 {
+				t.Fatalf("checkpoint commits %d, want 2", ck.Commits)
+			}
+			assertSameDict(t, lastGlobalA, ck.Global)
+			if len(ck.Residuals) != 1 || ck.Residuals["client-0001"] == nil {
+				t.Fatalf("checkpoint residuals %v, want client-0001 state", ck.Residuals)
+			}
 
-	// Resume: a fresh server, fresh clients, fresh (empty) residual
-	// store — everything a process restart loses.
-	storeB := core.NewResidualStore()
-	var roundsB []int
-	srvB, err := NewOrchestrated(OrchestratedConfig{
-		Codec:          codec,
-		MinClients:     2,
-		Rounds:         totalRounds,
-		CheckpointPath: path,
-		Resume:         ck,
-		Residuals:      storeB,
-		OnRound: func(round int, global *model.StateDict, st orchestrator.RoundStats) {
-			roundsB = append(roundsB, round)
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lnB := newPipeListener(2)
-	defer lnB.Close()
-	wgB := echoClients(t, lnB, codec, 2)
-	final, err := srvB.Serve(lnB, initial)
-	if err != nil {
-		t.Fatalf("server B: %v", err)
-	}
-	wgB.Wait()
-	if len(roundsB) != 2 || roundsB[0] != 2 || roundsB[1] != 3 {
-		t.Fatalf("server B committed rounds %v, want [2 3]", roundsB)
-	}
-	if storeB.Len() != 1 {
-		t.Fatalf("residual store not restored on resume: %d clients", storeB.Len())
-	}
-	if r := storeB.For("client-0001").Residual("conv1.weight"); len(r) != 2 || r[0] != 0.5 || r[1] != 0 {
-		t.Fatalf("restored residual %v, want [0.5 0]", r)
-	}
+			// Resume: a fresh server, fresh clients, fresh (empty)
+			// residual store — everything a process restart loses.
+			storeB := core.NewResidualStore()
+			var roundsB []int
+			srvB, err := NewOrchestrated(OrchestratedConfig{
+				Codec:          codec,
+				MinClients:     2,
+				Rounds:         totalRounds,
+				CheckpointPath: path,
+				Resume:         ck,
+				Residuals:      storeB,
+				OnRound: func(round int, global *model.StateDict, st orchestrator.RoundStats) {
+					roundsB = append(roundsB, round)
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			lnB := newPipeListener(2)
+			defer lnB.Close()
+			wgB := echoClients(t, lnB, codec, 2, true)
+			final, err := srvB.Serve(lnB, initial)
+			if err != nil {
+				t.Fatalf("server B: %v", err)
+			}
+			wgB.Wait()
+			if len(roundsB) != 2 || roundsB[0] != 2 || roundsB[1] != 3 {
+				t.Fatalf("server B committed rounds %v, want [2 3]", roundsB)
+			}
+			if storeB.Len() != 1 {
+				t.Fatalf("residual store not restored on resume: %d clients", storeB.Len())
+			}
+			if r := storeB.For("client-0001").Residual("conv1.weight"); len(r) != 2 || r[0] != 0.5 || r[1] != 0 {
+				t.Fatalf("restored residual %v, want [0.5 0]", r)
+			}
 
-	// The final graceful-exit checkpoint records the completed run.
-	ck2, err := orchestrator.LoadCheckpoint(path)
-	if err != nil {
-		t.Fatalf("load final checkpoint: %v", err)
+			// The final graceful-exit checkpoint records the completed run.
+			ck2, err := orchestrator.LoadCheckpoint(path)
+			if err != nil {
+				t.Fatalf("load final checkpoint: %v", err)
+			}
+			if ck2.Commits != totalRounds {
+				t.Fatalf("final checkpoint commits %d, want %d", ck2.Commits, totalRounds)
+			}
+			assertSameDict(t, final, ck2.Global)
+		})
 	}
-	if ck2.Commits != totalRounds {
-		t.Fatalf("final checkpoint commits %d, want %d", ck2.Commits, totalRounds)
-	}
-	assertSameDict(t, final, ck2.Global)
 }
 
 // TestOrchestratedShutdownWhileWaiting: Shutdown before any client

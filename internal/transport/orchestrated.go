@@ -53,7 +53,7 @@ type OrchestratedConfig struct {
 	OnRound func(round int, global *model.StateDict, stats orchestrator.RoundStats)
 	// OnDrop observes every withdrawn client with its typed reason
 	// (straggler deadline, corrupt frame, disconnect, departure) —
-	// the chaos harness counts quarantines through it. When Residuals
+	// the chaos test counts quarantines through it. When Residuals
 	// is configured its per-client state is withdrawn automatically
 	// before OnDrop runs.
 	OnDrop func(clientID string, reason orchestrator.DropReason)
@@ -125,12 +125,11 @@ func (s *Orchestrated) Shutdown() { s.t.shutdown() }
 // without completing its round budget.
 var ErrAborted = errors.New("transport: server aborted")
 
-// Abort simulates a coordinator crash for the chaos harness: Serve
-// stops at the next round boundary WITHOUT the graceful-exit
-// courtesies — no final checkpoint (recovery must come from the last
-// periodic snapshot) and no MsgShutdown to clients (they see their
-// connections die, exactly as after a kill -9). Serve returns
-// ErrAborted.
+// Abort simulates a coordinator crash: Serve stops at the next round
+// boundary WITHOUT the graceful-exit courtesies — no final checkpoint
+// (recovery must come from the last periodic snapshot) and no
+// MsgShutdown to clients (they see their connections die, exactly as
+// after a kill -9). Serve returns ErrAborted.
 func (s *Orchestrated) Abort() {
 	s.abandon.Store(true)
 	s.t.shutdown()
