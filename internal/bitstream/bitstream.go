@@ -12,12 +12,13 @@
 // accumulator fills, and the Reader loads 8 bytes at a time, so the
 // per-bit cost of the entropy stage is a couple of shifts rather than a
 // byte-indexed loop. On top of the classic Read/Write calls the Reader
-// exposes Peek and Skip, sized for a table-driven Huffman decoder: Peek
-// returns the next n bits without consuming them (zero-padded past the
-// end of the stream) and Skip consumes exactly the bits a matched code
-// used. Writers can also be pointed at a caller-owned buffer with
-// ResetBuf, which is what the allocation-free AppendEncode paths in the
-// huffman package build on.
+// exposes Peek and Skip, sized for a table-driven decoder: Peek returns
+// the next n bits without consuming them (zero-padded past the end of
+// the stream) and Skip consumes exactly the bits a matched code used.
+// Writers can also be pointed at a caller-owned buffer with ResetBuf.
+// The huffman package runs its own word loops over the same bit order
+// and checks them against this package's Writer and Reader in its
+// tests.
 package bitstream
 
 import (

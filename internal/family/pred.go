@@ -107,7 +107,7 @@ func (pred) Compress(data []float32, p lossy.Params) ([]byte, error) {
 	for _, m := range outliers {
 		payload = binary.LittleEndian.AppendUint32(payload, math.Float32bits(m))
 	}
-	payload, err = huffman.AppendEncode(payload, codes)
+	payload, err = huffman.AppendEncodeAlphabet(payload, codes, 2*radius+2)
 	if err != nil {
 		return nil, fmt.Errorf("pred: entropy stage: %w", err)
 	}
@@ -166,11 +166,15 @@ func (pred) Decompress(buf []byte) ([]float32, error) {
 	out := make([]float32, count)
 	prev := 0.0
 	oi := 0
+	var codes [128]int32
 	for i := 0; i < count; i++ {
-		code, err := dec.Next()
-		if err != nil {
-			return nil, fmt.Errorf("%w: pred entropy stage: %v", lossy.ErrCorrupt, err)
+		j := i % len(codes)
+		if j == 0 {
+			if err := dec.DecodeInto(codes[:min(count-i, len(codes))]); err != nil {
+				return nil, fmt.Errorf("%w: pred entropy stage: %v", lossy.ErrCorrupt, err)
+			}
 		}
+		code := codes[j]
 		var mag float32
 		if code == 0 {
 			if (oi+1)*4 > len(outlierBytes) {

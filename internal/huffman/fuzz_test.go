@@ -1,15 +1,16 @@
 package huffman
 
 import (
-	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
 // FuzzHuffmanDecode drives the streaming decoder with arbitrary bytes
 // (CI runs it for 10s per PR): it must never panic or over-allocate,
-// and on streams it accepts, the legacy Decode and the streaming
-// DecodeAll must agree symbol-for-symbol.
+// and DecodeInto in chunks must agree with the per-symbol scalar loop
+// on every stream — the same symbols, and on a bad stream a failure at
+// the same symbol with the same error class.
 func FuzzHuffmanDecode(f *testing.F) {
 	// Seed corpus: valid streams of each encoder shape plus structural
 	// mutations of them.
@@ -26,9 +27,9 @@ func FuzzHuffmanDecode(f *testing.F) {
 	tokens := make([]byte, 1000)
 	rng.Read(tokens)
 	f.Add(AppendEncodeBytes(nil, tokens))
-	single, _ := Encode([]int{5, 5, 5})
+	single, _ := AppendEncode(nil, []int32{5, 5, 5})
 	f.Add(single)
-	empty, _ := Encode(nil)
+	empty, _ := AppendEncode(nil, nil)
 	f.Add(empty)
 	trunc := append([]byte(nil), valid[:len(valid)/2]...)
 	f.Add(trunc)
@@ -42,29 +43,14 @@ func FuzzHuffmanDecode(f *testing.F) {
 		if len(data) > 1<<16 {
 			return // bound per-exec work; structure, not size, is under test
 		}
-		want, wantErr := Decode(data)
-		d := AcquireDecoder()
-		defer d.Release()
-		if err := d.Open(data); err != nil {
-			if wantErr == nil {
-				t.Fatalf("Open rejected a stream Decode accepted: %v", err)
-			}
-			return
-		}
-		got, gotErr := d.DecodeAll(nil)
-		if (gotErr == nil) != (wantErr == nil) {
-			t.Fatalf("streaming error %v, Decode error %v", gotErr, wantErr)
+		want, wantErr := decodeScalar(data)
+		got, gotErr := decodeChunked(rand.New(rand.NewSource(int64(len(data)))), data, 64)
+		if errClass(gotErr) != errClass(wantErr) || !slices.Equal(got, want) {
+			t.Fatalf("DecodeInto gave %d symbols and %q, the scalar loop %d and %q",
+				len(got), errClass(gotErr), len(want), errClass(wantErr))
 		}
 		if gotErr != nil {
 			return
-		}
-		if len(got) != len(want) {
-			t.Fatalf("streaming decoded %d symbols, Decode %d", len(got), len(want))
-		}
-		for i := range got {
-			if int(got[i]) != want[i] {
-				t.Fatalf("symbol %d: streaming %d, Decode %d", i, got[i], want[i])
-			}
 		}
 		// Accepted streams must re-encode losslessly (not byte-identical:
 		// the original may carry a non-canonical but valid table).
@@ -72,15 +58,12 @@ func FuzzHuffmanDecode(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encode of decoded symbols failed: %v", err)
 		}
-		back, err := Decode(re)
+		back, err := decode(re)
 		if err != nil {
 			t.Fatalf("decode of re-encoded stream failed: %v", err)
 		}
-		for i := range back {
-			if back[i] != want[i] {
-				t.Fatalf("re-encode round trip diverged at %d", i)
-			}
+		if !slices.Equal(back, want) {
+			t.Fatal("re-encode round trip diverged")
 		}
-		_ = bytes.Equal(re, data)
 	})
 }

@@ -9,30 +9,36 @@
 // (symbol-delta, length) pairs so that sparse alphabets cost almost
 // nothing.
 //
-// # Streaming API and pooling contract
+// # Word loops and pooling contract
 //
-// The hot paths are allocation-free. AppendEncode and AppendEncodeBytes
-// append a self-describing stream directly to a caller-supplied buffer;
-// all encoder scratch (frequency tables, tree nodes, code tables, the
-// bit writer) is recycled through an internal sync.Pool. On the decode
-// side, AcquireDecoder returns a pooled streaming Decoder: Open parses
-// a stream's header, Count reports the number of encoded symbols, and
-// Next (symbol at a time) or DecodeAll/DecodeAllBytes (bulk, appending
-// into a caller buffer) consume the body — so a consumer that folds
-// symbols into its own reconstruction loop never materializes a code
-// array at all. Call Release to return a Decoder to the pool; a
-// released Decoder keeps no reference to the stream it decoded. The
-// legacy Encode/Decode convenience wrappers remain for callers that
-// want freshly allocated slices.
+// The hot loops keep their 64-bit bit window in locals and move whole
+// 8-byte words. AppendEncode, AppendEncodeAlphabet and AppendEncodeBytes
+// append a self-describing stream directly to a caller-supplied buffer:
+// one counting pass builds the histogram, the code lengths give the
+// body's exact size before a bit is written, and the body leaves the
+// window as big-endian words. A caller that knows its alphabet states it
+// (AppendEncodeAlphabet: sz2 and sz3 codes lie in [0, 2·radius+2)), so
+// no separate pass looks for the largest or a negative symbol. Encoder
+// scratch (frequency tables, tree nodes, code tables) is recycled
+// through an internal sync.Pool.
 //
-// Symbols must fit in an int32; Encode reports an error for symbols
-// outside [0, MaxSymbol].
+// On the decode side, AcquireDecoder returns a pooled streaming Decoder:
+// Open parses a stream's header, Count reports the number of encoded
+// symbols, and DecodeInto decodes the next block of symbols through the
+// fast table, refilling its window a word at a time. Next, DecodeAll and
+// DecodeAllBytes are thin loops over DecodeInto, so a consumer that
+// reconstructs block by block (sz2's 128-element blocks) never
+// materializes a whole code array. Call Release to return a Decoder to
+// the pool; a released Decoder keeps no reference to the stream it
+// decoded.
 package huffman
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -73,72 +79,68 @@ type symFreq struct {
 // and is fanned across goroutines, which is exactly the per-P caching
 // sync.Pool provides.
 type encoder struct {
-	freqs []int64   // dense symbol counts (cleared after use)
+	freqs []uint32  // dense symbol counts (cleared after use)
 	pairs []symFreq // present symbols, ascending
 	tmp   []int64   // flattened frequencies during length limiting
 	lens  []uint8   // code length per pair
 	ord   []int32   // pair indices in canonical (length, symbol) order
 	cnt   [MaxCodeLen + 2]int32
-	nodes []hNode // tree arena (pre-sized: pointers must not move)
-	heap  hHeap   // scratch for huffmanLengths
-	dense []symCode
+	nodes []hNode   // tree arena (pre-sized: pointers must not move)
+	heap  hHeap     // scratch for huffmanLengths
+	codes []symCode // code per pair
+	dense []symCode // code per symbol, up to the largest present
 	hdr   []byte
-	bw    bitstream.Writer
 }
 
 var encoderPool = sync.Pool{
 	New: func() interface{} { return new(encoder) },
 }
 
-// Encode Huffman-encodes symbols (all must be in [0, MaxSymbol]) and
-// returns a self-describing buffer containing the code table and the
-// bit stream. Callers on a hot path should prefer AppendEncode.
-func Encode(symbols []int) ([]byte, error) {
-	for _, s := range symbols {
-		if s < 0 || s > MaxSymbol {
-			return nil, fmt.Errorf("huffman: symbol %d out of range", s)
-		}
-	}
-	s32 := make([]int32, len(symbols))
-	for i, s := range symbols {
-		s32[i] = int32(s)
-	}
-	return AppendEncode(make([]byte, 0, len(symbols)/4+64), s32)
-}
-
 // AppendEncode appends the Huffman encoding of symbols (all must be
-// >= 0) to dst and returns the extended buffer. The output bytes are
-// identical to Encode's; dst may be nil.
+// >= 0) to dst and returns the extended buffer; dst may be nil. It
+// scans symbols for the alphabet, then runs AppendEncodeAlphabet.
 func AppendEncode(dst []byte, symbols []int32) ([]byte, error) {
-	e := encoderPool.Get().(*encoder)
-	defer e.release()
 	maxSym := int32(0)
 	for _, s := range symbols {
 		if s < 0 {
-			return nil, fmt.Errorf("huffman: negative symbol %d", s)
+			return nil, symbolError(s, 0)
 		}
-		if s > maxSym {
-			maxSym = s
+		maxSym = max(maxSym, s)
+	}
+	return AppendEncodeAlphabet(dst, symbols, int(maxSym)+1)
+}
+
+// AppendEncodeAlphabet is AppendEncode for symbols the caller bounds:
+// every symbol must lie in [0, alphabet), and one that does not is an
+// error. The histogram is then a single counting pass. The output bytes
+// are AppendEncode's, whatever bound is stated.
+func AppendEncodeAlphabet(dst []byte, symbols []int32, alphabet int) ([]byte, error) {
+	e := encoderPool.Get().(*encoder)
+	defer encoderPool.Put(e)
+	if alphabet > denseLimit || len(symbols) > math.MaxUint32 {
+		return e.appendSparse(dst, symbols, alphabet)
+	}
+	if cap(e.freqs) < alphabet {
+		e.freqs = make([]uint32, alphabet)
+	}
+	freqs := e.freqs[:alphabet]
+	for _, s := range symbols {
+		if uint(s) >= uint(len(freqs)) {
+			clear(freqs) // leave the table clear for the next use
+			return nil, symbolError(s, alphabet)
+		}
+		freqs[s]++
+	}
+	// The present symbols, ascending; the table is left clear.
+	e.pairs = e.pairs[:0]
+	for s, c := range freqs {
+		if c > 0 {
+			e.pairs = append(e.pairs, symFreq{sym: int32(s), freq: int64(c)})
+			freqs[s] = 0
 		}
 	}
-	if int(maxSym) < denseLimit {
-		e.countDense(symbols, int(maxSym))
-	} else {
-		e.countSparse(symbols)
-	}
-	return e.encode(dst, len(symbols), func(lookup []symCode, sparse map[int32]symCode) {
-		if sparse == nil {
-			for _, s := range symbols {
-				c := lookup[s]
-				e.bw.WriteBits(uint64(c.code), uint(c.len))
-			}
-			return
-		}
-		for _, s := range symbols {
-			c := sparse[s]
-			e.bw.WriteBits(uint64(c.code), uint(c.len))
-		}
-	})
+	dst = e.appendTable(dst, len(symbols))
+	return appendCodes(dst, symbols, e.denseCodes()), nil
 }
 
 // AppendEncodeBytes appends the Huffman encoding of a byte-alphabet
@@ -146,74 +148,92 @@ func AppendEncode(dst []byte, symbols []int32) ([]byte, error) {
 // is identical to AppendEncode over the widened tokens.
 func AppendEncodeBytes(dst []byte, tokens []byte) []byte {
 	e := encoderPool.Get().(*encoder)
-	defer e.release()
-	maxSym := 0
-	e.growFreqs(256)
+	defer encoderPool.Put(e)
+	var freqs [256]int64
 	for _, t := range tokens {
-		e.freqs[t]++
-		if int(t) > maxSym {
-			maxSym = int(t)
-		}
+		freqs[t]++
 	}
-	e.extractPairs(maxSym)
-	out, _ := e.encode(dst, len(tokens), func(lookup []symCode, _ map[int32]symCode) {
-		for _, t := range tokens {
-			c := lookup[t]
-			e.bw.WriteBits(uint64(c.code), uint(c.len))
-		}
-	})
-	return out
-}
-
-func (e *encoder) release() {
-	// Drop references to caller-owned memory; keep the scratch.
-	e.bw.ResetBuf(nil)
-	encoderPool.Put(e)
-}
-
-func (e *encoder) growFreqs(n int) {
-	if cap(e.freqs) < n {
-		e.freqs = make([]int64, n)
-	}
-	e.freqs = e.freqs[:n]
-}
-
-// countDense histograms symbols through the dense table and extracts
-// the present (symbol, frequency) pairs in ascending symbol order.
-func (e *encoder) countDense(symbols []int32, maxSym int) {
-	e.growFreqs(maxSym + 1)
-	for _, s := range symbols {
-		e.freqs[s]++
-	}
-	e.extractPairs(maxSym)
-}
-
-func (e *encoder) extractPairs(maxSym int) {
 	e.pairs = e.pairs[:0]
-	for s := 0; s <= maxSym && s < len(e.freqs); s++ {
-		if c := e.freqs[s]; c > 0 {
+	for s, c := range freqs {
+		if c > 0 {
 			e.pairs = append(e.pairs, symFreq{sym: int32(s), freq: c})
-			e.freqs[s] = 0 // leave the table clear for the next use
 		}
 	}
+	dst = e.appendTable(dst, len(tokens))
+	return appendCodes(dst, tokens, e.denseCodes())
 }
 
-// countSparse handles alphabets too wide for the dense table.
-func (e *encoder) countSparse(symbols []int32) {
+// appendCodes appends the code of every symbol, MSB-first, then the
+// zero-padded final byte. The window (acc, n) lives in locals and
+// leaves for dst a big-endian word at a time; appendTable has already
+// grown dst to the body's exact size.
+func appendCodes[S int32 | byte](dst []byte, symbols []S, lookup []symCode) []byte {
+	var acc uint64 // pending bits in the low n; bits above are stale
+	var n uint     // pending bit count, < 64
+	for _, s := range symbols {
+		c := lookup[s]
+		l := uint(c.len)
+		if n+l < 64 {
+			acc = acc<<l | uint64(c.code)
+			n += l
+			continue
+		}
+		// Top the window up to exactly 64 bits, move the word, and keep
+		// the code's low n bits pending.
+		n += l - 64
+		dst = binary.BigEndian.AppendUint64(dst, acc<<(l-n)|uint64(c.code)>>n)
+		acc = uint64(c.code)
+	}
+	for n >= 8 {
+		n -= 8
+		dst = append(dst, byte(acc>>n))
+	}
+	if n > 0 {
+		dst = append(dst, byte(acc<<(8-n)))
+	}
+	return dst
+}
+
+func symbolError(s int32, alphabet int) error {
+	if s < 0 {
+		return fmt.Errorf("huffman: negative symbol %d", s)
+	}
+	return fmt.Errorf("huffman: symbol %d outside alphabet [0, %d)", s, alphabet)
+}
+
+// appendSparse encodes an alphabet too wide for the dense tables: it
+// counts through a map and codes each symbol by its rank among the
+// present ones, so the body still runs through appendCodes.
+func (e *encoder) appendSparse(dst []byte, symbols []int32, alphabet int) ([]byte, error) {
 	freq := make(map[int32]int64, 256)
 	for _, s := range symbols {
+		if s < 0 || int(s) >= alphabet {
+			return nil, symbolError(s, alphabet)
+		}
 		freq[s]++
 	}
 	e.pairs = e.pairs[:0]
 	for s, c := range freq {
 		e.pairs = append(e.pairs, symFreq{sym: s, freq: c})
 	}
-	sortPairs(e.pairs)
+	sort.Slice(e.pairs, func(i, j int) bool { return e.pairs[i].sym < e.pairs[j].sym })
+	rank := make(map[int32]int32, len(e.pairs))
+	for i, p := range e.pairs {
+		rank[p.sym] = int32(i)
+	}
+	ranks := make([]int32, len(symbols))
+	for i, s := range symbols {
+		ranks[i] = rank[s]
+	}
+	dst = e.appendTable(dst, len(symbols))
+	return appendCodes(dst, ranks, e.codes), nil
 }
 
-// encode runs the shared table-build + serialization once e.pairs is
-// populated, invoking emit to stream the symbol bodies through e.bw.
-func (e *encoder) encode(dst []byte, count int, emit func(lookup []symCode, sparse map[int32]symCode)) ([]byte, error) {
+// appendTable builds the length-limited canonical code for e.pairs into
+// e.codes, appends the stream header (its length, the symbol count and
+// the (symbol-delta, length) table) to dst, and grows dst to hold the
+// body, whose size the code lengths fix.
+func (e *encoder) appendTable(dst []byte, count int) []byte {
 	e.buildLengths()
 	e.canonicalOrder()
 
@@ -223,46 +243,45 @@ func (e *encoder) encode(dst []byte, count int, emit func(lookup []symCode, spar
 	hdr = binary.AppendUvarint(hdr, uint64(count))
 	hdr = binary.AppendUvarint(hdr, uint64(len(e.pairs)))
 	prev := int32(0)
+	bodyBits := 0
 	for i, p := range e.pairs {
 		hdr = binary.AppendUvarint(hdr, uint64(p.sym-prev))
 		hdr = append(hdr, e.lens[i])
 		prev = p.sym
+		bodyBits += int(p.freq) * int(e.lens[i])
 	}
 	e.hdr = hdr
 
-	// Code assignment in canonical order, materialized as a dense
-	// lookup table (or a map for very wide alphabets).
-	var lookup []symCode
-	var sparse map[int32]symCode
-	if n := len(e.pairs); n > 0 {
-		if top := int(e.pairs[n-1].sym); top < denseLimit {
-			if cap(e.dense) < top+1 {
-				e.dense = make([]symCode, top+1)
-			}
-			lookup = e.dense[:top+1]
-		} else {
-			sparse = make(map[int32]symCode, n)
-		}
-	}
+	// Code assignment in canonical order.
+	e.codes = slices.Grow(e.codes[:0], len(e.pairs))[:len(e.pairs)]
 	code := uint32(0)
 	prevLen := uint8(0)
 	for _, idx := range e.ord {
 		l := e.lens[idx]
 		code <<= uint(l - prevLen)
-		if sparse != nil {
-			sparse[e.pairs[idx].sym] = symCode{code: code, len: l}
-		} else {
-			lookup[e.pairs[idx].sym] = symCode{code: code, len: l}
-		}
+		e.codes[idx] = symCode{code: code, len: l}
 		code++
 		prevLen = l
 	}
 
-	dst = binary.AppendUvarint(dst, uint64(len(e.hdr)))
-	dst = append(dst, e.hdr...)
-	e.bw.ResetBuf(dst)
-	emit(lookup, sparse)
-	return e.bw.Bytes(), nil
+	dst = slices.Grow(dst, binary.MaxVarintLen64+len(hdr)+(bodyBits+7)/8)
+	dst = binary.AppendUvarint(dst, uint64(len(hdr)))
+	return append(dst, hdr...)
+}
+
+// denseCodes spreads e.codes into a table indexed by symbol, up to the
+// largest present one. Entries of absent symbols are stale: the
+// symbols being encoded are exactly the counted ones.
+func (e *encoder) denseCodes() []symCode {
+	if len(e.pairs) == 0 {
+		return nil
+	}
+	top := int(e.pairs[len(e.pairs)-1].sym)
+	e.dense = slices.Grow(e.dense[:0], top+1)[:top+1]
+	for i, p := range e.pairs {
+		e.dense[p.sym] = e.codes[i]
+	}
+	return e.dense
 }
 
 // buildLengths computes length-limited code lengths for e.pairs into
@@ -465,16 +484,21 @@ func (e *encoder) canonicalOrder() {
 	}
 }
 
-func sortPairs(pairs []symFreq) {
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].sym < pairs[j].sym })
-}
-
 // Decoder is a streaming canonical Huffman decoder: Open parses a
-// stream produced by Encode/AppendEncode, then Next or DecodeAll
-// consume the body without materializing intermediate code arrays.
-// Decoders are not safe for concurrent use; acquire one per goroutine.
+// stream produced by AppendEncode, then DecodeInto (or Next, DecodeAll
+// and DecodeAllBytes, which loop over it) consumes the body without
+// materializing intermediate code arrays. Decoders are not safe for
+// concurrent use; acquire one per goroutine.
 type Decoder struct {
-	br        bitstream.Reader
+	// The bit window over the body: buf[pos:] is not loaded yet and acc
+	// holds the next nAcc bits, left-aligned. Below them acc is zero or
+	// holds the start of buf[pos] (a word refill loads a partial byte),
+	// so once the body is loaded a fast-table probe reads zero padding.
+	buf  []byte
+	pos  int
+	acc  uint64
+	nAcc uint
+
 	count     int // total symbols in the stream
 	remaining int
 	maxLen    int
@@ -482,7 +506,7 @@ type Decoder struct {
 	offset    [MaxCodeLen + 2]int32  // index of first symbol of each length in syms
 	countLen  [MaxCodeLen + 2]int32
 	syms      []int32 // symbols in canonical order
-	fast      []fastEntry
+	fast      [1 << fastBits]fastEntry
 	parseSyms []int32 // header parse scratch (symbol order)
 	parseLens []uint8
 }
@@ -505,13 +529,19 @@ func AcquireDecoder() *Decoder {
 // Release returns the Decoder to the pool. The Decoder drops its
 // reference to the stream buffer; the caller must not use it afterward.
 func (d *Decoder) Release() {
-	d.br.Reset(nil)
+	d.setBody(nil)
 	decoderPool.Put(d)
+}
+
+func (d *Decoder) setBody(body []byte) {
+	d.buf, d.pos, d.acc, d.nAcc = body, 0, 0, 0
 }
 
 // Open parses the stream header and prepares the decode tables. It
 // retains buf (without copying) until the next Open or Release.
 func (d *Decoder) Open(buf []byte) error {
+	d.count, d.remaining = 0, 0
+	d.setBody(nil)
 	hdrLen, n := binary.Uvarint(buf)
 	if n <= 0 || uint64(len(buf)-n) < hdrLen {
 		return errCorrupt
@@ -549,7 +579,7 @@ func (d *Decoder) Open(buf []byte) error {
 		hdr = hdr[n+1:]
 		// Symbols are delta-coded in strictly ascending order; a zero
 		// delta after the first entry is a duplicate, and anything past
-		// MaxSymbol cannot have been produced by Encode. The bound is
+		// MaxSymbol cannot have been produced by the encoder. The bound is
 		// checked before adding so a huge delta cannot wrap prev around
 		// uint64 and slip an out-of-order table past the counting sort
 		// below (which relies on ascending parse order).
@@ -570,10 +600,7 @@ func (d *Decoder) Open(buf []byte) error {
 		d.parseSyms[i] = int32(prev)
 		d.parseLens[i] = l
 	}
-	d.count = int(count)
-	d.remaining = d.count
 	if count == 0 {
-		d.br.Reset(nil)
 		return nil
 	}
 	if nSyms == 0 {
@@ -588,7 +615,8 @@ func (d *Decoder) Open(buf []byte) error {
 	if err := d.buildTables(); err != nil {
 		return err
 	}
-	d.br.Reset(body)
+	d.count, d.remaining = int(count), int(count)
+	d.setBody(body)
 	return nil
 }
 
@@ -637,13 +665,7 @@ func (d *Decoder) buildTables() error {
 	}
 	// Fast table: every fill of the low bits below a short code maps to
 	// that code. Prefix-freedom keeps the ranges disjoint.
-	if d.fast == nil {
-		d.fast = make([]fastEntry, 1<<fastBits)
-	} else {
-		for i := range d.fast {
-			d.fast[i] = fastEntry{}
-		}
-	}
+	d.fast = [1 << fastBits]fastEntry{}
 	for l := 1; l <= d.maxLen && l <= fastBits; l++ {
 		shift := uint(fastBits - l)
 		for j := int32(0); j < d.countLen[l]; j++ {
@@ -661,54 +683,113 @@ func (d *Decoder) buildTables() error {
 // Count returns the total number of symbols in the opened stream.
 func (d *Decoder) Count() int { return d.count }
 
-// Next decodes and returns one symbol.
-func (d *Decoder) Next() (int32, error) {
-	if d.remaining <= 0 {
-		return 0, errExhausted
-	}
-	d.remaining--
-	// Fast path: probe the single-level table with the next fastBits
-	// bits. Peek zero-pads past the end of the stream; Skip rejects a
-	// match that would consume more bits than remain.
-	e := d.fast[d.br.Peek(fastBits)]
-	if e.len > 0 {
-		if err := d.br.Skip(uint(e.len)); err != nil {
-			return 0, err
+// DecodeInto decodes the next len(dst) symbols into dst. It fails
+// where a bit-serial, symbol-at-a-time decoder would: dst holds the
+// symbols before the failing one, the failing symbol counts as
+// consumed, and a dst longer than what remains is decoded up to the
+// declared count and then reported as reading past it.
+func (d *Decoder) DecodeInto(dst []int32) error {
+	out := dst[:min(len(dst), d.remaining)]
+	buf, pos, acc, nAcc := d.buf, d.pos, d.acc, d.nAcc
+	fast := &d.fast
+	for i := range out {
+		if nAcc < fastBits {
+			pos, acc, nAcc = refill(buf, pos, acc, nAcc)
 		}
-		return e.sym, nil
+		if e := fast[acc>>(64-fastBits)]; e.len > 0 && uint(e.len) <= nAcc {
+			out[i] = e.sym
+			acc <<= uint(e.len)
+			nAcc -= uint(e.len)
+			continue
+		}
+		d.pos, d.acc, d.nAcc = pos, acc, nAcc
+		s, err := d.slowNext()
+		if err != nil {
+			d.remaining -= i + 1
+			return err
+		}
+		out[i] = s
+		pos, acc, nAcc = d.pos, d.acc, d.nAcc
 	}
-	return d.nextSlow()
+	d.pos, d.acc, d.nAcc = pos, acc, nAcc
+	d.remaining -= len(out)
+	if len(out) < len(dst) {
+		return errExhausted
+	}
+	return nil
 }
 
-// nextSlow reads bit-by-bit and matches against canonical first-code
-// arithmetic — the path for codes longer than fastBits.
-func (d *Decoder) nextSlow() (int32, error) {
-	code := uint32(0)
+// refill tops a window up to at least 56 bits unless the body ends
+// first: with 8 bytes left it ORs in a whole word and counts the whole
+// bytes that fit, at the tail it loads a byte at a time. n must be < 64.
+func refill(buf []byte, pos int, acc uint64, n uint) (int, uint64, uint) {
+	if pos+8 <= len(buf) {
+		acc |= binary.BigEndian.Uint64(buf[pos:]) >> n
+		k := (63 - n) >> 3
+		return pos + int(k), acc, n + k<<3
+	}
+	for n <= 56 && pos < len(buf) {
+		acc |= uint64(buf[pos]) << (56 - n)
+		n += 8
+		pos++
+	}
+	return pos, acc, n
+}
+
+// slowNext decodes the one symbol the fast loop could not: a code
+// longer than fastBits, or one in the body's last bits. Lengths are
+// tried shortest first against the canonical first-code arithmetic, as
+// a bit-serial decoder would, so a truncated body overruns exactly
+// where that decoder would.
+func (d *Decoder) slowNext() (int32, error) {
+	d.pos, d.acc, d.nAcc = refill(d.buf, d.pos, d.acc, d.nAcc)
+	// Fewer than 56 bits now means the whole body is in the window, and
+	// the probe reads zero padding past its end.
+	if e := d.fast[d.acc>>(64-fastBits)]; e.len > 0 {
+		return d.take(e.sym, uint(e.len))
+	}
 	for l := 1; l <= d.maxLen; l++ {
-		b, err := d.br.ReadBit()
-		if err != nil {
-			return 0, err
+		if uint(l) > d.nAcc {
+			return d.take(0, uint(l))
 		}
-		code = code<<1 | uint32(b)
 		if d.countLen[l] == 0 {
 			continue
 		}
+		code := uint32(d.acc >> (64 - l))
 		if diff := int64(code) - int64(d.firstCode[l]); diff >= 0 && diff < int64(d.countLen[l]) {
-			return d.syms[d.offset[l]+int32(diff)], nil
+			return d.take(d.syms[d.offset[l]+int32(diff)], uint(l))
 		}
 	}
+	d.take(0, uint(d.maxLen))
 	return 0, errCorrupt
 }
 
+// take consumes an l-bit code for sym. A code running past the body
+// consumes the rest of it and fails, as a bit reader's overrun does.
+func (d *Decoder) take(sym int32, l uint) (int32, error) {
+	if l > d.nAcc {
+		d.pos, d.acc, d.nAcc = len(d.buf), 0, 0
+		return 0, bitstream.ErrOverrun
+	}
+	d.acc <<= l
+	d.nAcc -= l
+	return sym, nil
+}
+
+// Next decodes and returns one symbol.
+func (d *Decoder) Next() (int32, error) {
+	var s [1]int32
+	err := d.DecodeInto(s[:])
+	return s[0], err
+}
+
 // DecodeAll appends every remaining symbol to dst and returns the
-// extended slice.
+// extended slice; on error it holds the symbols before the failing one.
 func (d *Decoder) DecodeAll(dst []int32) ([]int32, error) {
-	for d.remaining > 0 {
-		s, err := d.Next()
-		if err != nil {
-			return dst, err
-		}
-		dst = append(dst, s)
+	k, before := len(dst), d.remaining
+	dst = slices.Grow(dst, before)[:k+before]
+	if err := d.DecodeInto(dst[k:]); err != nil {
+		return dst[:k+before-d.remaining-1], err
 	}
 	return dst, nil
 }
@@ -716,37 +797,23 @@ func (d *Decoder) DecodeAll(dst []int32) ([]int32, error) {
 // DecodeAllBytes appends every remaining symbol to dst as bytes,
 // rejecting symbols outside the byte alphabet — the LZH token path.
 func (d *Decoder) DecodeAllBytes(dst []byte) ([]byte, error) {
+	var chunk [512]int32
+	dst = slices.Grow(dst, d.remaining)
 	for d.remaining > 0 {
-		s, err := d.Next()
+		c, before := chunk[:min(d.remaining, len(chunk))], d.remaining
+		err := d.DecodeInto(c)
+		if err != nil {
+			c = c[:before-d.remaining-1]
+		}
+		for _, s := range c {
+			if uint32(s) > 255 {
+				return dst, fmt.Errorf("%w: token %d out of byte range", errCorrupt, s)
+			}
+			dst = append(dst, byte(s))
+		}
 		if err != nil {
 			return dst, err
 		}
-		if s > 255 {
-			return dst, fmt.Errorf("%w: token %d out of byte range", errCorrupt, s)
-		}
-		dst = append(dst, byte(s))
 	}
 	return dst, nil
-}
-
-// Decode reverses Encode, returning a freshly allocated symbol slice.
-// Callers on a hot path should prefer the streaming Decoder.
-func Decode(buf []byte) ([]int, error) {
-	d := AcquireDecoder()
-	defer d.Release()
-	if err := d.Open(buf); err != nil {
-		return nil, err
-	}
-	if d.count == 0 {
-		return nil, nil
-	}
-	out := make([]int, d.count)
-	for i := range out {
-		s, err := d.Next()
-		if err != nil {
-			return nil, err
-		}
-		out[i] = int(s)
-	}
-	return out, nil
 }

@@ -3,17 +3,29 @@ package huffman
 import (
 	"encoding/binary"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
 
-func roundTrip(t *testing.T, symbols []int) {
+// decode opens buf in a pooled Decoder and decodes every symbol into a
+// fresh slice.
+func decode(buf []byte) ([]int32, error) {
+	d := AcquireDecoder()
+	defer d.Release()
+	if err := d.Open(buf); err != nil {
+		return nil, err
+	}
+	return d.DecodeAll(nil)
+}
+
+func roundTrip(t *testing.T, symbols []int32) {
 	t.Helper()
-	buf, err := Encode(symbols)
+	buf, err := AppendEncode(nil, symbols)
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
-	got, err := Decode(buf)
+	got, err := decode(buf)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -32,16 +44,42 @@ func TestEmpty(t *testing.T) {
 }
 
 func TestSingleSymbol(t *testing.T) {
-	roundTrip(t, []int{7, 7, 7, 7, 7})
+	roundTrip(t, []int32{7, 7, 7, 7, 7})
 }
 
 func TestTwoSymbols(t *testing.T) {
-	roundTrip(t, []int{0, 1, 0, 0, 1, 1, 0})
+	roundTrip(t, []int32{0, 1, 0, 0, 1, 1, 0})
 }
 
 func TestNegativeSymbolRejected(t *testing.T) {
-	if _, err := Encode([]int{1, -1}); err == nil {
+	if _, err := AppendEncode(nil, []int32{1, -1}); err == nil {
 		t.Fatal("expected error for negative symbol")
+	}
+	if _, err := AppendEncodeAlphabet(nil, []int32{1, -1}, 4); err == nil {
+		t.Fatal("expected error for negative symbol under a stated alphabet")
+	}
+}
+
+// TestSymbolOutsideAlphabetRejected: a symbol at or past the stated
+// alphabet is an error on the dense and the sparse path, and a failed
+// count leaves the pooled histogram clear for the next encode.
+func TestSymbolOutsideAlphabetRejected(t *testing.T) {
+	for _, alphabet := range []int{4, denseLimit + 1} {
+		if _, err := AppendEncodeAlphabet(nil, []int32{1, 2, int32(alphabet)}, alphabet); err == nil {
+			t.Fatalf("alphabet %d: expected error for symbol %d", alphabet, alphabet)
+		}
+	}
+	symbols := []int32{0, 1, 2, 3, 3, 3}
+	want, err := AppendEncode(nil, symbols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := AppendEncodeAlphabet(nil, symbols, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatal("encode after a rejected symbol differs")
 	}
 }
 
@@ -49,18 +87,18 @@ func TestSkewedDistribution(t *testing.T) {
 	// Heavily skewed: mimics SZ quantization codes clustered at the
 	// center of the radius.
 	rng := rand.New(rand.NewSource(1))
-	symbols := make([]int, 20000)
+	symbols := make([]int32, 20000)
 	for i := range symbols {
 		switch {
 		case rng.Float64() < 0.85:
 			symbols[i] = 32768
 		case rng.Float64() < 0.9:
-			symbols[i] = 32768 + rng.Intn(9) - 4
+			symbols[i] = int32(32768 + rng.Intn(9) - 4)
 		default:
-			symbols[i] = rng.Intn(65536)
+			symbols[i] = int32(rng.Intn(65536))
 		}
 	}
-	buf, err := Encode(symbols)
+	buf, err := AppendEncode(nil, symbols)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,16 +109,26 @@ func TestSkewedDistribution(t *testing.T) {
 }
 
 func TestLargeSparseAlphabet(t *testing.T) {
-	symbols := []int{0, 1000000, 5, 1000000, 0, 42}
-	roundTrip(t, symbols)
+	roundTrip(t, []int32{0, 1000000, 5, 1000000, 0, 42})
+	// Past denseLimit the encoder counts through a map; the stream is the
+	// one a dense table would give.
+	wide := []int32{0, 1 << 25, 5, MaxSymbol, 0, 42, 1 << 25}
+	roundTrip(t, wide)
+	got, err := AppendEncode(nil, wide)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := refEncode(t, wide); !slices.Equal(got, want) {
+		t.Fatal("sparse-path stream differs from the bit-writer reference")
+	}
 }
 
 func TestExtremeSkewTriggersLengthLimit(t *testing.T) {
 	// Fibonacci-like frequencies create degenerate (deep) trees; the
 	// coder must flatten frequencies to honor MaxCodeLen.
-	var symbols []int
+	var symbols []int32
 	f := 1
-	for s := 0; s < 40; s++ {
+	for s := int32(0); s < 40; s++ {
 		for i := 0; i < f && len(symbols) < 300000; i++ {
 			symbols = append(symbols, s)
 		}
@@ -90,18 +138,18 @@ func TestExtremeSkewTriggersLengthLimit(t *testing.T) {
 }
 
 func TestCorruptInput(t *testing.T) {
-	if _, err := Decode([]byte{0xff}); err == nil {
+	if _, err := decode([]byte{0xff}); err == nil {
 		t.Fatal("expected error for truncated header")
 	}
-	if _, err := Decode(nil); err == nil {
+	if _, err := decode(nil); err == nil {
 		t.Fatal("expected error for empty input")
 	}
 	// Valid stream, truncated body.
-	buf, err := Encode([]int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
+	buf, err := AppendEncode(nil, []int32{1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Decode(buf[:len(buf)-2]); err == nil {
+	if _, err := decode(buf[:len(buf)-2]); err == nil {
 		t.Fatal("expected error for truncated body")
 	}
 }
@@ -111,35 +159,26 @@ func TestQuickRoundTrip(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := int(count) % 2000
 		alpha := int(spread)%500 + 1
-		symbols := make([]int, n)
+		symbols := make([]int32, n)
 		for i := range symbols {
-			symbols[i] = rng.Intn(alpha)
+			symbols[i] = int32(rng.Intn(alpha))
 		}
-		buf, err := Encode(symbols)
+		buf, err := AppendEncode(nil, symbols)
 		if err != nil {
 			return false
 		}
-		got, err := Decode(buf)
-		if err != nil || len(got) != n {
-			return false
-		}
-		for i := range symbols {
-			if got[i] != symbols[i] {
-				return false
-			}
-		}
-		return true
+		got, err := decode(buf)
+		return err == nil && slices.Equal(got, symbols)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestStreamingDecoderMatchesDecode is the property test for the
-// streaming API: for arbitrary symbol streams, Open/Next and DecodeAll
-// must produce exactly what Decode produces, and a pooled decoder must
-// be reusable across streams.
-func TestStreamingDecoderMatchesDecode(t *testing.T) {
+// TestStreamingDecoder: a pooled decoder is reusable across streams,
+// Next yields the symbols one at a time, reading past the declared
+// count fails, and DecodeAll appends into a reused buffer.
+func TestStreamingDecoder(t *testing.T) {
 	d := AcquireDecoder()
 	defer d.Release()
 	f := func(seed int64, count uint16, spread uint16) bool {
@@ -154,99 +193,78 @@ func TestStreamingDecoderMatchesDecode(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		want, err := Decode(buf)
-		if err != nil || len(want) != n {
-			return false
-		}
-		// Next, one symbol at a time (decoder reused across iterations).
-		if err := d.Open(buf); err != nil {
-			return false
-		}
-		if d.Count() != n {
+		if err := d.Open(buf); err != nil || d.Count() != n {
 			return false
 		}
 		for i := 0; i < n; i++ {
 			s, err := d.Next()
-			if err != nil || int(s) != want[i] {
+			if err != nil || s != symbols[i] {
 				return false
 			}
 		}
 		if _, err := d.Next(); err == nil {
 			return false // reading past the declared count must fail
 		}
-		// DecodeAll into a reused buffer.
 		if err := d.Open(buf); err != nil {
 			return false
 		}
-		got, err := d.DecodeAll(make([]int32, 0, n))
-		if err != nil || len(got) != n {
-			return false
-		}
-		for i := range got {
-			if int(got[i]) != want[i] {
-				return false
-			}
-		}
-		return true
+		prefix := []int32{-1, -2}
+		got, err := d.DecodeAll(append(make([]int32, 0, n+2), prefix...))
+		return err == nil && slices.Equal(got[:2], prefix) && slices.Equal(got[2:], symbols)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestAppendEncodeMatchesEncode checks the append-style encoder against
-// the allocating wrapper, including appending after a non-empty prefix.
-func TestAppendEncodeMatchesEncode(t *testing.T) {
+// TestAppendEncodeAfterPrefix: the append-style encoders leave a
+// non-empty prefix alone and append the stream a fresh buffer gets.
+func TestAppendEncodeAfterPrefix(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	symbols := make([]int, 5000)
-	s32 := make([]int32, len(symbols))
+	symbols := make([]int32, 5000)
 	for i := range symbols {
-		symbols[i] = rng.Intn(300)
-		s32[i] = int32(symbols[i])
+		symbols[i] = int32(rng.Intn(300))
 	}
-	want, err := Encode(symbols)
+	want, err := AppendEncode(nil, symbols)
 	if err != nil {
 		t.Fatal(err)
 	}
 	prefix := []byte{0xca, 0xfe}
-	got, err := AppendEncode(append([]byte(nil), prefix...), s32)
+	got, err := AppendEncode(slices.Clone(prefix), symbols)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(prefix)+len(want) {
-		t.Fatalf("appended length %d want %d", len(got), len(prefix)+len(want))
+	if !slices.Equal(got[:len(prefix)], prefix) || !slices.Equal(got[len(prefix):], want) {
+		t.Fatal("appended stream differs from the fresh one")
 	}
-	for i := range want {
-		if got[len(prefix)+i] != want[i] {
-			t.Fatalf("byte %d differs", i)
-		}
+	got, err = AppendEncodeAlphabet(slices.Clone(prefix), symbols, 300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got[len(prefix):], want) {
+		t.Fatal("stated-alphabet stream differs")
 	}
 }
 
-// TestAppendEncodeBytesMatchesEncode checks the byte-alphabet fast path
-// against the generic encoder.
+// TestAppendEncodeBytesMatchesEncode checks the byte-alphabet encoder
+// against the int32 one over the widened tokens, and the byte decoder.
 func TestAppendEncodeBytesMatchesEncode(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	tokens := make([]byte, 4000)
-	syms := make([]int, len(tokens))
+	syms := make([]int32, len(tokens))
 	for i := range tokens {
 		tokens[i] = byte(rng.Intn(200))
-		syms[i] = int(tokens[i])
+		syms[i] = int32(tokens[i])
 	}
-	want, err := Encode(syms)
+	want, err := AppendEncode(nil, syms)
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := AppendEncodeBytes(nil, tokens)
-	if len(got) != len(want) {
-		t.Fatalf("length %d want %d", len(got), len(want))
+	if !slices.Equal(got, want) {
+		t.Fatalf("byte stream (%d B) differs from the int32 one (%d B)", len(got), len(want))
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("byte %d differs", i)
-		}
-	}
-	back, err := AcquireDecoder(), error(nil)
+	back := AcquireDecoder()
 	defer back.Release()
 	if err = back.Open(got); err != nil {
 		t.Fatal(err)
@@ -255,13 +273,31 @@ func TestAppendEncodeBytesMatchesEncode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(dec) != len(tokens) {
-		t.Fatalf("decoded %d tokens want %d", len(dec), len(tokens))
+	if !slices.Equal(dec, tokens) {
+		t.Fatal("decoded tokens differ")
 	}
-	for i := range tokens {
-		if dec[i] != tokens[i] {
-			t.Fatalf("token %d: got %d want %d", i, dec[i], tokens[i])
-		}
+}
+
+// TestDecodeAllBytesRejectsWideSymbol: a stream over a wider alphabet
+// decodes through DecodeAllBytes up to its first symbol past 255.
+func TestDecodeAllBytesRejectsWideSymbol(t *testing.T) {
+	syms := make([]int32, 1000)
+	for i := range syms {
+		syms[i] = int32(i % 7)
+	}
+	syms[700] = 256
+	buf, err := AppendEncode(nil, syms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := AcquireDecoder()
+	defer d.Release()
+	if err := d.Open(buf); err != nil {
+		t.Fatal(err)
+	}
+	got, err := d.DecodeAllBytes(nil)
+	if err == nil || len(got) != 700 {
+		t.Fatalf("decoded %d tokens, error %v: want 700 and an error", len(got), err)
 	}
 }
 
@@ -280,9 +316,6 @@ func TestCorruptTableDeltaOverflowRejected(t *testing.T) {
 	buf := binary.AppendUvarint(nil, uint64(len(hdr)))
 	buf = append(buf, hdr...)
 	buf = append(buf, 0x40) // body: codes 0,1
-	if _, err := Decode(buf); err == nil {
-		t.Fatal("expected error for delta-overflow table")
-	}
 	d := AcquireDecoder()
 	defer d.Release()
 	if err := d.Open(buf); err == nil {
@@ -290,72 +323,96 @@ func TestCorruptTableDeltaOverflowRejected(t *testing.T) {
 	}
 }
 
-func TestSymbolOutOfRangeRejected(t *testing.T) {
-	if _, err := Encode([]int{1, MaxSymbol + 1}); err == nil {
-		t.Fatal("expected error for symbol above MaxSymbol")
-	}
-}
-
-func BenchmarkEncodeSkewed(b *testing.B) {
-	b.ReportAllocs()
+// skewedCodes returns n seeded symbols geometric around 512 — the shape
+// of sz2's quantization codes and of the benchmark's `layers` pass.
+func skewedCodes(n int) []int32 {
 	rng := rand.New(rand.NewSource(1))
-	symbols := make([]int, 1<<16)
+	symbols := make([]int32, n)
 	for i := range symbols {
-		symbols[i] = int(rng.NormFloat64()*4) + 32768
-	}
-	b.SetBytes(int64(len(symbols) * 4))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Encode(symbols); err != nil {
-			b.Fatal(err)
+		k := int32(rng.ExpFloat64() / 0.357) // geometric, ratio ≈ 0.7
+		if rng.Intn(2) == 0 {
+			k = -k
 		}
+		symbols[i] = 512 + k
 	}
+	return symbols
 }
 
-func BenchmarkDecodeSkewed(b *testing.B) {
-	b.ReportAllocs()
-	rng := rand.New(rand.NewSource(1))
-	symbols := make([]int, 1<<16)
-	for i := range symbols {
-		symbols[i] = int(rng.NormFloat64()*4) + 32768
+// lzTokens returns 1 MiB of LZ-token-shaped bytes: skewed literals and
+// match lengths over the byte alphabet.
+func lzTokens() []byte {
+	rng := rand.New(rand.NewSource(2))
+	tokens := make([]byte, 1<<20)
+	for i := range tokens {
+		tokens[i] = byte(min(255, int(rng.ExpFloat64()*24)))
 	}
-	buf, err := Encode(symbols)
+	return tokens
+}
+
+func BenchmarkEncodeCodes(b *testing.B) {
+	symbols := skewedCodes(4 << 20)
+	dst, err := AppendEncode(nil, symbols)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.SetBytes(int64(len(symbols) * 4))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Decode(buf); err != nil {
+		if dst, err = AppendEncodeAlphabet(dst[:0], symbols, 1024); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkStreamingDecodeSkewed measures the pooled streaming decoder
-// on the same workload as BenchmarkDecodeSkewed — the allocation-free
-// path the SZ decompressors use.
-func BenchmarkStreamingDecodeSkewed(b *testing.B) {
-	b.ReportAllocs()
-	rng := rand.New(rand.NewSource(1))
-	symbols := make([]int32, 1<<16)
-	for i := range symbols {
-		symbols[i] = int32(rng.NormFloat64()*4) + 32768
-	}
+func BenchmarkDecodeIntoCodes(b *testing.B) {
+	symbols := skewedCodes(4 << 20)
 	buf, err := AppendEncode(nil, symbols)
 	if err != nil {
 		b.Fatal(err)
 	}
 	d := AcquireDecoder()
 	defer d.Release()
-	dst := make([]int32, 0, len(symbols))
+	dst := make([]int32, len(symbols))
 	b.SetBytes(int64(len(symbols) * 4))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := d.Open(buf); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := d.DecodeAll(dst[:0]); err != nil {
+		if err := d.DecodeInto(dst); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkEncodeTokens(b *testing.B) {
+	tokens := lzTokens()
+	dst := AppendEncodeBytes(nil, tokens)
+	b.SetBytes(int64(len(tokens)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dst = AppendEncodeBytes(dst[:0], tokens)
+	}
+}
+
+func BenchmarkDecodeTokens(b *testing.B) {
+	tokens := lzTokens()
+	buf := AppendEncodeBytes(nil, tokens)
+	d := AcquireDecoder()
+	defer d.Release()
+	dst := make([]byte, 0, len(tokens))
+	b.SetBytes(int64(len(tokens)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := d.Open(buf); err != nil {
+			b.Fatal(err)
+		}
+		var err error
+		if dst, err = d.DecodeAllBytes(dst[:0]); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,49 +1,63 @@
-// Large-scale (ResNet50-tensor-sized) benchmarks pinning the numbers
-// quoted in the README Performance section.
+// Benchmarks over the tensors a flat_lan update compresses, pinning the
+// numbers quoted in the README Performance section.
 package sz2
 
 import (
-	"math/rand"
 	"testing"
 
 	"fedsz/internal/lossy"
+	"fedsz/internal/model"
 )
 
-func benchData(n int) []float32 {
-	rng := rand.New(rand.NewSource(3))
-	d := make([]float32, n)
-	for i := range d {
-		d[i] = float32(rng.NormFloat64()) * 0.05
+// mobileNetTensors returns the lossy-path tensors of model.MobileNetV2(1)
+// at seed 42: the weight-named float32 entries over 1000 elements
+// (core.DefaultThreshold, the partition of Algorithm 1 line 4).
+func mobileNetTensors() (tensors [][]float32, bytes int) {
+	sd := model.BuildStateDict(model.MobileNetV2(1), 42)
+	for _, e := range sd.Entries() {
+		if e.DType == model.Float32 && e.IsWeightNamed() && e.NumElements() > 1000 {
+			tensors = append(tensors, e.Tensor.Data())
+			bytes += e.SizeBytes()
+		}
 	}
-	return d
+	return tensors, bytes
 }
 
-func BenchmarkCompressResNetScale(b *testing.B) {
-	data := benchData(1 << 21)
+func BenchmarkCompressMobileNet(b *testing.B) {
+	tensors, size := mobileNetTensors()
 	c := New()
-	b.SetBytes(int64(len(data) * 4))
+	b.SetBytes(int64(size))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Compress(data, lossy.RelBound(1e-2)); err != nil {
-			b.Fatal(err)
+		for _, data := range tensors {
+			if _, err := c.Compress(data, lossy.RelBound(1e-2)); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }
 
-func BenchmarkDecompressResNetScale(b *testing.B) {
-	data := benchData(1 << 21)
+func BenchmarkDecompressMobileNet(b *testing.B) {
+	tensors, size := mobileNetTensors()
 	c := New()
-	buf, err := c.Compress(data, lossy.RelBound(1e-2))
-	if err != nil {
-		b.Fatal(err)
+	frames := make([][]byte, len(tensors))
+	for i, data := range tensors {
+		var err error
+		if frames[i], err = c.Compress(data, lossy.RelBound(1e-2)); err != nil {
+			b.Fatal(err)
+		}
 	}
-	b.SetBytes(int64(len(data) * 4))
+	dst := make([]float32, 0, 1<<20)
+	b.SetBytes(int64(size))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Decompress(buf); err != nil {
-			b.Fatal(err)
+		for _, buf := range frames {
+			var err error
+			if dst, err = c.DecompressInto(dst, buf); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

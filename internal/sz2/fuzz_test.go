@@ -1,6 +1,10 @@
 package sz2
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -66,6 +70,89 @@ func FuzzSZ2DecompressInto(f *testing.F) {
 			t.Fatalf("%d values decoded out of %d bytes", len(got), len(buf))
 		}
 	})
+}
+
+// sections is an unwrapped sz2 frame split at its section borders.
+type sections struct {
+	head             []byte // frame header and stage flag
+	radius           uint64
+	modes            []byte
+	coeffs, outliers []byte // 4 bytes per value
+	entropy          []byte
+}
+
+func splitRaw(t *testing.T, buf []byte) sections {
+	t.Helper()
+	count, _, rest, err := lossy.ReadHeader(magic, buf)
+	if err != nil || rest[0] != 0 {
+		t.Fatalf("not an unwrapped frame: %v", err)
+	}
+	s := sections{head: buf[:len(buf)-len(rest)+1]}
+	p := rest[1:]
+	var n int
+	s.radius, n = binary.Uvarint(p)
+	p = p[n:]
+	s.modes, p = p[:((count+BlockSize-1)/BlockSize+3)/4], p[((count+BlockSize-1)/BlockSize+3)/4:]
+	values := func() []byte {
+		k, n := binary.Uvarint(p)
+		v := p[n : n+int(k)*4]
+		p = p[n+int(k)*4:]
+		return v
+	}
+	s.coeffs = values()
+	s.outliers = values()
+	s.entropy = p
+	return s
+}
+
+func (s sections) join() []byte {
+	out := append([]byte(nil), s.head...)
+	out = binary.AppendUvarint(out, s.radius)
+	out = append(out, s.modes...)
+	out = binary.AppendUvarint(out, uint64(len(s.coeffs)/4))
+	out = append(out, s.coeffs...)
+	out = binary.AppendUvarint(out, uint64(len(s.outliers)/4))
+	out = append(out, s.outliers...)
+	return append(out, s.entropy...)
+}
+
+// TestForgedSectionsRejected: the decoder refuses what the encoder
+// never writes — a block mode past regression, and coefficients or
+// outliers that no block uses.
+func TestForgedSectionsRejected(t *testing.T) {
+	data := goldenData(3000)
+	for _, c := range []*Compressor{New(WithLosslessStage(nil)), New(WithLosslessStage(nil), WithoutRegression())} {
+		buf, err := c.Compress(data, lossy.RelBound(1e-3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := splitRaw(t, buf)
+		if !bytes.Equal(s.join(), buf) {
+			t.Fatal("split/join does not reproduce the frame")
+		}
+		if _, err := c.Decompress(buf); err != nil {
+			t.Fatal(err)
+		}
+		forge := func(name string, edit func(s *sections)) {
+			f := splitRaw(t, buf)
+			f.modes = bytes.Clone(f.modes)
+			edit(&f)
+			if _, err := c.Decompress(f.join()); !errors.Is(err, lossy.ErrCorrupt) {
+				t.Errorf("%s: decoded with error %v, want lossy.ErrCorrupt", name, err)
+			}
+		}
+		for _, mode := range []byte{2, 3} {
+			forge(fmt.Sprintf("block 5 mode %d", mode), func(s *sections) {
+				s.modes[1] = s.modes[1]&^(3<<2) | mode<<2
+			})
+		}
+		forge("two coefficients left over", func(s *sections) {
+			s.coeffs = append(bytes.Clone(s.coeffs), 0, 0, 0x80, 0x3f, 0, 0, 0, 0)
+		})
+		forge("an outlier left over", func(s *sections) {
+			s.outliers = append(bytes.Clone(s.outliers), 0, 0, 0x80, 0x3f)
+		})
+	}
 }
 
 // TestDecompressIntoForgedCount: a header that claims 2^39 elements over

@@ -22,9 +22,10 @@
 //
 // Both directions run allocation-free beyond their output buffer: all
 // scratch (quantization codes, the payload assembly buffer, block
-// metadata) is pooled, the entropy stage is consumed through the
-// streaming huffman.Decoder fused with the predictor-reconstruction
-// loop, and the lossless wrap appends directly into the output frame.
+// metadata) is pooled, the entropy stage is decoded a 128-element block
+// at a time (huffman.Decoder.DecodeInto) just ahead of that block's
+// reconstruction, and the lossless wrap appends directly into the
+// output frame.
 package sz2
 
 import (
@@ -153,8 +154,9 @@ func (s *Compressor) Compress(data []float32, p lossy.Params) ([]byte, error) {
 		mode := predLorenzo
 		var a0, a1 float64
 		if !s.noRegression {
-			a0, a1 = fitLine(block)
-			if regressionWins(block, prevRecon, a0, a1) {
+			var lorenzo float64
+			a0, a1, lorenzo = fitLine(block, prevRecon)
+			if regressionWins(block, a0, a1, lorenzo) {
 				mode = predRegress
 			}
 		}
@@ -208,7 +210,7 @@ func (s *Compressor) Compress(data []float32, p lossy.Params) ([]byte, error) {
 	for _, v := range outliers {
 		payload = binary.LittleEndian.AppendUint32(payload, math.Float32bits(v))
 	}
-	payload, err = huffman.AppendEncode(payload, codes)
+	payload, err = huffman.AppendEncodeAlphabet(payload, codes, 2*radius+2)
 	// Return the (possibly grown) scratch slices to the pool entry.
 	sc.coeffs, sc.outliers, sc.payload = coeffs[:0], outliers[:0], payload[:0]
 	if err != nil {
@@ -307,8 +309,8 @@ func (s *Compressor) DecompressInto(dst []float32, buf []byte) ([]float32, error
 	outlierBytes := payload[:int(nOut)*4]
 	payload = payload[int(nOut)*4:]
 
-	// Entropy stage, streamed: the decoder is fused with the
-	// reconstruction loop below, so no code array is materialized — the
+	// Entropy stage, streamed a block at a time into stack scratch ahead
+	// of the reconstruction loop, so no code array is materialized — the
 	// output slice is this function's only sizeable allocation.
 	dec := huffman.AcquireDecoder()
 	defer dec.Release()
@@ -323,13 +325,14 @@ func (s *Compressor) DecompressInto(dst []float32, buf []byte) ([]float32, error
 	out := lossy.Sized(dst, count)
 	prevRecon := 0.0
 	ci, oi := 0, 0
+	var codes [BlockSize]int32
 	for b := 0; b < nBlocks; b++ {
 		lo := b * BlockSize
-		hi := lo + BlockSize
-		if hi > count {
-			hi = count
-		}
+		hi := min(lo+BlockSize, count)
 		mode := packedModes[b/4] >> uint((b%4)*2) & 3
+		if mode > predRegress {
+			return nil, fmt.Errorf("%w: sz2 block %d mode %d", lossy.ErrCorrupt, b, mode)
+		}
 		var a0, a1 float64
 		if mode == predRegress {
 			if (ci+2)*4 > len(coeffBytes) {
@@ -339,12 +342,12 @@ func (s *Compressor) DecompressInto(dst []float32, buf []byte) ([]float32, error
 			a1 = float64(math.Float32frombits(binary.LittleEndian.Uint32(coeffBytes[ci*4+4:])))
 			ci += 2
 		}
+		block := codes[:hi-lo]
+		if err := dec.DecodeInto(block); err != nil {
+			return nil, fmt.Errorf("%w: sz2 entropy stage: %v", lossy.ErrCorrupt, err)
+		}
 		recon := prevRecon
-		for i := 0; i < hi-lo; i++ {
-			code, err := dec.Next()
-			if err != nil {
-				return nil, fmt.Errorf("%w: sz2 entropy stage: %v", lossy.ErrCorrupt, err)
-			}
+		for i, code := range block {
 			if code == 0 {
 				if (oi+1)*4 > len(outlierBytes) {
 					return nil, fmt.Errorf("%w: sz2 outlier underrun", lossy.ErrCorrupt)
@@ -365,39 +368,50 @@ func (s *Compressor) DecompressInto(dst []float32, buf []byte) ([]float32, error
 		}
 		prevRecon = recon
 	}
+	// The encoder writes exactly the coefficients and outliers its blocks
+	// use; leftovers mean a forged or misassembled section.
+	if ci != int(nCoeffs) || oi != int(nOut) {
+		return nil, fmt.Errorf("%w: sz2 blocks used %d of %d coefficients and %d of %d outliers",
+			lossy.ErrCorrupt, ci, nCoeffs, oi, nOut)
+	}
 	return out, nil
 }
 
-// fitLine computes the least-squares line a0 + a1*i over the block.
-func fitLine(block []float32) (a0, a1 float64) {
+// fitLine computes the least-squares line a0 + a1*i over the block
+// and, in the same pass, regressionWins' Lorenzo residual sum from prev
+// (the reconstruction before the block).
+func fitLine(block []float32, prev float64) (a0, a1, lorenzo float64) {
+	var sumY, sumXY float64
+	for i, v := range block {
+		x := float64(v)
+		sumY += x
+		sumXY += float64(i) * x
+		lorenzo += math.Abs(x - prev)
+		prev = x // approximate: original value as prediction basis
+	}
 	n := float64(len(block))
 	if len(block) < 2 {
 		if len(block) == 1 {
-			return float64(block[0]), 0
+			return float64(block[0]), 0, lorenzo
 		}
-		return 0, 0
-	}
-	var sumY, sumXY float64
-	for i, v := range block {
-		sumY += float64(v)
-		sumXY += float64(i) * float64(v)
+		return 0, 0, 0
 	}
 	sumX := n * (n - 1) / 2
 	sumXX := (n - 1) * n * (2*n - 1) / 6
 	denom := n*sumXX - sumX*sumX
 	if denom == 0 {
-		return sumY / n, 0
+		return sumY / n, 0, lorenzo
 	}
 	a1 = (n*sumXY - sumX*sumY) / denom
 	a0 = (sumY - a1*sumX) / n
-	return a0, a1
+	return a0, a1, lorenzo
 }
 
 // regressionWins estimates, against the original values (SZ2's
 // selection heuristic), whether regression yields smaller residuals
-// than Lorenzo. The 0.8 discount accounts for the 8 bytes of
-// coefficients a regression block must carry (≈0.5 bits/value at the
-// default block size).
+// than Lorenzo, whose sum fitLine has taken. The 0.8 discount accounts
+// for the 8 bytes of coefficients a regression block must carry
+// (≈0.5 bits/value at the default block size).
 //
 // Do not raise the discount to suppress regression on iid data even
 // though Lorenzo-only compresses such data better: Lorenzo
@@ -407,12 +421,9 @@ func fitLine(block []float32) (a0, a1 float64) {
 // convergence, while regression blocks decorrelate it. The hybrid is a
 // fidelity choice, not only a ratio choice — consistent with the
 // paper's selection of SZ2.
-func regressionWins(block []float32, prev float64, a0, a1 float64) bool {
-	var lorenzo, regress float64
-	p := prev
+func regressionWins(block []float32, a0, a1, lorenzo float64) bool {
+	var regress float64
 	for i, v := range block {
-		lorenzo += math.Abs(float64(v) - p)
-		p = float64(v) // approximate: original value as prediction basis
 		regress += math.Abs(float64(v) - (a0 + a1*float64(i)))
 	}
 	return regress < lorenzo*0.8

@@ -90,17 +90,21 @@ func TestFitLine(t *testing.T) {
 	for i := range block {
 		block[i] = 3 + 0.5*float32(i)
 	}
-	a0, a1 := fitLine(block)
+	a0, a1, lorenzo := fitLine(block, 1)
 	if math.Abs(a0-3) > 1e-6 || math.Abs(a1-0.5) > 1e-6 {
 		t.Fatalf("fit = (%v, %v)", a0, a1)
 	}
-	a0, a1 = fitLine([]float32{7})
-	if a0 != 7 || a1 != 0 {
-		t.Fatalf("single-point fit = (%v, %v)", a0, a1)
+	// |3-1| from the previous reconstruction, then 63 steps of 0.5.
+	if want := 2 + 63*0.5; lorenzo != want {
+		t.Fatalf("lorenzo sum = %v, want %v", lorenzo, want)
 	}
-	a0, a1 = fitLine(nil)
-	if a0 != 0 || a1 != 0 {
-		t.Fatalf("empty fit = (%v, %v)", a0, a1)
+	a0, a1, lorenzo = fitLine([]float32{7}, 4)
+	if a0 != 7 || a1 != 0 || lorenzo != 3 {
+		t.Fatalf("single-point fit = (%v, %v, %v)", a0, a1, lorenzo)
+	}
+	a0, a1, lorenzo = fitLine(nil, 4)
+	if a0 != 0 || a1 != 0 || lorenzo != 0 {
+		t.Fatalf("empty fit = (%v, %v, %v)", a0, a1, lorenzo)
 	}
 }
 

@@ -12,10 +12,11 @@
 // SZ3 reaches similar ratios to SZ2 on spiky 1-D data at lower
 // throughput (the predictor is costlier and level-ordered).
 //
-// Like sz2, the hot paths are pooled and the decode side fuses the
-// streaming entropy decoder with the interpolation walk, reconstructing
-// directly into the output slice (reconstructions are float32-rounded
-// on both sides, so no float64 shadow array is needed).
+// Like sz2, the hot paths are pooled and the decode side feeds the
+// interpolation walk from the streaming entropy decoder a block of
+// codes at a time, reconstructing directly into the output slice
+// (reconstructions are float32-rounded on both sides, so no float64
+// shadow array is needed).
 package sz3
 
 import (
@@ -147,7 +148,7 @@ func (s *Compressor) Compress(data []float32, p lossy.Params) ([]byte, error) {
 	for _, v := range outliers {
 		payload = binary.LittleEndian.AppendUint32(payload, math.Float32bits(v))
 	}
-	payload, err = huffman.AppendEncode(payload, codes[:n])
+	payload, err = huffman.AppendEncodeAlphabet(payload, codes[:n], 2*radius+2)
 	sc.outliers, sc.payload = outliers[:0], payload[:0]
 	if err != nil {
 		return nil, fmt.Errorf("sz3: entropy stage: %w", err)
@@ -242,15 +243,23 @@ func (s *Compressor) DecompressInto(dst []float32, buf []byte) ([]float32, error
 	out[0] = anchor
 	oi := 0
 	var decodeErr error
+	// Codes arrive in visit order, decoded a block at a time.
+	var codes [128]int32
+	block, next, left := codes[:0], 0, count-1
 	visit(count, func(i, s_ int, cubicOK bool) {
 		if decodeErr != nil {
 			return
 		}
-		code, err := dec.Next()
-		if err != nil {
-			decodeErr = fmt.Errorf("%w: sz3 entropy stage: %v", lossy.ErrCorrupt, err)
-			return
+		if next == len(block) {
+			block, next = codes[:min(left, len(codes))], 0
+			left -= len(block)
+			if err := dec.DecodeInto(block); err != nil {
+				decodeErr = fmt.Errorf("%w: sz3 entropy stage: %v", lossy.ErrCorrupt, err)
+				return
+			}
 		}
+		code := block[next]
+		next++
 		if code == 0 {
 			if (oi+1)*4 > len(outlierBytes) {
 				decodeErr = fmt.Errorf("%w: sz3 outlier underrun", lossy.ErrCorrupt)
