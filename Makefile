@@ -28,12 +28,13 @@ race:
 	$(GO) test -race ./...
 
 # The packages whose buffer lifetimes the round engine owns (landings,
-# reused sums, partial views) and the codec scratch core's per-tensor
+# reused sums, partial views), core's wire I/O (which hands tensor
+# storage to writers directly) and the codec scratch core's per-tensor
 # workers share (encoder pool, bulk decoder, histogram), raced on one
 # core where goroutine interleavings differ most from a developer's
 # machine.
 race-cores:
-	GOMAXPROCS=1 $(GO) test -race -count=3 ./internal/transport ./internal/orchestrator ./internal/hier ./internal/sz2 ./internal/sz3 ./internal/huffman ./internal/lossless
+	GOMAXPROCS=1 $(GO) test -race -count=3 ./internal/transport ./internal/orchestrator ./internal/hier ./internal/core ./internal/sz2 ./internal/sz3 ./internal/huffman ./internal/lossless
 
 # One iteration of every benchmark — the CI smoke; drop -benchtime for
 # real measurements. -run=^$$ keeps the unit tests out of this target.

@@ -52,11 +52,14 @@ func MarshalStateDict(sd *model.StateDict) ([]byte, error) {
 }
 
 // MarshalStateDictTo streams the binary state-dict encoding of sd to
-// w: headers and tensor data are converted through one fixed pooled
-// scratch and written a chunk at a time, so a multi-hundred-MB model
-// broadcasts without materializing the wire image and without a
-// steady-state allocation. The bytes written are exactly what
-// MarshalStateDict returns.
+// w: headers and small tensors are staged in one fixed pooled
+// scratch, and on a little-endian host every tensor of at least
+// WireChunk bytes is written to w straight from its own storage, so a
+// multi-hundred-MB model broadcasts without materializing the wire
+// image, without a per-element conversion and without a steady-state
+// allocation. w sees tensor storage only for the length of a Write
+// call, and many goroutines may marshal one dict at once. The bytes
+// written are exactly what MarshalStateDict returns.
 func MarshalStateDictTo(w io.Writer, sd *model.StateDict) error {
 	ww := NewWireWriter(w)
 	ww.String(serializeMagic)
@@ -98,7 +101,7 @@ func UnmarshalStateDictFrom(r io.Reader) (*model.StateDict, error) {
 // UnmarshalStateDictInto is UnmarshalStateDictFrom for a receiver that
 // already holds a dict of the expected shape — a client's previous
 // global. Entry i of the stream lands in dst's i-th entry when the two
-// agree on name, dtype and shape: the payload converts straight into
+// agree on name, dtype and shape: the payload is read straight into
 // that entry's existing storage (a destination the caller vouches for
 // needs no staged growth) and the returned dict carries dst's own
 // tensor for it. Any entry that does not match is allocated exactly as
@@ -107,7 +110,8 @@ func UnmarshalStateDictFrom(r io.Reader) (*model.StateDict, error) {
 // The decoded values are those UnmarshalStateDictFrom yields for the
 // same bytes, and when every entry landed in dst and the counts agree
 // the returned dict is dst itself. On error dst's matching entries hold
-// an unspecified mix of old and new values; after success dst must no
+// unspecified values (not necessarily old or new ones: a run cut short
+// may not be in host byte order yet); after success dst must no
 // longer be read as the old model — the returned dict has taken its
 // storage over.
 func UnmarshalStateDictInto(r io.Reader, dst *model.StateDict) (*model.StateDict, error) {
@@ -318,7 +322,7 @@ func UnmarshalStateDict(buf []byte) (*model.StateDict, error) {
 	sd := model.NewStateDict()
 	for i := uint64(0); i < count; i++ {
 		nameLen, n := binary.Uvarint(buf)
-		if n <= 0 || uint64(len(buf)-n) < nameLen+1 {
+		if n <= 0 || nameLen >= uint64(len(buf)-n) { // name and dtype byte; nameLen+1 could wrap
 			return nil, fmt.Errorf("%w: entry %d name", ErrCorrupt, i)
 		}
 		name := string(buf[n : n+int(nameLen)])
@@ -327,24 +331,26 @@ func UnmarshalStateDict(buf []byte) (*model.StateDict, error) {
 		buf = buf[1:]
 
 		ndims, n := binary.Uvarint(buf)
-		if n <= 0 || ndims > 16 {
+		if n <= 0 || ndims > maxStreamDims {
 			return nil, fmt.Errorf("%w: entry %q dims", ErrCorrupt, name)
 		}
 		buf = buf[n:]
+		// The stream decoder's caps: without them a forged shape's
+		// product can wrap to a small or zero element count.
 		shape := make([]int, ndims)
-		elems := 1
+		elems64 := uint64(1)
 		for d := range shape {
 			v, n := binary.Uvarint(buf)
-			if n <= 0 {
+			if n <= 0 || v > maxStreamElems {
 				return nil, fmt.Errorf("%w: entry %q dim %d", ErrCorrupt, name, d)
 			}
 			buf = buf[n:]
+			if elems64 *= v; elems64 > maxStreamElems {
+				return nil, fmt.Errorf("%w: entry %q element overflow", ErrCorrupt, name)
+			}
 			shape[d] = int(v)
-			elems *= int(v)
 		}
-		if elems < 0 {
-			return nil, fmt.Errorf("%w: entry %q element overflow", ErrCorrupt, name)
-		}
+		elems := int(elems64)
 
 		switch dtype {
 		case model.Float32:
@@ -352,7 +358,7 @@ func UnmarshalStateDict(buf []byte) (*model.StateDict, error) {
 				return nil, fmt.Errorf("%w: entry %q payload", ErrCorrupt, name)
 			}
 			data := make([]float32, elems)
-			getFloat32sLE(data, buf[:elems*4])
+			landRun(data, buf[:elems*4], true)
 			buf = buf[elems*4:]
 			t, err := tensor.FromData(data, shape...)
 			if err != nil {
@@ -366,7 +372,7 @@ func UnmarshalStateDict(buf []byte) (*model.StateDict, error) {
 				return nil, fmt.Errorf("%w: entry %q payload", ErrCorrupt, name)
 			}
 			ints := make([]int64, elems)
-			getInt64sLE(ints, buf[:elems*8])
+			landRun(ints, buf[:elems*8], true)
 			buf = buf[elems*8:]
 			if err := sd.Add(model.Entry{Name: name, DType: model.Int64, Ints: ints}); err != nil {
 				return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)

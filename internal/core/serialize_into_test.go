@@ -230,7 +230,12 @@ func TestUnmarshalIntoAllocsIndependentOfModelSize(t *testing.T) {
 // FuzzUnmarshalStateDictInto feeds arbitrary bytes to the in-place
 // decoder with a destination whose every slice sits between canaries:
 // it must never write outside dst's slices, must succeed exactly when
-// UnmarshalStateDictFrom does, and must then decode the same dict.
+// UnmarshalStateDictFrom does, and must then decode the same dict. The
+// whole-buffer UnmarshalStateDict must agree with both. The one
+// deliberate divergence: the stream decoder holds names, entry counts
+// and Int64 runs to absolute caps, where the buffer decoder checks them
+// against the bytes present; every cap lies beyond maxStreamString
+// bytes of input, so only shorter inputs are held to agreement.
 func FuzzUnmarshalStateDictInto(f *testing.F) {
 	golden, err := os.ReadFile(filepath.Join("testdata", "fsd1_small.golden"))
 	if err != nil {
@@ -294,12 +299,20 @@ func FuzzUnmarshalStateDictInto(f *testing.F) {
 		if (errFrom == nil) != (errInto == nil) {
 			t.Fatalf("From: %v, Into: %v", errFrom, errInto)
 		}
+		whole, errWhole := UnmarshalStateDict(data)
+		if len(data) <= maxStreamString && (errFrom == nil) != (errWhole == nil) {
+			t.Fatalf("From: %v, whole buffer: %v", errFrom, errWhole)
+		}
 		if errFrom != nil {
 			return
 		}
 		// Compared as wire bytes, so NaN payloads compare by bits.
-		if !bytes.Equal(mustMarshal(t, got), mustMarshal(t, want)) {
+		wantBytes := mustMarshal(t, want)
+		if !bytes.Equal(mustMarshal(t, got), wantBytes) {
 			t.Fatal("Into decoded a different dict than From")
+		}
+		if errWhole == nil && !bytes.Equal(mustMarshal(t, whole), wantBytes) {
+			t.Fatal("the whole-buffer decoder decoded a different dict than From")
 		}
 	})
 }

@@ -4,18 +4,23 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"io"
-	"math"
 	"sync"
+	"unsafe"
 )
 
-// Bulk fixed-width wire I/O: the one place a raw tensor byte is
-// converted between a typed slice and a stream. The FSD1 state-dict
-// codec (serialize.go) and the float64 partial-sum frame (package
-// hier) both move their payloads through WireWriter/WireReader, so
-// each byte is converted once, in a fixed scratch, with the optional
-// CRC32C folded in while the chunk is still in cache.
+// Bulk fixed-width wire I/O: the one place a raw tensor byte moves
+// between a typed slice and a stream. The FSD1 state-dict codec
+// (serialize.go) and the float64 partial-sum frame (package hier) both
+// move their payloads through WireWriter/WireReader. A run whose wire
+// byte order is the host's is not converted at all: the writer hands
+// the tensor's own storage to the stream and the reader fills the
+// destination's storage straight from it. A run in the other order is
+// byte-swapped, one element width at a time, through a fixed scratch
+// on the way out and in place on the way in. The optional CRC32C is
+// folded in a chunk at a time while the chunk is still in cache.
 
-// WireChunk is the size of the conversion scratch: large enough that
+// WireChunk is the size of the staging scratch and of the pieces a
+// checksummed or byte-swapped run moves in: large enough that
 // per-chunk costs (a Write call, a CRC update) vanish, small enough to
 // stay cache-resident next to a bufio buffer of the same size.
 const WireChunk = 64 << 10
@@ -39,62 +44,56 @@ func UvarintLen(v uint64) int {
 	return n
 }
 
-// The conversion kernels: len(bytes) == width*len(values), checked by
-// the chunk drivers below.
+// hostLittle reports whether typed storage holds its elements in
+// little-endian byte order.
+var hostLittle = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 
-func putFloat32sLE(dst []byte, src []float32) {
-	for i, v := range src {
-		binary.LittleEndian.PutUint32(dst[i*4:i*4+4], math.Float32bits(v))
+// wireElem is an element type that moves as a fixed-width run.
+type wireElem interface{ float32 | float64 | int64 }
+
+// wireView views v's storage as its bytes, in host order, and returns
+// the element width. Only typed storage is ever viewed as bytes, never
+// bytes as a wider type, so no access is misaligned on any port.
+func wireView[T wireElem](v []T) (b []byte, width int) {
+	width = int(unsafe.Sizeof(*new(T)))
+	if len(v) == 0 {
+		return nil, width
+	}
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), len(v)*width), width
+}
+
+// swapCopy stores src into dst with the bytes of each width-byte (4 or
+// 8) element reversed; dst and src may be the same slice.
+func swapCopy(dst, src []byte, width int) {
+	if width == 4 {
+		for i := 0; i+4 <= len(src); i += 4 {
+			binary.BigEndian.PutUint32(dst[i:i+4], binary.LittleEndian.Uint32(src[i:i+4]))
+		}
+		return
+	}
+	for i := 0; i+8 <= len(src); i += 8 {
+		binary.BigEndian.PutUint64(dst[i:i+8], binary.LittleEndian.Uint64(src[i:i+8]))
 	}
 }
 
-func putFloat64sBE(dst []byte, src []float64) {
-	for i, v := range src {
-		binary.BigEndian.PutUint64(dst[i*8:i*8+8], math.Float64bits(v))
+// landRun copies a run's wire bytes src, len(src) == width*len(dst),
+// into dst, swapping each element when the wire order is not the
+// host's.
+func landRun[T wireElem](dst []T, src []byte, little bool) {
+	view, width := wireView(dst)
+	if little == hostLittle {
+		copy(view, src)
+	} else {
+		swapCopy(view, src, width)
 	}
 }
 
-func putInt64sLE(dst []byte, src []int64) {
-	for i, v := range src {
-		binary.LittleEndian.PutUint64(dst[i*8:i*8+8], uint64(v))
-	}
-}
-
-func putInt64sBE(dst []byte, src []int64) {
-	for i, v := range src {
-		binary.BigEndian.PutUint64(dst[i*8:i*8+8], uint64(v))
-	}
-}
-
-func getFloat32sLE(dst []float32, src []byte) {
-	for i := range dst {
-		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[i*4 : i*4+4]))
-	}
-}
-
-func getFloat64sBE(dst []float64, src []byte) {
-	for i := range dst {
-		dst[i] = math.Float64frombits(binary.BigEndian.Uint64(src[i*8 : i*8+8]))
-	}
-}
-
-func getInt64sLE(dst []int64, src []byte) {
-	for i := range dst {
-		dst[i] = int64(binary.LittleEndian.Uint64(src[i*8 : i*8+8]))
-	}
-}
-
-func getInt64sBE(dst []int64, src []byte) {
-	for i := range dst {
-		dst[i] = int64(binary.BigEndian.Uint64(src[i*8 : i*8+8]))
-	}
-}
-
-// WireWriter stages field bytes and converted tensor data in one fixed
-// scratch and hands them to the underlying writer a chunk at a time.
-// The first write error sticks and turns later calls into no-ops;
-// Close reports it. Writers are pooled: steady-state use allocates
-// nothing.
+// WireWriter stages field bytes, short runs and byte-swapped runs in
+// one fixed scratch and hands them to the underlying writer a chunk at
+// a time; a long run in host order goes to the writer from its own
+// storage. The first write error sticks and turns later calls into
+// no-ops; Close reports it. Writers are pooled: steady-state use
+// allocates nothing.
 type WireWriter struct {
 	w       io.Writer
 	n       int // bytes staged in buf
@@ -199,27 +198,55 @@ func (ww *WireWriter) Uint64BE(v uint64) {
 	ww.n += 8
 }
 
-// writeChunked converts v through the scratch, width bytes per element.
-func writeChunked[T any](ww *WireWriter, v []T, width int, put func(dst []byte, src []T)) {
-	for len(v) > 0 && ww.err == nil {
-		k := min(len(ww.room(width))/width, len(v))
-		put(ww.buf[ww.n:ww.n+k*width], v[:k])
-		ww.n += k * width
-		v = v[k:]
+// writeRun streams v, little- or big-endian as little says. A run in
+// host order of at least a chunk goes to the writer from v's own
+// storage once the staged bytes ahead of it are flushed (in
+// chunk-sized pieces while a CRC is running, so each is summed while
+// in cache); a shorter one is staged like any field, so that small
+// tensors share a Write. A run in the other order is swapped into the
+// scratch a chunk at a time.
+func writeRun[T wireElem](ww *WireWriter, v []T, little bool) {
+	p, width := wireView(v)
+	if little != hostLittle {
+		for len(p) > 0 && ww.err == nil {
+			room := ww.room(width)
+			k := min(len(room), len(p)) / width * width
+			swapCopy(room[:k], p[:k], width)
+			ww.n += k
+			p = p[k:]
+		}
+		return
+	}
+	if len(p) < WireChunk {
+		ww.Bytes(p)
+		return
+	}
+	ww.flush()
+	piece := len(p)
+	if ww.crcOn {
+		piece = WireChunk
+	}
+	for len(p) > 0 && ww.err == nil {
+		k := min(len(p), piece)
+		if ww.crcOn {
+			ww.crc = crc32.Update(ww.crc, crcTable, p[:k])
+		}
+		_, ww.err = ww.w.Write(p[:k])
+		p = p[k:]
 	}
 }
 
 // Float32sLE streams v as little-endian float32 bits.
-func (ww *WireWriter) Float32sLE(v []float32) { writeChunked(ww, v, 4, putFloat32sLE) }
+func (ww *WireWriter) Float32sLE(v []float32) { writeRun(ww, v, true) }
 
 // Float64sBE streams v as big-endian float64 bits.
-func (ww *WireWriter) Float64sBE(v []float64) { writeChunked(ww, v, 8, putFloat64sBE) }
+func (ww *WireWriter) Float64sBE(v []float64) { writeRun(ww, v, false) }
 
 // Int64sLE streams v little-endian.
-func (ww *WireWriter) Int64sLE(v []int64) { writeChunked(ww, v, 8, putInt64sLE) }
+func (ww *WireWriter) Int64sLE(v []int64) { writeRun(ww, v, true) }
 
 // Int64sBE streams v big-endian.
-func (ww *WireWriter) Int64sBE(v []int64) { writeChunked(ww, v, 8, putInt64sBE) }
+func (ww *WireWriter) Int64sBE(v []int64) { writeRun(ww, v, false) }
 
 // byteReader is what the streaming readers need from their source:
 // buffered byte-at-a-time access for varints plus bulk reads.
@@ -229,13 +256,12 @@ type byteReader interface {
 }
 
 // WireReader is the read half: varints and byte fields straight off
-// the source, typed runs converted chunk by chunk into a destination
-// allocated in stages (see stageShift), everything folded into an
-// optional running CRC32C. Methods return the source's own errors, a
-// short stream as io.ErrUnexpectedEOF (Bytes alone reports a field of
-// which not one byte was present as io.EOF, for callers at a frame
-// boundary); callers add their framing's corruption sentinel and
-// length caps.
+// the source, typed runs read into a destination allocated in stages
+// (see stageShift), everything folded into an optional running CRC32C.
+// Methods return the source's own errors, a short stream as
+// io.ErrUnexpectedEOF (Bytes alone reports a field of which not one
+// byte was present as io.EOF, for callers at a frame boundary);
+// callers add their framing's corruption sentinel and length caps.
 type WireReader struct {
 	r       byteReader
 	crcOn   bool
@@ -246,8 +272,8 @@ type WireReader struct {
 
 var wireScratchPool = sync.Pool{New: func() any { return new([WireChunk]byte) }}
 
-// NewWireReader reads from r. Release returns its scratch (acquired on
-// the first typed read) to the pool.
+// NewWireReader reads from r. Release returns its scratch (acquired by
+// the first Uint64BE or Discard) to the pool.
 func NewWireReader(r interface {
 	io.Reader
 	io.ByteReader
@@ -255,7 +281,7 @@ func NewWireReader(r interface {
 	return &WireReader{r: r}
 }
 
-// Release returns the conversion scratch to the pool. The reader stays
+// Release returns the scratch to the pool. The reader stays
 // usable; decoded slices never alias the scratch.
 func (wr *WireReader) Release() {
 	if wr.scratch != nil {
@@ -357,25 +383,35 @@ func readStaged[T any](n, width int, fill func(dst []T) error) ([]T, error) {
 	return dst, nil
 }
 
-// fillChunked fills dst from the stream, width wire bytes per element,
-// through the scratch.
-func fillChunked[T any](wr *WireReader, dst []T, width int, get func(dst []T, src []byte)) error {
-	buf := wr.buf()
-	for len(dst) > 0 {
-		k := min(len(dst), WireChunk/width)
-		if err := wr.readFull(buf[:k*width]); err != nil {
+// fillRun fills dst from the stream, little- or big-endian as little
+// says, reading straight into dst's storage. A run in the other order
+// is swapped in place a chunk at a time, and a running CRC also takes
+// the run a chunk at a time, each while it is in cache. On error dst's
+// contents are unspecified.
+func fillRun[T wireElem](wr *WireReader, dst []T, little bool) error {
+	p, width := wireView(dst)
+	swap := little != hostLittle
+	piece := len(p)
+	if swap || wr.crcOn {
+		piece = WireChunk
+	}
+	for len(p) > 0 {
+		k := min(len(p), piece)
+		if err := wr.readFull(p[:k]); err != nil {
 			return noEOF(err)
 		}
-		get(dst[:k], buf[:k*width])
-		dst = dst[k:]
+		if swap {
+			swapCopy(p[:k], p[:k], width)
+		}
+		p = p[k:]
 	}
 	return nil
 }
 
-// readChunked reads n elements of width wire bytes into a destination
-// allocated in stages.
-func readChunked[T any](wr *WireReader, n, width int, get func(dst []T, src []byte)) ([]T, error) {
-	return readStaged(n, width, func(dst []T) error { return fillChunked(wr, dst, width, get) })
+// readRun reads n elements into a destination allocated in stages.
+func readRun[T wireElem](wr *WireReader, n int, little bool) ([]T, error) {
+	_, width := wireView[T](nil)
+	return readStaged(n, width, func(dst []T) error { return fillRun(wr, dst, little) })
 }
 
 // Bytes returns the next n bytes in a fresh slice.
@@ -385,39 +421,40 @@ func (wr *WireReader) Bytes(n int) ([]byte, error) {
 
 // Float32sLE reads n little-endian float32s.
 func (wr *WireReader) Float32sLE(n int) ([]float32, error) {
-	return readChunked(wr, n, 4, getFloat32sLE)
+	return readRun[float32](wr, n, true)
 }
 
 // Float32sLEInto fills dst with len(dst) little-endian float32s. The
 // caller owns dst and vouches for its length, so nothing is staged; on
-// error dst holds whatever prefix arrived.
+// error dst's contents are unspecified (a prefix may hold bytes not yet
+// put in host order).
 func (wr *WireReader) Float32sLEInto(dst []float32) error {
-	return fillChunked(wr, dst, 4, getFloat32sLE)
+	return fillRun(wr, dst, true)
 }
 
 // Float64sBE reads n big-endian float64s.
 func (wr *WireReader) Float64sBE(n int) ([]float64, error) {
-	return readChunked(wr, n, 8, getFloat64sBE)
+	return readRun[float64](wr, n, false)
 }
 
 // Float64sBEInto fills dst with len(dst) big-endian float64s, like
 // Float32sLEInto.
 func (wr *WireReader) Float64sBEInto(dst []float64) error {
-	return fillChunked(wr, dst, 8, getFloat64sBE)
+	return fillRun(wr, dst, false)
 }
 
 // Int64sLE reads n little-endian int64s.
 func (wr *WireReader) Int64sLE(n int) ([]int64, error) {
-	return readChunked(wr, n, 8, getInt64sLE)
+	return readRun[int64](wr, n, true)
 }
 
 // Int64sLEInto fills dst with len(dst) little-endian int64s, like
 // Float32sLEInto.
 func (wr *WireReader) Int64sLEInto(dst []int64) error {
-	return fillChunked(wr, dst, 8, getInt64sLE)
+	return fillRun(wr, dst, true)
 }
 
 // Int64sBE reads n big-endian int64s.
 func (wr *WireReader) Int64sBE(n int) ([]int64, error) {
-	return readChunked(wr, n, 8, getInt64sBE)
+	return readRun[int64](wr, n, false)
 }

@@ -4,13 +4,233 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
+	"math/rand"
 	"runtime"
+	"sync"
 	"testing"
 
 	"fedsz/internal/model"
 )
+
+// The reference kernels: one encoding/binary conversion per element,
+// the definition of each run's wire byte order.
+
+func refPutFloat32sLE(dst []byte, src []float32) {
+	for i, v := range src {
+		binary.LittleEndian.PutUint32(dst[i*4:i*4+4], math.Float32bits(v))
+	}
+}
+
+func refPutFloat64sBE(dst []byte, src []float64) {
+	for i, v := range src {
+		binary.BigEndian.PutUint64(dst[i*8:i*8+8], math.Float64bits(v))
+	}
+}
+
+func refPutInt64sLE(dst []byte, src []int64) {
+	for i, v := range src {
+		binary.LittleEndian.PutUint64(dst[i*8:i*8+8], uint64(v))
+	}
+}
+
+func refPutInt64sBE(dst []byte, src []int64) {
+	for i, v := range src {
+		binary.BigEndian.PutUint64(dst[i*8:i*8+8], uint64(v))
+	}
+}
+
+func refGetFloat32sLE(dst []float32, src []byte) {
+	for i := range dst {
+		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[i*4 : i*4+4]))
+	}
+}
+
+func refGetFloat64sBE(dst []float64, src []byte) {
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.BigEndian.Uint64(src[i*8 : i*8+8]))
+	}
+}
+
+func refGetInt64sLE(dst []int64, src []byte) {
+	for i := range dst {
+		dst[i] = int64(binary.LittleEndian.Uint64(src[i*8 : i*8+8]))
+	}
+}
+
+func refGetInt64sBE(dst []int64, src []byte) {
+	for i := range dst {
+		dst[i] = int64(binary.BigEndian.Uint64(src[i*8 : i*8+8]))
+	}
+}
+
+// wireRunCase is one typed run of the wire API next to its reference
+// kernels. A test run starts with the edge-case values in specials and
+// continues with random ones.
+type wireRunCase[T wireElem] struct {
+	put      func([]byte, []T)
+	get      func([]T, []byte)
+	write    func(*WireWriter, []T)
+	read     func(*WireReader, int) ([]T, error)
+	into     func(*WireReader, []T) error
+	specials []T
+	random   func(*rand.Rand) T
+}
+
+func float32sFromBits(bits ...uint32) []float32 {
+	v := make([]float32, len(bits))
+	for i, b := range bits {
+		v[i] = math.Float32frombits(b)
+	}
+	return v
+}
+
+func float64sFromBits(bits ...uint64) []float64 {
+	v := make([]float64, len(bits))
+	for i, b := range bits {
+		v[i] = math.Float64frombits(b)
+	}
+	return v
+}
+
+// TestWireRunsMatchReference pins every typed run against its
+// reference kernels: lengths on and around a WireChunk seam and over
+// several chunks, with the CRC on and off, and with and without staged
+// bytes ahead of the run. The wire bytes and checksum must equal the
+// reference's, and both the staged and the Into read must return the
+// reference decode bit for bit. The float edge cases are the bit
+// patterns a conversion could disturb: quiet, signalling and negative
+// NaNs with payloads, -0, the extreme subnormals and both infinities.
+func TestWireRunsMatchReference(t *testing.T) {
+	t.Run("Float32sLE", func(t *testing.T) {
+		checkWireRun(t, wireRunCase[float32]{
+			put: refPutFloat32sLE, get: refGetFloat32sLE,
+			write: (*WireWriter).Float32sLE, read: (*WireReader).Float32sLE, into: (*WireReader).Float32sLEInto,
+			specials: float32sFromBits(0x7fc00000, 0x7f800001, 0xffc12345, 0x7fbfffff, 0x80000000,
+				0x00000001, 0x807fffff, 0x7f800000, 0xff800000),
+			random: func(rng *rand.Rand) float32 { return math.Float32frombits(rng.Uint32()) },
+		})
+	})
+	t.Run("Float64sBE", func(t *testing.T) {
+		checkWireRun(t, wireRunCase[float64]{
+			put: refPutFloat64sBE, get: refGetFloat64sBE,
+			write: (*WireWriter).Float64sBE, read: (*WireReader).Float64sBE, into: (*WireReader).Float64sBEInto,
+			specials: float64sFromBits(0x7ff8000000000000, 0x7ff0000000000001, 0xfff123456789abcd,
+				0x7ff7ffffffffffff, 0x8000000000000000, 0x0000000000000001, 0x800fffffffffffff,
+				0x7ff0000000000000, 0xfff0000000000000),
+			random: func(rng *rand.Rand) float64 { return math.Float64frombits(rng.Uint64()) },
+		})
+	})
+	int64Specials := []int64{math.MinInt64, -1, 0, 1, math.MaxInt64, 0x0102030405060708}
+	int64Random := func(rng *rand.Rand) int64 { return int64(rng.Uint64()) }
+	t.Run("Int64sLE", func(t *testing.T) {
+		checkWireRun(t, wireRunCase[int64]{
+			put: refPutInt64sLE, get: refGetInt64sLE,
+			write: (*WireWriter).Int64sLE, read: (*WireReader).Int64sLE, into: (*WireReader).Int64sLEInto,
+			specials: int64Specials, random: int64Random,
+		})
+	})
+	t.Run("Int64sBE", func(t *testing.T) {
+		checkWireRun(t, wireRunCase[int64]{
+			put: refPutInt64sBE, get: refGetInt64sBE,
+			write: (*WireWriter).Int64sBE, read: (*WireReader).Int64sBE,
+			into:     func(wr *WireReader, dst []int64) error { return fillRun(wr, dst, false) }, // no exported Into
+			specials: int64Specials, random: int64Random,
+		})
+	})
+}
+
+func checkWireRun[T wireElem](t *testing.T, c wireRunCase[T]) {
+	_, width := wireView[T](nil)
+	seam := WireChunk / width
+	staged := []byte("staged")
+	const tail = 0x5a
+	rng := rand.New(rand.NewSource(int64(width)))
+	for _, n := range []int{0, 1, seam - 1, seam, seam + 1, 3*seam + 5} {
+		vals := make([]T, n)
+		k := copy(vals, c.specials)
+		for i := k; i < n; i++ {
+			vals[i] = c.random(rng)
+		}
+		run := make([]byte, n*width)
+		c.put(run, vals)
+		// The reference decode of the run, which must also be vals bit
+		// for bit: a float that moved through a register kept its NaN.
+		want := make([]T, n)
+		c.get(want, run)
+		wantView, _ := wireView(want)
+		if valsView, _ := wireView(vals); !bytes.Equal(wantView, valsView) {
+			t.Fatalf("n=%d: the reference kernels do not round-trip", n)
+		}
+		for _, crcOn := range []bool{false, true} {
+			for _, ahead := range [][]byte{nil, staged} {
+				name := fmt.Sprintf("n=%d crc=%v staged=%v", n, crcOn, ahead != nil)
+				image := append(append(append([]byte("pre"), ahead...), run...), tail)
+				wantCRC := crc32.Checksum(image[3:], crcTable)
+
+				var out bytes.Buffer
+				ww := NewWireWriter(&out)
+				ww.String("pre")
+				if crcOn {
+					ww.BeginCRC()
+				}
+				ww.Bytes(ahead)
+				c.write(ww, vals)
+				ww.Byte(tail)
+				var sum uint32
+				if crcOn {
+					sum = ww.EndCRC()
+				}
+				if err := ww.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(out.Bytes(), image) {
+					t.Fatalf("%s: wire bytes differ from the reference", name)
+				}
+				if crcOn && sum != wantCRC {
+					t.Fatalf("%s: writer CRC %08x, want %08x", name, sum, wantCRC)
+				}
+
+				for _, useInto := range []bool{false, true} {
+					wr := NewWireReader(bytes.NewReader(image))
+					if _, err := wr.Bytes(3); err != nil {
+						t.Fatal(err)
+					}
+					if crcOn {
+						wr.BeginCRC()
+					}
+					if _, err := wr.Bytes(len(ahead)); err != nil {
+						t.Fatal(err)
+					}
+					var got []T
+					var err error
+					if useInto {
+						got = make([]T, n)
+						err = c.into(wr, got)
+					} else {
+						got, err = c.read(wr, n)
+					}
+					if err != nil {
+						t.Fatalf("%s into=%v: %v", name, useInto, err)
+					}
+					if b, err := wr.ReadByte(); err != nil || b != tail {
+						t.Fatalf("%s into=%v: read past the run: %x, %v", name, useInto, b, err)
+					}
+					if sum := wr.EndCRC(); crcOn && sum != wantCRC {
+						t.Fatalf("%s into=%v: reader CRC %08x, want %08x", name, useInto, sum, wantCRC)
+					}
+					wr.Release()
+					if gotView, _ := wireView(got); len(got) != n || !bytes.Equal(gotView, wantView) {
+						t.Fatalf("%s into=%v: decoded values differ from the reference", name, useInto)
+					}
+				}
+			}
+		}
+	}
+}
 
 // TestMarshalStateDictToZeroAllocs gates the streaming marshal: headers
 // and tensor data go through one pooled scratch, so a steady-state
@@ -175,4 +395,76 @@ func TestWireCRCMatchesWholeBuffer(t *testing.T) {
 			t.Fatalf("value %d: %v != %v", i, back[i], vals[i])
 		}
 	}
+}
+
+// TestMarshalStateDictToConcurrent marshals one dict to four writers
+// from four goroutines, as a server's raw broadcast does: each writer
+// is handed the tensors' own storage, so this is the race the
+// detector must see if the marshal ever wrote to it.
+func TestMarshalStateDictToConcurrent(t *testing.T) {
+	sd := largeStateDict(t)
+	want, err := MarshalStateDict(sd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var outs [4]bytes.Buffer
+	var errs [4]error
+	var wg sync.WaitGroup
+	for i := range outs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = MarshalStateDictTo(&outs[i], sd)
+		}()
+	}
+	wg.Wait()
+	for i := range outs {
+		if errs[i] != nil {
+			t.Fatalf("writer %d: %v", i, errs[i])
+		}
+		if !bytes.Equal(outs[i].Bytes(), want) {
+			t.Fatalf("writer %d: bytes differ from MarshalStateDict", i)
+		}
+	}
+}
+
+// TestUnmarshalStateDictForgedShape: a shape whose element product
+// wraps int, or whose name length wraps the bounds check, is corrupt
+// to the whole-buffer decoder as it is to the stream decoder — not a
+// valid empty tensor, and not a panic.
+func TestUnmarshalStateDictForgedShape(t *testing.T) {
+	entry := func(name string, dims ...uint64) []byte {
+		f := []byte(serializeMagic)
+		f = binary.AppendUvarint(f, 1)
+		f = appendString(f, name)
+		f = append(f, byte(model.Float32))
+		f = binary.AppendUvarint(f, uint64(len(dims)))
+		for _, d := range dims {
+			f = binary.AppendUvarint(f, d)
+		}
+		return f
+	}
+	forged := map[string][]byte{
+		"product wraps to zero":  entry("w", 1<<32, 1<<32),
+		"dimension above int":    entry("w", 1<<63, 2),
+		"product past the cap":   entry("w", 1<<15, 1<<15),
+		"name length wraps":      append(binary.AppendUvarint([]byte(serializeMagic+"\x01"), math.MaxUint64), "w\x01"...),
+		"name length is the end": append(binary.AppendUvarint([]byte(serializeMagic+"\x01"), 1), "w"...),
+	}
+	for name, f := range forged {
+		sd, err := UnmarshalStateDict(f)
+		if !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: UnmarshalStateDict returned %v (%d entries), want ErrCorrupt", name, err, dictLen(sd))
+		}
+		if _, err := UnmarshalStateDictFrom(bytes.NewReader(f)); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: UnmarshalStateDictFrom returned %v, want ErrCorrupt", name, err)
+		}
+	}
+}
+
+func dictLen(sd *model.StateDict) int {
+	if sd == nil {
+		return 0
+	}
+	return sd.Len()
 }

@@ -150,8 +150,9 @@ func bodySize(p *orchestrator.Partial) int {
 	return n
 }
 
-// writeBody streams p's uncompressed body: small fields and the sums
-// alike go through ww's fixed scratch, each sum converted once.
+// writeBody streams p's uncompressed body through ww: the sums go out
+// big-endian, byte-swapped through ww's scratch on a little-endian
+// host.
 func writeBody(ww *core.WireWriter, p *orchestrator.Partial) {
 	ww.Uvarint(uint64(p.Updates))
 	ww.Uint64BE(math.Float64bits(p.TotalWeight))
@@ -277,8 +278,9 @@ func DecodePartialFrom(r Reader) (*orchestrator.Partial, error) {
 // and its Span are always new: what outlives the sums never aliases dst.
 // The decoded values are those DecodePartialFrom yields for the same
 // bytes, and it fails exactly when DecodePartialFrom does; on error, or
-// on a frame the checksum rejects, dst's matching sums hold an
-// unspecified mix of old and new values.
+// on a frame the checksum rejects, dst's matching sums hold
+// unspecified values — on a little-endian host a run cut short may
+// still be big-endian.
 func DecodePartialInto(r Reader, dst *orchestrator.Partial) (*orchestrator.Partial, error) {
 	p, err := decodePartial(r, dst)
 	if err != nil {
