@@ -2,7 +2,10 @@ package core
 
 import (
 	"encoding/binary"
+	"errors"
+	"io"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -107,6 +110,30 @@ func TestPipelineAllCompressors(t *testing.T) {
 				t.Fatalf("%s ratio %.2f", name, st.Ratio())
 			}
 		})
+	}
+}
+
+// TestCompressToRejectsNonFiniteTensor: under a REL bound, a lossy
+// tensor holding +Inf used to resolve to an infinite bound, and the leaf
+// sent a frame whose sz2 section the server's decoder rejects. CompressTo
+// must fail at the leaf instead, naming the tensor.
+func TestCompressToRejectsNonFiniteTensor(t *testing.T) {
+	sd := testDict(t)
+	p, err := NewPipeline(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var name string
+	for _, e := range sd.Entries() {
+		if p.shouldLossy(e) {
+			name = e.Name
+			e.Tensor.Data()[5] = float32(math.Inf(1))
+			break
+		}
+	}
+	_, err = p.CompressTo(io.Discard, sd)
+	if !errors.Is(err, lossy.ErrInvalidParams) || !strings.Contains(err.Error(), name) {
+		t.Fatalf("CompressTo error %v, want ErrInvalidParams naming %q", err, name)
 	}
 }
 

@@ -117,9 +117,30 @@ func AppendEncode(dst []byte, symbols []int32) ([]byte, error) {
 func AppendEncodeAlphabet(dst []byte, symbols []int32, alphabet int) ([]byte, error) {
 	e := encoderPool.Get().(*encoder)
 	defer encoderPool.Put(e)
+	return e.appendAlphabet(dst, symbols, alphabet)
+}
+
+// appendAlphabet is AppendEncodeAlphabet on e's scratch.
+func (e *encoder) appendAlphabet(dst []byte, symbols []int32, alphabet int) ([]byte, error) {
 	if alphabet > denseLimit || len(symbols) > math.MaxUint32 {
 		return e.appendSparse(dst, symbols, alphabet)
 	}
+	if err := e.countDense(symbols, alphabet); err != nil {
+		return nil, err
+	}
+	dst = e.appendTable(dst, len(symbols))
+	return appendCodes(dst, symbols, e.denseCodes()), nil
+}
+
+// countDense sets e.pairs to the present symbols, ascending, counted in
+// a dense table, and leaves the table clear. sz2's and sz3's alphabet
+// has 65 538 slots, of which a few hundred are present, so the scan for
+// them tests eight slots per step and looks inside only a group that
+// holds a count: per tensor that costs a few thousand steps, where
+// tracking the lowest and highest symbol would cost two compares per
+// symbol counted, and one outlier code (0) would stretch that span over
+// half the table.
+func (e *encoder) countDense(symbols []int32, alphabet int) error {
 	if cap(e.freqs) < alphabet {
 		e.freqs = make([]uint32, alphabet)
 	}
@@ -127,20 +148,24 @@ func AppendEncodeAlphabet(dst []byte, symbols []int32, alphabet int) ([]byte, er
 	for _, s := range symbols {
 		if uint(s) >= uint(len(freqs)) {
 			clear(freqs) // leave the table clear for the next use
-			return nil, symbolError(s, alphabet)
+			return symbolError(s, alphabet)
 		}
 		freqs[s]++
 	}
-	// The present symbols, ascending; the table is left clear.
 	e.pairs = e.pairs[:0]
-	for s, c := range freqs {
-		if c > 0 {
-			e.pairs = append(e.pairs, symFreq{sym: int32(s), freq: int64(c)})
-			freqs[s] = 0
+	for lo := 0; lo < len(freqs); lo += 8 {
+		g := freqs[lo:min(lo+8, len(freqs))]
+		if len(g) == 8 && g[0]|g[1]|g[2]|g[3]|g[4]|g[5]|g[6]|g[7] == 0 {
+			continue
+		}
+		for i, c := range g {
+			if c > 0 {
+				e.pairs = append(e.pairs, symFreq{sym: int32(lo + i), freq: int64(c)})
+				g[i] = 0
+			}
 		}
 	}
-	dst = e.appendTable(dst, len(symbols))
-	return appendCodes(dst, symbols, e.denseCodes()), nil
+	return nil
 }
 
 // AppendEncodeBytes appends the Huffman encoding of a byte-alphabet

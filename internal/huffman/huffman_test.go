@@ -365,6 +365,41 @@ func BenchmarkEncodeCodes(b *testing.B) {
 	}
 }
 
+// BenchmarkEncodeAlphabetStages splits AppendEncodeAlphabet, over codes
+// shaped like sz2's (its 65 538-symbol alphabet, centred on radius+1),
+// into the histogram and table build and the body: the two halves of
+// the entropy row of sz2's BenchmarkCompressStages.
+func BenchmarkEncodeAlphabetStages(b *testing.B) {
+	const alphabet = 2*32768 + 2
+	symbols := skewedCodes(4 << 20)
+	for i := range symbols {
+		symbols[i] += 32769 - 512
+	}
+	e := new(encoder)
+	dst, err := e.appendAlphabet(nil, symbols, alphabet)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("histogram+table", func(b *testing.B) {
+		b.SetBytes(int64(len(symbols) * 4))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := e.countDense(symbols, alphabet); err != nil {
+				b.Fatal(err)
+			}
+			dst = e.appendTable(dst[:0], len(symbols))
+		}
+	})
+	lookup := e.denseCodes()
+	b.Run("body", func(b *testing.B) {
+		b.SetBytes(int64(len(symbols) * 4))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			dst = appendCodes(dst[:0], symbols, lookup)
+		}
+	})
+}
+
 func BenchmarkDecodeIntoCodes(b *testing.B) {
 	symbols := skewedCodes(4 << 20)
 	buf, err := AppendEncode(nil, symbols)

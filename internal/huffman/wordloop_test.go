@@ -309,3 +309,67 @@ func bodyStart(t *testing.T, buf []byte) int {
 	}
 	return n + int(hdrLen)
 }
+
+// fullScanEncode is AppendEncodeAlphabet as it collected the present
+// symbols before the scan went eight slots per step: one slot at a
+// time over the whole alphabet.
+func fullScanEncode(symbols []int32, alphabet int) ([]byte, error) {
+	freqs := make([]uint32, alphabet)
+	for _, s := range symbols {
+		if uint(s) >= uint(alphabet) {
+			return nil, symbolError(s, alphabet)
+		}
+		freqs[s]++
+	}
+	e := new(encoder)
+	for s, c := range freqs {
+		if c > 0 {
+			e.pairs = append(e.pairs, symFreq{sym: int32(s), freq: int64(c)})
+		}
+	}
+	dst := e.appendTable(nil, len(symbols))
+	return appendCodes(dst, symbols, e.denseCodes()), nil
+}
+
+// TestAlphabetScanGrouped: collecting the present symbols eight slots
+// per step must give a slot-by-slot scan's bytes and errors, and leave
+// the encoder's table all-zero, at both ends of the alphabet and in a
+// last group shorter than eight. One encoder serves every case, so a
+// slot left dirty would also corrupt the next stream.
+func TestAlphabetScanGrouped(t *testing.T) {
+	skewed := skewedCodes(20000)
+	for i := range skewed {
+		skewed[i] += 32769 - 512 // around sz2's centre code
+	}
+	e := new(encoder)
+	// sz2's alphabet ends in a group of two; 13 in one of five.
+	for _, alphabet := range []int32{2*32768 + 2, 13, 8} {
+		cases := []struct {
+			name    string
+			symbols []int32
+		}{
+			{"empty", nil},
+			{"only_0", []int32{0, 0, 0}},
+			{"only_top", []int32{alphabet - 1, alphabet - 1}},
+			{"single", []int32{alphabet / 2}},
+			{"both_ends", []int32{0, alphabet - 1, 5, 0}},
+			{"skewed", skewed},
+			{"out_of_range_mid_stream", []int32{5, 6, alphabet, 7}},
+			{"negative_mid_stream", []int32{alphabet - 1, 3, -1, 7}},
+			{"after_error", []int32{7, 7, 6}},
+		}
+		for _, tc := range cases {
+			want, wantErr := fullScanEncode(tc.symbols, int(alphabet))
+			got, err := e.appendAlphabet(nil, tc.symbols, int(alphabet))
+			if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+				t.Fatalf("%d/%s: error %v, full scan %v", alphabet, tc.name, err, wantErr)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("%d/%s: %d bytes differ from the full scan's %d", alphabet, tc.name, len(got), len(want))
+			}
+			if i := slices.IndexFunc(e.freqs[:cap(e.freqs)], func(c uint32) bool { return c != 0 }); i >= 0 {
+				t.Fatalf("%d/%s: table slot %d left at %d", alphabet, tc.name, i, e.freqs[i])
+			}
+		}
+	}
+}

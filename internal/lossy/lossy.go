@@ -60,30 +60,50 @@ var ErrInvalidParams = errors.New("lossy: invalid compression parameters")
 // Resolve converts the parameters into the absolute bound to apply to
 // data. For Rel mode, degenerate (constant) data resolves to a small
 // positive bound so that compression still succeeds.
+//
+// The result is always positive, with a finite quantizer step 2ε, so a
+// codec never writes a bound its own decoder rejects. A Rel bound over
+// a range holding ±Inf is therefore ErrInvalidParams. A NaN has no
+// place in a range: the Rel range is taken over the other values
+// wherever the NaN sits, and codecs store it verbatim; an all-NaN
+// tensor has no range and is ErrInvalidParams.
 func (p Params) Resolve(data []float32) (float64, error) {
 	if p.Bound <= 0 || math.IsNaN(p.Bound) || math.IsInf(p.Bound, 0) {
 		return 0, fmt.Errorf("%w: bound %v", ErrInvalidParams, p.Bound)
 	}
+	var eb float64
 	switch p.Mode {
 	case Abs:
-		return p.Bound, nil
+		eb = p.Bound
 	case Rel:
 		mn, mx := stats.MinMaxF32(data)
 		r := float64(mx) - float64(mn)
-		if r <= 0 {
+		switch {
+		case math.IsNaN(r) || math.IsInf(r, 0):
+			return 0, fmt.Errorf("%w: REL bound over the non-finite value range [%v, %v]", ErrInvalidParams, mn, mx)
+		case r <= 0:
 			// Constant input: any positive bound preserves it; pick one
 			// proportional to magnitude so the header stays meaningful.
 			mag := math.Abs(float64(mn))
 			if mag == 0 {
 				mag = 1
 			}
-			return p.Bound * mag, nil
+			eb = p.Bound * mag
+		default:
+			eb = p.Bound * r
 		}
-		return p.Bound * r, nil
 	default:
 		return 0, fmt.Errorf("%w: mode %v", ErrInvalidParams, p.Mode)
 	}
+	if !validBound(eb) {
+		return 0, fmt.Errorf("%w: %v bound %v resolves to %v", ErrInvalidParams, p.Mode, p.Bound, eb)
+	}
+	return eb, nil
 }
+
+// validBound reports whether eb is a bound Resolve may return: positive,
+// with the quantizer step 2·eb finite (NaN fails both).
+func validBound(eb float64) bool { return eb > 0 && eb <= math.MaxFloat64/2 }
 
 // Compressor is an error-bounded lossy compressor for 1-D float32 data
 // (FL model parameters are flattened to 1-D before compression, paper
@@ -184,10 +204,10 @@ func ReadHeader(magic string, buf []byte) (count int, absBound float64, rest []b
 		return 0, 0, nil, fmt.Errorf("%w: element count %d", ErrCorrupt, c)
 	}
 	absBound = math.Float64frombits(binary.LittleEndian.Uint64(buf[n : n+8]))
-	// Resolve never produces a non-positive or non-finite bound, so a
-	// header carrying one is forged; downstream quantizers are entitled
-	// to panic on such bounds, so reject here.
-	if absBound <= 0 || math.IsNaN(absBound) || math.IsInf(absBound, 0) {
+	// Resolve never produces a non-positive bound or one whose step
+	// overflows, so a header carrying one is forged; downstream
+	// quantizers are entitled to panic on such bounds, so reject here.
+	if !validBound(absBound) {
 		return 0, 0, nil, fmt.Errorf("%w: bound %v", ErrCorrupt, absBound)
 	}
 	return int(c), absBound, buf[n+8:], nil

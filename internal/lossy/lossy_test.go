@@ -1,6 +1,7 @@
 package lossy
 
 import (
+	"errors"
 	"math"
 	"testing"
 )
@@ -48,6 +49,60 @@ func TestResolveInvalid(t *testing.T) {
 	}
 }
 
+// TestResolveNonFinite pins the bounds Resolve refuses: a REL range
+// holding ±Inf (or made only of NaN), and any resolved bound that is
+// not positive or whose quantizer step 2ε overflows. Each used to come
+// back as a bound that sz2's own decoder rejects, or that makes every
+// reconstruction NaN.
+func TestResolveNonFinite(t *testing.T) {
+	inf := float32(math.Inf(1))
+	nan := float32(math.NaN())
+	cases := []struct {
+		name string
+		p    Params
+		data []float32
+	}{
+		{"rel +Inf", RelBound(1e-2), []float32{1, 2, inf, 3}},
+		{"rel -Inf", RelBound(1e-2), []float32{-inf, 1, 2}},
+		{"rel ±Inf", RelBound(1e-2), []float32{inf, -inf}},
+		{"rel all NaN", RelBound(1e-2), []float32{nan, nan}},
+		{"rel constant +Inf", RelBound(1e-2), []float32{inf, inf}},
+		{"rel overflow", RelBound(1e300), []float32{-1e10, 1e10}},
+		{"rel underflow", RelBound(1e-300), []float32{0, 1e-30}},
+		{"abs step overflow", AbsBound(math.MaxFloat64), nil},
+	}
+	for _, tc := range cases {
+		if eb, err := tc.p.Resolve(tc.data); !errors.Is(err, ErrInvalidParams) {
+			t.Errorf("%s: Resolve = %v, %v; want ErrInvalidParams", tc.name, eb, err)
+		}
+	}
+	// The largest bound whose step 2ε is finite is still accepted.
+	if eb, err := AbsBound(math.MaxFloat64 / 2).Resolve(nil); err != nil || eb != math.MaxFloat64/2 {
+		t.Fatalf("AbsBound(MaxFloat64/2) = %v, %v", eb, err)
+	}
+}
+
+// TestResolveNaNPosition pins the chosen NaN semantics: a NaN's
+// position does not matter. The REL range is the range of the other
+// values, whether the NaN comes first, in the middle or last.
+func TestResolveNaNPosition(t *testing.T) {
+	nan := float32(math.NaN())
+	want, err := RelBound(0.01).Resolve([]float32{-1, 0, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, data := range [][]float32{
+		{nan, -1, 0, 3},
+		{-1, nan, 0, 3},
+		{-1, 0, 3, nan},
+		{nan, nan, -1, nan, 0, 3},
+	} {
+		if eb, err := RelBound(0.01).Resolve(data); err != nil || eb != want {
+			t.Errorf("%v: Resolve = %v, %v; want %v", data, eb, err, want)
+		}
+	}
+}
+
 func TestModeString(t *testing.T) {
 	if Abs.String() != "ABS" || Rel.String() != "REL" {
 		t.Fatal("mode strings")
@@ -87,6 +142,12 @@ func TestHeaderErrors(t *testing.T) {
 	}
 	if _, _, _, err := ReadHeader("ABCD", buf[:6]); err == nil {
 		t.Fatal("expected truncated header error")
+	}
+	// A bound Resolve never returns marks a forged header.
+	for _, eb := range []float64{0, -1, math.NaN(), math.Inf(1), math.MaxFloat64} {
+		if _, _, _, err := ReadHeader("ABCD", WriteHeader("ABCD", 1, eb)); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("bound %v: ReadHeader error %v, want ErrCorrupt", eb, err)
+		}
 	}
 }
 

@@ -6,6 +6,13 @@
 // at most ε (the absolute error bound). Codes outside the configured
 // radius mark the value "unpredictable"; such values are stored
 // verbatim by the caller.
+//
+// Codes round half away from zero, as math.Round does. Round computes
+// that through math.RoundToEven, which the compiler lowers to one
+// ROUNDSD on amd64 with SSE4.1 (FRINTN on arm64), where math.Round is
+// pure-Go bit manipulation with a data-dependent branch; only exact
+// ties, ±Inf and NaN leave that path. Encode and sz2's block loops
+// round through it, so every code is the one math.Round gives.
 package quant
 
 import "math"
@@ -46,7 +53,7 @@ func (q Quantizer) Radius() int { return q.radius }
 // store val exactly.
 func (q Quantizer) Encode(val, pred float64) (code int, recon float64, ok bool) {
 	diff := val - pred
-	c := math.Round(diff / q.step)
+	c := Round(diff / q.step)
 	if math.Abs(c) > float64(q.radius) || math.IsNaN(c) {
 		return 0, 0, false
 	}
@@ -58,6 +65,25 @@ func (q Quantizer) Encode(val, pred float64) (code int, recon float64, ok bool) 
 		return 0, 0, false
 	}
 	return code, recon, true
+}
+
+// Round returns math.Round(x) bit for bit on every input. Away from an
+// exact tie both roundings pick the one nearest integer, and x−r is
+// exact, so two cases leave the fast path: |x−r| = 0.5, a tie that
+// RoundToEven may have taken toward zero, and a NaN difference (x is
+// NaN or ±Inf), which returns x itself — ROUNDSD would quiet a
+// signaling NaN.
+func Round(x float64) float64 {
+	r := math.RoundToEven(x)
+	if d := x - r; !(d > -0.5 && d < 0.5) {
+		if d != d {
+			return x
+		}
+		if math.Signbit(d) == math.Signbit(x) { // rounded toward zero
+			return r + 2*d
+		}
+	}
+	return r
 }
 
 // Decode reconstructs a value from its code and prediction.

@@ -84,3 +84,47 @@ func TestQuickBoundInvariant(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRoundMatchesMathRound pins Round to math.Round bit for bit: the
+// ties k+0.5 and their neighbours in every binade below 2^53, ±0,
+// subnormals, ±Inf, quiet and signaling NaNs, and a million seeded
+// random bit patterns.
+func TestRoundMatchesMathRound(t *testing.T) {
+	check := func(x float64) {
+		if got, want := Round(x), math.Round(x); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("Round(%v [%#016x]) = %v [%#016x], math.Round gives %v [%#016x]",
+				x, math.Float64bits(x), got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+	both := func(x float64) {
+		for _, v := range []float64{x, math.Nextafter(x, math.Inf(-1)), math.Nextafter(x, math.Inf(1))} {
+			check(v)
+			check(-v)
+		}
+	}
+	both(0.5)
+	for e := 0; e < 53; e++ {
+		k := math.Ldexp(1, e)
+		for _, m := range []float64{k, k + 1, 2*k - 1} { // even and odd integers in the binade
+			both(m + 0.5)
+			both(m)
+		}
+	}
+	both(math.Ldexp(1, 53))
+	for _, bits := range []uint64{
+		0, 1 << 63, // ±0
+		1, 0x000fffffffffffff, 1<<63 | 1, // subnormals
+		0x7ff0000000000000, 0xfff0000000000000, // ±Inf
+		0x7ff8000000000000, 0xfff8000000000001, // quiet NaNs
+		0x7ff0000000000001, 0xfff4000000000000, // signaling NaNs
+	} {
+		check(math.Float64frombits(bits))
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 1_000_000; i++ {
+		check(math.Float64frombits(rng.Uint64()))
+		// Values with a fractional part, which random bit patterns
+		// rarely give.
+		check(rng.NormFloat64() * math.Ldexp(1, rng.Intn(40)))
+	}
+}

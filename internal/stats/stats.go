@@ -82,14 +82,19 @@ func SummarizeF32(xs []float32) Summary {
 	return Summarize(f)
 }
 
-// MinMaxF32 returns the minimum and maximum of xs in a single pass.
-// It returns (0, 0) for an empty slice.
+// MinMaxF32 returns the minimum and maximum of xs in a single pass,
+// skipping NaNs wherever they sit. It returns (0, 0) for an empty slice
+// and (NaN, NaN) for an all-NaN one.
 func MinMaxF32(xs []float32) (float32, float32) {
 	if len(xs) == 0 {
 		return 0, 0
 	}
-	mn, mx := xs[0], xs[0]
-	for _, x := range xs[1:] {
+	i := 0
+	for i < len(xs)-1 && xs[i] != xs[i] {
+		i++
+	}
+	mn, mx := xs[i], xs[i]
+	for _, x := range xs[i+1:] {
 		if x < mn {
 			mn = x
 		}

@@ -3,10 +3,13 @@
 package sz2
 
 import (
+	"slices"
 	"testing"
 
+	"fedsz/internal/huffman"
 	"fedsz/internal/lossy"
 	"fedsz/internal/model"
+	"fedsz/internal/quant"
 )
 
 // mobileNetTensors returns the lossy-path tensors of model.MobileNetV2(1)
@@ -60,4 +63,119 @@ func BenchmarkDecompressMobileNet(b *testing.B) {
 			}
 		}
 	}
+}
+
+// stageSink keeps the fit stage's selections live.
+var stageSink int
+
+// BenchmarkCompressStages times each stage of Compress on its own over
+// the same tensors, each sub-benchmark with the whole set's SetBytes, so
+// their ns/op add up to about BenchmarkCompressMobileNet's:
+//
+//   - fit: widen each block, fitLine and regressionWins;
+//   - quantize: the per-mode kernels, from pre-widened blocks, with the
+//     modes and coefficients a full pass chose;
+//   - entropy: huffman.AppendEncodeAlphabet over the codes, the
+//     histogram and table build plus the body (huffman's
+//     BenchmarkEncodeAlphabetStages splits the two);
+//   - wrap: the LZH stage over the assembled payload.
+func BenchmarkCompressStages(b *testing.B) {
+	tensors, size := mobileNetTensors()
+	c := New()
+	type staged struct {
+		data    []float32
+		wide    []float64
+		prev    []float64 // per block, the reconstruction before it
+		eb      float64
+		sc      *compScratch
+		payload []byte
+	}
+	st := make([]staged, len(tensors))
+	for i, data := range tensors {
+		eb, err := lossy.RelBound(1e-2).Resolve(data)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sc := new(compScratch)
+		c.predict(sc, data, eb)
+		payload, err := sc.appendPayload()
+		if err != nil {
+			b.Fatal(err)
+		}
+		frame, err := c.frame(payload, len(data), eb)
+		if err != nil {
+			b.Fatal(err)
+		}
+		dec, err := c.Decompress(frame)
+		if err != nil {
+			b.Fatal(err)
+		}
+		s := staged{data: data, eb: eb, sc: sc, payload: slices.Clone(payload)}
+		for _, v := range data {
+			s.wide = append(s.wide, float64(v))
+		}
+		for lo := 0; lo < len(data); lo += BlockSize {
+			p := 0.0
+			if lo > 0 {
+				p = float64(dec[lo-1]) // the decoder holds what the encoder did
+			}
+			s.prev = append(s.prev, p)
+		}
+		st[i] = s
+	}
+	run := func(name string, f func(s *staged)) {
+		b.Run(name, func(b *testing.B) {
+			b.SetBytes(int64(size))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for j := range st {
+					f(&st[j])
+				}
+			}
+		})
+	}
+	var view [BlockSize]float64
+	run("fit", func(s *staged) {
+		for blk, p := range s.prev {
+			block := s.data[blk*BlockSize : min((blk+1)*BlockSize, len(s.data))]
+			x := view[:len(block)]
+			for i, v := range block {
+				x[i] = float64(v)
+			}
+			a0, a1, lorenzo := fitLine(x, p)
+			if regressionWins(x, a0, a1, lorenzo) {
+				stageSink++
+			}
+		}
+	})
+	codes := make([]int32, BlockSize)
+	k := kernel{radius: quant.DefaultRadius}
+	run("quantize", func(s *staged) {
+		k.eb, k.step, k.tol = s.eb, 2*s.eb, s.eb*(1+1e-9)
+		k.outliers = k.outliers[:0]
+		ci := 0
+		for blk, p := range s.prev {
+			lo, hi := blk*BlockSize, min((blk+1)*BlockSize, len(s.data))
+			if s.sc.modes[blk] == predRegress {
+				a0, a1 := float64(s.sc.coeffs[ci]), float64(s.sc.coeffs[ci+1])
+				ci += 2
+				k.regress(codes, s.data[lo:hi], s.wide[lo:hi], a0, a1)
+			} else {
+				k.lorenzo(codes, s.data[lo:hi], s.wide[lo:hi], p)
+			}
+		}
+	})
+	var dst []byte
+	run("entropy", func(s *staged) {
+		var err error
+		if dst, err = huffman.AppendEncodeAlphabet(dst[:0], s.sc.codes, 2*quant.DefaultRadius+2); err != nil {
+			b.Fatal(err)
+		}
+	})
+	run("wrap", func(s *staged) {
+		var err error
+		if dst, err = c.backend.AppendCompress(dst[:0], s.payload); err != nil {
+			b.Fatal(err)
+		}
+	})
 }

@@ -1,0 +1,356 @@
+package sz2
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"fedsz/internal/lossy"
+	"fedsz/internal/quant"
+)
+
+// refEncode is quant.Quantizer.Encode as the per-element loop called it,
+// with math.Round: the arithmetic the block kernels must reproduce.
+func refEncode(val, pred, eb float64, radius int) (code int, recon float64, ok bool) {
+	step := 2 * eb
+	c := math.Round((val - pred) / step)
+	if math.Abs(c) > float64(radius) || math.IsNaN(c) {
+		return 0, 0, false
+	}
+	code = int(c)
+	recon = pred + float64(code)*step
+	if math.Abs(recon-val) > eb*(1+1e-9) {
+		return 0, 0, false
+	}
+	return code, recon, true
+}
+
+// refFitLine and refRegressionWins are fitLine and regressionWins over
+// the float32 block, each widening every value where it reads it.
+func refFitLine(block []float32, prev float64) (a0, a1, lorenzo float64) {
+	var sumY, sumXY float64
+	for i, v := range block {
+		x := float64(v)
+		sumY += x
+		sumXY += float64(i) * x
+		lorenzo += math.Abs(x - prev)
+		prev = x
+	}
+	n := float64(len(block))
+	if len(block) < 2 {
+		if len(block) == 1 {
+			return float64(block[0]), 0, lorenzo
+		}
+		return 0, 0, 0
+	}
+	sumX := n * (n - 1) / 2
+	sumXX := (n - 1) * n * (2*n - 1) / 6
+	denom := n*sumXX - sumX*sumX
+	if denom == 0 {
+		return sumY / n, 0, lorenzo
+	}
+	a1 = (n*sumXY - sumX*sumY) / denom
+	a0 = (sumY - a1*sumX) / n
+	return a0, a1, lorenzo
+}
+
+func refRegressionWins(block []float32, a0, a1, lorenzo float64) bool {
+	var regress float64
+	for i, v := range block {
+		regress += math.Abs(float64(v) - (a0 + a1*float64(i)))
+	}
+	return regress < lorenzo*0.8
+}
+
+// refPredict is predict as one loop over elements: a refEncode call per
+// value and the block mode branched on inside it. demoted counts the
+// values only the float32 mirror made outliers.
+func refPredict(data []float32, eb float64, noRegression bool) (sc *compScratch, demoted int) {
+	radius := quant.DefaultRadius
+	sc = new(compScratch)
+	prevRecon := 0.0
+	for lo := 0; lo < len(data); lo += BlockSize {
+		block := data[lo:min(lo+BlockSize, len(data))]
+		mode := predLorenzo
+		var a0, a1 float64
+		if !noRegression {
+			var lorenzo float64
+			a0, a1, lorenzo = refFitLine(block, prevRecon)
+			if refRegressionWins(block, a0, a1, lorenzo) {
+				mode = predRegress
+			}
+		}
+		sc.modes = append(sc.modes, byte(mode))
+		if mode == predRegress {
+			sc.coeffs = append(sc.coeffs, float32(a0), float32(a1))
+			a0, a1 = float64(float32(a0)), float64(float32(a1))
+		}
+		recon := prevRecon
+		for i, v := range block {
+			pred := recon
+			if mode == predRegress {
+				pred = a0 + a1*float64(i)
+			}
+			code, r, ok := refEncode(float64(v), pred, eb, radius)
+			if ok {
+				r = float64(float32(r))
+				if math.Abs(r-float64(v)) > eb {
+					ok = false
+					demoted++
+				}
+			}
+			if !ok {
+				sc.codes = append(sc.codes, 0)
+				sc.outliers = append(sc.outliers, v)
+				recon = float64(v)
+				continue
+			}
+			sc.codes = append(sc.codes, int32(code+radius+1))
+			recon = r
+		}
+		prevRecon = recon
+	}
+	return sc, demoted
+}
+
+func float32Bits(xs []float32) []uint32 {
+	bits := make([]uint32, len(xs))
+	for i, x := range xs {
+		bits[i] = math.Float32bits(x)
+	}
+	return bits
+}
+
+// checkReference compresses data with c and asserts that predict's
+// output and the whole section equal the reference loop's, byte for
+// byte, and that the section decodes within the bound. It returns the
+// reference's stage output for the caller's coverage checks.
+func checkReference(t *testing.T, c *Compressor, data []float32, p lossy.Params) (ref *compScratch, demoted int) {
+	t.Helper()
+	got, err := c.Compress(data, p)
+	eb, rerr := p.Resolve(data)
+	if rerr != nil {
+		if err == nil {
+			t.Fatalf("Compress accepted params that Resolve rejects: %v", rerr)
+		}
+		return nil, 0
+	}
+	if err != nil {
+		t.Fatalf("compress: %v", err)
+	}
+	if len(data) == 0 {
+		return nil, 0
+	}
+	ref, demoted = refPredict(data, eb, c.noRegression)
+	sc := new(compScratch)
+	c.predict(sc, data, eb)
+	if !bytes.Equal(sc.modes, ref.modes) {
+		t.Fatalf("modes differ from the reference")
+	}
+	if !slices.Equal(float32Bits(sc.coeffs), float32Bits(ref.coeffs)) {
+		t.Fatalf("coefficients differ from the reference")
+	}
+	for i := range data {
+		if sc.codes[i] != ref.codes[i] {
+			t.Fatalf("code %d of %d: kernel %d, reference %d (value %v)", i, len(data), sc.codes[i], ref.codes[i], data[i])
+		}
+	}
+	if !slices.Equal(float32Bits(sc.outliers), float32Bits(ref.outliers)) {
+		t.Fatalf("outliers differ from the reference")
+	}
+	payload, err := ref.appendPayload()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := c.frame(payload, len(data), eb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("section differs from the reference (%d vs %d bytes)", len(got), len(want))
+	}
+	dec, err := c.Decompress(got)
+	if err != nil {
+		t.Fatalf("decompress: %v", err)
+	}
+	// A NaN decodes as a NaN (the decoder's widening quiets a signaling
+	// one), ±Inf exactly, anything else within the bound.
+	for i, x := range data {
+		nan := x != x && dec[i] != dec[i]
+		if !nan && dec[i] != x && !(math.Abs(float64(dec[i])-float64(x)) <= eb) {
+			t.Fatalf("element %d: decoded %v for %v, bound %v", i, dec[i], x, eb)
+		}
+	}
+	return ref, demoted
+}
+
+// kernelCases are blocks built to reach every branch of the kernels.
+func kernelCases() []struct {
+	name string
+	data []float32
+	p    lossy.Params
+} {
+	inf := float32(math.Inf(1))
+	snan := math.Float32frombits(0x7f800001) // signaling NaN, kept bit for bit
+	special := []float32{
+		0, float32(math.Copysign(0, -1)), 1, float32(math.NaN()), 1.5, inf, 2, -inf, 2.5,
+		math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32, math.Float32frombits(0x007fffff),
+		snan, math.Float32frombits(0xffc00001), 3, math.MaxFloat32, -math.MaxFloat32, 4,
+	}
+	// Lorenzo reconstructions stay integers at step 1, so every value
+	// k+0.5 is an exact quantization tie.
+	var ties []float32
+	for i := 0; i < 3*BlockSize; i++ {
+		ties = append(ties, float32(i%9-4)+0.5)
+	}
+	// At step 1 from a reconstruction of 0: codes ±radius, one step past
+	// it, and the ties ±(radius+0.5) that RoundToEven alone would keep.
+	r := float32(quant.DefaultRadius)
+	edges := []float32{r, 0, -r, 0, r + 1, 0, -r - 1, 0, r + 0.5, 0, -r - 0.5, 0, r - 0.5, 0, -r + 0.5}
+	// Regression blocks of x = i + h·t, where t repeats the Thue–Morse
+	// signs (+ − − + − + + −): their sum and first moment vanish, so the
+	// fit is exactly x = i and every residual is ±h. At step 1 that puts
+	// regression codes on exact ties, at ±radius, on the ties just past
+	// it and one step past it.
+	thueMorse := [8]float32{1, -1, -1, 1, -1, 1, 1, -1}
+	var ramps []float32
+	for _, h := range []float32{0.5, 1.5, r, r + 0.5, r + 1} {
+		for i := 0; i < BlockSize; i++ {
+			ramps = append(ramps, float32(i)+h*thueMorse[i%8])
+		}
+	}
+	// Near 1e8 float32 values are 8 apart; at eb = 4.75 a reconstruction
+	// within eb of its value can still round to the next float32.
+	rng := rand.New(rand.NewSource(5))
+	demote := make([]float32, 2*BlockSize+17)
+	for i := range demote {
+		demote[i] = 1e8 + 8*float32(rng.Intn(6))
+	}
+	// Smooth ramps pick regression and noise picks Lorenzo; the tail
+	// block is 37 values long.
+	mixed := make([]float32, 6*BlockSize+37)
+	for i := range mixed {
+		if (i/BlockSize)%2 == 0 {
+			mixed[i] = 0.01 * float32(i%BlockSize)
+		} else {
+			mixed[i] = float32(rng.NormFloat64())
+		}
+	}
+	return []struct {
+		name string
+		data []float32
+		p    lossy.Params
+	}{
+		{"special", special, lossy.AbsBound(1e-3)},
+		{"special_subnormal_bound", special, lossy.AbsBound(1e-45)},
+		{"ties", ties, lossy.AbsBound(0.5)},
+		{"ties_fine", ties, lossy.AbsBound(1.0 / 64)},
+		{"radius_edges", edges, lossy.AbsBound(0.5)},
+		{"regression_edges", ramps, lossy.AbsBound(0.5)},
+		{"mirror_demotion", demote, lossy.AbsBound(4.75)},
+		{"mixed_rel", mixed, lossy.RelBound(1e-2)},
+		{"mixed_abs", mixed, lossy.AbsBound(1e-4)},
+		{"golden", goldenData(5000), lossy.RelBound(1e-3)},
+		{"one", []float32{3}, lossy.AbsBound(0.1)},
+	}
+}
+
+// TestKernelMatchesReference pins the per-mode kernels to the
+// per-element loop they replaced, byte for byte, over blocks holding
+// NaN, ±Inf, subnormals and ±0, exact ties, codes at and past the
+// radius, values the float32 mirror demotes, both modes and a short
+// tail block.
+func TestKernelMatchesReference(t *testing.T) {
+	var sawDemoted, sawRegress, sawLorenzo bool // reached by some case
+	for _, tc := range kernelCases() {
+		for _, c := range []struct {
+			name string
+			c    *Compressor
+		}{{"hybrid", New()}, {"lorenzo", New(WithoutRegression())}, {"raw", New(WithLosslessStage(nil))}} {
+			t.Run(tc.name+"/"+c.name, func(t *testing.T) {
+				ref, demoted := checkReference(t, c.c, tc.data, tc.p)
+				sawDemoted = sawDemoted || demoted > 0
+				if ref != nil {
+					sawRegress = sawRegress || bytes.IndexByte(ref.modes, predRegress) >= 0
+					sawLorenzo = sawLorenzo || bytes.IndexByte(ref.modes, predLorenzo) >= 0
+				}
+			})
+		}
+	}
+	if !sawDemoted || !sawRegress || !sawLorenzo {
+		t.Fatalf("cases missed a branch: mirror demotion %v, regression %v, Lorenzo %v", sawDemoted, sawRegress, sawLorenzo)
+	}
+}
+
+// TestKernelMatchesReferenceMobileNet runs the comparison over the
+// tensors a flat_lan update compresses.
+func TestKernelMatchesReferenceMobileNet(t *testing.T) {
+	if testing.Short() {
+		t.Skip("compresses a whole MobileNetV2 update twice")
+	}
+	tensors, _ := mobileNetTensors()
+	for _, data := range tensors {
+		checkReference(t, New(), data, lossy.RelBound(1e-2))
+	}
+}
+
+// FuzzSZ2Compress feeds arbitrary float32 bit patterns and bounds to
+// Compress: the section must equal the reference loop's byte for byte
+// and decode within the bound, and params Resolve rejects must fail.
+func FuzzSZ2Compress(f *testing.F) {
+	for _, tc := range kernelCases() {
+		var raw []byte
+		for _, v := range tc.data {
+			raw = binary.LittleEndian.AppendUint32(raw, math.Float32bits(v))
+		}
+		f.Add(raw, tc.p.Bound, tc.p.Mode == lossy.Rel)
+	}
+	f.Fuzz(func(t *testing.T, raw []byte, bound float64, rel bool) {
+		data := make([]float32, len(raw)/4)
+		for i := range data {
+			data[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
+		}
+		p := lossy.AbsBound(bound)
+		if rel {
+			p = lossy.RelBound(bound)
+		}
+		checkReference(t, New(), data, p)
+	})
+}
+
+// TestCompressRejectsNonFiniteRange: a REL bound over a tensor holding
+// ±Inf used to resolve to +Inf, and Compress wrote a section its own
+// Decompress rejected. A NaN, wherever it sits, is stored verbatim.
+func TestCompressRejectsNonFiniteRange(t *testing.T) {
+	tensor := func(at int, v float32) []float32 {
+		rng := rand.New(rand.NewSource(9))
+		data := make([]float32, 300)
+		for i := range data {
+			data[i] = float32(rng.NormFloat64())
+		}
+		data[at] = v
+		return data
+	}
+	for _, bad := range []float32{float32(math.Inf(1)), float32(math.Inf(-1))} {
+		if _, err := New().Compress(tensor(5, bad), lossy.RelBound(1e-2)); !errors.Is(err, lossy.ErrInvalidParams) {
+			t.Fatalf("data[5] = %v: Compress error %v, want ErrInvalidParams", bad, err)
+		}
+	}
+	for _, at := range []int{0, 5, 299} {
+		buf, err := New().Compress(tensor(at, float32(math.NaN())), lossy.RelBound(1e-2))
+		if err != nil {
+			t.Fatalf("NaN at %d: %v", at, err)
+		}
+		dec, err := New().Decompress(buf)
+		if err != nil {
+			t.Fatalf("NaN at %d: decompress: %v", at, err)
+		}
+		if !math.IsNaN(float64(dec[at])) {
+			t.Fatalf("NaN at %d decoded as %v", at, dec[at])
+		}
+	}
+}

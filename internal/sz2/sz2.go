@@ -26,6 +26,20 @@
 // at a time (huffman.Decoder.DecodeInto) just ahead of that block's
 // reconstruction, and the lossless wrap appends directly into the
 // output frame.
+//
+// # Encoder kernel
+//
+// Compress widens each block once into a pooled float64 view that the
+// fit, the selection and the quantizer all read. A float32→float64
+// convert (CVTSS2SD) writes only the low lane of its register, so a loop
+// that converts as it goes waits each iteration on the last one, divide
+// latency included. Quantization then runs one loop per block mode: a
+// regression block's predictions depend on the element index alone,
+// while a Lorenzo block stays serial through its reconstruction. Both
+// loops keep quant.Quantizer.Encode's expressions in its order and
+// round with quant.Round, so every code, coefficient and outlier, and
+// so every byte, equals a per-element Encode loop's; kernel_test.go
+// keeps that loop as the reference.
 package sz2
 
 import (
@@ -50,6 +64,7 @@ type compScratch struct {
 	coeffs   []float32
 	outliers []float32
 	payload  []byte
+	view     [BlockSize]float64 // the current block, widened once
 }
 
 var compPool = sync.Pool{
@@ -122,109 +137,106 @@ func (s *Compressor) Compress(data []float32, p lossy.Params) ([]byte, error) {
 	if len(data) == 0 {
 		return lossy.WriteHeader(magic, 0, eb), nil
 	}
-	q := quant.New(eb, 0)
-	radius := q.Radius()
-
-	nBlocks := (len(data) + BlockSize - 1) / BlockSize
 	sc := compPool.Get().(*compScratch)
 	defer compPool.Put(sc)
+	s.predict(sc, data, eb)
+	payload, err := sc.appendPayload()
+	if err != nil {
+		return nil, fmt.Errorf("sz2: entropy stage: %w", err)
+	}
+	return s.frame(payload, len(data), eb)
+}
+
+// predict runs the block loop — widen, fit and select, quantize — and
+// leaves its output in sc: one mode per block, the float32 coefficient
+// pair of each regression block, one code per element and the
+// outliers, in element order.
+func (s *Compressor) predict(sc *compScratch, data []float32, eb float64) {
+	nBlocks := (len(data) + BlockSize - 1) / BlockSize
 	if cap(sc.modes) < nBlocks {
 		sc.modes = make([]byte, nBlocks)
 	}
-	modes := sc.modes[:nBlocks]
-	coeffs := sc.coeffs[:0] // a,b pairs for regression blocks
+	sc.modes = sc.modes[:nBlocks]
 	// One code per element, so the scratch is sized once and indexed:
 	// the GC empties the pool several times a round, and regrowing by
 	// append doubling would allocate ~2.5x the final size each time.
 	if cap(sc.codes) < len(data) {
 		sc.codes = make([]int32, len(data))
 	}
-	codes := sc.codes[:len(data)]
-	outliers := sc.outliers[:0]
+	sc.codes = sc.codes[:len(data)]
+	sc.coeffs = sc.coeffs[:0]
+	k := kernel{
+		eb: eb, step: 2 * eb, tol: eb * (1 + 1e-9),
+		radius: quant.DefaultRadius, outliers: sc.outliers[:0],
+	}
 
 	prevRecon := 0.0 // reconstruction of the last value of the previous block
-	for b := 0; b < nBlocks; b++ {
+	for b := range sc.modes {
 		lo := b * BlockSize
-		hi := lo + BlockSize
-		if hi > len(data) {
-			hi = len(data)
-		}
+		hi := min(lo+BlockSize, len(data))
 		block := data[lo:hi]
+		// Widen once: the fit, the selection and the quantizer all read
+		// whole float64s, so no loop carries a partial-register convert.
+		view := sc.view[:len(block)]
+		for i, v := range block {
+			view[i] = float64(v)
+		}
 
 		mode := predLorenzo
 		var a0, a1 float64
 		if !s.noRegression {
 			var lorenzo float64
-			a0, a1, lorenzo = fitLine(block, prevRecon)
-			if regressionWins(block, a0, a1, lorenzo) {
+			a0, a1, lorenzo = fitLine(view, prevRecon)
+			if regressionWins(view, a0, a1, lorenzo) {
 				mode = predRegress
 			}
 		}
-		modes[b] = byte(mode)
+		sc.modes[b] = byte(mode)
 		if mode == predRegress {
-			coeffs = append(coeffs, float32(a0), float32(a1))
-			a0, a1 = float64(float32(a0)), float64(float32(a1)) // decoder sees float32
+			sc.coeffs = append(sc.coeffs, float32(a0), float32(a1))
+			// The decoder sees the float32 coefficients.
+			prevRecon = k.regress(sc.codes[lo:hi], block, view, float64(float32(a0)), float64(float32(a1)))
+		} else {
+			prevRecon = k.lorenzo(sc.codes[lo:hi], block, view, prevRecon)
 		}
-
-		recon := prevRecon
-		blockCodes := codes[lo:hi]
-		for i, v := range block {
-			var pred float64
-			if mode == predRegress {
-				pred = a0 + a1*float64(i)
-			} else {
-				pred = recon
-			}
-			code, r, ok := q.Encode(float64(v), pred)
-			if ok {
-				// The decoder stores reconstructions as float32; mirror
-				// that rounding here so Lorenzo predictions stay in sync,
-				// and demote to outlier if rounding breaks the bound.
-				r = float64(float32(r))
-				if math.Abs(r-float64(v)) > eb {
-					ok = false
-				}
-			}
-			if !ok {
-				blockCodes[i] = 0 // 0 marks an outlier
-				outliers = append(outliers, v)
-				recon = float64(v)
-				continue
-			}
-			blockCodes[i] = int32(code + radius + 1)
-			recon = r
-		}
-		prevRecon = recon
 	}
+	sc.outliers = k.outliers
+}
 
-	// Payload: radius, packed modes, coefficients, outliers, then the
-	// entropy stream appended in place.
+// appendPayload assembles predict's output into sc.payload: radius,
+// packed modes, coefficients, outliers, then the entropy stream
+// appended in place.
+func (sc *compScratch) appendPayload() ([]byte, error) {
+	radius := quant.DefaultRadius
 	payload := sc.payload[:0]
 	payload = binary.AppendUvarint(payload, uint64(radius))
-	payload = appendPackedModes(payload, modes)
-	payload = binary.AppendUvarint(payload, uint64(len(coeffs)))
-	for _, c := range coeffs {
+	payload = appendPackedModes(payload, sc.modes)
+	payload = binary.AppendUvarint(payload, uint64(len(sc.coeffs)))
+	for _, c := range sc.coeffs {
 		payload = binary.LittleEndian.AppendUint32(payload, math.Float32bits(c))
 	}
-	payload = binary.AppendUvarint(payload, uint64(len(outliers)))
-	for _, v := range outliers {
+	payload = binary.AppendUvarint(payload, uint64(len(sc.outliers)))
+	for _, v := range sc.outliers {
 		payload = binary.LittleEndian.AppendUint32(payload, math.Float32bits(v))
 	}
-	payload, err = huffman.AppendEncodeAlphabet(payload, codes, 2*radius+2)
-	// Return the (possibly grown) scratch slices to the pool entry.
-	sc.coeffs, sc.outliers, sc.payload = coeffs[:0], outliers[:0], payload[:0]
+	payload, err := huffman.AppendEncodeAlphabet(payload, sc.codes, 2*radius+2)
 	if err != nil {
-		return nil, fmt.Errorf("sz2: entropy stage: %w", err)
+		return nil, err
 	}
+	sc.payload = payload // keep the grown buffer for the next call
+	return payload, nil
+}
 
-	// One pre-sized output buffer: header, stage flag, then either the
-	// lossless wrap appended in place or the raw payload.
+// frame returns the section: one pre-sized output buffer holding the
+// header, the stage flag, then either the lossless wrap appended in
+// place or the raw payload.
+func (s *Compressor) frame(payload []byte, count int, eb float64) ([]byte, error) {
 	out := make([]byte, 0, lossy.MaxHeaderLen+1+len(payload))
-	out = lossy.AppendHeader(out, magic, len(data), eb)
+	out = lossy.AppendHeader(out, magic, count, eb)
 	if s.backend != nil {
 		mark := len(out)
-		out = append(out, 1)
-		out, err = s.backend.AppendCompress(out, payload)
+		var err error
+		out, err = s.backend.AppendCompress(append(out, 1), payload)
 		if err != nil {
 			return nil, fmt.Errorf("sz2: lossless stage: %w", err)
 		}
@@ -377,13 +389,74 @@ func (s *Compressor) DecompressInto(dst []float32, buf []byte) ([]float32, error
 	return out, nil
 }
 
+// kernel is quant.Quantizer.Encode at sz2's radius, followed by the
+// float32 mirror of the decoder's store, as one loop per block mode.
+// Each loop keeps Encode's expressions in its order — a divide, never a
+// reciprocal multiply; pred + float64(code)·step; the eb·(1+1e-9)
+// check — then checks against eb after the float32 store, which keeps
+// Lorenzo predictions in sync with the decoder. A NaN anywhere fails a
+// check and makes the value an outlier: code 0, stored verbatim.
+type kernel struct {
+	eb, step, tol float64 // tol is Encode's eb·(1+1e-9)
+	radius        int
+	outliers      []float32
+}
+
+// regress codes a regression block: each prediction depends on i
+// alone, so no chain runs from one element to the next. It returns the
+// reconstruction of the block's last value.
+func (k *kernel) regress(codes []int32, block []float32, view []float64, a0, a1 float64) (recon float64) {
+	eb, step, tol, radius := k.eb, k.step, k.tol, k.radius
+	rad := float64(radius)
+	codes, block = codes[:len(view)], block[:len(view)]
+	for i, x := range view {
+		pred := a0 + a1*float64(i)
+		c := quant.Round((x - pred) / step)
+		code := int(c)
+		r := pred + float64(code)*step
+		f := float64(float32(r))
+		if d, e := r-x, f-x; !(c >= -rad && c <= rad) || d > tol || d < -tol || e > eb || e < -eb {
+			codes[i] = 0
+			k.outliers = append(k.outliers, block[i])
+			recon = x
+			continue
+		}
+		codes[i] = int32(code + radius + 1)
+		recon = f
+	}
+	return recon
+}
+
+// lorenzo codes a Lorenzo block, each value predicted from the last
+// reconstruction, starting at recon.
+func (k *kernel) lorenzo(codes []int32, block []float32, view []float64, recon float64) float64 {
+	eb, step, tol, radius := k.eb, k.step, k.tol, k.radius
+	rad := float64(radius)
+	codes, block = codes[:len(view)], block[:len(view)]
+	for i, x := range view {
+		pred := recon
+		c := quant.Round((x - pred) / step)
+		code := int(c)
+		r := pred + float64(code)*step
+		f := float64(float32(r))
+		if d, e := r-x, f-x; !(c >= -rad && c <= rad) || d > tol || d < -tol || e > eb || e < -eb {
+			codes[i] = 0
+			k.outliers = append(k.outliers, block[i])
+			recon = x
+			continue
+		}
+		codes[i] = int32(code + radius + 1)
+		recon = f
+	}
+	return recon
+}
+
 // fitLine computes the least-squares line a0 + a1*i over the block
 // and, in the same pass, regressionWins' Lorenzo residual sum from prev
 // (the reconstruction before the block).
-func fitLine(block []float32, prev float64) (a0, a1, lorenzo float64) {
+func fitLine(block []float64, prev float64) (a0, a1, lorenzo float64) {
 	var sumY, sumXY float64
-	for i, v := range block {
-		x := float64(v)
+	for i, x := range block {
 		sumY += x
 		sumXY += float64(i) * x
 		lorenzo += math.Abs(x - prev)
@@ -392,7 +465,7 @@ func fitLine(block []float32, prev float64) (a0, a1, lorenzo float64) {
 	n := float64(len(block))
 	if len(block) < 2 {
 		if len(block) == 1 {
-			return float64(block[0]), 0, lorenzo
+			return block[0], 0, lorenzo
 		}
 		return 0, 0, 0
 	}
@@ -421,10 +494,10 @@ func fitLine(block []float32, prev float64) (a0, a1, lorenzo float64) {
 // convergence, while regression blocks decorrelate it. The hybrid is a
 // fidelity choice, not only a ratio choice — consistent with the
 // paper's selection of SZ2.
-func regressionWins(block []float32, a0, a1, lorenzo float64) bool {
+func regressionWins(block []float64, a0, a1, lorenzo float64) bool {
 	var regress float64
-	for i, v := range block {
-		regress += math.Abs(float64(v) - (a0 + a1*float64(i)))
+	for i, x := range block {
+		regress += math.Abs(x - (a0 + a1*float64(i)))
 	}
 	return regress < lorenzo*0.8
 }

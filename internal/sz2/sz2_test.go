@@ -86,9 +86,9 @@ func TestOutlierPath(t *testing.T) {
 }
 
 func TestFitLine(t *testing.T) {
-	block := make([]float32, 64)
+	block := make([]float64, 64)
 	for i := range block {
-		block[i] = 3 + 0.5*float32(i)
+		block[i] = 3 + 0.5*float64(i)
 	}
 	a0, a1, lorenzo := fitLine(block, 1)
 	if math.Abs(a0-3) > 1e-6 || math.Abs(a1-0.5) > 1e-6 {
@@ -98,7 +98,7 @@ func TestFitLine(t *testing.T) {
 	if want := 2 + 63*0.5; lorenzo != want {
 		t.Fatalf("lorenzo sum = %v, want %v", lorenzo, want)
 	}
-	a0, a1, lorenzo = fitLine([]float32{7}, 4)
+	a0, a1, lorenzo = fitLine([]float64{7}, 4)
 	if a0 != 7 || a1 != 0 || lorenzo != 3 {
 		t.Fatalf("single-point fit = (%v, %v, %v)", a0, a1, lorenzo)
 	}

@@ -509,7 +509,10 @@ func (ld *landing) poison() {
 // under the paper's 500 Mbps. A constant, not a stopwatch: the bytes a
 // tier sends must not depend on how busy the host was. The round span's
 // Down carries the measured tC next to S and S', which is what to
-// re-derive R from.
+// re-derive R from. sz2's block-kernel encoder now compresses the
+// flat_lan update at about 134 MB/s in BenchmarkCompressMobileNet (111
+// MB/s before it, same host); R stays 50 MB/s, because moving it moves
+// the gate and with it the bytes a tier sends.
 const downlinkCodecRate = 50e6
 
 // frameDownlink decides how this round's model travels to the tier's
