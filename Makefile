@@ -50,8 +50,13 @@ examples:
 fmt:
 	gofmt -l -w .
 
+# go vet, then the deprecation gate: no non-test Go file may carry a
+# "Deprecated:" marker. A superseded surface is deleted, not kept as a
+# shim beside its replacement.
 vet:
 	$(GO) vet ./...
+	@if git grep --untracked -n 'Deprecated:' -- '*.go' ':!*_test.go'; then \
+		echo 'deprecated surface in non-test Go code: delete it' >&2; exit 1; fi
 
 # Non-test Go lines per package and in total (tests, testdata/ and
 # benchmark/ excluded) — what ROADMAP item 2 is measured with.

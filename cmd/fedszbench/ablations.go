@@ -1,10 +1,11 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
 
-	"fedsz/internal/baseline"
 	"fedsz/internal/core"
+	"fedsz/internal/family"
 	"fedsz/internal/fl"
 	"fedsz/internal/lossless"
 	"fedsz/internal/lossy"
@@ -16,7 +17,7 @@ import (
 // Ablations exercises the pipeline's design choices: SZ2's hybrid
 // predictor, SZ3's cubic interpolation, the lossless stage inside the
 // EBLCs, the partition threshold, per-tensor vs global bounds, and the
-// §VIII "last-step" composition with the Top-K / QSGD baselines.
+// §VIII "last-step" composition with the topk / qsgd families.
 func Ablations(opts Options) (*Table, error) {
 	opts = opts.withDefaults()
 	t := &Table{
@@ -105,37 +106,40 @@ func Ablations(opts Options) (*Table, error) {
 	}
 	addPair("bound-scope", "per-tensor", perTensor, map[string]int{"global": len(global)})
 
-	// 6. Last-step composition (§VIII): baselines alone and stacked
-	// with FedSZ.
+	// 6. Last-step composition (§VIII): top-k alone, and top-k or
+	// QSGD composed with FedSZ. "X→fedsz-sz2" reconstructs every
+	// lossy-path tensor through family X, then FedSZ encodes the result.
 	fedszCodec, err := fl.NewFedSZCodec(core.Config{Bound: p})
 	if err != nil {
 		return nil, err
 	}
-	encodeWith := func(c fl.Codec) (int, error) {
-		buf, _, err := c.Encode(sd)
-		if err != nil {
-			return 0, err
-		}
-		return len(buf), nil
+	topk := core.Selection{Lossy: family.NameTopK, Setting: lossy.Setting{Fraction: 0.1}}
+	topkCodec, err := fl.NewFedSZCodec(core.Config{Bound: p, Selector: fixedSelector(topk)})
+	if err != nil {
+		return nil, err
 	}
-	fedszOnly, err := encodeWith(fedszCodec)
+	fedszOnly, err := encodedSize(fedszCodec, sd)
 	if err != nil {
 		return nil, err
 	}
 	stackVariants := make(map[string]int)
-	for _, c := range []fl.Codec{
-		fl.PlainCodec{},
-		baseline.NewCodec(baseline.TopK{Fraction: 0.1}, baseline.SparseCodec{}),
-		baseline.NewCodec(baseline.TopK{Fraction: 0.1}, fedszCodec),
-		baseline.NewCodec(baseline.QSGD{Bits: 8, Seed: opts.Seed}, fedszCodec),
-	} {
-		n, err := encodeWith(c)
+	for label, c := range map[string]fl.Codec{"plain": fl.PlainCodec{}, "topk:frac=0.1": topkCodec} {
+		if stackVariants[label], err = encodedSize(c, sd); err != nil {
+			return nil, err
+		}
+	}
+	qsgd := core.Selection{Lossy: family.NameQSGD, Setting: lossy.Setting{Bits: 8}}
+	for _, first := range []core.Selection{topk, qsgd} {
+		recon, err := reconstructThrough(sd, first, p)
 		if err != nil {
 			return nil, err
 		}
-		stackVariants[c.Name()] = n
+		label := first.Lossy + ":" + first.Setting.String() + "→" + fedszCodec.Name()
+		if stackVariants[label], err = encodedSize(fedszCodec, recon); err != nil {
+			return nil, err
+		}
 	}
-	addPair("last-step-composition", "fedsz-sz2", fedszOnly, stackVariants)
+	addPair("last-step-composition", fedszCodec.Name(), fedszOnly, stackVariants)
 
 	// 7. Metadata codec choice inside the pipeline.
 	blosc := 0
@@ -158,4 +162,49 @@ func Ablations(opts Options) (*Table, error) {
 	addPair("metadata-codec", "lossless=blosclz", blosc, llVariants)
 
 	return t, nil
+}
+
+// fixedSelector codes every lossy-path tensor with one family setting.
+type fixedSelector core.Selection
+
+func (s fixedSelector) SelectTensor(string, []float32) core.Selection { return core.Selection(s) }
+func (fixedSelector) SelectLossless() string                          { return "" }
+func (fixedSelector) ObserveMeta([]byte)                              {}
+
+// reconstructThrough returns sd with every tensor on FedSZ's lossy
+// path replaced by its reconstruction through sel's family at bound p.
+func reconstructThrough(sd *model.StateDict, sel core.Selection, p lossy.Params) (*model.StateDict, error) {
+	fam, err := lossy.FamilyByName(sel.Lossy)
+	if err != nil {
+		return nil, err
+	}
+	c, err := fam.Compressor(sel.Setting)
+	if err != nil {
+		return nil, err
+	}
+	out := sd.Clone()
+	for _, e := range out.Entries() {
+		if e.DType != model.Float32 || !e.IsWeightNamed() || e.NumElements() <= core.DefaultThreshold {
+			continue
+		}
+		buf, err := c.Compress(e.Tensor.Data(), p)
+		if err != nil {
+			return nil, err
+		}
+		dec, err := c.Decompress(buf)
+		if err != nil {
+			return nil, err
+		}
+		copy(e.Tensor.Data(), dec)
+	}
+	return out, nil
+}
+
+// encodedSize is the number of bytes c puts on the wire for sd.
+func encodedSize(c fl.Codec, sd *model.StateDict) (int, error) {
+	var buf bytes.Buffer
+	if _, err := c.EncodeTo(&buf, sd); err != nil {
+		return 0, err
+	}
+	return buf.Len(), nil
 }

@@ -10,6 +10,7 @@ import (
 	"io"
 	"sort"
 	"strings"
+	"unicode/utf8"
 )
 
 // Options tune experiment cost. The zero value is defaulted to a
@@ -50,12 +51,12 @@ func (t *Table) Render(w io.Writer) error {
 	}
 	widths := make([]int, len(t.Header))
 	for i, h := range t.Header {
-		widths[i] = len(h)
+		widths[i] = utf8.RuneCountInString(h)
 	}
 	for _, row := range t.Rows {
 		for i, cell := range row {
-			if i < len(widths) && len(cell) > widths[i] {
-				widths[i] = len(cell)
+			if n := utf8.RuneCountInString(cell); i < len(widths) && n > widths[i] {
+				widths[i] = n
 			}
 		}
 	}
@@ -66,7 +67,7 @@ func (t *Table) Render(w io.Writer) error {
 				b.WriteString("  ")
 			}
 			b.WriteString(c)
-			if pad := widths[i] - len(c); pad > 0 && i < len(cells)-1 {
+			if pad := widths[i] - utf8.RuneCountInString(c); pad > 0 && i < len(cells)-1 {
 				b.WriteString(strings.Repeat(" ", pad))
 			}
 		}

@@ -209,3 +209,23 @@ func TestRenderCSV(t *testing.T) {
 		t.Fatalf("csv = %q, want %q", buf.String(), want)
 	}
 }
+
+// TestAblationLastStep: the §VIII last-step claim — top-k
+// sparsification followed by FedSZ ships fewer bytes than FedSZ alone.
+func TestAblationLastStep(t *testing.T) {
+	tab := runExperiment(t, "ablations")
+	size := map[string]float64{}
+	for r, row := range tab.Rows {
+		if row[0] == "last-step-composition" {
+			size[cell(t, tab, r, "Variant")] = parseF(t, cell(t, tab, r, "Bytes"))
+		}
+	}
+	for _, v := range []string{"fedsz-sz2 (default)", "plain", "topk:frac=0.1", "topk:frac=0.1→fedsz-sz2", "qsgd:bits=8→fedsz-sz2"} {
+		if size[v] <= 0 {
+			t.Fatalf("no %q row in %v", v, size)
+		}
+	}
+	if stacked, alone := size["topk:frac=0.1→fedsz-sz2"], size["fedsz-sz2 (default)"]; stacked >= alone {
+		t.Fatalf("topk→fedsz (%v bytes) should beat fedsz alone (%v)", stacked, alone)
+	}
+}

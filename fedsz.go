@@ -41,9 +41,9 @@
 // the zero Setting is the bound-guaranteed default) and constructs a
 // concrete compressor per setting. RegisterFamily plugs new families
 // in; Families lists them; frames recording a family's name decode
-// anywhere the registration ran. RegisterLossy remains as a shim for
-// single-compressor families, and RegisterLossless handles the
-// metadata codecs.
+// anywhere the registration ran; SingleFamily wraps a bare
+// LossyCompressor factory as a one-setting family. RegisterLossless
+// handles the metadata codecs.
 //
 // # Adaptive compression
 //
@@ -118,7 +118,6 @@ import (
 	"time"
 
 	"fedsz/internal/adapt"
-	"fedsz/internal/baseline"
 	"fedsz/internal/core"
 	"fedsz/internal/dataset"
 	"fedsz/internal/fl"
@@ -147,7 +146,8 @@ type (
 	Stats = core.Stats
 	// Decision evaluates the paper's Eqn. 1 compress-or-not rule.
 	Decision = core.Decision
-	// Codec converts state dicts to and from wire bytes.
+	// Codec streams state dicts to and from wire bytes: Name,
+	// EncodeTo and DecodeFrom.
 	Codec = fl.Codec
 	// UpdateStats accounts for one encoded client update.
 	UpdateStats = fl.UpdateStats
@@ -163,32 +163,6 @@ type (
 
 // PlainCodec is the uncompressed-update baseline codec.
 type PlainCodec = fl.PlainCodec
-
-// Baseline compression techniques (paper §III-C survey) and the §VIII
-// "last-step" composition utilities.
-type (
-	// TopK is magnitude-based gradient sparsification.
-	TopK = baseline.TopK
-	// QSGD is stochastic uniform quantization.
-	QSGD = baseline.QSGD
-	// SparseCodec serializes sparsified updates compactly.
-	SparseCodec = baseline.SparseCodec
-)
-
-// NewBaselineCodec stacks a sparsifier/quantizer over an inner codec
-// (nil = plain serialization). Stack over NewCodec(...) to reproduce
-// the paper's §VIII composition.
-//
-// Deprecated: the sparsification and quantization techniques are now
-// first-class compressor families ("topk", "randk", "qsgd") in the
-// typed registry — select them with WithCompressor, restrict an
-// adaptive policy to them via AdaptiveConfig.Families, and pair their
-// unbounded settings with WithErrorFeedback. NewBaselineCodec remains
-// for the paper's §VIII stacked-composition experiments and produces
-// byte-identical output to previous releases.
-func NewBaselineCodec(t baseline.Transform, inner Codec) Codec {
-	return baseline.NewCodec(t, inner)
-}
 
 // NewDeltaCodec transmits client−global deltas through the inner
 // codec. The federation runtimes keep its reference in sync.
@@ -360,7 +334,7 @@ func (e *Encoder) Encode(sd *StateDict) (Stats, error) {
 // A Decoder reads FedSZ frames from an io.Reader, decompressing each
 // tensor as its section arrives so decode work overlaps reception. No
 // configuration is needed: frames are self-describing, and compressors
-// plugged in through RegisterLossy/RegisterLossless resolve by the
+// plugged in through RegisterFamily/RegisterLossless resolve by the
 // name recorded in the frame.
 //
 // The Decoder reads exactly one frame per Decode call (no readahead
@@ -394,7 +368,8 @@ func NewCodec(opts ...Option) (Codec, error) {
 }
 
 // Compressors lists the available lossy compressor names: the
-// built-in suite plus anything plugged in through RegisterLossy.
+// built-in suite plus any KindEBLC family plugged in through
+// RegisterFamily.
 func Compressors() []string { return core.LossyNames() }
 
 // LosslessCodecs lists the available lossless codec names: the
@@ -402,8 +377,8 @@ func Compressors() []string { return core.LossyNames() }
 func LosslessCodecs() []string { return lossless.Names() }
 
 // The codec registry. The five lossless codecs and four error-bounded
-// compressors of the paper's Tables I-II self-register at init; the
-// two Register functions let downstream code plug additional
+// compressors of the paper's Tables I-II self-register at init;
+// RegisterFamily and RegisterLossless let downstream code plug additional
 // implementations in — e.g. a gradient-aware error-bounded compressor
 // — without touching internal packages. A registered name works
 // everywhere a built-in name does: WithCompressor/WithLossless select
@@ -423,15 +398,9 @@ type LossyParams = lossy.Params
 // metadata section.
 type LosslessCodec = lossless.Codec
 
-// RegisterLossy makes factory available under name to WithCompressor
+// RegisterLossless makes factory available under name to WithLossless
 // and to frame decoding. Registering a duplicate or empty name is an
 // error; register once, typically from init.
-func RegisterLossy(name string, factory func() LossyCompressor) error {
-	return lossy.Register(name, factory)
-}
-
-// RegisterLossless is RegisterLossy's counterpart for metadata codecs,
-// feeding WithLossless and frame decoding.
 func RegisterLossless(name string, factory func() LosslessCodec) error {
 	return lossless.Register(name, factory)
 }
@@ -447,8 +416,8 @@ func RegisterLossless(name string, factory func() LosslessCodec) error {
 
 // CompressorFamily is the registry contract one compression technique
 // implements: a name (recorded in frames), a kind, a parameter grid,
-// a per-setting bound guarantee, and a compressor constructor. See
-// the package documentation's custom-family example.
+// a per-setting bound guarantee, and a compressor constructor.
+// SingleFamily builds one from a bare LossyCompressor factory.
 type CompressorFamily = lossy.Family
 
 // FamilySetting is one point on a family's parameter grid: a sparsity
@@ -475,6 +444,16 @@ const (
 // name is an error; register once, typically from init.
 func RegisterFamily(f CompressorFamily) error {
 	return lossy.RegisterFamily(f)
+}
+
+// SingleFamily returns an error-bounded (KindEBLC) family with one
+// setting, the zero FamilySetting, whose compressor factory builds;
+// bounded says whether that compressor honours the error bound. Pass
+// it to RegisterFamily to plug in a plain LossyCompressor:
+//
+//	fedsz.RegisterFamily(fedsz.SingleFamily("my-eblc", true, newMyEBLC))
+func SingleFamily(name string, bounded bool, factory func() LossyCompressor) CompressorFamily {
+	return lossy.NewSingle(name, bounded, factory)
 }
 
 // FamilyByName resolves a registered family — the typed counterpart

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"fedsz/internal/dataset"
 	"fedsz/internal/model"
 )
 
@@ -93,16 +94,24 @@ func TestPublicCodec(t *testing.T) {
 		t.Fatal(err)
 	}
 	sd := BuildStateDict(MobileNetV2(16), 9)
-	buf, st, err := codec.Encode(sd)
+	buf, st, err := encodeUpdate(codec, sd)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.Ratio() < 2 {
 		t.Fatalf("codec ratio %.2f", st.Ratio())
 	}
-	if _, err := codec.Decode(buf); err != nil {
+	if _, err := codec.DecodeFrom(bytes.NewReader(buf)); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// encodeUpdate runs c.EncodeTo into memory, returning the update's
+// bytes.
+func encodeUpdate(c Codec, sd *StateDict) ([]byte, UpdateStats, error) {
+	var buf bytes.Buffer
+	st, err := c.EncodeTo(&buf, sd)
+	return buf.Bytes(), st, err
 }
 
 func TestPublicMarshal(t *testing.T) {
@@ -202,25 +211,53 @@ func TestPublicRunSim(t *testing.T) {
 }
 
 func TestPublicBaselineAndDeltaCodecs(t *testing.T) {
+	// The paper's §III-C baselines are families in the one registry:
+	// a codec selects them by name like any compressor, and a federation
+	// on topk trains above chance.
+	sd := BuildStateDict(MobileNetV2(16), 4)
+	for _, name := range []string{"topk", "qsgd"} {
+		codec, err := NewCodec(WithCompressor(name), WithRelBound(1e-2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf, _, err := encodeUpdate(codec, sd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := codec.DecodeFrom(bytes.NewReader(buf))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Len() != sd.Len() {
+			t.Fatalf("%s: %d entries, want %d", name, got.Len(), sd.Len())
+		}
+	}
+	topk, err := NewCodec(WithCompressor("topk"), WithRelBound(1e-2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := RunSim(SimConfig{
+		Dataset:          dataset.FashionMNIST(),
+		Clients:          2,
+		Rounds:           3,
+		SamplesPerClient: 60,
+		TestSamples:      100,
+		Codec:            topk,
+		Seed:             5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.FinalAccuracy() <= 0.15 {
+		t.Fatalf("topk federation accuracy %.3f did not beat chance", res.FinalAccuracy())
+	}
+
 	inner, err := NewCodec(WithRelBound(1e-2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	stacked := NewBaselineCodec(TopK{Fraction: 0.2}, inner)
-	sd := BuildStateDict(MobileNetV2(16), 4)
-	buf, st, err := stacked.Encode(sd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Ratio() < 2 {
-		t.Fatalf("stacked ratio %.2f", st.Ratio())
-	}
-	if _, err := stacked.Decode(buf); err != nil {
-		t.Fatal(err)
-	}
-
 	delta := NewDeltaCodec(inner)
-	res, err := RunSim(SimConfig{
+	res, err = RunSim(SimConfig{
 		Clients:          2,
 		Rounds:           2,
 		SamplesPerClient: 30,
@@ -347,7 +384,7 @@ var (
 // recorded in the self-describing frame.
 func TestPublicRegistry(t *testing.T) {
 	registerTestCodecs.Do(func() {
-		testLossyErr = RegisterLossy("test-raw", func() LossyCompressor { return rawLossy{} })
+		testLossyErr = RegisterFamily(SingleFamily("test-raw", true, func() LossyCompressor { return rawLossy{} }))
 		testLosslessErr = RegisterLossless("test-store", func() LosslessCodec { return storeLossless{} })
 	})
 	if testLossyErr != nil {
@@ -357,7 +394,7 @@ func TestPublicRegistry(t *testing.T) {
 		t.Fatal(testLosslessErr)
 	}
 	// Duplicates are rejected.
-	if err := RegisterLossy("test-raw", func() LossyCompressor { return rawLossy{} }); err == nil {
+	if err := RegisterFamily(SingleFamily("test-raw", true, func() LossyCompressor { return rawLossy{} })); err == nil {
 		t.Fatal("duplicate lossy registration accepted")
 	}
 	if err := RegisterLossless("test-store", func() LosslessCodec { return storeLossless{} }); err == nil {
@@ -522,7 +559,7 @@ func TestPublicAdaptive(t *testing.T) {
 	if b := policy.Bound(); b != 5e-3 {
 		t.Fatalf("policy bound %g after directive, want 5e-3", b)
 	}
-	buf, _, err := codec.Encode(sd)
+	buf, _, err := encodeUpdate(codec, sd)
 	if err != nil {
 		t.Fatal(err)
 	}

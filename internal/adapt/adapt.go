@@ -67,11 +67,6 @@ type Config struct {
 	// error feedback (core.Config.Feedback) — without it the dropped
 	// signal is simply lost.
 	AllowUnbounded bool
-	// Compressors are the candidate lossy compressor names.
-	//
-	// Deprecated: use Families. A non-empty Compressors is treated as
-	// Families when Families is empty, preserving pre-family callers.
-	Compressors []string
 	// BoundFactors are the candidate error bounds, as multipliers in
 	// (0, 1] of the scheduled round bound — 1 probes the scheduled
 	// bound itself, 0.5 a twice-tighter variant (more fidelity for
@@ -104,9 +99,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if len(c.Families) == 0 {
-		c.Families = c.Compressors
-	}
 	if len(c.Families) == 0 {
 		c.Families = lossy.Families()
 	}

@@ -111,7 +111,7 @@ func TestAdaptivePlanBoundProperty(t *testing.T) {
 				label = cands[0]
 			}
 			policy, err := adapt.NewPolicy(adapt.Config{
-				Compressors:  cands,
+				Families:     cands,
 				BoundFactors: []float64{1, 0.5},
 				SampleElems:  1024,
 			})
@@ -301,8 +301,8 @@ func f32bytes(xs []float32) []byte {
 // TestPolicyValidation pins constructor rejection of bad configs.
 func TestPolicyValidation(t *testing.T) {
 	cases := []adapt.Config{
-		{Compressors: []string{"no-such"}},
-		{Compressors: []string{lossy.NameAdaptive}},
+		{Families: []string{"no-such"}},
+		{Families: []string{lossy.NameAdaptive}},
 		{Lossless: []string{"no-such"}},
 		{BoundFactors: []float64{0}},
 		{BoundFactors: []float64{1.5}},

@@ -228,3 +228,60 @@ func TestFamilyFrameForeignReceiver(t *testing.T) {
 		}
 	}
 }
+
+// TestEveryBoundedSettingHonoursTheBound: for every name the registry
+// resolves, canonical families and variants alike, each grid setting
+// whose Bounded is true reconstructs a seeded tensor at REL 1e-2 within
+// the resolved absolute bound, through the zero-setting decoder frames
+// use. Bounded is what lets a frame carry the global model, so a family
+// that claims it without honouring it is caught here.
+func TestEveryBoundedSettingHonoursTheBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	data := make([]float32, 8192)
+	for i := range data {
+		v := rng.NormFloat64() * 0.05
+		if rng.Float64() < 0.01 {
+			v *= 20
+		}
+		data[i] = float32(v)
+	}
+	p := lossy.RelBound(1e-2)
+	eb, err := p.Resolve(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := append(lossy.Families(), lossy.NameAdaptive, LossySZxArtifact)
+	for _, name := range names {
+		fam, err := lossy.FamilyByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec, err := lossy.New(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range lossy.GridOf(fam) {
+			if !fam.Bounded(s) {
+				continue
+			}
+			c, err := fam.Compressor(s)
+			if err != nil {
+				t.Fatalf("%s %v: %v", name, s, err)
+			}
+			buf, err := c.Compress(data, p)
+			if err != nil {
+				t.Fatalf("%s %v: compress: %v", name, s, err)
+			}
+			got, err := dec.Decompress(buf)
+			if err != nil {
+				t.Fatalf("%s %v: decompress: %v", name, s, err)
+			}
+			if len(got) != len(data) {
+				t.Fatalf("%s %v: %d values back, want %d", name, s, len(got), len(data))
+			}
+			if maxErr := lossy.MaxAbsError(data, got); maxErr > eb {
+				t.Errorf("%s %v claims the bound: max error %g > %g", name, s, maxErr, eb)
+			}
+		}
+	}
+}

@@ -168,7 +168,7 @@ func (s Stats) LossyFraction() float64 {
 
 // Pipeline is a configured FedSZ compressor. It is immutable after
 // NewPipeline and safe for concurrent use: any number of goroutines may
-// call Compress and Decompress on the same Pipeline simultaneously.
+// call Compress and CompressTo on the same Pipeline simultaneously.
 type Pipeline struct {
 	cfg      Config
 	lossyC   lossy.Compressor
@@ -292,13 +292,6 @@ func (p *Pipeline) Compress(sd *model.StateDict) ([]byte, Stats, error) {
 // workers. No configuration is needed: the bitstream is self-describing.
 func Decompress(buf []byte) (*model.StateDict, error) {
 	return DecompressParallel(buf, 0)
-}
-
-// Decompress decodes a FedSZ bitstream using the pipeline's configured
-// parallelism. Decoding honours the codec names recorded in the stream,
-// not the pipeline's own configuration.
-func (p *Pipeline) Decompress(buf []byte) (*model.StateDict, error) {
-	return DecompressParallel(buf, p.cfg.Parallelism)
 }
 
 // DecompressParallel decodes a FedSZ bitstream with an explicit worker

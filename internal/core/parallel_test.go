@@ -131,7 +131,7 @@ func TestPipelineConcurrentReuse(t *testing.T) {
 					errc <- errNondeterministic
 					return
 				}
-				if _, err := p.Decompress(buf); err != nil {
+				if _, err := DecompressParallel(buf, p.Config().Parallelism); err != nil {
 					errc <- err
 					return
 				}

@@ -26,7 +26,7 @@ const (
 )
 
 // LossyByName constructs the EBLC registered under name — built-in or
-// plugged in through lossy.Register. "szx-artifact" selects the
+// plugged in through lossy.RegisterFamily. "szx-artifact" selects the
 // paper-artifact SZx mode (see package szx).
 func LossyByName(name string) (lossy.Compressor, error) {
 	c, err := lossy.New(name)

@@ -30,8 +30,8 @@ func init() {
 
 // qsgdFamily is QSGD-style uniform quantization: values map to
 // integer levels of a uniform grid over [-maxAbs, maxAbs]. Unlike the
-// stochastic original (which survives in internal/baseline), rounding
-// is deterministic nearest-level, so frames are reproducible and the
+// stochastic original (Alistarh et al. 2017), rounding is
+// deterministic nearest-level, so frames are reproducible and the
 // worst-case error is half a grid step. The default (zero) setting
 // derives the level count from the resolved absolute bound —
 // maxAbs/(2L) ≤ ε — making it error bounded; the fixed-width settings

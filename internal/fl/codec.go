@@ -6,8 +6,6 @@
 package fl
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"time"
@@ -43,13 +41,11 @@ func (s UpdateStats) Ratio() float64 {
 	return float64(s.OriginalBytes) / float64(s.CompressedBytes)
 }
 
-// Codec converts model state dicts to and from wire bytes. The
-// buffer pair (Encode/Decode) materializes one update in memory; the
-// streaming pair (EncodeTo/DecodeFrom) moves the same self-delimiting
-// wire format through an io.Writer/io.Reader incrementally, which is
-// what lets the transport pipeline compression behind transmission.
-// Both pairs of one codec are interoperable: EncodeTo writes exactly
-// the bytes Encode returns, and DecodeFrom consumes exactly one
+// Codec converts model state dicts to and from wire bytes. EncodeTo
+// moves one update through an io.Writer as a self-delimiting stream,
+// incrementally, which is what lets the transport pipeline compression
+// behind transmission; a caller that wants the update in memory
+// encodes into a bytes.Buffer. DecodeFrom consumes exactly one
 // update's worth of the stream (so protocol traffic may follow it).
 //
 // DecodeFrom implementations read byte-at-a-time headers; pass a
@@ -57,8 +53,6 @@ func (s UpdateStats) Ratio() float64 {
 // an internal buffered wrapper that may read past the update.
 type Codec interface {
 	Name() string
-	Encode(sd *model.StateDict) ([]byte, UpdateStats, error)
-	Decode(buf []byte) (*model.StateDict, error)
 	EncodeTo(w io.Writer, sd *model.StateDict) (UpdateStats, error)
 	DecodeFrom(r io.Reader) (*model.StateDict, error)
 }
@@ -167,94 +161,12 @@ func DecodeEntries(c Codec, r io.Reader, emit func(model.Entry) error) error {
 	return nil
 }
 
-// EncodeToBuffered adapts a codec's buffer path to the streaming
-// contract for codecs whose wire format is not self-delimiting: the
-// encoded update is framed with a uvarint length prefix. Pair with
-// DecodeFromBuffered.
-func EncodeToBuffered(c Codec, w io.Writer, sd *model.StateDict) (UpdateStats, error) {
-	buf, st, err := c.Encode(sd)
-	if err != nil {
-		return UpdateStats{}, err
-	}
-	hdr := binary.AppendUvarint(make([]byte, 0, binary.MaxVarintLen64), uint64(len(buf)))
-	if _, err := w.Write(hdr); err != nil {
-		return UpdateStats{}, fmt.Errorf("fl: write update: %w", err)
-	}
-	if _, err := w.Write(buf); err != nil {
-		return UpdateStats{}, fmt.Errorf("fl: write update: %w", err)
-	}
-	st.CompressedBytes += int64(len(hdr))
-	return st, nil
-}
-
-// maxBufferedUpdate caps the length prefix DecodeFromBuffered will
-// honour (1 GiB, matching the transport's frame cap).
-const maxBufferedUpdate = 1 << 30
-
-// DecodeFromBuffered reverses EncodeToBuffered: it reads the length
-// prefix, then exactly that many bytes, and hands them to the codec's
-// buffer decoder. Allocation grows incrementally, so a forged prefix
-// on a truncated stream cannot force a giant allocation.
-func DecodeFromBuffered(c Codec, r io.Reader) (*model.StateDict, error) {
-	br, ok := r.(interface {
-		io.Reader
-		io.ByteReader
-	})
-	if !ok {
-		br = bufio.NewReader(r)
-	}
-	n, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("fl: read update length: %w", err)
-	}
-	if n > maxBufferedUpdate {
-		return nil, fmt.Errorf("fl: update length %d exceeds %d", n, maxBufferedUpdate)
-	}
-	buf := make([]byte, 0, minU64(n, 1<<20))
-	for remaining := n; remaining > 0; {
-		k := minU64(remaining, 1<<20)
-		off := len(buf)
-		buf = append(buf, make([]byte, k)...)
-		if _, err := io.ReadFull(br, buf[off:]); err != nil {
-			return nil, fmt.Errorf("fl: read update: %w", err)
-		}
-		remaining -= k
-	}
-	return c.Decode(buf)
-}
-
-func minU64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // PlainCodec serializes updates without compression — the paper's
 // "Uncompressed" baseline.
 type PlainCodec struct{}
 
 // Name implements Codec.
 func (PlainCodec) Name() string { return "plain" }
-
-// Encode implements Codec.
-func (PlainCodec) Encode(sd *model.StateDict) ([]byte, UpdateStats, error) {
-	start := time.Now()
-	buf, err := core.MarshalStateDict(sd)
-	if err != nil {
-		return nil, UpdateStats{}, err
-	}
-	return buf, UpdateStats{
-		OriginalBytes:   int64(len(buf)),
-		CompressedBytes: int64(len(buf)),
-		EncodeTime:      time.Since(start),
-	}, nil
-}
-
-// Decode implements Codec.
-func (PlainCodec) Decode(buf []byte) (*model.StateDict, error) {
-	return core.UnmarshalStateDict(buf)
-}
 
 // EncodeTo implements Codec, streaming the serialization entry by
 // entry so the full wire image is never materialized.
@@ -302,9 +214,9 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 
 // FedSZCodec wraps the FedSZ pipeline as an update codec. It is
 // immutable after construction and safe for concurrent use: the
-// simulation harness encodes every sampled client's update from its own
-// goroutine through one shared codec, and each Encode/Decode internally
-// fans per-tensor work across cfg.Parallelism workers.
+// simulation harness encodes every sampled client's update from its
+// own goroutine through one shared codec, and each EncodeTo/DecodeFrom
+// internally fans per-tensor work across cfg.Parallelism workers.
 type FedSZCodec struct {
 	pipeline *core.Pipeline
 	// wholeImage is UpdateStats.WholeImage for every frame this codec
@@ -365,21 +277,6 @@ func (c *FedSZCodec) SetRoundBound(bound float64) {
 	}
 }
 
-// Encode implements Codec.
-func (c *FedSZCodec) Encode(sd *model.StateDict) ([]byte, UpdateStats, error) {
-	buf, st, err := c.pipeline.Compress(sd)
-	if err != nil {
-		return nil, UpdateStats{}, err
-	}
-	return buf, c.stats(st), nil
-}
-
-// Decode implements Codec. Decoding honours the codec names recorded in
-// the self-describing bitstream and the pipeline's parallelism setting.
-func (c *FedSZCodec) Decode(buf []byte) (*model.StateDict, error) {
-	return c.pipeline.Decompress(buf)
-}
-
 // EncodeTo implements Codec: the frame streams to w section by
 // section, each tensor's section leaving as soon as it finishes
 // compressing, so on a network writer tC hides behind transmission.
@@ -390,16 +287,12 @@ func (c *FedSZCodec) EncodeTo(w io.Writer, sd *model.StateDict) (UpdateStats, er
 	if err != nil {
 		return UpdateStats{}, err
 	}
-	return c.stats(st), nil
-}
-
-func (c *FedSZCodec) stats(st core.Stats) UpdateStats {
 	return UpdateStats{
 		OriginalBytes:   st.OriginalBytes,
 		CompressedBytes: st.CompressedBytes,
 		EncodeTime:      st.CompressTime,
 		WholeImage:      c.wholeImage,
-	}
+	}, nil
 }
 
 // DecodeFrom implements Codec, decompressing each tensor as its

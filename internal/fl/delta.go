@@ -53,48 +53,11 @@ func NewDeltaCodec(inner Codec) *DeltaCodec {
 func (c *DeltaCodec) Name() string { return "delta+" + c.inner.Name() }
 
 // SetReference records the model deltas are taken against. Both sender
-// and receiver must call it with the same state before Encode/Decode.
+// and receiver must call it with the same state before EncodeTo/DecodeFrom.
 func (c *DeltaCodec) SetReference(ref *model.StateDict) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.ref = ref.Clone()
-}
-
-// Encode implements Codec.
-func (c *DeltaCodec) Encode(sd *model.StateDict) ([]byte, UpdateStats, error) {
-	c.mu.RLock()
-	ref := c.ref
-	c.mu.RUnlock()
-	if ref == nil {
-		return nil, UpdateStats{}, fmt.Errorf("fl: delta codec has no reference")
-	}
-	start := time.Now()
-	delta, err := Diff(sd, ref)
-	if err != nil {
-		return nil, UpdateStats{}, err
-	}
-	buf, st, err := c.inner.Encode(delta)
-	if err != nil {
-		return nil, UpdateStats{}, err
-	}
-	st.EncodeTime = time.Since(start)
-	st.WholeImage = false // the frame is meaningless without the reference
-	return buf, st, nil
-}
-
-// Decode implements Codec.
-func (c *DeltaCodec) Decode(buf []byte) (*model.StateDict, error) {
-	c.mu.RLock()
-	ref := c.ref
-	c.mu.RUnlock()
-	if ref == nil {
-		return nil, fmt.Errorf("fl: delta codec has no reference")
-	}
-	delta, err := c.inner.Decode(buf)
-	if err != nil {
-		return nil, err
-	}
-	return AddDelta(ref, delta)
 }
 
 // EncodeTo implements Codec: the delta streams through the inner

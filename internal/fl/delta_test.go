@@ -1,6 +1,7 @@
 package fl
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
@@ -73,18 +74,18 @@ func TestDeltaCodecRoundTrip(t *testing.T) {
 	if c.Name() != "delta+plain" {
 		t.Fatalf("name %q", c.Name())
 	}
-	if _, _, err := c.Encode(trained); err == nil {
+	if _, _, err := encode(c, trained); err == nil {
 		t.Fatal("expected error without reference")
 	}
-	if _, err := c.Decode(nil); err == nil {
+	if _, err := c.DecodeFrom(bytes.NewReader(nil)); err == nil {
 		t.Fatal("expected decode error without reference")
 	}
 	c.SetReference(ref)
-	buf, _, err := c.Encode(trained)
+	buf, _, err := encode(c, trained)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Decode(buf)
+	got, err := c.DecodeFrom(bytes.NewReader(buf))
 	if err != nil {
 		t.Fatal(err)
 	}

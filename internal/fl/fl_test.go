@@ -1,6 +1,7 @@
 package fl
 
 import (
+	"bytes"
 	"math"
 	"testing"
 	"time"
@@ -88,14 +89,14 @@ func TestFedAvgErrors(t *testing.T) {
 func TestPlainCodecRoundTrip(t *testing.T) {
 	sd := nn.AlexNetMini(64, 4, 1).StateDict()
 	var c PlainCodec
-	buf, st, err := c.Encode(sd)
+	buf, st, err := encode(c, sd)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.Ratio() != 1 {
 		t.Fatalf("plain codec ratio %v", st.Ratio())
 	}
-	got, err := c.Decode(buf)
+	got, err := c.DecodeFrom(bytes.NewReader(buf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,14 +114,14 @@ func TestFedSZCodecRoundTrip(t *testing.T) {
 	if c.Name() != "fedsz-sz2" {
 		t.Fatalf("codec name %q", c.Name())
 	}
-	buf, st, err := c.Encode(sd)
+	buf, st, err := encode(c, sd)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.Ratio() < 2 {
 		t.Fatalf("fedsz codec ratio %.2f too low", st.Ratio())
 	}
-	got, err := c.Decode(buf)
+	got, err := c.DecodeFrom(bytes.NewReader(buf))
 	if err != nil {
 		t.Fatal(err)
 	}

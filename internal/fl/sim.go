@@ -540,10 +540,12 @@ func (s *sim) train(c *client, g *model.StateDict, round int) upload {
 		}
 	}
 	u.train = time.Since(start)
+	var buf bytes.Buffer
 	var err error
-	if u.payload, u.stats, err = s.cfg.Codec.Encode(c.net.StateDict()); err != nil {
+	if u.stats, err = s.cfg.Codec.EncodeTo(&buf, c.net.StateDict()); err != nil {
 		u.err = fmt.Errorf("client %s: %w", c.id, err)
 	}
+	u.payload = buf.Bytes()
 	return u
 }
 

@@ -29,7 +29,7 @@ const NameAdaptive = "adaptive"
 const adaptiveMaxName = 256
 
 func init() {
-	MustRegisterVariant(NameAdaptive, func() Compressor { return adaptiveCompressor{} })
+	MustRegisterFamilyVariant(NewSingle(NameAdaptive, true, func() Compressor { return adaptiveCompressor{} }))
 }
 
 // WrapAdaptive frames an inner compressor's payload for an adaptive

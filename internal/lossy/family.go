@@ -41,8 +41,8 @@ const (
 // Setting is one point on a Family's parameter grid. The fields form
 // a small union across family kinds — a family reads the fields its
 // kind defines and ignores the rest — and the zero Setting is every
-// family's default configuration, so legacy single-configuration
-// compressors need no grid at all. The error bound is not a Setting:
+// family's default configuration, so single-configuration compressors
+// (NewSingle) need no grid at all. The error bound is not a Setting:
 // it travels through Params on every Compress call as it always has.
 type Setting struct {
 	// Fraction is the kept fraction for sparsifying families in
@@ -77,10 +77,8 @@ func (s Setting) String() string {
 }
 
 // Family is the typed contract every compressor family implements.
-// Implementations register through RegisterFamily (or the deprecated
-// Register shim, which wraps a bare Compressor factory); frames
-// recording the family name decode through the same lookup built-ins
-// use.
+// Implementations register through RegisterFamily; frames recording
+// the family name decode through the same lookup built-ins use.
 type Family interface {
 	// Name is the registry name recorded in frame sections.
 	Name() string
@@ -104,6 +102,32 @@ type Family interface {
 	// are self-describing, and frame decoding always resolves the zero
 	// Setting.
 	Compressor(s Setting) (Compressor, error)
+}
+
+// NewSingle returns a family with one configuration, the zero
+// Setting: a KindEBLC family whose compressor factory builds; bounded
+// says whether that compressor honours the absolute bound resolved
+// from Params. The Table I compressors, szx-artifact and the adaptive
+// wrapper register as one.
+func NewSingle(name string, bounded bool, factory func() Compressor) Family {
+	return single{name: name, bounded: bounded, factory: factory}
+}
+
+type single struct {
+	name    string
+	bounded bool
+	factory func() Compressor
+}
+
+func (f single) Name() string         { return f.name }
+func (f single) Kind() string         { return KindEBLC }
+func (f single) Grid() []Setting      { return nil }
+func (f single) Bounded(Setting) bool { return f.bounded }
+func (f single) Compressor(s Setting) (Compressor, error) {
+	if !s.IsZero() || f.factory == nil {
+		return nil, fmt.Errorf("lossy: compressor %q has no setting %v", f.name, s)
+	}
+	return f.factory(), nil
 }
 
 var (
@@ -154,6 +178,14 @@ func MustRegisterFamily(f Family) {
 	}
 }
 
+// MustRegisterFamilyVariant is the init-time form of
+// RegisterFamilyVariant.
+func MustRegisterFamilyVariant(f Family) {
+	if err := RegisterFamilyVariant(f); err != nil {
+		panic(err)
+	}
+}
+
 // FamilyByName returns the family registered under name.
 func FamilyByName(name string) (Family, error) {
 	familyMu.RLock()
@@ -165,16 +197,41 @@ func FamilyByName(name string) (Family, error) {
 	return f, nil
 }
 
+// New constructs the compressor registered under name at its family's
+// default setting. This is the resolution path frame decoding uses:
+// payloads are self-describing, so the default-setting Decompress
+// decodes every Setting of the family.
+func New(name string) (Compressor, error) {
+	f, err := FamilyByName(name)
+	if err != nil {
+		return nil, err
+	}
+	return f.Compressor(Setting{})
+}
+
+// Names lists the canonical registered KindEBLC compressor names in
+// sorted order (for the built-ins that is the paper's Table I order:
+// sz2, sz3, szx, zfp). Variant registrations and non-EBLC families
+// are omitted — use Families for the full cross-kind listing.
+func Names() []string {
+	return listFamilies(func(f Family) bool { return f.Kind() == KindEBLC })
+}
+
 // Families lists every canonical registered family name in sorted
 // order, across all kinds. Variant registrations are omitted. Compare
 // Names, which keeps its historical contract of listing only the
 // KindEBLC families (the paper's Table I sweep).
 func Families() []string {
+	return listFamilies(func(Family) bool { return true })
+}
+
+// listFamilies returns the sorted canonical family names keep accepts.
+func listFamilies(keep func(Family) bool) []string {
 	familyMu.RLock()
 	defer familyMu.RUnlock()
 	out := make([]string, 0, len(familyRegistry))
-	for name := range familyRegistry {
-		if !familyVariant[name] {
+	for name, f := range familyRegistry {
+		if !familyVariant[name] && keep(f) {
 			out = append(out, name)
 		}
 	}

@@ -86,7 +86,7 @@ const (
 )
 
 func init() {
-	lossy.MustRegister("sz2", func() lossy.Compressor { return New() })
+	lossy.MustRegisterFamily(lossy.NewSingle("sz2", true, func() lossy.Compressor { return New() }))
 }
 
 // Option configures the compressor.

@@ -47,7 +47,7 @@ var compPool = sync.Pool{
 }
 
 func init() {
-	lossy.MustRegister("sz3", func() lossy.Compressor { return New() })
+	lossy.MustRegisterFamily(lossy.NewSingle("sz3", true, func() lossy.Compressor { return New() }))
 }
 
 // Option configures the compressor.

@@ -53,10 +53,12 @@ const (
 )
 
 func init() {
-	lossy.MustRegister("szx", func() lossy.Compressor { return New() })
-	lossy.MustRegisterVariant("szx-artifact", func() lossy.Compressor {
+	lossy.MustRegisterFamily(lossy.NewSingle("szx", true, func() lossy.Compressor { return New() }))
+	// The artifact stores one block mean per group and ignores the
+	// bound, so it must never pass for an error-bounded image.
+	lossy.MustRegisterFamilyVariant(lossy.NewSingle("szx-artifact", false, func() lossy.Compressor {
 		return New(WithMode(ModePaperArtifact))
-	})
+	}))
 }
 
 // Option configures the compressor.

@@ -74,7 +74,7 @@ func TestOrchestratedChaosZeroPoison(t *testing.T) {
 
 	// Calibrate the per-byte flip rate to hit roughly half of all
 	// update frames, so corruption is frequent but rounds still commit.
-	probe, _, err := mkCodec().Encode(initial)
+	probe, _, err := encodeUpdate(mkCodec(), initial)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -383,7 +383,7 @@ func TestEdgeClientDiesBeforePriorTrailer(t *testing.T) {
 			t.Errorf("dier: read global: %v", err)
 			return
 		}
-		buf, _, err := fl.PlainCodec{}.Encode(poison)
+		buf, _, err := encodeUpdate(fl.PlainCodec{}, poison)
 		if err != nil {
 			t.Errorf("dier encode: %v", err)
 			return
@@ -642,7 +642,7 @@ func TestEdgeRelaysPriorAndBound(t *testing.T) {
 func TestEdgeKeepsUpstreamRoundNumber(t *testing.T) {
 	const round, traceID = 7, "trace-of-round-7"
 	initial := nn.MobileNetV2Mini(48, 4, 7).StateDict()
-	upd, _, err := fl.PlainCodec{}.Encode(nn.MobileNetV2Mini(48, 4, 8).StateDict())
+	upd, _, err := encodeUpdate(fl.PlainCodec{}, nn.MobileNetV2Mini(48, 4, 8).StateDict())
 	if err != nil {
 		t.Fatal(err)
 	}

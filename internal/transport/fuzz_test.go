@@ -50,7 +50,7 @@ func FuzzReadDownlink(f *testing.F) {
 			f.Fatal(err)
 		}
 	}
-	frame, _, err := codec.Encode(global)
+	frame, _, err := encodeUpdate(codec, global)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func FuzzReadDownlink(f *testing.F) {
 			if relay == nil {
 				t.Fatal("a frame was kept without a relay buffer")
 			}
-			again, err := codec.Decode(d.frame)
+			again, err := decodeUpdate(codec, d.frame)
 			if err != nil {
 				t.Fatalf("the relayed bytes are not the frame that was decoded: %v", err)
 			}

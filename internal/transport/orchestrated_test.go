@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"encoding/binary"
 	"io"
 	"math"
@@ -21,6 +22,19 @@ import (
 	"fedsz/internal/obs"
 	"fedsz/internal/orchestrator"
 )
+
+// encodeUpdate runs c.EncodeTo into memory, returning the update's
+// bytes.
+func encodeUpdate(c fl.Codec, sd *model.StateDict) ([]byte, fl.UpdateStats, error) {
+	var buf bytes.Buffer
+	st, err := c.EncodeTo(&buf, sd)
+	return buf.Bytes(), st, err
+}
+
+// decodeUpdate decodes one update held in memory.
+func decodeUpdate(c fl.Codec, buf []byte) (*model.StateDict, error) {
+	return c.DecodeFrom(bytes.NewReader(buf))
+}
 
 // TestRoundFaults drives every per-member fault through both sinks of
 // the round engine — members joined directly to the coordinator, and
@@ -44,18 +58,18 @@ func TestRoundFaults(t *testing.T) {
 	initial := nn.MobileNetV2Mini(48, 4, 7).StateDict()
 	upds := []*model.StateDict{nn.MobileNetV2Mini(48, 4, 8).StateDict(), nn.MobileNetV2Mini(48, 4, 10).StateDict()}
 	weights := []int{10, 11}
-	poison, _, err := codec.Encode(nn.MobileNetV2Mini(48, 4, 9).StateDict())
+	poison, _, err := encodeUpdate(codec, nn.MobileNetV2Mini(48, 4, 9).StateDict())
 	if err != nil {
 		t.Fatal(err)
 	}
 	// What the aggregating tier decodes from each survivor.
 	decoded := make([]*model.StateDict, len(upds))
 	for i, u := range upds {
-		buf, _, err := codec.Encode(u)
+		buf, _, err := encodeUpdate(codec, u)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if decoded[i], err = codec.Decode(buf); err != nil {
+		if decoded[i], err = decodeUpdate(codec, buf); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -153,10 +153,10 @@ func TestResilientClientResyncsAfterCutFrame(t *testing.T) {
 	frames := make([][]byte, len(globals))
 	decoded := make([]*model.StateDict, len(globals))
 	for i, g := range globals {
-		if frames[i], _, err = codec.Encode(g); err != nil {
+		if frames[i], _, err = encodeUpdate(codec, g); err != nil {
 			t.Fatal(err)
 		}
-		if decoded[i], err = codec.Decode(frames[i]); err != nil {
+		if decoded[i], err = decodeUpdate(codec, frames[i]); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -39,7 +39,7 @@ const (
 )
 
 func init() {
-	lossy.MustRegister("zfp", func() lossy.Compressor { return New() })
+	lossy.MustRegisterFamily(lossy.NewSingle("zfp", true, func() lossy.Compressor { return New() }))
 }
 
 // Compressor is the ZFP codec.
