@@ -32,9 +32,11 @@ race:
 # storage to writers directly) and the codec scratch core's per-tensor
 # workers share (encoder pool, bulk decoder, histogram), raced on one
 # core where goroutine interleavings differ most from a developer's
-# machine.
+# machine. The aggregator's commit fans out only with more than one
+# core (at 1 it runs inline), so orchestrator is raced at 2 as well.
 race-cores:
 	GOMAXPROCS=1 $(GO) test -race -count=3 ./internal/transport ./internal/orchestrator ./internal/hier ./internal/core ./internal/sz2 ./internal/sz3 ./internal/huffman ./internal/lossless
+	GOMAXPROCS=2 $(GO) test -race -count=3 ./internal/orchestrator
 
 # One iteration of every benchmark — the CI smoke; drop -benchtime for
 # real measurements. -run=^$$ keeps the unit tests out of this target.

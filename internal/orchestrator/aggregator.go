@@ -3,7 +3,11 @@ package orchestrator
 import (
 	"errors"
 	"fmt"
+	"math"
+	"runtime"
+	"sort"
 	"sync"
+	"sync/atomic"
 
 	"fedsz/internal/model"
 	"fedsz/internal/tensor"
@@ -36,6 +40,11 @@ var ErrPoisoned = errors.New("orchestrator: aggregate poisoned by a failed undo"
 // reference. Contributions racing into one shard may reorder the
 // float64 additions and perturb last bits; every other property holds
 // regardless of order.
+//
+// The round's commit — Finalize's projection and Reset's clearing — runs
+// on every core: workers claim whole shards, largest first, and each
+// element is computed exactly as the serial loop would, so the output
+// is bit-identical at any GOMAXPROCS.
 type Aggregator struct {
 	names  []string
 	index  map[string]int
@@ -45,6 +54,7 @@ type Aggregator struct {
 
 	shardOf []int
 	shards  []aggShard
+	byElems []int // shard indices in descending element count: the commit's claim order
 
 	mu          sync.Mutex
 	totalWeight float64
@@ -123,12 +133,53 @@ func NewAggregator(ref *model.StateDict, shards int) *Aggregator {
 	for s := range a.shards {
 		a.shards[s].sums = make([][]float64, len(entries))
 	}
+	elems := make([]int, shards)
 	for i, e := range entries {
 		if e.DType == model.Float32 {
 			a.shards[a.shardOf[i]].sums[i] = make([]float64, e.Tensor.NumElements())
+			elems[a.shardOf[i]] += e.Tensor.NumElements()
 		}
 	}
+	a.byElems = make([]int, shards)
+	for s := range a.byElems {
+		a.byElems[s] = s
+	}
+	sort.SliceStable(a.byElems, func(x, y int) bool { return elems[a.byElems[x]] > elems[a.byElems[y]] })
 	return a
+}
+
+// eachShard runs fn on every shard across runtime.GOMAXPROCS(0)
+// workers, the calling goroutine among them, which claim shards in
+// descending element count so the largest does not start last. With one
+// worker or one shard it runs inline.
+func (a *Aggregator) eachShard(fn func(shard *aggShard)) {
+	workers := min(runtime.GOMAXPROCS(0), len(a.byElems))
+	if workers <= 1 {
+		for _, s := range a.byElems {
+			fn(&a.shards[s])
+		}
+		return
+	}
+	var next atomic.Int64
+	work := func() {
+		for {
+			k := int(next.Add(1)) - 1
+			if k >= len(a.byElems) {
+				return
+			}
+			fn(&a.shards[a.byElems[k]])
+		}
+	}
+	var wg sync.WaitGroup
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
 }
 
 // Reset empties the aggregator for the next round in place: the sums
@@ -136,16 +187,16 @@ func NewAggregator(ref *model.StateDict, shards int) *Aggregator {
 // values adopted from the last round's first commit. Nothing may be in
 // flight — a contributor still open would keep folding into sums that
 // now belong to another round — and any Partial view taken earlier is
-// dead. Tiers go through NextRound, which checks both.
+// dead. Tiers go through NextRound, which checks both. The shards are
+// cleared on every core, largest first.
 func (a *Aggregator) Reset() {
-	for s := range a.shards {
-		shard := &a.shards[s]
+	a.eachShard(func(shard *aggShard) {
 		shard.mu.Lock()
 		for _, sum := range shard.sums {
 			clear(sum)
 		}
 		shard.mu.Unlock()
-	}
+	})
 	a.mu.Lock()
 	a.totalWeight, a.updates = 0, 0
 	clear(a.ints)
@@ -224,15 +275,16 @@ func (a *Aggregator) MemoryBytes() int64 {
 	return n
 }
 
-// Contributor opens one client's contribution with the given positive
-// aggregation weight (typically its local sample count). Entries fold
-// in as they are decoded; Commit seals the contribution into the
+// Contributor opens one client's contribution with the given finite,
+// positive aggregation weight (typically its local sample count); a
+// NaN or infinite weight would commit a global of NaNs. Entries fold in
+// as they are decoded; Commit seals the contribution into the
 // aggregate, Abort withdraws whatever was already folded (a client
 // that dies mid-stream leaves the aggregate as if it never joined, up
 // to float64 rounding of the add/subtract pair).
 func (a *Aggregator) Contributor(weight float64) (*Contributor, error) {
-	if weight <= 0 {
-		return nil, fmt.Errorf("orchestrator: non-positive contribution weight %v", weight)
+	if !(weight > 0) || math.IsInf(weight, 1) {
+		return nil, fmt.Errorf("orchestrator: contribution weight %v is not finite and positive", weight)
 	}
 	a.mu.Lock()
 	a.inflight++
@@ -285,10 +337,16 @@ func foldEntries(ct *Contributor, sd *model.StateDict) error {
 // Finalize divides the accumulated sums by the total committed weight
 // and returns the aggregate in the reference entry order. Int64
 // entries carry the first committed update's values, matching
-// fl.FedAvg. The aggregator stays usable (further contributions keep
-// folding into the same sums); the tier that owns it starts its next
+// fl.FedAvg. The division runs on every core, one shard per worker,
+// largest first; each element is float32(sum / total) exactly as a
+// serial loop computes it, so the global is bit-identical at any
+// GOMAXPROCS. Finalize does not consume the sums: the aggregator stays
+// usable (further contributions keep folding into the same sums, and a
+// Partial view still reads them); the tier that owns it starts its next
 // round with NextRound, which empties these sums in place. Poisoned
-// sums fail with ErrPoisoned, and NextRound replaces them.
+// sums fail with ErrPoisoned, and NextRound replaces them; a total
+// weight that is not finite and positive (weights summing past the
+// float64 range) fails with ErrNoUpdates.
 func (a *Aggregator) Finalize() (*model.StateDict, error) {
 	a.mu.Lock()
 	total := a.totalWeight
@@ -298,34 +356,43 @@ func (a *Aggregator) Finalize() (*model.StateDict, error) {
 	if poisoned {
 		return nil, ErrPoisoned
 	}
-	if updates == 0 || total <= 0 {
+	if updates == 0 || !(total > 0) || math.IsInf(total, 1) {
 		return nil, ErrNoUpdates
 	}
 
-	out := model.NewStateDict()
-	for i, name := range a.names {
-		if a.dtypes[i] == model.Int64 {
-			a.mu.Lock()
-			ints := append([]int64(nil), a.ints[i]...)
-			a.mu.Unlock()
-			if err := out.Add(model.Entry{Name: name, DType: model.Int64, Ints: ints}); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		shard := &a.shards[a.shardOf[i]]
+	// Each shard's worker allocates and fills only its own entries'
+	// slots, so the fresh global is zeroed and written on every core.
+	data := make([][]float32, len(a.names))
+	a.eachShard(func(shard *aggShard) {
 		shard.mu.Lock()
-		sum := shard.sums[i]
-		data := make([]float32, len(sum))
-		for j, v := range sum {
-			data[j] = float32(v / total)
+		for i, sum := range shard.sums {
+			if sum == nil {
+				continue
+			}
+			d := make([]float32, len(sum))
+			for j, v := range sum {
+				d[j] = float32(v / total)
+			}
+			data[i] = d
 		}
 		shard.mu.Unlock()
-		t, err := tensor.FromData(data, a.shapes[i]...)
-		if err != nil {
-			return nil, err
+	})
+
+	out := model.NewStateDict()
+	for i, name := range a.names {
+		e := model.Entry{Name: name, DType: a.dtypes[i]}
+		if e.DType == model.Int64 {
+			a.mu.Lock()
+			e.Ints = append([]int64(nil), a.ints[i]...)
+			a.mu.Unlock()
+		} else {
+			t, err := tensor.FromData(data[i], a.shapes[i]...)
+			if err != nil {
+				return nil, err
+			}
+			e.Tensor = t
 		}
-		if err := out.Add(model.Entry{Name: name, DType: model.Float32, Tensor: t}); err != nil {
+		if err := out.Add(e); err != nil {
 			return nil, err
 		}
 	}
