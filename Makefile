@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-cores benchmark-module race race-cores bench examples fmt vet fuzz obs-smoke trace-smoke profile loc
+.PHONY: all build test test-cores benchmark-module race race-cores bench examples fmt vet fuzz golden obs-smoke trace-smoke profile loc
 
 all: build test
 
@@ -83,6 +83,14 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzFamilyDecode -fuzztime=10s ./internal/family
 	$(GO) test -run=^$$ -fuzz=FuzzDecodePartial -fuzztime=10s -fuzzminimizetime=1s ./internal/hier
 	$(GO) test -run=^$$ -fuzz=FuzzReadDownlink -fuzztime=10s -fuzzminimizetime=1s ./internal/transport
+
+# Rewrite every golden file from the current encoders, then rerun the
+# golden tests against what was written. Only for a deliberate wire
+# change: review the diff of testdata/ before committing it.
+GOLDEN_PKGS = ./internal/sz2 ./internal/sz3 ./internal/huffman ./internal/lossless ./internal/hier ./internal/core
+golden:
+	$(GO) test -count=1 $(GOLDEN_PKGS) -run 'Golden' -update
+	$(GO) test -count=1 $(GOLDEN_PKGS) -run 'Golden'
 
 # Live observability smoke: real fedszserver + 3 clients over TCP
 # loopback with -metrics-addr on, one client frozen to produce a drop

@@ -174,7 +174,9 @@ func TestRunSimPlain(t *testing.T) {
 
 func TestRunSimFedSZMatchesPlainAccuracy(t *testing.T) {
 	// The paper's core claim: at REL 1e-2, compressed training tracks
-	// uncompressed training.
+	// uncompressed training. The gap here is 0.08; the limit sits close
+	// enough that correlated error fails it (sz2's regression
+	// coefficients coded at θ = 1 gave 0.20).
 	plain, err := RunSim(smallSim(PlainCodec{}))
 	if err != nil {
 		t.Fatal(err)
@@ -188,7 +190,7 @@ func TestRunSimFedSZMatchesPlainAccuracy(t *testing.T) {
 		t.Fatal(err)
 	}
 	diff := math.Abs(plain.FinalAccuracy() - comp.FinalAccuracy())
-	if diff > 0.2 {
+	if diff > 0.1 {
 		t.Fatalf("accuracy gap %.3f too large: plain %.3f vs fedsz %.3f",
 			diff, plain.FinalAccuracy(), comp.FinalAccuracy())
 	}

@@ -28,9 +28,9 @@ func TestRunSimPinned(t *testing.T) {
 		"plain/flat":       {{0x3fc3333333333333, 2822181, 2822181}, {0x3fc6666666666666, 2822181, 2822181}},
 		"plain/edges2":     {{0x3fc3333333333333, 2822181, 2822181}, {0x3fc6666666666666, 2822181, 2822181}},
 		"plain/async":      {{0x3fc0000000000000, 1881454, 1881454}, {0x3fc0000000000000, 1881454, 1881454}, {0x3fc6666666666666, 1881454, 1881454}},
-		"fedsz-sz2/flat":   {{0x3fb999999999999a, 451856, 2821752}, {0x3fc0000000000000, 451856, 2821752}},
-		"fedsz-sz2/edges2": {{0x3fb999999999999a, 451856, 2821752}, {0x3fc0000000000000, 451856, 2821752}},
-		"fedsz-sz2/async":  {{0x3fb999999999999a, 301234, 1881168}, {0x3fb999999999999a, 301252, 1881168}, {0x3fc6666666666666, 301275, 1881168}},
+		"fedsz-sz2/flat":   {{0x3fb999999999999a, 419894, 2821752}, {0x3fc0000000000000, 419891, 2821752}},
+		"fedsz-sz2/edges2": {{0x3fb999999999999a, 419894, 2821752}, {0x3fc0000000000000, 419891, 2821752}},
+		"fedsz-sz2/async":  {{0x3fb3333333333333, 279925, 1881168}, {0x3fc3333333333333, 279940, 1881168}, {0x3fb3333333333333, 279949, 1881168}},
 	}
 	for _, codec := range []string{"plain", "fedsz-sz2"} {
 		for _, shape := range []string{"flat", "edges2", "async"} {

@@ -64,8 +64,11 @@ func lzCompress(dst, src []byte, p lzParams) []byte {
 		// Stale entries from a previous run are unreachable: find only
 		// follows chain links from positions inserted this call, and
 		// insert writes chain[i] before publishing i via head.
+		// A quarter of headroom: sections of one shape differ by a few
+		// bytes between updates, and an exact fit would be reallocated
+		// for each slightly longer one.
 		if cap(sc.chain) < n {
-			sc.chain = make([]int32, n)
+			sc.chain = make([]int32, n, n+n/4)
 		}
 		chain = sc.chain[:n]
 	}

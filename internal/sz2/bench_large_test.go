@@ -73,8 +73,10 @@ var stageSink int
 // their ns/op add up to about BenchmarkCompressMobileNet's:
 //
 //   - fit: widen each block, fitLine and regressionWins;
+//   - coefficients: code each regression block's fitted pair against
+//     its chain, then the coefficient codes' Huffman stream;
 //   - quantize: the per-mode kernels, from pre-widened blocks, with the
-//     modes and coefficients a full pass chose;
+//     modes and dequantized coefficients a full pass chose;
 //   - entropy: huffman.AppendEncodeAlphabet over the codes, the
 //     histogram and table build plus the body (huffman's
 //     BenchmarkEncodeAlphabetStages splits the two);
@@ -86,6 +88,8 @@ func BenchmarkCompressStages(b *testing.B) {
 		data    []float32
 		wide    []float64
 		prev    []float64 // per block, the reconstruction before it
+		fits    []float64 // each regression block's fitted pair
+		coeffs  []float64 // and its dequantized pair
 		eb      float64
 		sc      *compScratch
 		payload []byte
@@ -110,7 +114,7 @@ func BenchmarkCompressStages(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		s := staged{data: data, eb: eb, sc: sc, payload: slices.Clone(payload)}
+		s := staged{data: data, eb: eb, sc: sc, coeffs: dequantized(sc, eb), payload: slices.Clone(payload)}
 		for _, v := range data {
 			s.wide = append(s.wide, float64(v))
 		}
@@ -120,6 +124,10 @@ func BenchmarkCompressStages(b *testing.B) {
 				p = float64(dec[lo-1]) // the decoder holds what the encoder did
 			}
 			s.prev = append(s.prev, p)
+			if sc.modes[lo/BlockSize] == predRegress {
+				a0, a1, _ := fitLine(s.wide[lo:min(lo+BlockSize, len(data))], p)
+				s.fits = append(s.fits, a0, a1)
+			}
 		}
 		st[i] = s
 	}
@@ -148,6 +156,19 @@ func BenchmarkCompressStages(b *testing.B) {
 			}
 		}
 	})
+	var coefs compScratch
+	run("coefficients", func(s *staged) {
+		coefs.coefCodes, coefs.verbatim = coefs.coefCodes[:0], coefs.verbatim[:0]
+		chain := newCoefChain(s.eb)
+		for i := 0; i < len(s.fits); i += 2 {
+			coefs.codeCoef(&chain, 0, s.fits[i])
+			coefs.codeCoef(&chain, 1, s.fits[i+1])
+		}
+		var err error
+		if coefs.coefs, err = huffman.AppendEncodeAlphabet(coefs.coefs[:0], coefs.coefCodes, 2*coefRadius+2); err != nil {
+			b.Fatal(err)
+		}
+	})
 	codes := make([]int32, BlockSize)
 	k := kernel{radius: quant.DefaultRadius}
 	run("quantize", func(s *staged) {
@@ -157,7 +178,7 @@ func BenchmarkCompressStages(b *testing.B) {
 		for blk, p := range s.prev {
 			lo, hi := blk*BlockSize, min((blk+1)*BlockSize, len(s.data))
 			if s.sc.modes[blk] == predRegress {
-				a0, a1 := float64(s.sc.coeffs[ci]), float64(s.sc.coeffs[ci+1])
+				a0, a1 := s.coeffs[ci], s.coeffs[ci+1]
 				ci += 2
 				k.regress(codes, s.data[lo:hi], s.wide[lo:hi], a0, a1)
 			} else {

@@ -7,9 +7,13 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"runtime"
+	"slices"
 	"testing"
 
+	"fedsz/internal/huffman"
 	"fedsz/internal/lossy"
 )
 
@@ -35,13 +39,25 @@ func fuzzSeeds(tb testing.TB) (wrapped, raw []byte) {
 // FuzzSZ2DecompressInto runs every input through DecompressInto with a
 // dirty dst of an unrelated length: it must succeed exactly when
 // Decompress does, with the same bits, and a count the header merely
-// claims must never size the output.
+// claims must never size the output. The seeds are v2 sections with and
+// without the wrap, each forgery of the raw one, and a v1 section.
 func FuzzSZ2DecompressInto(f *testing.F) {
 	wrapped, raw := fuzzSeeds(f)
 	f.Add(wrapped, uint16(0))
 	f.Add(raw, uint16(700))
 	f.Add(raw[:len(raw)/2], uint16(3))
 	f.Add([]byte(magic), uint16(1))
+	for _, edit := range forgeries(splitRaw(f, raw)) {
+		s := splitRaw(f, raw)
+		s.modes = bytes.Clone(s.modes)
+		edit(&s)
+		f.Add(s.join(), uint16(700))
+	}
+	v1, err := os.ReadFile(filepath.Join("testdata", "sz2v1_rel1e2.golden"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v1, uint16(100))
 	f.Fuzz(func(t *testing.T, buf []byte, dstLen uint16) {
 		c := New()
 		want, wantErr := c.Decompress(buf)
@@ -66,40 +82,63 @@ func FuzzSZ2DecompressInto(f *testing.F) {
 		}
 		// Without the lossless wrap every symbol costs at least one bit
 		// of buf itself, so no accepted count can exceed that.
-		if _, _, rest, herr := lossy.ReadHeader(magic, buf); herr == nil && len(rest) > 0 && rest[0] == 0 && len(got) > 8*len(buf) {
-			t.Fatalf("%d values decoded out of %d bytes", len(got), len(buf))
+		for _, m := range []string{magic, magicV1} {
+			if _, _, rest, herr := lossy.ReadHeader(m, buf); herr == nil && len(rest) > 0 && rest[0] == 0 && len(got) > 8*len(buf) {
+				t.Fatalf("%d values decoded out of %d bytes", len(got), len(buf))
+			}
 		}
 	})
 }
 
-// sections is an unwrapped sz2 frame split at its section borders.
+// sections is an unwrapped v2 sz2 frame split at its section borders,
+// with the coefficient stream decoded to its codes.
 type sections struct {
-	head             []byte // frame header and stage flag
-	radius           uint64
-	modes            []byte
-	coeffs, outliers []byte // 4 bytes per value
-	entropy          []byte
+	head      []byte // frame header and stage flag
+	radius    uint64
+	modes     []byte
+	hasCoefs  bool    // the coefficient stream and verbatim run are present
+	coefCodes []int32 // two per regression block
+	verbatim  []byte  // 4 bytes per value
+	outliers  []byte
+	entropy   []byte
 }
 
-func splitRaw(t *testing.T, buf []byte) sections {
-	t.Helper()
+func splitRaw(tb testing.TB, buf []byte) sections {
+	tb.Helper()
 	count, _, rest, err := lossy.ReadHeader(magic, buf)
 	if err != nil || rest[0] != 0 {
-		t.Fatalf("not an unwrapped frame: %v", err)
+		tb.Fatalf("not an unwrapped v2 frame: %v", err)
 	}
 	s := sections{head: buf[:len(buf)-len(rest)+1]}
 	p := rest[1:]
 	var n int
 	s.radius, n = binary.Uvarint(p)
 	p = p[n:]
-	s.modes, p = p[:((count+BlockSize-1)/BlockSize+3)/4], p[((count+BlockSize-1)/BlockSize+3)/4:]
+	nBlocks := (count + BlockSize - 1) / BlockSize
+	s.modes, p = p[:(nBlocks+3)/4], p[(nBlocks+3)/4:]
+	for b := 0; b < nBlocks; b++ {
+		s.hasCoefs = s.hasCoefs || s.modes[b/4]>>uint((b%4)*2)&3 == predRegress
+	}
 	values := func() []byte {
 		k, n := binary.Uvarint(p)
 		v := p[n : n+int(k)*4]
 		p = p[n+int(k)*4:]
 		return v
 	}
-	s.coeffs = values()
+	if s.hasCoefs {
+		size, n := binary.Uvarint(p)
+		dec := huffman.AcquireDecoder()
+		defer dec.Release()
+		if err := dec.Open(p[n : n+int(size)]); err != nil {
+			tb.Fatal(err)
+		}
+		s.coefCodes = make([]int32, dec.Count())
+		if err := dec.DecodeInto(s.coefCodes); err != nil {
+			tb.Fatal(err)
+		}
+		p = p[n+int(size):]
+		s.verbatim = values()
+	}
 	s.outliers = values()
 	s.entropy = p
 	return s
@@ -109,16 +148,66 @@ func (s sections) join() []byte {
 	out := append([]byte(nil), s.head...)
 	out = binary.AppendUvarint(out, s.radius)
 	out = append(out, s.modes...)
-	out = binary.AppendUvarint(out, uint64(len(s.coeffs)/4))
-	out = append(out, s.coeffs...)
+	if s.hasCoefs {
+		stream, err := huffman.AppendEncode(nil, s.coefCodes)
+		if err != nil {
+			panic(err)
+		}
+		out = binary.AppendUvarint(out, uint64(len(stream)))
+		out = append(out, stream...)
+		out = binary.AppendUvarint(out, uint64(len(s.verbatim)/4))
+		out = append(out, s.verbatim...)
+	}
 	out = binary.AppendUvarint(out, uint64(len(s.outliers)/4))
 	out = append(out, s.outliers...)
 	return append(out, s.entropy...)
 }
 
+// forgeries are edits of a split section that the encoder never writes,
+// each of which the decoder must reject: a block mode past regression,
+// the wrong number of coefficient codes, coefficients or outliers that
+// no block uses, and a verbatim coefficient that is not there.
+func forgeries(s sections) map[string]func(s *sections) {
+	f := map[string]func(s *sections){
+		"an outlier left over": func(s *sections) {
+			s.outliers = append(bytes.Clone(s.outliers), 0, 0, 0x80, 0x3f)
+		},
+	}
+	for _, mode := range []byte{2, 3} {
+		f[fmt.Sprintf("block 5 mode %d", mode)] = func(s *sections) {
+			s.modes[1] = s.modes[1]&^(3<<2) | mode<<2
+		}
+	}
+	if !s.hasCoefs {
+		return f
+	}
+	center := int32(coefRadius + 1) // the code of a coefficient equal to its prediction
+	f["an odd coefficient count"] = func(s *sections) {
+		s.coefCodes = append(slices.Clone(s.coefCodes), center)
+	}
+	f["three codes per regression block"] = func(s *sections) {
+		s.coefCodes = append(slices.Clone(s.coefCodes), s.coefCodes[:len(s.coefCodes)/2]...)
+	}
+	f["two coefficient codes left over"] = func(s *sections) {
+		s.coefCodes = append(slices.Clone(s.coefCodes), center, center)
+	}
+	f["a coefficient code past the radius"] = func(s *sections) {
+		s.coefCodes = slices.Clone(s.coefCodes)
+		s.coefCodes[0] = 2*coefRadius + 2
+	}
+	f["a verbatim coefficient left over"] = func(s *sections) {
+		s.verbatim = append(bytes.Clone(s.verbatim), 0, 0, 0x80, 0x3f)
+	}
+	f["a verbatim coefficient underrun"] = func(s *sections) {
+		s.coefCodes = slices.Clone(s.coefCodes)
+		i := slices.IndexFunc(s.coefCodes, func(c int32) bool { return c != 0 })
+		s.coefCodes[i] = 0
+	}
+	return f
+}
+
 // TestForgedSectionsRejected: the decoder refuses what the encoder
-// never writes — a block mode past regression, and coefficients or
-// outliers that no block uses.
+// never writes (see forgeries).
 func TestForgedSectionsRejected(t *testing.T) {
 	data := goldenData(3000)
 	for _, c := range []*Compressor{New(WithLosslessStage(nil)), New(WithLosslessStage(nil), WithoutRegression())} {
@@ -130,10 +219,13 @@ func TestForgedSectionsRejected(t *testing.T) {
 		if !bytes.Equal(s.join(), buf) {
 			t.Fatal("split/join does not reproduce the frame")
 		}
+		if s.hasCoefs == c.noRegression {
+			t.Fatalf("coefficient section present %v with regression disabled %v", s.hasCoefs, c.noRegression)
+		}
 		if _, err := c.Decompress(buf); err != nil {
 			t.Fatal(err)
 		}
-		forge := func(name string, edit func(s *sections)) {
+		for name, edit := range forgeries(s) {
 			f := splitRaw(t, buf)
 			f.modes = bytes.Clone(f.modes)
 			edit(&f)
@@ -141,17 +233,6 @@ func TestForgedSectionsRejected(t *testing.T) {
 				t.Errorf("%s: decoded with error %v, want lossy.ErrCorrupt", name, err)
 			}
 		}
-		for _, mode := range []byte{2, 3} {
-			forge(fmt.Sprintf("block 5 mode %d", mode), func(s *sections) {
-				s.modes[1] = s.modes[1]&^(3<<2) | mode<<2
-			})
-		}
-		forge("two coefficients left over", func(s *sections) {
-			s.coeffs = append(bytes.Clone(s.coeffs), 0, 0, 0x80, 0x3f, 0, 0, 0, 0)
-		})
-		forge("an outlier left over", func(s *sections) {
-			s.outliers = append(bytes.Clone(s.outliers), 0, 0, 0x80, 0x3f)
-		})
 	}
 }
 

@@ -2,7 +2,10 @@ package sz2
 
 import (
 	"bytes"
+	"encoding/binary"
 	"flag"
+	"hash/fnv"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -28,23 +31,25 @@ func goldenData(n int) []float32 {
 	return data
 }
 
+// goldenCases are the settings each golden stream was compressed with.
+var goldenCases = []struct {
+	name string
+	c    *Compressor
+	p    lossy.Params
+}{
+	{"rel1e2", New(), lossy.RelBound(1e-2)},
+	{"rel1e4", New(), lossy.RelBound(1e-4)},
+	{"abs_nolossless", New(WithLosslessStage(nil)), lossy.AbsBound(1e-3)},
+	{"noregression", New(WithoutRegression()), lossy.RelBound(1e-2)},
+}
+
 // TestGoldenBitstream pins the SZ2 wire format: compressed output must
 // stay byte-identical to the committed golden streams, and the golden
 // streams (standing in for bitstreams produced by older releases) must
 // keep decoding within the recorded bound.
 func TestGoldenBitstream(t *testing.T) {
 	data := goldenData(40000)
-	cases := []struct {
-		name string
-		c    *Compressor
-		p    lossy.Params
-	}{
-		{"rel1e2", New(), lossy.RelBound(1e-2)},
-		{"rel1e4", New(), lossy.RelBound(1e-4)},
-		{"abs_nolossless", New(WithLosslessStage(nil)), lossy.AbsBound(1e-3)},
-		{"noregression", New(WithoutRegression()), lossy.RelBound(1e-2)},
-	}
-	for _, tc := range cases {
+	for _, tc := range goldenCases {
 		t.Run(tc.name, func(t *testing.T) {
 			got, err := tc.c.Compress(data, tc.p)
 			if err != nil {
@@ -76,6 +81,51 @@ func TestGoldenBitstream(t *testing.T) {
 			}
 			if e := lossy.MaxAbsError(data, dec); e > eb {
 				t.Fatalf("golden decode error %g exceeds bound %g", e, eb)
+			}
+		})
+	}
+}
+
+// TestGoldenV1Decodes keeps first-version sections (raw float32
+// coefficients, magic SZ2\x01) decoding: each fixture, written by the
+// last v1 encoder from goldenData(40000), decodes within the bound its
+// header records, to the same bits the v1 decoder produced.
+func TestGoldenV1Decodes(t *testing.T) {
+	data := goldenData(40000)
+	want := map[string]uint64{ // FNV-1a over the v1 decoder's output bits
+		"rel1e2":         0xeebc4d8be0d0ab01,
+		"rel1e4":         0x3845f64ae625aca7,
+		"abs_nolossless": 0x441879dbc308a1b6,
+		"noregression":   0x29c9cd60b485516b,
+	}
+	for _, tc := range goldenCases {
+		t.Run(tc.name, func(t *testing.T) {
+			buf, err := os.ReadFile(filepath.Join("testdata", "sz2v1_"+tc.name+".golden"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, eb, _, err := lossy.ReadHeader(magicV1, buf)
+			if err != nil {
+				t.Fatalf("not a v1 section: %v", err)
+			}
+			dec, err := tc.c.Decompress(buf)
+			if err != nil {
+				t.Fatalf("decompress v1 golden: %v", err)
+			}
+			if len(dec) != len(data) {
+				t.Fatalf("decoded %d values, want %d", len(dec), len(data))
+			}
+			if e := lossy.MaxAbsError(data, dec); e > eb {
+				t.Fatalf("v1 decode error %g exceeds its recorded bound %g", e, eb)
+			}
+			h := fnv.New64a()
+			var word [4]byte
+			for _, v := range dec {
+				binary.LittleEndian.PutUint32(word[:], math.Float32bits(v))
+				h.Write(word[:])
+			}
+			if got := h.Sum64(); got != want[tc.name] {
+				t.Fatalf("v1 decode changed: hash %#016x, want %#016x", got, want[tc.name])
 			}
 		})
 	}

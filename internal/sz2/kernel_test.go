@@ -66,12 +66,29 @@ func refRegressionWins(block []float32, a0, a1, lorenzo float64) bool {
 	return regress < lorenzo*0.8
 }
 
+// refCoef codes coefficient a against its prediction *prev with
+// math.Round, as codeCoef must: a code in the radius, or code 0 and the
+// float32 stored verbatim.
+func refCoef(sc *compScratch, prev *float64, a, step float64) float64 {
+	c := math.Round((a - *prev) / step)
+	if math.Abs(c) > coefRadius || math.IsNaN(c) {
+		sc.coefCodes = append(sc.coefCodes, 0)
+		sc.verbatim = append(sc.verbatim, float32(a))
+		*prev = float64(float32(a))
+	} else {
+		sc.coefCodes = append(sc.coefCodes, int32(c)+coefRadius+1)
+		*prev += c * step
+	}
+	return *prev
+}
+
 // refPredict is predict as one loop over elements: a refEncode call per
 // value and the block mode branched on inside it. demoted counts the
 // values only the float32 mirror made outliers.
 func refPredict(data []float32, eb float64, noRegression bool) (sc *compScratch, demoted int) {
 	radius := quant.DefaultRadius
 	sc = new(compScratch)
+	var prevA0, prevA1 float64 // the last regression block's dequantized pair
 	prevRecon := 0.0
 	for lo := 0; lo < len(data); lo += BlockSize {
 		block := data[lo:min(lo+BlockSize, len(data))]
@@ -86,8 +103,8 @@ func refPredict(data []float32, eb float64, noRegression bool) (sc *compScratch,
 		}
 		sc.modes = append(sc.modes, byte(mode))
 		if mode == predRegress {
-			sc.coeffs = append(sc.coeffs, float32(a0), float32(a1))
-			a0, a1 = float64(float32(a0)), float64(float32(a1))
+			a0 = refCoef(sc, &prevA0, a0, 2*coefTheta*eb)
+			a1 = refCoef(sc, &prevA1, a1, 2*coefTheta*eb/BlockSize)
 		}
 		recon := prevRecon
 		for i, v := range block {
@@ -125,6 +142,23 @@ func float32Bits(xs []float32) []uint32 {
 	return bits
 }
 
+// dequantized replays sc's coefficient codes through the decoder's
+// chain: the pair each regression block's kernel predicted from.
+func dequantized(sc *compScratch, eb float64) []float64 {
+	chain := newCoefChain(eb)
+	out := make([]float64, len(sc.coefCodes))
+	verbatim := sc.verbatim
+	for i, code := range sc.coefCodes {
+		if code == 0 {
+			chain.prev[i%2], verbatim = float64(verbatim[0]), verbatim[1:]
+			out[i] = chain.prev[i%2]
+			continue
+		}
+		out[i] = chain.next(i%2, int(code)-coefRadius-1)
+	}
+	return out
+}
+
 // checkReference compresses data with c and asserts that predict's
 // output and the whole section equal the reference loop's, byte for
 // byte, and that the section decodes within the bound. It returns the
@@ -151,7 +185,7 @@ func checkReference(t *testing.T, c *Compressor, data []float32, p lossy.Params)
 	if !bytes.Equal(sc.modes, ref.modes) {
 		t.Fatalf("modes differ from the reference")
 	}
-	if !slices.Equal(float32Bits(sc.coeffs), float32Bits(ref.coeffs)) {
+	if !slices.Equal(sc.coefCodes, ref.coefCodes) || !slices.Equal(float32Bits(sc.verbatim), float32Bits(ref.verbatim)) {
 		t.Fatalf("coefficients differ from the reference")
 	}
 	for i := range data {
@@ -295,6 +329,105 @@ func TestKernelMatchesReferenceMobileNet(t *testing.T) {
 	tensors, _ := mobileNetTensors()
 	for _, data := range tensors {
 		checkReference(t, New(), data, lossy.RelBound(1e-2))
+	}
+}
+
+// TestCoefficientFidelity bounds what coding the regression
+// coefficients costs, over the lossy tensors of a MobileNetV2 update and
+// over goldenData at each golden setting that uses regression:
+//
+//   - every element decodes within eb;
+//   - every coded coefficient lies within its bound of the fitted one:
+//     θ·eb for an intercept, θ·eb/BlockSize for a slope;
+//   - in a regression block whose every element took the center code,
+//     the reconstruction error is the prediction's, and the fitted line
+//     leaves no mean residual, so the block's mean signed error is the
+//     coefficients' bias: it must stay within 2θ·eb, taken at θ = 1/16
+//     so that a coarser coefTheta fails here. Where residuals span
+//     several steps the element quantizer dithers the bias away, and
+//     the mean signed error is the quantizer's, coded or not.
+func TestCoefficientFidelity(t *testing.T) {
+	type set struct {
+		name    string
+		tensors [][]float32
+		p       lossy.Params
+	}
+	sets := []set{}
+	for _, tc := range goldenCases {
+		if !tc.c.noRegression {
+			sets = append(sets, set{"golden/" + tc.name, [][]float32{goldenData(40000)}, tc.p})
+		}
+	}
+	if !testing.Short() {
+		tensors, _ := mobileNetTensors()
+		sets = append(sets, set{"mobilenet", tensors, lossy.RelBound(1e-2)})
+	}
+	center := int32(quant.DefaultRadius + 1)
+	total := 0 // all-center regression blocks seen
+	for _, st := range sets {
+		var worst float64
+		flat := 0
+		for _, data := range st.tensors {
+			eb, err := st.p.Resolve(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			buf, err := New().Compress(data, st.p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dec, err := New().Decompress(buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if e := lossy.MaxAbsError(data, dec); e > eb {
+				t.Fatalf("%s: element error %g exceeds eb %g", st.name, e, eb)
+			}
+			sc := new(compScratch)
+			New().predict(sc, data, eb)
+			coeffs := dequantized(sc, eb)
+			view := make([]float64, BlockSize)
+			ci := 0
+			for b, mode := range sc.modes {
+				if mode != predRegress {
+					continue
+				}
+				lo, hi := b*BlockSize, min((b+1)*BlockSize, len(data))
+				x := view[:hi-lo]
+				for i, v := range data[lo:hi] {
+					x[i] = float64(v)
+				}
+				a0, a1, _ := fitLine(x, 0)
+				for j, fit := range []float64{a0, a1} {
+					bound := coefTheta * eb * (1 + 1e-9)
+					if j == 1 {
+						bound /= BlockSize
+					}
+					if sc.coefCodes[ci+j] != 0 && !(math.Abs(coeffs[ci+j]-fit) <= bound) {
+						t.Fatalf("%s: block %d coefficient %d coded %v for %v, bound %g", st.name, b, j, coeffs[ci+j], fit, bound)
+					}
+				}
+				ci += 2
+				if slices.ContainsFunc(sc.codes[lo:hi], func(c int32) bool { return c != center }) {
+					continue
+				}
+				flat++
+				var sum float64
+				for i := lo; i < hi; i++ {
+					sum += float64(dec[i]) - float64(data[i])
+				}
+				bias := math.Abs(sum/float64(hi-lo)) / eb
+				worst = max(worst, bias)
+				if bias > 2.0/16 {
+					t.Fatalf("%s: block %d mean signed error %.4f·eb, bound 2θ = 0.125", st.name, b, bias)
+				}
+			}
+		}
+		t.Logf("%s: %d all-center regression blocks, worst bias %.4f·eb", st.name, flat, worst)
+		total += flat
+	}
+	if total < 100 {
+		t.Fatalf("only %d all-center regression blocks: the bias check saw too few", total)
 	}
 }
 

@@ -11,11 +11,25 @@
 //  2. for each block, a 1-step Lorenzo predictor and a linear
 //     regression predictor are evaluated and the cheaper one (by
 //     estimated residual magnitude) is selected;
-//  3. prediction residuals are quantized with an error-bounded linear
-//     quantizer; unpredictable values are stored verbatim;
-//  4. quantization codes are entropy-coded with canonical Huffman;
-//  5. the final payload is passed through a fast lossless stage
+//  3. each regression block's two coefficients are predicted from the
+//     previous regression block's and the difference is quantized, the
+//     intercept to θ·eb and the slope to θ·eb/BlockSize (θ = coefTheta);
+//     the codes get their own small Huffman stream, and a coefficient
+//     out of the coefficient radius is stored verbatim;
+//  4. prediction residuals are quantized with an error-bounded linear
+//     quantizer, against the dequantized coefficients the decoder
+//     rebuilds; unpredictable values are stored verbatim;
+//  5. quantization codes are entropy-coded with canonical Huffman;
+//  6. the final payload is passed through a fast lossless stage
 //     (standing in for SZ2's Zstd call).
+//
+// θ is small because a coefficient's error moves every element of its
+// block the same way: the element quantizer absorbs it where residuals
+// span several steps, but where they sit inside one step it becomes a
+// block-wide bias, and correlated error slows federated training (see
+// regressionWins). Sections of the first version (magic SZ2\x01), which
+// carried both coefficients as raw float32s, still decode through the
+// same reconstruction loop.
 //
 // Decompression reproduces every value within the absolute error bound
 // recorded in the header; this is asserted by property-based tests.
@@ -46,6 +60,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"fedsz/internal/huffman"
@@ -56,15 +71,17 @@ import (
 
 // compScratch bundles the encode-side transients — the quantization
 // codes (one int32 per element, the largest), block modes, regression
-// coefficients, outliers and the assembled payload — recycled across
-// Compress calls.
+// coefficients and their codes, outliers and the assembled payload —
+// recycled across Compress calls.
 type compScratch struct {
-	codes    []int32
-	modes    []byte
-	coeffs   []float32
-	outliers []float32
-	payload  []byte
-	view     [BlockSize]float64 // the current block, widened once
+	codes     []int32
+	modes     []byte
+	coefCodes []int32 // two per regression block, 0 for a verbatim coefficient
+	verbatim  []float32
+	outliers  []float32
+	coefs     []byte // the coefficient stream, built before its length prefix
+	payload   []byte
+	view      [BlockSize]float64 // the current block, widened once
 }
 
 var compPool = sync.Pool{
@@ -72,11 +89,20 @@ var compPool = sync.Pool{
 }
 
 const (
-	magic = "SZ2\x01"
+	magic   = "SZ2\x02"
+	magicV1 = "SZ2\x01" // raw float32 coefficients: decoded, never written
 
 	// BlockSize is the 1-D prediction block length (SZ2 uses small
 	// multi-dimensional blocks; 128 is its 1-D equivalent).
 	BlockSize = 128
+
+	// coefTheta is θ, the share of the element bound a coefficient's
+	// quantization may spend. At θ = 1 the block bias cost a federation
+	// 12 points of accuracy; at 1/16 it trains as raw coefficients did.
+	coefTheta = 1.0 / 16
+	// coefRadius is the coefficient codes' radius: a small alphabet keeps
+	// their histogram and code table cheap.
+	coefRadius = 1 << 10
 )
 
 // Block predictor selectors (2 bits on the wire).
@@ -147,10 +173,11 @@ func (s *Compressor) Compress(data []float32, p lossy.Params) ([]byte, error) {
 	return s.frame(payload, len(data), eb)
 }
 
-// predict runs the block loop — widen, fit and select, quantize — and
-// leaves its output in sc: one mode per block, the float32 coefficient
-// pair of each regression block, one code per element and the
-// outliers, in element order.
+// predict runs the block loop — widen, fit and select, code the
+// coefficients, quantize — and leaves its output in sc: one mode per
+// block, the coefficient codes and verbatim coefficients of each
+// regression block, one code per element and the outliers, in element
+// order.
 func (s *Compressor) predict(sc *compScratch, data []float32, eb float64) {
 	nBlocks := (len(data) + BlockSize - 1) / BlockSize
 	if cap(sc.modes) < nBlocks {
@@ -164,7 +191,9 @@ func (s *Compressor) predict(sc *compScratch, data []float32, eb float64) {
 		sc.codes = make([]int32, len(data))
 	}
 	sc.codes = sc.codes[:len(data)]
-	sc.coeffs = sc.coeffs[:0]
+	sc.coefCodes = slices.Grow(sc.coefCodes[:0], 2*nBlocks) // sized once, as codes is
+	sc.verbatim = sc.verbatim[:0]
+	chain := newCoefChain(eb)
 	k := kernel{
 		eb: eb, step: 2 * eb, tol: eb * (1 + 1e-9),
 		radius: quant.DefaultRadius, outliers: sc.outliers[:0],
@@ -193,9 +222,10 @@ func (s *Compressor) predict(sc *compScratch, data []float32, eb float64) {
 		}
 		sc.modes[b] = byte(mode)
 		if mode == predRegress {
-			sc.coeffs = append(sc.coeffs, float32(a0), float32(a1))
-			// The decoder sees the float32 coefficients.
-			prevRecon = k.regress(sc.codes[lo:hi], block, view, float64(float32(a0)), float64(float32(a1)))
+			// The kernel predicts from the pair the decoder rebuilds, so
+			// every element is checked against eb as the decoder sees it.
+			a0, a1 = sc.codeCoef(&chain, 0, a0), sc.codeCoef(&chain, 1, a1)
+			prevRecon = k.regress(sc.codes[lo:hi], block, view, a0, a1)
 		} else {
 			prevRecon = k.lorenzo(sc.codes[lo:hi], block, view, prevRecon)
 		}
@@ -203,28 +233,57 @@ func (s *Compressor) predict(sc *compScratch, data []float32, eb float64) {
 	sc.outliers = k.outliers
 }
 
+// codeCoef codes coefficient j (0 the intercept, 1 the slope) of a
+// regression block into sc and returns the value the decoder rebuilds:
+// the chain's dequantized value, or a verbatim float32 (code 0) for a
+// coefficient that is non-finite or beyond the radius.
+func (sc *compScratch) codeCoef(c *coefChain, j int, a float64) float64 {
+	q := quant.Round((a - c.prev[j]) / c.step[j])
+	if !(q >= -coefRadius && q <= coefRadius) {
+		sc.coefCodes = append(sc.coefCodes, 0)
+		sc.verbatim = append(sc.verbatim, float32(a))
+		c.prev[j] = float64(float32(a))
+		return c.prev[j]
+	}
+	sc.coefCodes = append(sc.coefCodes, int32(q)+coefRadius+1)
+	return c.next(j, int(q))
+}
+
 // appendPayload assembles predict's output into sc.payload: radius,
-// packed modes, coefficients, outliers, then the entropy stream
-// appended in place.
+// packed modes, then — only if some block is a regression block — the
+// length-prefixed coefficient stream and the verbatim coefficients,
+// then the outliers and the element codes' entropy stream appended in
+// place.
 func (sc *compScratch) appendPayload() ([]byte, error) {
 	radius := quant.DefaultRadius
 	payload := sc.payload[:0]
 	payload = binary.AppendUvarint(payload, uint64(radius))
 	payload = appendPackedModes(payload, sc.modes)
-	payload = binary.AppendUvarint(payload, uint64(len(sc.coeffs)))
-	for _, c := range sc.coeffs {
-		payload = binary.LittleEndian.AppendUint32(payload, math.Float32bits(c))
+	if len(sc.coefCodes) > 0 {
+		var err error
+		if sc.coefs, err = huffman.AppendEncodeAlphabet(sc.coefs[:0], sc.coefCodes, 2*coefRadius+2); err != nil {
+			return nil, err
+		}
+		payload = binary.AppendUvarint(payload, uint64(len(sc.coefs)))
+		payload = append(payload, sc.coefs...)
+		payload = appendFloats(payload, sc.verbatim)
 	}
-	payload = binary.AppendUvarint(payload, uint64(len(sc.outliers)))
-	for _, v := range sc.outliers {
-		payload = binary.LittleEndian.AppendUint32(payload, math.Float32bits(v))
-	}
+	payload = appendFloats(payload, sc.outliers)
 	payload, err := huffman.AppendEncodeAlphabet(payload, sc.codes, 2*radius+2)
 	if err != nil {
 		return nil, err
 	}
 	sc.payload = payload // keep the grown buffer for the next call
 	return payload, nil
+}
+
+// appendFloats appends a count, then each value's little-endian bits.
+func appendFloats(dst []byte, vs []float32) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(vs)))
+	for _, v := range vs {
+		dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(v))
+	}
+	return dst
 }
 
 // frame returns the section: one pre-sized output buffer holding the
@@ -258,7 +317,12 @@ func (s *Compressor) Decompress(buf []byte) ([]float32, error) {
 // loop writes every element, and dst only grows once the entropy stage
 // has vouched for the header's element count.
 func (s *Compressor) DecompressInto(dst []float32, buf []byte) ([]float32, error) {
-	count, eb, rest, err := lossy.ReadHeader(magic, buf)
+	v1 := len(buf) >= len(magicV1) && string(buf[:len(magicV1)]) == magicV1
+	m := magic
+	if v1 {
+		m = magicV1
+	}
+	count, eb, rest, err := lossy.ReadHeader(m, buf)
 	if err != nil {
 		return nil, err
 	}
@@ -303,23 +367,47 @@ func (s *Compressor) DecompressInto(dst []float32, buf []byte) ([]float32, error
 	}
 	packedModes := payload[:modeBytes]
 	payload = payload[modeBytes:]
-
-	nCoeffs, n := binary.Uvarint(payload)
-	// Division form: int(nCoeffs)*4 could overflow on a forged count.
-	if n <= 0 || nCoeffs > uint64(len(payload)-n)/4 {
-		return nil, fmt.Errorf("%w: sz2 coefficients", lossy.ErrCorrupt)
+	nRegress := 0
+	for b := 0; b < nBlocks; b++ {
+		mode := packedModes[b/4] >> uint((b%4)*2) & 3
+		if mode > predRegress {
+			return nil, fmt.Errorf("%w: sz2 block %d mode %d", lossy.ErrCorrupt, b, mode)
+		}
+		nRegress += int(mode)
 	}
-	payload = payload[n:]
-	coeffBytes := payload[:int(nCoeffs)*4]
-	payload = payload[int(nCoeffs)*4:]
 
-	nOut, n := binary.Uvarint(payload)
-	if n <= 0 || nOut > uint64(len(payload)-n)/4 {
-		return nil, fmt.Errorf("%w: sz2 outliers", lossy.ErrCorrupt)
+	var coefs coefSource
+	switch {
+	case v1:
+		if coefs.raw, payload, err = cutFloats(payload, "coefficients"); err != nil {
+			return nil, err
+		}
+	case nRegress > 0:
+		size, n := binary.Uvarint(payload)
+		if n <= 0 || size > uint64(len(payload)-n) {
+			return nil, fmt.Errorf("%w: sz2 coefficient stream", lossy.ErrCorrupt)
+		}
+		stream := payload[n : n+int(size)]
+		payload = payload[n+int(size):]
+		if coefs.raw, payload, err = cutFloats(payload, "verbatim coefficients"); err != nil {
+			return nil, err
+		}
+		coefs.dec = huffman.AcquireDecoder()
+		defer coefs.dec.Release()
+		if err := coefs.dec.Open(stream); err != nil {
+			return nil, fmt.Errorf("%w: sz2 coefficient stage: %v", lossy.ErrCorrupt, err)
+		}
+		// Two codes per regression block, no more and no fewer.
+		if coefs.dec.Count() != 2*nRegress {
+			return nil, fmt.Errorf("%w: sz2 %d coefficient codes for %d regression blocks",
+				lossy.ErrCorrupt, coefs.dec.Count(), nRegress)
+		}
+		coefs.chain = newCoefChain(eb)
 	}
-	payload = payload[n:]
-	outlierBytes := payload[:int(nOut)*4]
-	payload = payload[int(nOut)*4:]
+	outlierBytes, payload, err := cutFloats(payload, "outliers")
+	if err != nil {
+		return nil, err
+	}
 
 	// Entropy stage, streamed a block at a time into stack scratch ahead
 	// of the reconstruction loop, so no code array is materialized — the
@@ -336,23 +424,17 @@ func (s *Compressor) DecompressInto(dst []float32, buf []byte) ([]float32, error
 	q := quant.New(eb, radius)
 	out := lossy.Sized(dst, count)
 	prevRecon := 0.0
-	ci, oi := 0, 0
+	oi := 0
 	var codes [BlockSize]int32
 	for b := 0; b < nBlocks; b++ {
 		lo := b * BlockSize
 		hi := min(lo+BlockSize, count)
 		mode := packedModes[b/4] >> uint((b%4)*2) & 3
-		if mode > predRegress {
-			return nil, fmt.Errorf("%w: sz2 block %d mode %d", lossy.ErrCorrupt, b, mode)
-		}
 		var a0, a1 float64
 		if mode == predRegress {
-			if (ci+2)*4 > len(coeffBytes) {
-				return nil, fmt.Errorf("%w: sz2 coefficient underrun", lossy.ErrCorrupt)
+			if a0, a1, err = coefs.pair(); err != nil {
+				return nil, err
 			}
-			a0 = float64(math.Float32frombits(binary.LittleEndian.Uint32(coeffBytes[ci*4:])))
-			a1 = float64(math.Float32frombits(binary.LittleEndian.Uint32(coeffBytes[ci*4+4:])))
-			ci += 2
 		}
 		block := codes[:hi-lo]
 		if err := dec.DecodeInto(block); err != nil {
@@ -382,11 +464,93 @@ func (s *Compressor) DecompressInto(dst []float32, buf []byte) ([]float32, error
 	}
 	// The encoder writes exactly the coefficients and outliers its blocks
 	// use; leftovers mean a forged or misassembled section.
-	if ci != int(nCoeffs) || oi != int(nOut) {
-		return nil, fmt.Errorf("%w: sz2 blocks used %d of %d coefficients and %d of %d outliers",
-			lossy.ErrCorrupt, ci, nCoeffs, oi, nOut)
+	if coefs.used*4 != len(coefs.raw) || oi*4 != len(outlierBytes) {
+		return nil, fmt.Errorf("%w: sz2 blocks used %d of %d stored coefficients and %d of %d outliers",
+			lossy.ErrCorrupt, coefs.used, len(coefs.raw)/4, oi, len(outlierBytes)/4)
 	}
 	return out, nil
+}
+
+// cutFloats splits a count-prefixed run of float32s off the front of
+// payload.
+func cutFloats(payload []byte, what string) (run, rest []byte, err error) {
+	k, n := binary.Uvarint(payload)
+	// Division form: int(k)*4 could overflow on a forged count.
+	if n <= 0 || k > uint64(len(payload)-n)/4 {
+		return nil, nil, fmt.Errorf("%w: sz2 %s", lossy.ErrCorrupt, what)
+	}
+	return payload[n : n+int(k)*4], payload[n+int(k)*4:], nil
+}
+
+// coefChain is the coefficient predictor both sides run: each of a
+// regression block's intercept (j = 0) and slope (j = 1) is predicted
+// from the previous regression block's dequantized one, from 0 at the
+// start, with steps of 2θ·eb and 2θ·eb/BlockSize.
+type coefChain struct {
+	step, prev [2]float64
+}
+
+func newCoefChain(eb float64) coefChain {
+	step := 2 * coefTheta * eb
+	return coefChain{step: [2]float64{step, step / BlockSize}}
+}
+
+// next dequantizes code q of coefficient j and makes it the next
+// prediction.
+func (c *coefChain) next(j, q int) float64 {
+	c.prev[j] += float64(q) * c.step[j]
+	return c.prev[j]
+}
+
+// coefSource hands the reconstruction loop each regression block's
+// coefficient pair. A v1 section reads both from raw; a v2 section
+// decodes two codes from dec and rebuilds each from the chain, taking
+// the next verbatim value from raw for code 0. dec is nil for a v1
+// section (and for a v2 section with no regression block, which never
+// asks for a pair).
+type coefSource struct {
+	dec   *huffman.Decoder
+	chain coefChain
+	raw   []byte // 4 bytes per float32
+	used  int    // float32s taken from raw
+	codes [2]int32
+}
+
+func (c *coefSource) pair() (a0, a1 float64, err error) {
+	if c.dec == nil {
+		if a0, err = c.take(); err == nil {
+			a1, err = c.take()
+		}
+		return a0, a1, err
+	}
+	if err := c.dec.DecodeInto(c.codes[:]); err != nil {
+		return 0, 0, fmt.Errorf("%w: sz2 coefficient stage: %v", lossy.ErrCorrupt, err)
+	}
+	var a [2]float64
+	for j, code := range c.codes {
+		switch {
+		case code == 0:
+			if a[j], err = c.take(); err != nil {
+				return 0, 0, err
+			}
+			c.chain.prev[j] = a[j]
+		case code > 2*coefRadius+1:
+			return 0, 0, fmt.Errorf("%w: sz2 coefficient code %d", lossy.ErrCorrupt, code)
+		default:
+			a[j] = c.chain.next(j, int(code)-coefRadius-1)
+		}
+	}
+	return a[0], a[1], nil
+}
+
+// take reads the next float32 from raw.
+func (c *coefSource) take() (float64, error) {
+	if (c.used+1)*4 > len(c.raw) {
+		return 0, fmt.Errorf("%w: sz2 coefficient underrun", lossy.ErrCorrupt)
+	}
+	v := math.Float32frombits(binary.LittleEndian.Uint32(c.raw[c.used*4:]))
+	c.used++
+	return float64(v), nil
 }
 
 // kernel is quant.Quantizer.Encode at sz2's radius, followed by the
@@ -482,9 +646,8 @@ func fitLine(block []float64, prev float64) (a0, a1, lorenzo float64) {
 
 // regressionWins estimates, against the original values (SZ2's
 // selection heuristic), whether regression yields smaller residuals
-// than Lorenzo, whose sum fitLine has taken. The 0.8 discount accounts
-// for the 8 bytes of coefficients a regression block must carry
-// (≈0.5 bits/value at the default block size).
+// than Lorenzo, whose sum fitLine has taken. The 0.8 discount charges
+// for the coefficients a regression block must carry.
 //
 // Do not raise the discount to suppress regression on iid data even
 // though Lorenzo-only compresses such data better: Lorenzo
