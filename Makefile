@@ -52,11 +52,14 @@ examples:
 fmt:
 	gofmt -l -w .
 
-# go vet, then the deprecation gate: no non-test Go file may carry a
-# "Deprecated:" marker. A superseded surface is deleted, not kept as a
-# shim beside its replacement.
+# go vet (on amd64 its asmdecl pass checks sz2's assembly against the
+# Go declarations), go vet for arm64, which builds sz2's scalar
+# fallback instead, then the deprecation gate: no non-test Go file may
+# carry a "Deprecated:" marker. A superseded surface is deleted, not
+# kept as a shim beside its replacement.
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./...
 	@if git grep --untracked -n 'Deprecated:' -- '*.go' ':!*_test.go'; then \
 		echo 'deprecated surface in non-test Go code: delete it' >&2; exit 1; fi
 

@@ -1,11 +1,15 @@
 package family
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
 
 	"fedsz/internal/lossy"
+	"fedsz/internal/quant"
 	"fedsz/internal/stats"
 )
 
@@ -221,6 +225,33 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 			mut := append([]byte(nil), buf...)
 			mut[i] ^= 0x41
 			_, _ = dec.Decompress(mut) // must not panic; error or garbage is fine
+		}
+	}
+}
+
+// TestPredRejectsForgedRadius: a pred section whose radius lies outside
+// [1, quant.MaxRadius] (2^63 wraps int) or below its codes is rejected,
+// where it used to decode into values far off the bound.
+func TestPredRejectsForgedRadius(t *testing.T) {
+	data := testData(t, 2000, 4)
+	buf, err := pred{}.Compress(data, lossy.RelBound(1e-3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := (pred{}).Decompress(buf); err != nil {
+		t.Fatal(err)
+	}
+	_, _, rest, err := lossy.ReadHeader(predMagic, buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	head := buf[:len(buf)-len(rest)]
+	_, n := binary.Uvarint(rest)
+	tail := rest[n:]
+	for _, r := range []uint64{0, 100, quant.MaxRadius + 1, 1 << 40, 1 << 63} {
+		forged := append(binary.AppendUvarint(bytes.Clone(head), r), tail...)
+		if _, err := (pred{}).Decompress(forged); !errors.Is(err, lossy.ErrCorrupt) {
+			t.Errorf("radius %d: decoded with error %v, want lossy.ErrCorrupt", r, err)
 		}
 	}
 }

@@ -135,7 +135,6 @@ func (pred) Decompress(buf []byte) ([]float32, error) {
 		return nil, fmt.Errorf("%w: pred radius", lossy.ErrCorrupt)
 	}
 	rest = rest[n:]
-	radius := int(radius64)
 
 	signBytes := (count + 7) / 8
 	if len(rest) < signBytes {
@@ -161,6 +160,10 @@ func (pred) Decompress(buf []byte) ([]float32, error) {
 	if dec.Count() != count {
 		return nil, fmt.Errorf("%w: pred code count %d != %d", lossy.ErrCorrupt, dec.Count(), count)
 	}
+	if !quant.ValidStream(radius64, dec.MaxSym()) {
+		return nil, fmt.Errorf("%w: pred radius %d with codes up to %d", lossy.ErrCorrupt, radius64, dec.MaxSym())
+	}
+	radius := int(radius64)
 
 	q := quant.New(eb, radius)
 	out := make([]float32, count)

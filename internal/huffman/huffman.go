@@ -708,6 +708,16 @@ func (d *Decoder) buildTables() error {
 // Count returns the total number of symbols in the opened stream.
 func (d *Decoder) Count() int { return d.count }
 
+// MaxSym returns the largest symbol in the opened stream's code table,
+// or -1 for an empty table: no decoded symbol exceeds it, so a caller
+// with a smaller alphabet checks it once instead of every symbol.
+func (d *Decoder) MaxSym() int32 {
+	if len(d.parseSyms) == 0 {
+		return -1
+	}
+	return d.parseSyms[len(d.parseSyms)-1] // the table is in ascending order
+}
+
 // DecodeInto decodes the next len(dst) symbols into dst. It fails
 // where a bit-serial, symbol-at-a-time decoder would: dst holds the
 // symbols before the failing one, the failing symbol counts as

@@ -51,6 +51,37 @@ func TestTwoSymbols(t *testing.T) {
 	roundTrip(t, []int32{0, 1, 0, 0, 1, 1, 0})
 }
 
+// TestMaxSym: MaxSym reports the largest symbol of the opened table,
+// whichever encoder wrote it, and -1 for an empty stream.
+func TestMaxSym(t *testing.T) {
+	symbols := []int32{3, 1000, 7, 3, 3, 65537}
+	sparse, err := AppendEncode(nil, symbols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dense, err := AppendEncodeAlphabet(nil, symbols, 65538)
+	if err != nil {
+		t.Fatal(err)
+	}
+	empty, err := AppendEncode(nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := AcquireDecoder()
+	defer d.Release()
+	for _, tc := range []struct {
+		buf  []byte
+		want int32
+	}{{sparse, 65537}, {dense, 65537}, {empty, -1}} {
+		if err := d.Open(tc.buf); err != nil {
+			t.Fatal(err)
+		}
+		if got := d.MaxSym(); got != tc.want {
+			t.Fatalf("MaxSym %d, want %d", got, tc.want)
+		}
+	}
+}
+
 func TestNegativeSymbolRejected(t *testing.T) {
 	if _, err := AppendEncode(nil, []int32{1, -1}); err == nil {
 		t.Fatal("expected error for negative symbol")

@@ -86,6 +86,19 @@ func Round(x float64) float64 {
 	return r
 }
 
+// MaxRadius is the largest radius a decoder takes from a stream: with it,
+// every code up to 2·radius+1 and every offset code−radius−1 fit an
+// int32.
+const MaxRadius = 1 << 30
+
+// ValidStream reports whether radius, read from a stream, lies in
+// [1, MaxRadius] and maxCode, the largest code the stream's table holds,
+// is at most 2·radius+1, the largest code an encoder at that radius
+// writes.
+func ValidStream(radius uint64, maxCode int32) bool {
+	return radius >= 1 && radius <= MaxRadius && int64(maxCode) <= 2*int64(radius)+1
+}
+
 // Decode reconstructs a value from its code and prediction.
 func (q Quantizer) Decode(code int, pred float64) float64 {
 	return pred + float64(code)*q.step

@@ -15,6 +15,7 @@ import (
 
 	"fedsz/internal/huffman"
 	"fedsz/internal/lossy"
+	"fedsz/internal/quant"
 )
 
 // fuzzSeeds returns valid sz2 buffers with and without the lossless
@@ -38,9 +39,10 @@ func fuzzSeeds(tb testing.TB) (wrapped, raw []byte) {
 
 // FuzzSZ2DecompressInto runs every input through DecompressInto with a
 // dirty dst of an unrelated length: it must succeed exactly when
-// Decompress does, with the same bits, and a count the header merely
-// claims must never size the output. The seeds are v2 sections with and
-// without the wrap, each forgery of the raw one, and a v1 section.
+// Decompress on the scalar path does, with the same bits, and a count
+// the header merely claims must never size the output. The seeds are v2
+// sections with and without the wrap, each forgery of the raw one, and a
+// v1 section.
 func FuzzSZ2DecompressInto(f *testing.F) {
 	wrapped, raw := fuzzSeeds(f)
 	f.Add(wrapped, uint16(0))
@@ -60,7 +62,10 @@ func FuzzSZ2DecompressInto(f *testing.F) {
 	f.Add(v1, uint16(100))
 	f.Fuzz(func(t *testing.T, buf []byte, dstLen uint16) {
 		c := New()
+		saved := useAVX2
+		useAVX2 = false
 		want, wantErr := c.Decompress(buf)
+		useAVX2 = saved
 		dst := make([]float32, dstLen)
 		for i := range dst {
 			dst[i] = float32(math.NaN())
@@ -164,14 +169,20 @@ func (s sections) join() []byte {
 }
 
 // forgeries are edits of a split section that the encoder never writes,
-// each of which the decoder must reject: a block mode past regression,
-// the wrong number of coefficient codes, coefficients or outliers that
-// no block uses, and a verbatim coefficient that is not there.
+// each of which the decoder must reject: a radius outside
+// [1, quant.MaxRadius] (2^63 wraps int) or below the element codes, a
+// block mode past regression, the wrong number of coefficient codes,
+// coefficients or outliers that no block uses, and a verbatim
+// coefficient that is not there.
 func forgeries(s sections) map[string]func(s *sections) {
 	f := map[string]func(s *sections){
 		"an outlier left over": func(s *sections) {
 			s.outliers = append(bytes.Clone(s.outliers), 0, 0, 0x80, 0x3f)
 		},
+		"element codes past the radius": func(s *sections) { s.radius = 100 },
+	}
+	for _, r := range []uint64{0, quant.MaxRadius + 1, 1 << 40, 1 << 63} {
+		f[fmt.Sprintf("radius %d", r)] = func(s *sections) { s.radius = r }
 	}
 	for _, mode := range []byte{2, 3} {
 		f[fmt.Sprintf("block 5 mode %d", mode)] = func(s *sections) {

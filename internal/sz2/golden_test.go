@@ -44,19 +44,20 @@ var goldenCases = []struct {
 }
 
 // TestGoldenBitstream pins the SZ2 wire format: compressed output must
-// stay byte-identical to the committed golden streams, and the golden
-// streams (standing in for bitstreams produced by older releases) must
-// keep decoding within the recorded bound.
+// stay byte-identical to the committed golden streams, on the scalar
+// path and on the AVX2 path, and the golden streams (standing in for
+// bitstreams produced by older releases) must keep decoding within the
+// recorded bound.
 func TestGoldenBitstream(t *testing.T) {
 	data := goldenData(40000)
 	for _, tc := range goldenCases {
 		t.Run(tc.name, func(t *testing.T) {
-			got, err := tc.c.Compress(data, tc.p)
-			if err != nil {
-				t.Fatalf("compress: %v", err)
-			}
 			path := filepath.Join("testdata", "sz2_"+tc.name+".golden")
 			if *updateGolden {
+				got, err := tc.c.Compress(data, tc.p)
+				if err != nil {
+					t.Fatalf("compress: %v", err)
+				}
 				if err := os.MkdirAll("testdata", 0o755); err != nil {
 					t.Fatal(err)
 				}
@@ -68,20 +69,26 @@ func TestGoldenBitstream(t *testing.T) {
 			if err != nil {
 				t.Fatalf("golden file missing (run with -update): %v", err)
 			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("%s: compressed stream diverged from golden wire format (%d vs %d bytes)", tc.name, len(got), len(want))
-			}
-			dec, err := tc.c.Decompress(want)
-			if err != nil {
-				t.Fatalf("decompress golden: %v", err)
-			}
 			eb, err := tc.p.Resolve(data)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if e := lossy.MaxAbsError(data, dec); e > eb {
-				t.Fatalf("golden decode error %g exceeds bound %g", e, eb)
-			}
+			eachPath(t, func(t *testing.T) {
+				got, err := tc.c.Compress(data, tc.p)
+				if err != nil {
+					t.Fatalf("compress: %v", err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Fatalf("%s: compressed stream diverged from golden wire format (%d vs %d bytes)", tc.name, len(got), len(want))
+				}
+				dec, err := tc.c.Decompress(want)
+				if err != nil {
+					t.Fatalf("decompress golden: %v", err)
+				}
+				if e := lossy.MaxAbsError(data, dec); e > eb {
+					t.Fatalf("golden decode error %g exceeds bound %g", e, eb)
+				}
+			})
 		})
 	}
 }
@@ -89,7 +96,8 @@ func TestGoldenBitstream(t *testing.T) {
 // TestGoldenV1Decodes keeps first-version sections (raw float32
 // coefficients, magic SZ2\x01) decoding: each fixture, written by the
 // last v1 encoder from goldenData(40000), decodes within the bound its
-// header records, to the same bits the v1 decoder produced.
+// header records, to the same bits the v1 decoder produced, on the
+// scalar path and on the AVX2 path.
 func TestGoldenV1Decodes(t *testing.T) {
 	data := goldenData(40000)
 	want := map[string]uint64{ // FNV-1a over the v1 decoder's output bits
@@ -108,25 +116,27 @@ func TestGoldenV1Decodes(t *testing.T) {
 			if err != nil {
 				t.Fatalf("not a v1 section: %v", err)
 			}
-			dec, err := tc.c.Decompress(buf)
-			if err != nil {
-				t.Fatalf("decompress v1 golden: %v", err)
-			}
-			if len(dec) != len(data) {
-				t.Fatalf("decoded %d values, want %d", len(dec), len(data))
-			}
-			if e := lossy.MaxAbsError(data, dec); e > eb {
-				t.Fatalf("v1 decode error %g exceeds its recorded bound %g", e, eb)
-			}
-			h := fnv.New64a()
-			var word [4]byte
-			for _, v := range dec {
-				binary.LittleEndian.PutUint32(word[:], math.Float32bits(v))
-				h.Write(word[:])
-			}
-			if got := h.Sum64(); got != want[tc.name] {
-				t.Fatalf("v1 decode changed: hash %#016x, want %#016x", got, want[tc.name])
-			}
+			eachPath(t, func(t *testing.T) {
+				dec, err := tc.c.Decompress(buf)
+				if err != nil {
+					t.Fatalf("decompress v1 golden: %v", err)
+				}
+				if len(dec) != len(data) {
+					t.Fatalf("decoded %d values, want %d", len(dec), len(data))
+				}
+				if e := lossy.MaxAbsError(data, dec); e > eb {
+					t.Fatalf("v1 decode error %g exceeds its recorded bound %g", e, eb)
+				}
+				h := fnv.New64a()
+				var word [4]byte
+				for _, v := range dec {
+					binary.LittleEndian.PutUint32(word[:], math.Float32bits(v))
+					h.Write(word[:])
+				}
+				if got := h.Sum64(); got != want[tc.name] {
+					t.Fatalf("v1 decode changed: hash %#016x, want %#016x", got, want[tc.name])
+				}
+			})
 		})
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -12,6 +13,37 @@ import (
 	"fedsz/internal/lossy"
 	"fedsz/internal/quant"
 )
+
+// haveAVX2 is whether this CPU runs the AVX2 kernels, taken before any
+// test changes useAVX2.
+var haveAVX2 = useAVX2
+
+// setPath selects the AVX2 kernels (on) or the scalar loops for the rest
+// of t, and skips t, saying so, where on asks for AVX2 the CPU lacks.
+func setPath(t *testing.T, on bool) {
+	t.Helper()
+	if on && !haveAVX2 {
+		t.Skip("the CPU lacks AVX2: only the scalar loops run")
+	}
+	saved := useAVX2
+	useAVX2 = on
+	t.Cleanup(func() { useAVX2 = saved })
+}
+
+// eachPath runs f as the subtests "scalar" and "avx2", each on its path.
+func eachPath(t *testing.T, f func(t *testing.T)) {
+	t.Helper()
+	for _, on := range []bool{false, true} {
+		name := "scalar"
+		if on {
+			name = "avx2"
+		}
+		t.Run(name, func(t *testing.T) {
+			setPath(t, on)
+			f(t)
+		})
+	}
+}
 
 // refEncode is quant.Quantizer.Encode as the per-element loop called it,
 // with math.Round: the arithmetic the block kernels must reproduce.
@@ -27,6 +59,24 @@ func refEncode(val, pred, eb float64, radius int) (code int, recon float64, ok b
 		return 0, 0, false
 	}
 	return code, recon, true
+}
+
+// refElement codes value v against pred as the per-element loop did:
+// its code (0 for an outlier), the reconstruction the next prediction
+// reads, and whether only the float32 mirror made it an outlier.
+func refElement(v float32, pred, eb float64) (code int32, recon float64, demoted bool) {
+	radius := quant.DefaultRadius
+	c, r, ok := refEncode(float64(v), pred, eb, radius)
+	if ok {
+		r = float64(float32(r))
+		if math.Abs(r-float64(v)) > eb {
+			ok, demoted = false, true
+		}
+	}
+	if !ok {
+		return 0, float64(v), demoted
+	}
+	return int32(c + radius + 1), r, false
 }
 
 // refFitLine and refRegressionWins are fitLine and regressionWins over
@@ -86,7 +136,6 @@ func refCoef(sc *compScratch, prev *float64, a, step float64) float64 {
 // value and the block mode branched on inside it. demoted counts the
 // values only the float32 mirror made outliers.
 func refPredict(data []float32, eb float64, noRegression bool) (sc *compScratch, demoted int) {
-	radius := quant.DefaultRadius
 	sc = new(compScratch)
 	var prevA0, prevA1 float64 // the last regression block's dequantized pair
 	prevRecon := 0.0
@@ -112,21 +161,14 @@ func refPredict(data []float32, eb float64, noRegression bool) (sc *compScratch,
 			if mode == predRegress {
 				pred = a0 + a1*float64(i)
 			}
-			code, r, ok := refEncode(float64(v), pred, eb, radius)
-			if ok {
-				r = float64(float32(r))
-				if math.Abs(r-float64(v)) > eb {
-					ok = false
-					demoted++
-				}
+			code, r, dem := refElement(v, pred, eb)
+			if dem {
+				demoted++
 			}
-			if !ok {
-				sc.codes = append(sc.codes, 0)
+			sc.codes = append(sc.codes, code)
+			if code == 0 {
 				sc.outliers = append(sc.outliers, v)
-				recon = float64(v)
-				continue
 			}
-			sc.codes = append(sc.codes, int32(code+radius+1))
 			recon = r
 		}
 		prevRecon = recon
@@ -297,7 +339,7 @@ func kernelCases() []struct {
 // per-element loop they replaced, byte for byte, over blocks holding
 // NaN, ±Inf, subnormals and ±0, exact ties, codes at and past the
 // radius, values the float32 mirror demotes, both modes and a short
-// tail block.
+// tail block, on the scalar path and on the AVX2 path.
 func TestKernelMatchesReference(t *testing.T) {
 	var sawDemoted, sawRegress, sawLorenzo bool // reached by some case
 	for _, tc := range kernelCases() {
@@ -306,12 +348,14 @@ func TestKernelMatchesReference(t *testing.T) {
 			c    *Compressor
 		}{{"hybrid", New()}, {"lorenzo", New(WithoutRegression())}, {"raw", New(WithLosslessStage(nil))}} {
 			t.Run(tc.name+"/"+c.name, func(t *testing.T) {
-				ref, demoted := checkReference(t, c.c, tc.data, tc.p)
-				sawDemoted = sawDemoted || demoted > 0
-				if ref != nil {
-					sawRegress = sawRegress || bytes.IndexByte(ref.modes, predRegress) >= 0
-					sawLorenzo = sawLorenzo || bytes.IndexByte(ref.modes, predLorenzo) >= 0
-				}
+				eachPath(t, func(t *testing.T) {
+					ref, demoted := checkReference(t, c.c, tc.data, tc.p)
+					sawDemoted = sawDemoted || demoted > 0
+					if ref != nil {
+						sawRegress = sawRegress || bytes.IndexByte(ref.modes, predRegress) >= 0
+						sawLorenzo = sawLorenzo || bytes.IndexByte(ref.modes, predLorenzo) >= 0
+					}
+				})
 			})
 		}
 	}
@@ -327,9 +371,122 @@ func TestKernelMatchesReferenceMobileNet(t *testing.T) {
 		t.Skip("compresses a whole MobileNetV2 update twice")
 	}
 	tensors, _ := mobileNetTensors()
-	for _, data := range tensors {
-		checkReference(t, New(), data, lossy.RelBound(1e-2))
+	eachPath(t, func(t *testing.T) {
+		for _, data := range tensors {
+			checkReference(t, New(), data, lossy.RelBound(1e-2))
+		}
+	})
+}
+
+// TestRegressLanes pins kernel.regress, on each path, to refElement
+// element by element — codes, outliers and the returned reconstruction —
+// and the AVX2 decoder kernel to the encoder's reconstructions. Each
+// adversarial value sits at one lane position 0–3 of every four-lane
+// group and of the tail, in blocks of 1–9 and 128 values. NaN and ±Inf
+// never reach regression through predict (they make the fit NaN and the
+// block Lorenzo), so this test hands the kernel its coefficients.
+func TestRegressLanes(t *testing.T) {
+	r := float64(quant.DefaultRadius)
+	sub := math.SmallestNonzeroFloat32
+	at := func(off float64) func(i int) float32 { // pred + off on the ramp pred = i
+		return func(i int) float32 { return float32(float64(i) + off) }
 	}
+	is := func(v float64) func(int) float32 { return func(int) float32 { return float32(v) } }
+	cases := []struct {
+		name       string
+		eb, a0, a1 float64
+		base       func(i int) float32
+		specials   map[string]func(i int) float32
+	}{
+		// At step 1 on the ramp: exact ties, ties past the radius that
+		// RoundToEven alone would keep, codes at and one past ±radius,
+		// NaN and ±Inf.
+		{"ramp", 0.5, 0, 1, at(0), map[string]func(int) float32{
+			"+0.5": at(0.5), "-0.5": at(-0.5), "+2.5": at(2.5), "-2.5": at(-2.5),
+			"+radius+0.5": at(r + 0.5), "-radius-0.5": at(-r - 0.5), "+radius-0.5": at(r - 0.5),
+			"+radius": at(r), "-radius": at(-r), "+radius+1": at(r + 1), "-radius-1": at(-r - 1),
+			"NaN": is(math.NaN()), "+Inf": is(math.Inf(1)), "-Inf": is(math.Inf(-1)),
+			"sNaN": func(int) float32 { return math.Float32frombits(0x7f800001) },
+		}},
+		// pred = 1e8+6 and float32s near 1e8 are 8 apart: x = 1e8 keeps
+		// code 0 with |r−x| = 6, and float32(r) = 1e8+8 lands on eb = 8
+		// (kept) or past eb = 7.5 (demoted).
+		{"demote_on_eb", 8, 1e8 + 6, 0, is(1e8 + 8), map[string]func(int) float32{"1e8": is(1e8)}},
+		{"demote_past_eb", 7.5, 1e8 + 6, 0, is(1e8 + 8), map[string]func(int) float32{"1e8": is(1e8)}},
+		// pred = −0 + −0·i = −0 and y = −0.25 rounds to c = −0: int(c) makes
+		// r = −0 + 0·step = +0, where −0·step would leave it −0.
+		{"negative_zero", 0.5, math.Copysign(0, -1), math.Copysign(0, -1), is(0), map[string]func(int) float32{
+			"-0.25": is(-0.25),
+		}},
+		{"subnormal", 1e-45, 0, 0, is(0), map[string]func(int) float32{
+			"+min": is(sub), "-min": is(-sub), "max": func(int) float32 { return math.Float32frombits(0x007fffff) },
+			"-0": is(math.Copysign(0, -1)),
+		}},
+		{"subnormal_pred", 1e-45, 0, math.SmallestNonzeroFloat64, is(0), map[string]func(int) float32{
+			"+min": is(sub), "-min": is(-sub), "-0": is(math.Copysign(0, -1)),
+		}},
+		{"subnormal_step", math.SmallestNonzeroFloat64, 0, 0, is(0), map[string]func(int) float32{
+			"+min": is(sub), "-0": is(math.Copysign(0, -1)),
+		}},
+	}
+	lengths := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, BlockSize}
+	eachPath(t, func(t *testing.T) {
+		for _, tc := range cases {
+			k := kernel{eb: tc.eb, step: 2 * tc.eb, tol: tc.eb * (1 + 1e-9), radius: quant.DefaultRadius}
+			for name, special := range tc.specials {
+				for _, n := range lengths {
+					for lane := 0; lane < min(4, n); lane++ {
+						block := make([]float32, n)
+						view := make([]float64, n)
+						want := make([]int32, n)
+						var wantOut []float32
+						var wantRecon float64
+						for i := range block {
+							block[i] = tc.base(i)
+							if i%4 == lane {
+								block[i] = special(i)
+							}
+							view[i] = float64(block[i])
+							want[i], wantRecon, _ = refElement(block[i], tc.a0+tc.a1*float64(i), tc.eb)
+							if want[i] == 0 {
+								wantOut = append(wantOut, block[i])
+							}
+						}
+						codes := make([]int32, n)
+						k.outliers = k.outliers[:0]
+						recon := k.regress(codes, block, view, tc.a0, tc.a1)
+						where := fmt.Sprintf("%s %s, %d values, lane %d", tc.name, name, n, lane)
+						if !slices.Equal(codes, want) {
+							t.Fatalf("%s: codes %v, reference %v", where, codes, want)
+						}
+						if !slices.Equal(float32Bits(k.outliers), float32Bits(wantOut)) {
+							t.Fatalf("%s: outliers %v, reference %v", where, k.outliers, wantOut)
+						}
+						if math.Float64bits(recon) != math.Float64bits(wantRecon) {
+							t.Fatalf("%s: recon %v, reference %v", where, recon, wantRecon)
+						}
+						if !useAVX2 || n < 4 {
+							continue
+						}
+						// The decoder kernel must rebuild every kept value's
+						// float32 reconstruction bit for bit.
+						n4 := n &^ 3
+						out := make([]float32, n4)
+						zero := reconRegressAVX2(out, codes[:n4], tc.a0, tc.a1, 2*tc.eb, quant.DefaultRadius+1)
+						if zero != slices.Contains(codes[:n4], 0) {
+							t.Fatalf("%s: decoder kernel reported code 0 %v", where, zero)
+						}
+						for i, c := range codes[:n4] {
+							_, r, _ := refElement(block[i], tc.a0+tc.a1*float64(i), tc.eb)
+							if c != 0 && math.Float32bits(out[i]) != math.Float32bits(float32(r)) {
+								t.Fatalf("%s: value %d decoded %v, encoder rebuilt %v", where, i, out[i], float32(r))
+							}
+						}
+					}
+				}
+			}
+		}
+	})
 }
 
 // TestCoefficientFidelity bounds what coding the regression
@@ -432,8 +589,9 @@ func TestCoefficientFidelity(t *testing.T) {
 }
 
 // FuzzSZ2Compress feeds arbitrary float32 bit patterns and bounds to
-// Compress: the section must equal the reference loop's byte for byte
-// and decode within the bound, and params Resolve rejects must fail.
+// Compress: on each path the section must equal the reference loop's
+// byte for byte and decode within the bound, the two paths' sections
+// must be identical, and params Resolve rejects must fail.
 func FuzzSZ2Compress(f *testing.F) {
 	for _, tc := range kernelCases() {
 		var raw []byte
@@ -451,7 +609,16 @@ func FuzzSZ2Compress(f *testing.F) {
 		if rel {
 			p = lossy.RelBound(bound)
 		}
-		checkReference(t, New(), data, p)
+		defer func(saved bool) { useAVX2 = saved }(useAVX2)
+		var sections [2][]byte
+		for i, on := range []bool{false, haveAVX2} {
+			useAVX2 = on
+			checkReference(t, New(), data, p)
+			sections[i], _ = New().Compress(data, p)
+		}
+		if !bytes.Equal(sections[0], sections[1]) {
+			t.Fatalf("the scalar and AVX2 paths wrote different sections (%d vs %d bytes)", len(sections[0]), len(sections[1]))
+		}
 	})
 }
 

@@ -54,6 +54,20 @@
 // round with quant.Round, so every code, coefficient and outlier, and
 // so every byte, equals a per-element Encode loop's; kernel_test.go
 // keeps that loop as the reference.
+//
+// On amd64 with AVX2, detected once at init from CPUID and XGETBV
+// (kernel_amd64.s), a regression block is quantized four values per
+// step: the same multiply then add (never FMA), a divide (never a
+// reciprocal), a round to nearest even with quant.Round's tie fix-up,
+// the float32 mirror and every check as an ordered compare, so each
+// lane's code and reconstruction equal the scalar loop's bit for bit.
+// Go appends the failed lanes' values to the outliers in element order,
+// and the scalar loop codes the len%4 tail. The decoder rebuilds a
+// regression block's four-lane groups the same way and puts the
+// outliers in after. Lorenzo blocks are serial and stay scalar in both
+// directions, and without AVX2, or off amd64, the scalar loops are the
+// only kernels. There is no switch: the two paths write the same bytes,
+// which the tests check on both.
 package sz2
 
 import (
@@ -358,7 +372,6 @@ func (s *Compressor) DecompressInto(dst []float32, buf []byte) ([]float32, error
 		return nil, fmt.Errorf("%w: sz2 radius", lossy.ErrCorrupt)
 	}
 	payload = payload[n:]
-	radius := int(radius64)
 
 	nBlocks := (count + BlockSize - 1) / BlockSize
 	modeBytes := (nBlocks + 3) / 4
@@ -402,6 +415,9 @@ func (s *Compressor) DecompressInto(dst []float32, buf []byte) ([]float32, error
 			return nil, fmt.Errorf("%w: sz2 %d coefficient codes for %d regression blocks",
 				lossy.ErrCorrupt, coefs.dec.Count(), nRegress)
 		}
+		if coefs.dec.MaxSym() > 2*coefRadius+1 {
+			return nil, fmt.Errorf("%w: sz2 coefficient code %d", lossy.ErrCorrupt, coefs.dec.MaxSym())
+		}
 		coefs.chain = newCoefChain(eb)
 	}
 	outlierBytes, payload, err := cutFloats(payload, "outliers")
@@ -420,6 +436,12 @@ func (s *Compressor) DecompressInto(dst []float32, buf []byte) ([]float32, error
 	if dec.Count() != count {
 		return nil, fmt.Errorf("%w: sz2 code count %d != %d", lossy.ErrCorrupt, dec.Count(), count)
 	}
+	// Checked once here, this keeps every code−radius−1 below, and the
+	// vector kernel's int32 lanes, exact.
+	if !quant.ValidStream(radius64, dec.MaxSym()) {
+		return nil, fmt.Errorf("%w: sz2 radius %d with codes up to %d", lossy.ErrCorrupt, radius64, dec.MaxSym())
+	}
+	radius := int(radius64)
 
 	q := quant.New(eb, radius)
 	out := lossy.Sized(dst, count)
@@ -440,14 +462,30 @@ func (s *Compressor) DecompressInto(dst []float32, buf []byte) ([]float32, error
 		if err := dec.DecodeInto(block); err != nil {
 			return nil, fmt.Errorf("%w: sz2 entropy stage: %v", lossy.ErrCorrupt, err)
 		}
-		recon := prevRecon
-		for i, code := range block {
-			if code == 0 {
-				if (oi+1)*4 > len(outlierBytes) {
-					return nil, fmt.Errorf("%w: sz2 outlier underrun", lossy.ErrCorrupt)
+		start := 0
+		if mode == predRegress && useAVX2 && len(block) >= 4 {
+			// No regression prediction reads a reconstruction, so the
+			// kernel writes every value of the four-lane groups and the
+			// outliers among them are put in after.
+			start = len(block) &^ 3
+			if reconRegressAVX2(out[lo:lo+start], block[:start], a0, a1, 2*eb, int32(radius+1)) {
+				for i, code := range block[:start] {
+					if code == 0 {
+						if out[lo+i], oi, err = nextOutlier(outlierBytes, oi); err != nil {
+							return nil, err
+						}
+					}
 				}
-				recon = float64(math.Float32frombits(binary.LittleEndian.Uint32(outlierBytes[oi*4:])))
-				oi++
+			}
+		}
+		recon := prevRecon
+		for i := start; i < len(block); i++ {
+			if code := block[i]; code == 0 {
+				var v float32
+				if v, oi, err = nextOutlier(outlierBytes, oi); err != nil {
+					return nil, err
+				}
+				recon = float64(v)
 			} else {
 				var pred float64
 				if mode == predRegress {
@@ -460,7 +498,7 @@ func (s *Compressor) DecompressInto(dst []float32, buf []byte) ([]float32, error
 			out[lo+i] = float32(recon)
 			recon = float64(out[lo+i])
 		}
-		prevRecon = recon
+		prevRecon = float64(out[hi-1])
 	}
 	// The encoder writes exactly the coefficients and outliers its blocks
 	// use; leftovers mean a forged or misassembled section.
@@ -469,6 +507,15 @@ func (s *Compressor) DecompressInto(dst []float32, buf []byte) ([]float32, error
 			lossy.ErrCorrupt, coefs.used, len(coefs.raw)/4, oi, len(outlierBytes)/4)
 	}
 	return out, nil
+}
+
+// nextOutlier returns outlier oi of the 4-byte values in b and the next
+// index.
+func nextOutlier(b []byte, oi int) (float32, int, error) {
+	if (oi+1)*4 > len(b) {
+		return 0, oi, fmt.Errorf("%w: sz2 outlier underrun", lossy.ErrCorrupt)
+	}
+	return math.Float32frombits(binary.LittleEndian.Uint32(b[oi*4:])), oi + 1, nil
 }
 
 // cutFloats splits a count-prefixed run of float32s off the front of
@@ -528,15 +575,12 @@ func (c *coefSource) pair() (a0, a1 float64, err error) {
 	}
 	var a [2]float64
 	for j, code := range c.codes {
-		switch {
-		case code == 0:
+		if code == 0 {
 			if a[j], err = c.take(); err != nil {
 				return 0, 0, err
 			}
 			c.chain.prev[j] = a[j]
-		case code > 2*coefRadius+1:
-			return 0, 0, fmt.Errorf("%w: sz2 coefficient code %d", lossy.ErrCorrupt, code)
-		default:
+		} else {
 			a[j] = c.chain.next(j, int(code)-coefRadius-1)
 		}
 	}
@@ -568,12 +612,28 @@ type kernel struct {
 
 // regress codes a regression block: each prediction depends on i
 // alone, so no chain runs from one element to the next. It returns the
-// reconstruction of the block's last value.
+// reconstruction of the block's last value. Where the CPU has AVX2,
+// regressAVX2 codes the block four values at a time and this loop codes
+// the len%4 tail.
 func (k *kernel) regress(codes []int32, block []float32, view []float64, a0, a1 float64) (recon float64) {
 	eb, step, tol, radius := k.eb, k.step, k.tol, k.radius
 	rad := float64(radius)
 	codes, block = codes[:len(view)], block[:len(view)]
-	for i, x := range view {
+	start := 0
+	if useAVX2 && len(view) >= 4 {
+		start = len(view) &^ 3
+		var failed bool
+		recon, failed = regressAVX2(codes[:start], view[:start], a0, a1, step, tol, eb, rad)
+		if failed {
+			for i, c := range codes[:start] {
+				if c == 0 {
+					k.outliers = append(k.outliers, block[i])
+				}
+			}
+		}
+	}
+	for i := start; i < len(view); i++ {
+		x := view[i]
 		pred := a0 + a1*float64(i)
 		c := quant.Round((x - pred) / step)
 		code := int(c)

@@ -9,8 +9,18 @@ import (
 	"fedsz/internal/lossy/lossytest"
 )
 
+// TestConformance runs the conformance suite on the path Compress
+// takes by default, the AVX2 kernels where the CPU has them, and again
+// with them off.
 func TestConformance(t *testing.T) {
+	if !haveAVX2 {
+		t.Log("the CPU lacks AVX2: both runs take the scalar loops")
+	}
 	lossytest.Run(t, New())
+	t.Run("scalar", func(t *testing.T) {
+		setPath(t, false)
+		lossytest.Run(t, New())
+	})
 }
 
 func TestConformanceNoLosslessStage(t *testing.T) {

@@ -212,7 +212,6 @@ func (s *Compressor) DecompressInto(dst []float32, buf []byte) ([]float32, error
 		return nil, fmt.Errorf("%w: sz3 header", lossy.ErrCorrupt)
 	}
 	payload = payload[n:]
-	radius := int(radius64)
 	linearOnly := payload[0]&1 == 1
 	anchor := math.Float32frombits(binary.LittleEndian.Uint32(payload[1:5]))
 	payload = payload[5:]
@@ -236,6 +235,10 @@ func (s *Compressor) DecompressInto(dst []float32, buf []byte) ([]float32, error
 	if dec.Count() != count-1 {
 		return nil, fmt.Errorf("%w: sz3 code count %d != %d", lossy.ErrCorrupt, dec.Count(), count-1)
 	}
+	if !quant.ValidStream(radius64, dec.MaxSym()) {
+		return nil, fmt.Errorf("%w: sz3 radius %d with codes up to %d", lossy.ErrCorrupt, radius64, dec.MaxSym())
+	}
+	radius := int(radius64)
 
 	pc := &Compressor{linearOnly: linearOnly}
 	q := quant.New(eb, radius)

@@ -1,12 +1,16 @@
 package sz3
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
 
 	"fedsz/internal/lossy"
 	"fedsz/internal/lossy/lossytest"
+	"fedsz/internal/quant"
 	"fedsz/internal/sz2"
 )
 
@@ -159,6 +163,38 @@ func BenchmarkDecompress(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := c.Decompress(buf); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestForgedRadiusRejected: an unwrapped section whose radius lies
+// outside [1, quant.MaxRadius] (2^63 wraps int) or below its codes is
+// rejected, where it used to decode into values far off the bound.
+func TestForgedRadiusRejected(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	data := make([]float32, 2000)
+	for i := range data {
+		data[i] = float32(rng.NormFloat64())
+	}
+	c := New(WithLosslessStage(nil))
+	buf, err := c.Compress(data, lossy.RelBound(1e-3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Decompress(buf); err != nil {
+		t.Fatal(err)
+	}
+	_, _, rest, err := lossy.ReadHeader(magic, buf)
+	if err != nil || rest[0] != 0 {
+		t.Fatalf("not an unwrapped section: %v", err)
+	}
+	head := buf[:len(buf)-len(rest)+1]
+	_, n := binary.Uvarint(rest[1:])
+	tail := rest[1+n:]
+	for _, r := range []uint64{0, 100, quant.MaxRadius + 1, 1 << 40, 1 << 63} {
+		forged := append(binary.AppendUvarint(bytes.Clone(head), r), tail...)
+		if _, err := c.Decompress(forged); !errors.Is(err, lossy.ErrCorrupt) {
+			t.Errorf("radius %d: decoded with error %v, want lossy.ErrCorrupt", r, err)
 		}
 	}
 }
