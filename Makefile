@@ -54,12 +54,15 @@ fmt:
 
 # go vet (on amd64 its asmdecl pass checks sz2's assembly against the
 # Go declarations), go vet for arm64, which builds sz2's scalar
-# fallback instead, then the deprecation gate: no non-test Go file may
-# carry a "Deprecated:" marker. A superseded surface is deleted, not
-# kept as a shim beside its replacement.
+# fallback instead, the FMA gate (no fused multiply-add in the arm64
+# build of the codecs and the aggregators, see scripts/fma_gate.sh),
+# then the deprecation gate: no non-test Go file may carry a
+# "Deprecated:" marker. A superseded surface is deleted, not kept as a
+# shim beside its replacement.
 vet:
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./...
+	bash scripts/fma_gate.sh
 	@if git grep --untracked -n 'Deprecated:' -- '*.go' ':!*_test.go'; then \
 		echo 'deprecated surface in non-test Go code: delete it' >&2; exit 1; fi
 

@@ -96,7 +96,7 @@ func (q qsgd) Compress(data []float32, p lossy.Params) ([]byte, error) {
 			// Budget for the decoder's float32 store: its rounding adds
 			// up to maxAbs·2⁻²⁴, so quantize against a bound shaved by
 			// twice that to keep the end-to-end error strictly within ε.
-			ebEff := eb - maxAbs*math.Exp2(-23)
+			ebEff := eb - float64(maxAbs*math.Exp2(-23))
 			if ebEff <= 0 {
 				finite = false // bound below float32 resolution: raw mode
 			} else {

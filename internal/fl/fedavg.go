@@ -59,7 +59,9 @@ func FedAvg(updates []*model.StateDict, sampleCounts []int) (*model.StateDict, e
 			}
 			w := float64(sampleCounts[u])
 			for i, v := range ue.Tensor.Data() {
-				acc[i] += w * float64(v)
+				// float64(...) keeps the product rounded on its own
+				// (unfused), as the aggregator's fold rounds it.
+				acc[i] += float64(w * float64(v))
 			}
 		}
 		data := make([]float32, len(acc))

@@ -498,8 +498,10 @@ func (c *Contributor) Fold(e model.Entry) error {
 		return fmt.Errorf("orchestrator: update entry %q incompatible", e.Name)
 	}
 	w := c.weight
+	// float64(...) rounds the product on its own, so no architecture
+	// fuses it into the add: a withdraw subtracts exactly what was added.
 	for j, v := range e.Tensor.Data() {
-		sum[j] += w * float64(v)
+		sum[j] += float64(w * float64(v))
 	}
 	shard.mu.Unlock()
 	obsFolds.Inc()
@@ -603,7 +605,7 @@ func (c *Contributor) AbortReason(reason DropReason) {
 			}
 			w := c.weight
 			for j, v := range data {
-				sum[j] -= w * float64(v)
+				sum[j] -= float64(w * float64(v))
 			}
 			return nil
 		})

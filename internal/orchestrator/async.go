@@ -268,7 +268,7 @@ func mixStateDicts(g, u *model.StateDict, alpha float64) (*model.StateDict, erro
 		gd, ud := ge.Tensor.Data(), ue.Tensor.Data()
 		data := make([]float32, len(ud))
 		for i := range data {
-			data[i] = float32((1-alpha)*float64(gd[i]) + alpha*float64(ud[i]))
+			data[i] = float32(float64((1-alpha)*float64(gd[i])) + float64(alpha*float64(ud[i])))
 		}
 		t, err := tensor.FromData(data, ue.Tensor.Shape()...)
 		if err != nil {

@@ -58,7 +58,7 @@ func (q Quantizer) Encode(val, pred float64) (code int, recon float64, ok bool) 
 		return 0, 0, false
 	}
 	code = int(c)
-	recon = pred + float64(code)*q.step
+	recon = pred + float64(float64(code)*q.step)
 	// Guard against floating-point edge cases: if rounding pushed the
 	// reconstruction outside the bound, treat as unpredictable.
 	if math.Abs(recon-val) > q.eb*(1+1e-9) {
@@ -99,7 +99,10 @@ func ValidStream(radius uint64, maxCode int32) bool {
 	return radius >= 1 && radius <= MaxRadius && int64(maxCode) <= 2*int64(radius)+1
 }
 
-// Decode reconstructs a value from its code and prediction.
+// Decode reconstructs a value from its code and prediction. Here and in
+// Encode the product is converted explicitly, which keeps a compiler
+// from fusing it into the add (arm64's does): the decoder rebuilds the
+// value the encoder checked on every architecture.
 func (q Quantizer) Decode(code int, pred float64) float64 {
-	return pred + float64(code)*q.step
+	return pred + float64(float64(code)*q.step)
 }

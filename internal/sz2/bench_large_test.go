@@ -72,7 +72,11 @@ var stageSink int
 // the same tensors, each sub-benchmark with the whole set's SetBytes, so
 // their ns/op add up to about BenchmarkCompressMobileNet's:
 //
-//   - fit: widen each block, fitLine and regressionWins;
+//   - fit: widen, fit and select as predict does (widen and pick): four
+//     full blocks per fitBlocksAVX2 call where the AVX2 path runs, each
+//     picked by the bound or, where it cannot decide, by the serial
+//     Lorenzo sum; otherwise fitLine and regressionWins per block. Each
+//     block's reconstruction-before comes from a full pass's decode;
 //   - coefficients: code each regression block's fitted pair against
 //     its chain, then the coefficient codes' Huffman stream;
 //   - quantize: the per-mode kernels, from pre-widened blocks, with the
@@ -142,18 +146,18 @@ func BenchmarkCompressStages(b *testing.B) {
 			}
 		})
 	}
-	var view [BlockSize]float64
+	fit := new(compScratch)
 	run("fit", func(s *staged) {
-		for blk, p := range s.prev {
-			block := s.data[blk*BlockSize : min((blk+1)*BlockSize, len(s.data))]
-			x := view[:len(block)]
-			for i, v := range block {
-				x[i] = float64(v)
+		for b := 0; b < len(s.prev); {
+			lo := b * BlockSize
+			n := c.widen(fit, s.data, lo)
+			for j := range n {
+				view := fit.view[j*BlockSize : j*BlockSize+min(BlockSize, len(s.data)-lo-j*BlockSize)]
+				if regress, _, _ := c.pick(fit, n, j, view, s.prev[b+j]); regress {
+					stageSink++
+				}
 			}
-			a0, a1, lorenzo := fitLine(x, p)
-			if regressionWins(x, a0, a1, lorenzo) {
-				stageSink++
-			}
+			b += n
 		}
 	})
 	var coefs compScratch

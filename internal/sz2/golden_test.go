@@ -23,7 +23,7 @@ func goldenData(n int) []float32 {
 	rng := rand.New(rand.NewSource(11))
 	data := make([]float32, n)
 	for i := range data {
-		data[i] = float32(i%977)*1e-3 + float32(rng.NormFloat64())*0.05
+		data[i] = float32(float32(i%977)*1e-3) + float32(float32(rng.NormFloat64())*0.05)
 		if rng.Float64() < 0.002 {
 			data[i] *= 1e4
 		}

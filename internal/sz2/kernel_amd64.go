@@ -44,3 +44,13 @@ func regressAVX2(codes []int32, view []float64, a0, a1, step, tol, eb, rad float
 //
 //go:noescape
 func reconRegressAVX2(out []float32, codes []int32, a0, a1, step float64, off int32) (zero bool)
+
+// fitBlocksAVX2 widens the four full blocks of src into view, row-major
+// for the quantizer, and lanes, lane-major, and fits each block in its
+// own lane, in fitLine's and regressionWins' order: fit holds every
+// block's a0, a1 and residual sum bit for bit as they compute them, and
+// its Lorenzo sum without the first term, the chain started at
+// prev = x[0] (see regressionWinsLanes).
+//
+//go:noescape
+func fitBlocksAVX2(view, lanes *[4 * BlockSize]float64, src *[4 * BlockSize]float32, fit *laneFits)

@@ -168,3 +168,122 @@ rloop:
 	TESTL BX, BX
 	SETNE zero+80(FP)
 	RET
+
+// The fit's constants at n = BlockSize = 128, each as fitLine computes
+// it, exactly.
+DATA fitconst<>+0(SB)/8, $0x4060000000000000  // n = 128
+DATA fitconst<>+8(SB)/8, $0x40bfc00000000000  // sumX = n(n-1)/2 = 8128
+DATA fitconst<>+16(SB)/8, $0x4175550000000000 // denom = n·sumXX - sumX² = 22368256
+GLOBL fitconst<>(SB), RODATA|NOPTR, $24
+
+// FITSTEP adds the values x at one position, lanes-major at off(R8), to
+// the first pass's three chains, prev holding the position before.
+#define FITSTEP(x, prev, off) \
+	VMOVUPD x, off(R8); \
+	VADDPD x, Y8, Y8; \
+	VMULPD x, Y12, Y4; \
+	VADDPD Y4, Y9, Y9; \
+	VSUBPD prev, x, Y5; \
+	VANDPD Y14, Y5, Y5; \
+	VADDPD Y5, Y10, Y10; \
+	VADDPD Y13, Y12, Y12
+
+// RESIDSTEP adds one position's residuals, its values at off(R10), to
+// the second pass's chain.
+#define RESIDSTEP(off) \
+	VMULPD Y12, Y6, Y0; \
+	VADDPD Y0, Y7, Y0; \
+	VMOVUPD off(R10), Y1; \
+	VSUBPD Y0, Y1, Y1; \
+	VANDPD Y14, Y1, Y1; \
+	VADDPD Y1, Y5, Y5; \
+	VADDPD Y13, Y12, Y12
+
+// func fitBlocksAVX2(view, lanes *[4 * BlockSize]float64, src *[4 * BlockSize]float32, fit *laneFits)
+//
+// Lane j is block j of src. The first pass, per position i in order:
+//   x     = float64(src[128j + i]), stored to view[128j + i] and, lane-
+//           major, to lanes[4i + j] by a 4x4 transpose
+//   sumY  = sumY + x
+//   sumXY = sumXY + float64(i)·x, a multiply then an add (never FMA)
+//   L0    = L0 + |x - prev|; prev = x, from prev = x at i = 0
+// then fitLine's a1 = (n·sumXY - sumX·sumY)/denom and
+// a0 = (sumY - a1·sumX)/n, and the second pass, per position in order,
+// regressionWins' regress = regress + |x - (a0 + a1·i)|.
+TEXT ·fitBlocksAVX2(SB), NOSPLIT, $0-32
+	MOVQ view+0(FP), DI
+	MOVQ lanes+8(FP), R8
+	MOVQ src+16(FP), SI
+	MOVQ fit+24(FP), R9
+	MOVQ R8, R10               // lanes, for the second pass
+	VXORPD Y8, Y8, Y8          // sumY
+	VXORPD Y9, Y9, Y9          // sumXY
+	VXORPD Y10, Y10, Y10       // L0
+	VXORPD Y12, Y12, Y12       // i, in every lane
+	VMOVUPD ones<>(SB), Y13
+	VMOVUPD absmask<>(SB), Y14
+	XORQ AX, AX
+
+fitloop:
+	VCVTPS2PD (SI)(AX*4), Y0   // block 0, values i..i+3
+	VCVTPS2PD 512(SI)(AX*4), Y1
+	VCVTPS2PD 1024(SI)(AX*4), Y2
+	VCVTPS2PD 1536(SI)(AX*4), Y3
+	VMOVUPD Y0, (DI)(AX*8)
+	VMOVUPD Y1, 1024(DI)(AX*8)
+	VMOVUPD Y2, 2048(DI)(AX*8)
+	VMOVUPD Y3, 3072(DI)(AX*8)
+	VUNPCKLPD Y1, Y0, Y4       // x0[i] x1[i] x0[i+2] x1[i+2]
+	VUNPCKHPD Y1, Y0, Y5       // x0[i+1] x1[i+1] x0[i+3] x1[i+3]
+	VUNPCKLPD Y3, Y2, Y6
+	VUNPCKHPD Y3, Y2, Y7
+	VPERM2F128 $0x20, Y6, Y4, Y0 // position i, blocks 0..3
+	VPERM2F128 $0x20, Y7, Y5, Y1 // i+1
+	VPERM2F128 $0x31, Y6, Y4, Y2 // i+2
+	VPERM2F128 $0x31, Y7, Y5, Y3 // i+3
+	TESTQ AX, AX
+	JNZ fitsteps
+	VMOVAPD Y0, Y11            // prev = x at i = 0
+
+fitsteps:
+	FITSTEP(Y0, Y11, 0)
+	FITSTEP(Y1, Y0, 32)
+	FITSTEP(Y2, Y1, 64)
+	FITSTEP(Y3, Y2, 96)
+	VMOVAPD Y3, Y11
+	ADDQ $128, R8
+	ADDQ $4, AX
+	CMPQ AX, $128
+	JB fitloop
+
+	VBROADCASTSD fitconst<>+0(SB), Y0  // n
+	VBROADCASTSD fitconst<>+8(SB), Y1  // sumX
+	VBROADCASTSD fitconst<>+16(SB), Y2 // denom
+	VMULPD Y9, Y0, Y3          // n·sumXY
+	VMULPD Y8, Y1, Y4          // sumX·sumY
+	VSUBPD Y4, Y3, Y3
+	VDIVPD Y2, Y3, Y6          // a1
+	VMULPD Y6, Y1, Y4          // a1·sumX
+	VSUBPD Y4, Y8, Y4
+	VDIVPD Y0, Y4, Y7          // a0
+	VMOVUPD Y7, 0(R9)
+	VMOVUPD Y6, 32(R9)
+	VMOVUPD Y10, 96(R9)
+
+	VXORPD Y5, Y5, Y5          // regress
+	VXORPD Y12, Y12, Y12
+	XORQ AX, AX
+
+residloop:
+	RESIDSTEP(0)
+	RESIDSTEP(32)
+	RESIDSTEP(64)
+	RESIDSTEP(96)
+	ADDQ $128, R10
+	ADDQ $4, AX
+	CMPQ AX, $128
+	JB residloop
+
+	VMOVUPD Y5, 64(R9)
+	VZEROUPPER
+	RET

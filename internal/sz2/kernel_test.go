@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -54,7 +55,7 @@ func refEncode(val, pred, eb float64, radius int) (code int, recon float64, ok b
 		return 0, 0, false
 	}
 	code = int(c)
-	recon = pred + float64(code)*step
+	recon = pred + float64(float64(code)*step)
 	if math.Abs(recon-val) > eb*(1+1e-9) {
 		return 0, 0, false
 	}
@@ -86,7 +87,7 @@ func refFitLine(block []float32, prev float64) (a0, a1, lorenzo float64) {
 	for i, v := range block {
 		x := float64(v)
 		sumY += x
-		sumXY += float64(i) * x
+		sumXY += float64(float64(i) * x)
 		lorenzo += math.Abs(x - prev)
 		prev = x
 	}
@@ -99,21 +100,25 @@ func refFitLine(block []float32, prev float64) (a0, a1, lorenzo float64) {
 	}
 	sumX := n * (n - 1) / 2
 	sumXX := (n - 1) * n * (2*n - 1) / 6
-	denom := n*sumXX - sumX*sumX
+	denom := float64(n*sumXX) - float64(sumX*sumX)
 	if denom == 0 {
 		return sumY / n, 0, lorenzo
 	}
-	a1 = (n*sumXY - sumX*sumY) / denom
-	a0 = (sumY - a1*sumX) / n
+	a1 = (float64(n*sumXY) - float64(sumX*sumY)) / denom
+	a0 = (sumY - float64(a1*sumX)) / n
 	return a0, a1, lorenzo
 }
 
 func refRegressionWins(block []float32, a0, a1, lorenzo float64) bool {
-	var regress float64
+	return refResidual(block, a0, a1) < lorenzo*0.8
+}
+
+// refResidual is regressionWins' residual sum.
+func refResidual(block []float32, a0, a1 float64) (regress float64) {
 	for i, v := range block {
-		regress += math.Abs(float64(v) - (a0 + a1*float64(i)))
+		regress += math.Abs(float64(v) - (a0 + float64(a1*float64(i))))
 	}
-	return regress < lorenzo*0.8
+	return regress
 }
 
 // refCoef codes coefficient a against its prediction *prev with
@@ -127,20 +132,22 @@ func refCoef(sc *compScratch, prev *float64, a, step float64) float64 {
 		*prev = float64(float32(a))
 	} else {
 		sc.coefCodes = append(sc.coefCodes, int32(c)+coefRadius+1)
-		*prev += c * step
+		*prev += float64(c * step)
 	}
 	return *prev
 }
 
 // refPredict is predict as one loop over elements: a refEncode call per
 // value and the block mode branched on inside it. demoted counts the
-// values only the float32 mirror made outliers.
-func refPredict(data []float32, eb float64, noRegression bool) (sc *compScratch, demoted int) {
+// values only the float32 mirror made outliers, and prevs holds each
+// block's reconstruction before it.
+func refPredict(data []float32, eb float64, noRegression bool) (sc *compScratch, demoted int, prevs []float64) {
 	sc = new(compScratch)
 	var prevA0, prevA1 float64 // the last regression block's dequantized pair
 	prevRecon := 0.0
 	for lo := 0; lo < len(data); lo += BlockSize {
 		block := data[lo:min(lo+BlockSize, len(data))]
+		prevs = append(prevs, prevRecon)
 		mode := predLorenzo
 		var a0, a1 float64
 		if !noRegression {
@@ -159,7 +166,7 @@ func refPredict(data []float32, eb float64, noRegression bool) (sc *compScratch,
 		for i, v := range block {
 			pred := recon
 			if mode == predRegress {
-				pred = a0 + a1*float64(i)
+				pred = a0 + float64(a1*float64(i))
 			}
 			code, r, dem := refElement(v, pred, eb)
 			if dem {
@@ -173,7 +180,7 @@ func refPredict(data []float32, eb float64, noRegression bool) (sc *compScratch,
 		}
 		prevRecon = recon
 	}
-	return sc, demoted
+	return sc, demoted, prevs
 }
 
 func float32Bits(xs []float32) []uint32 {
@@ -221,7 +228,7 @@ func checkReference(t *testing.T, c *Compressor, data []float32, p lossy.Params)
 	if len(data) == 0 {
 		return nil, 0
 	}
-	ref, demoted = refPredict(data, eb, c.noRegression)
+	ref, demoted, _ = refPredict(data, eb, c.noRegression)
 	sc := new(compScratch)
 	c.predict(sc, data, eb)
 	if !bytes.Equal(sc.modes, ref.modes) {
@@ -296,7 +303,7 @@ func kernelCases() []struct {
 	var ramps []float32
 	for _, h := range []float32{0.5, 1.5, r, r + 0.5, r + 1} {
 		for i := 0; i < BlockSize; i++ {
-			ramps = append(ramps, float32(i)+h*thueMorse[i%8])
+			ramps = append(ramps, float32(i)+float32(h*thueMorse[i%8]))
 		}
 	}
 	// Near 1e8 float32 values are 8 apart; at eb = 4.75 a reconstruction
@@ -304,7 +311,7 @@ func kernelCases() []struct {
 	rng := rand.New(rand.NewSource(5))
 	demote := make([]float32, 2*BlockSize+17)
 	for i := range demote {
-		demote[i] = 1e8 + 8*float32(rng.Intn(6))
+		demote[i] = 1e8 + float32(8*float32(rng.Intn(6)))
 	}
 	// Smooth ramps pick regression and noise picks Lorenzo; the tail
 	// block is 37 values long.
@@ -315,6 +322,42 @@ func kernelCases() []struct {
 		} else {
 			mixed[i] = float32(rng.NormFloat64())
 		}
+	}
+	// Blocks the four-block selection's bound cannot decide (see
+	// countSelections): constant blocks, at the last block's level or
+	// off it, and steps, where Lorenzo wins or wins only with its first
+	// term; tieBlock's regress sits exactly at 0.8 times its Lorenzo sum
+	// without the first term, after a block ending on 0 and after one
+	// ending on 3; and regression-friendly ramps after a block ending in
+	// NaN or ±Inf, whose first term is NaN or +Inf.
+	var levels []float32
+	for b, level := range []float32{0, 0, 3, 3, -2, 7, 7, 7, 1} {
+		for i := range BlockSize {
+			v := level
+			if b == 7 && i >= BlockSize/2 {
+				v++ // a step
+			}
+			levels = append(levels, v)
+		}
+	}
+	levels = append(levels, 1, 1, 1)
+	var atBound []float32
+	for _, level := range []float32{-1, 3, -1, -1, 3, -1, -1, -1} {
+		block := tieBlock()
+		if level >= 0 {
+			for i := range block {
+				block[i] = level
+			}
+		}
+		atBound = append(atBound, block...)
+	}
+	atBound = append(atBound, tieBlock()[:37]...)
+	afterNaN := make([]float32, 9*BlockSize)
+	for i := range afterNaN {
+		afterNaN[i] = float32(0.01*float32(i%BlockSize)) + float32(0.001*rng.NormFloat64())
+	}
+	for b, last := range map[int]float32{0: float32(math.NaN()), 2: inf, 4: -inf, 5: float32(math.NaN())} {
+		afterNaN[(b+1)*BlockSize-1] = last
 	}
 	return []struct {
 		name string
@@ -332,7 +375,28 @@ func kernelCases() []struct {
 		{"mixed_abs", mixed, lossy.AbsBound(1e-4)},
 		{"golden", goldenData(5000), lossy.RelBound(1e-3)},
 		{"one", []float32{3}, lossy.AbsBound(0.1)},
+		{"levels", levels, lossy.AbsBound(1e-3)},
+		{"selection_ties", atBound, lossy.AbsBound(0.5)},
+		{"nan_before_ramp", afterNaN, lossy.AbsBound(1e-3)},
 	}
+}
+
+// tieBlock is a block whose fitted line is exactly 0 and whose residual
+// sum is exactly 0.8 times its Lorenzo sum without the first term:
+// sixteen units ±(0 5 2 1 0 0 0 0), signed by the Thue–Morse sequence,
+// whose sum and first moment vanish. Each unit adds 8 to the residual
+// sum and 10 to the Lorenzo sum, and units meet at 0, so the sums are
+// 128 and 160, and 160·0.8 rounds to 128.
+func tieBlock() []float32 {
+	unit := [8]float32{0, 5, 2, 1, 0, 0, 0, 0}
+	block := make([]float32, 0, BlockSize)
+	for k := range BlockSize / 8 {
+		sign := float32(1 - 2*(bits.OnesCount(uint(k))%2))
+		for _, v := range unit {
+			block = append(block, sign*v)
+		}
+	}
+	return block
 }
 
 // TestKernelMatchesReference pins the per-mode kernels to the
@@ -376,6 +440,196 @@ func TestKernelMatchesReferenceMobileNet(t *testing.T) {
 			checkReference(t, New(), data, lossy.RelBound(1e-2))
 		}
 	})
+	var n selections
+	for _, data := range tensors {
+		eb, err := lossy.RelBound(1e-2).Resolve(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n.add(countSelections(data, eb))
+	}
+	t.Logf("four-block runs: %+v", n)
+	if n.bound < 9*n.blocks()/10 {
+		t.Fatalf("the bound decided %d of %d blocks", n.bound, n.blocks())
+	}
+}
+
+// selections counts how the four-block selection decides the blocks in
+// four-block runs (see regressionWinsLanes), with L0 the Lorenzo sum
+// without its first term t0 = |x0 − prevRecon|.
+type selections struct {
+	bound    int // regress < 0.8·L0 and t0 not NaN: regression, prevRecon unread
+	nanFirst int // regress < 0.8·L0 but t0 NaN: serial, and Lorenzo
+	// The rest are serial: regression only with t0 in the sum, or Lorenzo.
+	serialRegress, serialLorenzo int
+	tie                          int // regress == 0.8·L0, of any of the above
+}
+
+func (n *selections) add(m selections) {
+	n.bound += m.bound
+	n.nanFirst += m.nanFirst
+	n.serialRegress += m.serialRegress
+	n.serialLorenzo += m.serialLorenzo
+	n.tie += m.tie
+}
+
+func (n selections) blocks() int {
+	return n.bound + n.nanFirst + n.serialRegress + n.serialLorenzo
+}
+
+// countSelections classifies data's blocks in four-block runs from the
+// reference fit and the reference's reconstruction before each block.
+func countSelections(data []float32, eb float64) (n selections) {
+	_, _, prevs := refPredict(data, eb, false)
+	for b := range len(data) / (4 * BlockSize) * 4 {
+		block := data[b*BlockSize : (b+1)*BlockSize]
+		a0, a1, from0 := refFitLine(block, float64(block[0]))
+		_, _, lorenzo := refFitLine(block, prevs[b])
+		regress := refResidual(block, a0, a1)
+		switch t0 := math.Abs(float64(block[0]) - prevs[b]); {
+		case regress < from0*0.8 && t0 == t0:
+			n.bound++
+		case regress < from0*0.8:
+			n.nanFirst++
+		case regress < lorenzo*0.8:
+			n.serialRegress++
+		default:
+			n.serialLorenzo++
+		}
+		if regress == from0*0.8 {
+			n.tie++
+		}
+	}
+	return n
+}
+
+// selectionCases are tensors of 1–9 full blocks, with and without a
+// partial block, of ramps and noise, and tensors of eight full blocks
+// and a partial one with a special value — NaN, ±Inf, −0 or a
+// subnormal — in block 0–3 of the first four-block run (each lane) and
+// block 4–7 of the second, at position 0, 1 or 127 of each; at 127 it
+// is the next block's prevRecon.
+func selectionCases() []struct {
+	name string
+	data []float32
+	p    lossy.Params
+} {
+	rng := rand.New(rand.NewSource(37))
+	base := func(n int) []float32 {
+		data := make([]float32, n)
+		for i := range data {
+			if (i/BlockSize)%3 == 2 {
+				data[i] = float32(rng.NormFloat64())
+			} else {
+				data[i] = float32(0.01*float32(i%BlockSize)) + float32(0.001*rng.NormFloat64())
+			}
+		}
+		return data
+	}
+	type tc = struct {
+		name string
+		data []float32
+		p    lossy.Params
+	}
+	var cases []tc
+	for blocks := 1; blocks <= 9; blocks++ {
+		for _, tail := range []int{0, 37} {
+			cases = append(cases, tc{fmt.Sprintf("%d_blocks+%d", blocks, tail), base(blocks*BlockSize + tail), lossy.RelBound(1e-3)})
+		}
+	}
+	specials := []struct {
+		name string
+		v    float32
+	}{
+		{"NaN", float32(math.NaN())}, {"+Inf", float32(math.Inf(1))}, {"-Inf", float32(math.Inf(-1))},
+		{"-0", float32(math.Copysign(0, -1))}, {"+min", math.SmallestNonzeroFloat32},
+		{"-min", -math.SmallestNonzeroFloat32}, {"subnormal_max", math.Float32frombits(0x007fffff)},
+	}
+	for _, sp := range specials {
+		name, v := sp.name, sp.v
+		for lane := range 4 {
+			for _, at := range []int{0, 1, BlockSize - 1} {
+				data := base(8*BlockSize + 37)
+				data[lane*BlockSize+at] = v
+				data[(4+lane)*BlockSize+at] = v
+				cases = append(cases, tc{fmt.Sprintf("%s/lane%d/at%d", name, lane, at), data, lossy.AbsBound(1e-3)})
+			}
+		}
+	}
+	return cases
+}
+
+// TestFourBlockSelection pins predict's four-block selection — the
+// AVX2 fit, the bound and the serial fallback — to the per-block
+// reference (fitLine, regressionWins) on both paths, through modes,
+// coefficients, codes and outliers, over selectionCases and
+// kernelCases, and checks that those reach every way a block can be
+// decided (see selections).
+func TestFourBlockSelection(t *testing.T) {
+	var n selections
+	cases := append(selectionCases(), kernelCases()...)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			eachPath(t, func(t *testing.T) { checkReference(t, New(), tc.data, tc.p) })
+		})
+		if eb, err := tc.p.Resolve(tc.data); err == nil && len(tc.data) > 0 {
+			n.add(countSelections(tc.data, eb))
+		}
+	}
+	t.Logf("four-block runs: %+v", n)
+	if n.bound == 0 || n.nanFirst == 0 || n.serialRegress == 0 || n.serialLorenzo == 0 || n.tie == 0 {
+		t.Fatalf("the cases missed a way to decide a block: %+v", n)
+	}
+}
+
+// TestFitLanes pins fitBlocksAVX2 to the scalar fit lane by lane: the
+// row-major and lane-major widened values, and each block's a0 and a1
+// (fitLine), residual sum (regressionWins) and Lorenzo sum from
+// prev = x[0], bit for bit; a NaN need only be a NaN. Its inputs are
+// every four-block run of selectionCases, kernelCases and, unless
+// -short, the MobileNetV2 update.
+func TestFitLanes(t *testing.T) {
+	if !haveAVX2 {
+		t.Skip("the CPU lacks AVX2: only the scalar loops run")
+	}
+	var inputs [][]float32
+	for _, tc := range append(selectionCases(), kernelCases()...) {
+		inputs = append(inputs, tc.data)
+	}
+	if !testing.Short() {
+		tensors, _ := mobileNetTensors()
+		inputs = append(inputs, tensors...)
+	}
+	same := func(a, b float64) bool {
+		return math.Float64bits(a) == math.Float64bits(b) || a != a && b != b
+	}
+	sc := new(compScratch)
+	lanes := 0
+	for _, data := range inputs {
+		for lo := 0; len(data)-lo >= 4*BlockSize; lo += 4 * BlockSize {
+			fitBlocksAVX2(&sc.view, &sc.lanes, (*[4 * BlockSize]float32)(data[lo:]), &sc.fits)
+			f := &sc.fits
+			for j := range 4 {
+				block := data[lo+j*BlockSize : lo+(j+1)*BlockSize]
+				for i, v := range block {
+					if !same(sc.view[j*BlockSize+i], float64(v)) || !same(sc.lanes[4*i+j], float64(v)) {
+						t.Fatalf("block %d value %d: widened %v and %v, want %v", lo/BlockSize+j, i, sc.view[j*BlockSize+i], sc.lanes[4*i+j], v)
+					}
+				}
+				a0, a1, from0 := refFitLine(block, float64(block[0]))
+				want := [4]float64{a0, a1, refResidual(block, a0, a1), from0}
+				got := [4]float64{f.a0[j], f.a1[j], f.regress[j], f.lorenzo[j]}
+				for k, name := range []string{"a0", "a1", "regress", "lorenzo"} {
+					if !same(got[k], want[k]) {
+						t.Fatalf("block %d: %s %v (%#x), scalar %v (%#x)", lo/BlockSize+j, name,
+							got[k], math.Float64bits(got[k]), want[k], math.Float64bits(want[k]))
+					}
+				}
+				lanes++
+			}
+		}
+	}
+	t.Logf("%d lanes", lanes)
 }
 
 // TestRegressLanes pins kernel.regress, on each path, to refElement
@@ -447,7 +701,7 @@ func TestRegressLanes(t *testing.T) {
 								block[i] = special(i)
 							}
 							view[i] = float64(block[i])
-							want[i], wantRecon, _ = refElement(block[i], tc.a0+tc.a1*float64(i), tc.eb)
+							want[i], wantRecon, _ = refElement(block[i], tc.a0+float64(tc.a1*float64(i)), tc.eb)
 							if want[i] == 0 {
 								wantOut = append(wantOut, block[i])
 							}
@@ -477,7 +731,7 @@ func TestRegressLanes(t *testing.T) {
 							t.Fatalf("%s: decoder kernel reported code 0 %v", where, zero)
 						}
 						for i, c := range codes[:n4] {
-							_, r, _ := refElement(block[i], tc.a0+tc.a1*float64(i), tc.eb)
+							_, r, _ := refElement(block[i], tc.a0+float64(tc.a1*float64(i)), tc.eb)
 							if c != 0 && math.Float32bits(out[i]) != math.Float32bits(float32(r)) {
 								t.Fatalf("%s: value %d decoded %v, encoder rebuilt %v", where, i, out[i], float32(r))
 							}

@@ -55,6 +55,30 @@
 // so every byte, equals a per-element Encode loop's; kernel_test.go
 // keeps that loop as the reference.
 //
+// The fit and the selection need no reconstruction but the one before
+// the block, so on amd64 with AVX2 (below) and regression on, predict
+// widens and fits runs of four full blocks with one kernel call,
+// fitBlocksAVX2, one block per lane: the lanes are independent, so each
+// keeps fitLine's and regressionWins' sums in their order, bit for bit,
+// multiplying then adding. Lorenzo's sum is the one term that links a
+// block to the last: its first term is |x0 − prevRecon|, and prevRecon
+// exists only once the last block is quantized. The kernel sums the
+// chain without that term, L0, and a block whose residual sum is under
+// 0.8·L0 is a regression block without waiting: the term is ≥ 0, and a
+// rounded sum and the 0.8 multiply are monotone, so the full sum is at
+// least L0, unless the term is NaN, which makes the full rule false. A
+// block the bound cannot decide (on a MobileNetV2 update, 16 of 27 052)
+// sums the full chain from prevRecon and takes regressionWins'
+// comparison. Runs of fewer than four full blocks, a partial last block
+// and builds without the kernel fit each block with fitLine.
+//
+// Every product that is then added is written float64(x*y): the Go
+// spec lets a compiler fuse x*y + z into one rounding, the arm64 backend
+// does, and the explicit conversion forbids it, so every architecture
+// rounds as amd64 does and an arm64 decoder rebuilds the values the
+// encoder checked against eb. scripts/fma_gate.sh fails on a fused
+// multiply-add in the arm64 build of the codecs and the aggregators.
+//
 // On amd64 with AVX2, detected once at init from CPUID and XGETBV
 // (kernel_amd64.s), a regression block is quantized four values per
 // step: the same multiply then add (never FMA), a divide (never a
@@ -95,7 +119,16 @@ type compScratch struct {
 	outliers  []float32
 	coefs     []byte // the coefficient stream, built before its length prefix
 	payload   []byte
-	view      [BlockSize]float64 // the current block, widened once
+	view      [4 * BlockSize]float64 // the current block, or fitBlocksAVX2's four, widened once
+	lanes     [4 * BlockSize]float64 // fitBlocksAVX2's lane-major copy
+	fits      laneFits
+}
+
+// laneFits is fitBlocksAVX2's output, lane j for block j: the fitted
+// line, the residual sum regressionWins takes, and the Lorenzo sum
+// without its first term.
+type laneFits struct {
+	a0, a1, regress, lorenzo [4]float64
 }
 
 var compPool = sync.Pool{
@@ -214,37 +247,68 @@ func (s *Compressor) predict(sc *compScratch, data []float32, eb float64) {
 	}
 
 	prevRecon := 0.0 // reconstruction of the last value of the previous block
-	for b := range sc.modes {
+	for b := 0; b < nBlocks; {
 		lo := b * BlockSize
-		hi := min(lo+BlockSize, len(data))
-		block := data[lo:hi]
-		// Widen once: the fit, the selection and the quantizer all read
-		// whole float64s, so no loop carries a partial-register convert.
-		view := sc.view[:len(block)]
-		for i, v := range block {
-			view[i] = float64(v)
+		run := s.widen(sc, data, lo)
+		for j := range run {
+			view := sc.view[j*BlockSize : j*BlockSize+min(BlockSize, len(data)-lo-j*BlockSize)]
+			regress, a0, a1 := s.pick(sc, run, j, view, prevRecon)
+			prevRecon = sc.code(&k, &chain, b+j, data, view, prevRecon, regress, a0, a1)
 		}
-
-		mode := predLorenzo
-		var a0, a1 float64
-		if !s.noRegression {
-			var lorenzo float64
-			a0, a1, lorenzo = fitLine(view, prevRecon)
-			if regressionWins(view, a0, a1, lorenzo) {
-				mode = predRegress
-			}
-		}
-		sc.modes[b] = byte(mode)
-		if mode == predRegress {
-			// The kernel predicts from the pair the decoder rebuilds, so
-			// every element is checked against eb as the decoder sees it.
-			a0, a1 = sc.codeCoef(&chain, 0, a0), sc.codeCoef(&chain, 1, a1)
-			prevRecon = k.regress(sc.codes[lo:hi], block, view, a0, a1)
-		} else {
-			prevRecon = k.lorenzo(sc.codes[lo:hi], block, view, prevRecon)
-		}
+		b += run
 	}
 	sc.outliers = k.outliers
+}
+
+// widen widens the run of blocks from element lo on into sc.view and
+// returns how many blocks it holds. Where the AVX2 path runs with
+// regression on, a run is four full blocks, which fitBlocksAVX2 also
+// fits into sc.fits, a lane each: no block's sums wait on another's.
+// Otherwise a run is one block, which pick fits. Widening once means
+// the fit, the selection and the quantizer all read whole float64s, so
+// no loop carries a partial-register convert.
+func (s *Compressor) widen(sc *compScratch, data []float32, lo int) (run int) {
+	if useAVX2 && !s.noRegression && len(data)-lo >= 4*BlockSize {
+		fitBlocksAVX2(&sc.view, &sc.lanes, (*[4 * BlockSize]float32)(data[lo:]), &sc.fits)
+		return 4
+	}
+	for i, v := range data[lo:min(lo+BlockSize, len(data))] {
+		sc.view[i] = float64(v)
+	}
+	return 1
+}
+
+// pick chooses the predictor of block j of a run widen left in sc, view
+// its widened values and prevRecon the reconstruction before it, and
+// returns the block's fitted line. A four-block run waits on prevRecon
+// only where regressionWinsLanes' bound cannot decide.
+func (s *Compressor) pick(sc *compScratch, run, j int, view []float64, prevRecon float64) (regress bool, a0, a1 float64) {
+	switch {
+	case s.noRegression:
+		return false, 0, 0
+	case run == 4:
+		f := &sc.fits
+		return regressionWinsLanes(view, prevRecon, f.regress[j], f.lorenzo[j]), f.a0[j], f.a1[j]
+	}
+	a0, a1, lorenzo := fitLine(view, prevRecon)
+	return regressionWins(view, a0, a1, lorenzo), a0, a1
+}
+
+// code records block b's mode and quantizes its widened values view
+// into sc, a regression block against the coefficient pair the decoder
+// rebuilds from the chain, so every element is checked against eb as
+// the decoder sees it. It returns the reconstruction of the block's last
+// value.
+func (sc *compScratch) code(k *kernel, chain *coefChain, b int, data []float32, view []float64, prevRecon float64, regress bool, a0, a1 float64) float64 {
+	lo := b * BlockSize
+	codes, block := sc.codes[lo:lo+len(view)], data[lo:lo+len(view)]
+	if !regress {
+		sc.modes[b] = predLorenzo
+		return k.lorenzo(codes, block, view, prevRecon)
+	}
+	sc.modes[b] = predRegress
+	a0, a1 = sc.codeCoef(chain, 0, a0), sc.codeCoef(chain, 1, a1)
+	return k.regress(codes, block, view, a0, a1)
 }
 
 // codeCoef codes coefficient j (0 the intercept, 1 the slope) of a
@@ -489,7 +553,7 @@ func (s *Compressor) DecompressInto(dst []float32, buf []byte) ([]float32, error
 			} else {
 				var pred float64
 				if mode == predRegress {
-					pred = a0 + a1*float64(i)
+					pred = a0 + float64(a1*float64(i))
 				} else {
 					pred = recon
 				}
@@ -545,7 +609,7 @@ func newCoefChain(eb float64) coefChain {
 // next dequantizes code q of coefficient j and makes it the next
 // prediction.
 func (c *coefChain) next(j, q int) float64 {
-	c.prev[j] += float64(q) * c.step[j]
+	c.prev[j] += float64(float64(q) * c.step[j])
 	return c.prev[j]
 }
 
@@ -634,10 +698,10 @@ func (k *kernel) regress(codes []int32, block []float32, view []float64, a0, a1 
 	}
 	for i := start; i < len(view); i++ {
 		x := view[i]
-		pred := a0 + a1*float64(i)
+		pred := a0 + float64(a1*float64(i))
 		c := quant.Round((x - pred) / step)
 		code := int(c)
-		r := pred + float64(code)*step
+		r := pred + float64(float64(code)*step)
 		f := float64(float32(r))
 		if d, e := r-x, f-x; !(c >= -rad && c <= rad) || d > tol || d < -tol || e > eb || e < -eb {
 			codes[i] = 0
@@ -661,7 +725,7 @@ func (k *kernel) lorenzo(codes []int32, block []float32, view []float64, recon f
 		pred := recon
 		c := quant.Round((x - pred) / step)
 		code := int(c)
-		r := pred + float64(code)*step
+		r := pred + float64(float64(code)*step)
 		f := float64(float32(r))
 		if d, e := r-x, f-x; !(c >= -rad && c <= rad) || d > tol || d < -tol || e > eb || e < -eb {
 			codes[i] = 0
@@ -682,7 +746,7 @@ func fitLine(block []float64, prev float64) (a0, a1, lorenzo float64) {
 	var sumY, sumXY float64
 	for i, x := range block {
 		sumY += x
-		sumXY += float64(i) * x
+		sumXY += float64(float64(i) * x)
 		lorenzo += math.Abs(x - prev)
 		prev = x // approximate: original value as prediction basis
 	}
@@ -695,12 +759,12 @@ func fitLine(block []float64, prev float64) (a0, a1, lorenzo float64) {
 	}
 	sumX := n * (n - 1) / 2
 	sumXX := (n - 1) * n * (2*n - 1) / 6
-	denom := n*sumXX - sumX*sumX
+	denom := float64(n*sumXX) - float64(sumX*sumX)
 	if denom == 0 {
 		return sumY / n, 0, lorenzo
 	}
-	a1 = (n*sumXY - sumX*sumY) / denom
-	a0 = (sumY - a1*sumX) / n
+	a1 = (float64(n*sumXY) - float64(sumX*sumY)) / denom
+	a0 = (sumY - float64(a1*sumX)) / n
 	return a0, a1, lorenzo
 }
 
@@ -720,7 +784,28 @@ func fitLine(block []float64, prev float64) (a0, a1, lorenzo float64) {
 func regressionWins(block []float64, a0, a1, lorenzo float64) bool {
 	var regress float64
 	for i, x := range block {
-		regress += math.Abs(x - (a0 + a1*float64(i)))
+		regress += math.Abs(x - (a0 + float64(a1*float64(i))))
+	}
+	return regress < lorenzo*0.8
+}
+
+// regressionWinsLanes is regressionWins for a block fitBlocksAVX2 fitted,
+// which took the Lorenzo sum from0 without its first term
+// t0 = |view[0] − prevRecon|: the chain started at prev = view[0]. As
+// t0 ≥ 0 and a rounded sum and the 0.8 multiply are monotone, the full
+// sum is at least from0, so regress < 0.8·from0 picks regression
+// without prevRecon unless t0 is NaN, which makes the full sum NaN and
+// the rule false. Otherwise the full sum is taken serially from
+// prevRecon, as fitLine takes it, and compared as regressionWins does.
+func regressionWinsLanes(view []float64, prevRecon, regress, from0 float64) bool {
+	if regress < from0*0.8 && !math.IsNaN(view[0]-prevRecon) {
+		return true
+	}
+	var lorenzo float64
+	prev := prevRecon
+	for _, x := range view {
+		lorenzo += math.Abs(x - prev)
+		prev = x
 	}
 	return regress < lorenzo*0.8
 }

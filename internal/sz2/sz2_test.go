@@ -55,7 +55,7 @@ func TestRegressionHelpsOnLinearData(t *testing.T) {
 	for i := range data {
 		seg := i / 256
 		slope := float32(seg%5) - 2
-		data[i] = slope*float32(i%256)/256 + float32(seg)
+		data[i] = float32(slope*float32(i%256)/256) + float32(seg)
 	}
 	p := lossy.RelBound(1e-3)
 	hybrid, err := New().Compress(data, p)
@@ -98,7 +98,7 @@ func TestOutlierPath(t *testing.T) {
 func TestFitLine(t *testing.T) {
 	block := make([]float64, 64)
 	for i := range block {
-		block[i] = 3 + 0.5*float64(i)
+		block[i] = 3 + float64(0.5*float64(i))
 	}
 	a0, a1, lorenzo := fitLine(block, 1)
 	if math.Abs(a0-3) > 1e-6 || math.Abs(a1-0.5) > 1e-6 {

@@ -315,7 +315,7 @@ func (s *Compressor) predict(recon []float32, i, stride int, cubicOK bool) float
 	if cubicOK && !s.linearOnly {
 		l2 := float64(recon[i-3*stride])
 		r2 := float64(recon[i+3*stride])
-		return (-l2 + 9*left + 9*right - r2) / 16
+		return (-l2 + float64(9*left) + float64(9*right) - r2) / 16
 	}
 	return (left + right) / 2
 }
