@@ -55,7 +55,8 @@ fmt:
 # go vet (on amd64 its asmdecl pass checks sz2's assembly against the
 # Go declarations), go vet for arm64, which builds sz2's scalar
 # fallback instead, the FMA gate (no fused multiply-add in the arm64
-# build of the codecs and the aggregators, see scripts/fma_gate.sh),
+# build of the codecs, the aggregators, the seeded model init and the
+# stats they use, see scripts/fma_gate.sh),
 # then the deprecation gate: no non-test Go file may carry a
 # "Deprecated:" marker. A superseded surface is deleted, not kept as a
 # shim beside its replacement.

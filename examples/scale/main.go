@@ -1,10 +1,9 @@
-// Example scale runs the federated simulation three ways over one
-// config — synchronous rounds with over-provisioned sampling and a
-// straggler deadline, FedBuff-style asynchronous buffering, and a
-// 2-tier run where regional edge aggregators fold their clients and
-// forward one partial sum each — over a heterogeneous client
-// population, with FedSZ-compressed uplinks folding into the
-// streaming sharded aggregator. All times are virtual. The tiered
+// Example scale runs the federated simulation two ways over one
+// config — flat rounds with over-provisioned sampling and a straggler
+// deadline, and a 2-tier run where regional edge aggregators fold
+// their clients and forward one partial sum each — over a
+// heterogeneous client population, with FedSZ-compressed uplinks
+// folding into the streaming sharded aggregator. All times are virtual. The tiered
 // section prints per-tier bytes-on-wire: the client→edge uplink
 // traffic next to the (much smaller count of) edge→core partial frames.
 //
@@ -50,21 +49,6 @@ func main() {
 		fmt.Printf("  round %d: acc %.3f, %d/%d updates (%d dropped), %.1fs virtual, %.2f MB up\n",
 			m.Round, m.TestAccuracy, m.Participants-m.Dropped, m.Participants,
 			m.Dropped, m.CommTime.Seconds(), float64(m.BytesUplink)/1e6)
-	}
-
-	// Asynchronous buffering: no round barrier — the global model
-	// advances every 6 updates with staleness-damped weights.
-	async := base
-	async.Mode = fedsz.ModeAsync
-	async.BufferSize = 6
-	res, err = fedsz.RunSim(async)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("async commits (FedBuff buffer of 6):")
-	for _, m := range res.Rounds {
-		fmt.Printf("  commit %d: acc %.3f at %.1fs virtual\n",
-			m.Round, m.TestAccuracy, m.CommTime.Seconds())
 	}
 
 	// 2-tier: the same 24 clients behind 4 regional edge aggregators on

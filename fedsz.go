@@ -96,8 +96,7 @@
 // The orchestration layer scales the federation past the paper's
 // four lock-step clients: NewCoordinator coordinates dynamic
 // join/leave, per-round sampling with over-provisioning, straggler
-// deadlines, and two aggregation modes (ModeSync FedAvg rounds,
-// ModeAsync FedBuff-style buffering), all folding decoded tensor
+// deadlines and synchronous FedAvg rounds, folding decoded tensor
 // entries into the streaming sharded Aggregator as they come off each
 // connection — byte-identical to sequential FedAvg, without holding
 // every client's decoded update. RunSim drives it on a virtual clock
@@ -554,24 +553,21 @@ func UnmarshalStateDictFrom(r io.Reader) (*StateDict, error) {
 }
 
 // RunSim executes an in-process federated simulation (FedAvg, local
-// SGD clients, analytic network model): sync rounds on the flat
-// coordinator (Edges == 0) or behind regional edge aggregators, or
-// FedBuff-style async buffering, on a virtual clock.
+// SGD clients, analytic network model): FedAvg rounds on the flat
+// coordinator (Edges == 0) or behind regional edge aggregators, on a
+// virtual clock.
 func RunSim(cfg SimConfig) (*SimResult, error) { return fl.RunSim(cfg) }
 
 // Orchestration re-exports: the event-driven federated coordination
 // subsystem (client registry, per-round sampling with
-// over-provisioning, straggler deadlines, sync FedAvg rounds and
-// FedBuff-style async buffering, all aggregating through the
-// streaming sharded accumulator).
+// over-provisioning, straggler deadlines and sync FedAvg rounds,
+// aggregating through the streaming sharded accumulator).
 type (
 	// Coordinator is the orchestration core: registry, sampler and
-	// round/buffer state machines.
+	// round state machine.
 	Coordinator = orchestrator.Coordinator
 	// OrchestratorConfig parameterizes a Coordinator.
 	OrchestratorConfig = orchestrator.Config
-	// OrchestratorMode selects sync rounds or the async buffer.
-	OrchestratorMode = orchestrator.Mode
 	// Round is one open synchronous aggregation round.
 	Round = orchestrator.Round
 	// Contributor is one in-flight streaming client contribution.
@@ -580,23 +576,12 @@ type (
 	RoundStats = orchestrator.RoundStats
 	// Aggregator is the streaming sharded FedAvg accumulator.
 	Aggregator = orchestrator.Aggregator
-	// AsyncCommit reports what an async contribution's commit did to
-	// the global model.
-	AsyncCommit = orchestrator.AsyncCommit
 	// ClientProfile is one simulated client's link/compute profile.
 	ClientProfile = netsim.ClientProfile
 	// Population samples heterogeneous client profiles.
 	Population = netsim.Profile
 	// PopulationChoice is one stratum of a heterogeneous Population.
 	PopulationChoice = netsim.ProfileChoice
-)
-
-// Orchestration modes.
-const (
-	// ModeSync runs synchronous FedAvg rounds.
-	ModeSync = orchestrator.ModeSync
-	// ModeAsync runs FedBuff-style buffered asynchronous aggregation.
-	ModeAsync = orchestrator.ModeAsync
 )
 
 // NewCoordinator builds an orchestration coordinator seeded with the

@@ -28,9 +28,8 @@ type ReferenceAware interface {
 //
 // Both endpoints must track the same reference: the sender snapshots
 // the global model it trained from via SetReference, and the receiver
-// does the same before decoding. RunSim's sync rounds and the
-// transport tiers guarantee this ordering; RunSim's async mode rejects
-// the codec.
+// does the same before decoding. RunSim's rounds and the transport
+// tiers guarantee this ordering.
 type DeltaCodec struct {
 	inner Codec
 

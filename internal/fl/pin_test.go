@@ -9,7 +9,6 @@ import (
 	"fedsz/internal/dataset"
 	"fedsz/internal/lossy"
 	"fedsz/internal/netsim"
-	"fedsz/internal/orchestrator"
 )
 
 // pinnedRound is one round of a pinned RunSim trace: the accuracy's
@@ -20,20 +19,18 @@ type pinnedRound struct {
 }
 
 // TestRunSimPinned pins RunSim's per-round accuracy bits and byte
-// totals for plain and fedsz-sz2 uplinks in flat sync, two-edge and
-// async shapes, so a change to how the simulator encodes an upload
+// totals for plain and fedsz-sz2 uplinks in flat and two-edge shapes,
+// so a change to how the simulator encodes an upload
 // cannot move a single bit of the trajectory or the accounting.
 func TestRunSimPinned(t *testing.T) {
 	want := map[string][]pinnedRound{
 		"plain/flat":       {{0x3fc3333333333333, 2822181, 2822181}, {0x3fc6666666666666, 2822181, 2822181}},
 		"plain/edges2":     {{0x3fc3333333333333, 2822181, 2822181}, {0x3fc6666666666666, 2822181, 2822181}},
-		"plain/async":      {{0x3fc0000000000000, 1881454, 1881454}, {0x3fc0000000000000, 1881454, 1881454}, {0x3fc6666666666666, 1881454, 1881454}},
 		"fedsz-sz2/flat":   {{0x3fb999999999999a, 419894, 2821752}, {0x3fc0000000000000, 419891, 2821752}},
 		"fedsz-sz2/edges2": {{0x3fb999999999999a, 419894, 2821752}, {0x3fc0000000000000, 419891, 2821752}},
-		"fedsz-sz2/async":  {{0x3fb3333333333333, 279925, 1881168}, {0x3fc3333333333333, 279940, 1881168}, {0x3fb3333333333333, 279949, 1881168}},
 	}
 	for _, codec := range []string{"plain", "fedsz-sz2"} {
-		for _, shape := range []string{"flat", "edges2", "async"} {
+		for _, shape := range []string{"flat", "edges2"} {
 			name := codec + "/" + shape
 			t.Run(name, func(t *testing.T) {
 				cfg := SimConfig{
@@ -53,13 +50,8 @@ func TestRunSimPinned(t *testing.T) {
 					}
 					cfg.Codec = c
 				}
-				switch shape {
-				case "edges2":
+				if shape == "edges2" {
 					cfg = tiered(cfg, 2)
-				case "async":
-					cfg.Mode = orchestrator.ModeAsync
-					cfg.BufferSize = 2
-					cfg.Rounds = 3
 				}
 				res, err := RunSim(cfg)
 				if err != nil {

@@ -2,7 +2,6 @@ package fl
 
 import (
 	"bytes"
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -23,13 +22,12 @@ import (
 // reproducing the paper's setup (§VI: FedAvg, one epoch per client per
 // round, simulated bandwidth). Edges == 0 runs the flat coordinator;
 // Edges ≥ 1 puts the clients behind that many regional edge
-// aggregators. ModeAsync replaces sync rounds with FedBuff-style
-// buffering and is flat-only.
+// aggregators.
 type SimConfig struct {
 	Model            string       // mini model name: "alexnet", "mobilenetv2", "resnet50"
 	Dataset          dataset.Spec //
 	Clients          int          //
-	Rounds           int          // sync rounds, or async commits
+	Rounds           int          //
 	LocalEpochs      int          // epochs per client per round (paper: 1)
 	SamplesPerClient int          //
 	TestSamples      int          //
@@ -40,24 +38,20 @@ type SimConfig struct {
 	Link             netsim.Link  // every client's uplink when Population is zero
 	Seed             int64        //
 
-	// ClientsPerRound samples a subset of clients each sync round (0 =
-	// all), as in large-scale FL deployments. Flat sync only.
+	// ClientsPerRound samples a subset of clients each round (0 = all),
+	// as in large-scale FL deployments. Flat only.
 	ClientsPerRound int
 	// NonIIDAlpha > 0 partitions client data with Dirichlet(alpha)
 	// label skew instead of the IID split.
 	NonIIDAlpha float64
 
-	// Mode selects synchronous rounds or FedBuff-style async buffering.
-	Mode orchestrator.Mode
-	// OverProvision over-samples sync rounds (≥1; see
-	// orchestrator.Config). Flat sync only.
+	// OverProvision over-samples rounds (≥1; see orchestrator.Config).
+	// Flat only.
 	OverProvision float64
-	// RoundDeadline cuts sync stragglers whose update would land past
-	// this much virtual time after round start (0 = wait for target).
-	// A tiered run cuts per region.
+	// RoundDeadline cuts stragglers whose update would land past this
+	// much virtual time after round start (0 = wait for target). A
+	// tiered run cuts per region.
 	RoundDeadline time.Duration
-	// BufferSize is the async commit threshold (0 = default 16).
-	BufferSize int
 	// Population samples each client's link/compute profile; the zero
 	// profile gives every client Link at nominal compute.
 	Population netsim.Profile
@@ -113,31 +107,17 @@ func (c SimConfig) withDefaults() SimConfig {
 	return c
 }
 
-// validate rejects settings the chosen shape would silently ignore.
+// validate rejects settings the chosen shape would silently ignore: a
+// tiered run trains every client, so it neither samples nor
+// over-provisions.
 func (c SimConfig) validate() error {
-	async, tiered := c.Mode == orchestrator.ModeAsync, c.Edges > 0
-	for _, bad := range []struct {
-		set  bool
-		what string
-	}{
-		{async && tiered, "Edges with ModeAsync"},
-		{async && c.ClientsPerRound > 0, "ClientsPerRound with ModeAsync"},
-		{async && c.OverProvision > 1, "OverProvision with ModeAsync"},
-		{async && c.RoundDeadline > 0, "RoundDeadline with ModeAsync"},
-		{tiered && c.ClientsPerRound > 0, "ClientsPerRound with Edges"},
-		{tiered && c.OverProvision > 1, "OverProvision with Edges"},
-	} {
-		if bad.set {
-			return fmt.Errorf("fl: simulation cannot honour %s", bad.what)
-		}
-	}
-	if _, ok := c.Codec.(ReferenceAware); ok && async {
-		return fmt.Errorf("fl: async mode cannot use reference-aware codec %q: commits between a client's encode and the server's decode would desynchronize the reference", c.Codec.Name())
+	if c.Edges > 0 && (c.ClientsPerRound > 0 || c.OverProvision > 1) {
+		return fmt.Errorf("fl: simulation cannot honour ClientsPerRound or OverProvision with Edges")
 	}
 	return nil
 }
 
-// RoundMetrics captures one sync round or one async commit.
+// RoundMetrics captures one round.
 type RoundMetrics struct {
 	Round        int
 	TestAccuracy float64
@@ -153,16 +133,16 @@ type RoundMetrics struct {
 	// CommTime is the virtual arrival of the last folded update: its
 	// client's modelled train time plus its transfer, every client on
 	// its own link in parallel. A tiered round ends when the last
-	// partial frame lands at the core; an async row at its commit. For
-	// the paper's serial ingest link (§VI-C MPI emulation), set
-	// Link: netsim.ContendedWAN(link, Clients).
+	// partial frame lands at the core. For the paper's serial ingest
+	// link (§VI-C MPI emulation), set Link: netsim.ContendedWAN(link,
+	// Clients).
 	CommTime time.Duration
 
 	BytesUplink   int64 // compressed client bytes folded
 	OriginalBytes int64 // uncompressed equivalent
 
-	// Participants counts the clients asked to train (async: the
-	// updates in the commit); Dropped those trained but not folded.
+	// Participants counts the clients asked to train; Dropped those
+	// trained but not folded.
 	Participants int
 	Dropped      int
 }
@@ -225,7 +205,6 @@ type upload struct {
 	samples int
 	train   time.Duration // measured wall time
 	arrival time.Duration // virtual
-	version int           // async: the global version trained from
 	err     error
 }
 
@@ -244,15 +223,14 @@ type sim struct {
 }
 
 // RunSim executes the federated simulation on a virtual clock. Each
-// sync round trains its participants in parallel goroutines (wall
-// clock), places every update on the virtual timeline, and folds the
+// round trains its participants in parallel goroutines (wall clock),
+// places every update on the virtual timeline, and folds the
 // arrivals in that order through the real codec wire format into the
 // streaming sharded aggregator until the round fills or the deadline
 // cuts the stragglers. Flat, the coordinator samples and folds the
 // clients; tiered, every region folds its own clients and forwards one
 // partial-sum frame through the real hier codec to the coordinator,
-// which commits the same model bits. ModeAsync folds each update into
-// the FedBuff buffer as it lands instead.
+// which commits the same model bits.
 func RunSim(cfg SimConfig) (*SimResult, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
@@ -261,12 +239,6 @@ func RunSim(cfg SimConfig) (*SimResult, error) {
 	s, err := newSim(cfg)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.Mode == orchestrator.ModeAsync {
-		if err := s.runAsync(); err != nil {
-			return nil, fmt.Errorf("fl: async: %w", err)
-		}
-		return s.res, nil
 	}
 	for round := 0; round < cfg.Rounds; round++ {
 		if err := s.syncRound(round); err != nil {
@@ -299,11 +271,9 @@ func newSim(cfg SimConfig) (*sim, error) {
 	s.testX, s.testY = testSet.Batch(0, testSet.N)
 	var err error
 	s.coord, err = orchestrator.NewCoordinator(orchestrator.Config{
-		Mode:            cfg.Mode,
 		ClientsPerRound: cfg.ClientsPerRound,
 		OverProvision:   cfg.OverProvision,
 		RoundDeadline:   cfg.RoundDeadline,
-		BufferSize:      cfg.BufferSize,
 		Seed:            cfg.Seed + 5,
 	}, s.server.StateDict())
 	if err != nil {
@@ -519,7 +489,7 @@ func (s *sim) trainAll(cs []*client, g *model.StateDict, round int) ([]upload, e
 		if err := ups[i].err; err != nil {
 			return nil, err
 		}
-		s.arrive(&ups[i], 0)
+		s.arrive(&ups[i])
 	}
 	return ups, nil
 }
@@ -549,79 +519,12 @@ func (s *sim) train(c *client, g *model.StateDict, round int) upload {
 	return u
 }
 
-// arrive places u on the virtual timeline: start, plus its client's
-// modelled train time, plus one sampled transfer on the client's link.
-func (s *sim) arrive(u *upload, start time.Duration) {
+// arrive places u on the virtual timeline: its client's modelled train
+// time from round start, plus one sampled transfer on the client's link.
+func (s *sim) arrive(u *upload) {
 	p := u.c.profile
 	train := time.Duration(float64(u.samples*s.cfg.LocalEpochs) * float64(sampleComputeTime) * p.ComputeFactor)
-	u.arrival = start + train + p.Link.SampleTransferTime(u.stats.CompressedBytes, s.jitter)
-}
-
-// runAsync drives FedBuff-style buffering: every client trains
-// continuously on its own virtual timeline, updates fold into the
-// buffer in arrival order, and each commit records one row.
-func (s *sim) runAsync() error {
-	h := &arrivals{}
-	schedule := func(c *client, start time.Duration) error {
-		version, g := s.coord.Global()
-		u := s.train(c, g, len(s.res.Rounds))
-		if u.err != nil {
-			return u.err
-		}
-		u.version = version
-		s.arrive(&u, start)
-		heap.Push(h, u)
-		return nil
-	}
-	for _, c := range s.clients {
-		if err := schedule(c, 0); err != nil {
-			return err
-		}
-	}
-	var m RoundMetrics
-	folded := 0
-	for len(s.res.Rounds) < s.cfg.Rounds && h.Len() > 0 {
-		u := heap.Pop(h).(upload)
-		ct, commit, err := s.coord.AsyncContributor(u.c.id, float64(u.samples), u.version)
-		if err != nil {
-			return fmt.Errorf("client %s: %w", u.c.id, err)
-		}
-		if err := s.decode(&u, ct, &m); err != nil {
-			return err
-		}
-		res, err := commit()
-		if err != nil {
-			return fmt.Errorf("commit %s: %w", u.c.id, err)
-		}
-		folded++
-		if res.Committed {
-			m.Round, m.CommTime, m.Participants = len(s.res.Rounds), u.arrival, res.Stats.Committed
-			if err := s.record(m, folded, res.Global); err != nil {
-				return err
-			}
-			m, folded = RoundMetrics{}, 0
-		}
-		if len(s.res.Rounds) < s.cfg.Rounds {
-			if err := schedule(u.c, u.arrival); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// arrivals is a min-heap of uploads by virtual arrival.
-type arrivals []upload
-
-func (h arrivals) Len() int           { return len(h) }
-func (h arrivals) Less(i, j int) bool { return h[i].arrival < h[j].arrival }
-func (h arrivals) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *arrivals) Push(x any)        { *h = append(*h, x.(upload)) }
-func (h *arrivals) Pop() any {
-	old := *h
-	x := old[len(old)-1]
-	*h = old[:len(old)-1]
-	return x
+	u.arrival = train + p.Link.SampleTransferTime(u.stats.CompressedBytes, s.jitter)
 }
 
 // ScalingPoint is one (workers, time) sample of the Fig. 9 experiments.

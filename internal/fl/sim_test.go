@@ -9,7 +9,6 @@ import (
 	"fedsz/internal/lossless"
 	"fedsz/internal/lossy"
 	"fedsz/internal/netsim"
-	"fedsz/internal/orchestrator"
 )
 
 // smallFleet keeps simulator tests fast: tiny model, six clients, few
@@ -92,40 +91,6 @@ func TestOrchestratedSyncDeadlineDrops(t *testing.T) {
 	}
 }
 
-func TestOrchestratedAsyncSim(t *testing.T) {
-	cfg := smallFleet(t)
-	cfg.Mode = orchestrator.ModeAsync
-	cfg.BufferSize = 3
-	cfg.Rounds = 3 // commits
-	cfg.Population = netsim.PaperMix()
-	res, err := RunSim(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rounds) != cfg.Rounds {
-		t.Fatalf("commits = %d, want %d", len(res.Rounds), cfg.Rounds)
-	}
-	last := time.Duration(-1)
-	for _, m := range res.Rounds {
-		if m.Participants != cfg.BufferSize {
-			t.Fatalf("commit %d folded %d, want %d", m.Round, m.Participants, cfg.BufferSize)
-		}
-		if m.CommTime <= last {
-			t.Fatalf("commit times not increasing: %v after %v", m.CommTime, last)
-		}
-		last = m.CommTime
-	}
-}
-
-func TestOrchestratedAsyncRejectsReferenceAware(t *testing.T) {
-	cfg := smallFleet(t)
-	cfg.Mode = orchestrator.ModeAsync
-	cfg.Codec = NewDeltaCodec(nil)
-	if _, err := RunSim(cfg); err == nil {
-		t.Fatal("async sim accepted a reference-aware codec")
-	}
-}
-
 // TestSimRejectsIgnoredConfig: a setting the chosen shape would
 // silently ignore is an error, not a no-op.
 func TestSimRejectsIgnoredConfig(t *testing.T) {
@@ -133,10 +98,6 @@ func TestSimRejectsIgnoredConfig(t *testing.T) {
 		name string
 		set  func(*SimConfig)
 	}{
-		{"async/edges", func(c *SimConfig) { c.Mode, c.Edges = orchestrator.ModeAsync, 2 }},
-		{"async/clients-per-round", func(c *SimConfig) { c.Mode, c.ClientsPerRound = orchestrator.ModeAsync, 3 }},
-		{"async/over-provision", func(c *SimConfig) { c.Mode, c.OverProvision = orchestrator.ModeAsync, 1.5 }},
-		{"async/deadline", func(c *SimConfig) { c.Mode, c.RoundDeadline = orchestrator.ModeAsync, time.Second }},
 		{"edges/clients-per-round", func(c *SimConfig) { c.Edges, c.ClientsPerRound = 2, 3 }},
 		{"edges/over-provision", func(c *SimConfig) { c.Edges, c.OverProvision = 2, 1.5 }},
 	} {

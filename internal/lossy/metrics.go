@@ -33,7 +33,7 @@ func Evaluate(original, recon []float32) Metrics {
 		if ad := math.Abs(d); ad > maxErr {
 			maxErr = ad
 		}
-		sumSq += d * d
+		sumSq += float64(d * d)
 	}
 	m := Metrics{
 		MaxAbsErr: maxErr,

@@ -65,7 +65,7 @@ func buildEntry(ae ArchEntry, seed int64) Entry {
 		}
 	case KindBNWeight:
 		for i := range data {
-			data[i] = float32(1 + rng.NormFloat64()*0.15)
+			data[i] = float32(1 + float64(rng.NormFloat64()*0.15))
 		}
 	case KindBNBias:
 		for i := range data {
@@ -77,7 +77,7 @@ func buildEntry(ae ArchEntry, seed int64) Entry {
 		}
 	case KindBNVar:
 		for i := range data {
-			data[i] = float32(math.Abs(1+rng.NormFloat64()*0.3) + 0.01)
+			data[i] = float32(math.Abs(1+float64(rng.NormFloat64()*0.3)) + 0.01)
 		}
 	}
 	return Entry{Name: ae.Name, DType: Float32, Tensor: t}

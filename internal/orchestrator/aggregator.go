@@ -322,8 +322,8 @@ func (a *Aggregator) FoldStateDict(sd *model.StateDict, weight float64) error {
 
 // foldEntries feeds every entry of sd through ct in entry order,
 // aborting (withdrawing partial folds) on the first error — the one
-// buffer-path fold loop shared by Aggregator.FoldStateDict,
-// Round.Submit and Coordinator.SubmitAsync. The caller commits.
+// buffer-path fold loop shared by Aggregator.FoldStateDict and
+// Round.Submit. The caller commits.
 func foldEntries(ct *Contributor, sd *model.StateDict) error {
 	for _, e := range sd.Entries() {
 		if err := ct.Fold(e); err != nil {
@@ -415,7 +415,7 @@ type Contributor struct {
 	intsAt map[int][]int64
 	done   bool
 
-	// round/async hooks, set by the owning scheduler.
+	// Round hooks, set by the Round that opened the contribution.
 	onCommit func() error
 	onAbort  func(DropReason)
 }
@@ -571,7 +571,7 @@ func (c *Contributor) Commit() error {
 func (c *Contributor) Abort() { c.AbortReason(DropUnknown) }
 
 // AbortReason is Abort with a typed withdrawal reason carried through
-// to the owning round's or buffer's OnDrop notification.
+// to the owning round's OnDrop notification.
 func (c *Contributor) AbortReason(reason DropReason) {
 	c.mu.Lock()
 	if c.done {

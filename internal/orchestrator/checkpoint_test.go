@@ -156,7 +156,6 @@ func TestCoordinatorCheckpointResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	coord, err := orchestrator.NewCoordinator(orchestrator.Config{
-		Mode:  orchestrator.ModeSync,
 		Bound: policy,
 		Seed:  1,
 	}, randomDict(rng, 1))
@@ -209,7 +208,6 @@ func TestCoordinatorCheckpointResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	coord2, err := orchestrator.NewCoordinatorFromCheckpoint(orchestrator.Config{
-		Mode:  orchestrator.ModeSync,
 		Bound: policy2,
 		Seed:  1,
 	}, loaded)

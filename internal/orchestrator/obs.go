@@ -26,13 +26,6 @@ var (
 		"Lent tensor entries re-decoded from their compressed section to undo an aborted fold.")
 	obsPoisoned = obs.Default.Counter("fedsz_agg_poisoned_total",
 		"Aggregators abandoned because an abort could not undo its folds (must stay 0).")
-	obsAsyncDepth = obs.Default.Gauge("fedsz_async_buffer_depth",
-		"Updates buffered toward the next async commit.")
-	obsAsyncStaleness = obs.Default.Histogram("fedsz_async_staleness",
-		"Versions behind the global model at async submit time.",
-		[]float64{0, 1, 2, 4, 8, 16, 32, 64})
-	obsAsyncCommits = obs.Default.Counter("fedsz_async_commits_total",
-		"Async buffer commits that advanced the global model.")
 	obsCkptSaveSeconds = obs.Default.Histogram("fedsz_checkpoint_save_seconds",
 		"Checkpoint marshal+fsync+rename duration.", obs.DurationBuckets)
 	obsCkptLoadSeconds = obs.Default.Histogram("fedsz_checkpoint_restore_seconds",

@@ -6,16 +6,15 @@
 //   - per-round client sampling with over-provisioning,
 //   - round lifecycle with straggler drop (the driver enforces the
 //     deadline on its clock — wall time in the TCP server, virtual
-//     time in the simulators — and the round accounts the drops), and
-//   - two aggregation modes: synchronous FedAvg rounds and a
-//     FedBuff-style asynchronous buffer that commits a new global
-//     model every BufferSize updates with staleness-damped weights.
+//     time in the simulators — and the round accounts the drops).
 //
-// Aggregation in both modes runs through the streaming sharded
-// Aggregator: decoded tensor entries fold into per-tensor weighted
-// sums as they arrive off each connection, so server memory is one
-// float64 accumulator plus in-flight updates instead of every
-// client's decoded state dict held until round end.
+// There is one aggregation discipline, the synchronous FedAvg round:
+// sample, collect until the target or the deadline, commit. It runs
+// through the streaming sharded Aggregator: decoded tensor entries
+// fold into per-tensor weighted sums as they arrive off each
+// connection, so server memory is one float64 accumulator plus
+// in-flight updates instead of every client's decoded state dict held
+// until round end.
 //
 // The coordinator is deliberately clock-free: drivers (package
 // transport for TCP, package fl and the bench scale experiment for
@@ -34,30 +33,6 @@ import (
 
 	"fedsz/internal/model"
 )
-
-// Mode selects the aggregation discipline.
-type Mode int
-
-const (
-	// ModeSync runs synchronous FedAvg rounds: sample, collect until
-	// target or deadline, commit.
-	ModeSync Mode = iota
-	// ModeAsync runs FedBuff-style buffered asynchronous aggregation:
-	// updates fold as they arrive and every BufferSize commits advance
-	// the global model, with stale updates damped by 1/√(1+staleness).
-	ModeAsync
-)
-
-func (m Mode) String() string {
-	switch m {
-	case ModeSync:
-		return "sync"
-	case ModeAsync:
-		return "async"
-	default:
-		return fmt.Sprintf("mode(%d)", int(m))
-	}
-}
 
 // DropReason classifies why a client's pending work was withdrawn, so
 // OnDrop consumers can tell a straggler (re-sample it next round) from
@@ -105,12 +80,10 @@ func (r DropReason) String() string {
 
 // Config parameterizes a Coordinator.
 type Config struct {
-	// Mode selects synchronous rounds or the async buffer.
-	Mode Mode
-	// ClientsPerRound is the sync sampling target K (0 = every joined
-	// client participates).
+	// ClientsPerRound is the sampling target K (0 = every joined client
+	// participates).
 	ClientsPerRound int
-	// OverProvision over-samples sync rounds by this factor (≥ 1):
+	// OverProvision over-samples rounds by this factor (≥ 1):
 	// ceil(K·OverProvision) clients are asked to train so the round
 	// can close as soon as the fastest K arrive. 0 means 1.
 	OverProvision float64
@@ -118,41 +91,25 @@ type Config struct {
 	// never arms a timer itself; drivers read it via Round.Deadline
 	// and enforce it on their own (wall or virtual) clock.
 	RoundDeadline time.Duration
-	// BufferSize is the async commit threshold (updates per commit).
-	// 0 defaults to 16.
-	BufferSize int
-	// ServerMix is the async mixing rate α: the committed model is
-	// (1-α)·global + α·bufferAverage. 0 defaults to 1 (replace, i.e.
-	// FedAvg over the buffer).
-	ServerMix float64
 	// Shards is the aggregator shard count (0 = auto).
 	Shards int
-	// NoStalenessDamping turns off the async 1/√(1+τ) weight damping.
-	NoStalenessDamping bool
-	// OnAsyncCommit, if non-nil, observes every async buffer commit,
-	// invoked outside the coordinator lock. It is the only way to see
-	// a commit whose final settle was an Abort (no submitter's commit
-	// result reports that one); drivers consuming commit results
-	// directly should not also count hook invocations, or they will
-	// observe commits twice.
-	OnAsyncCommit func(AsyncCommit)
 	// OnDrop, if non-nil, observes every client whose pending work the
-	// coordinator withdraws: a registry Leave, a sync-round straggler
-	// Drop, or an aborted contribution (sync or async). It is invoked
-	// outside the coordinator and round locks, on the goroutine that
-	// triggered the withdrawal. Drivers use it to discard per-client
-	// encoder state whose accounting the lost update invalidated —
-	// error-feedback residuals above all (core.ResidualStore.Withdraw):
-	// a residual measured against an update the server never applied
-	// would be replayed against the wrong baseline. The reason
+	// coordinator withdraws: a registry Leave, a round straggler Drop,
+	// or an aborted contribution. It is invoked outside the coordinator
+	// and round locks, on the goroutine that triggered the withdrawal.
+	// Drivers use it to discard per-client encoder state whose
+	// accounting the lost update invalidated — error-feedback residuals
+	// above all (core.ResidualStore.Withdraw): a residual measured
+	// against an update the server never applied would be replayed
+	// against the wrong baseline. The reason
 	// distinguishes stragglers from corruption from departures; drivers
 	// that cannot classify pass DropUnknown.
 	OnDrop func(clientID string, reason DropReason)
 	// Bound, if non-nil, schedules the round-level error bound: every
-	// commit (sync round or async buffer) feeds it the global model's
-	// movement, and drivers read RoundBound to broadcast the bound for
-	// the upcoming round alongside the global model (package adapt's
-	// Policy implements it).
+	// round commit feeds it the global model's movement, and drivers
+	// read RoundBound to broadcast the bound for the upcoming round
+	// alongside the global model (package adapt's Policy implements
+	// it).
 	Bound BoundScheduler
 	// Seed drives client sampling.
 	Seed int64
@@ -162,9 +119,8 @@ type Config struct {
 // convergence signals. ObserveCommit runs on the committing driver's
 // goroutine after the coordinator releases its lock (prev and next
 // are immutable snapshots), so an O(params) norm scan is fine, but
-// implementations must be safe for concurrent use: async commits from
-// different contributors race with each other and with RoundBound
-// reads.
+// implementations must be safe for concurrent use: other goroutines
+// may read NextBound while a commit is being observed.
 type BoundScheduler interface {
 	// ObserveCommit sees every installed global model: the state it
 	// replaced, the new state, and the commit's accounting.
@@ -178,12 +134,6 @@ func (c Config) withDefaults() Config {
 	if c.OverProvision < 1 {
 		c.OverProvision = 1
 	}
-	if c.BufferSize <= 0 {
-		c.BufferSize = 16
-	}
-	if c.ServerMix <= 0 {
-		c.ServerMix = 1
-	}
 	return c
 }
 
@@ -191,17 +141,17 @@ func (c Config) withDefaults() Config {
 type RoundStats struct {
 	Round     int   // commit sequence number
 	Version   int   // global model version after the commit
-	Sampled   int   // clients asked to train (sync) / buffered target (async)
+	Sampled   int   // clients asked to train
 	Committed int   // participants whose contribution committed
 	Folded    int   // client-level updates inside the commit (> Committed when regional partial sums fold whole regions)
 	Dropped   int   // sampled clients that never committed (stragglers, deaths)
 	AggMemory int64 // aggregator resident bytes during the round
 }
 
-// Coordinator is the orchestration core: registry, sampler, round and
-// buffer state machines. All methods are safe for concurrent use —
-// connection handlers join, leave and submit while the round driver
-// starts and commits rounds.
+// Coordinator is the orchestration core: registry, sampler and round
+// state machine. All methods are safe for concurrent use — connection
+// handlers join, leave and submit while the round driver starts and
+// commits rounds.
 type Coordinator struct {
 	cfg Config
 
@@ -213,8 +163,7 @@ type Coordinator struct {
 	commits int
 	global  *model.StateDict
 	round   *Round
-	agg     *Aggregator // sync mode: the one aggregator every round folds into
-	async   *asyncBuffer
+	agg     *Aggregator // the one aggregator every round folds into
 }
 
 // NewCoordinator builds a coordinator seeded with the initial global
@@ -224,16 +173,12 @@ func NewCoordinator(cfg Config, initial *model.StateDict) (*Coordinator, error) 
 		return nil, errors.New("orchestrator: nil or empty initial global model")
 	}
 	cfg = cfg.withDefaults()
-	c := &Coordinator{
+	return &Coordinator{
 		cfg:     cfg,
 		clients: make(map[string]int),
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
 		global:  initial,
-	}
-	if cfg.Mode == ModeAsync {
-		c.async = &asyncBuffer{agg: NewAggregator(initial, cfg.Shards)}
-	}
-	return c, nil
+	}, nil
 }
 
 // Config returns the coordinator's (defaulted) configuration.
@@ -329,9 +274,6 @@ func (c *Coordinator) sampleLocked() (participants []string, target int) {
 // one round may be open at a time; the previous round must Commit (or
 // be abandoned via Cancel) first.
 func (c *Coordinator) StartRound() (*Round, error) {
-	if c.cfg.Mode != ModeSync {
-		return nil, errors.New("orchestrator: StartRound on an async coordinator")
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.round != nil {

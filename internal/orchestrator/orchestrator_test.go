@@ -252,7 +252,6 @@ func TestStragglerDeadlineProperty(t *testing.T) {
 		n := 3 + rng.Intn(10)
 
 		coord, err := orchestrator.NewCoordinator(orchestrator.Config{
-			Mode:          orchestrator.ModeSync,
 			RoundDeadline: time.Duration(1+rng.Intn(1000)) * time.Millisecond,
 			Shards:        1 + rng.Intn(4),
 			Seed:          int64(trial),
@@ -336,7 +335,7 @@ func TestStragglerDeadlineProperty(t *testing.T) {
 func TestConcurrentJoinLeaveSubmit(t *testing.T) {
 	rng := stats.NewRNG(21)
 	ref := randomDict(rng, 1)
-	coord, err := orchestrator.NewCoordinator(orchestrator.Config{Mode: orchestrator.ModeSync, ClientsPerRound: 8, Shards: 4, Seed: 1}, ref)
+	coord, err := orchestrator.NewCoordinator(orchestrator.Config{ClientsPerRound: 8, Shards: 4, Seed: 1}, ref)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,137 +413,12 @@ func TestConcurrentJoinLeaveSubmit(t *testing.T) {
 	churn.Wait()
 }
 
-// TestAsyncBufferedCommits checks FedBuff-style semantics: commits
-// fire every BufferSize updates, staleness damps weights, and the
-// result of one quiescent buffer equals staleness-weighted FedAvg.
-func TestAsyncBufferedCommits(t *testing.T) {
-	rng := stats.NewRNG(31)
-	ref := randomDict(rng, 1)
-	coord, err := orchestrator.NewCoordinator(orchestrator.Config{
-		Mode:       orchestrator.ModeAsync,
-		BufferSize: 3,
-		Shards:     2,
-		Seed:       5,
-	}, ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		if err := coord.Join(fmt.Sprintf("c%d", i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	updates := []*model.StateDict{randomDict(rng, 1), randomDict(rng, 1), randomDict(rng, 1)}
-	staleness := []int{0, 1, 4} // trained versions 0 with current version 0 ⇒ damp per submit below
-
-	// Submit two: no commit yet.
-	for i := 0; i < 2; i++ {
-		res, err := coord.SubmitAsync(fmt.Sprintf("c%d", i), updates[i], 10, -staleness[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Committed {
-			t.Fatalf("submit %d committed early", i)
-		}
-	}
-	// Third fills the buffer.
-	res, err := coord.SubmitAsync("c2", updates[2], 10, -staleness[2])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Committed || res.Version != 1 || res.Global == nil {
-		t.Fatalf("third submit: %+v", res)
-	}
-	if res.Stats.Committed != 3 {
-		t.Fatalf("commit stats %+v", res.Stats)
-	}
-
-	// Reference: weighted average with damped weights.
-	weights := make([]float64, 3)
-	for i := range weights {
-		weights[i] = 10 * orchestrator.StalenessWeight(staleness[i])
-	}
-	wantAgg := orchestrator.NewAggregator(ref, 1)
-	for i, u := range updates {
-		if err := wantAgg.FoldStateDict(u, weights[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := wantAgg.Finalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	dictsBitIdentical(t, want, res.Global)
-
-	// Staleness damping off ⇒ plain weights.
-	if orchestrator.StalenessWeight(0) != 1 {
-		t.Fatalf("orchestrator.StalenessWeight(0) = %v", orchestrator.StalenessWeight(0))
-	}
-	if w := orchestrator.StalenessWeight(3); math.Abs(w-0.5) > 1e-12 {
-		t.Fatalf("orchestrator.StalenessWeight(3) = %v, want 0.5", w)
-	}
-
-	// Flush commits a partial buffer.
-	if _, err := coord.SubmitAsync("c0", updates[0], 10, 1); err != nil {
-		t.Fatal(err)
-	}
-	fres, err := coord.FlushAsync()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !fres.Committed || fres.Version != 2 {
-		t.Fatalf("flush: %+v", fres)
-	}
-}
-
-// TestAsyncConcurrentSubmit races many async submitters under -race;
-// the deferred-commit rule must keep every commit quiescent.
-func TestAsyncConcurrentSubmit(t *testing.T) {
-	rng := stats.NewRNG(41)
-	ref := randomDict(rng, 1)
-	coord, err := orchestrator.NewCoordinator(orchestrator.Config{Mode: orchestrator.ModeAsync, BufferSize: 4, Shards: 3}, ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const clients = 12
-	for i := 0; i < clients; i++ {
-		if err := coord.Join(fmt.Sprintf("c%d", i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < clients; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			u := randomDict(stats.NewRNG(int64(i)), 1)
-			for k := 0; k < 4; k++ {
-				v, _ := coord.Global()
-				if _, err := coord.SubmitAsync(fmt.Sprintf("c%d", i), u, 5, v); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}(i)
-	}
-	wg.Wait()
-	if _, err := coord.FlushAsync(); err != nil {
-		t.Fatal(err)
-	}
-	v, g := coord.Global()
-	if v == 0 || g == ref {
-		t.Fatalf("no async commits happened (version %d)", v)
-	}
-}
-
 // TestSamplingAndOverProvision checks the sampler draws
 // ceil(K·factor) distinct participants and Target stays K.
 func TestSamplingAndOverProvision(t *testing.T) {
 	rng := stats.NewRNG(51)
 	ref := randomDict(rng, 1)
 	coord, err := orchestrator.NewCoordinator(orchestrator.Config{
-		Mode:            orchestrator.ModeSync,
 		ClientsPerRound: 10,
 		OverProvision:   1.3,
 		Seed:            9,
@@ -583,106 +457,4 @@ func TestSamplingAndOverProvision(t *testing.T) {
 	if _, err := coord.StartRound(); err != nil {
 		t.Fatalf("round after cancel: %v", err)
 	}
-}
-
-// TestAsyncAbortTriggeredCommitObservable pins the OnAsyncCommit
-// hook: when a full buffer's last settle is an Abort, no submitter's
-// commit result reports the commit — the hook must.
-func TestAsyncAbortTriggeredCommitObservable(t *testing.T) {
-	rng := stats.NewRNG(61)
-	ref := randomDict(rng, 1)
-	var hooked []orchestrator.AsyncCommit
-	coord, err := orchestrator.NewCoordinator(orchestrator.Config{
-		Mode:       orchestrator.ModeAsync,
-		BufferSize: 2,
-		OnAsyncCommit: func(ac orchestrator.AsyncCommit) {
-			hooked = append(hooked, ac)
-		},
-	}, ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, id := range []string{"a", "b", "c"} {
-		if err := coord.Join(id); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// Hold one contribution open so the buffer fills while non-quiescent.
-	ct, _, err := coord.AsyncContributor("c", 5, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	u := randomDict(rng, 1)
-	if err := ct.Fold(u.Entries()[0]); err != nil {
-		t.Fatal(err)
-	}
-
-	// Two complete submissions fill the buffer; the open contribution
-	// defers the commit, so neither reports Committed.
-	for _, id := range []string{"a", "b"} {
-		res, err := coord.SubmitAsync(id, randomDict(rng, 1), 10, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Committed {
-			t.Fatalf("submit %s committed while a contribution was in flight", id)
-		}
-	}
-
-	// The abort is the settle that makes the full buffer quiescent: the
-	// commit happens now and only the hook sees it.
-	ct.Abort()
-	if len(hooked) != 1 {
-		t.Fatalf("hook saw %d commits, want 1", len(hooked))
-	}
-	if !hooked[0].Committed || hooked[0].Version != 1 || hooked[0].Stats.Committed != 2 {
-		t.Fatalf("hooked commit %+v", hooked[0])
-	}
-	if v, _ := coord.Global(); v != 1 {
-		t.Fatalf("global version %d, want 1", v)
-	}
-}
-
-// TestAsyncSubmitRaceBufferOne is the regression test for the
-// contributor-registration race: with BufferSize=1 every submit
-// triggers a commit, and concurrent submitters must never observe
-// "buffer epoch already committed" — the in-flight slot is registered
-// atomically with the epoch read.
-func TestAsyncSubmitRaceBufferOne(t *testing.T) {
-	rng := stats.NewRNG(71)
-	ref := randomDict(rng, 1)
-	coord, err := orchestrator.NewCoordinator(orchestrator.Config{
-		Mode:       orchestrator.ModeAsync,
-		BufferSize: 1,
-	}, ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const clients = 4
-	for i := 0; i < clients; i++ {
-		if err := coord.Join(fmt.Sprintf("c%d", i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	iters := 2000
-	if testing.Short() {
-		iters = 200
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < clients; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			u := randomDict(stats.NewRNG(int64(i)), 1)
-			for k := 0; k < iters; k++ {
-				v, _ := coord.Global()
-				if _, err := coord.SubmitAsync(fmt.Sprintf("c%d", i), u, 5, v); err != nil {
-					t.Errorf("iter %d: %v", k, err)
-					return
-				}
-			}
-		}(i)
-	}
-	wg.Wait()
 }

@@ -212,7 +212,7 @@ func TestRoundMixedPartialAndDirect(t *testing.T) {
 	}
 	want := foldFlat(t, ref, 4, updates, counts)
 
-	coord, err := orchestrator.NewCoordinator(orchestrator.Config{Mode: orchestrator.ModeSync, Shards: 4}, ref)
+	coord, err := orchestrator.NewCoordinator(orchestrator.Config{Shards: 4}, ref)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,16 +41,24 @@ func feedbackDict(rng *rand.Rand, scale float32) *model.StateDict {
 // three sync withdrawal paths — Leave, Round.Drop and contributor
 // Abort — fire concurrently, each invoking OnDrop = store.Withdraw.
 // Run under -race. After every round, exactly the submitting clients
-// must still hold residual state.
+// must still hold residual state, OnDrop must have seen each withdrawal
+// once with its reason, and the commit must count only the submitters.
 func TestResidualWithdrawOnDropRace(t *testing.T) {
 	const clients = 9
 	rng := rand.New(rand.NewSource(41))
 	initial := feedbackDict(rng, 1)
 
 	store := core.NewResidualStore()
+	var dropMu sync.Mutex
+	drops := map[string][]orchestrator.DropReason{}
 	coord, err := orchestrator.NewCoordinator(orchestrator.Config{
-		Seed:   7,
-		OnDrop: func(id string, _ orchestrator.DropReason) { store.Withdraw(id) },
+		Seed: 7,
+		OnDrop: func(id string, reason orchestrator.DropReason) {
+			dropMu.Lock()
+			drops[id] = append(drops[id], reason)
+			dropMu.Unlock()
+			store.Withdraw(id)
+		},
 	}, initial)
 	if err != nil {
 		t.Fatal(err)
@@ -80,6 +88,8 @@ func TestResidualWithdrawOnDropRace(t *testing.T) {
 
 		var mu sync.Mutex
 		var keepers, withdrawn []string
+		wantReason := map[string]orchestrator.DropReason{}
+		clear(drops)
 		var wg sync.WaitGroup
 		for i, id := range parts {
 			wg.Add(1)
@@ -102,7 +112,7 @@ func TestResidualWithdrawOnDropRace(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				switch i % 3 {
+				switch i % 4 {
 				case 0: // commit path: the residual must survive
 					sd, err := core.Decompress(buf)
 					if err != nil {
@@ -120,6 +130,7 @@ func TestResidualWithdrawOnDropRace(t *testing.T) {
 					coord.Leave(id)
 					mu.Lock()
 					withdrawn = append(withdrawn, id)
+					wantReason[id] = orchestrator.DropLeave
 					mu.Unlock()
 				case 2: // in-flight abort (straggler cut / dead uplink)
 					ct, err := r.Contributor(id, 1)
@@ -130,13 +141,41 @@ func TestResidualWithdrawOnDropRace(t *testing.T) {
 					ct.Abort()
 					mu.Lock()
 					withdrawn = append(withdrawn, id)
+					wantReason[id] = orchestrator.DropUnknown
+					mu.Unlock()
+				case 3: // corrupt uplink: the abort carries its reason
+					ct, err := r.Contributor(id, 1)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					ct.AbortReason(orchestrator.DropCorrupt)
+					mu.Lock()
+					withdrawn = append(withdrawn, id)
+					wantReason[id] = orchestrator.DropCorrupt
 					mu.Unlock()
 				}
 			}(i, id)
 		}
 		wg.Wait()
-		if _, _, err := r.Commit(); err != nil {
+		_, st, err := r.Commit()
+		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
+		}
+		if st.Committed != len(keepers) || st.Dropped != len(withdrawn) || st.Version != round+1 {
+			t.Fatalf("round %d: stats %+v, want committed %d dropped %d version %d",
+				round, st, len(keepers), len(withdrawn), round+1)
+		}
+		if v, _ := coord.Global(); v != round+1 {
+			t.Fatalf("round %d: global version %d, want %d", round, v, round+1)
+		}
+		if len(drops) != len(wantReason) {
+			t.Fatalf("round %d: OnDrop saw %d clients, want %d", round, len(drops), len(wantReason))
+		}
+		for id, reason := range wantReason {
+			if got := drops[id]; len(got) != 1 || got[0] != reason {
+				t.Fatalf("round %d: OnDrop for %q saw %v, want [%v]", round, id, got, reason)
+			}
 		}
 
 		if got, want := store.Len(), len(keepers); got != want {
@@ -157,93 +196,6 @@ func TestResidualWithdrawOnDropRace(t *testing.T) {
 			}
 			store.Withdraw(id)
 			_ = coord.Join(id)
-		}
-	}
-}
-
-// TestResidualWithdrawAsyncAbortRace covers the async path: buffered
-// contributors whose uplinks die mid-fold abort concurrently with
-// successful async submissions, and every abort must withdraw the
-// client's residual state even after commits interleave.
-func TestResidualWithdrawAsyncAbortRace(t *testing.T) {
-	const clients = 8
-	rng := rand.New(rand.NewSource(43))
-	initial := feedbackDict(rng, 1)
-
-	store := core.NewResidualStore()
-	coord, err := orchestrator.NewCoordinator(orchestrator.Config{
-		Mode:       orchestrator.ModeAsync,
-		BufferSize: 2,
-		OnDrop:     func(id string, _ orchestrator.DropReason) { store.Withdraw(id) },
-	}, initial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < clients; i++ {
-		if err := coord.Join(fmt.Sprintf("a%d", i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	update := feedbackDict(rng, 0.1)
-
-	var mu sync.Mutex
-	var keepers []string
-	var wg sync.WaitGroup
-	for i := 0; i < clients; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			id := fmt.Sprintf("a%d", i)
-			fb := store.For(id)
-			p, err := core.NewPipeline(core.Config{
-				Lossy:    "qsgd",
-				Bound:    lossy.RelBound(1e-2),
-				Feedback: fb,
-			})
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			buf, _, err := p.Compress(update)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			version, _ := coord.Global()
-			if i%2 == 0 {
-				sd, err := core.Decompress(buf)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if _, err := coord.SubmitAsync(id, sd, 1, version); err != nil {
-					t.Error(err)
-					return
-				}
-				mu.Lock()
-				keepers = append(keepers, id)
-				mu.Unlock()
-			} else {
-				ct, _, err := coord.AsyncContributor(id, 1, version)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				ct.Abort()
-			}
-		}(i)
-	}
-	wg.Wait()
-	if _, err := coord.FlushAsync(); err != nil && err != orchestrator.ErrNoUpdates {
-		t.Fatal(err)
-	}
-
-	if got, want := store.Len(), len(keepers); got != want {
-		t.Fatalf("store holds %d clients after async aborts, want %d", got, want)
-	}
-	for _, id := range keepers {
-		if store.For(id).Residual("fc.weight") == nil {
-			t.Fatalf("async submitter %q lost its residual", id)
 		}
 	}
 }

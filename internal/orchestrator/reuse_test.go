@@ -53,7 +53,7 @@ type reuseFixture struct {
 func newReuseFixture(t *testing.T, seed int64) *reuseFixture {
 	t.Helper()
 	rng := stats.NewRNG(seed)
-	coord, err := orchestrator.NewCoordinator(orchestrator.Config{Mode: orchestrator.ModeSync, Shards: 3}, randomDict(rng, 1))
+	coord, err := orchestrator.NewCoordinator(orchestrator.Config{Shards: 3}, randomDict(rng, 1))
 	if err != nil {
 		t.Fatal(err)
 	}

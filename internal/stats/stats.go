@@ -23,11 +23,11 @@ func NewRNG(seed int64) *rand.Rand {
 
 // SampleLaplace draws one sample from Laplace(mu, b).
 func SampleLaplace(rng *rand.Rand, mu, b float64) float64 {
-	u := rng.Float64() - 0.5
+	u := float64(rng.Float64()) - 0.5
 	if u >= 0 {
-		return mu - b*math.Log(1-2*u)
+		return mu - float64(b*math.Log(1-float64(2*u)))
 	}
-	return mu + b*math.Log(1+2*u)
+	return mu + float64(b*math.Log(1+float64(2*u)))
 }
 
 // Summary holds basic descriptive statistics of a sample.
@@ -64,7 +64,7 @@ func Summarize(xs []float64) Summary {
 	var ss float64
 	for _, x := range xs {
 		d := x - s.Mean
-		ss += d * d
+		ss += float64(d * d)
 	}
 	if len(xs) > 1 {
 		s.Std = math.Sqrt(ss / float64(len(xs)-1))
@@ -154,7 +154,7 @@ func (h *Histogram) Density(i int) float64 {
 // BinCenter returns the midpoint of bin i.
 func (h *Histogram) BinCenter(i int) float64 {
 	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + w*(float64(i)+0.5)
+	return h.Lo + float64(w*(float64(i)+0.5))
 }
 
 // LaplaceFit is a maximum-likelihood Laplace(mu, b) fit.
@@ -189,7 +189,7 @@ func (f LaplaceFit) CDF(x float64) float64 {
 	if x < f.Mu {
 		return 0.5 * math.Exp((x-f.Mu)/f.B)
 	}
-	return 1 - 0.5*math.Exp(-(x-f.Mu)/f.B)
+	return 1 - float64(0.5*math.Exp(-(x-f.Mu)/f.B))
 }
 
 // GaussianFit is a maximum-likelihood Normal(mu, sigma) fit.
@@ -282,7 +282,7 @@ func (e *EMA) Observe(x float64) float64 {
 	if e.n == 0 {
 		e.value = x
 	} else {
-		e.value = a*x + (1-a)*e.value
+		e.value = float64(a*x) + float64((1-a)*e.value)
 	}
 	e.n++
 	return e.value
@@ -326,11 +326,11 @@ func quantileSorted(sorted []float64, q float64) float64 {
 	if q >= 1 {
 		return sorted[len(sorted)-1]
 	}
-	pos := q * float64(len(sorted)-1)
+	pos := float64(q * float64(len(sorted)-1))
 	i := int(pos)
 	frac := pos - float64(i)
 	if i+1 >= len(sorted) {
 		return sorted[i]
 	}
-	return sorted[i]*(1-frac) + sorted[i+1]*frac
+	return float64(sorted[i]*(1-frac)) + float64(sorted[i+1]*frac)
 }

@@ -42,13 +42,6 @@ type EdgeConfig struct {
 	// Lossless names an optional lossless codec for packing the
 	// partial frame's float64 sums ("" = raw).
 	Lossless string
-	// NoSpanTrailer suppresses the span-summary trailer on upstream
-	// partial frames, making this edge behave like a pre-tracing build:
-	// its region still folds and forwards normally, but its subtree is
-	// absent from the upstream round tree. Mixed-version tests use it;
-	// it is also the escape hatch if a trailer ever bothers an old
-	// upstream.
-	NoSpanTrailer bool
 	// OnPartial observes each regional round's outcome: how many
 	// client-level updates the region folded and the partial frame's
 	// wire size.
@@ -220,7 +213,7 @@ func (k *edgeSink) finish(g *gathered) error {
 		}
 	}
 	sp.Dropped = sp.Sampled - sp.Committed
-	if sp.TraceID != "" && !k.cfg.NoSpanTrailer {
+	if sp.TraceID != "" {
 		// One trailer per region per round, encoded once — the only
 		// tracing bytes this edge adds to the upstream hop. The member
 		// conns are quiescent, so it carries the same records the local

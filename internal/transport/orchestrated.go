@@ -141,7 +141,6 @@ func (s *Orchestrated) Abort() {
 // them (after a best-effort shutdown message) on return.
 func (s *Orchestrated) Serve(ln net.Listener, initial *model.StateDict) (*model.StateDict, error) {
 	coordCfg := orchestrator.Config{
-		Mode:            orchestrator.ModeSync,
 		ClientsPerRound: s.cfg.ClientsPerRound,
 		OverProvision:   s.cfg.OverProvision,
 		RoundDeadline:   s.cfg.RoundDeadline,

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"fedsz/internal/core"
+	"fedsz/internal/fl"
 	"fedsz/internal/hier"
 	"fedsz/internal/model"
 	"fedsz/internal/nn"
@@ -315,9 +316,10 @@ func TestKilledEdgeWithdrawnSubtree(t *testing.T) {
 }
 
 // TestMixedVersionEdgeNoTrailer federates one tracing edge with one
-// that never ships span trailers (a pre-tracing build): the round
-// commits normally, the old edge's region appears without a subtree,
-// the new edge's grafts as usual.
+// that never ships span trailers (a pre-tracing build, played by a
+// raw-protocol peer that forwards its region's partial with a nil
+// Span): the round commits normally, the old edge's region appears
+// without a subtree, the new edge's grafts as usual.
 func TestMixedVersionEdgeNoTrailer(t *testing.T) {
 	const clientsPerEdge = 2
 	initial := nn.MobileNetV2Mini(48, 4, 7).StateDict()
@@ -337,44 +339,82 @@ func TestMixedVersionEdgeNoTrailer(t *testing.T) {
 	coreLn := tcpListener(t)
 
 	var wg sync.WaitGroup
-	for e := 0; e < 2; e++ {
-		edgeLn := tcpListener(t)
-		edge, err := NewEdge(EdgeConfig{
-			Upstream:      dialTCP(coreLn.Addr().String()),
-			MinClients:    clientsPerEdge,
-			Checksum:      true,
-			NoSpanTrailer: e == 1, // the second edge emulates a pre-tracing build
-		})
-		if err != nil {
-			t.Fatal(err)
+	edgeLn := tcpListener(t)
+	edge, err := NewEdge(EdgeConfig{
+		Upstream:   dialTCP(coreLn.Addr().String()),
+		MinClients: clientsPerEdge,
+		Checksum:   true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer edgeLn.Close()
+		if err := edge.Serve(edgeLn); err != nil {
+			t.Errorf("edge: %v", err)
 		}
+	}()
+	for c := 0; c < clientsPerEdge; c++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			defer edgeLn.Close()
-			if err := edge.Serve(edgeLn); err != nil {
-				t.Errorf("edge: %v", err)
+			conn, err := net.Dial("tcp", edgeLn.Addr().String())
+			if err != nil {
+				t.Errorf("client dial: %v", err)
+				return
+			}
+			defer conn.Close()
+			err = RunClient(conn, nil, func(int, *model.StateDict) (*model.StateDict, int, error) {
+				return upd, 10, nil
+			})
+			if err != nil {
+				t.Errorf("client: %v", err)
 			}
 		}()
-		for c := 0; c < clientsPerEdge; c++ {
-			wg.Add(1)
-			go func(addr string) {
-				defer wg.Done()
-				conn, err := net.Dial("tcp", addr)
-				if err != nil {
-					t.Errorf("client dial: %v", err)
+	}
+	// The pre-tracing edge: it folds its region and answers every
+	// downlink with one partial that carries no span trailer.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		conn, err := net.Dial("tcp", coreLn.Addr().String())
+		if err != nil {
+			t.Errorf("old edge dial: %v", err)
+			return
+		}
+		defer conn.Close()
+		cs := newConnStream(conn)
+		if err := cs.writeMsg(MsgJoinEdge, nil); err != nil {
+			t.Errorf("old edge join: %v", err)
+			return
+		}
+		for {
+			down, done, err := readDownlink(cs, fl.PlainCodec{}, nil, nil)
+			if err != nil {
+				t.Errorf("old edge downlink: %v", err)
+				return
+			}
+			if done {
+				return
+			}
+			agg := orchestrator.NewAggregator(down.global, 0)
+			for c := 0; c < clientsPerEdge; c++ {
+				if err := agg.FoldStateDict(upd, 10); err != nil {
+					t.Errorf("old edge fold: %v", err)
 					return
 				}
-				defer conn.Close()
-				err = RunClient(conn, nil, func(int, *model.StateDict) (*model.StateDict, int, error) {
-					return upd, 10, nil
-				})
-				if err != nil {
-					t.Errorf("client: %v", err)
-				}
-			}(edgeLn.Addr().String())
+			}
+			err = cs.writeMsg(MsgPartialSum, func(w io.Writer) error {
+				return hier.EncodePartialTo(w, agg.Partial(), hier.WireOptions{Checksum: true})
+			})
+			if err != nil {
+				t.Errorf("old edge send: %v", err)
+				return
+			}
 		}
-	}
+	}()
 
 	if _, err := srv.Serve(coreLn, initial); err != nil {
 		t.Fatalf("server: %v", err)

@@ -4,12 +4,15 @@
 # Go spec lets a compiler fuse x*y + z into one FMA, and the arm64
 # backend does; a decoder on arm64 would then rebuild pred + code·step
 # with another rounding than the amd64 encoder checked against eb, and
-# an aggregator would fold other bits. An explicit float64(x*y) blocks
-# the fusion, and on amd64 compiles to the same code.
+# an aggregator would fold other bits; a seeded model (model, stats)
+# would start from other weights, and a bound check (lossy's metrics)
+# would measure another error. An explicit float64(x*y) blocks the
+# fusion, and on amd64 compiles to the same code.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-pkgs=(./internal/quant ./internal/sz2 ./internal/sz3 ./internal/family ./internal/orchestrator ./internal/fl)
+pkgs=(./internal/quant ./internal/sz2 ./internal/sz3 ./internal/family ./internal/orchestrator ./internal/fl
+  ./internal/model ./internal/stats ./internal/lossy)
 # The build cache replays the compiler's listing, so a cached build
 # checks the same text; an empty listing would pass vacuously.
 listing="$(GOARCH=arm64 go build -gcflags=-S "${pkgs[@]}" 2>&1)"
