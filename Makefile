@@ -72,12 +72,14 @@ vet:
 loc:
 	@bash scripts/loc.sh
 
-# Short fuzz smoke over the ten decoder fuzz targets and sz2's encoder
-# equivalence target (matches CI). FuzzDecodePartial's seeds are the
-# 2.4 KB golden frames, FuzzReadDownlink's are whole downlinks of a few
-# KB and FuzzSZ2Compress runs two encoders and a decoder per input;
-# without the minimize cap the engine spends the whole smoke minimizing
-# its first find.
+# Short fuzz smoke over the ten decoder fuzz targets and the three
+# encoder equivalence targets: sz2's, the Huffman code lengths against
+# the heap build, and the LZ match finder on a reused scratch (matches
+# CI). FuzzDecodePartial's seeds are the 2.4 KB golden frames,
+# FuzzReadDownlink's are whole downlinks of a few KB, FuzzSZ2Compress
+# runs two encoders and a decoder per input and FuzzLZCompress six
+# match-finder passes over up to 64 KiB; without the minimize cap the
+# engine spends the whole smoke minimizing its first find.
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzDecompress -fuzztime=10s ./internal/core
 	$(GO) test -run=^$$ -fuzz=FuzzDecoderStream -fuzztime=10s ./internal/core
@@ -86,7 +88,9 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzSZ2DecompressInto -fuzztime=10s ./internal/sz2
 	$(GO) test -run=^$$ -fuzz=FuzzSZ2Compress -fuzztime=10s -fuzzminimizetime=1s ./internal/sz2
 	$(GO) test -run=^$$ -fuzz=FuzzHuffmanDecode -fuzztime=10s ./internal/huffman
+	$(GO) test -run=^$$ -fuzz=FuzzHuffmanLengths -fuzztime=10s -fuzzminimizetime=1s ./internal/huffman
 	$(GO) test -run=^$$ -fuzz=FuzzLZHDecompress -fuzztime=10s ./internal/lossless
+	$(GO) test -run=^$$ -fuzz=FuzzLZCompress -fuzztime=10s -fuzzminimizetime=1s ./internal/lossless
 	$(GO) test -run=^$$ -fuzz=FuzzFamilyDecode -fuzztime=10s ./internal/family
 	$(GO) test -run=^$$ -fuzz=FuzzDecodePartial -fuzztime=10s -fuzzminimizetime=1s ./internal/hier
 	$(GO) test -run=^$$ -fuzz=FuzzReadDownlink -fuzztime=10s -fuzzminimizetime=1s ./internal/transport

@@ -18,8 +18,12 @@
 // body's exact size before a bit is written, and the body leaves the
 // window as big-endian words. A caller that knows its alphabet states it
 // (AppendEncodeAlphabet: sz2 and sz3 codes lie in [0, 2·radius+2)), so
-// no separate pass looks for the largest or a negative symbol. Encoder
-// scratch (frequency tables, tree nodes, code tables) is recycled
+// no separate pass looks for the largest or a negative symbol. The
+// histogram is scanned only over the span of symbols counted, and the
+// code lengths come from a two-queue merge over flat index arrays, so a
+// stream's set-up cost follows the symbols it uses, not its alphabet.
+// Encoder scratch (the frequency table, the sorted leaf keys, the
+// tree's frequency and parent arrays, the code tables) is recycled
 // through an internal sync.Pool.
 //
 // On the decode side, AcquireDecoder returns a pooled streaming Decoder:
@@ -34,10 +38,12 @@
 package huffman
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 	"sync"
@@ -79,17 +85,18 @@ type symFreq struct {
 // and is fanned across goroutines, which is exactly the per-P caching
 // sync.Pool provides.
 type encoder struct {
-	freqs []uint32  // dense symbol counts (cleared after use)
-	pairs []symFreq // present symbols, ascending
-	tmp   []int64   // flattened frequencies during length limiting
-	lens  []uint8   // code length per pair
-	ord   []int32   // pair indices in canonical (length, symbol) order
-	cnt   [MaxCodeLen + 2]int32
-	nodes []hNode   // tree arena (pre-sized: pointers must not move)
-	heap  hHeap     // scratch for huffmanLengths
-	codes []symCode // code per pair
-	dense []symCode // code per symbol, up to the largest present
-	hdr   []byte
+	freqs  []uint32  // dense symbol counts (cleared after use)
+	pairs  []symFreq // present symbols, ascending
+	tmp    []int64   // flattened frequencies during length limiting
+	lens   []uint8   // code length per pair
+	ord    []int32   // pair indices in canonical (length, symbol) order
+	cnt    [MaxCodeLen + 2]int32
+	keys   []uint64  // leaves by (frequency, symbol): frequency<<shift | pair index
+	freq   []int64   // tree node frequencies: leaves, then internal nodes
+	parent []int32   // tree node parents, then depths
+	codes  []symCode // code per pair
+	dense  []symCode // code per symbol, up to the largest present
+	hdr    []byte
 }
 
 var encoderPool = sync.Pool{
@@ -133,37 +140,69 @@ func (e *encoder) appendAlphabet(dst []byte, symbols []int32, alphabet int) ([]b
 }
 
 // countDense sets e.pairs to the present symbols, ascending, counted in
-// a dense table, and leaves the table clear. sz2's and sz3's alphabet
-// has 65 538 slots, of which a few hundred are present, so the scan for
-// them tests eight slots per step and looks inside only a group that
-// holds a count: per tensor that costs a few thousand steps, where
-// tracking the lowest and highest symbol would cost two compares per
-// symbol counted, and one outlier code (0) would stretch that span over
-// half the table.
+// a dense table, and leaves the table clear. The count also finds the
+// lowest and highest symbol, and only that span is scanned, so a small
+// stream does not pay for all 65 538 slots of sz2's and sz3's alphabet;
+// within the span a group of eight empty slots is skipped in one test.
+// On a 2-vCPU Xeon the span cut a 1 280-code stream's histogram from
+// ~20 µs to ~2 µs and cost a 4 Mi-code stream's count about 5 %.
 func (e *encoder) countDense(symbols []int32, alphabet int) error {
 	if cap(e.freqs) < alphabet {
 		e.freqs = make([]uint32, alphabet)
 	}
 	freqs := e.freqs[:alphabet]
-	for _, s := range symbols {
-		if uint(s) >= uint(len(freqs)) {
-			clear(freqs) // leave the table clear for the next use
-			return symbolError(s, alphabet)
-		}
-		freqs[s]++
-	}
 	e.pairs = e.pairs[:0]
-	for lo := 0; lo < len(freqs); lo += 8 {
-		g := freqs[lo:min(lo+8, len(freqs))]
+	if len(symbols) == 0 {
+		return nil
+	}
+	lo, hi, ok := count(freqs, symbols)
+	if !ok {
+		return uncount(freqs, symbols, alphabet)
+	}
+	for at := int(lo); at <= int(hi); at += 8 {
+		g := freqs[at:min(at+8, int(hi)+1)]
 		if len(g) == 8 && g[0]|g[1]|g[2]|g[3]|g[4]|g[5]|g[6]|g[7] == 0 {
 			continue
 		}
 		for i, c := range g {
 			if c > 0 {
-				e.pairs = append(e.pairs, symFreq{sym: int32(lo + i), freq: int64(c)})
+				e.pairs = append(e.pairs, symFreq{sym: int32(at + i), freq: int64(c)})
 				g[i] = 0
 			}
 		}
+	}
+	return nil
+}
+
+// count adds symbols into freqs and returns the lowest and highest, or
+// stops with ok false at the first symbol outside freqs. A symbol
+// widened through uint32 is range-checked by one compare, which also
+// drops the bounds check. It is kept out of line because, inlined into
+// countDense, the compiler made one of the two CMOVs a branch, and the
+// 4 Mi-code count ran ~40 % slower than without the span.
+//
+//go:noinline
+func count(freqs []uint32, symbols []int32) (lo, hi uint, ok bool) {
+	lo, hi = uint(len(freqs)), 0
+	for _, s := range symbols {
+		u := uint(uint32(s))
+		if u >= uint(len(freqs)) {
+			return 0, 0, false
+		}
+		freqs[u]++
+		lo, hi = min(lo, u), max(hi, u)
+	}
+	return lo, hi, true
+}
+
+// uncount clears the slots countDense counted before the first symbol
+// outside [0, alphabet) and returns that symbol's error.
+func uncount(freqs []uint32, symbols []int32, alphabet int) error {
+	for _, s := range symbols {
+		if uint(uint32(s)) >= uint(len(freqs)) {
+			return symbolError(s, alphabet)
+		}
+		freqs[s] = 0
 	}
 	return nil
 }
@@ -343,142 +382,75 @@ func (e *encoder) buildLengths() {
 	}
 }
 
-type hNode struct {
-	freq  int64
-	sym   int32 // min leaf symbol under this node (tie-break)
-	idx   int32 // pair index for leaves, -1 for internal nodes
-	depth int32 // tie-break for deterministic trees
-	left  *hNode
-	right *hNode
-}
-
-// hHeap is a binary min-heap of tree nodes ordered by (freq, depth,
-// sym). Live nodes cover disjoint leaf sets, so their min symbols differ
-// and the order is strict and total: the sequence of minima — and with
-// it the tree and every code length — is the same for any correct heap.
-// It is written out here, not left to container/heap, because a table
-// is built per tensor per frame and the interface calls were a tenth of
-// an encode.
-type hHeap []*hNode
-
-func (a *hNode) less(b *hNode) bool {
-	if a.freq != b.freq {
-		return a.freq < b.freq
-	}
-	if a.depth != b.depth {
-		return a.depth < b.depth
-	}
-	return a.sym < b.sym
-}
-
-// down sifts h[i] towards the leaves of the first n elements.
-func (h hHeap) down(i, n int) {
-	for {
-		l := 2*i + 1
-		if l >= n {
-			return
-		}
-		if r := l + 1; r < n && h[r].less(h[l]) {
-			l = r
-		}
-		if !h[l].less(h[i]) {
-			return
-		}
-		h[i], h[l] = h[l], h[i]
-		i = l
-	}
-}
-
-func (h hHeap) init() {
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		h.down(i, len(h))
-	}
-}
-
-func (h *hHeap) push(nd *hNode) {
-	*h = append(*h, nd)
-	for i := len(*h) - 1; i > 0; {
-		parent := (i - 1) / 2
-		if !(*h)[i].less((*h)[parent]) {
-			return
-		}
-		(*h)[i], (*h)[parent] = (*h)[parent], (*h)[i]
-		i = parent
-	}
-}
-
-func (h *hHeap) pop() *hNode {
-	old := *h
-	n := len(old) - 1
-	min := old[0]
-	old[0] = old[n]
-	*h = old[:n]
-	(*h).down(0, n)
-	return min
-}
-
 // huffmanLengths builds one Huffman tree over (e.pairs, e.tmp) and
-// writes leaf depths into e.lens, returning the maximum depth. Nodes
-// live in the pre-sized e.nodes arena, so a whole table build costs no
-// per-node allocations.
+// writes leaf depths into e.lens, returning the maximum depth (n >= 2).
+//
+// It is the two-queue merge: the leaves, sorted by (freq, symbol), and a
+// FIFO of internal nodes, which are made in strictly increasing (freq,
+// depth, min symbol) order because frequencies are positive. Popping
+// the smaller head, the leaf first on equal frequency (its depth 0 is
+// below any internal node's), takes every node in that order, so the
+// tree is the one a min-heap on (freq, depth, min symbol) would build.
+// Node k's parent index is above k, so one pass from the root down
+// turns parents into depths, in place.
 func (e *encoder) huffmanLengths() int {
 	n := len(e.pairs)
-	need := 2*n - 1
-	if cap(e.nodes) < need {
-		e.nodes = make([]hNode, 0, need)
+	// Sort the leaves by (freq, pair index) as packed integer keys (pair
+	// order is symbol order). A frequency too wide to pack beside the
+	// index falls back to a comparison sort over bare indices.
+	shift := uint(bits.Len(uint(n)))
+	mask := uint64(1)<<shift - 1
+	keys := slices.Grow(e.keys[:0], n)[:n]
+	packed := true
+	for i, f := range e.tmp {
+		keys[i] = uint64(f)<<shift | uint64(i)
+		packed = packed && uint64(f)>>(64-shift) == 0
 	}
-	e.nodes = e.nodes[:0] // arena never reallocates below: cap >= need
-	alloc := func(nd hNode) *hNode {
-		e.nodes = append(e.nodes, nd)
-		return &e.nodes[len(e.nodes)-1]
-	}
-	if cap(e.heap) < n {
-		e.heap = make(hHeap, 0, n)
-	}
-	h := e.heap[:0]
-	for i, p := range e.pairs {
-		h = append(h, alloc(hNode{freq: e.tmp[i], sym: p.sym, idx: int32(i)}))
-	}
-	h.init()
-	for len(h) > 1 {
-		a := h.pop()
-		b := h.pop()
-		d := a.depth
-		if b.depth > d {
-			d = b.depth
+	if packed {
+		slices.Sort(keys)
+	} else {
+		for i := range keys {
+			keys[i] = uint64(i)
 		}
-		sym := a.sym
-		if b.sym < sym {
-			sym = b.sym
-		}
-		h.push(alloc(hNode{
-			freq:  a.freq + b.freq,
-			depth: d + 1,
-			sym:   sym,
-			idx:   -1,
-			left:  a,
-			right: b,
-		}))
+		slices.SortFunc(keys, func(a, b uint64) int {
+			return cmp.Or(cmp.Compare(e.tmp[a], e.tmp[b]), cmp.Compare(a, b))
+		})
 	}
-	root := h[0]
-	e.heap = h[:0]
+	e.keys = keys
+	// Nodes 0..n-1 are the leaves in sorted order, n..2n-2 the internal
+	// nodes in the order they are made; the root is the last.
+	m := 2*n - 1
+	e.freq = slices.Grow(e.freq[:0], m)[:m]
+	e.parent = slices.Grow(e.parent[:0], m)[:m]
+	freq, parent := e.freq, e.parent
+	for k, key := range keys {
+		freq[k] = e.tmp[key&mask]
+	}
+	leaf, inner := 0, n // the two queue heads
+	pop := func(made int) int {
+		if leaf < n && (inner == made || freq[leaf] <= freq[inner]) {
+			leaf++
+			return leaf - 1
+		}
+		inner++
+		return inner - 1
+	}
+	for k := n; k < m; k++ {
+		a := pop(k)
+		b := pop(k)
+		freq[k] = freq[a] + freq[b]
+		parent[a], parent[b] = int32(k), int32(k)
+	}
+	parent[m-1] = 0 // from here on parent holds depth
 	maxLen := 0
-	var walk func(nd *hNode, depth int)
-	walk = func(nd *hNode, depth int) {
-		if nd.left == nil {
-			if depth == 0 {
-				depth = 1
-			}
-			e.lens[nd.idx] = uint8(depth)
-			if depth > maxLen {
-				maxLen = depth
-			}
-			return
+	for k := m - 2; k >= 0; k-- {
+		d := parent[parent[k]] + 1
+		parent[k] = d
+		if k < n {
+			e.lens[keys[k]&mask] = uint8(d)
+			maxLen = max(maxLen, int(d))
 		}
-		walk(nd.left, depth+1)
-		walk(nd.right, depth+1)
 	}
-	walk(root, 0)
 	return maxLen
 }
 

@@ -399,36 +399,43 @@ func BenchmarkEncodeCodes(b *testing.B) {
 // BenchmarkEncodeAlphabetStages splits AppendEncodeAlphabet, over codes
 // shaped like sz2's (its 65 538-symbol alphabet, centred on radius+1),
 // into the histogram and table build and the body: the two halves of
-// the entropy row of sz2's BenchmarkCompressStages.
+// the entropy row of sz2's BenchmarkCompressStages. The 4Mi rows are a
+// large stream; the 1280 rows are a small section's (MobileNetV2(1)'s
+// smallest lossy tensor), where the per-stream cost of the table shows.
 func BenchmarkEncodeAlphabetStages(b *testing.B) {
 	const alphabet = 2*32768 + 2
-	symbols := skewedCodes(4 << 20)
-	for i := range symbols {
-		symbols[i] += 32769 - 512
-	}
-	e := new(encoder)
-	dst, err := e.appendAlphabet(nil, symbols, alphabet)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("histogram+table", func(b *testing.B) {
-		b.SetBytes(int64(len(symbols) * 4))
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if err := e.countDense(symbols, alphabet); err != nil {
-				b.Fatal(err)
+	for _, n := range []struct {
+		name  string
+		codes int
+	}{{"4Mi", 4 << 20}, {"1280", 1280}} {
+		symbols := skewedCodes(n.codes)
+		for i := range symbols {
+			symbols[i] += 32769 - 512
+		}
+		e := new(encoder)
+		dst, err := e.appendAlphabet(nil, symbols, alphabet)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(n.name+"/histogram+table", func(b *testing.B) {
+			b.SetBytes(int64(len(symbols) * 4))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := e.countDense(symbols, alphabet); err != nil {
+					b.Fatal(err)
+				}
+				dst = e.appendTable(dst[:0], len(symbols))
 			}
-			dst = e.appendTable(dst[:0], len(symbols))
-		}
-	})
-	lookup := e.denseCodes()
-	b.Run("body", func(b *testing.B) {
-		b.SetBytes(int64(len(symbols) * 4))
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			dst = appendCodes(dst[:0], symbols, lookup)
-		}
-	})
+		})
+		lookup := e.denseCodes()
+		b.Run(n.name+"/body", func(b *testing.B) {
+			b.SetBytes(int64(len(symbols) * 4))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				dst = appendCodes(dst[:0], symbols, lookup)
+			}
+		})
+	}
 }
 
 func BenchmarkDecodeIntoCodes(b *testing.B) {

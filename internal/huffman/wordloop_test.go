@@ -332,10 +332,13 @@ func fullScanEncode(symbols []int32, alphabet int) ([]byte, error) {
 }
 
 // TestAlphabetScanGrouped: collecting the present symbols eight slots
-// per step must give a slot-by-slot scan's bytes and errors, and leave
-// the encoder's table all-zero, at both ends of the alphabet and in a
-// last group shorter than eight. One encoder serves every case, so a
-// slot left dirty would also corrupt the next stream.
+// per step over the counted span [lowest, highest] must give a
+// slot-by-slot scan's bytes and errors, and leave the encoder's table
+// all-zero, at both ends of the alphabet, in a last group shorter than
+// eight, for spans that start or end inside a group and for an error
+// at the first symbol or after both ends were counted. One encoder
+// serves every case, so a slot left dirty would also corrupt the next
+// stream.
 func TestAlphabetScanGrouped(t *testing.T) {
 	skewed := skewedCodes(20000)
 	for i := range skewed {
@@ -357,6 +360,12 @@ func TestAlphabetScanGrouped(t *testing.T) {
 			{"out_of_range_mid_stream", []int32{5, 6, alphabet, 7}},
 			{"negative_mid_stream", []int32{alphabet - 1, 3, -1, 7}},
 			{"after_error", []int32{7, 7, 6}},
+			{"span_inside_groups", []int32{alphabet/2 + 1, alphabet - 2, 1, alphabet/2 + 1}},
+			{"single_at_top", []int32{alphabet - 1}},
+			{"out_of_range_first", []int32{alphabet, 0, 1}},
+			{"negative_first", []int32{-1, alphabet - 1}},
+			{"error_after_both_ends", []int32{0, alphabet - 1, 3, alphabet + 1}},
+			{"after_errors", []int32{2, 3}},
 		}
 		for _, tc := range cases {
 			want, wantErr := fullScanEncode(tc.symbols, int(alphabet))

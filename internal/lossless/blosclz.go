@@ -41,19 +41,23 @@ func (c *BloscLZ) AppendCompress(dst, src []byte) ([]byte, error) {
 	out := dst
 	out = binary.AppendUvarint(out, uint64(len(src)))
 	out = append(out, byte(elem))
-	out = lzCompress(out, shuffled, lzParams{
-		window:   1 << 16,
-		hashBits: 14,
-		maxDist:  1 << 16,
-		dist3:    false,
-		depth:    1,
-		lazy:     false,
-		// Cap the skip stride: after shuffling, a long incompressible
-		// mantissa plane precedes the compressible exponent plane, and
-		// an unbounded stride would leap over it.
-		accelCap: 15,
-	})
+	out = lzCompress(out, shuffled, bloscParams)
 	return out, nil
+}
+
+// bloscParams is blosclz's match finder: one probe into a 14-bit hash
+// table over a 64 KiB window.
+var bloscParams = lzParams{
+	window:   1 << 16,
+	hashBits: 14,
+	maxDist:  1 << 16,
+	dist3:    false,
+	depth:    1,
+	lazy:     false,
+	// Cap the skip stride: after shuffling, a long incompressible
+	// mantissa plane precedes the compressible exponent plane, and
+	// an unbounded stride would leap over it.
+	accelCap: 15,
 }
 
 // Decompress implements Codec.

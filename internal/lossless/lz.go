@@ -3,6 +3,7 @@ package lossless
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"sync"
 )
 
@@ -22,12 +23,16 @@ type lzParams struct {
 	accelCap int  // max skip stride (0 = unbounded)
 }
 
-// lzScratch holds the match-finder tables, recycled across calls: the
-// head table alone is 256 KiB at the LZH profiles' 16 hash bits, paid
-// once per tensor per round on the FedSZ hot path.
+// lzScratch holds the match-finder tables, recycled across calls. The
+// tables store position+base, and each call advances base past every
+// entry it could have written, so whatever an earlier call left in them
+// (at any profile's hash width) reads below base, as empty: the head
+// table, 256 KiB at the LZH profiles' 16 hash bits, is cleared only
+// when base would overflow int32, not once per section.
 type lzScratch struct {
 	head  []int32
 	chain []int32
+	base  int // stored values below base are empty
 }
 
 var lzScratchPool = sync.Pool{
@@ -43,6 +48,13 @@ var lzScratchPool = sync.Pool{
 //	                      uvarint extension), distance D+1 as 2- or
 //	                      3-byte little-endian
 func lzCompress(dst, src []byte, p lzParams) []byte {
+	sc := lzScratchPool.Get().(*lzScratch)
+	defer lzScratchPool.Put(sc)
+	return sc.compress(dst, src, p)
+}
+
+// compress is lzCompress on sc's tables.
+func (sc *lzScratch) compress(dst, src []byte, p lzParams) []byte {
 	n := len(src)
 	if n < lzMinMatch {
 		return appendLiterals(dst, src)
@@ -50,15 +62,17 @@ func lzCompress(dst, src []byte, p lzParams) []byte {
 	if p.window > p.maxDist {
 		p.window = p.maxDist
 	}
-	sc := lzScratchPool.Get().(*lzScratch)
-	defer lzScratchPool.Put(sc)
-	if size := 1 << p.hashBits; cap(sc.head) < size {
+	if size := 1 << p.hashBits; len(sc.head) < size {
 		sc.head = make([]int32, size)
+		sc.base = 1 // a zeroed entry must read as empty
 	}
+	if n >= math.MaxInt32-sc.base { // the next base, base+n+1, must fit int32
+		clear(sc.head)
+		sc.base = 1
+	}
+	base := sc.base
+	sc.base += n + 1
 	head := sc.head[:1<<p.hashBits]
-	for i := range head {
-		head[i] = -1
-	}
 	var chain []int32
 	if p.depth > 1 {
 		// Stale entries from a previous run are unreachable: find only
@@ -82,11 +96,11 @@ func lzCompress(dst, src []byte, p lzParams) []byte {
 		if chain != nil {
 			chain[i] = head[h]
 		}
-		head[h] = int32(i)
+		head[h] = int32(i + base)
 	}
 	find := func(i int) (mlen, dist int) {
 		limit := n
-		cand := int(head[lzHash(src[i:], p.hashBits)])
+		cand := int(head[lzHash(src[i:], p.hashBits)]) - base
 		for probes := 0; cand >= 0 && probes < p.depth; probes++ {
 			d := i - cand
 			if d > p.window || d <= 0 {
@@ -99,7 +113,7 @@ func lzCompress(dst, src []byte, p lzParams) []byte {
 			if chain == nil {
 				break
 			}
-			cand = int(chain[cand])
+			cand = int(chain[cand]) - base
 		}
 		if mlen < lzMinMatch {
 			return 0, 0

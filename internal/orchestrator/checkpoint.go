@@ -26,7 +26,10 @@ import (
 type Checkpoint struct {
 	// Commits is the number of committed aggregation steps.
 	Commits int
-	// Version is the global model version.
+	// Version is the global model version. A coordinator commits one
+	// version per round, so it writes Version equal to Commits and
+	// resumes only from a checkpoint where they are equal (the file
+	// keeps both fields).
 	Version int
 	// Global is the committed global model.
 	Global *model.StateDict
@@ -57,7 +60,7 @@ type BoundStateSnapshotter interface {
 func (c *Coordinator) Checkpoint() *Checkpoint {
 	c.mu.Lock()
 	ck := &Checkpoint{
-		Commits: c.commits,
+		Commits: c.version, // each commit made one version
 		Version: c.version,
 		Global:  c.global,
 	}
@@ -69,20 +72,24 @@ func (c *Coordinator) Checkpoint() *Checkpoint {
 }
 
 // NewCoordinatorFromCheckpoint builds a coordinator resuming from a
-// checkpoint: the global model, commit and version counters, and (when
-// cfg.Bound implements BoundStateSnapshotter) the bound schedule pick
-// up where the snapshot left them. The client registry starts empty —
-// clients re-register on reconnect.
+// checkpoint: the global model, the version (which numbers the next
+// round) and (when cfg.Bound implements BoundStateSnapshotter) the
+// bound schedule pick up where the snapshot left them. Every commit
+// makes one version, so a checkpoint whose Commits and Version differ
+// is ErrBadCheckpoint. The client registry starts empty — clients
+// re-register on reconnect.
 func NewCoordinatorFromCheckpoint(cfg Config, ck *Checkpoint) (*Coordinator, error) {
 	if ck == nil {
 		return nil, errors.New("orchestrator: nil checkpoint")
+	}
+	if ck.Commits != ck.Version {
+		return nil, fmt.Errorf("%w: %d commits but model version %d", ErrBadCheckpoint, ck.Commits, ck.Version)
 	}
 	c, err := NewCoordinator(cfg, ck.Global)
 	if err != nil {
 		return nil, err
 	}
 	c.mu.Lock()
-	c.commits = ck.Commits
 	c.version = ck.Version
 	c.mu.Unlock()
 	if len(ck.Bound) > 0 {

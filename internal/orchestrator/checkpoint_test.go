@@ -239,7 +239,44 @@ func TestCoordinatorCheckpointResume(t *testing.T) {
 func TestCheckpointResumeRejectsBoundStateMismatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
 	ck := testCheckpoint(rng)
+	ck.Commits = ck.Version // only the bound state is wrong
 	if _, err := orchestrator.NewCoordinatorFromCheckpoint(orchestrator.Config{}, ck); err == nil {
 		t.Fatal("checkpoint with bound state loaded into scheduler-less coordinator")
+	} else if errors.Is(err, orchestrator.ErrBadCheckpoint) {
+		t.Fatalf("rejected for its counters, not its bound state: %v", err)
+	}
+}
+
+// TestCheckpointResumeRejectsCounterMismatch: a coordinator commits one
+// model version per round, so a checkpoint whose two counters differ
+// was not written by one and must not be resumed; equal counters are.
+func TestCheckpointResumeRejectsCounterMismatch(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	ck := testCheckpoint(rng)
+	ck.Bound = nil
+	_, err := orchestrator.NewCoordinatorFromCheckpoint(orchestrator.Config{}, ck)
+	if !errors.Is(err, orchestrator.ErrBadCheckpoint) {
+		t.Fatalf("counters (%d, %d) resumed with error %v, want ErrBadCheckpoint", ck.Commits, ck.Version, err)
+	}
+	ck.Commits = ck.Version
+	coord, err := orchestrator.NewCoordinatorFromCheckpoint(orchestrator.Config{}, ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := coord.Global(); v != ck.Version {
+		t.Fatalf("resumed version %d, want %d", v, ck.Version)
+	}
+	if got := coord.Checkpoint(); got.Commits != ck.Version || got.Version != ck.Version {
+		t.Fatalf("re-checkpoint counters (%d, %d), want (%d, %d)", got.Commits, got.Version, ck.Version, ck.Version)
+	}
+	if err := coord.Join("c00"); err != nil {
+		t.Fatal(err)
+	}
+	round, err := coord.StartRound()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if round.Number() != ck.Version || round.Version() != ck.Version {
+		t.Fatalf("first resumed round numbered %d at version %d, want both %d", round.Number(), round.Version(), ck.Version)
 	}
 }

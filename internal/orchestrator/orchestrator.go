@@ -159,8 +159,7 @@ type Coordinator struct {
 	clients map[string]int // id → index in order
 	order   []string       // join order; swap-removed on leave
 	rng     *rand.Rand
-	version int
-	commits int
+	version int // commits so far: each round commits one version
 	global  *model.StateDict
 	round   *Round
 	agg     *Aggregator // the one aggregator every round folds into
@@ -286,7 +285,7 @@ func (c *Coordinator) StartRound() (*Round, error) {
 	c.agg = c.agg.NextRound(c.global, c.cfg.Shards)
 	r := &Round{
 		coord:    c,
-		number:   c.commits,
+		number:   c.version,
 		version:  c.version,
 		deadline: c.cfg.RoundDeadline,
 		target:   target,
@@ -310,7 +309,6 @@ func (c *Coordinator) commitRound(r *Round, agg *model.StateDict) (int, RoundSta
 	prev := c.global
 	c.global = agg
 	c.version++
-	c.commits++
 	if c.round == r {
 		c.round = nil
 	}

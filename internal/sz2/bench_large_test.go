@@ -12,11 +12,12 @@ import (
 	"fedsz/internal/quant"
 )
 
-// mobileNetTensors returns the lossy-path tensors of model.MobileNetV2(1)
-// at seed 42: the weight-named float32 entries over 1000 elements
-// (core.DefaultThreshold, the partition of Algorithm 1 line 4).
-func mobileNetTensors() (tensors [][]float32, bytes int) {
-	sd := model.BuildStateDict(model.MobileNetV2(1), 42)
+// mobileNetTensors returns the lossy-path tensors of
+// model.MobileNetV2(div) at seed 42: the weight-named float32 entries
+// over 1000 elements (core.DefaultThreshold, the partition of
+// Algorithm 1 line 4).
+func mobileNetTensors(div int) (tensors [][]float32, bytes int) {
+	sd := model.BuildStateDict(model.MobileNetV2(div), 42)
 	for _, e := range sd.Entries() {
 		if e.DType == model.Float32 && e.IsWeightNamed() && e.NumElements() > 1000 {
 			tensors = append(tensors, e.Tensor.Data())
@@ -27,7 +28,7 @@ func mobileNetTensors() (tensors [][]float32, bytes int) {
 }
 
 func BenchmarkCompressMobileNet(b *testing.B) {
-	tensors, size := mobileNetTensors()
+	tensors, size := mobileNetTensors(1)
 	c := New()
 	b.SetBytes(int64(size))
 	b.ReportAllocs()
@@ -41,8 +42,47 @@ func BenchmarkCompressMobileNet(b *testing.B) {
 	}
 }
 
+// BenchmarkCompressSections compresses the lossy tensors of
+// MobileNetV2(4), the model flat_wan100 moves: 28 sections, 27 of them
+// under 26 000 elements, so the cost each section pays whatever its
+// size (table resets, tree builds, the histogram scan) is not hidden
+// behind per-element work as in BenchmarkCompressMobileNet. "small"
+// keeps the sections of at most 8 640 elements. Both rows also report
+// ns/section.
+func BenchmarkCompressSections(b *testing.B) {
+	all, _ := mobileNetTensors(4)
+	var small [][]float32
+	for _, t := range all {
+		if len(t) <= 8640 {
+			small = append(small, t)
+		}
+	}
+	c := New()
+	for _, set := range []struct {
+		name    string
+		tensors [][]float32
+	}{{"all", all}, {"small", small}} {
+		b.Run(set.name, func(b *testing.B) {
+			size := 0
+			for _, t := range set.tensors {
+				size += 4 * len(t)
+			}
+			b.SetBytes(int64(size))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, data := range set.tensors {
+					if _, err := c.Compress(data, lossy.RelBound(1e-2)); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(set.tensors)), "ns/section")
+		})
+	}
+}
+
 func BenchmarkDecompressMobileNet(b *testing.B) {
-	tensors, size := mobileNetTensors()
+	tensors, size := mobileNetTensors(1)
 	c := New()
 	frames := make([][]byte, len(tensors))
 	for i, data := range tensors {
@@ -86,7 +126,7 @@ var stageSink int
 //     BenchmarkEncodeAlphabetStages splits the two);
 //   - wrap: the LZH stage over the assembled payload.
 func BenchmarkCompressStages(b *testing.B) {
-	tensors, size := mobileNetTensors()
+	tensors, size := mobileNetTensors(1)
 	c := New()
 	type staged struct {
 		data    []float32

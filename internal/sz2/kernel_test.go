@@ -434,7 +434,7 @@ func TestKernelMatchesReferenceMobileNet(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compresses a whole MobileNetV2 update twice")
 	}
-	tensors, _ := mobileNetTensors()
+	tensors, _ := mobileNetTensors(1)
 	eachPath(t, func(t *testing.T) {
 		for _, data := range tensors {
 			checkReference(t, New(), data, lossy.RelBound(1e-2))
@@ -597,7 +597,7 @@ func TestFitLanes(t *testing.T) {
 		inputs = append(inputs, tc.data)
 	}
 	if !testing.Short() {
-		tensors, _ := mobileNetTensors()
+		tensors, _ := mobileNetTensors(1)
 		inputs = append(inputs, tensors...)
 	}
 	same := func(a, b float64) bool {
@@ -770,7 +770,7 @@ func TestCoefficientFidelity(t *testing.T) {
 		}
 	}
 	if !testing.Short() {
-		tensors, _ := mobileNetTensors()
+		tensors, _ := mobileNetTensors(1)
 		sets = append(sets, set{"mobilenet", tensors, lossy.RelBound(1e-2)})
 	}
 	center := int32(quant.DefaultRadius + 1)
