@@ -54,15 +54,19 @@ fmt:
 
 # go vet (on amd64 its asmdecl pass checks sz2's assembly against the
 # Go declarations), go vet for arm64, which builds sz2's scalar
-# fallback instead, the FMA gate (no fused multiply-add in the arm64
-# build of the codecs, the aggregators, the seeded model init and the
-# stats they use, see scripts/fma_gate.sh),
+# fallback instead, a 386 build, where int is 32 bits (a build, not a
+# vet: sz2's fuzz test passes an int constant past 2^32), the FMA gate
+# (no fused multiply-add in the arm64 build of the codecs, the
+# aggregators, the seeded model init, the datasets, mini networks and
+# selection priors RunSim trains with, and the stats they use, see
+# scripts/fma_gate.sh),
 # then the deprecation gate: no non-test Go file may carry a
 # "Deprecated:" marker. A superseded surface is deleted, not kept as a
 # shim beside its replacement.
 vet:
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./...
+	GOARCH=386 $(GO) build ./...
 	bash scripts/fma_gate.sh
 	@if git grep --untracked -n 'Deprecated:' -- '*.go' ':!*_test.go'; then \
 		echo 'deprecated surface in non-test Go code: delete it' >&2; exit 1; fi

@@ -139,8 +139,8 @@ func MergePriors(priors ...*Prior) *Prior {
 				pairPlan[key] = vote
 			}
 			b.votes += vote.Votes
-			b.factorSum += vote.Factor * float64(vote.Votes)
-			b.rateSum += vote.MeanRate * float64(vote.Votes)
+			b.factorSum += float64(vote.Factor * float64(vote.Votes))
+			b.rateSum += float64(vote.MeanRate * float64(vote.Votes))
 		}
 	}
 	if len(acc) == 0 {

@@ -148,8 +148,8 @@ func UpdateNorm(prev, next *model.StateDict) float64 {
 		pd, nd := pe.Tensor.Data(), e.Tensor.Data()
 		for i := range nd {
 			d := float64(nd[i]) - float64(pd[i])
-			num += d * d
-			den += float64(pd[i]) * float64(pd[i])
+			num += float64(d * d)
+			den += float64(float64(pd[i]) * float64(pd[i]))
 		}
 	}
 	if den == 0 {

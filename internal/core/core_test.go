@@ -116,24 +116,46 @@ func TestPipelineAllCompressors(t *testing.T) {
 // TestCompressToRejectsNonFiniteTensor: under a REL bound, a lossy
 // tensor holding +Inf used to resolve to an infinite bound, and the leaf
 // sent a frame whose sz2 section the server's decoder rejects. CompressTo
-// must fail at the leaf instead, naming the tensor.
+// must fail at the leaf instead, naming the tensor, and Compress must
+// return that error and no bytes, whichever section fails, at every
+// width of the pool.
 func TestCompressToRejectsNonFiniteTensor(t *testing.T) {
 	sd := testDict(t)
-	p, err := NewPipeline(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var name string
-	for _, e := range sd.Entries() {
-		if p.shouldLossy(e) {
-			name = e.Name
-			e.Tensor.Data()[5] = float32(math.Inf(1))
-			break
+	for _, par := range testParallelisms() {
+		p, err := NewPipeline(Config{Parallelism: par})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	_, err = p.CompressTo(io.Discard, sd)
-	if !errors.Is(err, lossy.ErrInvalidParams) || !strings.Contains(err.Error(), name) {
-		t.Fatalf("CompressTo error %v, want ErrInvalidParams naming %q", err, name)
+		var names []string
+		for _, e := range sd.Entries() {
+			if p.shouldLossy(e) {
+				names = append(names, e.Name)
+			}
+		}
+		for _, name := range []string{names[0], names[len(names)/2], names[len(names)-1]} {
+			e, _ := sd.Get(name)
+			data := e.Tensor.Data()
+			old := data[5]
+			data[5] = float32(math.Inf(1))
+			_, errTo := p.CompressTo(io.Discard, sd)
+			buf, _, err := p.Compress(sd)
+			data[5] = old
+			// The call is over, so the caller may write sd: under -race a
+			// worker still compressing another tensor fails here.
+			for _, e := range sd.Entries() {
+				if e.Tensor != nil {
+					e.Tensor.Data()[0] = 0
+				}
+			}
+			for _, err := range []error{errTo, err} {
+				if !errors.Is(err, lossy.ErrInvalidParams) || !strings.Contains(err.Error(), name) {
+					t.Fatalf("parallelism %d: error %v, want ErrInvalidParams naming %q", par, err, name)
+				}
+			}
+			if buf != nil {
+				t.Fatalf("parallelism %d: Compress returned %d bytes with its error", par, len(buf))
+			}
+		}
 	}
 }
 

@@ -27,9 +27,11 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"runtime"
 	"time"
 
@@ -207,115 +209,28 @@ func (p *Pipeline) shouldLossy(e model.Entry) bool {
 	return e.DType == model.Float32 && e.IsWeightNamed() && e.NumElements() > p.cfg.Threshold
 }
 
-// Compress encodes sd into a FedSZ bitstream, fanning per-tensor work
-// across cfg.Parallelism workers. It is the whole-buffer wrapper over
-// the same section writer the streaming CompressTo uses: the parallel
-// fan completes first, the exact frame size is computed, and the frame
-// is assembled into one pre-sized buffer that never regrows. The
-// caller must not mutate sd while the call is in flight.
+// Compress encodes sd into a FedSZ bitstream: CompressTo into a
+// buffer, so the bytes and Stats are the streaming encoder's exactly.
+// The caller must not mutate sd while the call is in flight.
 func (p *Pipeline) Compress(sd *model.StateDict) ([]byte, Stats, error) {
-	start := time.Now()
-	var st Stats
-	tags, lossyEntries, meta, err := p.partition(sd, &st)
+	var buf bytes.Buffer
+	st, err := p.CompressTo(&buf, sd)
 	if err != nil {
 		return nil, st, err
 	}
-
-	// Fan the per-tensor lossy compressions (Algorithm 1 compresses each
-	// state-dict entry independently) and the independent lossless
-	// metadata pass across the worker pool. Results land in per-index
-	// slots, so assembly below runs in entry order and the bitstream is
-	// byte-identical at any parallelism.
-	lossyName, losslessName, ll := p.frameCodecs()
-	comps := make([][]byte, len(lossyEntries))
-	var metaComp []byte
-	errs := runTasks(len(lossyEntries)+1, p.cfg.Parallelism, func(i int) error {
-		if i < len(lossyEntries) {
-			e := lossyEntries[i]
-			comp, err := p.compressEntry(e)
-			if err != nil {
-				return fmt.Errorf("core: lossy compress %q: %w", e.Name, err)
-			}
-			comps[i] = comp
-			return nil
-		}
-		mc, err := p.compressMeta(meta, ll)
-		if err != nil {
-			return err
-		}
-		metaComp = mc
-		return nil
-	})
-	if err := firstError(errs); err != nil {
-		return nil, st, err
-	}
-
-	// One exactly pre-sized output buffer: section payloads are known
-	// after the parallel fan, so the frame assembly below never regrows
-	// (and never copies a multi-megabyte section twice).
-	frameSize := 5 + varintLen(uint64(p.cfg.Threshold)) + varintLen(uint64(len(tags))) +
-		len(lossyName) + len(losslessName) + 2*varintMax +
-		(len(tags)+7)/8 + varintLen(uint64(len(lossyEntries))) +
-		varintLen(uint64(len(metaComp))) + len(metaComp)
-	for i, e := range lossyEntries {
-		shape := e.Tensor.Shape()
-		frameSize += varintMax + len(e.Name) + varintLen(uint64(len(shape))) +
-			len(shape)*varintMax + varintLen(uint64(len(comps[i]))) + len(comps[i])
-	}
-	if p.cfg.Checksum {
-		// One CRC32C trailer per checksummed region: header, each
-		// lossy section, and the metadata section.
-		frameSize += 4 * (2 + len(lossyEntries))
-	}
-	sw := &sliceWriter{buf: make([]byte, 0, frameSize)}
-	fw := newFrameWriter(sw)
-	fw.checked = p.cfg.Checksum
-	fw.header(lossyName, losslessName, p.cfg.Threshold, len(tags), tags, len(lossyEntries))
-	for i, e := range lossyEntries {
-		st.LossyOutBytes += int64(len(comps[i]))
-		fw.lossySection(e.Name, e.Tensor.Shape(), comps[i])
-	}
-	st.MetaOutBytes = int64(len(metaComp))
-	fw.metaSection(metaComp)
-	if fw.err != nil {
-		return nil, st, fw.err
-	}
-
-	st.CompressedBytes = int64(len(sw.buf))
-	st.CompressTime = time.Since(start)
-	obsFramesEncoded.Inc()
-	return sw.buf, st, nil
+	return buf.Bytes(), st, nil
 }
 
 // Decompress decodes a FedSZ bitstream back into a state dict with the
-// original entry order, decoding tensors across runtime.GOMAXPROCS(0)
-// workers. No configuration is needed: the bitstream is self-describing.
+// original entry order: DecompressFrom over buf, decoding tensors
+// across runtime.GOMAXPROCS(0) workers. No configuration is needed: the
+// bitstream is self-describing. An empty buf is corrupt, not io.EOF.
 func Decompress(buf []byte) (*model.StateDict, error) {
-	return DecompressParallel(buf, 0)
-}
-
-// DecompressParallel decodes a FedSZ bitstream with an explicit worker
-// count (0 selects runtime.GOMAXPROCS(0), 1 forces the serial path).
-// It is the whole-buffer wrapper over the shared section reader: the
-// frame is parsed sequentially — payload slicing is zero-copy — and
-// the per-tensor lossy decodes plus the lossless metadata pass fan
-// across the pool, mirroring Compress.
-func DecompressParallel(buf []byte, parallelism int) (*model.StateDict, error) {
-	return decodeFrame(&bufSource{buf: buf}, parallelism, nil, nil)
-}
-
-// varintMax is the worst-case uvarint encoding size used when an exact
-// pre-size is not worth computing.
-const varintMax = 10
-
-// varintLen returns the encoded size of v as a uvarint.
-func varintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
+	sd, err := DecompressFrom(bytes.NewReader(buf), 0)
+	if err == io.EOF {
+		return nil, fmt.Errorf("%w: empty frame", ErrCorrupt)
 	}
-	return n
+	return sd, err
 }
 
 func appendString(dst []byte, s string) []byte {

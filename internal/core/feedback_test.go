@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -148,11 +149,11 @@ func TestErrorFeedbackBufferStreamParity(t *testing.T) {
 		for _, u := range updates {
 			sd := feedbackStateDict(t, u)
 			if streaming {
-				var buf sliceWriter
+				var buf bytes.Buffer
 				if _, err := p.CompressTo(&buf, sd); err != nil {
 					t.Fatal(err)
 				}
-				frames = append(frames, append([]byte(nil), buf.buf...))
+				frames = append(frames, buf.Bytes())
 			} else {
 				b, _, err := p.Compress(sd)
 				if err != nil {

@@ -57,7 +57,7 @@ func TestDecodeAllocsUnchangedByObs(t *testing.T) {
 		t.Fatal(err)
 	}
 	decode := func() {
-		if _, err := DecompressParallel(frame, 1); err != nil {
+		if _, err := DecompressFrom(bytes.NewReader(frame), 1); err != nil {
 			t.Fatal(err)
 		}
 	}

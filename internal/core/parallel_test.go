@@ -56,7 +56,7 @@ func TestCompressDeterministicAcrossParallelism(t *testing.T) {
 					t.Errorf("parallelism %d: stats differ:\n got %+v\nwant %+v", par, st, refStats)
 				}
 				// Parallel decode of the parallel bitstream round-trips.
-				got, err := DecompressParallel(buf, par)
+				got, err := DecompressFrom(bytes.NewReader(buf), par)
 				if err != nil {
 					t.Fatalf("parallelism %d: decompress: %v", par, err)
 				}
@@ -78,11 +78,11 @@ func TestDecompressParallelMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := DecompressParallel(buf, 1)
+	serial, err := DecompressFrom(bytes.NewReader(buf), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := DecompressParallel(buf, 4)
+	parallel, err := DecompressFrom(bytes.NewReader(buf), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestPipelineConcurrentReuse(t *testing.T) {
 					errc <- errNondeterministic
 					return
 				}
-				if _, err := DecompressParallel(buf, p.Config().Parallelism); err != nil {
+				if _, err := DecompressFrom(bytes.NewReader(buf), p.Config().Parallelism); err != nil {
 					errc <- err
 					return
 				}
@@ -146,37 +146,3 @@ func TestPipelineConcurrentReuse(t *testing.T) {
 }
 
 var errNondeterministic = errors.New("concurrent compress produced a differing bitstream")
-
-// TestRunTasks covers the pool helper directly: full coverage of the
-// index space, deterministic first-error selection, and the degenerate
-// widths.
-func TestRunTasks(t *testing.T) {
-	for _, par := range []int{0, 1, 3, 8, 100} {
-		hit := make([]bool, 50)
-		var mu sync.Mutex
-		errs := runTasks(len(hit), par, func(i int) error {
-			mu.Lock()
-			hit[i] = true
-			mu.Unlock()
-			return nil
-		})
-		if err := firstError(errs); err != nil {
-			t.Fatalf("parallelism %d: %v", par, err)
-		}
-		for i, h := range hit {
-			if !h {
-				t.Fatalf("parallelism %d: index %d never ran", par, i)
-			}
-		}
-	}
-	// Error propagation: the lowest-index error wins.
-	errs := runTasks(10, 4, func(i int) error {
-		if i >= 5 {
-			return errNondeterministic
-		}
-		return nil
-	})
-	if err := firstError(errs); err == nil {
-		t.Fatal("expected an error")
-	}
-}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"io"
 
@@ -308,78 +307,13 @@ func unmarshalStateDictEntries(r io.Reader, dst *model.StateDict, at []int, emit
 	return nil
 }
 
-// UnmarshalStateDict decodes a buffer produced by MarshalStateDict.
+// UnmarshalStateDict decodes a buffer produced by MarshalStateDict:
+// UnmarshalStateDictFrom over buf, except that an empty buf is corrupt,
+// not io.EOF.
 func UnmarshalStateDict(buf []byte) (*model.StateDict, error) {
-	if len(buf) < 4 || string(buf[:4]) != serializeMagic {
+	sd, err := UnmarshalStateDictFrom(bytes.NewReader(buf))
+	if err == io.EOF {
 		return nil, fmt.Errorf("%w: bad state-dict magic", ErrCorrupt)
 	}
-	buf = buf[4:]
-	count, n := binary.Uvarint(buf)
-	if n <= 0 {
-		return nil, fmt.Errorf("%w: state-dict count", ErrCorrupt)
-	}
-	buf = buf[n:]
-	sd := model.NewStateDict()
-	for i := uint64(0); i < count; i++ {
-		nameLen, n := binary.Uvarint(buf)
-		if n <= 0 || nameLen >= uint64(len(buf)-n) { // name and dtype byte; nameLen+1 could wrap
-			return nil, fmt.Errorf("%w: entry %d name", ErrCorrupt, i)
-		}
-		name := string(buf[n : n+int(nameLen)])
-		buf = buf[n+int(nameLen):]
-		dtype := model.DType(buf[0])
-		buf = buf[1:]
-
-		ndims, n := binary.Uvarint(buf)
-		if n <= 0 || ndims > maxStreamDims {
-			return nil, fmt.Errorf("%w: entry %q dims", ErrCorrupt, name)
-		}
-		buf = buf[n:]
-		// The stream decoder's caps: without them a forged shape's
-		// product can wrap to a small or zero element count.
-		shape := make([]int, ndims)
-		elems64 := uint64(1)
-		for d := range shape {
-			v, n := binary.Uvarint(buf)
-			if n <= 0 || v > maxStreamElems {
-				return nil, fmt.Errorf("%w: entry %q dim %d", ErrCorrupt, name, d)
-			}
-			buf = buf[n:]
-			if elems64 *= v; elems64 > maxStreamElems {
-				return nil, fmt.Errorf("%w: entry %q element overflow", ErrCorrupt, name)
-			}
-			shape[d] = int(v)
-		}
-		elems := int(elems64)
-
-		switch dtype {
-		case model.Float32:
-			if elems > len(buf)/4 { // division form: elems*4 could overflow
-				return nil, fmt.Errorf("%w: entry %q payload", ErrCorrupt, name)
-			}
-			data := make([]float32, elems)
-			landRun(data, buf[:elems*4], true)
-			buf = buf[elems*4:]
-			t, err := tensor.FromData(data, shape...)
-			if err != nil {
-				return nil, fmt.Errorf("%w: entry %q: %v", ErrCorrupt, name, err)
-			}
-			if err := sd.Add(model.Entry{Name: name, DType: model.Float32, Tensor: t}); err != nil {
-				return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-			}
-		case model.Int64:
-			if elems > len(buf)/8 {
-				return nil, fmt.Errorf("%w: entry %q payload", ErrCorrupt, name)
-			}
-			ints := make([]int64, elems)
-			landRun(ints, buf[:elems*8], true)
-			buf = buf[elems*8:]
-			if err := sd.Add(model.Entry{Name: name, DType: model.Int64, Ints: ints}); err != nil {
-				return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-			}
-		default:
-			return nil, fmt.Errorf("%w: entry %q dtype %d", ErrCorrupt, name, dtype)
-		}
-	}
-	return sd, nil
+	return sd, err
 }

@@ -231,11 +231,7 @@ func TestUnmarshalIntoAllocsIndependentOfModelSize(t *testing.T) {
 // decoder with a destination whose every slice sits between canaries:
 // it must never write outside dst's slices, must succeed exactly when
 // UnmarshalStateDictFrom does, and must then decode the same dict. The
-// whole-buffer UnmarshalStateDict must agree with both. The one
-// deliberate divergence: the stream decoder holds names, entry counts
-// and Int64 runs to absolute caps, where the buffer decoder checks them
-// against the bytes present; every cap lies beyond maxStreamString
-// bytes of input, so only shorter inputs are held to agreement.
+// whole-buffer UnmarshalStateDict must agree with both on every input.
 func FuzzUnmarshalStateDictInto(f *testing.F) {
 	golden, err := os.ReadFile(filepath.Join("testdata", "fsd1_small.golden"))
 	if err != nil {
@@ -300,7 +296,7 @@ func FuzzUnmarshalStateDictInto(f *testing.F) {
 			t.Fatalf("From: %v, Into: %v", errFrom, errInto)
 		}
 		whole, errWhole := UnmarshalStateDict(data)
-		if len(data) <= maxStreamString && (errFrom == nil) != (errWhole == nil) {
+		if (errFrom == nil) != (errWhole == nil) {
 			t.Fatalf("From: %v, whole buffer: %v", errFrom, errWhole)
 		}
 		if errFrom != nil {

@@ -24,15 +24,14 @@ import (
 // io.Writer (header first, then each lossy section as its tensor
 // finishes compressing, then the lossless section) and a section
 // reader that consumes it from an io.Reader with bounded allocation.
-// The whole-buffer Compress/Decompress entry points in fedsz.go are
-// thin wrappers over the same writer/reader pair, so both paths share
-// one frame-assembly implementation and stay byte-identical.
+// The whole-buffer Compress/Decompress entry points in fedsz.go run
+// this writer into a bytes.Buffer and this reader over a bytes.Reader,
+// so there is one encoder and one decoder per format.
 
-// Streaming read limits. A buffer-backed source can validate every
-// declared count against the bytes that are actually present; a
-// stream cannot, so the streaming reader enforces absolute caps
-// instead. They are far above any real model update while keeping the
-// allocation a forged header can force small.
+// Read limits. A reader cannot validate a declared count against bytes
+// that have not arrived yet, so every input, a whole buffer included,
+// is held to absolute caps. They are far above any real model update
+// while keeping the allocation a forged header can force small.
 const (
 	// maxStreamEntries caps entry and lossy-tensor counts (a 2M-entry
 	// state dict is ~3 orders beyond ResNet50's 320 entries).
@@ -40,8 +39,8 @@ const (
 	// maxStreamSection caps one section payload (1 GiB, matching the
 	// transport's MaxFrameSize).
 	maxStreamSection = 1 << 30
-	// maxStreamString caps name fields.
-	maxStreamString = 1 << 16
+	// maxStreamString caps name fields, so that one fits the reader's scratch.
+	maxStreamString = WireChunk
 	// maxStreamDims caps a declared tensor rank.
 	maxStreamDims = 16
 	// maxStreamElems caps a declared tensor shape: each dimension and
@@ -54,7 +53,7 @@ const (
 )
 
 // crcTable is the CRC32C (Castagnoli) table shared by the checked
-// frame writer and both frame sources. Castagnoli over IEEE for its
+// frame writer and the frame reader. Castagnoli over IEEE for its
 // better burst-error detection and hardware support.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
@@ -163,15 +162,6 @@ func (fw *frameWriter) metaSection(payload []byte) {
 	fw.emitCRC()
 }
 
-// sliceWriter adapts an append-style buffer to io.Writer; Compress
-// pre-sizes it exactly, so frame assembly never regrows.
-type sliceWriter struct{ buf []byte }
-
-func (s *sliceWriter) Write(p []byte) (int, error) {
-	s.buf = append(s.buf, p...)
-	return len(p), nil
-}
-
 // countingWriter counts bytes on their way to w (the streaming
 // encoder's CompressedBytes accounting).
 type countingWriter struct {
@@ -239,9 +229,9 @@ func (p *Pipeline) compressMeta(meta *model.StateDict, ll lossless.Codec) ([]byt
 // that tensor finishes compressing, so on a network writer compression
 // time hides behind transmission time (the paper's tC behind tT).
 // Per-tensor compression fans across cfg.Parallelism workers; sections
-// are still written in deterministic entry order, so the bytes passing
-// through w are exactly what Compress would have returned. The caller
-// must not mutate sd while the call is in flight.
+// are still written in deterministic entry order, so the bytes are the
+// same at every parallelism. The caller must not mutate sd while the
+// call is in flight.
 func (p *Pipeline) CompressTo(w io.Writer, sd *model.StateDict) (Stats, error) {
 	start := time.Now()
 	var st Stats
@@ -288,8 +278,11 @@ func (p *Pipeline) CompressTo(w io.Writer, sd *model.StateDict) (Stats, error) {
 	}
 	var next atomic.Int64
 	var abort atomic.Bool
+	var wg sync.WaitGroup
+	wg.Add(workers)
 	for g := 0; g < workers; g++ {
 		go func() {
+			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= nTasks || abort.Load() {
@@ -300,25 +293,32 @@ func (p *Pipeline) CompressTo(w io.Writer, sd *model.StateDict) (Stats, error) {
 		}()
 	}
 
+	// fail stops the workers claiming tasks and waits out the ones in
+	// flight, so that no worker reads sd (or updates Feedback) once the
+	// call has returned.
+	fail := func(err error) (Stats, error) {
+		abort.Store(true)
+		wg.Wait()
+		return st, err
+	}
+
 	cw := &countingWriter{w: w}
 	fw := newFrameWriter(cw)
 	fw.checked = p.cfg.Checksum
 	fw.header(lossyName, losslessName, p.cfg.Threshold, len(tags), tags, len(lossyEntries))
 	for i, e := range lossyEntries {
 		if err := <-done[i]; err != nil {
-			abort.Store(true)
-			return st, err
+			return fail(err)
 		}
 		st.LossyOutBytes += int64(len(comps[i]))
 		fw.lossySection(e.Name, e.Tensor.Shape(), comps[i])
 		comps[i] = nil // the section is on the wire; release it
 		if fw.err != nil {
-			abort.Store(true)
-			return st, fw.err
+			return fail(fw.err)
 		}
 	}
 	if err := <-done[nTasks-1]; err != nil {
-		return st, err
+		return fail(err)
 	}
 	st.MetaOutBytes = int64(len(metaComp))
 	fw.metaSection(metaComp)
@@ -329,99 +329,6 @@ func (p *Pipeline) CompressTo(w io.Writer, sd *model.StateDict) (Stats, error) {
 	st.CompressTime = time.Since(start)
 	obsFramesEncoded.Inc()
 	return st, nil
-}
-
-// frameSource abstracts where frame bytes come from, so one decode
-// loop serves both the whole-buffer and the streaming path. A
-// buffer-backed source validates counts against the bytes actually
-// present and hands out zero-copy payload slices; a stream-backed
-// source enforces absolute caps and reads payloads with bounded
-// incremental allocation.
-type frameSource interface {
-	// uvarint reads one varint field.
-	uvarint() (uint64, error)
-	// readString reads one length-prefixed string field.
-	readString() (string, error)
-	// payload returns the next n bytes. The returned slice may alias
-	// the source's backing buffer and is only valid until the source
-	// is advanced by the caller's owner (decodeFrame hands payloads
-	// straight to decoders, which never outlive the call).
-	payload(n uint64) ([]byte, error)
-	// entryLimit bounds a plausible state-dict entry count (one tag
-	// bit per entry must follow).
-	entryLimit() uint64
-	// lossyLimit bounds a plausible lossy-tensor count (at least three
-	// bytes of framing per tensor must follow).
-	lossyLimit() uint64
-	// beginCRC starts accumulating CRC32C over every byte the source
-	// hands out, for one checksummed region of a version-2 frame.
-	beginCRC()
-	// verifyCRC stops accumulating, consumes the region's 4-byte
-	// stored trailer, and fails with ErrCorruptFrame (naming what) on
-	// mismatch or truncation.
-	verifyCRC(what string) error
-}
-
-// bufSource parses a frame held fully in memory.
-type bufSource struct {
-	buf   []byte
-	crcOn bool
-	crc   uint32
-}
-
-func (s *bufSource) sum(p []byte) {
-	if s.crcOn {
-		s.crc = crc32.Update(s.crc, crcTable, p)
-	}
-}
-
-func (s *bufSource) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(s.buf)
-	if n <= 0 {
-		return 0, ErrCorrupt
-	}
-	s.sum(s.buf[:n])
-	s.buf = s.buf[n:]
-	return v, nil
-}
-
-func (s *bufSource) readString() (string, error) {
-	l, err := s.uvarint()
-	if err != nil || l > uint64(len(s.buf)) {
-		return "", ErrCorrupt
-	}
-	out := string(s.buf[:l])
-	s.sum(s.buf[:l])
-	s.buf = s.buf[l:]
-	return out, nil
-}
-
-func (s *bufSource) payload(n uint64) ([]byte, error) {
-	if n > uint64(len(s.buf)) {
-		return nil, ErrCorrupt
-	}
-	p := s.buf[:n]
-	s.sum(p)
-	s.buf = s.buf[n:]
-	return p, nil
-}
-
-func (s *bufSource) entryLimit() uint64 { return uint64(len(s.buf)) * 8 }
-func (s *bufSource) lossyLimit() uint64 { return uint64(len(s.buf)) / 3 }
-
-func (s *bufSource) beginCRC() { s.crcOn, s.crc = true, 0 }
-
-func (s *bufSource) verifyCRC(what string) error {
-	s.crcOn = false
-	if len(s.buf) < 4 {
-		return fmt.Errorf("%w: %s: missing trailer", ErrCorruptFrame, what)
-	}
-	stored := binary.BigEndian.Uint32(s.buf[:4])
-	s.buf = s.buf[4:]
-	if stored != s.crc {
-		return fmt.Errorf("%w: %s", ErrCorruptFrame, what)
-	}
-	return nil
 }
 
 // asByteReader returns r itself when it can serve varint reads
@@ -496,9 +403,10 @@ func (s *streamSource) readString() (string, error) {
 	if l > maxStreamString {
 		return "", fmt.Errorf("%w: string field length %d", ErrCorrupt, l)
 	}
-	p, err := s.payload(l)
-	if err != nil {
-		return "", err
+	// A field fits in the reader's scratch, so the string is its one copy.
+	p := s.buf()[:l]
+	if err := s.readFull(p); err != nil {
+		return "", fmt.Errorf("%w: truncated string: %w", ErrCorrupt, noEOF(err))
 	}
 	return string(p), nil
 }
@@ -533,11 +441,9 @@ func (s *streamSource) payload(n uint64) ([]byte, error) {
 	return buf, nil
 }
 
-func (s *streamSource) entryLimit() uint64 { return maxStreamEntries }
-func (s *streamSource) lossyLimit() uint64 { return maxStreamEntries }
-
-func (s *streamSource) beginCRC() { s.BeginCRC() }
-
+// verifyCRC stops the running checksum, consumes the region's 4-byte
+// stored trailer, and fails with ErrCorruptFrame (naming what) on
+// mismatch or truncation.
 func (s *streamSource) verifyCRC(what string) error {
 	sum := s.EndCRC()
 	var b [4]byte
@@ -726,10 +632,11 @@ func (ls *lossySection) decoded(fm *famMetrics, decStart time.Time, data []float
 // With a non-nil dst (and a nil emit) the frame is decoded in place, as
 // DecompressInto describes: entry i lands in dst's i-th entry when the
 // two agree on name, dtype and shape.
-func decodeFrame(src frameSource, parallelism int, emit func(model.Entry) error, dst *model.StateDict) (*model.StateDict, error) {
+func decodeFrame(src *streamSource, parallelism int, emit func(model.Entry) error, dst *model.StateDict) (*model.StateDict, error) {
 	if parallelism <= 0 {
 		parallelism = runtime.GOMAXPROCS(0)
 	}
+	defer src.Release()
 
 	hdr, err := src.payload(5)
 	if err != nil {
@@ -750,7 +657,7 @@ func decodeFrame(src frameSource, parallelism int, emit func(model.Entry) error,
 		return nil, fmt.Errorf("%w: version %d", ErrCorrupt, hdr[4])
 	}
 	if checked {
-		src.beginCRC()
+		src.BeginCRC()
 	}
 
 	lossyName, err := src.readString()
@@ -771,7 +678,7 @@ func decodeFrame(src frameSource, parallelism int, emit func(model.Entry) error,
 	}
 	// Rejecting implausible claims here also keeps the int conversion
 	// below from wrapping negative.
-	if nEntries64 > src.entryLimit() {
+	if nEntries64 > maxStreamEntries {
 		return nil, fmt.Errorf("%w: entry count %d exceeds bound", ErrCorrupt, nEntries64)
 	}
 	nEntries := int(nEntries64)
@@ -785,10 +692,7 @@ func decodeFrame(src frameSource, parallelism int, emit func(model.Entry) error,
 	if err != nil {
 		return nil, fmt.Errorf("%w: lossy count", ErrCorrupt)
 	}
-	// Each framed tensor costs at least 3 bytes (name-length, ndims and
-	// payload-length varints), so a count beyond that is corrupt —
-	// reject it before sizing the slice by an attacker-controlled value.
-	if nLossy64 > src.lossyLimit() {
+	if nLossy64 > maxStreamEntries {
 		return nil, fmt.Errorf("%w: lossy count %d exceeds bound", ErrCorrupt, nLossy64)
 	}
 	// Verify the header before acting on anything it claims — a flipped
@@ -816,7 +720,7 @@ func decodeFrame(src frameSource, parallelism int, emit func(model.Entry) error,
 	// Grown per parsed section (each costs ≥3 real bytes), never sized
 	// by the claimed count in one shot; pointer elements stay stable
 	// for the decode goroutines across regrows.
-	lossyTensors := make([]*lossySection, 0, min64(nLossy64, 1024))
+	lossyTensors := make([]*lossySection, 0, min(nLossy64, 1024))
 	pool := newDecodePool(parallelism)
 	// Once decode work is in flight, every return must drain the pool
 	// first: in emit mode a worker still running after decodeFrame
@@ -845,7 +749,7 @@ func decodeFrame(src frameSource, parallelism int, emit func(model.Entry) error,
 	}
 	for i := uint64(0); i < nLossy64; i++ {
 		if checked {
-			src.beginCRC()
+			src.BeginCRC()
 		}
 		name, err := src.readString()
 		if err != nil {
@@ -894,7 +798,7 @@ func decodeFrame(src frameSource, parallelism int, emit func(model.Entry) error,
 	}
 
 	if checked {
-		src.beginCRC()
+		src.BeginCRC()
 	}
 	metaLen, err := src.uvarint()
 	if err != nil {
@@ -910,32 +814,23 @@ func decodeFrame(src frameSource, parallelism int, emit func(model.Entry) error,
 			return bail(err)
 		}
 	}
-	var meta []model.Entry
+	meta := make([]model.Entry, 0, len(metaAt))
 	pool.run(func() error {
 		blob, err := ll.Decompress(metaPayload)
 		if err != nil {
 			return fmt.Errorf("%w: metadata: %v", ErrCorrupt, err)
 		}
-		if dst != nil {
-			meta = make([]model.Entry, 0, len(metaAt))
-			return unmarshalStateDictEntries(bytes.NewReader(blob), dst, metaAt, func(e model.Entry, _ bool) error {
-				meta = append(meta, e)
-				return nil
-			})
-		}
-		m, err := UnmarshalStateDict(blob)
-		if err != nil {
-			return err
-		}
-		meta = m.Entries()
-		if emit != nil {
-			for _, e := range meta {
-				if err := emit(e); err != nil {
-					return err
-				}
+		err = unmarshalStateDictEntries(bytes.NewReader(blob), dst, metaAt, func(e model.Entry, _ bool) error {
+			meta = append(meta, e)
+			if emit != nil {
+				return emit(e)
 			}
+			return nil
+		})
+		if err == io.EOF {
+			return fmt.Errorf("%w: empty metadata", ErrCorrupt)
 		}
-		return nil
+		return err
 	})
 	if err := pool.wait(); err != nil {
 		return nil, err
@@ -1049,13 +944,6 @@ func DecompressEntriesFrom(r io.Reader, parallelism int, emit func(model.Entry) 
 	}
 	_, err := decodeFrame(newStreamSource(r), parallelism, emit, nil)
 	return err
-}
-
-func min64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // appendPackedBools appends bs packed LSB-first into dst.

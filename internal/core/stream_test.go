@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"io"
 	"math/rand"
 	"testing"
@@ -286,9 +287,88 @@ func TestMarshalStateDictToIdentity(t *testing.T) {
 	}
 }
 
+// TestWholeBufferShortInputsAreCorrupt: the whole-buffer decoders read
+// through the stream decoders, whose empty stream is io.EOF. A buffer
+// that is empty, shorter than a magic or cut anywhere inside is a
+// corrupt frame or dict to them: ErrCorrupt, never io.EOF, never (nil,
+// nil).
+func TestWholeBufferShortInputsAreCorrupt(t *testing.T) {
+	sd := streamStateDict(t, 3)
+	p, err := NewPipeline(Config{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame, _, err := p.Compress(sd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := MarshalStateDict(sd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoders := []struct {
+		name   string
+		valid  []byte
+		decode func([]byte) (*model.StateDict, error)
+	}{
+		{"Decompress", frame, Decompress},
+		{"UnmarshalStateDict", plain, UnmarshalStateDict},
+	}
+	for _, d := range decoders {
+		cuts := []int{0, 1, 2, 3, 4, len(d.valid) / 2, len(d.valid) - 1}
+		for cut := 5; cut < len(d.valid); cut += 1 + cut/8 {
+			cuts = append(cuts, cut)
+		}
+		for _, cut := range cuts {
+			got, err := d.decode(d.valid[:cut])
+			if !errors.Is(err, ErrCorrupt) || errors.Is(err, io.EOF) || got != nil {
+				t.Fatalf("%s of %d of %d bytes: (%v, %v), want (nil, ErrCorrupt) and not io.EOF",
+					d.name, cut, len(d.valid), dictLen(got), err)
+			}
+		}
+		if _, err := d.decode(d.valid); err != nil {
+			t.Fatalf("%s of the whole input: %v", d.name, err)
+		}
+	}
+}
+
+// TestEmptyMetadataIsCorrupt: a frame whose lossless section inflates
+// to no bytes at all holds no FSD1 dict, and the stream decoder's empty
+// stream (io.EOF) must not leak out of the frame decoder as a clean end.
+func TestEmptyMetadataIsCorrupt(t *testing.T) {
+	ll, err := lossless.New(lossless.NameBloscLZ)
+	if err != nil {
+		t.Fatal(err)
+	}
+	empty, err := ll.Compress(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var frame bytes.Buffer
+	fw := newFrameWriter(&frame)
+	fw.header(LossySZ2, lossless.NameBloscLZ, DefaultThreshold, 0, nil, 0)
+	fw.metaSection(empty)
+	decoders := map[string]func() error{
+		"Decompress": func() error { _, err := Decompress(frame.Bytes()); return err },
+		"DecompressFrom": func() error {
+			_, err := DecompressFrom(bytes.NewReader(frame.Bytes()), 1)
+			return err
+		},
+		"DecompressEntriesFrom": func() error {
+			return DecompressEntriesFrom(bytes.NewReader(frame.Bytes()), 1, func(model.Entry) error { return nil })
+		},
+	}
+	for name, decode := range decoders {
+		if err := decode(); !errors.Is(err, ErrCorrupt) || errors.Is(err, io.EOF) {
+			t.Errorf("%s: %v, want ErrCorrupt and not io.EOF", name, err)
+		}
+	}
+}
+
 // FuzzDecoderStream drives the streaming frame reader with arbitrary
 // bytes: it must return a dict or an error — never panic, never (nil,
-// nil) — and agree with the buffer decoder on validity.
+// nil) — and the whole-buffer Decompress, which reads the same bytes
+// at the full pool width, must accept what it accepts.
 func FuzzDecoderStream(f *testing.F) {
 	p, err := NewPipeline(Config{Parallelism: 1, Threshold: 64})
 	if err != nil {
@@ -327,9 +407,8 @@ func FuzzDecoderStream(f *testing.F) {
 		if err == nil && got == nil {
 			t.Fatal("DecompressFrom returned nil dict with nil error")
 		}
-		// The buffer decoder must agree on validity: a stream the
-		// streaming reader accepts is a frame (plus ignored trailing
-		// bytes) the whole-buffer reader accepts too.
+		// A stream the serial reader accepts is a frame (plus ignored
+		// trailing bytes) the whole-buffer reader accepts too.
 		if err == nil {
 			if _, bufErr := Decompress(data); bufErr != nil {
 				t.Fatalf("stream reader accepted what buffer reader rejects: %v", bufErr)

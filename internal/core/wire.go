@@ -76,18 +76,6 @@ func swapCopy(dst, src []byte, width int) {
 	}
 }
 
-// landRun copies a run's wire bytes src, len(src) == width*len(dst),
-// into dst, swapping each element when the wire order is not the
-// host's.
-func landRun[T wireElem](dst []T, src []byte, little bool) {
-	view, width := wireView(dst)
-	if little == hostLittle {
-		copy(view, src)
-	} else {
-		swapCopy(view, src, width)
-	}
-}
-
 // WireWriter stages field bytes, short runs and byte-swapped runs in
 // one fixed scratch and hands them to the underlying writer a chunk at
 // a time; a long run in host order goes to the writer from its own

@@ -430,8 +430,8 @@ func TestMarshalStateDictToConcurrent(t *testing.T) {
 
 // TestUnmarshalStateDictForgedShape: a shape whose element product
 // wraps int, or whose name length wraps the bounds check, is corrupt
-// to the whole-buffer decoder as it is to the stream decoder — not a
-// valid empty tensor, and not a panic.
+// to the whole-buffer decoder as it is to the stream decoder under it —
+// not a valid empty tensor, and not a panic.
 func TestUnmarshalStateDictForgedShape(t *testing.T) {
 	entry := func(name string, dims ...uint64) []byte {
 		f := []byte(serializeMagic)

@@ -80,7 +80,7 @@ func (s Spec) Generate(n int, seed int64) *Dataset {
 		t := make([]float32, s.Dim)
 		v := 0.0
 		for i := range t {
-			v += rng.NormFloat64() * 0.25 * scale
+			v += float64(rng.NormFloat64() * 0.25 * scale)
 			v *= 0.98
 			t[i] = float32(v)
 		}
@@ -113,11 +113,11 @@ func (s Spec) Generate(n int, seed int64) *Dataset {
 	for i := 0; i < n; i++ {
 		c := i % s.Classes // balanced
 		d.Y[i] = c
-		gain := float32(1 + rng.NormFloat64()*0.1)
+		gain := float32(1 + float64(rng.NormFloat64()*0.1))
 		row := d.X[i*s.Dim : (i+1)*s.Dim]
 		t := templates[c]
 		for j := range row {
-			row[j] = gain*t[j] + float32(rng.NormFloat64()*s.Noise)
+			row[j] = float32(gain*t[j]) + float32(rng.NormFloat64()*s.Noise)
 		}
 		standardize(row)
 	}
@@ -136,7 +136,7 @@ func standardize(row []float32) {
 	var ss float64
 	for _, v := range row {
 		dv := float64(v) - mean
-		ss += dv * dv
+		ss += float64(dv * dv)
 	}
 	std := math.Sqrt(ss / float64(len(row)))
 	if std == 0 {
@@ -327,16 +327,16 @@ func gammaSample(rng interface {
 	c := 1 / math.Sqrt(9*d)
 	for {
 		x := rng.NormFloat64()
-		v := 1 + c*x
+		v := 1 + float64(c*x)
 		if v <= 0 {
 			continue
 		}
-		v = v * v * v
+		v = v * v * v // float64(v) below keeps 1-v from fusing this product
 		u := rng.Float64()
-		if u < 1-0.0331*x*x*x*x {
+		if u < 1-float64(0.0331*x*x*x*x) {
 			return d * v
 		}
-		if u > 0 && math.Log(u) < 0.5*x*x+d*(1-v+math.Log(v)) {
+		if u > 0 && math.Log(u) < float64(0.5*x*x)+float64(d*(1-float64(v)+math.Log(v))) {
 			return d * v
 		}
 	}
@@ -375,9 +375,9 @@ func (d *Dataset) SNR() float64 {
 		row := d.X[i*d.Dim : (i+1)*d.Dim]
 		for j, v := range row {
 			mean := classSum[c][j] / float64(classCount[c])
-			signal += mean * mean
+			signal += float64(mean * mean)
 			dv := float64(v) - mean
-			noise += dv * dv
+			noise += float64(dv * dv)
 			count++
 		}
 	}

@@ -129,7 +129,7 @@ func AppendEncodeAlphabet(dst []byte, symbols []int32, alphabet int) ([]byte, er
 
 // appendAlphabet is AppendEncodeAlphabet on e's scratch.
 func (e *encoder) appendAlphabet(dst []byte, symbols []int32, alphabet int) ([]byte, error) {
-	if alphabet > denseLimit || len(symbols) > math.MaxUint32 {
+	if alphabet > denseLimit || uint64(len(symbols)) > math.MaxUint32 {
 		return e.appendSparse(dst, symbols, alphabet)
 	}
 	if err := e.countDense(symbols, alphabet); err != nil {

@@ -40,7 +40,7 @@ func Corpus(seed int64) map[string][]float32 {
 	smooth := make([]float32, 8192) // scientific-data-like
 	for i := range smooth {
 		x := float64(i) / 512
-		smooth[i] = float32(math.Sin(2*math.Pi*x) + 0.3*math.Sin(11*x))
+		smooth[i] = float32(math.Sin(2*math.Pi*x) + float64(0.3*math.Sin(11*x)))
 	}
 
 	steps := make([]float32, 4096) // piecewise constant

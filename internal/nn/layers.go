@@ -57,7 +57,7 @@ func (d *Dense) Forward(x *Batch) *Batch {
 			wRow := w[o*d.in : (o+1)*d.in]
 			var acc float32
 			for k, xv := range xr {
-				acc += xv * wRow[k]
+				acc += float32(xv * wRow[k])
 			}
 			yr[o] = acc + b[o]
 		}
@@ -85,8 +85,8 @@ func (d *Dense) Backward(grad *Batch) *Batch {
 			wRow := w[o*d.in : (o+1)*d.in]
 			gwRow := gw[o*d.in : (o+1)*d.in]
 			for k, xv := range xr {
-				gwRow[k] += g * xv
-				or[k] += g * wRow[k]
+				gwRow[k] += float32(g * xv)
+				or[k] += float32(g * wRow[k])
 			}
 		}
 	}
@@ -201,8 +201,8 @@ func (c *Conv2D) Forward(x *Batch) *Batch {
 								if ix < 0 || ix >= c.w {
 									continue
 								}
-								acc += xr[(ic*c.h+iy)*c.w+ix] *
-									w[((oc*c.inC+ic)*c.k+ky)*c.k+kx]
+								acc += float32(xr[(ic*c.h+iy)*c.w+ix] *
+									w[((oc*c.inC+ic)*c.k+ky)*c.k+kx])
 							}
 						}
 					}
@@ -247,8 +247,8 @@ func (c *Conv2D) Backward(grad *Batch) *Batch {
 								}
 								wi := ((oc*c.inC+ic)*c.k+ky)*c.k + kx
 								xi := (ic*c.h+iy)*c.w + ix
-								gw[wi] += g * xr[xi]
-								or[xi] += g * w[wi]
+								gw[wi] += float32(g * xr[xi])
+								or[xi] += float32(g * w[wi])
 							}
 						}
 					}

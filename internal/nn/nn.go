@@ -174,7 +174,7 @@ func (p *Param) step(lr, momentum float32) {
 		p.velocity = make([]float32, len(w))
 	}
 	for i := range w {
-		p.velocity[i] = momentum*p.velocity[i] - lr*g[i]
+		p.velocity[i] = float32(momentum*p.velocity[i]) - float32(lr*g[i])
 		w[i] += p.velocity[i]
 		g[i] = 0
 	}

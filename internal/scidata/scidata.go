@@ -52,7 +52,7 @@ func (f Field) Slice(n, slice int) []float32 {
 		modes[k] = mode{
 			freq:  freq,
 			amp:   1 / math.Pow(freq, f.Decay),
-			phase: rng.Float64() * 2 * math.Pi,
+			phase: float64(float64(rng.Float64()) * 2 * math.Pi),
 		}
 	}
 	out := make([]float32, n)
@@ -60,7 +60,7 @@ func (f Field) Slice(n, slice int) []float32 {
 		x := float64(i) / float64(n)
 		v := f.Offset
 		for _, m := range modes {
-			v += m.amp * math.Sin(2*math.Pi*m.freq*x+m.phase)
+			v += float64(m.amp * math.Sin(float64(2*math.Pi*m.freq*x)+m.phase))
 		}
 		out[i] = float32(v)
 	}

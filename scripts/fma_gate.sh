@@ -6,13 +6,18 @@
 # with another rounding than the amd64 encoder checked against eb, and
 # an aggregator would fold other bits; a seeded model (model, stats)
 # would start from other weights, and a bound check (lossy's metrics)
-# would measure another error. An explicit float64(x*y) blocks the
-# fusion, and on amd64 compiles to the same code.
+# would measure another error; the simulator's seeded datasets
+# (dataset, scidata), mini networks (nn) and selection priors (adapt)
+# would train and pick differently, and lossytest's fixtures would
+# hold other values. An explicit float64(x*y) (float32(x*y) for
+# float32 operands) blocks the fusion, and on amd64 compiles to the
+# same code.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 pkgs=(./internal/quant ./internal/sz2 ./internal/sz3 ./internal/family ./internal/orchestrator ./internal/fl
-  ./internal/model ./internal/stats ./internal/lossy)
+  ./internal/model ./internal/stats ./internal/lossy ./internal/dataset ./internal/nn ./internal/adapt
+  ./internal/scidata ./internal/lossy/lossytest)
 # The build cache replays the compiler's listing, so a cached build
 # checks the same text; an empty listing would pass vacuously.
 listing="$(GOARCH=arm64 go build -gcflags=-S "${pkgs[@]}" 2>&1)"
@@ -21,7 +26,7 @@ if ! grep -q 'TEXT.*sz2\.fitLine' <<<"$listing"; then
   exit 1
 fi
 if fused="$(grep -E '\b(FMADD|FMSUB|FNMADD|FNMSUB)[DS]\b' <<<"$listing")"; then
-  echo 'fma gate: fused multiply-add in the arm64 build; wrap the product in float64(...):' >&2
+  echo 'fma gate: fused multiply-add in the arm64 build; wrap the product in float64(...) or float32(...):' >&2
   echo "$fused" >&2
   exit 1
 fi
