@@ -8,28 +8,6 @@ package fedsz
 
 import "testing"
 
-// BenchmarkAdaptiveCompress measures adaptive-pipeline compression on
-// a quarter-width MobileNetV2 update with plans warm — the steady
-// state of a federated client between re-probes.
-func BenchmarkAdaptiveCompress(b *testing.B) {
-	b.ReportAllocs()
-	policy, err := NewAdaptivePolicy(AdaptiveConfig{ReprobeEvery: 1 << 30})
-	if err != nil {
-		b.Fatal(err)
-	}
-	sd := BuildStateDict(MobileNetV2(4), 1)
-	if _, _, err := Compress(sd, WithAdaptive(policy)); err != nil {
-		b.Fatal(err) // warm the plan cache
-	}
-	b.SetBytes(sd.SizeBytes())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := Compress(sd, WithAdaptive(policy)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkPipelineCompress measures the end-to-end FedSZ compression
 // throughput on a quarter-width MobileNetV2 update.
 func BenchmarkPipelineCompress(b *testing.B) {

@@ -113,8 +113,7 @@ func Ablations(opts Options) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	topk := core.Selection{Lossy: family.NameTopK, Setting: lossy.Setting{Fraction: 0.1}}
-	topkCodec, err := fl.NewFedSZCodec(core.Config{Bound: p, Selector: fixedSelector(topk)})
+	topkCodec, err := fl.NewFedSZCodec(core.Config{Bound: p, Lossy: topkFrac10})
 	if err != nil {
 		return nil, err
 	}
@@ -123,18 +122,23 @@ func Ablations(opts Options) (*Table, error) {
 		return nil, err
 	}
 	stackVariants := make(map[string]int)
-	for label, c := range map[string]fl.Codec{"plain": fl.PlainCodec{}, "topk:frac=0.1": topkCodec} {
+	for label, c := range map[string]fl.Codec{"plain": fl.PlainCodec{}, topkFrac10: topkCodec} {
 		if stackVariants[label], err = encodedSize(c, sd); err != nil {
 			return nil, err
 		}
 	}
-	qsgd := core.Selection{Lossy: family.NameQSGD, Setting: lossy.Setting{Bits: 8}}
-	for _, first := range []core.Selection{topk, qsgd} {
-		recon, err := reconstructThrough(sd, first, p)
+	for _, first := range []struct {
+		family  string
+		setting lossy.Setting
+	}{
+		{family.NameTopK, lossy.Setting{Fraction: 0.1}},
+		{family.NameQSGD, lossy.Setting{Bits: 8}},
+	} {
+		recon, err := reconstructThrough(sd, first.family, first.setting, p)
 		if err != nil {
 			return nil, err
 		}
-		label := first.Lossy + ":" + first.Setting.String() + "→" + fedszCodec.Name()
+		label := first.family + ":" + first.setting.String() + "→" + fedszCodec.Name()
 		if stackVariants[label], err = encodedSize(fedszCodec, recon); err != nil {
 			return nil, err
 		}
@@ -164,21 +168,35 @@ func Ablations(opts Options) (*Table, error) {
 	return t, nil
 }
 
-// fixedSelector codes every lossy-path tensor with one family setting.
-type fixedSelector core.Selection
+// topkFrac10 names a variant family that encodes at top-k's fraction
+// 0.1, so the last-step ablation's "top-k alone" row is a static FedSZ
+// pipeline over it. Its payloads decode through top-k's own decoder.
+const topkFrac10 = "topk:frac=0.1"
 
-func (s fixedSelector) SelectTensor(string, []float32) core.Selection { return core.Selection(s) }
-func (fixedSelector) SelectLossless() string                          { return "" }
-func (fixedSelector) ObserveMeta([]byte)                              {}
+func init() {
+	s := lossy.Setting{Fraction: 0.1}
+	fam, err := lossy.FamilyByName(family.NameTopK)
+	if err != nil {
+		panic(err)
+	}
+	if _, err := fam.Compressor(s); err != nil {
+		panic(err)
+	}
+	lossy.MustRegisterFamilyVariant(lossy.NewSingle(topkFrac10, fam.Bounded(s), func() lossy.Compressor {
+		c, _ := fam.Compressor(s)
+		return c
+	}))
+}
 
 // reconstructThrough returns sd with every tensor on FedSZ's lossy
-// path replaced by its reconstruction through sel's family at bound p.
-func reconstructThrough(sd *model.StateDict, sel core.Selection, p lossy.Params) (*model.StateDict, error) {
-	fam, err := lossy.FamilyByName(sel.Lossy)
+// path replaced by its reconstruction through family famName at
+// setting s and bound p.
+func reconstructThrough(sd *model.StateDict, famName string, s lossy.Setting, p lossy.Params) (*model.StateDict, error) {
+	fam, err := lossy.FamilyByName(famName)
 	if err != nil {
 		return nil, err
 	}
-	c, err := fam.Compressor(sel.Setting)
+	c, err := fam.Compressor(s)
 	if err != nil {
 		return nil, err
 	}

@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"net"
 	"os"
-	"strings"
 	"time"
 
 	"fedsz"
@@ -28,18 +27,6 @@ import (
 	"fedsz/internal/obs"
 	"fedsz/internal/transport"
 )
-
-// splitFamilies parses a comma-separated -families value ("" = nil,
-// meaning every registered family).
-func splitFamilies(s string) []string {
-	var out []string
-	for _, name := range strings.Split(s, ",") {
-		if name = strings.TrimSpace(name); name != "" {
-			out = append(out, name)
-		}
-	}
-	return out
-}
 
 func main() {
 	if err := run(); err != nil {
@@ -55,9 +42,6 @@ func run() error {
 		shards    = flag.Int("shards", 2, "total shard count")
 		bound     = flag.Float64("bound", 1e-2, "relative error bound (must match server)")
 		comp      = flag.String("compressor", "sz2", "lossy compressor (must match server)")
-		adaptive  = flag.Bool("adaptive", false, "pick compressor/bound per tensor at runtime and follow server bound directives")
-		families  = flag.String("families", "", "adaptive: comma-separated compressor families to adapt over (empty = all registered; see fedszcompress -list)")
-		uplink    = flag.Float64("uplink", 0, "adaptive: modeled uplink bandwidth in Mbps for Eqn. 1 scoring (0 = unknown)")
 		checksum  = flag.Bool("checksum", false, "emit CRC32C-checked frames (must match server)")
 		retries   = flag.Int("retries", 5, "reconnect attempts after a connection failure (-1 = retry forever)")
 		backoff   = flag.Duration("backoff", 100*time.Millisecond, "base reconnect backoff (doubles per attempt, jittered, capped at 100x)")
@@ -89,23 +73,9 @@ func run() error {
 		logger.Info("metrics listening", "addr", ms.Addr())
 	}
 
-	// Adaptive uplinks need no server-side coordination: the frames the
-	// policy shapes are self-describing, and a bound-scheduling server
-	// reaches the policy through the codec's round-bound hook.
 	opts := []fedsz.Option{fedsz.WithCompressor(*comp), fedsz.WithRelBound(*bound)}
 	if *checksum {
 		opts = append(opts, fedsz.WithChecksum())
-	}
-	if *adaptive {
-		policy, err := fedsz.NewAdaptivePolicy(fedsz.AdaptiveConfig{
-			Families:     splitFamilies(*families),
-			BaseBound:    *bound,
-			BandwidthBps: fedsz.Mbps(*uplink),
-		})
-		if err != nil {
-			return err
-		}
-		opts = append(opts, fedsz.WithAdaptive(policy))
 	}
 	codec, err := fedsz.NewCodec(opts...)
 	if err != nil {

@@ -6,13 +6,10 @@
 // Usage:
 //
 //	fedszcompress -model alexnet -scale 8 -compressor sz2 -bound 1e-2
-//	fedszcompress -model mobilenetv2 -scale 1 -bandwidth 10
-//	fedszcompress -adaptive -verify
+//	fedszcompress -model mobilenetv2 -scale 1 -bandwidth 10 -verify
 //
-// -adaptive routes compression through the adaptive control plane
-// (per-tensor compressor/bound selection); -verify decodes the output
-// and exits nonzero with a clear message if any element violates the
-// requested error bound. -list prints every registered compressor
+// -verify decodes the output and exits nonzero with a clear message if
+// any element violates the requested error bound. -list prints every registered compressor
 // family with its parameter grid and bound guarantees, then exits.
 //
 // Three streaming modes built on the fedsz Encoder/Decoder compose in
@@ -54,7 +51,6 @@ func run() error {
 		compressor = flag.String("compressor", "sz2", "compressor family (see -list): sz2, sz3, szx, szx-artifact, zfp, topk, randk, qsgd, pred")
 		listFams   = flag.Bool("list", false, "list registered compressor families with their parameter grids and exit")
 		bound      = flag.Float64("bound", 1e-2, "relative error bound")
-		adaptive   = flag.Bool("adaptive", false, "pick compressor/bound per tensor with the adaptive control plane")
 		verify     = flag.Bool("verify", false, "decode the output and fail (exit nonzero) if any element violates the requested error bound")
 		bandwidth  = flag.Float64("bandwidth", 10, "link bandwidth in Mbps for the Eqn. 1 report")
 		seed       = flag.Int64("seed", 42, "weight seed")
@@ -93,13 +89,6 @@ func run() error {
 	}
 
 	opts := []fedsz.Option{fedsz.WithCompressor(*compressor), fedsz.WithRelBound(*bound)}
-	if *adaptive {
-		policy, err := fedsz.NewAdaptivePolicy(fedsz.AdaptiveConfig{BaseBound: *bound})
-		if err != nil {
-			return err
-		}
-		opts = append(opts, fedsz.WithAdaptive(policy))
-	}
 
 	if modes == 1 {
 		if (*emitMode || *dMode) && *verify {
@@ -131,11 +120,7 @@ func run() error {
 		fmt.Printf("verify: all lossy elements within REL %.0e\n", *bound)
 	}
 	maxErr := maxRelError(sd, restored)
-	name := *compressor
-	if *adaptive {
-		name = "adaptive"
-	}
-	fmt.Printf("compressor=%s bound=%.0e\n", name, *bound)
+	fmt.Printf("compressor=%s bound=%.0e\n", *compressor, *bound)
 	fmt.Printf("  compressed:   %.1f MB (ratio %.2fx)\n", float64(stats.CompressedBytes)/1e6, stats.Ratio())
 	fmt.Printf("  lossy path:   %d tensors, %.1f MB -> %.1f MB\n",
 		stats.NumLossyTensors, float64(stats.LossyInBytes)/1e6, float64(stats.LossyOutBytes)/1e6)

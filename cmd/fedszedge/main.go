@@ -13,11 +13,6 @@
 // partial frame with CRC32C and -lossless optionally packs it for the
 // WAN hop.
 //
-// Round directives relay through the tier: the upstream's per-round
-// error bound and merged compression-plan prior are re-broadcast to
-// the region, and the region's plan votes are merged into the partial
-// frame so the coordinator sees population-wide consensus.
-//
 // A three-process federation:
 //
 //	fedszserver -addr :9000 -min-clients 2 -rounds 5 &

@@ -52,18 +52,6 @@ import (
 	"fedsz/internal/transport"
 )
 
-// splitFamilies parses a comma-separated -families value ("" = nil,
-// meaning every registered family).
-func splitFamilies(s string) []string {
-	var out []string
-	for _, name := range strings.Split(s, ",") {
-		if name = strings.TrimSpace(name); name != "" {
-			out = append(out, name)
-		}
-	}
-	return out
-}
-
 func main() {
 	if err := run(); err != nil {
 		fmt.Fprintln(os.Stderr, "fedszserver:", err)
@@ -81,9 +69,6 @@ func run() error {
 		deadline  = flag.Duration("deadline", 0, "per-round straggler cutoff (0 = wait for everyone)")
 		bound     = flag.Float64("bound", 1e-2, "relative error bound")
 		comp      = flag.String("compressor", "sz2", "lossy compressor")
-		adaptive  = flag.Bool("adaptive", false, "schedule per-round error bounds from convergence and broadcast them to clients")
-		families  = flag.String("families", "", "adaptive: comma-separated compressor families the policy adapts over (empty = all registered; see fedszcompress -list)")
-		minBound  = flag.Float64("min-bound", 0, "adaptive: tightest scheduled bound (0 = bound/10)")
 		bandwidth = flag.Float64("bandwidth", 0, "per-connection rate limit in Mbps (0 = unlimited)")
 		shards    = flag.Int("shards", 0, "aggregator shard count (0 = auto)")
 		checksum  = flag.Bool("checksum", false, "require CRC32C-checked frames (clients must pass -checksum too)")
@@ -123,22 +108,6 @@ func run() error {
 	codec, err := fedsz.NewCodec(codecOpts...)
 	if err != nil {
 		return err
-	}
-
-	// With -adaptive the policy rides on the coordinator: every commit
-	// feeds its convergence EMA, and each round's broadcast carries the
-	// scheduled bound to the (bound-aware) clients. Decoding needs no
-	// policy — adaptive frames are self-describing.
-	var policy *fedsz.AdaptivePolicy
-	if *adaptive {
-		policy, err = fedsz.NewAdaptivePolicy(fedsz.AdaptiveConfig{
-			Families:  splitFamilies(*families),
-			BaseBound: *bound,
-			MinBound:  *minBound,
-		})
-		if err != nil {
-			return err
-		}
 	}
 
 	// Server and clients carve one shared dataset (same spec + seed, so
@@ -183,22 +152,14 @@ func run() error {
 				logger.Error("round eval failed", "round", round, "err", err)
 				return
 			}
-			attrs := []any{
+			logger.Info("round committed",
 				"round", round,
 				"accuracy", fmt.Sprintf("%.3f", evalNet.Accuracy(x, y)),
 				"committed", st.Committed,
 				"sampled", st.Sampled,
 				"dropped", st.Dropped,
-				"agg_kb", fmt.Sprintf("%.1f", float64(st.AggMemory)/1e3),
-			}
-			if policy != nil {
-				attrs = append(attrs, "next_bound", fmt.Sprintf("%.2e", policy.NextBound()))
-			}
-			logger.Info("round committed", attrs...)
+				"agg_kb", fmt.Sprintf("%.1f", float64(st.AggMemory)/1e3))
 		},
-	}
-	if policy != nil {
-		cfg.Bound = policy
 	}
 	if *restore {
 		if *ckpt == "" {

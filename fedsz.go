@@ -45,23 +45,6 @@
 // LossyCompressor factory as a one-setting family. RegisterLossless
 // handles the metadata codecs.
 //
-// # Adaptive compression
-//
-// The paper picks its compressor and error bound by offline grid
-// search; WithAdaptive replaces that with a runtime control plane. An
-// AdaptivePolicy probes candidate (family, grid setting, bound,
-// lossless backend) tuples on sampled tensor sections — in the
-// background, off the encode path — caches per-tensor plans with
-// periodic re-probing, schedules the round-level bound from
-// convergence signals and weighs uplink bandwidth through the paper's
-// Eqn. 1:
-//
-//	policy, err := fedsz.NewAdaptivePolicy(fedsz.AdaptiveConfig{})
-//	buf, stats, err := fedsz.Compress(sd, fedsz.WithAdaptive(policy))
-//
-// Adaptive frames are self-describing like any other — Decompress and
-// Decoder read them unchanged.
-//
 // # Error feedback
 //
 // The sparsifying and quantizing families have grid settings that do
@@ -116,7 +99,6 @@ import (
 	"io"
 	"time"
 
-	"fedsz/internal/adapt"
 	"fedsz/internal/core"
 	"fedsz/internal/dataset"
 	"fedsz/internal/fl"
@@ -225,54 +207,6 @@ func WithParallelism(n int) Option {
 // fleet-wide. Costs 4 bytes per section plus one CRC pass.
 func WithChecksum() Option {
 	return func(c *core.Config) { c.Checksum = true }
-}
-
-// Adaptive compression control plane: the runtime replacement for the
-// paper's offline grid search. An AdaptivePolicy probes candidate
-// (compressor, bound, lossless backend) triples on sampled tensor
-// sections, caches a per-tensor plan with periodic re-probing,
-// schedules the round-level error bound from convergence signals
-// (tightening it as update norms decay) and folds the client's uplink
-// bandwidth into each choice through the paper's Eqn. 1. Plug one into
-// any pipeline entry point with WithAdaptive; frames it shapes decode
-// through the ordinary self-describing path on any receiver.
-type (
-	// AdaptivePolicy is the adaptive control plane: a concurrent-safe
-	// per-tensor plan cache plus round-bound scheduler. It implements
-	// the orchestrator's BoundScheduler, so the same value can drive a
-	// client's codec and a coordinator's bound broadcast.
-	AdaptivePolicy = adapt.Policy
-	// AdaptiveConfig parameterizes NewAdaptivePolicy; its zero value
-	// adapts over every registered compressor and lossless codec at
-	// the paper's recommended base bound.
-	AdaptiveConfig = adapt.Config
-	// AdaptivePlan is one cached per-tensor plan snapshot
-	// (AdaptivePolicy.Plans), for diagnostics and tooling.
-	AdaptivePlan = adapt.PlanInfo
-	// BoundScheduler derives the next round's error bound from
-	// convergence signals; OrchestratorConfig.Bound accepts one and
-	// AdaptivePolicy implements it.
-	BoundScheduler = orchestrator.BoundScheduler
-)
-
-// NewAdaptivePolicy validates cfg against the registries and returns a
-// ready policy.
-func NewAdaptivePolicy(cfg AdaptiveConfig) (*AdaptivePolicy, error) {
-	return adapt.NewPolicy(cfg)
-}
-
-// WithAdaptive attaches an adaptive policy to the pipeline: every
-// lossy-path tensor's compressor and error bound come from the
-// policy's cached plans instead of the static WithCompressor/
-// WithRelBound configuration (which remains the fallback). One policy
-// may be shared across encoders and codecs — its plans then serve all
-// of them. A nil policy leaves the pipeline static.
-func WithAdaptive(p *AdaptivePolicy) Option {
-	return func(c *core.Config) {
-		if p != nil {
-			c.Selector = p
-		}
-	}
 }
 
 func buildConfig(opts []Option) core.Config {
@@ -410,8 +344,7 @@ func RegisterLossless(name string, factory func() LosslessCodec) error {
 // the sparsifying ("topk", "randk") and quantizing ("qsgd") families
 // expose fraction/width settings — some of which trade the error-bound
 // guarantee for a fixed byte budget (pair those with WithErrorFeedback).
-// Every built-in family self-registers; the adaptive control plane's
-// candidate grid spans whatever is registered.
+// Every built-in family self-registers.
 
 // CompressorFamily is the registry contract one compression technique
 // implements: a name (recorded in frames), a kind, a parameter grid,
@@ -436,11 +369,10 @@ const (
 	KindPred = lossy.KindPred
 )
 
-// RegisterFamily adds f to the registry: WithCompressor and
-// AdaptiveConfig.Families select it by name, the adaptive control
-// plane probes its grid, and frames recording its name decode
-// anywhere the registration ran. Registering a duplicate or empty
-// name is an error; register once, typically from init.
+// RegisterFamily adds f to the registry: WithCompressor selects it by
+// name, and frames recording its name decode anywhere the registration
+// ran. Registering a duplicate or empty name is an error; register
+// once, typically from init.
 func RegisterFamily(f CompressorFamily) error {
 	return lossy.RegisterFamily(f)
 }
@@ -456,7 +388,7 @@ func SingleFamily(name string, bounded bool, factory func() LossyCompressor) Com
 }
 
 // FamilyByName resolves a registered family — the typed counterpart
-// of the name strings in frames, Families and AdaptiveConfig.
+// of the name strings in frames and Families.
 func FamilyByName(name string) (CompressorFamily, error) {
 	return lossy.FamilyByName(name)
 }
@@ -468,8 +400,8 @@ func FamilyByName(name string) (CompressorFamily, error) {
 func Families() []string { return core.FamilyNames() }
 
 // FamilyGrid returns a family's parameter grid (at least the zero
-// default setting), for tooling that enumerates candidates the way
-// the adaptive control plane does.
+// default setting), for tooling that enumerates a family's candidate
+// settings.
 func FamilyGrid(f CompressorFamily) []FamilySetting { return lossy.GridOf(f) }
 
 // Error feedback: per-client residual state that re-injects what one
@@ -615,7 +547,7 @@ type (
 	// EdgeConfig parameterizes an Edge.
 	EdgeConfig = transport.EdgeConfig
 	// PartialSum is a region's unnormalized aggregation state
-	// (Σ weight·value sums, total weight, update count, plan prior).
+	// (Σ weight·value sums, total weight, update count).
 	PartialSum = orchestrator.Partial
 	// PartialWireOptions controls partial-sum frames on the wire
 	// (CRC32C stamping, optional lossless packing).

@@ -488,87 +488,3 @@ func TestPublicPipelinedDecision(t *testing.T) {
 		t.Fatalf("pipelined %v not close to bottleneck stage", piped)
 	}
 }
-
-// TestPublicAdaptive drives the adaptive control plane through the
-// public API end to end: an adaptive Encoder streams frames that the
-// ordinary Decoder — with no policy — decodes, within the scheduled
-// bound, and a shared policy serves a codec while following round
-// directives.
-func TestPublicAdaptive(t *testing.T) {
-	policy, err := NewAdaptivePolicy(AdaptiveConfig{SampleElems: 1024})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sd := BuildStateDict(MobileNetV2(16), 42)
-
-	var wire bytes.Buffer
-	enc, err := NewEncoder(&wire, WithAdaptive(policy))
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats, err := enc.Encode(sd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Ratio() < 1.5 {
-		t.Fatalf("adaptive ratio %.2f too low", stats.Ratio())
-	}
-	got, err := NewDecoder(&wire).Decode()
-	if err != nil {
-		t.Fatalf("plain Decoder on adaptive frame: %v", err)
-	}
-	if got.Len() != sd.Len() {
-		t.Fatalf("entry count %d != %d", got.Len(), sd.Len())
-	}
-	bound := policy.Bound()
-	gotEntries := got.Entries()
-	for i, e := range sd.Entries() {
-		if e.Tensor == nil || !e.IsWeightNamed() || e.NumElements() <= DefaultThreshold {
-			continue
-		}
-		od, gd := e.Tensor.Data(), gotEntries[i].Tensor.Data()
-		mn, mx := od[0], od[0]
-		for _, v := range od {
-			if v < mn {
-				mn = v
-			}
-			if v > mx {
-				mx = v
-			}
-		}
-		abs := bound * float64(mx-mn)
-		for j := range od {
-			if d := math.Abs(float64(od[j]) - float64(gd[j])); d > abs*(1+1e-6) {
-				t.Fatalf("tensor %q element %d: error %g beyond bound %g", e.Name, j, d, abs)
-			}
-		}
-	}
-	if plans := policy.Plans(); len(plans) == 0 {
-		t.Fatal("policy cached no plans")
-	}
-
-	// The same policy behind a Codec follows round-bound directives.
-	codec, err := NewCodec(WithAdaptive(policy))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if codec.Name() != "fedsz-adaptive" {
-		t.Fatalf("codec name %q", codec.Name())
-	}
-	type boundAware interface{ SetRoundBound(float64) }
-	ba, ok := codec.(boundAware)
-	if !ok {
-		t.Fatal("adaptive codec is not bound-aware")
-	}
-	ba.SetRoundBound(5e-3)
-	if b := policy.Bound(); b != 5e-3 {
-		t.Fatalf("policy bound %g after directive, want 5e-3", b)
-	}
-	buf, _, err := encodeUpdate(codec, sd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Decompress(buf); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -64,13 +64,6 @@ func (d Decision) PipelinedTime(chunks int) time.Duration {
 	return longer + shorter/time.Duration(chunks) + d.DecompressTime
 }
 
-// PipelinedShouldCompress is ShouldCompress under the pipelined
-// transfer model: compression pays off at higher bandwidths once tC
-// hides behind transmission.
-func (d Decision) PipelinedShouldCompress(chunks int) bool {
-	return d.PipelinedTime(chunks) < d.UncompressedPathTime()
-}
-
 // CrossoverBandwidthBps returns the bandwidth above which compression
 // stops paying off: B* = 8(S − S′)/(tC + tD). Returns 0 when the
 // overheads are non-positive (compression always wins) or when the

@@ -11,144 +11,127 @@ import (
 	"fedsz/internal/tensor"
 )
 
-// familyStub selects one tensor per new family, mixing bounded
-// defaults (pred, derived-width qsgd, threshold topk) with an
-// unbounded fractional setting, so the frame carries every new
-// section format at once.
-func familyStub() stubSelector {
-	return stubSelector{
-		picks: map[string]Selection{
-			"a.weight": {Lossy: "topk", Bound: lossy.RelBound(1e-2)},
-			"b.weight": {Lossy: "qsgd", Bound: lossy.RelBound(1e-2)},
-			"c.weight": {Lossy: "pred", Bound: lossy.RelBound(1e-2)},
-			"d.weight": {Lossy: "randk", Setting: lossy.Setting{Fraction: 0.25}, Bound: lossy.RelBound(1e-2)},
-		},
+// settingFamily registers a variant family that encodes at one
+// non-default setting of base, under the name "base:setting", so a
+// static pipeline can select that setting through Config.Lossy. The
+// variant's decoder is base's: payloads are self-describing.
+func settingFamily(base string, s lossy.Setting) string {
+	name := base + ":" + s.String()
+	fam, err := lossy.FamilyByName(base)
+	if err != nil {
+		panic(err)
 	}
+	if _, err := fam.Compressor(s); err != nil {
+		panic(err)
+	}
+	lossy.MustRegisterFamilyVariant(lossy.NewSingle(name, fam.Bounded(s), func() lossy.Compressor {
+		c, _ := fam.Compressor(s)
+		return c
+	}))
+	return name
 }
+
+// Variant families at the non-default settings these tests encode with.
+var (
+	topkFrac10  = settingFamily("topk", lossy.Setting{Fraction: 0.1})
+	qsgdBits6   = settingFamily("qsgd", lossy.Setting{Bits: 6})
+	randkFrac25 = settingFamily("randk", lossy.Setting{Fraction: 0.25})
+)
+
+// frameFamilies spans the sparsifying, quantizing and predictor
+// families: bounded defaults (pred, derived-width qsgd, threshold topk)
+// and an unbounded fractional setting.
+var frameFamilies = []string{"topk", "qsgd", "pred", randkFrac25}
 
 // TestFamilyFrameRoundTrip pins that frames whose sections come from
 // the sparsifying, quantizing and predictor families decode through
-// both whole-buffer and streaming decoders, honour per-tensor bounds
-// for bound-guaranteed selections, and stay byte-identical between
-// Compress and CompressTo at any parallelism.
+// both whole-buffer and streaming decoders, honour the bound for
+// bound-guaranteed families, and stay byte-identical between Compress
+// and CompressTo at any parallelism.
 func TestFamilyFrameRoundTrip(t *testing.T) {
 	sd := adaptiveStateDict(t)
-	stub := familyStub()
-
-	var frames [][]byte
-	for _, par := range []int{1, 4} {
-		p, err := NewPipeline(Config{Parallelism: par, Selector: stub})
-		if err != nil {
-			t.Fatal(err)
-		}
-		buf, _, err := p.Compress(sd)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var streamBuf bytes.Buffer
-		if _, err := p.CompressTo(&streamBuf, sd); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(buf, streamBuf.Bytes()) {
-			t.Fatalf("parallelism %d: family frame differs between Compress and CompressTo", par)
-		}
-		frames = append(frames, buf)
-	}
-	if !bytes.Equal(frames[0], frames[1]) {
-		t.Fatal("family frame differs across parallelism")
-	}
-
-	for _, decode := range []func([]byte) (*model.StateDict, error){
-		Decompress,
-		func(b []byte) (*model.StateDict, error) { return DecompressFrom(bytes.NewReader(b), 2) },
-	} {
-		out, err := decode(frames[0])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if out.Len() != sd.Len() {
-			t.Fatalf("decoded %d entries, want %d", out.Len(), sd.Len())
-		}
-		gotEntries := out.Entries()
-		for i, e := range sd.Entries() {
-			sel, ok := stub.picks[e.Name]
-			if !ok {
-				continue
-			}
-			od, gd := e.Tensor.Data(), gotEntries[i].Tensor.Data()
-			if len(od) != len(gd) {
-				t.Fatalf("tensor %q: decoded %d elements, want %d", e.Name, len(gd), len(od))
-			}
-			fam, err := lossy.FamilyByName(sel.Lossy)
+	for _, famName := range frameFamilies {
+		var frames [][]byte
+		for _, par := range []int{1, 4} {
+			p, err := NewPipeline(Config{Parallelism: par, Lossy: famName})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !fam.Bounded(sel.Setting) {
-				continue // rand-k at a fixed fraction guarantees shape, not error
+			buf, _, err := p.Compress(sd)
+			if err != nil {
+				t.Fatal(err)
 			}
-			mn, mx := stats.MinMaxF32(od)
-			abs := sel.Bound.Bound * float64(mx-mn)
-			if err := lossy.MaxAbsError(od, gd); err > abs*(1+1e-6) {
-				t.Errorf("tensor %q (%s %s): max error %g beyond bound %g",
-					e.Name, sel.Lossy, sel.Setting, err, abs)
+			var streamBuf bytes.Buffer
+			if _, err := p.CompressTo(&streamBuf, sd); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(buf, streamBuf.Bytes()) {
+				t.Fatalf("%s, parallelism %d: frame differs between Compress and CompressTo", famName, par)
+			}
+			frames = append(frames, buf)
+		}
+		if !bytes.Equal(frames[0], frames[1]) {
+			t.Fatalf("%s: frame differs across parallelism", famName)
+		}
+		fam, err := lossy.FamilyByName(famName)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		for _, decode := range []func([]byte) (*model.StateDict, error){
+			Decompress,
+			func(b []byte) (*model.StateDict, error) { return DecompressFrom(bytes.NewReader(b), 2) },
+		} {
+			out, err := decode(frames[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out.Len() != sd.Len() {
+				t.Fatalf("%s: decoded %d entries, want %d", famName, out.Len(), sd.Len())
+			}
+			gotEntries := out.Entries()
+			for i, e := range sd.Entries() {
+				if !e.IsWeightNamed() || e.NumElements() <= DefaultThreshold {
+					continue
+				}
+				od, gd := e.Tensor.Data(), gotEntries[i].Tensor.Data()
+				if len(od) != len(gd) {
+					t.Fatalf("%s: tensor %q: decoded %d elements, want %d", famName, e.Name, len(gd), len(od))
+				}
+				if !fam.Bounded(lossy.Setting{}) {
+					continue // rand-k at a fixed fraction guarantees shape, not error
+				}
+				mn, mx := stats.MinMaxF32(od)
+				abs := DefaultBound * float64(mx-mn)
+				if err := lossy.MaxAbsError(od, gd); err > abs*(1+1e-6) {
+					t.Errorf("%s: tensor %q: max error %g beyond bound %g", famName, e.Name, err, abs)
+				}
 			}
 		}
 	}
 }
 
-// TestFamilyFrameDeterministic pins byte determinism of the new
-// families end to end: two independent pipelines over the same input
-// emit identical frames (rand-k's pseudo-random selection included —
-// it must derive from the data, not from process state).
+// TestFamilyFrameDeterministic pins byte determinism of the families
+// end to end: two independent pipelines over the same input emit
+// identical frames (rand-k's pseudo-random selection included — it
+// must derive from the data, not from process state).
 func TestFamilyFrameDeterministic(t *testing.T) {
 	sd := adaptiveStateDict(t)
-	var frames [][]byte
-	for i := 0; i < 2; i++ {
-		p, err := NewPipeline(Config{Parallelism: 2, Selector: familyStub()})
-		if err != nil {
-			t.Fatal(err)
+	for _, famName := range frameFamilies {
+		var frames [][]byte
+		for i := 0; i < 2; i++ {
+			p, err := NewPipeline(Config{Parallelism: 2, Lossy: famName})
+			if err != nil {
+				t.Fatal(err)
+			}
+			buf, _, err := p.Compress(sd)
+			if err != nil {
+				t.Fatal(err)
+			}
+			frames = append(frames, buf)
 		}
-		buf, _, err := p.Compress(sd)
-		if err != nil {
-			t.Fatal(err)
-		}
-		frames = append(frames, buf)
-	}
-	if !bytes.Equal(frames[0], frames[1]) {
-		t.Fatal("family frames differ across identical pipelines")
-	}
-}
-
-// TestFamilySettingFallback pins that a selection whose setting is
-// outside the family's domain degrades to the pipeline's static
-// configuration instead of failing the frame.
-func TestFamilySettingFallback(t *testing.T) {
-	sd := adaptiveStateDict(t)
-	stub := stubSelector{picks: map[string]Selection{
-		"a.weight": {Lossy: "topk", Setting: lossy.Setting{Fraction: 2}, Bound: lossy.RelBound(1e-2)},
-		"b.weight": {Lossy: "sz2", Setting: lossy.Setting{Bits: 8}, Bound: lossy.RelBound(1e-2)},
-	}}
-	p, err := NewPipeline(Config{Parallelism: 1, Selector: stub})
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf, _, err := p.Compress(sd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := Decompress(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotEntries := out.Entries()
-	for i, e := range sd.Entries() {
-		if _, ok := stub.picks[e.Name]; !ok {
-			continue
-		}
-		od, gd := e.Tensor.Data(), gotEntries[i].Tensor.Data()
-		mn, mx := stats.MinMaxF32(od)
-		if err := lossy.MaxAbsError(od, gd); err > DefaultBound*float64(mx-mn)*(1+1e-6) {
-			t.Errorf("tensor %q: max error %g beyond the fallback bound", e.Name, err)
+		if !bytes.Equal(frames[0], frames[1]) {
+			t.Fatalf("%s: frames differ across identical pipelines", famName)
 		}
 	}
 }
@@ -188,10 +171,9 @@ func TestFamilyRegistryContract(t *testing.T) {
 	}
 }
 
-// TestFamilyFrameAdaptivePolicyEndToEnd runs the real adapt policy
-// indirectly: a frame compressed under a selector whose picks span
-// three kinds decodes on a receiver that has no selector at all, via
-// the plain registry lookup — the wire-compatibility guarantee.
+// TestFamilyFrameForeignReceiver pins that a frame from each of three
+// kinds decodes on a receiver with no configuration at all, via the
+// plain registry lookup — the wire-compatibility guarantee.
 func TestFamilyFrameForeignReceiver(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	data := make([]float32, 2000)
@@ -207,10 +189,7 @@ func TestFamilyFrameForeignReceiver(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, famName := range []string{"topk", "qsgd", "pred"} {
-		stub := stubSelector{picks: map[string]Selection{
-			"w.weight": {Lossy: famName, Bound: lossy.RelBound(1e-2)},
-		}}
-		p, err := NewPipeline(Config{Parallelism: 1, Selector: stub})
+		p, err := NewPipeline(Config{Parallelism: 1, Lossy: famName})
 		if err != nil {
 			t.Fatal(err)
 		}

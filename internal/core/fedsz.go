@@ -89,14 +89,6 @@ type Config struct {
 	// runtime.GOMAXPROCS(0); 1 forces the serial path. The bitstream is
 	// byte-identical at every setting.
 	Parallelism int
-	// Selector, when non-nil, turns the pipeline adaptive: every
-	// lossy-path tensor's compressor and bound come from the selector
-	// (package adapt's control plane implements it), the frame header
-	// records lossy.NameAdaptive, and each section wraps the chosen
-	// compressor's payload so any registry-backed decoder reads the
-	// frame unchanged. Lossy and Bound remain the fallback for tensors
-	// the selector declines to plan.
-	Selector Selector
 	// Feedback, when non-nil, runs the lossy path with per-client
 	// error feedback: each tensor is compressed with its accumulated
 	// residual added, and the residual the encoded payload leaves
@@ -104,8 +96,8 @@ type Config struct {
 	// decompression per lossy tensor (to measure what the receiver
 	// will reconstruct) and makes encoding stateful — one Feedback per
 	// logical client, never shared. It is what keeps unbounded
-	// adaptive candidates (fractional sparsification, fixed-width
-	// quantization) convergent.
+	// settings (fractional sparsification, fixed-width quantization)
+	// convergent.
 	Feedback *Feedback
 	// Checksum, when true, emits the integrity-checked frame version:
 	// a CRC32C trailer after the header and after every section, so a

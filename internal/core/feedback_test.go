@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"fedsz/internal/lossy"
 	"fedsz/internal/model"
 	"fedsz/internal/tensor"
 )
@@ -44,14 +43,7 @@ func TestErrorFeedbackTelescoping(t *testing.T) {
 		frac   = 0.1
 	)
 	fb := NewFeedback()
-	stub := stubSelector{picks: map[string]Selection{
-		"layer.weight": {
-			Lossy:   "topk",
-			Setting: lossy.Setting{Fraction: frac},
-			Bound:   lossy.RelBound(1e-2),
-		},
-	}}
-	p, err := NewPipeline(Config{Parallelism: 1, Selector: stub, Feedback: fb})
+	p, err := NewPipeline(Config{Parallelism: 1, Lossy: topkFrac10, Feedback: fb})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,13 +115,6 @@ func TestErrorFeedbackTelescoping(t *testing.T) {
 // through Compress and CompressTo.
 func TestErrorFeedbackBufferStreamParity(t *testing.T) {
 	const n = 1500
-	stub := stubSelector{picks: map[string]Selection{
-		"layer.weight": {
-			Lossy:   "qsgd",
-			Setting: lossy.Setting{Bits: 6},
-			Bound:   lossy.RelBound(1e-2),
-		},
-	}}
 	rng := rand.New(rand.NewSource(23))
 	updates := make([][]float32, 3)
 	for r := range updates {
@@ -141,7 +126,7 @@ func TestErrorFeedbackBufferStreamParity(t *testing.T) {
 
 	encode := func(streaming bool) [][]byte {
 		fb := NewFeedback()
-		p, err := NewPipeline(Config{Parallelism: 2, Selector: stub, Feedback: fb})
+		p, err := NewPipeline(Config{Parallelism: 2, Lossy: qsgdBits6, Feedback: fb})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -114,9 +114,7 @@ func (fw *frameWriter) emitCRC() {
 
 // header writes everything up to and including the lossy-section entry
 // count; all of it is known before any tensor finishes compressing, so
-// the streaming encoder emits it immediately. The codec names are the
-// frame's effective ones — the static configuration, or the adaptive
-// wrapper name plus the selector's metadata-codec plan.
+// the streaming encoder emits it immediately.
 func (fw *frameWriter) header(lossyName, losslessName string, threshold, nEntries int, tags []bool, nLossy int) {
 	version := byte(formatVersion)
 	if fw.checked {
@@ -202,22 +200,52 @@ func (p *Pipeline) partition(sd *model.StateDict, st *Stats) (tags []bool, lossy
 	return tags, lossyEntries, meta, nil
 }
 
-// compressMeta serializes and losslessly compresses the metadata dict
-// through the frame's effective codec, feeding the serialized image to
-// the selector (when configured) so it can plan the metadata codec for
-// subsequent frames.
-func (p *Pipeline) compressMeta(meta *model.StateDict, ll lossless.Codec) ([]byte, error) {
+// compressEntry compresses one lossy-path tensor through the
+// configured compressor. With error feedback configured, the tensor is
+// adjusted by its accumulated residual before compression and the
+// residual the payload leaves behind is committed after.
+func (p *Pipeline) compressEntry(e model.Entry) ([]byte, error) {
+	data := e.Tensor.Data()
+	fb := p.cfg.Feedback
+	if fb != nil {
+		data = fb.Adjust(e.Name, data)
+	}
+	fm := metricsForFamily(p.cfg.Lossy)
+	encStart := time.Now()
+	comp, err := p.lossyC.Compress(data, p.cfg.Bound)
+	if err != nil {
+		return nil, err
+	}
+	fm.encNs.Add(time.Since(encStart).Nanoseconds())
+	fm.encIn.Add(int64(len(data)) * 4)
+	fm.encOut.Add(int64(len(comp)))
+	fm.encSections.Inc()
+	if len(comp) > 0 {
+		fm.encRatio.Observe(float64(len(data)) * 4 / float64(len(comp)))
+	}
+	if fb != nil {
+		// Measure what the receiver will reconstruct. The extra decode
+		// is the price of exact residuals; it parallelizes with the
+		// rest of the frame like the compression itself.
+		dec, err := p.lossyC.Decompress(comp)
+		if err != nil {
+			return nil, err
+		}
+		fb.Commit(e.Name, data, dec)
+	}
+	return comp, nil
+}
+
+// compressMeta serializes and losslessly compresses the metadata dict.
+func (p *Pipeline) compressMeta(meta *model.StateDict) ([]byte, error) {
 	blob, err := MarshalStateDict(meta)
 	if err != nil {
 		return nil, err
 	}
-	if p.cfg.Selector != nil {
-		p.cfg.Selector.ObserveMeta(blob)
-	}
 	// Metadata is mostly float32 statistics the lossless stage barely
 	// shrinks, so the output is sized at the input: a codec's own guess
 	// (half the input) regrows by append several times over.
-	mc, err := ll.AppendCompress(make([]byte, 0, len(blob)+len(blob)/64+64), blob)
+	mc, err := p.lossless.AppendCompress(make([]byte, 0, len(blob)+len(blob)/64+64), blob)
 	if err != nil {
 		return nil, fmt.Errorf("core: lossless compress metadata: %w", err)
 	}
@@ -244,7 +272,6 @@ func (p *Pipeline) CompressTo(w io.Writer, sd *model.StateDict) (Stats, error) {
 	// Each task reports on its own buffered channel, so the writer
 	// below can await them in entry order while later tensors are
 	// still compressing — and an abandoned task never blocks.
-	lossyName, losslessName, ll := p.frameCodecs()
 	nTasks := len(lossyEntries) + 1
 	comps := make([][]byte, len(lossyEntries))
 	var metaComp []byte
@@ -262,7 +289,7 @@ func (p *Pipeline) CompressTo(w io.Writer, sd *model.StateDict) (Stats, error) {
 			comps[i] = comp
 			return nil
 		}
-		mc, err := p.compressMeta(meta, ll)
+		mc, err := p.compressMeta(meta)
 		if err != nil {
 			return err
 		}
@@ -305,7 +332,7 @@ func (p *Pipeline) CompressTo(w io.Writer, sd *model.StateDict) (Stats, error) {
 	cw := &countingWriter{w: w}
 	fw := newFrameWriter(cw)
 	fw.checked = p.cfg.Checksum
-	fw.header(lossyName, losslessName, p.cfg.Threshold, len(tags), tags, len(lossyEntries))
+	fw.header(p.cfg.Lossy, p.cfg.Lossless, p.cfg.Threshold, len(tags), tags, len(lossyEntries))
 	for i, e := range lossyEntries {
 		if err := <-done[i]; err != nil {
 			return fail(err)

@@ -5,14 +5,12 @@
 // typed lossy.Family from init, so linking this package (internal/core
 // does) makes the families resolvable by the name recorded in frame
 // sections — the same self-describing decode path the error-bounded
-// built-ins use — and probeable by the adaptive control plane across
-// their parameter grids.
+// built-ins use.
 //
 // Two of the families are sparsifiers and quantizers in the classic
 // gradient-compression sense: at their fractional/fixed-width settings
 // they do not honour an error bound (lossy.Family.Bounded reports
-// false), so the adaptive policy only considers those settings when
-// explicitly allowed — the intended pairing is per-client error
+// false), so the intended pairing for those settings is per-client error
 // feedback (core.Feedback), which folds the dropped signal back into
 // the next update. Their default (zero) settings are derived from the
 // error bound instead and are bounded: topk keeps every value larger

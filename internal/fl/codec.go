@@ -28,8 +28,8 @@ type UpdateStats struct {
 	// model down the tree, and it travels here, on the base interface's
 	// return value, so that a wrapper which forwards EncodeTo forwards
 	// the answer too. A static FedSZCodec on a bounded family sets it; a
-	// delta, adaptive, error-feedback or unbounded (sparsifying,
-	// fixed-width) encoding never does.
+	// delta, error-feedback or unbounded (sparsifying, fixed-width)
+	// encoding never does.
 	WholeImage bool
 }
 
@@ -57,23 +57,16 @@ type Codec interface {
 	DecodeFrom(r io.Reader) (*model.StateDict, error)
 }
 
-// BoundAware is implemented by codecs that can apply a round-level
-// error-bound directive — what the coordinator's bound scheduler
-// broadcasts alongside each new global model. Runtimes call
-// SetRoundBound before encoding that round's update; codecs without
-// an adaptive control plane simply don't implement it.
+// BoundAware and PriorAware are the hooks of a deleted runtime control
+// plane (per-round bound directives and fleet-wide plan priors). No
+// codec in this module implements them and no runtime calls them; they
+// are declared only because the benchmark's tracing wrapper asserts
+// them, and ROADMAP item 1a removes them with that assertion.
 type BoundAware interface {
 	SetRoundBound(bound float64)
 }
 
-// PriorAware is implemented by codecs whose control plane can share
-// plan priors across the federation (package adapt's Policy, reached
-// through the FedSZ codec's selector). ExportPriorBytes snapshots the
-// client's locally probed plans as an opaque blob the edge tier
-// aggregates; ApplyPriorBytes seeds cold tensors from the merged
-// population prior the coordinator broadcasts alongside the round
-// bound. Both are declared structurally so this package never imports
-// the control plane.
+// PriorAware: see BoundAware.
 type PriorAware interface {
 	ExportPriorBytes() []byte
 	ApplyPriorBytes(raw []byte) error
@@ -236,45 +229,13 @@ func NewFedSZCodec(cfg core.Config) (*FedSZCodec, error) {
 	fam, err := lossy.FamilyByName(cfg.Lossy)
 	return &FedSZCodec{
 		pipeline:   p,
-		wholeImage: err == nil && cfg.Selector == nil && cfg.Feedback == nil && fam.Bounded(lossy.Setting{}),
+		wholeImage: err == nil && cfg.Feedback == nil && fam.Bounded(lossy.Setting{}),
 	}, nil
 }
 
 // Name implements Codec.
 func (c *FedSZCodec) Name() string {
-	if c.pipeline.Config().Selector != nil {
-		return "fedsz-adaptive"
-	}
 	return "fedsz-" + c.pipeline.Config().Lossy
-}
-
-// SetRoundBound implements BoundAware by forwarding a round-level
-// bound directive to the pipeline's adaptive selector; a static
-// pipeline ignores it (its bound is part of the immutable config).
-// ExportPriorBytes implements PriorAware by forwarding to the
-// pipeline's adaptive selector; a static pipeline has no plans to
-// share and returns nil.
-func (c *FedSZCodec) ExportPriorBytes() []byte {
-	if pa, ok := c.pipeline.Config().Selector.(PriorAware); ok {
-		return pa.ExportPriorBytes()
-	}
-	return nil
-}
-
-// ApplyPriorBytes implements PriorAware by seeding the pipeline's
-// adaptive selector with the population prior; a static pipeline
-// ignores it.
-func (c *FedSZCodec) ApplyPriorBytes(raw []byte) error {
-	if pa, ok := c.pipeline.Config().Selector.(PriorAware); ok {
-		return pa.ApplyPriorBytes(raw)
-	}
-	return nil
-}
-
-func (c *FedSZCodec) SetRoundBound(bound float64) {
-	if ba, ok := c.pipeline.Config().Selector.(BoundAware); ok {
-		ba.SetRoundBound(bound)
-	}
 }
 
 // EncodeTo implements Codec: the frame streams to w section by

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"testing"
 
-	"fedsz/internal/adapt"
 	"fedsz/internal/core"
 	"fedsz/internal/model"
 )
@@ -20,20 +19,12 @@ type hidden struct{ Codec }
 // TestWholeImageTravelsWithTheStats: which frames may carry a global
 // model is answered by UpdateStats.WholeImage, also through a wrapper: a
 // static FedSZ codec on a bounded family says yes; a delta (even over
-// that codec), an adaptive pipeline, error feedback and a family that
+// that codec), error feedback and a family that
 // honours no bound (szx-artifact's block means, randk) say no; plain
 // makes no claim.
 func TestWholeImageTravelsWithTheStats(t *testing.T) {
 	sd := model.BuildStateDict(model.MobileNetV2(32), 1)
 	static, err := NewFedSZCodec(core.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	policy, err := adapt.NewPolicy(adapt.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	adaptive, err := NewFedSZCodec(core.Config{Selector: policy})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +46,6 @@ func TestWholeImageTravelsWithTheStats(t *testing.T) {
 		{"fedsz-sz2", static, true},
 		{"fedsz-sz2 wrapped", hidden{static}, true},
 		{"delta+fedsz-sz2", delta, false},
-		{"fedsz-adaptive", adaptive, false},
 		{"fedsz-sz2 with error feedback", feedback, false},
 		{"fedsz-szx-artifact", artifact, false},
 		{"plain", PlainCodec{}, false},

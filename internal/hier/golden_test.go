@@ -21,7 +21,10 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
 // largePartial spans several conversion chunks per entry (float64 and
 // int64 alike, neither a multiple of the chunk), so a streaming
-// encoder's chunk seams land inside the data the digest pins.
+// encoder's chunk seams land inside the data the digest pins. Its sums
+// are integer draws scaled by a power of two, exact on every
+// architecture: math.Exp, say, rounds differently in amd64's assembly
+// and in the pure Go other architectures run.
 func largePartial() *orchestrator.Partial {
 	rng := rand.New(rand.NewSource(41))
 	p := &orchestrator.Partial{TotalWeight: 98765, Updates: 33, Prior: []byte("prior-blob")}
@@ -35,7 +38,9 @@ func largePartial() *orchestrator.Partial {
 		}
 		sums := make([]float64, n)
 		for j := range sums {
-			sums[j] = rng.NormFloat64() * math.Exp(rng.Float64()*20-10)
+			// A 53-bit signed mantissa times 2^-67 … 2^-37: magnitudes
+			// from about 2^-15 to 2^15, as a sum of weighted updates spans.
+			sums[j] = math.Ldexp(float64(rng.Int63n(1<<53)-(1<<52)), rng.Intn(31)-67)
 		}
 		p.Entries = append(p.Entries, orchestrator.PartialEntry{Name: e.name, DType: model.Float32, Shape: e.shape, Sums: sums})
 	}

@@ -29,7 +29,7 @@
 //	per entry: uvarint len + name, u8 dtype,
 //	           Float32: uvarint ndim + uvarint dims…, raw u64 sums
 //	           Int64:   uvarint n, u64 values
-//	uvarint prior length + plan-prior blob
+//	uvarint prior length + prior blob (Partial.Prior; empty from this module)
 //	[optional] uvarint span length + span-summary blob (package obs)
 //
 // The span-summary tail is the cross-tier tracing hook: encoders that

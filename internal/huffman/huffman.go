@@ -105,7 +105,9 @@ var encoderPool = sync.Pool{
 
 // AppendEncode appends the Huffman encoding of symbols (all must be
 // >= 0) to dst and returns the extended buffer; dst may be nil. It
-// scans symbols for the alphabet, then runs AppendEncodeAlphabet.
+// scans symbols for the alphabet, then runs AppendEncodeAlphabet. Where
+// int is 32 bits, a stream holding MaxSymbol is an error: its alphabet,
+// 2^31, does not fit an int.
 func AppendEncode(dst []byte, symbols []int32) ([]byte, error) {
 	maxSym := int32(0)
 	for _, s := range symbols {
@@ -114,14 +116,21 @@ func AppendEncode(dst []byte, symbols []int32) ([]byte, error) {
 		}
 		maxSym = max(maxSym, s)
 	}
+	if int64(maxSym) >= math.MaxInt {
+		return nil, fmt.Errorf("huffman: alphabet %d does not fit an int", int64(maxSym)+1)
+	}
 	return AppendEncodeAlphabet(dst, symbols, int(maxSym)+1)
 }
 
 // AppendEncodeAlphabet is AppendEncode for symbols the caller bounds:
 // every symbol must lie in [0, alphabet), and one that does not is an
-// error. The histogram is then a single counting pass. The output bytes
-// are AppendEncode's, whatever bound is stated.
+// error, as is a negative alphabet (what an alphabet computed past
+// MaxInt wraps to). The histogram is then a single counting pass. The
+// output bytes are AppendEncode's, whatever bound is stated.
 func AppendEncodeAlphabet(dst []byte, symbols []int32, alphabet int) ([]byte, error) {
+	if alphabet < 0 {
+		return nil, fmt.Errorf("huffman: negative alphabet %d", alphabet)
+	}
 	e := encoderPool.Get().(*encoder)
 	defer encoderPool.Put(e)
 	return e.appendAlphabet(dst, symbols, alphabet)

@@ -2,8 +2,10 @@ package huffman
 
 import (
 	"encoding/binary"
+	"math"
 	"math/rand"
 	"slices"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -144,6 +146,9 @@ func TestLargeSparseAlphabet(t *testing.T) {
 	// Past denseLimit the encoder counts through a map; the stream is the
 	// one a dense table would give.
 	wide := []int32{0, 1 << 25, 5, MaxSymbol, 0, 42, 1 << 25}
+	if math.MaxInt == math.MaxInt32 {
+		wide[3] = MaxSymbol - 1 // MaxSymbol's alphabet does not fit a 32-bit int
+	}
 	roundTrip(t, wide)
 	got, err := AppendEncode(nil, wide)
 	if err != nil {
@@ -151,6 +156,27 @@ func TestLargeSparseAlphabet(t *testing.T) {
 	}
 	if want := refEncode(t, wide); !slices.Equal(got, want) {
 		t.Fatal("sparse-path stream differs from the bit-writer reference")
+	}
+}
+
+// TestAlphabetMustFitInt: an alphabet that does not fit an int is an
+// error, never a panic. AppendEncodeAlphabet is handed one as the
+// negative value it wraps to; AppendEncode derives MaxSymbol's alphabet,
+// 2^31, which fits a 64-bit int and not a 32-bit one.
+func TestAlphabetMustFitInt(t *testing.T) {
+	syms := []int32{0, 1, MaxSymbol}
+	for _, alphabet := range []int{-1, math.MinInt} {
+		if _, err := AppendEncodeAlphabet(nil, syms, alphabet); err == nil {
+			t.Errorf("alphabet %d: encoded without error", alphabet)
+		}
+	}
+	_, err := AppendEncode(nil, syms)
+	fits := math.MaxInt > math.MaxInt32
+	if fits != (err == nil) {
+		t.Errorf("MaxSymbol with %d-bit int: err = %v", strconv.IntSize, err)
+	}
+	if fits {
+		roundTrip(t, syms)
 	}
 }
 

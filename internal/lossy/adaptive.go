@@ -5,17 +5,18 @@ import (
 	"fmt"
 )
 
-// The "adaptive" compressor is the wire-format half of the adaptive
-// compression control plane (package adapt): a frame whose header
+// The "adaptive" compressor is the wire format of frames whose
+// sections choose their compressor per tensor: a frame whose header
 // records this name carries, in each tensor section, a tiny wrapper
 // naming the inner compressor that section was actually encoded with,
 // followed by that compressor's ordinary self-describing payload. The
 // absolute error bound travels inside the inner payload's container
 // header exactly as it does for a static frame, so an adaptive frame
-// records the per-section (compressor, bound) pair the control plane
-// chose — and any decoder that resolves compressors through this
-// registry (core.Decompress, the streaming Decoder, the aggregation
-// fold path) decodes adaptive frames without modification.
+// records a (compressor, bound) pair per section — and any decoder
+// that resolves compressors through this registry (core.Decompress,
+// the streaming Decoder, the aggregation fold path) decodes adaptive
+// frames without modification. Nothing in this module chooses per
+// tensor any more; the decoder stays so such frames keep decoding.
 //
 // It registers as a variant, not a canonical name, so suite sweeps
 // over Names() keep iterating only the paper's Table I compressors.
@@ -58,15 +59,12 @@ func UnwrapAdaptive(buf []byte) (inner string, payload []byte, err error) {
 }
 
 // adaptiveCompressor implements Compressor for the wrapper format.
-// Compression through the bare registry name (WithCompressor
-// ("adaptive") without a policy) delegates every tensor to the default
-// inner compressor; the adaptive pipeline itself never calls this
-// Compress — it picks the inner compressor per tensor and wraps the
-// payload directly.
+// Compression through the registry name (WithCompressor("adaptive"))
+// delegates every tensor to the default inner compressor.
 type adaptiveCompressor struct{}
 
-// adaptiveDefaultInner is the inner compressor used when the wrapper
-// is asked to compress without a control plane (the paper's winner).
+// adaptiveDefaultInner is the inner compressor the wrapper compresses
+// with (the paper's winner).
 const adaptiveDefaultInner = "sz2"
 
 // Name implements Compressor.

@@ -13,10 +13,7 @@ import (
 // (topk, randk), quantizing families (qsgd) and the gradient-aware
 // predictor (pred) all implement Family. The frame wire format records
 // only the family name — each payload is self-describing, so one
-// Decompress per family decodes every Setting — while the adaptive
-// control plane (package adapt) probes the cross product of registered
-// families and their parameter grids and records (family, Setting)
-// pairs in its plans.
+// Decompress per family decodes every Setting.
 
 // Family kind labels, reported by Family.Kind. Kinds classify how a
 // family trades fidelity for bytes; CLI listings group by them and
@@ -85,14 +82,13 @@ type Family interface {
 	// Kind classifies the family (KindEBLC, KindSparse, KindQuant,
 	// KindPred, or a custom label).
 	Kind() string
-	// Grid returns the candidate settings the adaptive control plane
-	// probes. A nil or empty grid means the family has exactly one
-	// configuration: the zero Setting.
+	// Grid returns the family's candidate settings (the paper
+	// experiments sweep them). A nil or empty grid means the family has
+	// exactly one configuration: the zero Setting.
 	Grid() []Setting
 	// Bounded reports whether compressing at s honours the absolute
 	// error bound resolved from Params. Unbounded settings (fractional
-	// sparsification, fixed-width quantization) are only eligible for
-	// adaptive selection when the caller opts in — typically paired
+	// sparsification, fixed-width quantization) are typically paired
 	// with error feedback so the dropped signal re-enters later
 	// updates.
 	Bounded(s Setting) bool

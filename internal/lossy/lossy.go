@@ -151,10 +151,11 @@ const (
 	magicLen      = 4
 
 	// maxCount bounds the element count a header may declare (2^40
-	// float32s = 4 TiB — far beyond any model update) so untrusted
-	// headers cannot drive integer overflow in downstream size
-	// arithmetic.
-	maxCount = 1 << 40
+	// float32s = 4 TiB — far beyond any model update; where int is 32
+	// bits, MaxInt/8) so untrusted headers cannot drive integer
+	// overflow in downstream size arithmetic, such as a block count's
+	// count+BlockSize−1 or a byte size's count·8.
+	maxCount = min(1<<40, math.MaxInt/8)
 )
 
 // ErrCorrupt reports a malformed compressed buffer.

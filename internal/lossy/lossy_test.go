@@ -1,6 +1,7 @@
 package lossy
 
 import (
+	"encoding/binary"
 	"errors"
 	"math"
 	"testing"
@@ -147,6 +148,30 @@ func TestHeaderErrors(t *testing.T) {
 	for _, eb := range []float64{0, -1, math.NaN(), math.Inf(1), math.MaxFloat64} {
 		if _, _, _, err := ReadHeader("ABCD", WriteHeader("ABCD", 1, eb)); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("bound %v: ReadHeader error %v, want ErrCorrupt", eb, err)
+		}
+	}
+}
+
+// TestHeaderCountCap: a declared count past maxCount is corrupt, and
+// the cap leaves room for the size arithmetic decoders do with a count
+// — count·8 and a block count's count+BlockSize−1 — on 32-bit ints too.
+func TestHeaderCountCap(t *testing.T) {
+	if maxCount > math.MaxInt/8 {
+		t.Fatalf("maxCount %d leaves no room for count·8 in an int", maxCount)
+	}
+	buf := binary.AppendUvarint([]byte("ABCD\x01"), maxCount)
+	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(1))
+	if count, _, _, err := ReadHeader("ABCD", buf); err != nil || count != maxCount {
+		t.Fatalf("count maxCount: %d, %v", count, err)
+	}
+	for _, c := range []uint64{maxCount + 1, math.MaxInt32 + 1, 1 << 40, 1 << 41, math.MaxUint64} {
+		if c <= maxCount {
+			continue // 1<<40 is maxCount where int is 64 bits
+		}
+		buf := binary.AppendUvarint([]byte("ABCD\x01"), c)
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(1))
+		if _, _, _, err := ReadHeader("ABCD", buf); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("count %d: ReadHeader error %v, want ErrCorrupt", c, err)
 		}
 	}
 }

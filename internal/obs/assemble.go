@@ -60,7 +60,6 @@ type TreeNode struct {
 	Sampled      int               `json:"sampled"`
 	Committed    int               `json:"committed"`
 	Dropped      int               `json:"dropped"`
-	Bound        float64           `json:"bound,omitempty"`
 	Down         *SpanDownlink     `json:"down,omitempty"`
 	Participants []TreeParticipant `json:"participants,omitempty"`
 }
@@ -208,7 +207,6 @@ func buildNode(s *SpanSummary) (*TreeNode, []PathSegment, int64) {
 		Sampled:      sp.Sampled,
 		Committed:    sp.Committed,
 		Dropped:      sp.Dropped,
-		Bound:        sp.Bound,
 		Down:         sp.Down,
 	}
 

@@ -74,7 +74,7 @@ func appendSummary(dst []byte, s *SpanSummary, depth int) []byte {
 	dst = binary.AppendUvarint(dst, uint64(s.Span.Sampled))
 	dst = binary.AppendUvarint(dst, uint64(s.Span.Committed))
 	dst = binary.AppendUvarint(dst, uint64(s.Span.Dropped))
-	dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(s.Span.Bound))
+	dst = binary.BigEndian.AppendUint64(dst, 0) // reserved: a round's error bound, no longer scheduled
 	dst = binary.AppendUvarint(dst, uint64(len(s.Span.Clients)))
 	for _, c := range s.Span.Clients {
 		dst = appendString(dst, c.ID)
@@ -216,7 +216,7 @@ func (r *summaryReader) summary(depth int) *SpanSummary {
 	s.Span.Sampled = int(r.uvarint())
 	s.Span.Committed = int(r.uvarint())
 	s.Span.Dropped = int(r.uvarint())
-	s.Span.Bound = math.Float64frombits(r.u64())
+	r.u64() // the reserved bound slot
 	nClients := r.uvarint()
 	if r.err != nil {
 		return nil

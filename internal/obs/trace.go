@@ -71,14 +71,6 @@ type RoundSpan struct {
 	Committed int `json:"committed"`
 	Dropped   int `json:"dropped"`
 
-	// Bound is the error bound broadcast for this round (0 when the
-	// server runs without a bound schedule).
-	Bound float64 `json:"bound,omitempty"`
-
-	// Plans maps tensor name -> "family@bound", the population-winning
-	// adaptive plan merged from client priors (adaptive runs only).
-	Plans map[string]string `json:"plans,omitempty"`
-
 	// Down is how the round's global model travelled to this tier's
 	// participants; nil when it went raw without the tier weighing the
 	// alternative (no link rate declared).

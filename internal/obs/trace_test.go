@@ -17,7 +17,7 @@ func sampleSummary() *SpanSummary {
 			Start:   time.Unix(0, 1_700_000_000_000_000_000),
 			TotalNs: 900, BroadcastNs: 100, GatherNs: 700, DecodeFoldNs: 450, CommitNs: 100,
 			BytesUp: 4096, BytesDown: 8192,
-			Sampled: 3, Committed: 2, Dropped: 1, Bound: 1e-2,
+			Sampled: 3, Committed: 2, Dropped: 1,
 			Clients: []SpanClient{
 				{ID: "client-0001", Outcome: "committed", BytesUp: 2048, BytesDown: 4096, TimeNs: 650},
 				{ID: "client-0002", Outcome: "deadline", BytesUp: 0, BytesDown: 4096, TimeNs: 700},

@@ -17,12 +17,11 @@ import (
 
 // Checkpoint is a durable snapshot of everything a coordinator needs
 // to resume after a crash or restart: the aggregation counters, the
-// global model, the bound scheduler's convergence state, and the
-// server-side error-feedback residuals. Rounds in flight are not
-// captured — a checkpoint is taken between rounds (the transport
-// server does this after each commit), and a restore resumes at the
-// next round boundary, which is exactly the semantics a dropped
-// round already has.
+// global model, and the server-side error-feedback residuals. Rounds
+// in flight are not captured — a checkpoint is taken between rounds
+// (the transport server does this after each commit), and a restore
+// resumes at the next round boundary, which is exactly the semantics a
+// dropped round already has.
 type Checkpoint struct {
 	// Commits is the number of committed aggregation steps.
 	Commits int
@@ -33,23 +32,9 @@ type Checkpoint struct {
 	Version int
 	// Global is the committed global model.
 	Global *model.StateDict
-	// Bound is the opaque bound-scheduler state from
-	// BoundStateSnapshotter.SnapshotBoundState (nil when the scheduler
-	// is stateless or absent).
-	Bound []byte
 	// Residuals is the per-client error-feedback state, keyed by
 	// client ID then tensor name (nil when the server keeps none).
 	Residuals map[string]map[string][]float32
-}
-
-// BoundStateSnapshotter is the optional durability extension of
-// BoundScheduler: schedulers that accumulate convergence state across
-// rounds implement it so checkpoints can carry that state. The blob
-// is opaque to the orchestrator; only the scheduler that produced it
-// needs to understand it. adapt.Policy implements this.
-type BoundStateSnapshotter interface {
-	SnapshotBoundState() []byte
-	RestoreBoundState(raw []byte) error
 }
 
 // Checkpoint captures the coordinator's committed state. It must be
@@ -59,22 +44,17 @@ type BoundStateSnapshotter interface {
 // driver (transport server), not the coordinator.
 func (c *Coordinator) Checkpoint() *Checkpoint {
 	c.mu.Lock()
-	ck := &Checkpoint{
+	defer c.mu.Unlock()
+	return &Checkpoint{
 		Commits: c.version, // each commit made one version
 		Version: c.version,
 		Global:  c.global,
 	}
-	c.mu.Unlock()
-	if snap, ok := c.cfg.Bound.(BoundStateSnapshotter); ok && snap != nil {
-		ck.Bound = snap.SnapshotBoundState()
-	}
-	return ck
 }
 
 // NewCoordinatorFromCheckpoint builds a coordinator resuming from a
-// checkpoint: the global model, the version (which numbers the next
-// round) and (when cfg.Bound implements BoundStateSnapshotter) the
-// bound schedule pick up where the snapshot left them. Every commit
+// checkpoint: the global model and the version (which numbers the next
+// round) pick up where the snapshot left them. Every commit
 // makes one version, so a checkpoint whose Commits and Version differ
 // is ErrBadCheckpoint. The client registry starts empty — clients
 // re-register on reconnect.
@@ -92,15 +72,6 @@ func NewCoordinatorFromCheckpoint(cfg Config, ck *Checkpoint) (*Coordinator, err
 	c.mu.Lock()
 	c.version = ck.Version
 	c.mu.Unlock()
-	if len(ck.Bound) > 0 {
-		snap, ok := c.cfg.Bound.(BoundStateSnapshotter)
-		if !ok {
-			return nil, errors.New("orchestrator: checkpoint carries bound state but scheduler cannot restore it")
-		}
-		if err := snap.RestoreBoundState(ck.Bound); err != nil {
-			return nil, fmt.Errorf("orchestrator: restore bound state: %w", err)
-		}
-	}
 	return c, nil
 }
 
@@ -109,7 +80,8 @@ func NewCoordinatorFromCheckpoint(cfg Config, ck *Checkpoint) (*Coordinator, err
 //	magic "FSCK" | version byte 1
 //	uvarint commits | uvarint modelVersion
 //	uvarint len | MarshalStateDict(Global)
-//	uvarint len | bound-scheduler blob
+//	uvarint len | reserved blob, always empty (it held a deleted
+//	    bound scheduler's state; a non-empty one is rejected)
 //	uvarint nClients, then per client:
 //	    string id, uvarint nTensors, then per tensor:
 //	        string name, uvarint n, n × float32 LE
@@ -142,8 +114,7 @@ func MarshalCheckpoint(ck *Checkpoint) ([]byte, error) {
 	out = binary.AppendUvarint(out, uint64(ck.Version))
 	out = binary.AppendUvarint(out, uint64(len(global)))
 	out = append(out, global...)
-	out = binary.AppendUvarint(out, uint64(len(ck.Bound)))
-	out = append(out, ck.Bound...)
+	out = binary.AppendUvarint(out, 0) // the reserved blob
 	out = binary.AppendUvarint(out, uint64(len(ck.Residuals)))
 	for _, id := range sortedKeys(ck.Residuals) {
 		res := ck.Residuals[id]
@@ -185,9 +156,8 @@ func UnmarshalCheckpoint(raw []byte) (*Checkpoint, error) {
 		Version: int(r.uvarint()),
 	}
 	globalRaw := r.bytes(int(r.uvarint()))
-	ck.Bound = append([]byte(nil), r.bytes(int(r.uvarint()))...)
-	if len(ck.Bound) == 0 {
-		ck.Bound = nil
+	if n := r.uvarint(); n != 0 {
+		return nil, fmt.Errorf("%w: %d-byte bound-scheduler state, which nothing restores", ErrBadCheckpoint, n)
 	}
 	nClients := int(r.uvarint())
 	if nClients > 0 {

@@ -1,26 +1,27 @@
 package orchestrator_test
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
 
-	"fedsz/internal/adapt"
+	"fedsz/internal/core"
 	"fedsz/internal/orchestrator"
 )
 
 // testCheckpoint builds a representative checkpoint: nonzero counters,
-// a model with float and int entries, a bound blob, and per-client
-// residuals of varying shape.
+// a model with float and int entries, and per-client residuals of
+// varying shape.
 func testCheckpoint(rng *rand.Rand) *orchestrator.Checkpoint {
 	return &orchestrator.Checkpoint{
 		Commits: 7,
 		Version: 9,
 		Global:  randomDict(rng, 1),
-		Bound:   []byte{1, 2, 3, 4, 5},
 		Residuals: map[string]map[string][]float32{
 			"client-0001": {
 				"conv1.weight": {0.25, -1.5, 3e-7},
@@ -40,9 +41,6 @@ func checkpointsEqual(t *testing.T, want, got *orchestrator.Checkpoint) {
 		t.Fatalf("counters (%d, %d), want (%d, %d)", got.Commits, got.Version, want.Commits, want.Version)
 	}
 	dictsBitIdentical(t, want.Global, got.Global)
-	if string(got.Bound) != string(want.Bound) {
-		t.Fatalf("bound blob %x, want %x", got.Bound, want.Bound)
-	}
 	if len(got.Residuals) != len(want.Residuals) {
 		t.Fatalf("residual clients %d, want %d", len(got.Residuals), len(want.Residuals))
 	}
@@ -146,19 +144,12 @@ func TestCheckpointDetectsCorruption(t *testing.T) {
 }
 
 // TestCoordinatorCheckpointResume runs a few rounds on a live
-// coordinator with an adaptive bound scheduler, checkpoints it,
-// rebuilds a coordinator from the snapshot, and checks that counters,
-// global model and the scheduled bound all survive the restart.
+// coordinator, checkpoints it, rebuilds a coordinator from the
+// snapshot, and checks that the counters and the global model survive
+// the restart.
 func TestCoordinatorCheckpointResume(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
-	policy, err := adapt.NewPolicy(adapt.Config{BaseBound: 1e-2, MinBound: 1e-4, MaxBound: 1e-2, EMAAlpha: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	coord, err := orchestrator.NewCoordinator(orchestrator.Config{
-		Bound: policy,
-		Seed:  1,
-	}, randomDict(rng, 1))
+	coord, err := orchestrator.NewCoordinator(orchestrator.Config{Seed: 1}, randomDict(rng, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,17 +173,10 @@ func TestCoordinatorCheckpointResume(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	bound := coord.RoundBound()
-	if bound <= 0 {
-		t.Fatalf("scheduler produced no bound after 3 commits")
-	}
 
 	ck := coord.Checkpoint()
 	if ck.Commits != 3 || ck.Version != 3 {
 		t.Fatalf("checkpoint counters (%d, %d), want (3, 3)", ck.Commits, ck.Version)
-	}
-	if len(ck.Bound) == 0 {
-		t.Fatalf("checkpoint carries no bound-scheduler state")
 	}
 	raw, err := orchestrator.MarshalCheckpoint(ck)
 	if err != nil {
@@ -202,15 +186,7 @@ func TestCoordinatorCheckpointResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	policy2, err := adapt.NewPolicy(adapt.Config{BaseBound: 1e-2, MinBound: 1e-4, MaxBound: 1e-2, EMAAlpha: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	coord2, err := orchestrator.NewCoordinatorFromCheckpoint(orchestrator.Config{
-		Bound: policy2,
-		Seed:  1,
-	}, loaded)
+	coord2, err := orchestrator.NewCoordinatorFromCheckpoint(orchestrator.Config{Seed: 1}, loaded)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,30 +196,35 @@ func TestCoordinatorCheckpointResume(t *testing.T) {
 	}
 	_, wantG := coord.Global()
 	dictsBitIdentical(t, wantG, g)
-	if got := coord2.RoundBound(); got != bound {
-		t.Fatalf("resumed bound %v, want %v", got, bound)
-	}
-	// The resumed schedule must keep evolving, not just echo a frozen
-	// override: another commit-sized observation shifts both the
-	// original and the resumed policy identically.
-	policy.ObserveUpdateNorm(0.01)
-	policy2.ObserveUpdateNorm(0.01)
-	if coord.RoundBound() != coord2.RoundBound() {
-		t.Fatalf("schedules diverged after resume: %v vs %v", coord.RoundBound(), coord2.RoundBound())
-	}
 }
 
-// TestCheckpointResumeRejectsBoundStateMismatch: a snapshot carrying
-// scheduler state must not silently load into a coordinator whose
-// scheduler cannot restore it.
+// TestCheckpointResumeRejectsBoundStateMismatch: the FSCK slot that
+// held a bound scheduler's state is always written empty, and a
+// snapshot whose slot is not empty carries state nothing can restore,
+// so it must not load.
 func TestCheckpointResumeRejectsBoundStateMismatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
 	ck := testCheckpoint(rng)
-	ck.Commits = ck.Version // only the bound state is wrong
-	if _, err := orchestrator.NewCoordinatorFromCheckpoint(orchestrator.Config{}, ck); err == nil {
-		t.Fatal("checkpoint with bound state loaded into scheduler-less coordinator")
-	} else if errors.Is(err, orchestrator.ErrBadCheckpoint) {
-		t.Fatalf("rejected for its counters, not its bound state: %v", err)
+	raw, err := orchestrator.MarshalCheckpoint(ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The slot follows magic, version, both counters and the global.
+	global, err := core.MarshalStateDict(ck.Global)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := len("FSCK") + 1
+	at += len(binary.AppendUvarint(nil, uint64(ck.Commits)))
+	at += len(binary.AppendUvarint(nil, uint64(ck.Version)))
+	at += len(binary.AppendUvarint(nil, uint64(len(global)))) + len(global)
+	if raw[at] != 0 {
+		t.Fatalf("reserved slot at byte %d reads %d, want an empty blob", at, raw[at])
+	}
+	forged := append(append(append([]byte(nil), raw[:at]...), 5, 1, 2, 3, 4, 5), raw[at+1:len(raw)-4]...)
+	forged = binary.BigEndian.AppendUint32(forged, crc32.Checksum(forged, crc32.MakeTable(crc32.Castagnoli)))
+	if _, err := orchestrator.UnmarshalCheckpoint(forged); !errors.Is(err, orchestrator.ErrBadCheckpoint) {
+		t.Fatalf("checkpoint with bound state loaded: err = %v, want ErrBadCheckpoint", err)
 	}
 }
 
@@ -253,7 +234,6 @@ func TestCheckpointResumeRejectsBoundStateMismatch(t *testing.T) {
 func TestCheckpointResumeRejectsCounterMismatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	ck := testCheckpoint(rng)
-	ck.Bound = nil
 	_, err := orchestrator.NewCoordinatorFromCheckpoint(orchestrator.Config{}, ck)
 	if !errors.Is(err, orchestrator.ErrBadCheckpoint) {
 		t.Fatalf("counters (%d, %d) resumed with error %v, want ErrBadCheckpoint", ck.Commits, ck.Version, err)

@@ -105,29 +105,8 @@ type Config struct {
 	// distinguishes stragglers from corruption from departures; drivers
 	// that cannot classify pass DropUnknown.
 	OnDrop func(clientID string, reason DropReason)
-	// Bound, if non-nil, schedules the round-level error bound: every
-	// round commit feeds it the global model's movement, and drivers
-	// read RoundBound to broadcast the bound for the upcoming round
-	// alongside the global model (package adapt's Policy implements
-	// it).
-	Bound BoundScheduler
 	// Seed drives client sampling.
 	Seed int64
-}
-
-// BoundScheduler derives the next round's error bound from
-// convergence signals. ObserveCommit runs on the committing driver's
-// goroutine after the coordinator releases its lock (prev and next
-// are immutable snapshots), so an O(params) norm scan is fine, but
-// implementations must be safe for concurrent use: other goroutines
-// may read NextBound while a commit is being observed.
-type BoundScheduler interface {
-	// ObserveCommit sees every installed global model: the state it
-	// replaced, the new state, and the commit's accounting.
-	ObserveCommit(prev, next *model.StateDict, stats RoundStats)
-	// NextBound returns the REL error bound clients should apply for
-	// the upcoming round (0 = no directive).
-	NextBound() float64
 }
 
 func (c Config) withDefaults() Config {
@@ -302,11 +281,9 @@ func (c *Coordinator) StartRound() (*Round, error) {
 }
 
 // commitRound installs a round's aggregate as the new global model.
-// The bound scheduler observes the commit after the lock is released
-// (both models are immutable snapshots by then).
 func (c *Coordinator) commitRound(r *Round, agg *model.StateDict) (int, RoundStats) {
 	c.mu.Lock()
-	prev := c.global
+	defer c.mu.Unlock()
 	c.global = agg
 	c.version++
 	if c.round == r {
@@ -321,22 +298,7 @@ func (c *Coordinator) commitRound(r *Round, agg *model.StateDict) (int, RoundSta
 		Dropped:   len(r.participants) - r.committed,
 		AggMemory: r.agg.MemoryBytes(),
 	}
-	version := c.version
-	c.mu.Unlock()
-	if c.cfg.Bound != nil {
-		c.cfg.Bound.ObserveCommit(prev, agg, stats)
-	}
-	return version, stats
-}
-
-// RoundBound returns the error bound the configured BoundScheduler
-// directs for the upcoming round (0 = none configured / no directive).
-// Drivers broadcast it to participants together with the global model.
-func (c *Coordinator) RoundBound() float64 {
-	if c.cfg.Bound == nil {
-		return 0
-	}
-	return c.cfg.Bound.NextBound()
+	return c.version, stats
 }
 
 func (c *Coordinator) cancelRound(r *Round) {

@@ -24,9 +24,9 @@ type Partial struct {
 	Updates int
 	// Entries carry the per-tensor partial state in reference order.
 	Entries []PartialEntry
-	// Prior is an opaque population plan-prior blob the region
-	// aggregated from its clients (see package adapt); nil when the
-	// region runs no adaptive policies.
+	// Prior is an opaque blob the partial wire format carries before
+	// Span. It once held a region's merged plan prior; this module's
+	// edges send it empty and its coordinators ignore it.
 	Prior []byte
 	// Span is an opaque span-summary trailer (see package obs) the
 	// region attaches so its round timings join the federation trace;

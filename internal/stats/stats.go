@@ -258,56 +258,6 @@ func Roughness(xs []float64) float64 {
 	return sum / float64(len(xs)-1) / s.Range
 }
 
-// EMA is an exponential moving average: Observe folds each sample in
-// with weight Alpha, so recent samples dominate with a memory of
-// roughly 1/Alpha observations. The first observation seeds the
-// average directly. The zero value (Alpha 0) behaves like Alpha 1
-// (last-sample tracking); use NewEMA for an explicit smoothing factor.
-// An EMA is not synchronized — guard concurrent use externally.
-type EMA struct {
-	Alpha float64
-	value float64
-	n     int
-}
-
-// NewEMA returns an EMA with the given smoothing factor in (0, 1].
-func NewEMA(alpha float64) *EMA { return &EMA{Alpha: alpha} }
-
-// Observe folds x into the average and returns the new value.
-func (e *EMA) Observe(x float64) float64 {
-	a := e.Alpha
-	if a <= 0 || a > 1 {
-		a = 1
-	}
-	if e.n == 0 {
-		e.value = x
-	} else {
-		e.value = float64(a*x) + float64((1-a)*e.value)
-	}
-	e.n++
-	return e.value
-}
-
-// Value returns the current average (0 before any observation).
-func (e *EMA) Value() float64 { return e.value }
-
-// Count returns the number of observations folded in.
-func (e *EMA) Count() int { return e.n }
-
-// Snapshot returns the EMA's internal state (value, count) for
-// durability layers that persist it across restarts.
-func (e *EMA) Snapshot() (value float64, count int) { return e.value, e.n }
-
-// Restore overwrites the EMA's internal state with a snapshot taken by
-// Snapshot. Alpha is construction-time configuration and unaffected.
-func (e *EMA) Restore(value float64, count int) {
-	e.value = value
-	if count < 0 {
-		count = 0
-	}
-	e.n = count
-}
-
 // Quantile returns the q-quantile (0 <= q <= 1) of xs using linear
 // interpolation between order statistics.
 func Quantile(xs []float64, q float64) float64 {

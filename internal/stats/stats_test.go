@@ -186,41 +186,3 @@ func TestQuickCDFMonotone(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestEMA(t *testing.T) {
-	e := NewEMA(0.5)
-	if e.Value() != 0 || e.Count() != 0 {
-		t.Fatal("zero EMA not zero")
-	}
-	if v := e.Observe(4); v != 4 {
-		t.Fatalf("first observation seeds directly: got %g", v)
-	}
-	if v := e.Observe(0); v != 2 {
-		t.Fatalf("alpha 0.5 blend: got %g, want 2", v)
-	}
-	if e.Count() != 2 {
-		t.Fatalf("count %d, want 2", e.Count())
-	}
-	// Zero-value EMA tracks the last sample (alpha treated as 1).
-	var last EMA
-	last.Observe(3)
-	if v := last.Observe(7); v != 7 {
-		t.Fatalf("zero-value EMA: got %g, want 7", v)
-	}
-	// A decaying series converges toward the recent scale, staying
-	// monotone non-increasing once seeded above it.
-	e2 := NewEMA(0.3)
-	prev := e2.Observe(1.0)
-	x := 1.0
-	for i := 0; i < 50; i++ {
-		x *= 0.8
-		v := e2.Observe(x)
-		if v > prev {
-			t.Fatalf("step %d: EMA rose from %g to %g on a decaying series", i, prev, v)
-		}
-		prev = v
-	}
-	if prev > 0.01 {
-		t.Fatalf("EMA %g did not track the decay", prev)
-	}
-}

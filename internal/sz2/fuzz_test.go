@@ -247,15 +247,16 @@ func TestForgedSectionsRejected(t *testing.T) {
 	}
 }
 
-// TestDecompressIntoForgedCount: a header that claims 2^39 elements over
-// a 700-element payload is rejected before dst grows, whatever dst is.
+// TestDecompressIntoForgedCount: a header that claims 2^31−1 elements
+// (a count that fits int on every architecture) over a 700-element
+// payload is rejected before dst grows, whatever dst is.
 func TestDecompressIntoForgedCount(t *testing.T) {
 	_, raw := fuzzSeeds(t)
 	_, eb, rest, err := lossy.ReadHeader(magic, raw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	forged := append(lossy.WriteHeader(magic, 1<<39, eb), rest...)
+	forged := append(lossy.WriteHeader(magic, math.MaxInt32, eb), rest...)
 	for _, dst := range [][]float32{nil, make([]float32, 16)} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

@@ -842,6 +842,14 @@ func TestCoefficientFidelity(t *testing.T) {
 	}
 }
 
+// fuzzMaxValues caps the values one FuzzSZ2Compress input contributes:
+// five blocks, one four-block run and one block past it, so each input
+// reaches both of predict's selection paths and a run stays fast enough
+// for the engine to explore. Longer kernelCases seeds reach the fuzz
+// body cut to this prefix; TestKernelMatchesReference and
+// TestFourBlockSelection check them whole, on both paths.
+const fuzzMaxValues = 5 * BlockSize
+
 // FuzzSZ2Compress feeds arbitrary float32 bit patterns and bounds to
 // Compress: on each path the section must equal the reference loop's
 // byte for byte and decode within the bound, the two paths' sections
@@ -855,7 +863,7 @@ func FuzzSZ2Compress(f *testing.F) {
 		f.Add(raw, tc.p.Bound, tc.p.Mode == lossy.Rel)
 	}
 	f.Fuzz(func(t *testing.T, raw []byte, bound float64, rel bool) {
-		data := make([]float32, len(raw)/4)
+		data := make([]float32, min(len(raw)/4, fuzzMaxValues))
 		for i := range data {
 			data[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
 		}

@@ -12,7 +12,6 @@ import (
 	"sync"
 	"testing"
 
-	"fedsz/internal/adapt"
 	"fedsz/internal/core"
 	"fedsz/internal/fl"
 	"fedsz/internal/lossy"
@@ -227,12 +226,6 @@ func rawDownlinkBytes(t *testing.T, rounds []downlink) int {
 		if d.traceID != "" {
 			n += 1 + core.UvarintLen(uint64(len(d.traceID))) + len(d.traceID) + core.UvarintLen(uint64(d.round))
 		}
-		if len(d.prior) > 0 {
-			n += 1 + core.UvarintLen(uint64(len(d.prior))) + len(d.prior)
-		}
-		if d.bound > 0 {
-			n += 1 + 8
-		}
 		buf, err := core.MarshalStateDict(d.global)
 		if err != nil {
 			t.Fatal(err)
@@ -421,15 +414,11 @@ func TestFrameDownlinkRelayedThroughEdge(t *testing.T) {
 
 // TestRawDownlinkWhenGateDeclines: a tier sends the model raw, in
 // exactly the bytes it always did, when it has no declared rate, when its
-// codec's frames are not whole images (plain, delta, adaptive) and when
-// the declared link is too fast for a frame to pay.
+// codec's frames are not whole images (plain, delta, error feedback) and
+// when the declared link is too fast for a frame to pay.
 func TestRawDownlinkWhenGateDeclines(t *testing.T) {
-	adaptive := func() fl.Codec {
-		policy, err := adapt.NewPolicy(adapt.Config{})
-		if err != nil {
-			t.Error(err)
-		}
-		c, err := fl.NewFedSZCodec(core.Config{Selector: policy})
+	feedback := func() fl.Codec {
+		c, err := fl.NewFedSZCodec(core.Config{Feedback: core.NewFeedback()})
 		if err != nil {
 			t.Error(err)
 		}
@@ -444,7 +433,7 @@ func TestRawDownlinkWhenGateDeclines(t *testing.T) {
 		{name: "unshaped fedsz", codec: staticFedSZ(t)},
 		{name: "shaped plain", codec: func() fl.Codec { return fl.PlainCodec{} }, bps: 100e6, gated: true},
 		{name: "shaped delta", codec: func() fl.Codec { return fl.NewDeltaCodec(staticFedSZ(t)()) }, bps: 100e6, gated: true},
-		{name: "shaped adaptive", codec: adaptive, bps: 100e6, gated: true},
+		{name: "shaped feedback", codec: feedback, bps: 100e6, gated: true},
 		{name: "fedsz on a 1 Gbps link", codec: staticFedSZ(t), bps: 1e9, gated: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -526,19 +515,20 @@ func TestFrameDownlinkDeterministic(t *testing.T) {
 // TestReadPriorAndTraceRejectForgedLengths: the two length-prefixed
 // fields an untrusted peer controls outside a codec frame are capped —
 // a prior over 1 MiB and a round number that does not fit int32 are
-// protocol errors — and a prior whose bytes never arrive costs no more
-// than a step of allocation.
+// protocol errors — and a prior, which is discarded unread, costs no
+// allocation whether or not its bytes arrive.
 func TestReadPriorAndTraceRejectForgedLengths(t *testing.T) {
 	reader := func(b []byte) *bufio.Reader { return bufio.NewReader(bytes.NewReader(b)) }
-	if _, err := readPrior(reader(binary.AppendUvarint(nil, maxPriorSize+1))); !errors.Is(err, ErrProtocol) {
+	if err := skipPrior(reader(binary.AppendUvarint(nil, maxPriorSize+1))); !errors.Is(err, ErrProtocol) {
 		t.Errorf("prior of maxPriorSize+1: err = %v, want ErrProtocol", err)
 	}
-	if _, err := readPrior(reader(binary.AppendUvarint(nil, MaxFrameSize))); !errors.Is(err, ErrProtocol) {
+	if err := skipPrior(reader(binary.AppendUvarint(nil, MaxFrameSize))); !errors.Is(err, ErrProtocol) {
 		t.Errorf("prior of 1 GiB: err = %v, want ErrProtocol", err)
 	}
+	short := reader(append(binary.AppendUvarint(nil, maxPriorSize), "short"...))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, err := readPrior(reader(append(binary.AppendUvarint(nil, maxPriorSize), "short"...)))
+	err := skipPrior(short)
 	runtime.ReadMemStats(&after)
 	if err == nil {
 		t.Error("a truncated prior was accepted")
@@ -547,8 +537,12 @@ func TestReadPriorAndTraceRejectForgedLengths(t *testing.T) {
 		t.Errorf("a forged prior length over 5 bytes of data allocated %d bytes", grew)
 	}
 	whole := append(binary.AppendUvarint(nil, 70_000), bytes.Repeat([]byte{7}, 70_000)...)
-	if blob, err := readPrior(reader(whole)); err != nil || len(blob) != 70_000 || blob[69_999] != 7 {
-		t.Errorf("a 70 000-byte prior: %d bytes, err %v", len(blob), err)
+	r := reader(append(whole, byte(MsgShutdown)))
+	if err := skipPrior(r); err != nil {
+		t.Errorf("a 70 000-byte prior: %v", err)
+	}
+	if b, err := r.ReadByte(); err != nil || MsgType(b) != MsgShutdown {
+		t.Errorf("after a 70 000-byte prior the stream reads %d, %v; want the next message", b, err)
 	}
 
 	trace := func(round uint64) []byte {
@@ -562,6 +556,26 @@ func TestReadPriorAndTraceRejectForgedLengths(t *testing.T) {
 	for _, round := range []uint64{math.MaxInt32 + 1, 1 << 40, math.MaxUint64} {
 		if _, _, err := readRoundTrace(reader(trace(round))); !errors.Is(err, ErrProtocol) {
 			t.Errorf("round %d: err = %v, want ErrProtocol", round, err)
+		}
+	}
+}
+
+// TestReadDownlinkRejectsRetiredMessages: the type numbers that once
+// carried a round error-bound directive (5) and a merged plan prior (8)
+// stay reserved, and a downlink that uses them is a protocol error.
+func TestReadDownlinkRejectsRetiredMessages(t *testing.T) {
+	codec, err := fl.NewFedSZCodec(core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The reserved slots keep every later type at its wire number.
+	if MsgShutdown != 4 || MsgJoinEdge != 6 || MsgPartialSum != 7 || MsgRoundTrace != 9 || MsgGlobalFrame != 10 {
+		t.Fatal("message type numbers moved")
+	}
+	for _, typ := range []byte{5, 8} {
+		cs := newConnStream(&memConn{r: bytes.NewReader([]byte{typ, 0, 0, 0, 0, 0, 0, 0, 0})})
+		if _, _, err := readDownlink(cs, codec, nil, nil); !errors.Is(err, ErrProtocol) {
+			t.Errorf("message type %d: err = %v, want ErrProtocol", typ, err)
 		}
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"net"
 	"time"
 
-	"fedsz/internal/adapt"
 	"fedsz/internal/fl"
 	"fedsz/internal/hier"
 	"fedsz/internal/netsim"
@@ -195,14 +194,13 @@ func (k *edgeSink) contributor(_ string, weight float64, updates int) (*orchestr
 func (k *edgeSink) withdrawn(string, orchestrator.DropReason, bool) {}
 
 // finish is fold-and-forward: take a view of the regional sum (every
-// collector has settled, nothing folds again), attach the region's
-// merged plan prior, and ship one partial frame upstream. The sums
-// travel as raw float64 bits (optionally lossless-packed) — the partial
-// is never lossy re-encoded, so a 2-tier federation commits
-// byte-identical FedAvg results to a flat one.
+// collector has settled, nothing folds again) and ship one partial
+// frame upstream, its Prior empty. The sums travel as raw float64 bits
+// (optionally lossless-packed) — the partial is never lossy re-encoded,
+// so a 2-tier federation commits byte-identical FedAvg results to a
+// flat one.
 func (k *edgeSink) finish(g *gathered) error {
 	p := k.agg.Partial()
-	p.Prior = adapt.MergePriorBlobs(g.priors...)
 
 	sp := &g.span
 	sp.Tier = "edge"

@@ -304,7 +304,7 @@ func TestEdgeDeathMidRound(t *testing.T) {
 
 // TestEdgeClientDiesBeforePriorTrailer kills a region client between
 // its complete update frame and the plan-prior trailer: the edge has
-// already folded the client's weighted entries when readPrior fails,
+// already folded the client's weighted entries when skipPrior fails,
 // so the collector must withdraw the contribution — otherwise the
 // regional partial ships the client's sums without its weight and the
 // poison composes exactly into the global model upstream.
@@ -551,85 +551,6 @@ func TestEdgeEmptyRegion(t *testing.T) {
 	}
 	if broadcasts != rounds {
 		t.Fatalf("idle edge saw %d broadcasts, want %d (was its connection killed?)", broadcasts, rounds)
-	}
-}
-
-// TestEdgeRelaysPriorAndBound: a bound-scheduled, prior-carrying
-// federation relays MsgRoundBound and MsgPlanPrior through the edge
-// tier — the directives clients see behind an edge must match what
-// direct clients would see.
-func TestEdgeRelaysPriorAndBound(t *testing.T) {
-	const clientsPerEdge = 2
-	initial := nn.MobileNetV2Mini(48, 4, 7).StateDict()
-	upd := nn.MobileNetV2Mini(48, 4, 8).StateDict()
-
-	srv, err := NewOrchestrated(OrchestratedConfig{
-		MinClients: 1,
-		Rounds:     2,
-		Bound:      &stubBoundScheduler{bounds: []float64{1e-3, 5e-4}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	coreLn := tcpListener(t)
-
-	var wg sync.WaitGroup
-	edgeLn := tcpListener(t)
-	edge, err := NewEdge(EdgeConfig{
-		Upstream:   dialTCP(coreLn.Addr().String()),
-		MinClients: clientsPerEdge,
-		Checksum:   true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer edgeLn.Close()
-		if err := edge.Serve(edgeLn); err != nil {
-			t.Errorf("edge: %v", err)
-		}
-	}()
-
-	codecs := make([]*boundRecordingCodec, clientsPerEdge)
-	for c := 0; c < clientsPerEdge; c++ {
-		codecs[c] = &boundRecordingCodec{Codec: fl.PlainCodec{}}
-		wg.Add(1)
-		go func(codec *boundRecordingCodec) {
-			defer wg.Done()
-			conn, err := net.Dial("tcp", edgeLn.Addr().String())
-			if err != nil {
-				t.Errorf("client dial: %v", err)
-				return
-			}
-			defer conn.Close()
-			err = RunClient(conn, codec, func(int, *model.StateDict) (*model.StateDict, int, error) {
-				return upd, 10, nil
-			})
-			if err != nil {
-				t.Errorf("client: %v", err)
-			}
-		}(codecs[c])
-	}
-
-	if _, err := srv.Serve(coreLn, initial); err != nil {
-		t.Fatalf("server: %v", err)
-	}
-	wg.Wait()
-	want := []float64{1e-3, 5e-4}
-	for i, codec := range codecs {
-		codec.mu.Lock()
-		got := append([]float64(nil), codec.bounds...)
-		codec.mu.Unlock()
-		if len(got) != len(want) {
-			t.Fatalf("client %d behind the edge saw %d bound directives (%v), want %d", i, len(got), got, len(want))
-		}
-		for r := range want {
-			if got[r] != want[r] {
-				t.Fatalf("client %d round %d saw bound %g, want %g", i, r, got[r], want[r])
-			}
-		}
 	}
 }
 

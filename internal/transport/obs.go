@@ -63,14 +63,10 @@ func (t MsgType) String() string {
 		return "update"
 	case MsgShutdown:
 		return "shutdown"
-	case MsgRoundBound:
-		return "round_bound"
 	case MsgJoinEdge:
 		return "join_edge"
 	case MsgPartialSum:
 		return "partial_sum"
-	case MsgPlanPrior:
-		return "plan_prior"
 	case MsgRoundTrace:
 		return "round_trace"
 	case MsgGlobalFrame:

@@ -2,12 +2,10 @@ package transport
 
 import (
 	"errors"
-	"fmt"
 	"net"
 	"sync/atomic"
 	"time"
 
-	"fedsz/internal/adapt"
 	"fedsz/internal/core"
 	"fedsz/internal/fl"
 	"fedsz/internal/model"
@@ -45,10 +43,6 @@ type OrchestratedConfig struct {
 	BandwidthBps float64
 	// Shards is the aggregator shard count (0 = auto).
 	Shards int
-	// Bound, if non-nil, schedules a round-level error bound: the
-	// coordinator feeds it every commit, and each round's broadcast is
-	// preceded by a MsgRoundBound directive carrying its NextBound.
-	Bound orchestrator.BoundScheduler
 	// OnRound observes each committed global model.
 	OnRound func(round int, global *model.StateDict, stats orchestrator.RoundStats)
 	// OnDrop observes every withdrawn client with its typed reason
@@ -62,7 +56,7 @@ type OrchestratedConfig struct {
 	// CheckpointPath, if non-empty, makes the server durable: after
 	// every CheckpointEvery committed rounds (and on graceful
 	// shutdown) it atomically snapshots the coordinator — counters,
-	// global model, bound-scheduler state, residual store — to this
+	// global model, residual store — to this
 	// file. A checkpoint failure is logged, never fatal: losing
 	// durability should not kill a live federation.
 	CheckpointPath string
@@ -70,8 +64,8 @@ type OrchestratedConfig struct {
 	// (0 = every round).
 	CheckpointEvery int
 	// Resume, if non-nil, restarts training from a checkpoint: the
-	// coordinator resumes its counters, global model and bound
-	// schedule, Residuals (when present) is restored from the
+	// coordinator resumes its counters and global model, Residuals
+	// (when present) is restored from the
 	// snapshot, and Serve runs only the remaining Rounds−Commits
 	// rounds. The initial model passed to Serve is ignored.
 	Resume *orchestrator.Checkpoint
@@ -145,7 +139,6 @@ func (s *Orchestrated) Serve(ln net.Listener, initial *model.StateDict) (*model.
 		OverProvision:   s.cfg.OverProvision,
 		RoundDeadline:   s.cfg.RoundDeadline,
 		Shards:          s.cfg.Shards,
-		Bound:           s.cfg.Bound,
 		OnDrop: func(id string, reason orchestrator.DropReason) {
 			// A dropped client's residual accounting is invalidated by
 			// the lost update; quarantine it before the caller's hook.
@@ -253,32 +246,12 @@ func (s *Orchestrated) saveCheckpoint(coord *orchestrator.Coordinator) {
 	s.cfg.Logf("checkpoint: %d rounds, model v%d -> %s", ck.Commits, ck.Version, s.cfg.CheckpointPath)
 }
 
-// plansFromPrior renders the merged population prior as tensor →
-// "family@bound" for round spans (bound = round bound × the plan's
-// factor; the bare factor when no round bound is scheduled).
-func plansFromPrior(blob []byte, roundBound float64) map[string]string {
-	pr, err := adapt.DecodePrior(blob)
-	if err != nil || pr == nil || len(pr.Tensors) == 0 {
-		return nil
-	}
-	plans := make(map[string]string, len(pr.Tensors))
-	for name, pl := range pr.Tensors {
-		if roundBound > 0 {
-			plans[name] = fmt.Sprintf("%s@%.3g", pl.Lossy, roundBound*pl.Factor)
-		} else {
-			plans[name] = fmt.Sprintf("%s@x%.3g", pl.Lossy, pl.Factor)
-		}
-	}
-	return plans
-}
-
 // coordSink is the coordinator's end of the round engine: it mints each
 // round's inputs, samples the participants from the coordinator's
 // registry, mirrors joins and drops into it, and finishes a round by
 // committing the new global model.
 type coordSink struct {
 	coord *orchestrator.Coordinator
-	prior []byte // merged population plan prior, broadcast next round
 
 	round  *orchestrator.Round     // the open round
 	global *model.StateDict        // what it committed
@@ -300,8 +273,6 @@ func (k *coordSink) open() (downlink, []string, error) {
 		// join this round's tree.
 		traceID: obs.NewTraceID(),
 		round:   round.Number(),
-		prior:   k.prior,
-		bound:   k.coord.RoundBound(),
 		global:  global,
 	}, round.Participants(), nil
 }
@@ -324,12 +295,6 @@ func (k *coordSink) withdrawn(id string, reason orchestrator.DropReason, gone bo
 }
 
 func (k *coordSink) finish(g *gathered) error {
-	// A round that produced no priors keeps the previous consensus — an
-	// all-static or all-cold round should not erase what the fleet
-	// already learned.
-	if merged := adapt.MergePriorBlobs(g.priors...); len(merged) > 0 {
-		k.prior = merged
-	}
 	var err error
 	k.global, k.stats, err = k.round.Commit()
 	k.round = nil // the sums stay with the coordinator, which empties them in StartRound
@@ -349,7 +314,6 @@ func (k *coordSink) finish(g *gathered) error {
 	g.span.Sampled = k.stats.Sampled
 	g.span.Committed = k.stats.Committed
 	g.span.Dropped = k.stats.Dropped
-	g.span.Plans = plansFromPrior(k.prior, g.span.Bound)
 	g.stamp()
 	obs.DefaultTrace.Add(g.span)
 	return err

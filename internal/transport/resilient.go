@@ -16,8 +16,7 @@ import (
 // reconnecting with exponential backoff instead of dying on the first
 // broken read. Every reconnect is a fresh registration — the server
 // assigns a new identity and the client picks the federation back up
-// at whatever round is current (including a MsgRoundBound directive,
-// which precedes the model on every broadcast).
+// at whatever round is current.
 type ClientConfig struct {
 	// Dial opens a connection to the coordinator. Required.
 	Dial func() (net.Conn, error)

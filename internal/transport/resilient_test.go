@@ -69,8 +69,7 @@ func readUpdate(cs *connStream, codec fl.Codec) error {
 	if err := fl.DecodeEntries(codec, cs.r, func(model.Entry) error { return nil }); err != nil {
 		return err
 	}
-	_, err = readPrior(cs.r) // plan-prior trailer (empty for plain codecs)
-	return err
+	return skipPrior(cs.r) // the empty prior trailer
 }
 
 // TestResilientClientReconnects kills the client's first connection

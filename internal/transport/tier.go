@@ -49,12 +49,11 @@ type sink interface {
 
 // gathered is a round after its gather phase, handed to the sink's
 // finish: the span so far (phases, bytes, per-participant records —
-// the sink adds its tier's identity and counts), the plan-prior blobs
-// the participants sent, and the span summaries nested regions shipped.
+// the sink adds its tier's identity and counts) and the span summaries
+// nested regions shipped.
 type gathered struct {
 	span        obs.RoundSpan
 	commitStart time.Time
-	priors      [][]byte
 	children    []obs.ChildSummary
 }
 
@@ -339,7 +338,7 @@ func (t *tier) runRound(sk sink) error {
 	// Everything the span takes from the inputs is copied out here, so the
 	// model is held for the broadcast only: at an edge nothing else keeps
 	// it live through the gather.
-	span := obs.RoundSpan{Round: down.round, TraceID: down.traceID, Start: start, Bound: down.bound}
+	span := obs.RoundSpan{Round: down.round, TraceID: down.traceID, Start: start}
 	span.Down = t.frameDownlink(&down)
 
 	// Broadcast to every participant concurrently — each connection's
@@ -597,33 +596,31 @@ func (t *tier) collect(sk sink, st *roundSpanState, p participant, deadline time
 	if err != nil {
 		return err
 	}
-	var prior []byte
 	switch {
 	case typ == MsgUpdate && !p.edge:
-		prior, err = t.collectUpdate(sk, st, p.id, cs)
+		err = t.collectUpdate(sk, st, p.id, cs)
 	case typ == MsgPartialSum && p.edge:
-		prior, err = t.collectPartial(sk, st, p.id, cs)
+		err = t.collectPartial(sk, st, p.id, cs)
 	default:
 		err = fmt.Errorf("%w: unexpected %v from %s", ErrProtocol, typ, p.id)
 	}
 	if err != nil {
 		return err
 	}
-	st.addPrior(prior)
 	// The member survived the round; clear its deadline.
 	return cs.conn.SetReadDeadline(time.Time{})
 }
 
-// collectUpdate folds one client's streamed update and returns its
-// plan-prior trailer.
-func (t *tier) collectUpdate(sk sink, st *roundSpanState, id string, cs *connStream) ([]byte, error) {
+// collectUpdate folds one client's streamed update and reads past its
+// prior trailer.
+func (t *tier) collectUpdate(sk sink, st *roundSpanState, id string, cs *connStream) error {
 	samples, err := binary.ReadUvarint(cs.r)
 	if err != nil {
-		return nil, fmt.Errorf("%w: update sample count", ErrProtocol)
+		return fmt.Errorf("%w: update sample count", ErrProtocol)
 	}
 	ct, err := sk.contributor(id, float64(samples), 0)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	land := t.land.borrow(false)
 	err = st.timeDecodeFold(func() error {
@@ -639,27 +636,24 @@ func (t *tier) collectUpdate(sk sink, st *roundSpanState, id string, cs *connStr
 		// with why: a checksum failure quarantines the client as
 		// corrupt, not as a straggler.
 		ct.AbortReason(dropReasonFor(err))
-		return nil, err
+		return err
 	}
-	// The plan-prior trailer rides behind the codec frame so the update
-	// path stays one uplink write per round.
-	prior, err := readPrior(cs.r)
-	if err != nil {
+	if err := skipPrior(cs.r); err != nil {
 		// The update is fully folded by now; losing the trailer must
 		// withdraw it, or the sums keep weight the total never sees.
 		ct.AbortReason(dropReasonFor(err))
-		return nil, err
+		return err
 	}
-	return prior, ct.Commit()
+	return ct.Commit()
 }
 
-// collectPartial folds one edge aggregator's regional partial sum and
-// returns the region's merged plan prior. The frame is checksum-
-// verified before any of it touches the aggregate, so a corrupt region
-// withdraws cleanly; an empty region (Updates == 0) is a round-level
-// miss that keeps the edge's connection alive. The sums land in a
-// landing; the prior and span blobs, which outlive the gather, never do.
-func (t *tier) collectPartial(sk sink, st *roundSpanState, id string, cs *connStream) ([]byte, error) {
+// collectPartial folds one edge aggregator's regional partial sum,
+// ignoring its Prior. The frame is checksum-verified before any of it
+// touches the aggregate, so a corrupt region withdraws cleanly; an
+// empty region (Updates == 0) is a round-level miss that keeps the
+// edge's connection alive. The sums land in a landing; the span blob,
+// which outlives the gather, never does.
+func (t *tier) collectPartial(sk sink, st *roundSpanState, id string, cs *connStream) error {
 	var p *orchestrator.Partial
 	var ct *orchestrator.Contributor
 	land := t.land.borrow(true)
@@ -682,7 +676,7 @@ func (t *tier) collectPartial(sk sink, st *roundSpanState, id string, cs *connSt
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	// The span-summary trailer is observability, never control flow: an
 	// undecodable one (newer edge, damaged blob — the frame itself
@@ -696,23 +690,22 @@ func (t *tier) collectPartial(sk sink, st *roundSpanState, id string, cs *connSt
 		st.outcome(id, "empty_region")
 		sk.withdrawn(id, orchestrator.DropDeadline, false)
 		t.logf("%s: empty region, withdrawn for this round", id)
-		return nil, nil
+		return nil
 	}
-	return p.Prior, ct.Commit()
+	return ct.Commit()
 }
 
 // roundSpanState accumulates one round's trace while the round runs:
 // per-participant byte baselines, outcomes and settle times, the
 // cumulative decode→fold time summed across the round's concurrent
-// collectors, and what the participants sent besides their updates —
-// plan-prior blobs and the span summaries of nested regions.
+// collectors, and the span summaries nested regions sent besides their
+// partial sums.
 type roundSpanState struct {
 	decodeFoldNs atomic.Int64
 
 	mu          sync.Mutex
 	gatherStart time.Time
 	clients     map[string]*spanEntry
-	priors      [][]byte
 	children    []obs.ChildSummary
 }
 
@@ -778,17 +771,6 @@ func (st *roundSpanState) outcome(id, o string) {
 	st.mu.Unlock()
 }
 
-// addPrior stashes one participant's plan-prior blob for the sink's
-// post-round merge.
-func (st *roundSpanState) addPrior(blob []byte) {
-	if len(blob) == 0 {
-		return
-	}
-	st.mu.Lock()
-	st.priors = append(st.priors, blob)
-	st.mu.Unlock()
-}
-
 // attachChild stashes one region's decoded span summary for the
 // round's trace tree.
 func (st *roundSpanState) attachChild(id string, sum *obs.SpanSummary) {
@@ -804,7 +786,7 @@ func (st *roundSpanState) attachChild(id string, sum *obs.SpanSummary) {
 func (st *roundSpanState) close(span obs.RoundSpan) *gathered {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	g := &gathered{span: span, commitStart: time.Now(), priors: st.priors, children: st.children}
+	g := &gathered{span: span, commitStart: time.Now(), children: st.children}
 	g.span.GatherNs = g.commitStart.Sub(st.gatherStart).Nanoseconds()
 	g.span.DecodeFoldNs = st.decodeFoldNs.Load()
 	g.span.Clients = make([]obs.SpanClient, 0, len(st.clients))

@@ -49,12 +49,12 @@ type MsgType uint8
 const (
 	MsgJoin        MsgType = iota + 1 // client → server: hello
 	MsgGlobalModel                    // server → client: streamed global state
-	MsgUpdate                         // client → server: sample count + streamed update + plan-prior trailer
+	MsgUpdate                         // client → server: sample count + streamed update + empty prior trailer
 	MsgShutdown                       // server → client: training complete
-	MsgRoundBound                     // server → client: next round's error bound (8-byte float64)
+	_                                 // reserved: was a round error-bound directive; readers reject it
 	MsgJoinEdge                       // edge → server: hello from a regional edge aggregator
 	MsgPartialSum                     // edge → server: one region's folded partial sum (hier wire format)
-	MsgPlanPrior                      // server → client/edge: merged population plan prior (uvarint len + blob)
+	_                                 // reserved: was a merged plan prior; readers reject it
 	MsgRoundTrace                     // server → client/edge: round trace context (uvarint len + trace ID, uvarint round)
 	MsgGlobalFrame                    // server → client/edge: the global state as one frame of the tier's codec (the error-bounded downlink)
 
@@ -124,26 +124,10 @@ func (cs *connStream) readMsgType() (MsgType, error) {
 // corruption.
 const MaxFrameSize = 1 << 30
 
-// writePrior writes a length-prefixed plan-prior blob (possibly
-// empty) — MsgUpdate's trailer and MsgPlanPrior's body.
-func writePrior(w io.Writer, blob []byte) error {
-	var hdr [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(hdr[:], uint64(len(blob)))
-	if _, err := w.Write(hdr[:n]); err != nil {
-		return fmt.Errorf("transport: write prior length: %w", err)
-	}
-	if len(blob) > 0 {
-		if _, err := w.Write(blob); err != nil {
-			return fmt.Errorf("transport: write prior: %w", err)
-		}
-	}
-	return nil
-}
-
 // writeRoundTrace writes a MsgRoundTrace body: length-prefixed trace
 // ID plus the round number. The coordinator stamps one per round and
-// broadcasts it ahead of the bound/prior/model so every tier tags its
-// spans with the same ID; peers that don't trace drain and ignore it.
+// broadcasts it ahead of the model so every tier tags its spans with
+// the same ID; peers that don't trace drain and ignore it.
 func writeRoundTrace(w io.Writer, traceID string, round int) error {
 	var hdr [binary.MaxVarintLen64]byte
 	n := binary.PutUvarint(hdr[:], uint64(len(traceID)))
@@ -177,44 +161,41 @@ func readRoundTrace(r *bufio.Reader) (traceID string, round int, err error) {
 	return string(id), int(rd), nil
 }
 
-// maxPriorSize caps a plan-prior blob. A merged prior is a few tens of
-// bytes per tensor, so 1 MiB is generous for any model; the cap is what
-// a forged length can make a peer allocate.
+// maxPriorSize caps MsgUpdate's prior trailer. This module's clients
+// send it empty (one 0x00 length byte); it once carried a plan prior a
+// few tens of bytes per tensor long, so 1 MiB is generous for any
+// model.
 const maxPriorSize = 1 << 20
 
-// readPrior reads a writePrior blob (nil when empty). The blob is
-// allocated in stages as its bytes arrive (core.WireReader.Bytes), so a
-// forged length on a short stream costs one 64 KiB stage at most.
-func readPrior(r *bufio.Reader) ([]byte, error) {
+// emptyPrior is the prior trailer this module's clients send.
+var emptyPrior = []byte{0}
+
+// skipPrior reads MsgUpdate's length-prefixed prior trailer and
+// discards it, failing on a length past maxPriorSize or a short body.
+func skipPrior(r *bufio.Reader) error {
 	n, err := binary.ReadUvarint(r)
 	if err != nil {
-		return nil, fmt.Errorf("%w: prior length", ErrProtocol)
+		return fmt.Errorf("%w: prior length", ErrProtocol)
 	}
 	if n > maxPriorSize {
-		return nil, fmt.Errorf("%w: prior size %d", ErrProtocol, n)
+		return fmt.Errorf("%w: prior size %d", ErrProtocol, n)
 	}
-	if n == 0 {
-		return nil, nil
+	if _, err := r.Discard(int(n)); err != nil {
+		return fmt.Errorf("transport: read prior: %w", err)
 	}
-	blob, err := core.NewWireReader(r).Bytes(int(n))
-	if err != nil {
-		return nil, fmt.Errorf("transport: read prior: %w", err)
-	}
-	return blob, nil
+	return nil
 }
 
 // ErrProtocol reports a framing violation.
 var ErrProtocol = errors.New("transport: protocol error")
 
 // downlink is one round's inputs as they travel down the tree, in wire
-// order: MsgRoundTrace → MsgPlanPrior → MsgRoundBound → the model, as
-// MsgGlobalModel (raw) or MsgGlobalFrame (one frame of the tier's
-// codec). Only the model is mandatory; it closes the sequence.
+// order: MsgRoundTrace → the model, as MsgGlobalModel (raw) or
+// MsgGlobalFrame (one frame of the tier's codec). Only the model is
+// mandatory; it closes the sequence.
 type downlink struct {
-	traceID string  // round trace context ("" from a pre-tracing upstream)
-	round   int     // the coordinator's round number, carried by the trace
-	prior   []byte  // merged population plan prior (nil = none yet)
-	bound   float64 // round-level error bound (0 = no schedule)
+	traceID string // round trace context ("" from a pre-tracing upstream)
+	round   int    // the coordinator's round number, carried by the trace
 	global  *model.StateDict
 	// frame, when non-nil, is the model as it travels this round: the
 	// tier's Eqn. 1 gate encoded global once (tier.frameDownlink), or an
@@ -227,32 +208,12 @@ type downlink struct {
 
 // writeTo sends the round's inputs on cs, one message per present
 // field. The trace context leads so every tier below tags its spans
-// with it; the bound precedes the model so clients apply it before
-// encoding. The global dict is immutable for the round, safe to stream
+// with it. The global dict is immutable for the round, safe to stream
 // from many goroutines.
 func (d *downlink) writeTo(cs *connStream) error {
 	if d.traceID != "" {
 		err := cs.writeMsg(MsgRoundTrace, func(w io.Writer) error {
 			return writeRoundTrace(w, d.traceID, d.round)
-		})
-		if err != nil {
-			return err
-		}
-	}
-	if len(d.prior) > 0 {
-		err := cs.writeMsg(MsgPlanPrior, func(w io.Writer) error {
-			return writePrior(w, d.prior)
-		})
-		if err != nil {
-			return err
-		}
-	}
-	if d.bound > 0 {
-		err := cs.writeMsg(MsgRoundBound, func(w io.Writer) error {
-			var raw [8]byte
-			binary.BigEndian.PutUint64(raw[:], math.Float64bits(d.bound))
-			_, err := w.Write(raw[:])
-			return err
 		})
 		if err != nil {
 			return err
@@ -291,19 +252,6 @@ func readDownlink(cs *connStream, codec fl.Codec, prev *model.StateDict, relay *
 		case MsgRoundTrace:
 			if d.traceID, d.round, err = readRoundTrace(cs.r); err != nil {
 				return d, false, err
-			}
-		case MsgPlanPrior:
-			if d.prior, err = readPrior(cs.r); err != nil {
-				return d, false, err
-			}
-		case MsgRoundBound:
-			var raw [8]byte
-			if _, err = io.ReadFull(cs.r, raw[:]); err != nil {
-				return d, false, fmt.Errorf("%w: round bound: %v", ErrProtocol, err)
-			}
-			d.bound = math.Float64frombits(binary.BigEndian.Uint64(raw[:]))
-			if d.bound <= 0 || math.IsNaN(d.bound) || math.IsInf(d.bound, 0) {
-				return d, false, fmt.Errorf("%w: round bound %v", ErrProtocol, d.bound)
 			}
 		case MsgGlobalModel:
 			d.global, err = core.UnmarshalStateDictInto(cs.r, prev)
@@ -359,11 +307,6 @@ type TrainFunc func(round int, global *model.StateDict) (*model.StateDict, int, 
 // server sends MsgShutdown. Updates stream through codec.EncodeTo:
 // each tensor's compressed section leaves as soon as it is ready, so
 // on a slow uplink compression time hides behind transmission time.
-//
-// When the server schedules round-level error bounds (an adaptive
-// federation), each round's MsgRoundBound directive is applied to the
-// codec through fl.BoundAware before the round's update is encoded;
-// codecs that are not bound-aware ignore the directive.
 func RunClient(conn net.Conn, codec fl.Codec, train TrainFunc) error {
 	if codec == nil {
 		codec = fl.PlainCodec{}
@@ -400,16 +343,6 @@ func runClientSession(cs *connStream, codec fl.Codec, train TrainFunc, baseRound
 			return round, err
 		}
 		global = down.global
-		if ba, ok := codec.(fl.BoundAware); ok && down.bound > 0 {
-			ba.SetRoundBound(down.bound)
-		}
-		// Adaptive codecs seed their cold tensors from the merged
-		// population plan prior; everyone else skips the blob.
-		if pa, ok := codec.(fl.PriorAware); ok && len(down.prior) > 0 {
-			if err := pa.ApplyPriorBytes(down.prior); err != nil {
-				return round, fmt.Errorf("%w: plan prior: %v", ErrProtocol, err)
-			}
-		}
 		if ra, ok := codec.(fl.ReferenceAware); ok {
 			ra.SetReference(down.global)
 		}
@@ -426,14 +359,8 @@ func runClientSession(cs *connStream, codec fl.Codec, train TrainFunc, baseRound
 			if _, err := codec.EncodeTo(w, update); err != nil {
 				return err
 			}
-			// Trailing plan-prior blob: the client's locally probed
-			// plans, aggregated fleet-wide by the edge/coordinator
-			// tier. Zero-length for non-adaptive codecs.
-			var prior []byte
-			if pa, ok := codec.(fl.PriorAware); ok {
-				prior = pa.ExportPriorBytes()
-			}
-			return writePrior(w, prior)
+			_, err := w.Write(emptyPrior)
+			return err
 		})
 		if err != nil {
 			return round, err

@@ -1,7 +1,7 @@
 package fedsz
 
 // Observability: every subsystem — compressor families, transport,
-// orchestrator, hierarchy, adaptive control plane — reports into one
+// orchestrator, hierarchy — reports into one
 // process-wide metrics registry and round-span trace. This file is
 // the public surface over internal/obs: snapshot the registry, read
 // recent round spans, or mount the whole introspection plane

@@ -7,16 +7,15 @@
 # an aggregator would fold other bits; a seeded model (model, stats)
 # would start from other weights, and a bound check (lossy's metrics)
 # would measure another error; the simulator's seeded datasets
-# (dataset, scidata), mini networks (nn) and selection priors (adapt)
-# would train and pick differently, and lossytest's fixtures would
-# hold other values. An explicit float64(x*y) (float32(x*y) for
+# (dataset, scidata) and mini networks (nn) would train differently,
+# and lossytest's fixtures would hold other values. An explicit float64(x*y) (float32(x*y) for
 # float32 operands) blocks the fusion, and on amd64 compiles to the
 # same code.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 pkgs=(./internal/quant ./internal/sz2 ./internal/sz3 ./internal/family ./internal/orchestrator ./internal/fl
-  ./internal/model ./internal/stats ./internal/lossy ./internal/dataset ./internal/nn ./internal/adapt
+  ./internal/model ./internal/stats ./internal/lossy ./internal/dataset ./internal/nn
   ./internal/scidata ./internal/lossy/lossytest)
 # The build cache replays the compiler's listing, so a cached build
 # checks the same text; an empty listing would pass vacuously.
