@@ -114,7 +114,7 @@ golden:
 
 # Live observability smoke: real fedszserver + 3 clients over TCP
 # loopback with -metrics-addr on, one client frozen to produce a drop
-# series, /metrics + /rounds + /debug/vars scraped and asserted.
+# series, /metrics + /rounds scraped and asserted.
 obs-smoke:
 	bash scripts/obs_smoke.sh
 

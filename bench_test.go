@@ -9,7 +9,8 @@ package fedsz
 import "testing"
 
 // BenchmarkPipelineCompress measures the end-to-end FedSZ compression
-// throughput on a quarter-width MobileNetV2 update.
+// throughput on a quarter-width MobileNetV2 update; -cpu 1 gives the
+// single-worker baseline the parallel engine is measured against.
 func BenchmarkPipelineCompress(b *testing.B) {
 	b.ReportAllocs()
 	sd := BuildStateDict(MobileNetV2(4), 1)
@@ -17,20 +18,6 @@ func BenchmarkPipelineCompress(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := Compress(sd); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkPipelineCompressSerial pins the single-worker baseline the
-// parallel engine is measured against.
-func BenchmarkPipelineCompressSerial(b *testing.B) {
-	b.ReportAllocs()
-	sd := BuildStateDict(MobileNetV2(4), 1)
-	b.SetBytes(sd.SizeBytes())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := Compress(sd, WithParallelism(1)); err != nil {
 			b.Fatal(err)
 		}
 	}

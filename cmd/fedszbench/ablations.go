@@ -127,18 +127,26 @@ func Ablations(opts Options) (*Table, error) {
 			return nil, err
 		}
 	}
+	topk10, err := lossy.New(topkFrac10)
+	if err != nil {
+		return nil, err
+	}
+	qsgd8, err := family.QSGD(8)
+	if err != nil {
+		return nil, err
+	}
 	for _, first := range []struct {
-		family  string
-		setting lossy.Setting
+		label string
+		comp  lossy.Compressor
 	}{
-		{family.NameTopK, lossy.Setting{Fraction: 0.1}},
-		{family.NameQSGD, lossy.Setting{Bits: 8}},
+		{topkFrac10, topk10},
+		{"qsgd:bits=8", qsgd8},
 	} {
-		recon, err := reconstructThrough(sd, first.family, first.setting, p)
+		recon, err := reconstructThrough(sd, first.comp, p)
 		if err != nil {
 			return nil, err
 		}
-		label := first.family + ":" + first.setting.String() + "→" + fedszCodec.Name()
+		label := first.label + "→" + fedszCodec.Name()
 		if stackVariants[label], err = encodedSize(fedszCodec, recon); err != nil {
 			return nil, err
 		}
@@ -174,32 +182,16 @@ func Ablations(opts Options) (*Table, error) {
 const topkFrac10 = "topk:frac=0.1"
 
 func init() {
-	s := lossy.Setting{Fraction: 0.1}
-	fam, err := lossy.FamilyByName(family.NameTopK)
+	c, err := family.TopK(0.1)
 	if err != nil {
 		panic(err)
 	}
-	if _, err := fam.Compressor(s); err != nil {
-		panic(err)
-	}
-	lossy.MustRegisterFamilyVariant(lossy.NewSingle(topkFrac10, fam.Bounded(s), func() lossy.Compressor {
-		c, _ := fam.Compressor(s)
-		return c
-	}))
+	lossy.MustRegisterFamilyVariant(lossy.Family{Name: topkFrac10, New: func() lossy.Compressor { return c }})
 }
 
 // reconstructThrough returns sd with every tensor on FedSZ's lossy
-// path replaced by its reconstruction through family famName at
-// setting s and bound p.
-func reconstructThrough(sd *model.StateDict, famName string, s lossy.Setting, p lossy.Params) (*model.StateDict, error) {
-	fam, err := lossy.FamilyByName(famName)
-	if err != nil {
-		return nil, err
-	}
-	c, err := fam.Compressor(s)
-	if err != nil {
-		return nil, err
-	}
+// path replaced by its reconstruction through c at bound p.
+func reconstructThrough(sd *model.StateDict, c lossy.Compressor, p lossy.Params) (*model.StateDict, error) {
 	out := sd.Clone()
 	for _, e := range out.Entries() {
 		if e.DType != model.Float32 || !e.IsWeightNamed() || e.NumElements() <= core.DefaultThreshold {

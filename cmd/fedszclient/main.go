@@ -48,7 +48,7 @@ func run() error {
 		seed      = flag.Int64("seed", 42, "seed (must match server)")
 		logLevel  = flag.String("log-level", "info", "log level: debug|info|warn|error")
 		logFormat = flag.String("log-format", "text", "log format: text|json")
-		metricsAt = flag.String("metrics-addr", "", "serve /metrics (codec + retry/backoff series), /debug/vars and /debug/pprof on this address (empty = off)")
+		metricsAt = flag.String("metrics-addr", "", "serve /metrics (codec + retry/backoff series) and /debug/pprof on this address (empty = off)")
 		traceN    = flag.Int("trace-rounds", 0, "round spans to retain (0 = default 128; clients record no spans of their own, but the limit applies if a library embeds one)")
 	)
 	flag.Parse()

@@ -9,8 +9,8 @@
 //	fedszcompress -model mobilenetv2 -scale 1 -bandwidth 10 -verify
 //
 // -verify decodes the output and exits nonzero with a clear message if
-// any element violates the requested error bound. -list prints every registered compressor
-// family with its parameter grid and bound guarantees, then exits.
+// any element violates the requested error bound. -list prints every
+// registered compressor family with its bound guarantee, then exits.
 //
 // Three streaming modes built on the fedsz Encoder/Decoder compose in
 // shell pipelines, gzip-style, with `-in`/`-out` defaulting to `-`
@@ -32,9 +32,12 @@ import (
 	"io"
 	"math"
 	"os"
+	"strings"
 	"time"
 
 	"fedsz"
+	"fedsz/internal/core"
+	"fedsz/internal/lossy"
 )
 
 func main() {
@@ -48,8 +51,8 @@ func run() error {
 	var (
 		modelName  = flag.String("model", "mobilenetv2", "model: alexnet, resnet50, mobilenetv2")
 		scale      = flag.Int("scale", 8, "width divisor (1 = paper scale)")
-		compressor = flag.String("compressor", "sz2", "compressor family (see -list): sz2, sz3, szx, szx-artifact, zfp, topk, randk, qsgd, pred")
-		listFams   = flag.Bool("list", false, "list registered compressor families with their parameter grids and exit")
+		compressor = flag.String("compressor", "sz2", "compressor family (see -list): "+strings.Join(append(lossy.Families(), core.LossySZxArtifact), ", "))
+		listFams   = flag.Bool("list", false, "list registered compressor families with their bound guarantees and exit")
 		bound      = flag.Float64("bound", 1e-2, "relative error bound")
 		verify     = flag.Bool("verify", false, "decode the output and fail (exit nonzero) if any element violates the requested error bound")
 		bandwidth  = flag.Float64("bandwidth", 10, "link bandwidth in Mbps for the Eqn. 1 report")
@@ -149,24 +152,20 @@ func run() error {
 	return nil
 }
 
-// listFamilies prints every registered compressor family — name, kind,
-// and each grid setting with its bound guarantee — in the registry's
-// sorted order. Unbounded settings are flagged so users know to pair
-// them with error feedback.
+// listFamilies prints every registered compressor family with its
+// bound guarantee, in the registry's sorted order.
 func listFamilies(w io.Writer) error {
-	fmt.Fprintf(w, "%-14s %-8s %-14s %s\n", "FAMILY", "KIND", "SETTING", "GUARANTEE")
-	for _, name := range fedsz.Families() {
-		f, err := fedsz.FamilyByName(name)
+	fmt.Fprintf(w, "%-8s %s\n", "FAMILY", "GUARANTEE")
+	for _, name := range lossy.Families() {
+		f, err := lossy.FamilyByName(name)
 		if err != nil {
 			return err
 		}
-		for _, s := range fedsz.FamilyGrid(f) {
-			guarantee := "error-bounded"
-			if !f.Bounded(s) {
-				guarantee = "unbounded (pair with error feedback)"
-			}
-			fmt.Fprintf(w, "%-14s %-8s %-14s %s\n", name, f.Kind(), s.String(), guarantee)
+		guarantee := "error-bounded"
+		if !f.Bounded {
+			guarantee = "unbounded"
 		}
+		fmt.Fprintf(w, "%-8s %s\n", name, guarantee)
 	}
 	return nil
 }

@@ -55,7 +55,7 @@ func run() error {
 		verbose   = flag.Bool("v", false, "shorthand for -log-level debug")
 		logLevel  = flag.String("log-level", "info", "log level: debug|info|warn|error")
 		logFormat = flag.String("log-format", "text", "log format: text|json")
-		metricsAt = flag.String("metrics-addr", "", "serve /metrics, /rounds, /rounds/tree, /debug/vars and /debug/pprof on this address (empty = off)")
+		metricsAt = flag.String("metrics-addr", "", "serve /metrics, /rounds, /rounds/tree and /debug/pprof on this address (empty = off)")
 		traceN    = flag.Int("trace-rounds", 0, "round spans to retain for /rounds and /rounds/tree (0 = default 128)")
 	)
 	flag.Parse()

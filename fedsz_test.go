@@ -2,15 +2,14 @@ package fedsz
 
 import (
 	"bytes"
-	"encoding/binary"
-	"errors"
 	"io"
 	"math"
-	"sync"
 	"testing"
 	"time"
 
+	"fedsz/internal/core"
 	"fedsz/internal/dataset"
+	"fedsz/internal/fl"
 	"fedsz/internal/model"
 )
 
@@ -51,7 +50,7 @@ func TestPublicCompressDecompress(t *testing.T) {
 
 func TestPublicOptions(t *testing.T) {
 	sd := BuildStateDict(MobileNetV2(16), 1)
-	loose, _, err := Compress(sd, WithRelBound(1e-1), WithCompressor("sz3"), WithLossless("zstdlike"))
+	loose, _, err := Compress(sd, WithRelBound(1e-1), WithCompressor("sz3"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,26 +64,20 @@ func TestPublicOptions(t *testing.T) {
 	if _, _, err := Compress(sd, WithCompressor("nope")); err == nil {
 		t.Fatal("expected unknown-compressor error")
 	}
-	if _, _, err := Compress(sd, WithAbsBound(-1)); err == nil {
+	if _, _, err := Compress(sd, WithRelBound(-1)); err == nil {
 		t.Fatal("expected bound error")
 	}
-	if _, _, err := Compress(sd, WithThreshold(-2)); err == nil {
-		t.Fatal("expected threshold error")
-	}
-	// WithParallelism never changes the bitstream, only wall-clock.
-	serial, _, err := Compress(sd, WithParallelism(1))
+	// A checked frame carries a CRC32C trailer per section and decodes
+	// with no matching option.
+	checked, _, err := Compress(sd, WithRelBound(1e-4), WithChecksum())
 	if err != nil {
 		t.Fatal(err)
 	}
-	wide, _, err := Compress(sd, WithParallelism(8))
-	if err != nil {
+	if len(checked) <= len(tight) {
+		t.Fatalf("checked frame (%d) should be longer than the plain one (%d)", len(checked), len(tight))
+	}
+	if _, err := Decompress(checked); err != nil {
 		t.Fatal(err)
-	}
-	if len(serial) != len(wide) || string(serial) != string(wide) {
-		t.Fatal("bitstream differs across parallelism levels")
-	}
-	if _, _, err := Compress(sd, WithParallelism(-1)); err == nil {
-		t.Fatal("expected parallelism error")
 	}
 }
 
@@ -108,55 +101,10 @@ func TestPublicCodec(t *testing.T) {
 
 // encodeUpdate runs c.EncodeTo into memory, returning the update's
 // bytes.
-func encodeUpdate(c Codec, sd *StateDict) ([]byte, UpdateStats, error) {
+func encodeUpdate(c Codec, sd *StateDict) ([]byte, fl.UpdateStats, error) {
 	var buf bytes.Buffer
 	st, err := c.EncodeTo(&buf, sd)
 	return buf.Bytes(), st, err
-}
-
-func TestPublicMarshal(t *testing.T) {
-	sd := BuildStateDict(MobileNetV2(16), 3)
-	blob, err := MarshalStateDict(sd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := UnmarshalStateDict(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NumElements() != sd.NumElements() {
-		t.Fatal("marshal round trip")
-	}
-}
-
-func TestPublicListings(t *testing.T) {
-	// The registry may carry test-registered extras; the built-in
-	// suites must always be present.
-	for _, want := range []string{"sz2", "sz3", "szx", "zfp"} {
-		if !contains(Compressors(), want) {
-			t.Fatalf("compressors missing %q: %v", want, Compressors())
-		}
-	}
-	if contains(Compressors(), "szx-artifact") {
-		t.Fatalf("variant leaked into listing: %v", Compressors())
-	}
-	for _, want := range []string{"blosclz", "gzip", "xzlike", "zlib", "zstdlike"} {
-		if !contains(LosslessCodecs(), want) {
-			t.Fatalf("lossless missing %q: %v", want, LosslessCodecs())
-		}
-	}
-	if len(Datasets()) != 3 {
-		t.Fatalf("datasets: %v", Datasets())
-	}
-}
-
-func contains(xs []string, want string) bool {
-	for _, x := range xs {
-		if x == want {
-			return true
-		}
-	}
-	return false
 }
 
 func TestPublicArchBuilders(t *testing.T) {
@@ -179,9 +127,6 @@ func TestPublicDecision(t *testing.T) {
 	}
 	if !d.ShouldCompress() {
 		t.Fatal("compression should win at 10 Mbps")
-	}
-	if TransferTime(10e6, Mbps(10)).Seconds() != 8 {
-		t.Fatal("transfer time")
 	}
 }
 
@@ -236,7 +181,7 @@ func TestPublicBaselineAndDeltaCodecs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	delta := NewDeltaCodec(inner)
+	delta := fl.NewDeltaCodec(inner)
 	res, err := RunSim(SimConfig{
 		Clients:          2,
 		Rounds:           2,
@@ -284,7 +229,7 @@ func TestBaselineCodecTrainsInFederation(t *testing.T) {
 // io.EOF at exhaustion.
 func TestPublicEncoderDecoder(t *testing.T) {
 	sd := BuildStateDict(MobileNetV2(16), 6)
-	opts := []Option{WithCompressor("sz3"), WithRelBound(1e-2), WithLossless("zstdlike")}
+	opts := []Option{WithCompressor("sz3"), WithRelBound(1e-2), WithChecksum()}
 	want, _, err := Compress(sd, opts...)
 	if err != nil {
 		t.Fatal(err)
@@ -324,127 +269,11 @@ func TestPublicEncoderDecoder(t *testing.T) {
 	}
 }
 
-// rawLossy is a registry-test compressor built purely on the public
-// surface: varint count + raw little-endian floats (zero error).
-type rawLossy struct{}
-
-func (rawLossy) Name() string { return "test-raw" }
-
-func (rawLossy) Compress(data []float32, p LossyParams) ([]byte, error) {
-	out := binary.AppendUvarint([]byte("TRAW"), uint64(len(data)))
-	for _, v := range data {
-		out = binary.LittleEndian.AppendUint32(out, math.Float32bits(v))
-	}
-	return out, nil
-}
-
-func (rawLossy) Decompress(buf []byte) ([]float32, error) {
-	if len(buf) < 4 || string(buf[:4]) != "TRAW" {
-		return nil, errors.New("test-raw: bad magic")
-	}
-	buf = buf[4:]
-	n, k := binary.Uvarint(buf)
-	if k <= 0 || n > uint64(len(buf[k:]))/4 {
-		return nil, errors.New("test-raw: truncated")
-	}
-	buf = buf[k:]
-	out := make([]float32, n)
-	for i := range out {
-		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[i*4:]))
-	}
-	return out, nil
-}
-
-// storeLossless is a passthrough lossless codec for the registry test.
-type storeLossless struct{}
-
-func (storeLossless) Name() string { return "test-store" }
-
-func (s storeLossless) Compress(src []byte) ([]byte, error) { return s.AppendCompress(nil, src) }
-
-func (storeLossless) AppendCompress(dst, src []byte) ([]byte, error) {
-	dst = binary.AppendUvarint(dst, uint64(len(src)))
-	return append(dst, src...), nil
-}
-
-func (storeLossless) Decompress(src []byte) ([]byte, error) {
-	n, k := binary.Uvarint(src)
-	if k <= 0 || uint64(len(src[k:])) < n {
-		return nil, errors.New("test-store: truncated")
-	}
-	return append([]byte(nil), src[k:k+int(n)]...), nil
-}
-
-// The registry is process-global, so register the test codecs exactly
-// once even when the test re-runs in-process (go test -count=2).
-var (
-	registerTestCodecs sync.Once
-	testLossyErr       error
-	testLosslessErr    error
-)
-
-// TestPublicRegistry plugs a custom lossy compressor and lossless
-// codec in through the public registry and runs them through the full
-// pipeline — including decode, which resolves them from the names
-// recorded in the self-describing frame.
-func TestPublicRegistry(t *testing.T) {
-	registerTestCodecs.Do(func() {
-		testLossyErr = RegisterFamily(SingleFamily("test-raw", true, func() LossyCompressor { return rawLossy{} }))
-		testLosslessErr = RegisterLossless("test-store", func() LosslessCodec { return storeLossless{} })
-	})
-	if testLossyErr != nil {
-		t.Fatal(testLossyErr)
-	}
-	if testLosslessErr != nil {
-		t.Fatal(testLosslessErr)
-	}
-	// Duplicates are rejected.
-	if err := RegisterFamily(SingleFamily("test-raw", true, func() LossyCompressor { return rawLossy{} })); err == nil {
-		t.Fatal("duplicate lossy registration accepted")
-	}
-	if err := RegisterLossless("test-store", func() LosslessCodec { return storeLossless{} }); err == nil {
-		t.Fatal("duplicate lossless registration accepted")
-	}
-	if !contains(Compressors(), "test-raw") || !contains(LosslessCodecs(), "test-store") {
-		t.Fatalf("registered names missing from listings: %v / %v", Compressors(), LosslessCodecs())
-	}
-
-	sd := BuildStateDict(MobileNetV2(16), 2)
-	var stream bytes.Buffer
-	enc, err := NewEncoder(&stream, WithCompressor("test-raw"), WithLossless("test-store"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := enc.Encode(sd); err != nil {
-		t.Fatal(err)
-	}
-	got, err := NewDecoder(&stream).Decode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The raw test codec is exact: the round trip must be bit-perfect.
-	gotEntries := got.Entries()
-	for i, e := range sd.Entries() {
-		g := gotEntries[i]
-		if g.Name != e.Name {
-			t.Fatalf("entry %d: %q != %q", i, g.Name, e.Name)
-		}
-		if e.DType != model.Float32 {
-			continue
-		}
-		for j, v := range e.Tensor.Data() {
-			if g.Tensor.Data()[j] != v {
-				t.Fatalf("entry %q[%d] not exact through custom codecs", e.Name, j)
-			}
-		}
-	}
-}
-
 // TestPublicStreamingMarshal round-trips the streaming state-dict
 // serializer through the public API.
 func TestPublicStreamingMarshal(t *testing.T) {
 	sd := BuildStateDict(MobileNetV2(16), 12)
-	want, err := MarshalStateDict(sd)
+	want, err := core.MarshalStateDict(sd)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -453,7 +282,7 @@ func TestPublicStreamingMarshal(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), want) {
-		t.Fatal("streamed marshal diverges from MarshalStateDict")
+		t.Fatal("streamed marshal diverges from core.MarshalStateDict")
 	}
 	got, err := UnmarshalStateDictFrom(&buf)
 	if err != nil {

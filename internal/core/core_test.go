@@ -86,9 +86,13 @@ func TestPipelineRoundTrip(t *testing.T) {
 	}
 }
 
+// suiteNames is the paper's Table I compressor suite plus SZx's
+// paper-artifact mode.
+var suiteNames = []string{LossySZ2, LossySZ3, LossySZx, LossyZFP, LossySZxArtifact}
+
 func TestPipelineAllCompressors(t *testing.T) {
 	sd := model.BuildStateDict(model.AlexNet(16), 3)
-	for _, name := range append(LossyNames(), LossySZxArtifact) {
+	for _, name := range suiteNames {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			p, err := NewPipeline(Config{Lossy: name})
@@ -233,6 +237,9 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := NewPipeline(Config{Threshold: -1}); err == nil {
 		t.Fatal("expected threshold error")
 	}
+	if _, err := NewPipeline(Config{Parallelism: -1}); err == nil {
+		t.Fatal("expected parallelism error")
+	}
 }
 
 func TestDecompressCorrupt(t *testing.T) {
@@ -305,6 +312,9 @@ func TestDecision(t *testing.T) {
 		OriginalBytes:   100e6,
 		CompressedBytes: 10e6,
 		BandwidthBps:    10e6, // 10 Mbps
+	}
+	if TransferTime(10e6, 10e6) != 8*time.Second {
+		t.Fatal("10 MB over 10 Mbps must take 8 s")
 	}
 	// Uncompressed: 80s. Compressed: 2 + 8 = 10s.
 	if !d.ShouldCompress() {

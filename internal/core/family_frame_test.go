@@ -3,39 +3,35 @@ package core
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"fedsz/internal/family"
 	"fedsz/internal/lossy"
 	"fedsz/internal/model"
 	"fedsz/internal/stats"
 	"fedsz/internal/tensor"
 )
 
-// settingFamily registers a variant family that encodes at one
-// non-default setting of base, under the name "base:setting", so a
-// static pipeline can select that setting through Config.Lossy. The
-// variant's decoder is base's: payloads are self-describing.
-func settingFamily(base string, s lossy.Setting) string {
-	name := base + ":" + s.String()
-	fam, err := lossy.FamilyByName(base)
+// settingFamily registers, under name, an unbounded variant family
+// whose compressor build returns (a constructor's non-default
+// setting), so a static pipeline can select it through Config.Lossy.
+// Its payloads decode like the registered family's: they are
+// self-describing.
+func settingFamily(name string, build func() (lossy.Compressor, error)) string {
+	c, err := build()
 	if err != nil {
 		panic(err)
 	}
-	if _, err := fam.Compressor(s); err != nil {
-		panic(err)
-	}
-	lossy.MustRegisterFamilyVariant(lossy.NewSingle(name, fam.Bounded(s), func() lossy.Compressor {
-		c, _ := fam.Compressor(s)
-		return c
-	}))
+	lossy.MustRegisterFamilyVariant(lossy.Family{Name: name, New: func() lossy.Compressor { return c }})
 	return name
 }
 
 // Variant families at the non-default settings these tests encode with.
 var (
-	topkFrac10  = settingFamily("topk", lossy.Setting{Fraction: 0.1})
-	qsgdBits6   = settingFamily("qsgd", lossy.Setting{Bits: 6})
-	randkFrac25 = settingFamily("randk", lossy.Setting{Fraction: 0.25})
+	topkFrac10  = settingFamily("topk:frac=0.1", func() (lossy.Compressor, error) { return family.TopK(0.1) })
+	qsgdBits6   = settingFamily("qsgd:bits=6", func() (lossy.Compressor, error) { return family.QSGD(6) })
+	randkFrac25 = settingFamily("randk:frac=0.25", func() (lossy.Compressor, error) { return family.RandK(0.25) })
 )
 
 // frameFamilies spans the sparsifying, quantizing and predictor
@@ -98,7 +94,7 @@ func TestFamilyFrameRoundTrip(t *testing.T) {
 				if len(od) != len(gd) {
 					t.Fatalf("%s: tensor %q: decoded %d elements, want %d", famName, e.Name, len(gd), len(od))
 				}
-				if !fam.Bounded(lossy.Setting{}) {
+				if !fam.Bounded {
 					continue // rand-k at a fixed fraction guarantees shape, not error
 				}
 				mn, mx := stats.MinMaxF32(od)
@@ -136,37 +132,70 @@ func TestFamilyFrameDeterministic(t *testing.T) {
 	}
 }
 
-// TestFamilyRegistryContract pins the registry split: Names() stays
-// the Table I EBLC sweep while Families() spans every kind, and the
-// zero Setting of every canonical family resolves (the frame-decode
-// invariant — payloads name only the family).
+// TestFamilyRegistryContract pins the registry listing: Families()
+// spans every built-in family and omits the variants, and every name it
+// lists encodes — a small tensor compresses through a frame and decodes
+// on a receiver with no configuration, within the bound when the family
+// claims it.
 func TestFamilyRegistryContract(t *testing.T) {
-	names := lossy.Names()
-	want := []string{"sz2", "sz3", "szx", "zfp"}
-	if len(names) != len(want) {
-		t.Fatalf("Names() = %v, want %v", names, want)
-	}
-	for i, n := range want {
-		if names[i] != n {
-			t.Fatalf("Names() = %v, want %v", names, want)
-		}
-	}
 	fams := lossy.Families()
 	for _, required := range []string{"pred", "qsgd", "randk", "sz2", "sz3", "szx", "topk", "zfp"} {
-		found := false
-		for _, f := range fams {
-			if f == required {
-				found = true
-				break
-			}
-		}
-		if !found {
+		if !slices.Contains(fams, required) {
 			t.Errorf("Families() = %v missing %q", fams, required)
 		}
 	}
+	for _, variant := range []string{lossy.NameAdaptive, LossySZxArtifact, topkFrac10} {
+		if slices.Contains(fams, variant) {
+			t.Errorf("Families() = %v lists the variant %q", fams, variant)
+		}
+		if _, err := lossy.New(variant); err != nil {
+			t.Errorf("variant %q does not resolve: %v", variant, err)
+		}
+	}
+
+	rng := rand.New(rand.NewSource(9))
+	data := make([]float32, 3000)
+	for i := range data {
+		data[i] = float32(rng.NormFloat64() * 0.05)
+	}
+	tt, err := tensor.FromData(data, len(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sd := model.NewStateDict()
+	if err := sd.Add(model.Entry{Name: "w.weight", DType: model.Float32, Tensor: tt}); err != nil {
+		t.Fatal(err)
+	}
+	mn, mx := stats.MinMaxF32(data)
+	abs := DefaultBound * float64(mx-mn)
 	for _, name := range fams {
-		if _, err := lossy.New(name); err != nil {
-			t.Errorf("zero-setting compressor for %q: %v", name, err)
+		fam, err := lossy.FamilyByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := NewPipeline(Config{Parallelism: 1, Lossy: name})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var frame bytes.Buffer
+		if _, err := p.CompressTo(&frame, sd); err != nil {
+			t.Errorf("%s: compress: %v", name, err)
+			continue
+		}
+		out, err := DecompressFrom(bytes.NewReader(frame.Bytes()), 0)
+		if err != nil {
+			t.Errorf("%s: decode: %v", name, err)
+			continue
+		}
+		e, ok := out.Get("w.weight")
+		if !ok || e.Tensor.NumElements() != len(data) {
+			t.Errorf("%s: the tensor did not round-trip", name)
+			continue
+		}
+		if fam.Bounded {
+			if err := lossy.MaxAbsError(data, e.Tensor.Data()); err > abs*(1+1e-6) {
+				t.Errorf("%s: max error %g beyond bound %g", name, err, abs)
+			}
 		}
 	}
 }
@@ -208,12 +237,11 @@ func TestFamilyFrameForeignReceiver(t *testing.T) {
 	}
 }
 
-// TestEveryBoundedSettingHonoursTheBound: for every name the registry
-// resolves, canonical families and variants alike, each grid setting
-// whose Bounded is true reconstructs a seeded tensor at REL 1e-2 within
-// the resolved absolute bound, through the zero-setting decoder frames
-// use. Bounded is what lets a frame carry the global model, so a family
-// that claims it without honouring it is caught here.
+// TestEveryBoundedSettingHonoursTheBound: every name the registry
+// resolves, canonical families and variants alike, whose Bounded is
+// true reconstructs a seeded tensor at REL 1e-2 within the resolved
+// absolute bound. Bounded is what lets a frame carry the global model,
+// so a family that claims it without honouring it is caught here.
 func TestEveryBoundedSettingHonoursTheBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	data := make([]float32, 8192)
@@ -235,32 +263,23 @@ func TestEveryBoundedSettingHonoursTheBound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dec, err := lossy.New(name)
-		if err != nil {
-			t.Fatal(err)
+		if !fam.Bounded {
+			continue
 		}
-		for _, s := range lossy.GridOf(fam) {
-			if !fam.Bounded(s) {
-				continue
-			}
-			c, err := fam.Compressor(s)
-			if err != nil {
-				t.Fatalf("%s %v: %v", name, s, err)
-			}
-			buf, err := c.Compress(data, p)
-			if err != nil {
-				t.Fatalf("%s %v: compress: %v", name, s, err)
-			}
-			got, err := dec.Decompress(buf)
-			if err != nil {
-				t.Fatalf("%s %v: decompress: %v", name, s, err)
-			}
-			if len(got) != len(data) {
-				t.Fatalf("%s %v: %d values back, want %d", name, s, len(got), len(data))
-			}
-			if maxErr := lossy.MaxAbsError(data, got); maxErr > eb {
-				t.Errorf("%s %v claims the bound: max error %g > %g", name, s, maxErr, eb)
-			}
+		c := fam.New()
+		buf, err := c.Compress(data, p)
+		if err != nil {
+			t.Fatalf("%s: compress: %v", name, err)
+		}
+		got, err := c.Decompress(buf)
+		if err != nil {
+			t.Fatalf("%s: decompress: %v", name, err)
+		}
+		if len(got) != len(data) {
+			t.Fatalf("%s: %d values back, want %d", name, len(got), len(data))
+		}
+		if maxErr := lossy.MaxAbsError(data, got); maxErr > eb {
+			t.Errorf("%s claims the bound: max error %g > %g", name, maxErr, eb)
 		}
 	}
 }

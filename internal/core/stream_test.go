@@ -50,7 +50,7 @@ func streamStateDict(t testing.TB, seed int64) *model.StateDict {
 // byte-identical to Compress for every lossy×lossless combination.
 func TestCompressToMatchesCompress(t *testing.T) {
 	sd := streamStateDict(t, 11)
-	for _, lossyName := range append(LossyNames(), LossySZxArtifact) {
+	for _, lossyName := range suiteNames {
 		for _, losslessName := range lossless.Names() {
 			p, err := NewPipeline(Config{
 				Lossy:    lossyName,

@@ -35,17 +35,3 @@ func LossyByName(name string) (lossy.Compressor, error) {
 	}
 	return c, nil
 }
-
-// LossyNames lists the canonical registered EBLC compressors; for the
-// built-in suite that is the paper's Table I order. The sparsifying,
-// quantizing and predictor families are listed by FamilyNames.
-func LossyNames() []string {
-	return lossy.Names()
-}
-
-// FamilyNames lists every canonical registered compressor family
-// across all kinds — the Table I EBLCs plus topk, randk, qsgd and
-// pred (and anything plugged in through lossy.RegisterFamily).
-func FamilyNames() []string {
-	return lossy.Families()
-}

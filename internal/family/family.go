@@ -2,19 +2,20 @@
 // unified registry: magnitude sparsification (topk), random
 // sparsification (randk), uniform quantization (qsgd) and the
 // gradient-aware magnitude/sign predictor (pred). Each registers a
-// typed lossy.Family from init, so linking this package (internal/core
+// lossy.Family from init, so linking this package (internal/core
 // does) makes the families resolvable by the name recorded in frame
 // sections — the same self-describing decode path the error-bounded
 // built-ins use.
 //
-// Two of the families are sparsifiers and quantizers in the classic
-// gradient-compression sense: at their fractional/fixed-width settings
-// they do not honour an error bound (lossy.Family.Bounded reports
-// false), so the intended pairing for those settings is per-client error
+// The registered topk and qsgd are derived from the error bound and
+// are bounded: topk keeps every value larger than the absolute bound,
+// qsgd derives its code width from it. TopK, QSGD and RandK build the
+// classic gradient-compression settings — a kept fraction, a fixed
+// width — which do not honour an error bound (neither does the
+// registered randk), so their intended pairing is per-client error
 // feedback (core.Feedback), which folds the dropped signal back into
-// the next update. Their default (zero) settings are derived from the
-// error bound instead and are bounded: topk keeps every value larger
-// than the absolute bound, qsgd derives its code width from it.
+// the next update. Every setting's payload decodes through its
+// registered name.
 package family
 
 import (

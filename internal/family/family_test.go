@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -23,65 +24,94 @@ func testData(t *testing.T, n int, seed int64) []float32 {
 	return data
 }
 
-// TestFamilyRoundTripGrid round-trips every (family, grid setting)
-// pair and checks the bound for bound-guaranteed settings and the
-// sparsity/shape contract for the rest.
+// setting is one compressor configuration under test: a registered
+// name as registered, or a constructor's non-default setting. Its
+// payloads decode through the registered name.
+type setting struct {
+	label    string
+	name     string  // registered name whose decoder reads the payload
+	bounded  bool    // honours the error bound
+	fraction float64 // kept fraction of a budgeted sparsifier, else 0
+	comp     lossy.Compressor
+}
+
+// settings lists the registered families and the constructors' settings
+// (top-k fractions 0.01/0.05/0.1, qsgd widths 4/6/8, rand-k fractions
+// 0.05/0.1/0.25).
+func settings(tb testing.TB) []setting {
+	tb.Helper()
+	registered := func(name string) setting {
+		fam, err := lossy.FamilyByName(name)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return setting{label: name, name: name, bounded: fam.Bounded, comp: fam.New()}
+	}
+	built := func(label, name string, fraction float64, c lossy.Compressor, err error) setting {
+		if err != nil {
+			tb.Fatalf("%s: %v", label, err)
+		}
+		return setting{label: label, name: name, fraction: fraction, comp: c}
+	}
+	var out []setting
+	out = append(out, registered(NameTopK))
+	for _, f := range []float64{0.01, 0.05, 0.1} {
+		c, err := TopK(f)
+		out = append(out, built(fmt.Sprintf("topk frac=%g", f), NameTopK, f, c, err))
+	}
+	for _, f := range []float64{0.05, 0.1, 0.25} {
+		c, err := RandK(f)
+		out = append(out, built(fmt.Sprintf("randk frac=%g", f), NameRandK, f, c, err))
+	}
+	out = append(out, registered(NameQSGD))
+	for _, b := range []int{4, 6, 8} {
+		c, err := QSGD(b)
+		out = append(out, built(fmt.Sprintf("qsgd bits=%d", b), NameQSGD, 0, c, err))
+	}
+	return append(out, registered(NamePred))
+}
+
+// TestFamilyRoundTripGrid round-trips every setting of settings and
+// checks the bound for bound-guaranteed settings and the sparsity and
+// shape contract for the rest.
 func TestFamilyRoundTripGrid(t *testing.T) {
 	data := testData(t, 4096, 11)
 	mn, mx := stats.MinMaxF32(data)
 	bound := lossy.RelBound(1e-2)
 	abs := 1e-2 * float64(mx-mn)
 
-	for _, name := range []string{NameTopK, NameRandK, NameQSGD, NamePred} {
-		fam, err := lossy.FamilyByName(name)
+	for _, s := range settings(t) {
+		buf, err := s.comp.Compress(data, bound)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: compress: %v", s.label, err)
 		}
-		for _, s := range lossy.GridOf(fam) {
-			comp, err := fam.Compressor(s)
-			if err != nil {
-				t.Fatalf("%s %s: %v", name, s, err)
+		dec, err := s.comp.Decompress(buf)
+		if err != nil {
+			t.Fatalf("%s: decompress: %v", s.label, err)
+		}
+		if len(dec) != len(data) {
+			t.Fatalf("%s: decoded %d elements, want %d", s.label, len(dec), len(data))
+		}
+		if s.bounded {
+			if e := lossy.MaxAbsError(data, dec); e > abs*(1+1e-6) {
+				t.Errorf("%s: max error %g beyond bound %g", s.label, e, abs)
 			}
-			if name == NameRandK && s.IsZero() {
-				// randk's zero setting exists only so frames decode; it
-				// must refuse to compress.
-				if _, err := comp.Compress(data, bound); err == nil {
-					t.Errorf("randk zero setting compressed without error")
-				}
-				continue
-			}
-			buf, err := comp.Compress(data, bound)
-			if err != nil {
-				t.Fatalf("%s %s: compress: %v", name, s, err)
-			}
-			dec, err := comp.Decompress(buf)
-			if err != nil {
-				t.Fatalf("%s %s: decompress: %v", name, s, err)
-			}
-			if len(dec) != len(data) {
-				t.Fatalf("%s %s: decoded %d elements, want %d", name, s, len(dec), len(data))
-			}
-			if fam.Bounded(s) {
-				if e := lossy.MaxAbsError(data, dec); e > abs*(1+1e-6) {
-					t.Errorf("%s %s: max error %g beyond bound %g", name, s, e, abs)
+		}
+		if s.fraction > 0 {
+			nz := 0
+			for _, v := range dec {
+				if v != 0 {
+					nz++
 				}
 			}
-			if s.Fraction > 0 {
-				nz := 0
-				for _, v := range dec {
-					if v != 0 {
-						nz++
-					}
-				}
-				// Rand-k's selection is probabilistic per element, so allow
-				// 2x slack over the nominal budget; top-k is exact.
-				limit := int(math.Ceil(s.Fraction * float64(len(data))))
-				if name == NameRandK {
-					limit *= 2
-				}
-				if nz > limit {
-					t.Errorf("%s %s: %d nonzero, budget %d", name, s, nz, limit)
-				}
+			// Rand-k's selection is probabilistic per element, so allow
+			// 2x slack over the nominal budget; top-k is exact.
+			limit := int(math.Ceil(s.fraction * float64(len(data))))
+			if s.name == NameRandK {
+				limit *= 2
+			}
+			if nz > limit {
+				t.Errorf("%s: %d nonzero, budget %d", s.label, nz, limit)
 			}
 		}
 	}
@@ -123,11 +153,7 @@ func TestFamilyEmptyAndTiny(t *testing.T) {
 // frame byte-determinism invariant).
 func TestRandKDeterministic(t *testing.T) {
 	data := testData(t, 2048, 3)
-	fam, err := lossy.FamilyByName(NameRandK)
-	if err != nil {
-		t.Fatal(err)
-	}
-	comp, err := fam.Compressor(lossy.Setting{Fraction: 0.1})
+	comp, err := RandK(0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,27 +191,25 @@ func TestQSGDNonFinite(t *testing.T) {
 	}
 }
 
-// TestFamilySettingValidation pins each family's setting domain.
+// TestFamilySettingValidation pins each constructor's domain: a
+// fraction in (0, 1), a width in [1, 16].
 func TestFamilySettingValidation(t *testing.T) {
 	cases := []struct {
-		fam string
-		s   lossy.Setting
+		label string
+		build func() (lossy.Compressor, error)
 	}{
-		{NameTopK, lossy.Setting{Fraction: 1.5}},
-		{NameTopK, lossy.Setting{Bits: 8}},
-		{NameRandK, lossy.Setting{Fraction: -0.1}},
-		{NameQSGD, lossy.Setting{Bits: 99}},
-		{NameQSGD, lossy.Setting{Fraction: 0.5}},
-		{NamePred, lossy.Setting{Fraction: 0.5}},
-		{NamePred, lossy.Setting{Bits: 8}},
+		{"TopK(0)", func() (lossy.Compressor, error) { return TopK(0) }},
+		{"TopK(1)", func() (lossy.Compressor, error) { return TopK(1) }},
+		{"TopK(1.5)", func() (lossy.Compressor, error) { return TopK(1.5) }},
+		{"RandK(-0.1)", func() (lossy.Compressor, error) { return RandK(-0.1) }},
+		{"RandK(NaN)", func() (lossy.Compressor, error) { return RandK(math.NaN()) }},
+		{"QSGD(0)", func() (lossy.Compressor, error) { return QSGD(0) }},
+		{"QSGD(17)", func() (lossy.Compressor, error) { return QSGD(17) }},
+		{"QSGD(99)", func() (lossy.Compressor, error) { return QSGD(99) }},
 	}
 	for _, tc := range cases {
-		fam, err := lossy.FamilyByName(tc.fam)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := fam.Compressor(tc.s); err == nil {
-			t.Errorf("%s accepted out-of-domain setting %s", tc.fam, tc.s)
+		if _, err := tc.build(); err == nil {
+			t.Errorf("%s accepted an out-of-domain setting", tc.label)
 		}
 	}
 }
@@ -196,23 +220,17 @@ func TestFamilySettingValidation(t *testing.T) {
 func TestDecodeRejectsCorruption(t *testing.T) {
 	data := testData(t, 512, 29)
 	for _, name := range []string{NameTopK, NameRandK, NameQSGD, NamePred} {
-		fam, err := lossy.FamilyByName(name)
+		dec, err := lossy.New(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := lossy.Setting{}
+		comp := dec
 		if name == NameRandK {
-			s = lossy.Setting{Fraction: 0.25}
-		}
-		comp, err := fam.Compressor(s)
-		if err != nil {
-			t.Fatal(err)
+			if comp, err = RandK(0.25); err != nil {
+				t.Fatal(err)
+			}
 		}
 		buf, err := comp.Compress(data, lossy.RelBound(1e-2))
-		if err != nil {
-			t.Fatal(err)
-		}
-		dec, err := lossy.New(name)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -20,19 +20,9 @@ func FuzzFamilyDecode(f *testing.F) {
 	for i := range sample {
 		sample[i] = float32(i%17) * 0.01
 	}
-	for _, name := range names {
-		fam, err := lossy.FamilyByName(name)
-		if err != nil {
-			f.Fatal(err)
-		}
-		for _, s := range lossy.GridOf(fam) {
-			comp, err := fam.Compressor(s)
-			if err != nil {
-				continue
-			}
-			if buf, err := comp.Compress(sample, lossy.RelBound(1e-2)); err == nil {
-				f.Add(buf)
-			}
+	for _, s := range settings(f) {
+		if buf, err := s.comp.Compress(sample, lossy.RelBound(1e-2)); err == nil {
+			f.Add(buf)
 		}
 	}
 	f.Add([]byte{})

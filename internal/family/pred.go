@@ -17,10 +17,10 @@ const NamePred = "pred"
 const predMagic = "FPR1"
 
 func init() {
-	lossy.MustRegisterFamily(predFamily{})
+	lossy.MustRegisterFamily(lossy.Family{Name: NamePred, Bounded: true, New: func() lossy.Compressor { return pred{} }})
 }
 
-// predFamily is a gradient-aware error-bounded compressor built on
+// pred is a gradient-aware error-bounded compressor built on
 // magnitude/sign-guided residual prediction. Gradient-like tensors
 // (FL model updates) defeat value-domain Lorenzo prediction because
 // neighbouring values flip sign near-independently, but their
@@ -30,24 +30,7 @@ func init() {
 // magnitude, residuals are quantized with the shared error-bounded
 // quantizer, and the codes are entropy-coded with canonical Huffman.
 // The sign is exact and the magnitude reconstructs within ε, so the
-// value does too — the family is error bounded at every setting and
-// competes in the default adaptive grid alongside the Table I suite
-// (it is registered under KindPred, keeping lossy.Names() and the
-// paper's sweeps unchanged).
-type predFamily struct{}
-
-func (predFamily) Name() string               { return NamePred }
-func (predFamily) Kind() string               { return lossy.KindPred }
-func (predFamily) Grid() []lossy.Setting      { return nil }
-func (predFamily) Bounded(lossy.Setting) bool { return true }
-func (predFamily) Compressor(s lossy.Setting) (lossy.Compressor, error) {
-	if !s.IsZero() {
-		return nil, fmt.Errorf("lossy: pred has no setting %v", s)
-	}
-	return pred{}, nil
-}
-
-// pred is the single predictor configuration.
+// value does too: pred is error bounded.
 type pred struct{}
 
 // Name implements lossy.Compressor.

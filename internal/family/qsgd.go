@@ -24,36 +24,29 @@ const qsgdRawMode = 0xFF
 // encoder falls back to raw mode instead.
 const qsgdMaxWidth = 16
 
+// The registered qsgd derives the level count from the resolved
+// absolute bound — maxAbs/(2L) ≤ ε — making it error bounded.
 func init() {
-	lossy.MustRegisterFamily(qsgdFamily{})
+	lossy.MustRegisterFamily(lossy.Family{Name: NameQSGD, Bounded: true, New: func() lossy.Compressor { return qsgd{} }})
 }
 
-// qsgdFamily is QSGD-style uniform quantization: values map to
-// integer levels of a uniform grid over [-maxAbs, maxAbs]. Unlike the
+// QSGD returns qsgd at a fixed code width of bits (1 to 16), which
+// trades the error-bound guarantee for a known ratio and is meant to
+// run with error feedback. Its payloads decode through the registered
+// qsgd.
+func QSGD(bits int) (lossy.Compressor, error) {
+	if bits < 1 || bits > qsgdMaxWidth {
+		return nil, fmt.Errorf("family: qsgd width %d outside [1, %d]", bits, qsgdMaxWidth)
+	}
+	return qsgd{bits: bits}, nil
+}
+
+// qsgd is QSGD-style uniform quantization: values map to integer
+// levels of a uniform grid over [-maxAbs, maxAbs]. Unlike the
 // stochastic original (Alistarh et al. 2017), rounding is
 // deterministic nearest-level, so frames are reproducible and the
-// worst-case error is half a grid step. The default (zero) setting
-// derives the level count from the resolved absolute bound —
-// maxAbs/(2L) ≤ ε — making it error bounded; the fixed-width settings
-// (4/6/8 bits) trade that guarantee for a known ratio and are meant
-// to run with error feedback.
-type qsgdFamily struct{}
-
-func (qsgdFamily) Name() string { return NameQSGD }
-func (qsgdFamily) Kind() string { return lossy.KindQuant }
-func (qsgdFamily) Grid() []lossy.Setting {
-	return []lossy.Setting{{}, {Bits: 4}, {Bits: 6}, {Bits: 8}}
-}
-func (qsgdFamily) Bounded(s lossy.Setting) bool { return s.Bits == 0 }
-func (qsgdFamily) Compressor(s lossy.Setting) (lossy.Compressor, error) {
-	if s.Fraction != 0 || s.Bits < 0 || s.Bits > qsgdMaxWidth {
-		return nil, fmt.Errorf("lossy: qsgd has no setting %v", s)
-	}
-	return qsgd{bits: s.Bits}, nil
-}
-
-// qsgd is one qsgd configuration. bits 0 derives the width from the
-// error bound.
+// worst-case error is half a grid step. bits 0 derives the width from
+// the error bound.
 type qsgd struct {
 	bits int
 }

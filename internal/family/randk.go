@@ -12,40 +12,29 @@ const NameRandK = "randk"
 
 const randkMagic = "FRK1"
 
+// The registered randk keeps a tenth of each tensor. It is not error
+// bounded: a dropped value's error is the value itself.
 func init() {
-	lossy.MustRegisterFamily(randKFamily{})
+	lossy.MustRegisterFamily(lossy.Family{Name: NameRandK, New: func() lossy.Compressor { return randK{fraction: 0.1} }})
 }
 
-// randKFamily is random-k sparsification: each value survives with
-// probability f, independently of its magnitude. No setting is error
-// bounded — a dropped value's error is the value itself — so the
-// family only enters adaptive selection when unbounded candidates are
-// allowed, i.e. under error feedback. Selection is drawn from a
-// deterministic seed (the tensor length), so encoding is reproducible
-// and frames stay byte-identical across runs; kept values travel
-// unscaled (the 1/f unbiasing of the RandK literature amounts to
-// amplifying the very noise error feedback exists to cancel).
-type randKFamily struct{}
-
-func (randKFamily) Name() string { return NameRandK }
-func (randKFamily) Kind() string { return lossy.KindSparse }
-func (randKFamily) Grid() []lossy.Setting {
-	return []lossy.Setting{{Fraction: 0.05}, {Fraction: 0.1}, {Fraction: 0.25}}
-}
-func (randKFamily) Bounded(lossy.Setting) bool { return false }
-func (randKFamily) Compressor(s lossy.Setting) (lossy.Compressor, error) {
-	// The zero setting is allowed so name-based resolution (lossy.New,
-	// i.e. the frame decode path) succeeds; it decodes any payload but
-	// cannot compress.
-	if s.Bits != 0 || s.Fraction < 0 || s.Fraction >= 1 {
-		return nil, fmt.Errorf("lossy: randk has no setting %v", s)
+// RandK returns random-k sparsification: each value survives with
+// probability fraction, independently of its magnitude, so it is not
+// error bounded and is meant to run with error feedback. Selection is
+// drawn from a deterministic seed (the tensor length), so encoding is
+// reproducible and frames stay byte-identical across runs; kept values
+// travel unscaled (the 1/f unbiasing of the RandK literature amounts to
+// amplifying the very noise error feedback exists to cancel). Its
+// payloads decode through the registered randk. fraction must lie in
+// (0, 1).
+func RandK(fraction float64) (lossy.Compressor, error) {
+	if !(fraction > 0 && fraction < 1) {
+		return nil, fmt.Errorf("family: randk fraction %g outside (0, 1)", fraction)
 	}
-	return randK{fraction: s.Fraction}, nil
+	return randK{fraction: fraction}, nil
 }
 
-// randK is one randk configuration. The zero-fraction value only
-// occurs on the decode path (lossy.New resolves the zero Setting),
-// where the fraction is irrelevant: payloads are self-describing.
+// randK is one randk configuration.
 type randK struct {
 	fraction float64
 }
@@ -58,9 +47,6 @@ func (r randK) Compress(data []float32, p lossy.Params) ([]byte, error) {
 	eb, err := p.Resolve(data)
 	if err != nil {
 		return nil, fmt.Errorf("randk: %w", err)
-	}
-	if r.fraction <= 0 {
-		return nil, fmt.Errorf("randk: compressing with the decode-only zero setting")
 	}
 	rng := stats.NewRNG(int64(len(data)))
 	var idx []int

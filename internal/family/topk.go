@@ -14,31 +14,23 @@ const NameTopK = "topk"
 
 const topkMagic = "FTK1"
 
+// The registered topk is *threshold* sparsification at the resolved
+// absolute bound: every value with |v| ≤ ε is dropped, so the
+// reconstruction error is bounded by ε — on near-sparse tensors it
+// beats the EBLC families outright.
 func init() {
-	lossy.MustRegisterFamily(topKFamily{})
+	lossy.MustRegisterFamily(lossy.Family{Name: NameTopK, Bounded: true, New: func() lossy.Compressor { return topK{} }})
 }
 
-// topKFamily is magnitude sparsification behind the Family contract.
-// Its default (zero) setting is *threshold* sparsification at the
-// resolved absolute bound: every value with |v| ≤ ε is dropped, so the
-// reconstruction error is bounded by ε and the setting competes in the
-// adaptive grid on equal fidelity terms with the EBLC families — on
-// near-sparse tensors it wins outright. The fractional settings are
-// classic top-k (keep the largest k = ⌈f·n⌉ magnitudes) and are not
-// error bounded; they are meant to run with error feedback.
-type topKFamily struct{}
-
-func (topKFamily) Name() string { return NameTopK }
-func (topKFamily) Kind() string { return lossy.KindSparse }
-func (topKFamily) Grid() []lossy.Setting {
-	return []lossy.Setting{{}, {Fraction: 0.01}, {Fraction: 0.05}, {Fraction: 0.1}}
-}
-func (topKFamily) Bounded(s lossy.Setting) bool { return s.Fraction == 0 }
-func (topKFamily) Compressor(s lossy.Setting) (lossy.Compressor, error) {
-	if s.Bits != 0 || s.Fraction < 0 || s.Fraction >= 1 {
-		return nil, fmt.Errorf("lossy: topk has no setting %v", s)
+// TopK returns classic top-k sparsification: keep the largest
+// k = ⌈fraction·n⌉ magnitudes of each tensor. It is not error bounded
+// and is meant to run with error feedback. Its payloads decode through
+// the registered topk. fraction must lie in (0, 1).
+func TopK(fraction float64) (lossy.Compressor, error) {
+	if !(fraction > 0 && fraction < 1) {
+		return nil, fmt.Errorf("family: topk fraction %g outside (0, 1)", fraction)
 	}
-	return topK{fraction: s.Fraction}, nil
+	return topK{fraction: fraction}, nil
 }
 
 // topK is one topk configuration. fraction 0 selects threshold mode.

@@ -213,9 +213,8 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 type FedSZCodec struct {
 	pipeline *core.Pipeline
 	// wholeImage is UpdateStats.WholeImage for every frame this codec
-	// encodes: one compressor at its default setting, which honours the
-	// bound, with nothing added to the tensors and nothing chosen per
-	// frame.
+	// encodes: one registered compressor that honours the bound, with
+	// nothing added to the tensors and nothing chosen per frame.
 	wholeImage bool
 }
 
@@ -229,7 +228,7 @@ func NewFedSZCodec(cfg core.Config) (*FedSZCodec, error) {
 	fam, err := lossy.FamilyByName(cfg.Lossy)
 	return &FedSZCodec{
 		pipeline:   p,
-		wholeImage: err == nil && cfg.Feedback == nil && fam.Bounded(lossy.Setting{}),
+		wholeImage: err == nil && cfg.Feedback == nil && fam.Bounded,
 	}, nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -52,6 +53,11 @@ func corpora() map[string][]byte {
 }
 
 func TestRoundTripAllCodecs(t *testing.T) {
+	for _, want := range []string{NameBloscLZ, NameZlib, NameGzip, NameZstdLike, NameXzLike} {
+		if !slices.Contains(Names(), want) {
+			t.Fatalf("Names() = %v missing the built-in %q", Names(), want)
+		}
+	}
 	for _, c := range allCodecs(t) {
 		c := c
 		t.Run(c.Name(), func(t *testing.T) {

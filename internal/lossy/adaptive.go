@@ -30,7 +30,7 @@ const NameAdaptive = "adaptive"
 const adaptiveMaxName = 256
 
 func init() {
-	MustRegisterFamilyVariant(NewSingle(NameAdaptive, true, func() Compressor { return adaptiveCompressor{} }))
+	MustRegisterFamilyVariant(Family{Name: NameAdaptive, Bounded: true, New: func() Compressor { return adaptiveCompressor{} }})
 }
 
 // WrapAdaptive frames an inner compressor's payload for an adaptive

@@ -7,9 +7,8 @@
 // The coordinator's own RoundSpans live in the RoundTrace ring; remote
 // summaries arrive once per region per round (decoded off the
 // MsgPartialSum trailer by the transport) and are attached here keyed
-// by trace ID. Tree construction happens at read time (/rounds/tree or
-// fedsz.RoundTree), so the per-round cost on the serving path is one
-// map insert.
+// by trace ID. Tree construction happens at read time (/rounds/tree),
+// so the per-round cost on the serving path is one map insert.
 package obs
 
 import "sync"

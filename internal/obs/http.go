@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"io"
 	"math"
@@ -11,7 +10,6 @@ import (
 	"net/http/pprof"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 )
 
@@ -91,11 +89,6 @@ func writeSample(b *strings.Builder, name string, keys, vals []string, extraK, e
 	b.WriteByte('\n')
 }
 
-// expvarOnce guards the one-time expvar publication backing
-// /debug/vars; expvar names are process-global, so only the first
-// registry handed to Handler is bridged.
-var expvarOnce sync.Once
-
 // Handler returns the observability mux:
 //
 //	/metrics      Prometheus text exposition of reg
@@ -103,7 +96,6 @@ var expvarOnce sync.Once
 //	/rounds/tree  assembled federation round trees with critical path
 //	/healthz      liveness (200 once the listener serves)
 //	/readyz       readiness (200 once the first round span is gathered)
-//	/debug/vars   expvar bridge (fedsz_metrics + stdlib memstats)
 //	/debug/pprof  live profiling endpoints
 //
 // nil reg/trace default to Default/DefaultTrace; round trees are
@@ -115,11 +107,6 @@ func Handler(reg *Registry, trace *RoundTrace) http.Handler {
 	if trace == nil {
 		trace = DefaultTrace
 	}
-	expvarOnce.Do(func() {
-		expvar.Publish("fedsz_metrics", expvar.Func(func() any { return reg.Snapshot() }))
-		expvar.Publish("fedsz_rounds_total", expvar.Func(func() any { return trace.Total() }))
-	})
-
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -175,7 +162,6 @@ func Handler(reg *Registry, trace *RoundTrace) http.Handler {
 		}
 		io.WriteString(w, "ok\n")
 	})
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -186,7 +172,7 @@ func Handler(reg *Registry, trace *RoundTrace) http.Handler {
 			http.NotFound(w, req)
 			return
 		}
-		io.WriteString(w, "fedsz observability: /metrics /rounds /rounds/tree /healthz /readyz /debug/vars /debug/pprof/\n")
+		io.WriteString(w, "fedsz observability: /metrics /rounds /rounds/tree /healthz /readyz /debug/pprof/\n")
 	})
 	return mux
 }

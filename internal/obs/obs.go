@@ -39,7 +39,8 @@ import (
 var Default = NewRegistry()
 
 // Disabled is an inert registry: every constructor returns a nil
-// instrument (whose methods are no-ops) and Snapshot returns nothing.
+// instrument (whose methods are no-ops) and WritePrometheus writes
+// nothing.
 var Disabled = &Registry{inert: true}
 
 // off short-circuits every instrument update in the process when set.
@@ -178,29 +179,6 @@ func (h *Histogram) Sum() float64 {
 	return math.Float64frombits(h.sumBits.Load())
 }
 
-// Bucket holds one cumulative histogram bucket in a snapshot.
-type Bucket struct {
-	UpperBound float64 `json:"le"` // +Inf for the last bucket
-	Count      int64   `json:"count"`
-}
-
-// MarshalJSON renders the bound as a string: the last bucket's bound
-// is +Inf, which encoding/json rejects as a float, and a silent
-// marshal error would blank the expvar bridge.
-func (b Bucket) MarshalJSON() ([]byte, error) {
-	return []byte(fmt.Sprintf(`{"le":%q,"count":%d}`, formatFloat(b.UpperBound), b.Count)), nil
-}
-
-// Point is one metric instance in a registry snapshot.
-type Point struct {
-	Name   string            `json:"name"`
-	Kind   string            `json:"kind"` // "counter" | "gauge" | "histogram"
-	Labels map[string]string `json:"labels,omitempty"`
-	Value  float64           `json:"value"`             // counter/gauge value, histogram sum
-	Count  int64             `json:"count,omitempty"`   // histogram observation count
-	Bucket []Bucket          `json:"buckets,omitempty"` // cumulative
-}
-
 type kind int
 
 const (
@@ -289,7 +267,7 @@ func NewRegistry() *Registry {
 }
 
 // onScrape registers fn to run at the start of every exposition of the
-// registry (WritePrometheus, Snapshot): the place for series that are
+// registry (WritePrometheus): the place for series that are
 // read from somewhere else on demand instead of being pushed on a hot
 // path, such as the runtime's memory statistics (runtime.go).
 func (r *Registry) onScrape(fn func()) {
@@ -436,58 +414,10 @@ func (v *HistogramVec) With(values ...string) *Histogram {
 	return v.f.get(values).(*Histogram)
 }
 
-// Snapshot returns every metric instance in registration order,
-// labeled instances in first-use order. Safe to call concurrently
-// with updates; values are read atomically per instrument.
-func (r *Registry) Snapshot() []Point {
-	if r == nil || r.inert {
-		return nil
-	}
-	var pts []Point
-	for _, f := range r.scrape() {
-		f.mu.RLock()
-		keys := append([]string(nil), f.order...)
-		for _, k := range keys {
-			in := f.inst[k]
-			p := Point{Name: f.name, Kind: f.kind.String()}
-			if len(f.keys) > 0 {
-				p.Labels = make(map[string]string, len(f.keys))
-				for i, lk := range f.keys {
-					p.Labels[lk] = f.vals[k][i]
-				}
-			}
-			switch m := in.(type) {
-			case *Counter:
-				p.Value = float64(m.Value())
-			case *Gauge:
-				p.Value = float64(m.Value())
-			case *FloatGauge:
-				p.Value = m.Value()
-			case *Histogram:
-				p.Value = m.Sum()
-				p.Count = m.Count()
-				var cum int64
-				p.Bucket = make([]Bucket, 0, len(m.counts))
-				for i := range m.counts {
-					cum += m.counts[i].Load()
-					ub := math.Inf(1)
-					if i < len(m.bounds) {
-						ub = m.bounds[i]
-					}
-					p.Bucket = append(p.Bucket, Bucket{UpperBound: ub, Count: cum})
-				}
-			}
-			pts = append(pts, p)
-		}
-		f.mu.RUnlock()
-	}
-	return pts
-}
-
 // Value returns the current value of the named instrument with the
 // given label values ("" join for unlabeled), or 0 when absent. For
-// histograms it returns the observation count. Intended for tests
-// and snapshot dumps, not hot paths.
+// histograms it returns the observation count. Intended for tests,
+// not hot paths.
 func (r *Registry) Value(name string, values ...string) float64 {
 	if r == nil || r.inert {
 		return 0

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -64,8 +63,10 @@ func TestDisabledRegistryAndGlobalSwitch(t *testing.T) {
 	if v := Disabled.CounterVec("y_total", "", "k"); v.With("a") != nil {
 		t.Fatal("inert vec must hand out nil instruments")
 	}
-	if pts := Disabled.Snapshot(); pts != nil {
-		t.Fatalf("inert snapshot = %v, want nil", pts)
+	var inert strings.Builder
+	Disabled.WritePrometheus(&inert)
+	if inert.Len() != 0 {
+		t.Fatalf("inert exposition = %q, want nothing", inert.String())
 	}
 
 	r := NewRegistry()
@@ -91,19 +92,21 @@ func TestHistogramBucketsAndSum(t *testing.T) {
 	if got := h.Sum(); got != 106 {
 		t.Fatalf("sum = %g, want 106", got)
 	}
-	pts := r.Snapshot()
-	if len(pts) != 1 {
-		t.Fatalf("snapshot has %d points, want 1", len(pts))
-	}
-	b := pts[0].Bucket
-	want := []int64{2, 3, 4, 5} // cumulative: ≤1, ≤2, ≤4, +Inf
-	for i, w := range want {
-		if b[i].Count != w {
-			t.Fatalf("bucket %d = %d, want %d (buckets %+v)", i, b[i].Count, w, b)
+	var text strings.Builder
+	r.WritePrometheus(&text)
+	// Cumulative: ≤1, ≤2, ≤4, +Inf.
+	for _, want := range []string{
+		`lat_seconds_bucket{le="1"} 2`,
+		`lat_seconds_bucket{le="2"} 3`,
+		`lat_seconds_bucket{le="4"} 4`,
+		`lat_seconds_bucket{le="+Inf"} 5`,
+	} {
+		if !strings.Contains(text.String(), want+"\n") {
+			t.Fatalf("exposition missing %q:\n%s", want, text.String())
 		}
 	}
-	if !math.IsInf(b[3].UpperBound, 1) {
-		t.Fatalf("last bucket bound = %v, want +Inf", b[3].UpperBound)
+	if got := strings.Count(text.String(), "lat_seconds_bucket"); got != 4 {
+		t.Fatalf("%d bucket lines, want 4:\n%s", got, text.String())
 	}
 }
 
@@ -132,7 +135,7 @@ func TestRegistryConcurrentUpdates(t *testing.T) {
 			}
 		}(w)
 	}
-	// Concurrent readers exercise snapshot-vs-update races.
+	// Concurrent readers exercise exposition-vs-update races.
 	done := make(chan struct{})
 	go func() {
 		for {
@@ -140,7 +143,6 @@ func TestRegistryConcurrentUpdates(t *testing.T) {
 			case <-done:
 				return
 			default:
-				r.Snapshot()
 				var sb strings.Builder
 				r.WritePrometheus(&sb)
 			}
@@ -150,10 +152,8 @@ func TestRegistryConcurrentUpdates(t *testing.T) {
 	close(done)
 
 	var total int64
-	for _, p := range r.Snapshot() {
-		if p.Name == "fold_total" {
-			total += int64(p.Value)
-		}
+	for shard := 0; shard < 4; shard++ {
+		total += int64(r.Value("fold_total", fmt.Sprintf("s%d", shard)))
 	}
 	if want := int64(workers * perWorker); total != want {
 		t.Fatalf("fold_total sum = %d, want %d", total, want)
@@ -264,14 +264,13 @@ func TestHandlerEndpoints(t *testing.T) {
 	if len(spans) != 1 || spans[0].Round != 1 || spans[0].Tier != "coordinator" {
 		t.Fatalf("/rounds = %+v", spans)
 	}
-	if code, body := get("/debug/vars"); code != 200 || !strings.Contains(body, "memstats") {
-		t.Fatalf("/debug/vars code=%d body truncated=%q", code, body[:min(len(body), 120)])
-	}
 	if code, _ := get("/debug/pprof/"); code != 200 {
 		t.Fatalf("/debug/pprof/ code=%d", code)
 	}
-	if code, _ := get("/nope"); code != 404 {
-		t.Fatalf("/nope code=%d, want 404", code)
+	for _, gone := range []string{"/nope", "/debug/vars"} {
+		if code, _ := get(gone); code != 404 {
+			t.Fatalf("%s code=%d, want 404", gone, code)
+		}
 	}
 }
 
@@ -291,33 +290,6 @@ func TestServeAndClose(t *testing.T) {
 	}
 	if s2, err := Serve(Config{}); err != nil || s2 != nil {
 		t.Fatalf("empty addr Serve = %v, %v; want nil, nil", s2, err)
-	}
-}
-
-// TestSnapshotMarshalsToJSON: the snapshot must survive json.Marshal
-// even though the last histogram bucket's bound is +Inf — a marshal
-// error here silently blanks the /debug/vars expvar bridge.
-func TestSnapshotMarshalsToJSON(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("snap_seconds", "", []float64{0.1, 1})
-	h.Observe(0.5)
-	h.Observe(100) // lands in the +Inf bucket
-	raw, err := json.Marshal(r.Snapshot())
-	if err != nil {
-		t.Fatalf("snapshot does not marshal: %v", err)
-	}
-	if !strings.Contains(string(raw), `"le":"+Inf"`) {
-		t.Fatalf("marshalled snapshot missing +Inf bucket: %s", raw)
-	}
-	var pts []Point
-	if err := json.Unmarshal(raw, &pts); err == nil {
-		// Round-tripping Point is not required (le is a string on the
-		// wire), but the document itself must parse.
-		_ = pts
-	}
-	var doc []map[string]any
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatalf("marshalled snapshot is not valid JSON: %v", err)
 	}
 }
 
@@ -360,15 +332,4 @@ func TestRuntimeSeriesSampledAtScrape(t *testing.T) {
 		t.Fatalf("heap live = %v with %d MiB held", live, len(sink))
 	}
 	runtime.KeepAlive(sink)
-
-	// Snapshot (the expvar bridge) samples too.
-	found := false
-	for _, p := range Default.Snapshot() {
-		if p.Name == "fedsz_runtime_alloc_bytes_total" {
-			found = p.Value >= a1
-		}
-	}
-	if !found {
-		t.Fatal("Snapshot did not carry a fresh fedsz_runtime_alloc_bytes_total")
-	}
 }

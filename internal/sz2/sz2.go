@@ -159,7 +159,7 @@ const (
 )
 
 func init() {
-	lossy.MustRegisterFamily(lossy.NewSingle("sz2", true, func() lossy.Compressor { return New() }))
+	lossy.MustRegisterFamily(lossy.Family{Name: "sz2", Bounded: true, New: func() lossy.Compressor { return New() }})
 }
 
 // Option configures the compressor.

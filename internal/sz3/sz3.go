@@ -47,7 +47,7 @@ var compPool = sync.Pool{
 }
 
 func init() {
-	lossy.MustRegisterFamily(lossy.NewSingle("sz3", true, func() lossy.Compressor { return New() }))
+	lossy.MustRegisterFamily(lossy.Family{Name: "sz3", Bounded: true, New: func() lossy.Compressor { return New() }})
 }
 
 // Option configures the compressor.

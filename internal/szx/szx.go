@@ -53,12 +53,12 @@ const (
 )
 
 func init() {
-	lossy.MustRegisterFamily(lossy.NewSingle("szx", true, func() lossy.Compressor { return New() }))
+	lossy.MustRegisterFamily(lossy.Family{Name: "szx", Bounded: true, New: func() lossy.Compressor { return New() }})
 	// The artifact stores one block mean per group and ignores the
 	// bound, so it must never pass for an error-bounded image.
-	lossy.MustRegisterFamilyVariant(lossy.NewSingle("szx-artifact", false, func() lossy.Compressor {
+	lossy.MustRegisterFamilyVariant(lossy.Family{Name: "szx-artifact", New: func() lossy.Compressor {
 		return New(WithMode(ModePaperArtifact))
-	}))
+	}})
 }
 
 // Option configures the compressor.

@@ -39,7 +39,7 @@ const (
 )
 
 func init() {
-	lossy.MustRegisterFamily(lossy.NewSingle("zfp", true, func() lossy.Compressor { return New() }))
+	lossy.MustRegisterFamily(lossy.Family{Name: "zfp", Bounded: true, New: func() lossy.Compressor { return New() }})
 }
 
 // Compressor is the ZFP codec.
