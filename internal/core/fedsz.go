@@ -33,6 +33,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"sync"
 	"time"
 
 	"fedsz/internal/lossless"
@@ -205,13 +206,20 @@ func (p *Pipeline) shouldLossy(e model.Entry) bool {
 // buffer, so the bytes and Stats are the streaming encoder's exactly.
 // The caller must not mutate sd while the call is in flight.
 func (p *Pipeline) Compress(sd *model.StateDict) ([]byte, Stats, error) {
-	var buf bytes.Buffer
-	st, err := p.CompressTo(&buf, sd)
+	buf := compressBufs.Get().(*bytes.Buffer)
+	defer compressBufs.Put(buf)
+	buf.Reset()
+	st, err := p.CompressTo(buf, sd)
 	if err != nil {
 		return nil, st, err
 	}
-	return buf.Bytes(), st, nil
+	return bytes.Clone(buf.Bytes()), st, nil
 }
+
+// compressBufs recycles Compress's frame buffers: the frame grows in a
+// buffer that has held one before, and the caller gets an exact-size
+// copy, rather than the doublings of a fresh buffer and their slack.
+var compressBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // Decompress decodes a FedSZ bitstream back into a state dict with the
 // original entry order: DecompressFrom over buf, decoding tensors

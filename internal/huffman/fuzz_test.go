@@ -24,6 +24,17 @@ func FuzzHuffmanDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(valid)
+	// sz2-shaped codes past the multi-code table's gate, whole, cut
+	// mid-body and with a flipped bit.
+	sz2, err := AppendEncode(nil, sz2Codes(multiMinCount+100))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(sz2)
+	f.Add(slices.Clone(sz2[:len(sz2)*2/3]))
+	flipped := slices.Clone(sz2)
+	flipped[len(flipped)/2] ^= 0x10
+	f.Add(flipped)
 	tokens := make([]byte, 1000)
 	rng.Read(tokens)
 	f.Add(AppendEncodeBytes(nil, tokens))

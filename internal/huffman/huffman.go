@@ -28,13 +28,31 @@
 //
 // On the decode side, AcquireDecoder returns a pooled streaming Decoder:
 // Open parses a stream's header, Count reports the number of encoded
-// symbols, and DecodeInto decodes the next block of symbols through the
-// fast table, refilling its window a word at a time. Next, DecodeAll and
-// DecodeAllBytes are thin loops over DecodeInto, so a consumer that
-// reconstructs block by block (sz2's 128-element blocks) never
-// materializes a whole code array. Call Release to return a Decoder to
-// the pool; a released Decoder keeps no reference to the stream it
-// decoded.
+// symbols, and DecodeInto decodes the next block of symbols, refilling
+// its window a word at a time. Next and DecodeAll are thin loops over
+// DecodeInto, and DecodeAllBytes runs its loop straight into a byte
+// slice, so a consumer that reconstructs block by block (sz2's
+// 128-element blocks) never materializes a whole code array. Call
+// Release to return a Decoder to the pool; a released Decoder keeps no
+// reference to the stream it decoded.
+//
+// # Multi-code table
+//
+// A stream of short codes (sz2's element codes average 2 to 3 bits
+// over some 40 symbols) spends its decode time on one table probe per
+// code. Where the header shows it pays (multiPays: at least 8 192
+// codes, and about 4 bits a code or fewer under the distribution the
+// code lengths imply), Open also builds a table indexed by the next 12
+// bits of the window whose entries name every whole code those bits
+// begin with, up to seven, by index into the first 256 canonical codes,
+// with their total length. The build reads and writes each of its 8 Ki
+// entries once (buildMulti). DecodeInto then takes whole entries while
+// the window holds their bits and dst has room, one refill serving four
+// probes, and takes a block's last codes from an entry one by one.
+// Codes the table cannot name, and the body's last bits, go through the
+// one-code fast table and the bit-serial slow path as before, so the
+// symbols, the bits consumed and the failing index and error class are
+// a bit-serial decoder's whichever path decodes them.
 package huffman
 
 import (
@@ -58,8 +76,31 @@ const MaxCodeLen = 30
 // MaxSymbol is the largest encodable symbol value.
 const MaxSymbol = 1<<31 - 1
 
-// fastBits is the width of the single-level fast decode table.
-const fastBits = 10
+// fastBits is the width of the single-level fast decode table, and
+// fastGroup the codes of up to fastBits bits that a refilled window
+// (56 bits or more) surely holds.
+const (
+	fastBits  = 10
+	fastGroup = 56 / fastBits
+)
+
+// The multi-code table: an entry, indexed by the next multiBits bits of
+// the window, names every whole code those bits begin with, up to
+// multiCodes of them, by canonical index into the first shortCodes
+// codes. An entry packs its total length in bits 0-3, its code count in
+// bits 4-7 and the indices a byte each, first code lowest, from bit 8.
+const (
+	multiBits  = 12
+	multiCodes = 7
+	shortCodes = 256
+	multiGroup = 56 / multiBits // entries a refilled window surely holds
+
+	// The gate (multiPays). On a 2-vCPU Xeon a build took ~22 µs and
+	// saved ~2.5 ns a code on sz2's streams, so it pays from about 8 000
+	// codes, at 4 bits a code or fewer.
+	multiMinCount    = 8192
+	multiMinPerProbe = 3
+)
 
 var (
 	errCorrupt   = errors.New("huffman: corrupt stream")
@@ -492,7 +533,7 @@ func (e *encoder) canonicalOrder() {
 
 // Decoder is a streaming canonical Huffman decoder: Open parses a
 // stream produced by AppendEncode, then DecodeInto (or Next, DecodeAll
-// and DecodeAllBytes, which loop over it) consumes the body without
+// and DecodeAllBytes, which run its loop) consumes the body without
 // materializing intermediate code arrays. Decoders are not safe for
 // concurrent use; acquire one per goroutine.
 type Decoder struct {
@@ -515,6 +556,19 @@ type Decoder struct {
 	fast      [1 << fastBits]fastEntry
 	parseSyms []int32 // header parse scratch (symbol order)
 	parseLens []uint8
+
+	multiOn bool        // Open built multi: multiPays held
+	multi   *multiTable // allocated by the first stream that builds it
+}
+
+// multiTable is the multi-code table, the symbol and length of each
+// canonical index its entries can name, and buildMulti's tables of
+// shorter windows.
+type multiTable struct {
+	entries  [1 << multiBits]uint64
+	short    [shortCodes]int32
+	shortLen [shortCodes]uint8
+	lower    [1 << multiBits]uint64
 }
 
 type fastEntry struct {
@@ -546,7 +600,7 @@ func (d *Decoder) setBody(body []byte) {
 // Open parses the stream header and prepares the decode tables. It
 // retains buf (without copying) until the next Open or Release.
 func (d *Decoder) Open(buf []byte) error {
-	d.count, d.remaining = 0, 0
+	d.count, d.remaining, d.multiOn = 0, 0, false
 	d.setBody(nil)
 	hdrLen, n := binary.Uvarint(buf)
 	if n <= 0 || uint64(len(buf)-n) < hdrLen {
@@ -622,6 +676,12 @@ func (d *Decoder) Open(buf []byte) error {
 		return err
 	}
 	d.count, d.remaining = int(count), int(count)
+	if d.multiOn = d.multiPays(); d.multiOn {
+		if d.multi == nil {
+			d.multi = new(multiTable)
+		}
+		d.buildMulti()
+	}
 	d.setBody(body)
 	return nil
 }
@@ -686,6 +746,75 @@ func (d *Decoder) buildTables() error {
 	return nil
 }
 
+// multiPays reports, from the opened stream's header alone, whether the
+// multi-code table earns its build. Under the distribution the code
+// lengths imply (a code of length l is taken with probability 2^-l)
+// it estimates the bits a code averages, counting a code the table
+// cannot name (past the first shortCodes, or longer than multiBits) at
+// multiBits, since an entry stops there. The table pays when a probe
+// then averages at least multiMinPerProbe codes, and the stream holds
+// at least multiMinCount codes to spread the build over.
+func (d *Decoder) multiPays() bool {
+	if d.count < multiMinCount {
+		return false
+	}
+	var mass, bits uint64 // both scaled by 2^MaxCodeLen
+	named := int32(shortCodes)
+	for l := 1; l <= d.maxLen; l++ {
+		w := uint64(d.countLen[l]) << (MaxCodeLen - l)
+		mass += w
+		short := uint64(0)
+		if l <= multiBits {
+			short = uint64(min(d.countLen[l], max(named, 0))) << (MaxCodeLen - l)
+			named -= d.countLen[l]
+		}
+		bits += short*uint64(l) + (w-short)*multiBits
+	}
+	return bits*multiMinPerProbe <= mass*multiBits
+}
+
+// buildMulti fills the multi-code table in time proportional to it.
+// Let T_m be the table of m-bit windows: T_m[r] names the whole short
+// codes r begins with, up to multiCodes. Canonical codes, left-aligned,
+// are contiguous from zero in canonical order, so T_m is, code by
+// code, code j of length l followed by each entry of T_(m-l) (less its
+// last code if it is full), then empty entries where no short code
+// fits. Building T_1 ... T_multiBits in turn, into lower and then the
+// table, reads and writes every entry once.
+func (d *Decoder) buildMulti() {
+	t := d.multi
+	nShort := 0
+	for l := 1; l <= min(d.maxLen, multiBits) && nShort < shortCodes; l++ {
+		for end := min(nShort+int(d.countLen[l]), shortCodes); nShort < end; nShort++ {
+			t.short[nShort], t.shortLen[nShort] = d.syms[nShort], uint8(l)
+		}
+	}
+	lower := &t.lower // T_m at lower[1<<m:2<<m] for m < multiBits
+	lower[1] = 0      // T_0: the empty entry
+	for m := 1; m <= multiBits; m++ {
+		dst := t.entries[:]
+		if m < multiBits {
+			dst = lower[1<<m : 2<<m]
+		}
+		r := 0
+		for j := 0; j < nShort && int(t.shortLen[j]) <= m; j++ {
+			l := uint64(t.shortLen[j])
+			src := lower[1<<(m-int(l)) : 2<<(m-int(l))]
+			out := dst[r : r+len(src)]
+			for i, e := range src {
+				// A full entry's last index is shifted out.
+				meta := e&0xff + 1<<4 + l
+				if e>>4&15 == multiCodes {
+					meta -= 1<<4 + uint64(t.shortLen[e>>56])
+				}
+				out[i] = (e&^0xff|uint64(j))<<8 | meta
+			}
+			r += len(src)
+		}
+		clear(dst[r:])
+	}
+}
+
 // Count returns the total number of symbols in the opened stream.
 func (d *Decoder) Count() int { return d.count }
 
@@ -703,17 +832,53 @@ func (d *Decoder) MaxSym() int32 {
 // where a bit-serial, symbol-at-a-time decoder would: dst holds the
 // symbols before the failing one, the failing symbol counts as
 // consumed, and a dst longer than what remains is decoded up to the
-// declared count and then reported as reading past it.
+// declared count and then reported as reading past it. Nothing past
+// len(dst) is written.
+//
+// It is kept out of line: inlined into another package, the call to
+// the generic loop made every caller's dst escape to the heap.
+//
+//go:noinline
 func (d *Decoder) DecodeInto(dst []int32) error {
+	return decodeInto(d, dst)
+}
+
+func decodeInto[T int32 | byte](d *Decoder, dst []T) error {
 	out := dst[:min(len(dst), d.remaining)]
 	buf, pos, acc, nAcc := d.buf, d.pos, d.acc, d.nAcc
-	fast := &d.fast
-	for i := range out {
-		if nAcc < fastBits {
+	fast, t := &d.fast, d.multi
+	for i := 0; i < len(out); {
+		var n int
+		if d.multiOn {
+			n, pos, acc, nAcc = multiRun(t, out[i:], buf, pos, acc, nAcc)
+		} else {
+			n, pos, acc, nAcc = fastRun(fast, out[i:], buf, pos, acc, nAcc)
+		}
+		if i += n; i == len(out) {
+			break
+		}
+		// What the runs leave: a long code, dst's last codes, the body's
+		// last bits. A multi-code entry is taken, as far as dst has room,
+		// only if all its codes lie in real bits.
+		if nAcc < multiBits {
 			pos, acc, nAcc = refill(buf, pos, acc, nAcc)
 		}
+		if d.multiOn {
+			if e := t.entries[acc>>(64-multiBits)]; e&15 != 0 && uint(e&15) <= nAcc {
+				n, l := min(int(e>>4&15), len(out)-i), uint(0)
+				for j, idx := i, e>>8; j < i+n; j, idx = j+1, idx>>8 {
+					out[j] = T(t.short[uint8(idx)])
+					l += uint(t.shortLen[uint8(idx)])
+				}
+				i += n
+				acc <<= l
+				nAcc -= l
+				continue
+			}
+		}
 		if e := fast[acc>>(64-fastBits)]; e.len > 0 && uint(e.len) <= nAcc {
-			out[i] = e.sym
+			out[i] = T(e.sym)
+			i++
 			acc <<= uint(e.len)
 			nAcc -= uint(e.len)
 			continue
@@ -724,7 +889,8 @@ func (d *Decoder) DecodeInto(dst []int32) error {
 			d.remaining -= i + 1
 			return err
 		}
-		out[i] = s
+		out[i] = T(s)
+		i++
 		pos, acc, nAcc = d.pos, d.acc, d.nAcc
 	}
 	d.pos, d.acc, d.nAcc = pos, acc, nAcc
@@ -735,14 +901,69 @@ func (d *Decoder) DecodeInto(dst []int32) error {
 	return nil
 }
 
+// fastRun decodes codes of up to fastBits bits through the fast table
+// into out while buf holds a word past pos, and stops before a longer
+// one or where out ends. It returns the symbols written and the window
+// after them. A refill leaves 56 or more real bits in the window, so it
+// serves fastGroup codes, and every code taken lies in real bits.
+func fastRun[T int32 | byte](fast *[1 << fastBits]fastEntry, out []T, buf []byte, pos int, acc uint64, nAcc uint) (int, int, uint64, uint) {
+	i := 0
+	for pos+8 <= len(buf) && i+fastGroup <= len(out) {
+		pos, acc, nAcc = refillWord(buf, pos, acc, nAcc)
+		for end := i + fastGroup; i < end; i++ {
+			e := fast[acc>>(64-fastBits)]
+			if e.len == 0 {
+				return i, pos, acc, nAcc
+			}
+			out[i] = T(e.sym)
+			acc <<= uint(e.len) & 63
+			nAcc -= uint(e.len)
+		}
+	}
+	return i, pos, acc, nAcc
+}
+
+// multiRun decodes whole entries of t into out while out has room for
+// a full one and buf a word past pos, and stops before an entry that
+// names no code. It returns the symbols written and the window after
+// them. A refill leaves 56 or more real bits in the window, enough for
+// multiGroup entries, so every entry taken lies in real bits; while out
+// has room for multiGroup, one refill serves that many probes, which
+// keeps its load off their dependency chain.
+func multiRun[T int32 | byte](t *multiTable, out []T, buf []byte, pos int, acc uint64, nAcc uint) (int, int, uint64, uint) {
+	i, group := 0, multiGroup
+	for pos+8 <= len(buf) && i+multiCodes <= len(out) {
+		pos, acc, nAcc = refillWord(buf, pos, acc, nAcc)
+		if i+group*multiCodes > len(out) {
+			group = 1
+		}
+		for range group {
+			e := t.entries[acc>>(64-multiBits)]
+			if e&15 == 0 {
+				return i, pos, acc, nAcc
+			}
+			o := out[i : i+multiCodes : i+multiCodes]
+			o[0] = T(t.short[uint8(e>>8)])
+			o[1] = T(t.short[uint8(e>>16)])
+			o[2] = T(t.short[uint8(e>>24)])
+			o[3] = T(t.short[uint8(e>>32)])
+			o[4] = T(t.short[uint8(e>>40)])
+			o[5] = T(t.short[uint8(e>>48)])
+			o[6] = T(t.short[e>>56])
+			i += int(e >> 4 & 15)
+			acc <<= e & 15
+			nAcc -= uint(e & 15)
+		}
+	}
+	return i, pos, acc, nAcc
+}
+
 // refill tops a window up to at least 56 bits unless the body ends
 // first: with 8 bytes left it ORs in a whole word and counts the whole
 // bytes that fit, at the tail it loads a byte at a time. n must be < 64.
 func refill(buf []byte, pos int, acc uint64, n uint) (int, uint64, uint) {
 	if pos+8 <= len(buf) {
-		acc |= binary.BigEndian.Uint64(buf[pos:]) >> n
-		k := (63 - n) >> 3
-		return pos + int(k), acc, n + k<<3
+		return refillWord(buf, pos, acc, n)
 	}
 	for n <= 56 && pos < len(buf) {
 		acc |= uint64(buf[pos]) << (56 - n)
@@ -750,6 +971,15 @@ func refill(buf []byte, pos int, acc uint64, n uint) (int, uint64, uint) {
 		pos++
 	}
 	return pos, acc, n
+}
+
+// refillWord is refill's word step, for a buf with 8 bytes past pos.
+// The shift is masked, as n < 64 makes it anyway, so that the compiler
+// emits no check for a shift of 64 or more.
+func refillWord(buf []byte, pos int, acc uint64, n uint) (int, uint64, uint) {
+	acc |= binary.BigEndian.Uint64(buf[pos:]) >> (n & 63)
+	k := (63 - n) >> 3
+	return pos + int(k), acc, n + k<<3
 }
 
 // slowNext decodes the one symbol the fast loop could not: a code
@@ -802,34 +1032,24 @@ func (d *Decoder) Next() (int32, error) {
 // DecodeAll appends every remaining symbol to dst and returns the
 // extended slice; on error it holds the symbols before the failing one.
 func (d *Decoder) DecodeAll(dst []int32) ([]int32, error) {
-	k, before := len(dst), d.remaining
-	dst = slices.Grow(dst, before)[:k+before]
-	if err := d.DecodeInto(dst[k:]); err != nil {
-		return dst[:k+before-d.remaining-1], err
-	}
-	return dst, nil
+	return decodeAll(d, dst)
 }
 
-// DecodeAllBytes appends every remaining symbol to dst as bytes,
-// rejecting symbols outside the byte alphabet — the LZH token path.
+// DecodeAllBytes is DecodeAll into bytes — the LZH token path. A stream
+// whose table names a symbol past 255 is corrupt, and is rejected before
+// a token is decoded.
 func (d *Decoder) DecodeAllBytes(dst []byte) ([]byte, error) {
-	var chunk [512]int32
-	dst = slices.Grow(dst, d.remaining)
-	for d.remaining > 0 {
-		c, before := chunk[:min(d.remaining, len(chunk))], d.remaining
-		err := d.DecodeInto(c)
-		if err != nil {
-			c = c[:before-d.remaining-1]
-		}
-		for _, s := range c {
-			if uint32(s) > 255 {
-				return dst, fmt.Errorf("%w: token %d out of byte range", errCorrupt, s)
-			}
-			dst = append(dst, byte(s))
-		}
-		if err != nil {
-			return dst, err
-		}
+	if d.MaxSym() > 255 {
+		return dst, fmt.Errorf("%w: token %d out of byte range", errCorrupt, d.MaxSym())
+	}
+	return decodeAll(d, dst)
+}
+
+func decodeAll[T int32 | byte](d *Decoder, dst []T) ([]T, error) {
+	k, before := len(dst), d.remaining
+	dst = slices.Grow(dst, before)[:k+before]
+	if err := decodeInto(d, dst[k:]); err != nil {
+		return dst[:k+before-d.remaining-1], err
 	}
 	return dst, nil
 }

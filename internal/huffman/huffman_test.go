@@ -335,26 +335,51 @@ func TestAppendEncodeBytesMatchesEncode(t *testing.T) {
 	}
 }
 
-// TestDecodeAllBytesRejectsWideSymbol: a stream over a wider alphabet
-// decodes through DecodeAllBytes up to its first symbol past 255.
+// TestDecodeAllBytesRejectsWideSymbol: DecodeAllBytes rejects a stream
+// whose table names a symbol past 255 before it decodes a token: one an
+// int32 encoder wrote, and a forged table that names 300 while the body
+// uses only 0 and 1, which DecodeAll decodes.
 func TestDecodeAllBytesRejectsWideSymbol(t *testing.T) {
 	syms := make([]int32, 1000)
 	for i := range syms {
 		syms[i] = int32(i % 7)
 	}
 	syms[700] = 256
-	buf, err := AppendEncode(nil, syms)
+	wide, err := AppendEncode(nil, syms)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var hdr []byte
+	hdr = binary.AppendUvarint(hdr, 8) // symbol count
+	hdr = binary.AppendUvarint(hdr, 3) // table entries
+	// Symbols 0, 1 and 300 as (delta, length) pairs: codes 0, 10, 11.
+	for _, e := range [][2]uint64{{0, 1}, {1, 2}, {299, 2}} {
+		hdr = binary.AppendUvarint(hdr, e[0])
+		hdr = append(hdr, byte(e[1]))
+	}
+	forged := binary.AppendUvarint(nil, uint64(len(hdr)))
+	forged = append(forged, hdr...)
+	forged = append(forged, 0b0010_0010, 0) // 0 0 10 0 0 10 0 0: 0,0,1,0,0,1,0,0
+
 	d := AcquireDecoder()
 	defer d.Release()
-	if err := d.Open(buf); err != nil {
+	for _, tc := range []struct {
+		name string
+		buf  []byte
+	}{{"wide", wide}, {"forged", forged}} {
+		if err := d.Open(tc.buf); err != nil {
+			t.Fatal(err)
+		}
+		got, err := d.DecodeAllBytes([]byte{9})
+		if err == nil || !slices.Equal(got, []byte{9}) || d.remaining != d.Count() {
+			t.Fatalf("%s: DecodeAllBytes gave %d bytes and %v, want the prefix alone and an error", tc.name, len(got), err)
+		}
+	}
+	if err := d.Open(forged); err != nil {
 		t.Fatal(err)
 	}
-	got, err := d.DecodeAllBytes(nil)
-	if err == nil || len(got) != 700 {
-		t.Fatalf("decoded %d tokens, error %v: want 700 and an error", len(got), err)
+	if got, err := d.DecodeAll(nil); err != nil || !slices.Equal(got, []int32{0, 0, 1, 0, 0, 1, 0, 0}) {
+		t.Fatalf("forged: DecodeAll gave %v, %v", got, err)
 	}
 }
 
@@ -391,6 +416,26 @@ func skewedCodes(n int) []int32 {
 			k = -k
 		}
 		symbols[i] = 512 + k
+	}
+	return symbols
+}
+
+// sz2Codes returns n seeded symbols shaped like sz2's quantization
+// codes on a MobileNetV2 update: the centre code 32769 (radius+1) about
+// two times in three, so it gets a 1-bit code, and ±1 to ±20 around it
+// geometrically: about 40 symbols averaging about 2.2 bits a code.
+func sz2Codes(n int) []int32 {
+	rng := rand.New(rand.NewSource(3))
+	symbols := make([]int32, n)
+	for i := range symbols {
+		symbols[i] = 32769
+		if rng.Intn(3) == 0 {
+			k := 1 + min(int32(rng.ExpFloat64()/0.5), 19)
+			if rng.Intn(2) == 0 {
+				k = -k
+			}
+			symbols[i] += k
+		}
 	}
 	return symbols
 }
@@ -464,24 +509,45 @@ func BenchmarkEncodeAlphabetStages(b *testing.B) {
 	}
 }
 
+// BenchmarkDecodeIntoCodes decodes 4Mi codes whole and, as sz2 does,
+// 128 at a time. The skewed rows average over 4 bits per code, the sz2
+// rows under 2 (sz2Codes), where most probes take whole entries of the
+// multi-code table.
 func BenchmarkDecodeIntoCodes(b *testing.B) {
-	symbols := skewedCodes(4 << 20)
-	buf, err := AppendEncode(nil, symbols)
-	if err != nil {
-		b.Fatal(err)
-	}
-	d := AcquireDecoder()
-	defer d.Release()
-	dst := make([]int32, len(symbols))
-	b.SetBytes(int64(len(symbols) * 4))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := d.Open(buf); err != nil {
+	for _, shape := range []struct {
+		name    string
+		symbols []int32
+	}{{"skewed", skewedCodes(4 << 20)}, {"sz2", sz2Codes(4 << 20)}} {
+		buf, err := AppendEncode(nil, shape.symbols)
+		if err != nil {
 			b.Fatal(err)
 		}
-		if err := d.DecodeInto(dst); err != nil {
-			b.Fatal(err)
+		for _, block := range []int{len(shape.symbols), 128} {
+			name := shape.name + "/whole"
+			if block == 128 {
+				name = shape.name + "/block128"
+			}
+			b.Run(name, func(b *testing.B) {
+				d := AcquireDecoder()
+				defer d.Release()
+				dst := make([]int32, len(shape.symbols))
+				b.SetBytes(int64(len(dst) * 4))
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := d.Open(buf); err != nil {
+						b.Fatal(err)
+					}
+					for lo := 0; lo < len(dst); lo += block {
+						if err := d.DecodeInto(dst[lo:min(lo+block, len(dst))]); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+				if !slices.Equal(dst, shape.symbols) {
+					b.Fatal("decoded codes differ")
+				}
+			})
 		}
 	}
 }

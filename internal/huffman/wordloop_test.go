@@ -111,8 +111,11 @@ func decodeScalar(buf []byte) ([]int32, error) {
 // decodeChunked decodes buf through DecodeInto in chunks of 1 to
 // maxChunk symbols (the last may ask for more than remain) until the
 // declared count or the first error: the symbols before it and the
-// error.
+// error. Chunk ends fall anywhere, so mid-entry of the multi-code
+// table too. Half the chunks have spare capacity, filled with a
+// sentinel that DecodeInto must leave alone.
 func decodeChunked(rng *rand.Rand, buf []byte, maxChunk int) ([]int32, error) {
+	const sentinel = -7
 	d := AcquireDecoder()
 	defer d.Release()
 	if err := d.Open(buf); err != nil {
@@ -120,9 +123,17 @@ func decodeChunked(rng *rand.Rand, buf []byte, maxChunk int) ([]int32, error) {
 	}
 	var out []int32
 	for d.remaining > 0 {
-		chunk := make([]int32, 1+rng.Intn(maxChunk))
+		n := 1 + rng.Intn(maxChunk)
+		chunk := make([]int32, n, n+rng.Intn(2)*(1+rng.Intn(2*multiCodes)))
+		spare := chunk[n:cap(chunk)]
+		for i := range spare {
+			spare[i] = sentinel
+		}
 		before := d.remaining
 		err := d.DecodeInto(chunk)
+		if slices.ContainsFunc(spare, func(s int32) bool { return s != sentinel }) {
+			return out, errors.New("DecodeInto wrote past len(dst)")
+		}
 		switch {
 		case err == nil:
 			out = append(out, chunk...)

@@ -81,6 +81,50 @@ func BenchmarkCompressSections(b *testing.B) {
 	}
 }
 
+// BenchmarkDecompressSections decodes the sections
+// BenchmarkCompressSections encodes, MobileNetV2(4)'s 28, in the same
+// "all" and "small" rows, and reports ns/section: with most sections
+// under 26 000 elements, what each section pays whatever its size
+// (opening three Huffman streams, building their tables) shows here.
+func BenchmarkDecompressSections(b *testing.B) {
+	tensors, _ := mobileNetTensors(4)
+	c := New()
+	var all, small [][]byte
+	size := map[string]int{}
+	for _, t := range tensors {
+		frame, err := c.Compress(t, lossy.RelBound(1e-2))
+		if err != nil {
+			b.Fatal(err)
+		}
+		all = append(all, frame)
+		size["all"] += 4 * len(t)
+		if len(t) <= 8640 {
+			small = append(small, frame)
+			size["small"] += 4 * len(t)
+		}
+	}
+	for _, set := range []struct {
+		name   string
+		frames [][]byte
+	}{{"all", all}, {"small", small}} {
+		b.Run(set.name, func(b *testing.B) {
+			dst := make([]float32, 0, 1<<20)
+			b.SetBytes(int64(size[set.name]))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, frame := range set.frames {
+					var err error
+					if dst, err = c.DecompressInto(dst, frame); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(set.frames)), "ns/section")
+		})
+	}
+}
+
 func BenchmarkDecompressMobileNet(b *testing.B) {
 	tensors, size := mobileNetTensors(1)
 	c := New()

@@ -39,7 +39,13 @@
 // metadata) is pooled, the entropy stage is decoded a 128-element block
 // at a time (huffman.Decoder.DecodeInto) just ahead of that block's
 // reconstruction, and the lossless wrap appends directly into the
-// output frame.
+// output frame. A section's element codes average 2 to 3 bits, so for
+// a section of 8 192 elements or more the Huffman decoder builds its
+// multi-code table and takes several codes per probe, a block's last
+// ones included; the coefficient codes (about 5 bits) and the lossless
+// stage's byte tokens (about 8) fail its gate and decode a code per
+// probe. Either way the codes, and where a corrupt section fails, are a
+// bit-serial decoder's.
 //
 // # Encoder kernel
 //
