@@ -81,28 +81,28 @@ vet:
 loc:
 	@bash scripts/loc.sh
 
-# Short fuzz smoke over the ten decoder fuzz targets and the three
-# encoder equivalence targets: sz2's, the Huffman code lengths against
-# the heap build, and the LZ match finder on a reused scratch (matches
-# CI). FuzzDecodePartial's seeds are the 2.4 KB golden frames,
-# FuzzReadDownlink's are whole downlinks of a few KB, FuzzSZ2Compress
-# runs two encoders and a decoder per input and FuzzLZCompress six
-# match-finder passes over up to 64 KiB; without the minimize cap the
-# engine spends the whole smoke minimizing its first find.
+# Short fuzz smoke over the eleven decoder fuzz targets (the checkpoint
+# reader among them) and the three encoder equivalence targets: sz2's,
+# the Huffman code lengths against the heap build, and the LZ match
+# finder on a reused scratch (matches CI). Every target runs with a 1 s
+# input-minimization cap: without it, once a mutant of a multi-KB seed
+# (sz2 streams, golden frames, whole downlinks) adds coverage, the
+# engine spends the rest of the smoke minimizing that one find.
 fuzz:
-	$(GO) test -run=^$$ -fuzz=FuzzDecompress -fuzztime=10s ./internal/core
-	$(GO) test -run=^$$ -fuzz=FuzzDecoderStream -fuzztime=10s ./internal/core
-	$(GO) test -run=^$$ -fuzz=FuzzFrameIntegrity -fuzztime=10s ./internal/core
-	$(GO) test -run=^$$ -fuzz=FuzzUnmarshalStateDictInto -fuzztime=10s ./internal/core
-	$(GO) test -run=^$$ -fuzz=FuzzSZ2DecompressInto -fuzztime=10s ./internal/sz2
+	$(GO) test -run=^$$ -fuzz=FuzzDecompress -fuzztime=10s -fuzzminimizetime=1s ./internal/core
+	$(GO) test -run=^$$ -fuzz=FuzzDecoderStream -fuzztime=10s -fuzzminimizetime=1s ./internal/core
+	$(GO) test -run=^$$ -fuzz=FuzzFrameIntegrity -fuzztime=10s -fuzzminimizetime=1s ./internal/core
+	$(GO) test -run=^$$ -fuzz=FuzzUnmarshalStateDictInto -fuzztime=10s -fuzzminimizetime=1s ./internal/core
+	$(GO) test -run=^$$ -fuzz=FuzzSZ2DecompressInto -fuzztime=10s -fuzzminimizetime=1s ./internal/sz2
 	$(GO) test -run=^$$ -fuzz=FuzzSZ2Compress -fuzztime=10s -fuzzminimizetime=1s ./internal/sz2
-	$(GO) test -run=^$$ -fuzz=FuzzHuffmanDecode -fuzztime=10s ./internal/huffman
+	$(GO) test -run=^$$ -fuzz=FuzzHuffmanDecode -fuzztime=10s -fuzzminimizetime=1s ./internal/huffman
 	$(GO) test -run=^$$ -fuzz=FuzzHuffmanLengths -fuzztime=10s -fuzzminimizetime=1s ./internal/huffman
-	$(GO) test -run=^$$ -fuzz=FuzzLZHDecompress -fuzztime=10s ./internal/lossless
+	$(GO) test -run=^$$ -fuzz=FuzzLZHDecompress -fuzztime=10s -fuzzminimizetime=1s ./internal/lossless
 	$(GO) test -run=^$$ -fuzz=FuzzLZCompress -fuzztime=10s -fuzzminimizetime=1s ./internal/lossless
-	$(GO) test -run=^$$ -fuzz=FuzzFamilyDecode -fuzztime=10s ./internal/family
+	$(GO) test -run=^$$ -fuzz=FuzzFamilyDecode -fuzztime=10s -fuzzminimizetime=1s ./internal/family
 	$(GO) test -run=^$$ -fuzz=FuzzDecodePartial -fuzztime=10s -fuzzminimizetime=1s ./internal/hier
 	$(GO) test -run=^$$ -fuzz=FuzzReadDownlink -fuzztime=10s -fuzzminimizetime=1s ./internal/transport
+	$(GO) test -run=^$$ -fuzz=FuzzUnmarshalCheckpoint -fuzztime=10s -fuzzminimizetime=1s ./internal/orchestrator
 
 # Rewrite every golden file from the current encoders, then rerun the
 # golden tests against what was written. Only for a deliberate wire

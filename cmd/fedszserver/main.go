@@ -171,7 +171,7 @@ func run() error {
 		}
 		cfg.Resume = ck
 		logger.Info("resuming from checkpoint",
-			"path", *ckpt, "commits", ck.Commits, "rounds", *rounds, "version", ck.Version)
+			"path", *ckpt, "commits", ck.Commits, "rounds", *rounds)
 	}
 	srv, err := transport.NewOrchestrated(cfg)
 	if err != nil {

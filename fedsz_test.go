@@ -155,7 +155,7 @@ func TestPublicRunSim(t *testing.T) {
 	}
 }
 
-func TestPublicBaselineAndDeltaCodecs(t *testing.T) {
+func TestPublicBaselineCodecs(t *testing.T) {
 	// The paper's §III-C baselines are families in the one registry:
 	// a codec selects them by name like any compressor.
 	sd := BuildStateDict(MobileNetV2(16), 4)
@@ -175,26 +175,6 @@ func TestPublicBaselineAndDeltaCodecs(t *testing.T) {
 		if got.Len() != sd.Len() {
 			t.Fatalf("%s: %d entries, want %d", name, got.Len(), sd.Len())
 		}
-	}
-
-	inner, err := NewCodec(WithRelBound(1e-2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	delta := fl.NewDeltaCodec(inner)
-	res, err := RunSim(SimConfig{
-		Clients:          2,
-		Rounds:           2,
-		SamplesPerClient: 30,
-		TestSamples:      50,
-		Codec:            delta,
-		Seed:             8,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rounds) != 2 {
-		t.Fatal("delta sim rounds")
 	}
 }
 

@@ -30,7 +30,6 @@ func settingFamily(name string, build func() (lossy.Compressor, error)) string {
 // Variant families at the non-default settings these tests encode with.
 var (
 	topkFrac10  = settingFamily("topk:frac=0.1", func() (lossy.Compressor, error) { return family.TopK(0.1) })
-	qsgdBits6   = settingFamily("qsgd:bits=6", func() (lossy.Compressor, error) { return family.QSGD(6) })
 	randkFrac25 = settingFamily("randk:frac=0.25", func() (lossy.Compressor, error) { return family.RandK(0.25) })
 )
 

@@ -90,16 +90,6 @@ type Config struct {
 	// runtime.GOMAXPROCS(0); 1 forces the serial path. The bitstream is
 	// byte-identical at every setting.
 	Parallelism int
-	// Feedback, when non-nil, runs the lossy path with per-client
-	// error feedback: each tensor is compressed with its accumulated
-	// residual added, and the residual the encoded payload leaves
-	// behind is stored for the next frame. This costs one extra
-	// decompression per lossy tensor (to measure what the receiver
-	// will reconstruct) and makes encoding stateful — one Feedback per
-	// logical client, never shared. It is what keeps unbounded
-	// settings (fractional sparsification, fixed-width quantization)
-	// convergent.
-	Feedback *Feedback
 	// Checksum, when true, emits the integrity-checked frame version:
 	// a CRC32C trailer after the header and after every section, so a
 	// receiver detects in-flight corruption before folding a single

@@ -201,15 +201,9 @@ func (p *Pipeline) partition(sd *model.StateDict, st *Stats) (tags []bool, lossy
 }
 
 // compressEntry compresses one lossy-path tensor through the
-// configured compressor. With error feedback configured, the tensor is
-// adjusted by its accumulated residual before compression and the
-// residual the payload leaves behind is committed after.
+// configured compressor.
 func (p *Pipeline) compressEntry(e model.Entry) ([]byte, error) {
 	data := e.Tensor.Data()
-	fb := p.cfg.Feedback
-	if fb != nil {
-		data = fb.Adjust(e.Name, data)
-	}
 	fm := metricsForFamily(p.cfg.Lossy)
 	encStart := time.Now()
 	comp, err := p.lossyC.Compress(data, p.cfg.Bound)
@@ -222,16 +216,6 @@ func (p *Pipeline) compressEntry(e model.Entry) ([]byte, error) {
 	fm.encSections.Inc()
 	if len(comp) > 0 {
 		fm.encRatio.Observe(float64(len(data)) * 4 / float64(len(comp)))
-	}
-	if fb != nil {
-		// Measure what the receiver will reconstruct. The extra decode
-		// is the price of exact residuals; it parallelizes with the
-		// rest of the frame like the compression itself.
-		dec, err := p.lossyC.Decompress(comp)
-		if err != nil {
-			return nil, err
-		}
-		fb.Commit(e.Name, data, dec)
 	}
 	return comp, nil
 }
@@ -321,8 +305,7 @@ func (p *Pipeline) CompressTo(w io.Writer, sd *model.StateDict) (Stats, error) {
 	}
 
 	// fail stops the workers claiming tasks and waits out the ones in
-	// flight, so that no worker reads sd (or updates Feedback) once the
-	// call has returned.
+	// flight, so that no worker reads sd once the call has returned.
 	fail := func(err error) (Stats, error) {
 		abort.Store(true)
 		wg.Wait()

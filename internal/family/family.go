@@ -12,10 +12,9 @@
 // qsgd derives its code width from it. TopK, QSGD and RandK build the
 // classic gradient-compression settings — a kept fraction, a fixed
 // width — which do not honour an error bound (neither does the
-// registered randk), so their intended pairing is per-client error
-// feedback (core.Feedback), which folds the dropped signal back into
-// the next update. Every setting's payload decodes through its
-// registered name.
+// registered randk), so a frame of theirs is never a whole image and
+// never carries a global model down the tree. Every setting's payload
+// decodes through its registered name.
 package family
 
 import (

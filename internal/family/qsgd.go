@@ -31,9 +31,9 @@ func init() {
 }
 
 // QSGD returns qsgd at a fixed code width of bits (1 to 16), which
-// trades the error-bound guarantee for a known ratio and is meant to
-// run with error feedback. Its payloads decode through the registered
-// qsgd.
+// trades the error-bound guarantee for a known ratio: it is unbounded,
+// so its frames never carry a global model. Its payloads decode
+// through the registered qsgd.
 func QSGD(bits int) (lossy.Compressor, error) {
 	if bits < 1 || bits > qsgdMaxWidth {
 		return nil, fmt.Errorf("family: qsgd width %d outside [1, %d]", bits, qsgdMaxWidth)

@@ -19,13 +19,13 @@ func init() {
 }
 
 // RandK returns random-k sparsification: each value survives with
-// probability fraction, independently of its magnitude, so it is not
-// error bounded and is meant to run with error feedback. Selection is
+// probability fraction, independently of its magnitude, so it is
+// unbounded and its frames never carry a global model. Selection is
 // drawn from a deterministic seed (the tensor length), so encoding is
 // reproducible and frames stay byte-identical across runs; kept values
-// travel unscaled (the 1/f unbiasing of the RandK literature amounts to
-// amplifying the very noise error feedback exists to cancel). Its
-// payloads decode through the registered randk. fraction must lie in
+// travel unscaled (the 1/f unbiasing of the RandK literature amplifies
+// the noise of the dropped values). Its payloads decode through the
+// registered randk. fraction must lie in
 // (0, 1).
 func RandK(fraction float64) (lossy.Compressor, error) {
 	if !(fraction > 0 && fraction < 1) {

@@ -23,9 +23,9 @@ func init() {
 }
 
 // TopK returns classic top-k sparsification: keep the largest
-// k = ⌈fraction·n⌉ magnitudes of each tensor. It is not error bounded
-// and is meant to run with error feedback. Its payloads decode through
-// the registered topk. fraction must lie in (0, 1).
+// k = ⌈fraction·n⌉ magnitudes of each tensor. It is unbounded, so its
+// frames never carry a global model. Its payloads decode through the
+// registered topk. fraction must lie in (0, 1).
 func TopK(fraction float64) (lossy.Compressor, error) {
 	if !(fraction > 0 && fraction < 1) {
 		return nil, fmt.Errorf("family: topk fraction %g outside (0, 1)", fraction)

@@ -27,9 +27,8 @@ type UpdateStats struct {
 	// bound of the one encoded. It is what lets a frame carry a global
 	// model down the tree, and it travels here, on the base interface's
 	// return value, so that a wrapper which forwards EncodeTo forwards
-	// the answer too. A static FedSZCodec on a bounded family sets it; a
-	// delta, error-feedback or unbounded (sparsifying, fixed-width)
-	// encoding never does.
+	// the answer too. A FedSZCodec on a bounded family sets it; an
+	// unbounded (sparsifying, fixed-width) encoding never does.
 	WholeImage bool
 }
 
@@ -57,11 +56,12 @@ type Codec interface {
 	DecodeFrom(r io.Reader) (*model.StateDict, error)
 }
 
-// BoundAware and PriorAware are the hooks of a deleted runtime control
-// plane (per-round bound directives and fleet-wide plan priors). No
-// codec in this module implements them and no runtime calls them; they
-// are declared only because the benchmark's tracing wrapper asserts
-// them, and ROADMAP item 1a removes them with that assertion.
+// BoundAware, PriorAware and ReferenceAware are the hooks of deleted
+// runtime planes (per-round bound directives, fleet-wide plan priors
+// and encoding against the last broadcast global). No codec in this
+// module implements them and no runtime calls them; they are declared
+// only because the benchmark's tracing wrapper asserts them, and
+// ROADMAP item 1a removes them with that assertion.
 type BoundAware interface {
 	SetRoundBound(bound float64)
 }
@@ -70,6 +70,11 @@ type BoundAware interface {
 type PriorAware interface {
 	ExportPriorBytes() []byte
 	ApplyPriorBytes(raw []byte) error
+}
+
+// ReferenceAware: see BoundAware.
+type ReferenceAware interface {
+	SetReference(ref *model.StateDict)
 }
 
 // EntryStreamer is the streaming-aggregation decode contract: codecs
@@ -213,8 +218,7 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 type FedSZCodec struct {
 	pipeline *core.Pipeline
 	// wholeImage is UpdateStats.WholeImage for every frame this codec
-	// encodes: one registered compressor that honours the bound, with
-	// nothing added to the tensors and nothing chosen per frame.
+	// encodes: one registered compressor that honours the bound.
 	wholeImage bool
 }
 
@@ -228,7 +232,7 @@ func NewFedSZCodec(cfg core.Config) (*FedSZCodec, error) {
 	fam, err := lossy.FamilyByName(cfg.Lossy)
 	return &FedSZCodec{
 		pipeline:   p,
-		wholeImage: err == nil && cfg.Feedback == nil && fam.Bounded,
+		wholeImage: err == nil && fam.Bounded,
 	}, nil
 }
 

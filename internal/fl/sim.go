@@ -317,9 +317,6 @@ func newSim(cfg SimConfig) (*sim, error) {
 // folds through its region's edge.
 func (s *sim) syncRound(round int) error {
 	_, g := s.coord.Global()
-	if ra, ok := s.cfg.Codec.(ReferenceAware); ok {
-		ra.SetReference(g)
-	}
 	r, err := s.coord.StartRound()
 	if err != nil {
 		return err

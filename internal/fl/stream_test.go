@@ -20,22 +20,16 @@ func encode(c Codec, sd *model.StateDict) ([]byte, UpdateStats, error) {
 // TestCodecStreamingParity pins the Codec contract: EncodeTo reports
 // the bytes it wrote, and DecodeFrom consumes exactly one update, so
 // updates and other protocol traffic may follow each other on one
-// stream — for every codec in the suite, including the reference-aware
-// delta composition.
+// stream — for every codec in the suite.
 func TestCodecStreamingParity(t *testing.T) {
 	sd := nn.MobileNetV2Mini(48, 4, 3).StateDict()
-	ref := nn.MobileNetV2Mini(48, 4, 4).StateDict()
 
 	fedsz, err := NewFedSZCodec(core.Config{Bound: lossy.RelBound(1e-2)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	delta := NewDeltaCodec(fedsz)
-	delta.SetReference(ref)
-	deltaPlain := NewDeltaCodec(nil)
-	deltaPlain.SetReference(ref)
 
-	for _, codec := range []Codec{PlainCodec{}, fedsz, delta, deltaPlain} {
+	for _, codec := range []Codec{PlainCodec{}, fedsz} {
 		update, st, err := encode(codec, sd)
 		if err != nil {
 			t.Fatalf("%s: encode: %v", codec.Name(), err)

@@ -16,10 +16,10 @@ type Family struct {
 	// Name is the registry name recorded in frame sections.
 	Name string
 	// Bounded reports whether the compressor New builds honours the
-	// absolute error bound resolved from Params. Unbounded compressors
-	// (fractional sparsification, fixed-width quantization) are
-	// typically paired with error feedback so the dropped signal
-	// re-enters later updates.
+	// absolute error bound resolved from Params. A frame of an
+	// unbounded compressor (fractional sparsification, fixed-width
+	// quantization) is never a whole image, so it never carries a
+	// global model.
 	Bounded bool
 	// New builds the compressor.
 	New func() Compressor

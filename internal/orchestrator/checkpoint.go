@@ -1,6 +1,7 @@
 package orchestrator
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -8,7 +9,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
 	"time"
 
 	"fedsz/internal/core"
@@ -16,61 +16,42 @@ import (
 )
 
 // Checkpoint is a durable snapshot of everything a coordinator needs
-// to resume after a crash or restart: the aggregation counters, the
-// global model, and the server-side error-feedback residuals. Rounds
-// in flight are not captured — a checkpoint is taken between rounds
-// (the transport server does this after each commit), and a restore
-// resumes at the next round boundary, which is exactly the semantics a
-// dropped round already has.
+// to resume after a crash or restart: the commit counter and the
+// global model. Rounds in flight are not captured — a checkpoint is
+// taken between rounds (the transport server does this after each
+// commit), and a restore resumes at the next round boundary, which is
+// exactly the semantics a dropped round already has.
 type Checkpoint struct {
-	// Commits is the number of committed aggregation steps.
+	// Commits is the number of committed rounds. Every commit makes
+	// one model version, so it is also the global model's version.
 	Commits int
-	// Version is the global model version. A coordinator commits one
-	// version per round, so it writes Version equal to Commits and
-	// resumes only from a checkpoint where they are equal (the file
-	// keeps both fields).
-	Version int
 	// Global is the committed global model.
 	Global *model.StateDict
-	// Residuals is the per-client error-feedback state, keyed by
-	// client ID then tensor name (nil when the server keeps none).
-	Residuals map[string]map[string][]float32
 }
 
 // Checkpoint captures the coordinator's committed state. It must be
 // called between rounds (after Commit / outside StartRound..Commit);
-// the round in flight, if any, is deliberately not captured. The
-// caller attaches Residuals itself — residual state lives in the
-// driver (transport server), not the coordinator.
+// the round in flight, if any, is deliberately not captured.
 func (c *Coordinator) Checkpoint() *Checkpoint {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return &Checkpoint{
-		Commits: c.version, // each commit made one version
-		Version: c.version,
-		Global:  c.global,
-	}
+	return &Checkpoint{Commits: c.version, Global: c.global}
 }
 
 // NewCoordinatorFromCheckpoint builds a coordinator resuming from a
 // checkpoint: the global model and the version (which numbers the next
-// round) pick up where the snapshot left them. Every commit
-// makes one version, so a checkpoint whose Commits and Version differ
-// is ErrBadCheckpoint. The client registry starts empty — clients
-// re-register on reconnect.
+// round) pick up where the snapshot left them. The client registry
+// starts empty — clients re-register on reconnect.
 func NewCoordinatorFromCheckpoint(cfg Config, ck *Checkpoint) (*Coordinator, error) {
 	if ck == nil {
 		return nil, errors.New("orchestrator: nil checkpoint")
-	}
-	if ck.Commits != ck.Version {
-		return nil, fmt.Errorf("%w: %d commits but model version %d", ErrBadCheckpoint, ck.Commits, ck.Version)
 	}
 	c, err := NewCoordinator(cfg, ck.Global)
 	if err != nil {
 		return nil, err
 	}
 	c.mu.Lock()
-	c.version = ck.Version
+	c.version = ck.Commits
 	c.mu.Unlock()
 	return c, nil
 }
@@ -78,19 +59,20 @@ func NewCoordinatorFromCheckpoint(cfg Config, ck *Checkpoint) (*Coordinator, err
 // Checkpoint file format ("FSCK" v1):
 //
 //	magic "FSCK" | version byte 1
-//	uvarint commits | uvarint modelVersion
+//	uvarint commits | uvarint commits again (the model version, which
+//	    every commit advances with it; copies that differ are rejected)
 //	uvarint len | MarshalStateDict(Global)
 //	uvarint len | reserved blob, always empty (it held a deleted
 //	    bound scheduler's state; a non-empty one is rejected)
-//	uvarint nClients, then per client:
-//	    string id, uvarint nTensors, then per tensor:
-//	        string name, uvarint n, n × float32 LE
+//	uvarint 0 (the client count of a deleted error-feedback residual
+//	    section; a non-zero count is rejected)
 //	crc32c over everything above (big-endian trailer)
 //
-// Strings are uvarint length + bytes. The trailing CRC32C makes a
-// torn or bit-rotted snapshot a load error instead of a silently
-// wrong resume — the same Castagnoli polynomial the checksummed
-// frame format uses.
+// Every uvarint is minimal and every field is in its canonical
+// encoding, so a blob that loads re-marshals to the same bytes. The
+// trailing CRC32C makes a torn or bit-rotted snapshot a load error
+// instead of a silently wrong resume — the same Castagnoli polynomial
+// the checksummed frame format uses.
 const checkpointVersion = 1
 
 var checkpointMagic = []byte("FSCK")
@@ -111,24 +93,11 @@ func MarshalCheckpoint(ck *Checkpoint) ([]byte, error) {
 	out := append([]byte(nil), checkpointMagic...)
 	out = append(out, checkpointVersion)
 	out = binary.AppendUvarint(out, uint64(ck.Commits))
-	out = binary.AppendUvarint(out, uint64(ck.Version))
+	out = binary.AppendUvarint(out, uint64(ck.Commits)) // the model version
 	out = binary.AppendUvarint(out, uint64(len(global)))
 	out = append(out, global...)
 	out = binary.AppendUvarint(out, 0) // the reserved blob
-	out = binary.AppendUvarint(out, uint64(len(ck.Residuals)))
-	for _, id := range sortedKeys(ck.Residuals) {
-		res := ck.Residuals[id]
-		out = appendCkString(out, id)
-		out = binary.AppendUvarint(out, uint64(len(res)))
-		for _, name := range sortedKeys(res) {
-			data := res[name]
-			out = appendCkString(out, name)
-			out = binary.AppendUvarint(out, uint64(len(data)))
-			for _, v := range data {
-				out = binary.LittleEndian.AppendUint32(out, math.Float32bits(v))
-			}
-		}
-	}
+	out = binary.AppendUvarint(out, 0) // the residual client count
 	crc := crc32.Checksum(out, crc32.MakeTable(crc32.Castagnoli))
 	out = binary.BigEndian.AppendUint32(out, crc)
 	return out, nil
@@ -151,42 +120,33 @@ func UnmarshalCheckpoint(raw []byte) (*Checkpoint, error) {
 		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadCheckpoint, body[len(checkpointMagic)])
 	}
 	r := ckReader{buf: body[len(checkpointMagic)+1:]}
-	ck := &Checkpoint{
-		Commits: int(r.uvarint()),
-		Version: int(r.uvarint()),
-	}
-	globalRaw := r.bytes(int(r.uvarint()))
-	if n := r.uvarint(); n != 0 {
-		return nil, fmt.Errorf("%w: %d-byte bound-scheduler state, which nothing restores", ErrBadCheckpoint, n)
-	}
-	nClients := int(r.uvarint())
-	if nClients > 0 {
-		ck.Residuals = make(map[string]map[string][]float32, nClients)
-	}
-	for i := 0; i < nClients && r.err == nil; i++ {
-		id := r.string()
-		nTensors := int(r.uvarint())
-		res := make(map[string][]float32, nTensors)
-		for j := 0; j < nTensors && r.err == nil; j++ {
-			name := r.string()
-			n := int(r.uvarint())
-			data := make([]float32, 0, min(n, len(r.buf)/4))
-			for k := 0; k < n && r.err == nil; k++ {
-				data = append(data, math.Float32frombits(binary.LittleEndian.Uint32(r.bytes(4))))
-			}
-			res[name] = data
-		}
-		ck.Residuals[id] = res
-	}
-	if r.err != nil {
+	commits, version := r.uvarint(), r.uvarint()
+	globalRaw := r.bytes(r.uvarint())
+	bound, residuals := r.uvarint(), r.uvarint()
+	switch {
+	case r.err != nil:
 		return nil, fmt.Errorf("%w: %v", ErrBadCheckpoint, r.err)
+	case len(r.buf) != 0:
+		return nil, fmt.Errorf("%w: %d bytes after the last section", ErrBadCheckpoint, len(r.buf))
+	case commits != version:
+		return nil, fmt.Errorf("%w: %d commits but model version %d", ErrBadCheckpoint, commits, version)
+	case commits > math.MaxInt:
+		return nil, fmt.Errorf("%w: %d commits overflow int", ErrBadCheckpoint, commits)
+	case bound != 0:
+		return nil, fmt.Errorf("%w: %d-byte bound-scheduler state, which nothing restores", ErrBadCheckpoint, bound)
+	case residuals != 0:
+		return nil, fmt.Errorf("%w: residuals for %d clients, which nothing restores", ErrBadCheckpoint, residuals)
 	}
 	global, err := core.UnmarshalStateDict(globalRaw)
 	if err != nil {
 		return nil, fmt.Errorf("%w: global model: %v", ErrBadCheckpoint, err)
 	}
-	ck.Global = global
-	return ck, nil
+	// The state-dict decoder tolerates trailing bytes and non-minimal
+	// headers; a checkpoint holds only the canonical encoding.
+	if canon, err := core.MarshalStateDict(global); err != nil || !bytes.Equal(canon, globalRaw) {
+		return nil, fmt.Errorf("%w: global model is not canonically encoded", ErrBadCheckpoint)
+	}
+	return &Checkpoint{Commits: int(commits), Global: global}, nil
 }
 
 // SaveCheckpoint atomically writes the checkpoint to path: marshal,
@@ -247,11 +207,6 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 	return ck, nil
 }
 
-func appendCkString(out []byte, s string) []byte {
-	out = binary.AppendUvarint(out, uint64(len(s)))
-	return append(out, s...)
-}
-
 // ckReader is a cursor over a checkpoint body that latches the first
 // structural error instead of forcing error checks at every read.
 type ckReader struct {
@@ -268,30 +223,23 @@ func (r *ckReader) uvarint() uint64 {
 		r.err = errors.New("truncated varint")
 		return 0
 	}
+	if n != core.UvarintLen(v) {
+		r.err = errors.New("non-minimal varint")
+		return 0
+	}
 	r.buf = r.buf[n:]
 	return v
 }
 
-func (r *ckReader) bytes(n int) []byte {
+func (r *ckReader) bytes(n uint64) []byte {
 	if r.err != nil {
 		return nil
 	}
-	if n < 0 || n > len(r.buf) {
+	if n > uint64(len(r.buf)) {
 		r.err = errors.New("truncated field")
 		return nil
 	}
 	b := r.buf[:n]
 	r.buf = r.buf[n:]
 	return b
-}
-
-func (r *ckReader) string() string { return string(r.bytes(int(r.uvarint()))) }
-
-func sortedKeys[M ~map[string]V, V any](m M) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -5,71 +5,48 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"fedsz/internal/core"
+	"fedsz/internal/model"
 	"fedsz/internal/orchestrator"
+	"fedsz/internal/tensor"
 )
 
-// testCheckpoint builds a representative checkpoint: nonzero counters,
-// a model with float and int entries, and per-client residuals of
-// varying shape.
+// testCheckpoint builds a representative checkpoint: a nonzero commit
+// counter and a model with float and int entries.
 func testCheckpoint(rng *rand.Rand) *orchestrator.Checkpoint {
-	return &orchestrator.Checkpoint{
-		Commits: 7,
-		Version: 9,
-		Global:  randomDict(rng, 1),
-		Residuals: map[string]map[string][]float32{
-			"client-0001": {
-				"conv1.weight": {0.25, -1.5, 3e-7},
-				"fc.bias":      {0},
-			},
-			"client-0002": {
-				"conv1.weight": {-0.125},
-			},
-			"client-0003": {},
-		},
-	}
+	return &orchestrator.Checkpoint{Commits: 7, Global: randomDict(rng, 1)}
 }
 
 func checkpointsEqual(t *testing.T, want, got *orchestrator.Checkpoint) {
 	t.Helper()
-	if got.Commits != want.Commits || got.Version != want.Version {
-		t.Fatalf("counters (%d, %d), want (%d, %d)", got.Commits, got.Version, want.Commits, want.Version)
+	if got.Commits != want.Commits {
+		t.Fatalf("commits %d, want %d", got.Commits, want.Commits)
 	}
 	dictsBitIdentical(t, want.Global, got.Global)
-	if len(got.Residuals) != len(want.Residuals) {
-		t.Fatalf("residual clients %d, want %d", len(got.Residuals), len(want.Residuals))
+}
+
+// uv is the minimal uvarint encoding of v.
+func uv(v uint64) []byte { return binary.AppendUvarint(nil, v) }
+
+// sealCheckpoint lays out an FSCK v1 file from its body fields: magic
+// and version, the fields in order, and the CRC32C trailer over them.
+func sealCheckpoint(fields ...[]byte) []byte {
+	raw := append([]byte("FSCK"), 1)
+	for _, f := range fields {
+		raw = append(raw, f...)
 	}
-	for id, wres := range want.Residuals {
-		gres, ok := got.Residuals[id]
-		if !ok {
-			t.Fatalf("missing residual client %q", id)
-		}
-		if len(gres) != len(wres) {
-			t.Fatalf("client %q tensors %d, want %d", id, len(gres), len(wres))
-		}
-		for name, wdata := range wres {
-			gdata := gres[name]
-			if len(gdata) != len(wdata) {
-				t.Fatalf("client %q tensor %q len %d, want %d", id, name, len(gdata), len(wdata))
-			}
-			for i := range wdata {
-				if gdata[i] != wdata[i] {
-					t.Fatalf("client %q tensor %q[%d] = %v, want %v", id, name, i, gdata[i], wdata[i])
-				}
-			}
-		}
-	}
+	return binary.BigEndian.AppendUint32(raw, crc32.Checksum(raw, crc32.MakeTable(crc32.Castagnoli)))
 }
 
 // TestCheckpointRoundTrip marshals a checkpoint, parses it back, and
 // re-marshals the parse: the parse must match the original field for
-// field and the two encodings must be byte-identical (the format
-// sorts map keys, so encoding is deterministic).
+// field and the two encodings must be byte-identical.
 func TestCheckpointRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	ck := testCheckpoint(rng)
@@ -175,8 +152,8 @@ func TestCoordinatorCheckpointResume(t *testing.T) {
 	}
 
 	ck := coord.Checkpoint()
-	if ck.Commits != 3 || ck.Version != 3 {
-		t.Fatalf("checkpoint counters (%d, %d), want (3, 3)", ck.Commits, ck.Version)
+	if ck.Commits != 3 {
+		t.Fatalf("checkpoint commits %d, want 3", ck.Commits)
 	}
 	raw, err := orchestrator.MarshalCheckpoint(ck)
 	if err != nil {
@@ -209,15 +186,12 @@ func TestCheckpointResumeRejectsBoundStateMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The slot follows magic, version, both counters and the global.
+	// The slot follows magic, version, both counter copies and the global.
 	global, err := core.MarshalStateDict(ck.Global)
 	if err != nil {
 		t.Fatal(err)
 	}
-	at := len("FSCK") + 1
-	at += len(binary.AppendUvarint(nil, uint64(ck.Commits)))
-	at += len(binary.AppendUvarint(nil, uint64(ck.Version)))
-	at += len(binary.AppendUvarint(nil, uint64(len(global)))) + len(global)
+	at := len("FSCK") + 1 + 2*len(uv(uint64(ck.Commits))) + len(uv(uint64(len(global)))) + len(global)
 	if raw[at] != 0 {
 		t.Fatalf("reserved slot at byte %d reads %d, want an empty blob", at, raw[at])
 	}
@@ -229,25 +203,33 @@ func TestCheckpointResumeRejectsBoundStateMismatch(t *testing.T) {
 }
 
 // TestCheckpointResumeRejectsCounterMismatch: a coordinator commits one
-// model version per round, so a checkpoint whose two counters differ
-// was not written by one and must not be resumed; equal counters are.
+// model version per round and the file holds the counter twice, so a
+// checkpoint whose two copies differ was not written by one and must
+// not load; equal copies resume at that version.
 func TestCheckpointResumeRejectsCounterMismatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	ck := testCheckpoint(rng)
-	_, err := orchestrator.NewCoordinatorFromCheckpoint(orchestrator.Config{}, ck)
-	if !errors.Is(err, orchestrator.ErrBadCheckpoint) {
-		t.Fatalf("counters (%d, %d) resumed with error %v, want ErrBadCheckpoint", ck.Commits, ck.Version, err)
-	}
-	ck.Commits = ck.Version
-	coord, err := orchestrator.NewCoordinatorFromCheckpoint(orchestrator.Config{}, ck)
+	global, err := core.MarshalStateDict(ck.Global)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := coord.Global(); v != ck.Version {
-		t.Fatalf("resumed version %d, want %d", v, ck.Version)
+	forged := sealCheckpoint(uv(7), uv(9), uv(uint64(len(global))), global, uv(0), uv(0))
+	if _, err := orchestrator.UnmarshalCheckpoint(forged); !errors.Is(err, orchestrator.ErrBadCheckpoint) {
+		t.Fatalf("counters (7, 9) loaded with error %v, want ErrBadCheckpoint", err)
 	}
-	if got := coord.Checkpoint(); got.Commits != ck.Version || got.Version != ck.Version {
-		t.Fatalf("re-checkpoint counters (%d, %d), want (%d, %d)", got.Commits, got.Version, ck.Version, ck.Version)
+	loaded, err := orchestrator.UnmarshalCheckpoint(sealCheckpoint(uv(9), uv(9), uv(uint64(len(global))), global, uv(0), uv(0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord, err := orchestrator.NewCoordinatorFromCheckpoint(orchestrator.Config{}, loaded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := coord.Global(); v != 9 {
+		t.Fatalf("resumed version %d, want 9", v)
+	}
+	if got := coord.Checkpoint(); got.Commits != 9 {
+		t.Fatalf("re-checkpoint commits %d, want 9", got.Commits)
 	}
 	if err := coord.Join("c00"); err != nil {
 		t.Fatal(err)
@@ -256,7 +238,97 @@ func TestCheckpointResumeRejectsCounterMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if round.Number() != ck.Version || round.Version() != ck.Version {
-		t.Fatalf("first resumed round numbered %d at version %d, want both %d", round.Number(), round.Version(), ck.Version)
+	if round.Number() != 9 || round.Version() != 9 {
+		t.Fatalf("first resumed round numbered %d at version %d, want both 9", round.Number(), round.Version())
 	}
+}
+
+// TestCheckpointRejectsForgedLayout: blobs with a valid CRC but a body
+// no writer produces — a residual section, bytes after the last
+// section, a counter past int, a non-minimal varint, a global model
+// with bytes after it — are ErrBadCheckpoint, while the canonical
+// layout of the same fields is exactly what MarshalCheckpoint writes.
+func TestCheckpointRejectsForgedLayout(t *testing.T) {
+	rng := rand.New(rand.NewSource(48))
+	ck := testCheckpoint(rng)
+	raw, err := orchestrator.MarshalCheckpoint(ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	global, err := core.MarshalStateDict(ck.Global)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := uv(uint64(len(global)))
+	if canon := sealCheckpoint(uv(7), uv(7), g, global, uv(0), uv(0)); string(canon) != string(raw) {
+		t.Fatal("MarshalCheckpoint does not write the documented FSCK v1 layout")
+	}
+	tooBig := uv(uint64(math.MaxInt) + 1)
+	for name, forged := range map[string][]byte{
+		"residual count 2^63":  sealCheckpoint(uv(7), uv(7), g, global, uv(0), uv(1<<63)),
+		"residual count 1":     sealCheckpoint(uv(7), uv(7), g, global, uv(0), uv(1)),
+		"trailing byte":        sealCheckpoint(uv(7), uv(7), g, global, uv(0), uv(0), []byte{0}),
+		"counter past int":     sealCheckpoint(tooBig, tooBig, g, global, uv(0), uv(0)),
+		"non-minimal counter":  sealCheckpoint([]byte{0x87, 0x00}, []byte{0x87, 0x00}, g, global, uv(0), uv(0)),
+		"global length 2^64-1": sealCheckpoint(uv(7), uv(7), uv(math.MaxUint64), global, uv(0), uv(0)),
+		"byte after global":    sealCheckpoint(uv(7), uv(7), uv(uint64(len(global)+1)), global, []byte{0}, uv(0), uv(0)),
+	} {
+		if _, err := orchestrator.UnmarshalCheckpoint(forged); !errors.Is(err, orchestrator.ErrBadCheckpoint) {
+			t.Errorf("%s: err = %v, want ErrBadCheckpoint", name, err)
+		}
+	}
+}
+
+// FuzzUnmarshalCheckpoint: the checkpoint reader never panics on any
+// blob, and any blob it accepts re-marshals to exactly the same bytes.
+// Each input is tried as given and with its trailer re-sealed over the
+// rest, so mutations reach the parser past the CRC.
+func FuzzUnmarshalCheckpoint(f *testing.F) {
+	sd := model.NewStateDict()
+	w, err := tensor.FromData([]float32{0.5, -1, 3e-7, 0}, 2, 2)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := sd.Add(model.Entry{Name: "fc.weight", DType: model.Float32, Tensor: w}); err != nil {
+		f.Fatal(err)
+	}
+	if err := sd.Add(model.Entry{Name: "steps", DType: model.Int64, Ints: []int64{3}}); err != nil {
+		f.Fatal(err)
+	}
+	raw, err := orchestrator.MarshalCheckpoint(&orchestrator.Checkpoint{Commits: 3, Global: sd})
+	if err != nil {
+		f.Fatal(err)
+	}
+	global, err := core.MarshalStateDict(sd)
+	if err != nil {
+		f.Fatal(err)
+	}
+	g := uv(uint64(len(global)))
+	f.Add(raw)
+	f.Add(raw[:len(raw)/2])
+	f.Add(sealCheckpoint(uv(3), uv(3), g, global, uv(0), uv(1<<63)))
+	f.Add(sealCheckpoint(uv(3), uv(3), g, global, uv(0), uv(0), []byte{0}))
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		check := func(blob []byte) {
+			ck, err := orchestrator.UnmarshalCheckpoint(blob)
+			if err != nil {
+				if !errors.Is(err, orchestrator.ErrBadCheckpoint) {
+					t.Fatalf("rejected with %v, want ErrBadCheckpoint", err)
+				}
+				return
+			}
+			again, err := orchestrator.MarshalCheckpoint(ck)
+			if err != nil {
+				t.Fatalf("accepted checkpoint does not re-marshal: %v", err)
+			}
+			if string(again) != string(blob) {
+				t.Fatalf("accepted %d bytes re-marshal to %d different ones", len(blob), len(again))
+			}
+		}
+		check(blob)
+		if len(blob) > 4 {
+			body := blob[:len(blob)-4]
+			check(binary.BigEndian.AppendUint32(append([]byte(nil), body...), crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli))))
+		}
+	})
 }

@@ -96,14 +96,10 @@ type Config struct {
 	// OnDrop, if non-nil, observes every client whose pending work the
 	// coordinator withdraws: a registry Leave, a round straggler Drop,
 	// or an aborted contribution. It is invoked outside the coordinator
-	// and round locks, on the goroutine that triggered the withdrawal.
-	// Drivers use it to discard per-client encoder state whose
-	// accounting the lost update invalidated — error-feedback residuals
-	// above all (core.ResidualStore.Withdraw): a residual measured
-	// against an update the server never applied would be replayed
-	// against the wrong baseline. The reason
-	// distinguishes stragglers from corruption from departures; drivers
-	// that cannot classify pass DropUnknown.
+	// and round locks, on the goroutine that triggered the withdrawal,
+	// exactly once per withdrawal. The reason distinguishes stragglers
+	// from corruption from departures; drivers that cannot classify
+	// pass DropUnknown.
 	OnDrop func(clientID string, reason DropReason)
 	// Seed drives client sampling.
 	Seed int64

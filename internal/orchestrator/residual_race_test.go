@@ -13,10 +13,10 @@ import (
 	"fedsz/internal/tensor"
 )
 
-// feedbackDict builds a reference/update dict whose weight tensor is
-// large enough for the lossy path, so per-client encodes actually run
-// through the error-feedback state under test.
-func feedbackDict(rng *rand.Rand, scale float32) *model.StateDict {
+// lossyDict builds an update dict whose weight tensor is large enough
+// for the lossy path, so per-client encodes do real work while the
+// withdrawals race them.
+func lossyDict(rng *rand.Rand, scale float32) *model.StateDict {
 	sd := model.NewStateDict()
 	data := make([]float32, 4096)
 	for i := range data {
@@ -36,19 +36,17 @@ func feedbackDict(rng *rand.Rand, scale float32) *model.StateDict {
 }
 
 // TestResidualWithdrawOnDropRace is the concurrency contract test for
-// per-client error-feedback state: many clients encode through their
-// own core.ResidualStore feedback buffers while the orchestrator's
-// three sync withdrawal paths — Leave, Round.Drop and contributor
-// Abort — fire concurrently, each invoking OnDrop = store.Withdraw.
-// Run under -race. After every round, exactly the submitting clients
-// must still hold residual state, OnDrop must have seen each withdrawal
-// once with its reason, and the commit must count only the submitters.
+// OnDrop: many clients encode their updates while the orchestrator's
+// withdrawal paths — Leave, contributor Abort and AbortReason — fire
+// concurrently, each invoking OnDrop. Run under -race. After every
+// round OnDrop must have seen each withdrawal exactly once with its
+// reason and no submitter at all, and the commit must count only the
+// submitters.
 func TestResidualWithdrawOnDropRace(t *testing.T) {
 	const clients = 9
 	rng := rand.New(rand.NewSource(41))
-	initial := feedbackDict(rng, 1)
+	initial := lossyDict(rng, 1)
 
-	store := core.NewResidualStore()
 	var dropMu sync.Mutex
 	drops := map[string][]orchestrator.DropReason{}
 	coord, err := orchestrator.NewCoordinator(orchestrator.Config{
@@ -57,7 +55,6 @@ func TestResidualWithdrawOnDropRace(t *testing.T) {
 			dropMu.Lock()
 			drops[id] = append(drops[id], reason)
 			dropMu.Unlock()
-			store.Withdraw(id)
 		},
 	}, initial)
 	if err != nil {
@@ -73,7 +70,7 @@ func TestResidualWithdrawOnDropRace(t *testing.T) {
 	const rounds = 3
 	updates := make([]*model.StateDict, rounds)
 	for r := range updates {
-		updates[r] = feedbackDict(rng, 0.1)
+		updates[r] = lossyDict(rng, 0.1)
 	}
 
 	for round := 0; round < rounds; round++ {
@@ -95,13 +92,11 @@ func TestResidualWithdrawOnDropRace(t *testing.T) {
 			wg.Add(1)
 			go func(i int, id string) {
 				defer wg.Done()
-				// Every participant encodes through its own residual
-				// buffer first — the state the withdrawal paths race with.
-				fb := store.For(id)
+				// Every participant encodes its update first — the work
+				// the withdrawal paths race with.
 				p, err := core.NewPipeline(core.Config{
-					Lossy:    "topk",
-					Bound:    lossy.RelBound(1e-2),
-					Feedback: fb,
+					Lossy: "topk",
+					Bound: lossy.RelBound(1e-2),
 				})
 				if err != nil {
 					t.Error(err)
@@ -113,7 +108,7 @@ func TestResidualWithdrawOnDropRace(t *testing.T) {
 					return
 				}
 				switch i % 4 {
-				case 0: // commit path: the residual must survive
+				case 0: // commit path: never withdrawn
 					sd, err := core.Decompress(buf)
 					if err != nil {
 						t.Error(err)
@@ -178,23 +173,8 @@ func TestResidualWithdrawOnDropRace(t *testing.T) {
 			}
 		}
 
-		if got, want := store.Len(), len(keepers); got != want {
-			t.Fatalf("round %d: store holds %d clients after withdrawals, want %d", round, got, want)
-		}
-		for _, id := range keepers {
-			if store.For(id).Residual("fc.weight") == nil {
-				t.Fatalf("round %d: submitting client %q lost its residual", round, id)
-			}
-		}
-		// Withdrawn clients must restart from clean feedback state. The
-		// probe via For re-creates their (empty) entries, so withdraw
-		// again to keep the next round's Len accounting exact, and
-		// re-register departed clients (aborted ones never left).
+		// Re-register departed clients (aborted ones never left).
 		for _, id := range withdrawn {
-			if store.For(id).Residual("fc.weight") != nil {
-				t.Fatalf("round %d: withdrawn client %q kept a stale residual", round, id)
-			}
-			store.Withdraw(id)
 			_ = coord.Join(id)
 		}
 	}

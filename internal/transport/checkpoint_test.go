@@ -7,7 +7,6 @@ import (
 	"sync"
 	"testing"
 
-	"fedsz/internal/core"
 	"fedsz/internal/fl"
 	"fedsz/internal/model"
 	"fedsz/internal/nn"
@@ -42,8 +41,7 @@ func echoClients(t *testing.T, ln *pipeListener, codec fl.Codec, n int, strict b
 // ways a coordinator stops: a graceful Shutdown, and an Abort (a crash:
 // no final snapshot, no goodbye), which leaves only the snapshot the
 // checkpoint interval wrote after the second commit. The resumed server
-// must run exactly the remaining rounds, restore the residual store,
-// and leave a final checkpoint whose global model is bit-identical to
+// must run exactly the remaining rounds and leave a final checkpoint whose global model is bit-identical to
 // the model Serve returned.
 func TestOrchestratedCheckpointResume(t *testing.T) {
 	for _, tc := range []struct {
@@ -59,11 +57,6 @@ func TestOrchestratedCheckpointResume(t *testing.T) {
 			initial := nn.MobileNetV2Mini(48, 4, 7).StateDict()
 			path := filepath.Join(t.TempDir(), "coord.ckpt")
 
-			// Seed a residual store so the snapshot has per-client state
-			// to carry across the restart.
-			storeA := core.NewResidualStore()
-			storeA.For("client-0001").Commit("conv1.weight", []float32{1, 2}, []float32{0.5, 2})
-
 			const totalRounds = 4
 			var roundsA []int
 			var lastGlobalA *model.StateDict
@@ -73,7 +66,6 @@ func TestOrchestratedCheckpointResume(t *testing.T) {
 				MinClients:     2,
 				Rounds:         totalRounds,
 				CheckpointPath: path,
-				Residuals:      storeA,
 				OnRound: func(round int, global *model.StateDict, st orchestrator.RoundStats) {
 					roundsA = append(roundsA, round)
 					lastGlobalA = global
@@ -104,13 +96,9 @@ func TestOrchestratedCheckpointResume(t *testing.T) {
 				t.Fatalf("checkpoint commits %d, want 2", ck.Commits)
 			}
 			assertSameDict(t, lastGlobalA, ck.Global)
-			if len(ck.Residuals) != 1 || ck.Residuals["client-0001"] == nil {
-				t.Fatalf("checkpoint residuals %v, want client-0001 state", ck.Residuals)
-			}
 
-			// Resume: a fresh server, fresh clients, fresh (empty)
-			// residual store — everything a process restart loses.
-			storeB := core.NewResidualStore()
+			// Resume: a fresh server and fresh clients — everything a
+			// process restart loses.
 			var roundsB []int
 			srvB, err := NewOrchestrated(OrchestratedConfig{
 				Codec:          codec,
@@ -118,7 +106,6 @@ func TestOrchestratedCheckpointResume(t *testing.T) {
 				Rounds:         totalRounds,
 				CheckpointPath: path,
 				Resume:         ck,
-				Residuals:      storeB,
 				OnRound: func(round int, global *model.StateDict, st orchestrator.RoundStats) {
 					roundsB = append(roundsB, round)
 				},
@@ -136,12 +123,6 @@ func TestOrchestratedCheckpointResume(t *testing.T) {
 			wgB.Wait()
 			if len(roundsB) != 2 || roundsB[0] != 2 || roundsB[1] != 3 {
 				t.Fatalf("server B committed rounds %v, want [2 3]", roundsB)
-			}
-			if storeB.Len() != 1 {
-				t.Fatalf("residual store not restored on resume: %d clients", storeB.Len())
-			}
-			if r := storeB.For("client-0001").Residual("conv1.weight"); len(r) != 2 || r[0] != 0.5 || r[1] != 0 {
-				t.Fatalf("restored residual %v, want [0.5 0]", r)
 			}
 
 			// The final graceful-exit checkpoint records the completed run.

@@ -414,11 +414,11 @@ func TestFrameDownlinkRelayedThroughEdge(t *testing.T) {
 
 // TestRawDownlinkWhenGateDeclines: a tier sends the model raw, in
 // exactly the bytes it always did, when it has no declared rate, when its
-// codec's frames are not whole images (plain, delta, error feedback) and
+// codec's frames are not whole images (plain, randk's random subset) and
 // when the declared link is too fast for a frame to pay.
 func TestRawDownlinkWhenGateDeclines(t *testing.T) {
-	feedback := func() fl.Codec {
-		c, err := fl.NewFedSZCodec(core.Config{Feedback: core.NewFeedback()})
+	randk := func() fl.Codec {
+		c, err := fl.NewFedSZCodec(core.Config{Lossy: "randk"})
 		if err != nil {
 			t.Error(err)
 		}
@@ -432,8 +432,7 @@ func TestRawDownlinkWhenGateDeclines(t *testing.T) {
 	}{
 		{name: "unshaped fedsz", codec: staticFedSZ(t)},
 		{name: "shaped plain", codec: func() fl.Codec { return fl.PlainCodec{} }, bps: 100e6, gated: true},
-		{name: "shaped delta", codec: func() fl.Codec { return fl.NewDeltaCodec(staticFedSZ(t)()) }, bps: 100e6, gated: true},
-		{name: "shaped feedback", codec: feedback, bps: 100e6, gated: true},
+		{name: "shaped randk", codec: randk, bps: 100e6, gated: true},
 		{name: "fedsz on a 1 Gbps link", codec: staticFedSZ(t), bps: 1e9, gated: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"fedsz/internal/core"
 	"fedsz/internal/fl"
 	"fedsz/internal/model"
 	"fedsz/internal/obs"
@@ -47,33 +46,25 @@ type OrchestratedConfig struct {
 	OnRound func(round int, global *model.StateDict, stats orchestrator.RoundStats)
 	// OnDrop observes every withdrawn client with its typed reason
 	// (straggler deadline, corrupt frame, disconnect, departure) —
-	// the chaos test counts quarantines through it. When Residuals
-	// is configured its per-client state is withdrawn automatically
-	// before OnDrop runs.
+	// the chaos test counts quarantines through it.
 	OnDrop func(clientID string, reason orchestrator.DropReason)
 	// Logf, if non-nil, receives join/leave/drop diagnostics.
 	Logf func(format string, args ...interface{})
 	// CheckpointPath, if non-empty, makes the server durable: after
 	// every CheckpointEvery committed rounds (and on graceful
-	// shutdown) it atomically snapshots the coordinator — counters,
-	// global model, residual store — to this
-	// file. A checkpoint failure is logged, never fatal: losing
-	// durability should not kill a live federation.
+	// shutdown) it atomically snapshots the coordinator — commit
+	// counter and global model — to this file. A checkpoint failure is
+	// logged, never fatal: losing durability should not kill a live
+	// federation.
 	CheckpointPath string
 	// CheckpointEvery is the commit interval between snapshots
 	// (0 = every round).
 	CheckpointEvery int
 	// Resume, if non-nil, restarts training from a checkpoint: the
-	// coordinator resumes its counters and global model, Residuals
-	// (when present) is restored from the
-	// snapshot, and Serve runs only the remaining Rounds−Commits
-	// rounds. The initial model passed to Serve is ignored.
+	// coordinator resumes its commit counter and global model, and
+	// Serve runs only the remaining Rounds−Commits rounds. The initial
+	// model passed to Serve is ignored.
 	Resume *orchestrator.Checkpoint
-	// Residuals, if non-nil, is the server-side error-feedback store
-	// to persist in checkpoints and restore on Resume. The caller
-	// remains its owner (it is the one wiring it into its codec and
-	// the coordinator's OnDrop quarantine).
-	Residuals *core.ResidualStore
 }
 
 // Orchestrated is the orchestrator-backed federated server: clients
@@ -139,16 +130,7 @@ func (s *Orchestrated) Serve(ln net.Listener, initial *model.StateDict) (*model.
 		OverProvision:   s.cfg.OverProvision,
 		RoundDeadline:   s.cfg.RoundDeadline,
 		Shards:          s.cfg.Shards,
-		OnDrop: func(id string, reason orchestrator.DropReason) {
-			// A dropped client's residual accounting is invalidated by
-			// the lost update; quarantine it before the caller's hook.
-			if s.cfg.Residuals != nil {
-				s.cfg.Residuals.Withdraw(id)
-			}
-			if s.cfg.OnDrop != nil {
-				s.cfg.OnDrop(id, reason)
-			}
-		},
+		OnDrop:          s.cfg.OnDrop,
 	}
 	var coord *orchestrator.Coordinator
 	var err error
@@ -159,11 +141,7 @@ func (s *Orchestrated) Serve(ln net.Listener, initial *model.StateDict) (*model.
 			return nil, err
 		}
 		committed = s.cfg.Resume.Commits
-		if s.cfg.Residuals != nil && s.cfg.Resume.Residuals != nil {
-			s.cfg.Residuals.RestoreSnapshot(s.cfg.Resume.Residuals)
-		}
-		s.cfg.Logf("resumed from checkpoint: %d rounds committed, model v%d",
-			committed, s.cfg.Resume.Version)
+		s.cfg.Logf("resumed from checkpoint: %d rounds committed", committed)
 	} else {
 		coord, err = orchestrator.NewCoordinator(coordCfg, initial)
 		if err != nil {
@@ -231,19 +209,15 @@ func (s *Orchestrated) Serve(ln net.Listener, initial *model.StateDict) (*model.
 	return global, nil
 }
 
-// saveCheckpoint snapshots the coordinator (plus the residual store,
-// when configured) to cfg.CheckpointPath. Must be called between
-// rounds. Failures are logged, not fatal.
+// saveCheckpoint snapshots the coordinator to cfg.CheckpointPath. It
+// must be called between rounds. Failures are logged, not fatal.
 func (s *Orchestrated) saveCheckpoint(coord *orchestrator.Coordinator) {
 	ck := coord.Checkpoint()
-	if s.cfg.Residuals != nil {
-		ck.Residuals = s.cfg.Residuals.Snapshot()
-	}
 	if err := orchestrator.SaveCheckpoint(s.cfg.CheckpointPath, ck); err != nil {
 		s.cfg.Logf("checkpoint failed: %v", err)
 		return
 	}
-	s.cfg.Logf("checkpoint: %d rounds, model v%d -> %s", ck.Commits, ck.Version, s.cfg.CheckpointPath)
+	s.cfg.Logf("checkpoint: %d rounds -> %s", ck.Commits, s.cfg.CheckpointPath)
 }
 
 // coordSink is the coordinator's end of the round engine: it mints each

@@ -142,29 +142,24 @@ func TestPipeFederationStreamingCodec(t *testing.T) {
 	}
 }
 
-// TestPipeFederationPlainAndDelta runs the same net.Pipe exchange with
-// the plain streaming codec and the reference-aware delta codec, both
-// of which must survive the pipelined protocol bit-exactly.
-func TestPipeFederationPlainAndDelta(t *testing.T) {
+// TestPipeFederationPlain runs the net.Pipe exchange with the plain
+// streaming codec, which must survive the pipelined protocol
+// bit-exactly.
+func TestPipeFederationPlain(t *testing.T) {
 	initial := nn.MobileNetV2Mini(48, 4, 7).StateDict()
-	for _, codec := range []fl.Codec{
-		fl.PlainCodec{},
-		fl.NewDeltaCodec(fl.PlainCodec{}),
-	} {
-		final := runPipeFederation(t, codec, 2, 2)
-		if final.Len() != initial.Len() {
-			t.Fatalf("%s: final model has %d entries, want %d", codec.Name(), final.Len(), initial.Len())
+	final := runPipeFederation(t, fl.PlainCodec{}, 2, 2)
+	if final.Len() != initial.Len() {
+		t.Fatalf("final model has %d entries, want %d", final.Len(), initial.Len())
+	}
+	finalEntries := final.Entries()
+	for i, e := range initial.Entries() {
+		if e.DType != model.Float32 {
+			continue
 		}
-		finalEntries := final.Entries()
-		for i, e := range initial.Entries() {
-			if e.DType != model.Float32 {
-				continue
-			}
-			wd, gd := e.Tensor.Data(), finalEntries[i].Tensor.Data()
-			for j := range wd {
-				if wd[j] != gd[j] {
-					t.Fatalf("%s: entry %q[%d]: %v != %v", codec.Name(), e.Name, j, gd[j], wd[j])
-				}
+		wd, gd := e.Tensor.Data(), finalEntries[i].Tensor.Data()
+		for j := range wd {
+			if wd[j] != gd[j] {
+				t.Fatalf("entry %q[%d]: %v != %v", e.Name, j, gd[j], wd[j])
 			}
 		}
 	}

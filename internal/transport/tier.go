@@ -331,9 +331,6 @@ func (t *tier) runRound(sk sink) error {
 	if err != nil {
 		return err
 	}
-	if ra, ok := t.codec.(fl.ReferenceAware); ok {
-		ra.SetReference(down.global)
-	}
 	st := newRoundSpanState()
 	// Everything the span takes from the inputs is copied out here, so the
 	// model is held for the broadcast only: at an edge nothing else keeps

@@ -343,9 +343,6 @@ func runClientSession(cs *connStream, codec fl.Codec, train TrainFunc, baseRound
 			return round, err
 		}
 		global = down.global
-		if ra, ok := codec.(fl.ReferenceAware); ok {
-			ra.SetReference(down.global)
-		}
 		update, samples, err := train(baseRound+round, down.global)
 		if err != nil {
 			return round, fmt.Errorf("transport: client train: %w", err)
