@@ -54,6 +54,26 @@ func TestUnmarshalCorrupt(t *testing.T) {
 	}
 }
 
+// A whole buffer must hold the dict and nothing else: a padded or
+// spliced blob is corrupt, though a stream decoder would stop at the
+// dict's end and leave the rest unread.
+func TestUnmarshalStateDictRejectsTrailingBytes(t *testing.T) {
+	sd := model.NewStateDict()
+	if err := sd.Add(model.Entry{Name: "b", DType: model.Int64, Ints: []int64{7}}); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := MarshalStateDict(sd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := UnmarshalStateDict(blob); err != nil {
+		t.Fatalf("the dict alone: %v", err)
+	}
+	if got, err := UnmarshalStateDict(append(blob, 0, 1)); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("two bytes appended: %v (%d entries), want ErrCorrupt", err, dictLen(got))
+	}
+}
+
 func TestPipelineRoundTrip(t *testing.T) {
 	sd := testDict(t)
 	p, err := NewPipeline(Config{})

@@ -308,12 +308,16 @@ func unmarshalStateDictEntries(r io.Reader, dst *model.StateDict, at []int, emit
 }
 
 // UnmarshalStateDict decodes a buffer produced by MarshalStateDict:
-// UnmarshalStateDictFrom over buf, except that an empty buf is corrupt,
-// not io.EOF.
+// UnmarshalStateDictFrom over buf, except that an empty buf, or one with
+// bytes left after the dict, is corrupt.
 func UnmarshalStateDict(buf []byte) (*model.StateDict, error) {
-	sd, err := UnmarshalStateDictFrom(bytes.NewReader(buf))
-	if err == io.EOF {
+	r := bytes.NewReader(buf)
+	sd, err := UnmarshalStateDictFrom(r)
+	switch {
+	case err == io.EOF:
 		return nil, fmt.Errorf("%w: bad state-dict magic", ErrCorrupt)
+	case err == nil && r.Len() != 0:
+		return nil, fmt.Errorf("%w: %d bytes after the state dict", ErrCorrupt, r.Len())
 	}
 	return sd, err
 }

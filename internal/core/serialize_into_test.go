@@ -276,7 +276,9 @@ func FuzzUnmarshalStateDictInto(f *testing.F) {
 			}
 		}
 
-		want, errFrom := UnmarshalStateDictFrom(bytes.NewReader(data))
+		from := bytes.NewReader(data)
+		want, errFrom := UnmarshalStateDictFrom(from)
+		trailing := from.Len()
 		got, errInto := UnmarshalStateDictInto(bytes.NewReader(data), dst)
 		for _, m := range floatMargins {
 			for _, v := range m {
@@ -295,9 +297,10 @@ func FuzzUnmarshalStateDictInto(f *testing.F) {
 		if (errFrom == nil) != (errInto == nil) {
 			t.Fatalf("From: %v, Into: %v", errFrom, errInto)
 		}
+		// The whole-buffer decoder also refuses bytes after the dict.
 		whole, errWhole := UnmarshalStateDict(data)
-		if (errFrom == nil) != (errWhole == nil) {
-			t.Fatalf("From: %v, whole buffer: %v", errFrom, errWhole)
+		if (errFrom == nil && trailing == 0) != (errWhole == nil) {
+			t.Fatalf("From: %v with %d bytes left, whole buffer: %v", errFrom, trailing, errWhole)
 		}
 		if errFrom != nil {
 			return

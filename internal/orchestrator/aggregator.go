@@ -338,15 +338,17 @@ func foldEntries(ct *Contributor, sd *model.StateDict) error {
 // and returns the aggregate in the reference entry order. Int64
 // entries carry the first committed update's values, matching
 // fl.FedAvg. The division runs on every core, one shard per worker,
-// largest first; each element is float32(sum / total) exactly as a
-// serial loop computes it, so the global is bit-identical at any
-// GOMAXPROCS. Finalize does not consume the sums: the aggregator stays
-// usable (further contributions keep folding into the same sums, and a
-// Partial view still reads them); the tier that owns it starts its next
-// round with NextRound, which empties these sums in place. Poisoned
-// sums fail with ErrPoisoned, and NextRound replaces them; a total
-// weight that is not finite and positive (weights summing past the
-// float64 range) fails with ErrNoUpdates.
+// largest first, and four elements per AVX2 step where the CPU has it;
+// each element is float32(sum / total) exactly as a serial loop
+// computes it (a divide, never a reciprocal), so the global is
+// bit-identical at any GOMAXPROCS and on either path. Finalize does not
+// consume the sums: the aggregator stays usable (further contributions
+// keep folding into the same sums, and a Partial view still reads
+// them); the tier that owns it starts its next round with NextRound,
+// which empties these sums in place. Poisoned sums fail with
+// ErrPoisoned, and NextRound replaces them; a total weight that is not
+// finite and positive (weights summing past the float64 range) fails
+// with ErrNoUpdates.
 func (a *Aggregator) Finalize() (*model.StateDict, error) {
 	a.mu.Lock()
 	total := a.totalWeight
@@ -370,9 +372,7 @@ func (a *Aggregator) Finalize() (*model.StateDict, error) {
 				continue
 			}
 			d := make([]float32, len(sum))
-			for j, v := range sum {
-				d[j] = float32(v / total)
-			}
+			divide(d, sum, total)
 			data[i] = d
 		}
 		shard.mu.Unlock()
@@ -443,7 +443,9 @@ func (c *Contributor) Weight() float64 { return c.weight }
 
 // Fold applies one decoded entry: the entry's elements are scaled by
 // the contribution weight and added into the owning shard's sums
-// immediately, so aggregation work overlaps reception. A lent tensor
+// immediately, so aggregation work overlaps reception. Each sum gains
+// float64(weight * float64(v)), four elements per AVX2 step where the
+// CPU has it, with the scalar loop's bits (see addScaled). A lent tensor
 // (e.Redo set) is not referenced once Fold returns: for a potential
 // Abort it keeps e.Redo, and only of an owned entry the tensor itself —
 // until the contribution settles, so the caller must not overwrite an
@@ -497,12 +499,7 @@ func (c *Contributor) Fold(e model.Entry) error {
 		unsee()
 		return fmt.Errorf("orchestrator: update entry %q incompatible", e.Name)
 	}
-	w := c.weight
-	// float64(...) rounds the product on its own, so no architecture
-	// fuses it into the add: a withdraw subtracts exactly what was added.
-	for j, v := range e.Tensor.Data() {
-		sum[j] += float64(w * float64(v))
-	}
+	addScaled(sum, e.Tensor.Data(), c.weight)
 	shard.mu.Unlock()
 	obsFolds.Inc()
 	obsFoldElements.Add(int64(len(sum)))

@@ -141,8 +141,8 @@ func UnmarshalCheckpoint(raw []byte) (*Checkpoint, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: global model: %v", ErrBadCheckpoint, err)
 	}
-	// The state-dict decoder tolerates trailing bytes and non-minimal
-	// headers; a checkpoint holds only the canonical encoding.
+	// The state-dict decoder accepts non-minimal headers; a checkpoint
+	// holds only the canonical encoding.
 	if canon, err := core.MarshalStateDict(global); err != nil || !bytes.Equal(canon, globalRaw) {
 		return nil, fmt.Errorf("%w: global model is not canonically encoded", ErrBadCheckpoint)
 	}

@@ -164,9 +164,7 @@ func (c *Contributor) FoldPartial(e PartialEntry) error {
 		unsee()
 		return fmt.Errorf("orchestrator: partial entry %q incompatible", e.Name)
 	}
-	for j, v := range e.Sums {
-		sum[j] += v
-	}
+	addRaw(sum, e.Sums)
 	shard.mu.Unlock()
 
 	c.mu.Lock()

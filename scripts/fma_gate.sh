@@ -10,7 +10,9 @@
 # (dataset, scidata) and mini networks (nn) would train differently,
 # and lossytest's fixtures would hold other values. An explicit float64(x*y) (float32(x*y) for
 # float32 operands) blocks the fusion, and on amd64 compiles to the
-# same code.
+# same code. The hand-written amd64 kernels (sz2's, the aggregator's)
+# must reproduce those scalar loops bit for bit, so no .s file under
+# internal/ may name a fused multiply-add either.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -26,6 +28,17 @@ if ! grep -q 'TEXT.*sz2\.fitLine' <<<"$listing"; then
 fi
 if fused="$(grep -E '\b(FMADD|FMSUB|FNMADD|FNMSUB)[DS]\b' <<<"$listing")"; then
   echo 'fma gate: fused multiply-add in the arm64 build; wrap the product in float64(...) or float32(...):' >&2
+  echo "$fused" >&2
+  exit 1
+fi
+shopt -s globstar nullglob
+asm=(internal/**/*.s)
+if [ "${#asm[@]}" -eq 0 ]; then
+  echo 'fma gate: no .s file under internal/: the check read nothing' >&2
+  exit 1
+fi
+if fused="$(grep -nE '\bVF(N?)M(ADD|SUB)' "${asm[@]}")"; then
+  echo 'fma gate: fused multiply-add in hand-written assembly; multiply, then add:' >&2
   echo "$fused" >&2
   exit 1
 fi
