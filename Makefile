@@ -20,7 +20,7 @@ test-cores:
 	GOMAXPROCS=2 $(GO) test ./...
 
 # The whole suite on a second architecture: 386 takes every !amd64
-# path (sz2's scalar kernels, pure-Go math.Exp and math.Log) with a
+# path (the scalar kernels, pure-Go math.Exp and math.Log) with a
 # 32-bit int, against the same goldens and pinned hashes. An amd64
 # host runs 386 binaries natively; -race needs 64 bits, so none here.
 test-386:
@@ -59,9 +59,9 @@ examples:
 fmt:
 	gofmt -l -w .
 
-# go vet (on amd64 its asmdecl pass checks sz2's assembly against the
-# Go declarations), go vet for arm64, which builds sz2's scalar
-# fallback instead, go vet for 386, where int is 32 bits, the FMA gate
+# go vet (on amd64 its asmdecl pass checks the assembly kernels against
+# their Go declarations), go vet for arm64, which builds the scalar
+# fallbacks instead, go vet for 386, where int is 32 bits, the FMA gate
 # (no fused multiply-add in the arm64 build of the codecs, the
 # aggregators, the seeded model init, the datasets and mini networks
 # RunSim trains with, and the stats they use, see scripts/fma_gate.sh),
@@ -82,9 +82,10 @@ loc:
 	@bash scripts/loc.sh
 
 # Short fuzz smoke over the eleven decoder fuzz targets (the checkpoint
-# reader among them) and the three encoder equivalence targets: sz2's,
-# the Huffman code lengths against the heap build, and the LZ match
-# finder on a reused scratch (matches CI). Every target runs with a 1 s
+# reader among them) and the four encoder equivalence targets: sz2's,
+# the Huffman code lengths against the heap build, the Huffman word
+# encoders against the bit writer, and the LZ match finder on a reused
+# scratch (matches CI). Every target runs with a 1 s
 # input-minimization cap: without it, once a mutant of a multi-KB seed
 # (sz2 streams, golden frames, whole downlinks) adds coverage, the
 # engine spends the rest of the smoke minimizing that one find.
@@ -97,6 +98,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzSZ2Compress -fuzztime=10s -fuzzminimizetime=1s ./internal/sz2
 	$(GO) test -run=^$$ -fuzz=FuzzHuffmanDecode -fuzztime=10s -fuzzminimizetime=1s ./internal/huffman
 	$(GO) test -run=^$$ -fuzz=FuzzHuffmanLengths -fuzztime=10s -fuzzminimizetime=1s ./internal/huffman
+	$(GO) test -run=^$$ -fuzz=FuzzHuffmanEncode -fuzztime=10s -fuzzminimizetime=1s ./internal/huffman
 	$(GO) test -run=^$$ -fuzz=FuzzLZHDecompress -fuzztime=10s -fuzzminimizetime=1s ./internal/lossless
 	$(GO) test -run=^$$ -fuzz=FuzzLZCompress -fuzztime=10s -fuzzminimizetime=1s ./internal/lossless
 	$(GO) test -run=^$$ -fuzz=FuzzFamilyDecode -fuzztime=10s -fuzzminimizetime=1s ./internal/family

@@ -15,13 +15,21 @@
 // 8-byte words. AppendEncode, AppendEncodeAlphabet and AppendEncodeBytes
 // append a self-describing stream directly to a caller-supplied buffer:
 // one counting pass builds the histogram, the code lengths give the
-// body's exact size before a bit is written, and the body leaves the
-// window as big-endian words. A caller that knows its alphabet states it
-// (AppendEncodeAlphabet: sz2 and sz3 codes lie in [0, 2·radius+2)), so
-// no separate pass looks for the largest or a negative symbol. The
-// histogram is scanned only over the span of symbols counted, and the
-// code lengths come from a two-queue merge over flat index arrays, so a
-// stream's set-up cost follows the symbols it uses, not its alphabet.
+// body's exact size before a bit is written, and dst grows once, to the
+// body plus the 7 bytes a word store may reach past it. The body loop
+// has no branch on the data: each step shifts in as many codes as fit
+// 56 bits (four, three, two or one, from the longest code), stores the
+// window as one big-endian word and advances by its whole bytes, so the
+// bytes of dst between the returned length and its capacity may be
+// written. One loop serves every stream: AppendEncodeAlphabet's (sz2's
+// and sz3's element and coefficient codes), AppendEncodeBytes's (the
+// LZH token stage) and the sparse path's. A caller that knows its
+// alphabet states it (AppendEncodeAlphabet: sz2 and sz3 codes lie in
+// [0, 2·radius+2)), so no separate pass looks for the largest or a
+// negative symbol. The histogram is scanned only over the span of
+// symbols counted, and the code lengths come from a two-queue merge
+// over flat index arrays, so a stream's set-up cost follows the symbols
+// it uses, not its alphabet.
 // Encoder scratch (the frequency table, the sorted leaf keys, the
 // tree's frequency and parent arrays, the code tables) is recycled
 // through an internal sync.Pool.
@@ -111,10 +119,14 @@ var (
 // frequency counting and code lookup are used on the encode hot path.
 const denseLimit = 1 << 20
 
-type symCode struct {
-	code uint32
-	len  uint8
-}
+// symCode is a canonical code, code<<8 | length: one load serves the
+// body loop both.
+type symCode uint64
+
+func newSymCode(code uint32, l uint8) symCode { return symCode(code)<<8 | symCode(l) }
+
+func (c symCode) code() uint64 { return uint64(c >> 8) }
+func (c symCode) len() uint    { return uint(uint8(c)) }
 
 type symFreq struct {
 	sym  int32
@@ -136,6 +148,7 @@ type encoder struct {
 	freq   []int64   // tree node frequencies: leaves, then internal nodes
 	parent []int32   // tree node parents, then depths
 	codes  []symCode // code per pair
+	maxLen uint8     // longest code
 	dense  []symCode // code per symbol, up to the largest present
 	hdr    []byte
 }
@@ -145,7 +158,8 @@ var encoderPool = sync.Pool{
 }
 
 // AppendEncode appends the Huffman encoding of symbols (all must be
-// >= 0) to dst and returns the extended buffer; dst may be nil. It
+// >= 0) to dst and returns the extended buffer; dst may be nil. Bytes
+// in [len, cap) of the result may have been written. It
 // scans symbols for the alphabet, then runs AppendEncodeAlphabet. Where
 // int is 32 bits, a stream holding MaxSymbol is an error: its alphabet,
 // 2^31, does not fit an int.
@@ -186,7 +200,7 @@ func (e *encoder) appendAlphabet(dst []byte, symbols []int32, alphabet int) ([]b
 		return nil, err
 	}
 	dst = e.appendTable(dst, len(symbols))
-	return appendCodes(dst, symbols, e.denseCodes()), nil
+	return appendCodes(dst, symbols, e.denseCodes(), e.maxLen), nil
 }
 
 // countDense sets e.pairs to the present symbols, ascending, counted in
@@ -259,7 +273,8 @@ func uncount(freqs []uint32, symbols []int32, alphabet int) error {
 
 // AppendEncodeBytes appends the Huffman encoding of a byte-alphabet
 // token stream to dst — the LZH codecs' entropy stage. The wire format
-// is identical to AppendEncode over the widened tokens.
+// is identical to AppendEncode over the widened tokens, and as there,
+// bytes in [len, cap) of the result may have been written.
 func AppendEncodeBytes(dst []byte, tokens []byte) []byte {
 	e := encoderPool.Get().(*encoder)
 	defer encoderPool.Put(e)
@@ -274,38 +289,90 @@ func AppendEncodeBytes(dst []byte, tokens []byte) []byte {
 		}
 	}
 	dst = e.appendTable(dst, len(tokens))
-	return appendCodes(dst, tokens, e.denseCodes())
+	return appendCodes(dst, tokens, e.denseCodes(), e.maxLen)
 }
 
 // appendCodes appends the code of every symbol, MSB-first, then the
-// zero-padded final byte. The window (acc, n) lives in locals and
-// leaves for dst a big-endian word at a time; appendTable has already
-// grown dst to the body's exact size.
-func appendCodes[S int32 | byte](dst []byte, symbols []S, lookup []symCode) []byte {
+// zero-padded final byte, and returns dst extended by exactly the body.
+// dst must have room for the body plus bodySlack bytes, as appendTable
+// leaves it, since each step stores a whole word: bytes in [len, cap)
+// of the result may be written. maxLen is the longest code in lookup.
+//
+// The window (acc, n) holds the pending bits in the low n of acc, fewer
+// than 8 between steps. A step shifts in as many codes as fit 56 bits
+// (4, 3, 2 or 1, from maxLen), stores the window left-aligned as one
+// big-endian word at the write position, advances that by the whole
+// bytes and keeps the rest: no branch on the data, and the codes of a
+// step are joined off the window's dependency chain.
+func appendCodes[S int32 | byte](dst []byte, symbols []S, lookup []symCode, maxLen uint8) []byte {
+	buf, pos := dst[:cap(dst)], len(dst)
 	var acc uint64 // pending bits in the low n; bits above are stale
-	var n uint     // pending bit count, < 64
+	var n uint
+	switch k := 56 / max(maxLen, 1); {
+	case k >= 4:
+		pos, acc, n, symbols = codes4(buf, pos, symbols, lookup)
+	case k == 3:
+		pos, acc, n, symbols = codes3(buf, pos, symbols, lookup)
+	case k == 2:
+		pos, acc, n, symbols = codes2(buf, pos, symbols, lookup)
+	}
 	for _, s := range symbols {
 		c := lookup[s]
-		l := uint(c.len)
-		if n+l < 64 {
-			acc = acc<<l | uint64(c.code)
-			n += l
-			continue
-		}
-		// Top the window up to exactly 64 bits, move the word, and keep
-		// the code's low n bits pending.
-		n += l - 64
-		dst = binary.BigEndian.AppendUint64(dst, acc<<(l-n)|uint64(c.code)>>n)
-		acc = uint64(c.code)
+		pos, acc, n = putWord(buf, pos, acc<<(c.len()&63)|c.code(), n+c.len())
 	}
-	for n >= 8 {
-		n -= 8
-		dst = append(dst, byte(acc>>n))
+	return dst[:pos+int(n+7)>>3]
+}
+
+// codes4 is appendCodes's loop for codes of up to 14 bits, four a step,
+// from an empty window. It returns the window after the last whole
+// step and the symbols left, fewer than four. codes3 and codes2 are
+// the same loop for codes of up to 18 and 28 bits.
+func codes4[S int32 | byte](buf []byte, pos int, symbols []S, lookup []symCode) (int, uint64, uint, []S) {
+	var acc uint64
+	var n uint
+	for ; len(symbols) >= 4; symbols = symbols[4:] {
+		c0, c1, c2, c3 := lookup[symbols[0]], lookup[symbols[1]], lookup[symbols[2]], lookup[symbols[3]]
+		w := c0.code()<<(c1.len()&63) | c1.code()
+		w = w<<(c2.len()&63) | c2.code()
+		w = w<<(c3.len()&63) | c3.code()
+		l := c0.len() + c1.len() + c2.len() + c3.len()
+		pos, acc, n = putWord(buf, pos, acc<<(l&63)|w, n+l)
 	}
-	if n > 0 {
-		dst = append(dst, byte(acc<<(8-n)))
+	return pos, acc, n, symbols
+}
+
+func codes3[S int32 | byte](buf []byte, pos int, symbols []S, lookup []symCode) (int, uint64, uint, []S) {
+	var acc uint64
+	var n uint
+	for ; len(symbols) >= 3; symbols = symbols[3:] {
+		c0, c1, c2 := lookup[symbols[0]], lookup[symbols[1]], lookup[symbols[2]]
+		w := c0.code()<<(c1.len()&63) | c1.code()
+		w = w<<(c2.len()&63) | c2.code()
+		l := c0.len() + c1.len() + c2.len()
+		pos, acc, n = putWord(buf, pos, acc<<(l&63)|w, n+l)
 	}
-	return dst
+	return pos, acc, n, symbols
+}
+
+func codes2[S int32 | byte](buf []byte, pos int, symbols []S, lookup []symCode) (int, uint64, uint, []S) {
+	var acc uint64
+	var n uint
+	for ; len(symbols) >= 2; symbols = symbols[2:] {
+		c0, c1 := lookup[symbols[0]], lookup[symbols[1]]
+		w := c0.code()<<(c1.len()&63) | c1.code()
+		l := c0.len() + c1.len()
+		pos, acc, n = putWord(buf, pos, acc<<(l&63)|w, n+l)
+	}
+	return pos, acc, n, symbols
+}
+
+// putWord stores the window's n pending bits (n < 64), left-aligned, as
+// the big-endian word at buf[pos:], and returns the window past its
+// whole bytes. The shift is masked so that the compiler emits no check
+// for a shift of 64; n is never 0 here.
+func putWord(buf []byte, pos int, acc uint64, n uint) (int, uint64, uint) {
+	binary.BigEndian.PutUint64(buf[pos:pos+8], acc<<((64-n)&63))
+	return pos + int(n>>3), acc, n & 7
 }
 
 func symbolError(s int32, alphabet int) error {
@@ -340,13 +407,18 @@ func (e *encoder) appendSparse(dst []byte, symbols []int32, alphabet int) ([]byt
 		ranks[i] = rank[s]
 	}
 	dst = e.appendTable(dst, len(symbols))
-	return appendCodes(dst, ranks, e.codes), nil
+	return appendCodes(dst, ranks, e.codes, e.maxLen), nil
 }
 
+// bodySlack is how far past the body appendCodes's word stores reach: a
+// store starts at the byte holding the window's first pending bit, a
+// byte of the body, and is 8 bytes long.
+const bodySlack = 7
+
 // appendTable builds the length-limited canonical code for e.pairs into
-// e.codes, appends the stream header (its length, the symbol count and
-// the (symbol-delta, length) table) to dst, and grows dst to hold the
-// body, whose size the code lengths fix.
+// e.codes and e.maxLen, appends the stream header (its length, the
+// symbol count and the (symbol-delta, length) table) to dst, and grows
+// dst to hold the body, whose size the code lengths fix, and bodySlack.
 func (e *encoder) appendTable(dst []byte, count int) []byte {
 	e.buildLengths()
 	e.canonicalOrder()
@@ -373,13 +445,16 @@ func (e *encoder) appendTable(dst []byte, count int) []byte {
 	for _, idx := range e.ord {
 		l := e.lens[idx]
 		code <<= uint(l - prevLen)
-		e.codes[idx] = symCode{code: code, len: l}
+		e.codes[idx] = newSymCode(code, l)
 		code++
 		prevLen = l
 	}
+	e.maxLen = prevLen // canonical order ends at the longest code
 
-	dst = slices.Grow(dst, binary.MaxVarintLen64+len(hdr)+(bodyBits+7)/8)
-	dst = binary.AppendUvarint(dst, uint64(len(hdr)))
+	var hdrLen [binary.MaxVarintLen64]byte
+	k := binary.PutUvarint(hdrLen[:], uint64(len(hdr)))
+	dst = slices.Grow(dst, k+len(hdr)+(bodyBits+7)/8+bodySlack)
+	dst = append(dst, hdrLen[:k]...)
 	return append(dst, hdr...)
 }
 

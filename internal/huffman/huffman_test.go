@@ -467,45 +467,58 @@ func BenchmarkEncodeCodes(b *testing.B) {
 	}
 }
 
-// BenchmarkEncodeAlphabetStages splits AppendEncodeAlphabet, over codes
-// shaped like sz2's (its 65 538-symbol alphabet, centred on radius+1),
-// into the histogram and table build and the body: the two halves of
-// the entropy row of sz2's BenchmarkCompressStages. The 4Mi rows are a
-// large stream; the 1280 rows are a small section's (MobileNetV2(1)'s
-// smallest lossy tensor), where the per-stream cost of the table shows.
+// BenchmarkEncodeAlphabetStages splits AppendEncodeAlphabet, over sz2's
+// 65 538-symbol alphabet, into the histogram and table build and the
+// body: the two halves of the entropy row of sz2's
+// BenchmarkCompressStages. The skewed rows move skewedCodes to sz2's
+// centre code (radius+1) and average over 4 bits a code; the sz2Codes
+// rows are shaped like sz2's codes on a MobileNetV2 update, about 2.2
+// bits a code. The 4Mi rows are a large stream; the 1280 rows are a
+// small section's (MobileNetV2(1)'s smallest lossy tensor), where the
+// per-stream cost of the table shows.
 func BenchmarkEncodeAlphabetStages(b *testing.B) {
 	const alphabet = 2*32768 + 2
-	for _, n := range []struct {
-		name  string
-		codes int
-	}{{"4Mi", 4 << 20}, {"1280", 1280}} {
-		symbols := skewedCodes(n.codes)
+	skewed := func(n int) []int32 {
+		symbols := skewedCodes(n)
 		for i := range symbols {
 			symbols[i] += 32769 - 512
 		}
-		e := new(encoder)
-		dst, err := e.appendAlphabet(nil, symbols, alphabet)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(n.name+"/histogram+table", func(b *testing.B) {
-			b.SetBytes(int64(len(symbols) * 4))
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if err := e.countDense(symbols, alphabet); err != nil {
-					b.Fatal(err)
+		return symbols
+	}
+	for _, shape := range []struct {
+		name  string
+		codes func(int) []int32
+	}{{"skewed", skewed}, {"sz2Codes", sz2Codes}} {
+		for _, n := range []struct {
+			name  string
+			codes int
+		}{{"4Mi", 4 << 20}, {"1280", 1280}} {
+			symbols := shape.codes(n.codes)
+			name := shape.name + "/" + n.name
+			e := new(encoder)
+			dst, err := e.appendAlphabet(nil, symbols, alphabet)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Run(name+"/histogram+table", func(b *testing.B) {
+				b.SetBytes(int64(len(symbols) * 4))
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if err := e.countDense(symbols, alphabet); err != nil {
+						b.Fatal(err)
+					}
+					dst = e.appendTable(dst[:0], len(symbols))
 				}
-				dst = e.appendTable(dst[:0], len(symbols))
-			}
-		})
-		lookup := e.denseCodes()
-		b.Run(n.name+"/body", func(b *testing.B) {
-			b.SetBytes(int64(len(symbols) * 4))
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				dst = appendCodes(dst[:0], symbols, lookup)
-			}
-		})
+			})
+			lookup := e.denseCodes()
+			b.Run(name+"/body", func(b *testing.B) {
+				b.SetBytes(int64(len(symbols) * 4))
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					dst = appendCodes(dst[:0], symbols, lookup, e.maxLen)
+				}
+			})
+		}
 	}
 }
 

@@ -35,7 +35,7 @@ func refEncode(t testing.TB, symbols []int32) []byte {
 	w.ResetBuf(dst)
 	for _, s := range symbols {
 		c := codes[s]
-		w.WriteBits(uint64(c.code), uint(c.len))
+		w.WriteBits(c.code(), c.len())
 	}
 	return w.Bytes()
 }
@@ -299,9 +299,9 @@ func TestMaxCodeLenStream(t *testing.T) {
 	var w bitstream.Writer
 	w.ResetBuf(slices.Clone(hdr))
 	for _, s := range symbols {
-		w.WriteBits(uint64(e.codes[s].code), uint(e.codes[s].len))
+		w.WriteBits(e.codes[s].code(), e.codes[s].len())
 	}
-	buf := appendCodes(hdr, symbols, e.codes) // symbol s is pair s
+	buf := appendCodes(hdr, symbols, e.codes, e.maxLen) // symbol s is pair s
 	if !slices.Equal(buf, w.Bytes()) {
 		t.Fatal("word encoder differs from the bit-writer reference")
 	}
@@ -339,7 +339,7 @@ func fullScanEncode(symbols []int32, alphabet int) ([]byte, error) {
 		}
 	}
 	dst := e.appendTable(nil, len(symbols))
-	return appendCodes(dst, symbols, e.denseCodes()), nil
+	return appendCodes(dst, symbols, e.denseCodes(), e.maxLen), nil
 }
 
 // TestAlphabetScanGrouped: collecting the present symbols eight slots

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 )
 
@@ -84,7 +85,13 @@ func SummarizeF32(xs []float32) Summary {
 
 // MinMaxF32 returns the minimum and maximum of xs in a single pass,
 // skipping NaNs wherever they sit. It returns (0, 0) for an empty slice
-// and (NaN, NaN) for an all-NaN one.
+// and (NaN, NaN) for an all-NaN one. Of equal zeros it returns the
+// first: the loop below replaces a value only by a smaller (larger) one.
+//
+// Where useAVX2 holds, the multiple-of-32 body after the first non-NaN
+// value runs through an eight-lane kernel that returns the same values;
+// a zero it returns may carry the other sign, so a zero result takes
+// the bits of the slice's first zero, the one the loop keeps.
 func MinMaxF32(xs []float32) (float32, float32) {
 	if len(xs) == 0 {
 		return 0, 0
@@ -94,12 +101,28 @@ func MinMaxF32(xs []float32) (float32, float32) {
 		i++
 	}
 	mn, mx := xs[i], xs[i]
-	for _, x := range xs[i+1:] {
+	rest := xs[i+1:]
+	vector := useAVX2 && len(rest) >= 32
+	if vector {
+		body := len(rest) &^ 31
+		mn, mx = minMaxAVX2(rest[:body], mn, mx)
+		rest = rest[body:]
+	}
+	for _, x := range rest {
 		if x < mn {
 			mn = x
 		}
 		if x > mx {
 			mx = x
+		}
+	}
+	if vector && (mn == 0 || mx == 0) {
+		z := xs[i+slices.Index(xs[i:], 0)]
+		if mn == 0 {
+			mn = z
+		}
+		if mx == 0 {
+			mx = z
 		}
 	}
 	return mn, mx

@@ -156,6 +156,7 @@ var stageSink int
 // the same tensors, each sub-benchmark with the whole set's SetBytes, so
 // their ns/op add up to about BenchmarkCompressMobileNet's:
 //
+//   - range: Resolve's REL bound, the scan for the tensor's value range;
 //   - fit: widen, fit and select as predict does (widen and pick): four
 //     full blocks per fitBlocksAVX2 call where the AVX2 path runs, each
 //     picked by the bound or, where it cannot decide, by the serial
@@ -230,6 +231,11 @@ func BenchmarkCompressStages(b *testing.B) {
 			}
 		})
 	}
+	run("range", func(s *staged) {
+		if _, err := lossy.RelBound(1e-2).Resolve(s.data); err != nil {
+			b.Fatal(err)
+		}
+	})
 	fit := new(compScratch)
 	run("fit", func(s *staged) {
 		for b := 0; b < len(s.prev); {

@@ -10,8 +10,8 @@
 # (dataset, scidata) and mini networks (nn) would train differently,
 # and lossytest's fixtures would hold other values. An explicit float64(x*y) (float32(x*y) for
 # float32 operands) blocks the fusion, and on amd64 compiles to the
-# same code. The hand-written amd64 kernels (sz2's, the aggregator's)
-# must reproduce those scalar loops bit for bit, so no .s file under
+# same code. The hand-written amd64 kernels (sz2's, the aggregator's,
+# stats' range scan) must reproduce those scalar loops bit for bit, so no .s file under
 # internal/ may name a fused multiply-add either.
 set -euo pipefail
 cd "$(dirname "$0")/.."
